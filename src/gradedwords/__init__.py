@@ -14,7 +14,6 @@ from .arith import (
     box,
     dot,
     format_scalar,
-    monomial_power,
     multi_factorial,
     multinomial,
     norm,
@@ -62,10 +61,6 @@ from .series import (
     check_generating_function_2,
     exponents_up_to,
     functional_equation_residual,
-    series_add,
-    series_mul,
-    series_pow,
-    series_reciprocal,
     solve_functional_equation,
 )
 from .words import (
@@ -75,10 +70,6 @@ from .words import (
     count_prefix_class,
     count_words,
     enumerate_words,
-    letter_counts,
-    prefix_weights,
-    reverse,
-    weight,
 )
 
 __version__ = "1.0.0"
@@ -118,22 +109,14 @@ __all__ = [
     "format_scalar",
     "functional_equation_residual",
     "identity_variables",
-    "letter_counts",
     "main",
-    "monomial_power",
     "multi_factorial",
     "multinomial",
     "norm",
     "parse_scalar",
-    "prefix_weights",
     "raney_factorize",
     "raney_unfactorize",
-    "reverse",
     "run_suite",
-    "series_add",
-    "series_mul",
-    "series_pow",
-    "series_reciprocal",
     "shift_by",
     "shift_down",
     "shift_up",
@@ -145,6 +128,5 @@ __all__ = [
     "verify_identity_on_grid",
     "verify_raney_decomposition",
     "verify_shift_bijection",
-    "weight",
     "zeros",
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "norm",
     "multi_factorial",
     "multinomial",
-    "monomial_power",
     "vec_add",
     "vec_sub",
     "unit",
@@ -92,17 +91,6 @@ def multinomial(x: Scalar, n: MultiIndex) -> Fraction:
     for t in range(j):
         ff *= xi - t
     return Fraction(ff, multi_factorial(n))
-
-
-def monomial_power(z: MultiIndex, k: MultiIndex) -> int:
-    """Monomial z^k = z_1^{k_1} ... z_m^{k_m}, with the convention 0^0 = 1."""
-    _check_dims(z, k)
-    out = 1
-    for base, e in zip(z, k):
-        if e < 0:
-            raise ValueError(f"negative exponent {e} in monomial power")
-        out *= base**e
-    return out
 
 
 def vec_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:

@@ -26,12 +26,19 @@ over an entire class by enumeration and report the tallies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .arith import MultiIndex, dot, multinomial, norm, unit, vec_sub, box
-from .errors import LemmaViolationError, PreconditionError
+from .errors import DimensionMismatchError, LemmaViolationError, PreconditionError
 from .reports import VERDICT_FAIL, VERDICT_PASS, EvalReport
-from .words import GradedAlphabet, Word, _iter_class, count_prefix_class, count_words
+from .words import (
+    GradedAlphabet,
+    Word,
+    _iter_class,
+    _prefix_cut,
+    count_prefix_class,
+    count_words,
+)
 
 __all__ = [
     "BalancedPair",
@@ -89,20 +96,6 @@ RaneyFactorization = Union[PrefixCase, Overshoot]
 # ---------------------------------------------------------------------------
 # tuple-level core (hot path for whole-class verification)
 # ---------------------------------------------------------------------------
-
-
-def _prefix_cut(lw: tuple[int, ...], letters: tuple[int, ...], target: int) -> Optional[int]:
-    """Length of the prefix of weight target, or None.  target 0 cuts at 0."""
-    if target == 0:
-        return 0
-    acc = 0
-    for i, c in enumerate(letters):
-        acc += lw[c]
-        if acc == target:
-            return i + 1
-        if acc > target:
-            return None
-    return None
 
 
 def _prefix_weight_table(lw: tuple[int, ...], letters: tuple[int, ...]) -> dict[int, int]:
@@ -191,6 +184,33 @@ def _raney_cut(lw: tuple[int, ...], letters: tuple[int, ...], p: int) -> tuple[i
         if acc >= p:
             return i + 1, acc
     raise PreconditionError(f"word weight {acc} is below the split target {p}")
+
+
+def _raney_join(
+    lw: tuple[int, ...], p: int, i: int, j: int, u: tuple[int, ...], v: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Reassemble the word whose factorization at p has the given pieces,
+    checking that they are consistent.  i = 0 is the prefix case (the letter
+    a never overshoots): the word is u.v with ||u|| = p.  Otherwise u is u',
+    the word is u'.b_i.v, and 1 <= j <= z_i with ||u'|| = p + j - z_i - 1."""
+    weight_u = sum(map(lw.__getitem__, u))
+    if i == 0:
+        if weight_u != p:
+            raise PreconditionError(
+                f"inconsistent factorization: ||u|| = {weight_u}, expected {p}"
+            )
+        return u + v
+    if not 1 <= i < len(lw):
+        raise PreconditionError(f"letter index {i} out of range 1..{len(lw) - 1}")
+    z_i = lw[i] - 1
+    if not 1 <= j <= z_i:
+        raise PreconditionError(f"overshoot j={j} out of range 1..{z_i}")
+    if weight_u != p + j - z_i - 1:
+        raise PreconditionError(
+            f"inconsistent factorization: ||u_prime|| = {weight_u}, "
+            f"expected p + j - z_i - 1 = {p + j - z_i - 1}"
+        )
+    return u + (i,) + v
 
 
 # ---------------------------------------------------------------------------
@@ -341,23 +361,13 @@ def raney_factorize(w: Word, p: int) -> RaneyFactorization:
 def raney_unfactorize(f: RaneyFactorization, p: int) -> Word:
     """Reassemble the word whose factorization at p is f."""
     if isinstance(f, PrefixCase):
-        if f.u.weight != p:
-            raise PreconditionError(
-                f"inconsistent factorization: ||u|| = {f.u.weight}, expected {p}"
-            )
-        return f.u + f.v
-    alphabet = f.u_prime.alphabet
-    if not 1 <= f.i <= alphabet.m:
-        raise PreconditionError(f"letter index {f.i} out of range 1..{alphabet.m}")
-    z_i = alphabet.z[f.i - 1]
-    if not 1 <= f.j <= z_i:
-        raise PreconditionError(f"overshoot j={f.j} out of range 1..{z_i}")
-    if f.u_prime.weight != p + f.j - z_i - 1:
-        raise PreconditionError(
-            f"inconsistent factorization: ||u_prime|| = {f.u_prime.weight}, "
-            f"expected p + j - z_i - 1 = {p + f.j - z_i - 1}"
-        )
-    return f.u_prime + Word(alphabet, (f.i,)) + f.v
+        i, j, u = 0, 0, f.u
+    else:
+        i, j, u = f.i, f.j, f.u_prime
+    if u.alphabet != f.v.alphabet:
+        raise DimensionMismatchError("cannot concatenate words over different alphabets")
+    letters = _raney_join(u.alphabet.letter_weights(), p, i, j, u.letters, f.v.letters)
+    return Word(u.alphabet, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -480,24 +490,19 @@ def verify_raney_decomposition(
         cut, achieved = _raney_cut(lw, letters, p)
         if achieved == p:
             prefix_tally += 1
-            reassembled = letters
+            i, j, u = 0, 0, letters[:cut]
         else:
-            i = letters[cut - 1]
-            j = achieved - p
-            if not 1 <= j <= z[i - 1]:
-                return fail(
-                    "overshoot outside 1..z_i",
-                    word=_render(alphabet, letters),
-                    i=i,
-                    j=j,
-                )
+            i, j, u = letters[cut - 1], achieved - p, letters[: cut - 1]
             counts_u = [0] * m
             for c in letters[:cut]:
                 if c:
                     counts_u[c - 1] += 1
             key = (i, j, tuple(counts_u))
             overshoot_tally[key] = overshoot_tally.get(key, 0) + 1
-            reassembled = letters[: cut - 1] + (i,) + letters[cut:]
+        try:
+            reassembled = _raney_join(lw, p, i, j, u, letters[cut:])
+        except PreconditionError as exc:
+            return fail(str(exc), word=_render(alphabet, letters))
         if reassembled != letters:
             return fail("factorization does not reassemble", word=_render(alphabet, letters))
 

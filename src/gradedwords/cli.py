@@ -18,7 +18,8 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Optional, Sequence, Union
 
 from .arith import MultiIndex, dot, format_scalar, parse_scalar
 from .bijections import (
@@ -27,7 +28,7 @@ from .bijections import (
     raney_factorize,
     raney_unfactorize,
     shift_by,
-    _shift_down,
+    shift_down,
     verify_raney_decomposition,
     verify_shift_bijection,
 )
@@ -67,45 +68,6 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 Payload = Union[EvalReport, dict]
-
-
-# ---------------------------------------------------------------------------
-# parsing helpers
-# ---------------------------------------------------------------------------
-
-
-def _parse_nat_csv(text: str, flag: str) -> MultiIndex:
-    try:
-        values = tuple(int(part) for part in str(text).split(","))
-    except ValueError:
-        raise PreconditionError(f"{flag} expects comma-separated integers, got {text!r}")
-    if any(v < 0 for v in values):
-        raise PreconditionError(f"{flag} entries must be >= 0, got {text!r}")
-    return values
-
-
-def _parse_grid_range(text: str) -> tuple[int, int]:
-    head, sep, tail = str(text).partition("..")
-    if not sep:
-        raise PreconditionError(f"--grid-range expects A..B, got {text!r}")
-    try:
-        lo, hi = int(head), int(tail)
-    except ValueError:
-        raise PreconditionError(f"--grid-range expects integers A..B, got {text!r}")
-    return lo, hi
-
-
-def _parse_point(text: str) -> dict[str, Fraction]:
-    point: dict[str, Fraction] = {}
-    for piece in str(text).split(","):
-        name, sep, value = piece.partition("=")
-        if not sep:
-            raise PreconditionError(f"--point expects var=value pairs, got {piece!r}")
-        try:
-            point[name.strip()] = parse_scalar(value)
-        except (ValueError, ZeroDivisionError):
-            raise PreconditionError(f"--point value {value!r} is not an exact scalar")
-    return point
 
 
 def _require(condition: bool, message: str) -> None:
@@ -182,7 +144,6 @@ def do_bijection(
     word: Optional[str] = None,
 ) -> EvalReport:
     """Apply a bijection to one word, or verify it over a whole class."""
-    _require(kind in ("shift", "raney"), f"bijection kind must be shift or raney, got {kind!r}")
     alphabet = _alphabet(z)
     if word is not None:
         w = alphabet.parse_word(word)
@@ -200,22 +161,17 @@ def do_bijection(
         if kind == "shift":
             steps = 1 if r is None else r
             image = shift_by(w, p, steps)
-            lw = alphabet.letter_weights()
-            back = image.letters
+            back = image
             for step in range(steps - 1, -1, -1):
-                back = _shift_down(lw, back, p + step)
+                back = shift_down(back, p + step)
             report = EvalReport(
                 check="shift-word",
                 params={"p": p, "z": list(z), "r": steps},
                 details={"word": str(w), "image": str(image)},
             )
-            report.verdict = VERDICT_PASS if back == w.letters else VERDICT_FAIL
+            report.verdict = VERDICT_PASS if back == w else VERDICT_FAIL
             if not report.ok:
-                report.counterexample = {
-                    "word": str(w),
-                    "image": str(image),
-                    "back": str(alphabet.word(back)),
-                }
+                report.counterexample = {"word": str(w), "image": str(image), "back": str(back)}
             return report
         _require(r is None, "bijection raney does not take --r")
         f = raney_factorize(w, p)
@@ -279,10 +235,16 @@ def do_verify(
 def do_series_solve(
     z: MultiIndex,
     order: int,
-    expect_coefficients: Optional[dict[str, str]] = None,
+    expect_coefficients: Optional[tuple[tuple[MultiIndex, Fraction], ...]] = None,
 ) -> EvalReport:
     """Solve the functional equation and report the coefficients, checking
     the residual, coefficient naturality, and any expected values."""
+    for exponent, _ in expect_coefficients or ():
+        _require(
+            len(exponent) == len(z) and sum(exponent) <= order,
+            f"expect_coefficients exponent {','.join(map(str, exponent))} is not a"
+            f" monomial of degree <= {order} in {len(z)} variables",
+        )
     v = solve_functional_equation(tuple(z), order)
     residual_zero = functional_equation_residual(v, tuple(z)).is_zero()
     natural = all(c.denominator == 1 and c >= 0 for c in v.coeffs.values())
@@ -306,9 +268,7 @@ def do_series_solve(
         }
         return report
     if expect_coefficients:
-        for key, value in expect_coefficients.items():
-            exponent = _parse_nat_csv(key, "expected-coefficient exponent")
-            expected = parse_scalar(str(value))
+        for exponent, expected in expect_coefficients:
             actual = v.coefficient(exponent)
             if actual != expected:
                 report.verdict = VERDICT_MISMATCH
@@ -329,94 +289,180 @@ def do_series_check(which: int, x: int, z: MultiIndex, order: int) -> EvalReport
 
 
 # ---------------------------------------------------------------------------
-# suite
+# member schema (shared by CLI flags and manifest members)
 # ---------------------------------------------------------------------------
 
-_MEMBER_KEYS = {
-    "count": {"z", "p", "k", "q", "n"},
-    "enumerate": {"z", "p", "k", "r"},
-    "bijection": {"kind", "z", "p", "q", "n", "r", "word"},
-    "verify": {"identity", "n", "k", "z", "i", "j", "grid_range", "point"},
-    "series-solve": {"z", "order", "expect_coefficients"},
-    "series-check1": {"x", "z", "order"},
-    "series-check2": {"x", "z", "order"},
+# Every key has one kind wherever it appears, and each command lists its
+# required and optional keys.  Coercion rejects bool and float (a JSON 3.5 or
+# true must not pass as a weight) and names the key as its CLI flag in every
+# message.
+
+
+def _nat(value: object, name: str) -> int:
+    if type(value) is not int or value < 0:
+        raise PreconditionError(f"{name} must be a natural number, got {value!r}")
+    return value
+
+
+def _nats(value: object, name: str) -> MultiIndex:
+    if isinstance(value, str):
+        try:
+            entries = tuple(int(part) for part in value.split(","))
+        except ValueError:
+            raise PreconditionError(f"{name} expects comma-separated integers, got {value!r}")
+    elif isinstance(value, (list, tuple)) and all(type(e) is int for e in value):
+        entries = tuple(value)
+    else:
+        raise PreconditionError(
+            f"{name} expects a list of naturals or comma-separated integers, got {value!r}"
+        )
+    if any(e < 0 for e in entries):
+        raise PreconditionError(f"{name} entries must be >= 0, got {value!r}")
+    return entries
+
+
+def _range(value: object, name: str) -> tuple[int, int]:
+    if isinstance(value, str):
+        head, sep, tail = value.partition("..")
+        if not sep:
+            raise PreconditionError(f"{name} expects A..B, got {value!r}")
+        try:
+            return int(head), int(tail)
+        except ValueError:
+            raise PreconditionError(f"{name} expects integers A..B, got {value!r}")
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(type(e) is int for e in value):
+        return value[0], value[1]
+    raise PreconditionError(f"{name} expects A..B or [A, B] with integers A, B, got {value!r}")
+
+
+def _scalar(value: object, name: str) -> Fraction:
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return parse_scalar(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise PreconditionError(f"{name} value {value!r} is not an exact scalar")
+
+
+def _point(value: object, name: str) -> dict[str, Fraction]:
+    if isinstance(value, str):
+        pairs = []
+        for piece in value.split(","):
+            var, sep, text = piece.partition("=")
+            if not sep:
+                raise PreconditionError(f"{name} expects var=value pairs, got {piece!r}")
+            pairs.append((var.strip(), text))
+    elif isinstance(value, dict):
+        pairs = list(value.items())
+    else:
+        raise PreconditionError(f"{name} expects var=value pairs or an object, got {value!r}")
+    return {var: _scalar(text, f"{name} {var}") for var, text in pairs}
+
+
+def _coefficients(value: object, name: str) -> tuple[tuple[MultiIndex, Fraction], ...]:
+    if not isinstance(value, dict):
+        raise PreconditionError(f"{name} expects an object of exponent: value, got {value!r}")
+    return tuple(
+        (_nats(key, f"{name} exponent"), _scalar(coeff, f"{name} {key}"))
+        for key, coeff in value.items()
+    )
+
+
+def _text(value: object, name: str) -> str:
+    if not isinstance(value, str):
+        raise PreconditionError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _bijection_kind(value: object, name: str) -> str:
+    if value not in ("shift", "raney"):
+        raise PreconditionError(f"{name} must be shift or raney, got {value!r}")
+    return value
+
+
+# key -> (coercer, the key's name in messages: its CLI flag where it has one)
+_KEYS: dict[str, tuple[Callable[[object, str], object], str]] = {
+    "z": (_nats, "--z"),
+    "k": (_nats, "--k"),
+    "n": (_nats, "--n"),
+    "p": (_nat, "--p"),
+    "q": (_nat, "--q"),
+    "r": (_nat, "--r"),
+    "i": (_nat, "--i"),
+    "j": (_nat, "--j"),
+    "x": (_nat, "--x"),
+    "order": (_nat, "--order"),
+    "kind": (_bijection_kind, "kind"),
+    "identity": (_text, "identity"),
+    "word": (_text, "--word"),
+    "grid_range": (_range, "--grid-range"),
+    "point": (_point, "--point"),
+    "expect_coefficients": (_coefficients, "expect_coefficients"),
+    "label": (_text, "label"),
+}
+
+# command -> (handler, required keys, optional keys)
+_COMMANDS: dict[str, tuple[Callable[..., Payload], tuple[str, ...], tuple[str, ...]]] = {
+    "count": (do_count, ("z", "p"), ("k", "q", "n")),
+    "enumerate": (do_enumerate, ("z", "p", "k"), ("r",)),
+    "bijection": (do_bijection, ("kind", "z", "p"), ("q", "n", "r", "word")),
+    "verify": (do_verify, ("identity", "z"), ("n", "k", "i", "j", "grid_range", "point")),
+    "series-solve": (do_series_solve, ("z", "order"), ("expect_coefficients",)),
+    "series-check1": (partial(do_series_check, 1), ("x", "z", "order"), ()),
+    "series-check2": (partial(do_series_check, 2), ("x", "z", "order"), ()),
 }
 
 
-def _member_label(config: dict) -> str:
-    command = config.get("command", "?")
-    extra = config.get("identity") or config.get("kind") or ""
-    bits = [command]
-    if extra:
-        bits.append(str(extra))
-    for key in ("n", "k", "z"):
-        if key in config:
-            bits.append(f"{key}={','.join(map(str, config[key]))}")
-    return " ".join(bits)
-
-
-def _multi(config: dict, key: str) -> Optional[MultiIndex]:
-    if key not in config or config[key] is None:
-        return None
-    value = config[key]
-    if isinstance(value, (list, tuple)):
-        out = tuple(value)
-        for e in out:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise PreconditionError(f"member key {key!r} must hold naturals, got {value!r}")
-        return out
-    return _parse_nat_csv(str(value), key)
-
-
-def run_member(config: dict) -> Payload:
-    """Execute one manifest member; raises on invalid configuration."""
+def _coerce_member(config: object) -> tuple[str, dict]:
+    """(command, typed values) of a member; a null value counts as absent."""
     if not isinstance(config, dict):
         raise PreconditionError(f"manifest member must be an object, got {type(config).__name__}")
     command = config.get("command")
-    if command not in _MEMBER_KEYS:
-        known = ", ".join(sorted(_MEMBER_KEYS))
+    if not isinstance(command, str) or command not in _COMMANDS:
+        known = ", ".join(sorted(_COMMANDS))
         raise PreconditionError(f"unknown member command {command!r}; known: {known}")
-    allowed = _MEMBER_KEYS[command] | {"command", "label"}
-    extra = sorted(set(config) - allowed)
+    _, required, optional = _COMMANDS[command]
+    given = {key: value for key, value in config.items() if value is not None}
+    extra = sorted(set(given) - {"command", "label", *required, *optional})
     if extra:
         raise PreconditionError(f"member {command!r} has unknown keys: {', '.join(extra)}")
-    z = _multi(config, "z")
-    _require(z is not None, f"member {command!r} needs z")
-    if command == "count":
-        return do_count(z, config["p"], _multi(config, "k"), config.get("q"), _multi(config, "n"))
-    if command == "enumerate":
-        return do_enumerate(z, config["p"], _multi(config, "k"), config.get("r"))
-    if command == "bijection":
-        return do_bijection(
-            config.get("kind", ""),
-            z,
-            config["p"],
-            config.get("q"),
-            _multi(config, "n"),
-            config.get("r"),
-            config.get("word"),
-        )
-    if command == "verify":
-        grid_range = config.get("grid_range")
-        if grid_range is not None:
-            grid_range = (int(grid_range[0]), int(grid_range[1]))
-        point = config.get("point")
-        if point is not None:
-            point = {name: parse_scalar(str(value)) for name, value in point.items()}
-        return do_verify(
-            config["identity"],
-            z,
-            _multi(config, "n"),
-            _multi(config, "k"),
-            config.get("i"),
-            config.get("j"),
-            grid_range,
-            point,
-        )
-    if command == "series-solve":
-        return do_series_solve(z, config["order"], config.get("expect_coefficients"))
-    which = 1 if command == "series-check1" else 2
-    return do_series_check(which, config["x"], z, config["order"])
+    for key in required:
+        if key not in given:
+            raise PreconditionError(f"{command} needs {_KEYS[key][1]}")
+    del given["command"]
+    values = {}
+    for key, value in given.items():
+        coerce, name = _KEYS[key]
+        values[key] = coerce(value, name)
+    return command, values
+
+
+def _member_label(command: str, values: dict) -> str:
+    bits = [command]
+    extra = values.get("identity") or values.get("kind")
+    if extra:
+        bits.append(extra)
+    for key in ("n", "k", "z"):
+        if key in values:
+            bits.append(f"{key}={','.join(map(str, values[key]))}")
+    return " ".join(bits)
+
+
+def _execute(command: str, values: dict) -> Payload:
+    handler = _COMMANDS[command][0]
+    return handler(**{key: value for key, value in values.items() if key != "label"})
+
+
+def run_member(config: dict) -> Payload:
+    """Execute one manifest member; raises PreconditionError on invalid configuration."""
+    return _execute(*_coerce_member(config))
+
+
+# ---------------------------------------------------------------------------
+# suite
+# ---------------------------------------------------------------------------
 
 
 def _payload_exit_code(payload: Payload) -> int:
@@ -432,14 +478,11 @@ def run_suite(manifest: list, jobs: int) -> tuple[dict, int]:
 
     def run_one(item: tuple[int, dict]) -> dict:
         index, config = item
-        label = (
-            config.get("label", _member_label(config))
-            if isinstance(config, dict)
-            else f"member {index}"
-        )
-        entry: dict = {"index": index, "label": label}
+        entry: dict = {"index": index, "label": f"member {index}"}
         try:
-            payload = run_member(config)
+            command, values = _coerce_member(config)
+            entry["label"] = values.get("label", _member_label(command, values))
+            payload = _execute(command, values)
             entry["exit_code"] = _payload_exit_code(payload)
             entry["report"] = payload.to_dict() if isinstance(payload, EvalReport) else payload
         except LemmaViolationError as exc:
@@ -687,52 +730,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[Payload, int]:
-    if args.command == "count":
-        report = do_count(
-            _parse_nat_csv(args.z, "--z"),
-            args.p,
-            _parse_nat_csv(args.k, "--k") if args.k else None,
-            args.q,
-            _parse_nat_csv(args.n, "--n") if args.n else None,
-        )
-        return report, _payload_exit_code(report)
-    if args.command == "enumerate":
-        payload = do_enumerate(
-            _parse_nat_csv(args.z, "--z"), args.p, _parse_nat_csv(args.k, "--k"), args.r
-        )
-        return payload, EXIT_PASS
-    if args.command == "bijection":
-        report = do_bijection(
-            args.kind,
-            _parse_nat_csv(args.z, "--z"),
-            args.p,
-            args.q,
-            _parse_nat_csv(args.n, "--n") if args.n else None,
-            args.r,
-            args.word,
-        )
-        return report, _payload_exit_code(report)
-    if args.command == "verify":
-        report = do_verify(
-            args.identity,
-            _parse_nat_csv(args.z, "--z"),
-            _parse_nat_csv(args.n, "--n") if args.n else None,
-            _parse_nat_csv(args.k, "--k") if args.k else None,
-            args.i,
-            args.j,
-            _parse_grid_range(args.grid_range) if args.grid_range else None,
-            _parse_point(args.point) if args.point else None,
-        )
-        return report, _payload_exit_code(report)
-    if args.command == "series":
-        z = _parse_nat_csv(args.z, "--z")
-        if args.action == "solve":
-            report = do_series_solve(z, args.order)
-        else:
-            _require(args.x is not None, f"series {args.action} needs --x")
-            report = do_series_check(1 if args.action == "check1" else 2, args.x, z, args.order)
-        return report, _payload_exit_code(report)
-    # suite
+    if args.command != "suite":
+        member = {
+            key: value
+            for key, value in vars(args).items()
+            if key not in ("format", "output", "action")
+        }
+        if args.command == "series":
+            member["command"] = f"series-{args.action}"
+        payload = run_member(member)
+        return payload, _payload_exit_code(payload)
     if args.manifest:
         try:
             with open(args.manifest, encoding="utf-8") as handle:

@@ -25,10 +25,6 @@ from .reports import VERDICT_EQUAL, VERDICT_MISMATCH, EvalReport
 
 __all__ = [
     "TruncatedSeries",
-    "series_add",
-    "series_mul",
-    "series_pow",
-    "series_reciprocal",
     "exponents_up_to",
     "solve_functional_equation",
     "check_generating_function_1",
@@ -214,22 +210,6 @@ class TruncatedSeries:
             if value != 0:
                 out[exponent] = value
         return TruncatedSeries(self.nvars, self.order, out)
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_pow(s: TruncatedSeries, e: int) -> TruncatedSeries:
-    return s**e
-
-
-def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
-    return s.reciprocal()
 
 
 def _check_grading(z: object) -> MultiIndex:

@@ -21,7 +21,7 @@ length p - k.z, and the formula chooses the positions of the b letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -32,10 +32,6 @@ __all__ = [
     "GradedAlphabet",
     "Word",
     "WordClassSpec",
-    "weight",
-    "reverse",
-    "letter_counts",
-    "prefix_weights",
     "enumerate_words",
     "count_words",
     "count_prefix_class",
@@ -51,10 +47,12 @@ class GradedAlphabet:
     """
 
     z: MultiIndex
+    _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(e < 0 for e in self.z):
             raise PreconditionError(f"grading entries must be >= 0, got {self.z}")
+        object.__setattr__(self, "_weights", (1,) + tuple(e + 1 for e in self.z))
 
     @property
     def m(self) -> int:
@@ -65,7 +63,7 @@ class GradedAlphabet:
 
     def letter_weights(self) -> tuple[int, ...]:
         """Weight table indexed by letter code."""
-        return (1,) + tuple(e + 1 for e in self.z)
+        return self._weights
 
     def letter_name(self, code: int) -> str:
         if code == 0:
@@ -158,17 +156,7 @@ class Word:
 
         r = 0 always cuts at the empty prefix.
         """
-        if r == 0:
-            return 0
-        lw = self.alphabet.letter_weights()
-        acc = 0
-        for i, c in enumerate(self.letters):
-            acc += lw[c]
-            if acc == r:
-                return i + 1
-            if acc > r:
-                return None
-        return None
+        return _prefix_cut(self.alphabet.letter_weights(), self.letters, r)
 
     def has_prefix_of_weight(self, r: int) -> bool:
         return self.prefix_cut(r) is not None
@@ -184,20 +172,19 @@ class WordClassSpec:
     r: Optional[int] = None
 
 
-def weight(w: Word) -> int:
-    return w.weight
-
-
-def reverse(w: Word) -> Word:
-    return w.reversed()
-
-
-def letter_counts(w: Word) -> MultiIndex:
-    return w.counts
-
-
-def prefix_weights(w: Word) -> tuple[int, ...]:
-    return w.prefix_weight_list()
+def _prefix_cut(lw: tuple[int, ...], letters: tuple[int, ...], target: int) -> Optional[int]:
+    """Length of the prefix of weight target under the weight table lw, or
+    None.  target 0 cuts at 0."""
+    if target == 0:
+        return 0
+    acc = 0
+    for i, c in enumerate(letters):
+        acc += lw[c]
+        if acc == target:
+            return i + 1
+        if acc > target:
+            return None
+    return None
 
 
 def _iter_class(

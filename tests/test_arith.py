@@ -14,7 +14,6 @@ from gradedwords import (
     box,
     dot,
     format_scalar,
-    monomial_power,
     multi_factorial,
     multinomial,
     norm,
@@ -130,14 +129,6 @@ def test_box_size(n):
 # ---------------------------------------------------------------------------
 # powers and scalar text
 # ---------------------------------------------------------------------------
-
-
-def test_monomial_power_conventions():
-    assert monomial_power((0,), (0,)) == 1  # 0^0 = 1
-    assert monomial_power((2, 3), (5, 0)) == 32
-    assert monomial_power((2, 3), (1, 2)) == 18
-    with pytest.raises(ValueError):
-        monomial_power((2,), (-1,))
 
 
 def test_format_and_parse_scalar_round_trip():

@@ -27,6 +27,7 @@ from gradedwords import (
     verify_raney_decomposition,
     verify_shift_bijection,
 )
+from gradedwords.bijections import _raney_join
 
 A1 = GradedAlphabet(z=(1,))
 A2 = GradedAlphabet(z=(1, 2))
@@ -302,6 +303,20 @@ def test_raney_unfactorize_validates_consistency():
         raney_unfactorize(
             Overshoot(i=1, j=1, u_prime=A1.parse_word("a"), v=A1.parse_word("a")), 1
         )  # ||u_prime|| != p + j - z_i - 1 = 0
+
+
+def test_raney_join_rejects_inconsistent_pieces():
+    lw = A2.letter_weights()  # a, b1, b2 weigh 1, 2, 3
+    assert _raney_join(lw, 1, 0, 0, (0,), (2,)) == (0, 2)
+    assert _raney_join(lw, 2, 2, 1, (), (0,)) == (2, 0)  # b2 overshoots 2 by 1
+    for pieces in [
+        (2, 0, 0, (0,), (2,)),  # prefix case with ||u|| = 1, not p = 2
+        (2, 3, 1, (), ()),  # no letter b3 when m = 2
+        (2, 1, 2, (), ()),  # j = 2 > z_1 = 1
+        (3, 2, 1, (), (0,)),  # ||u'|| = 0, not p + j - z_2 - 1 = 1
+    ]:
+        with pytest.raises(PreconditionError):
+            _raney_join(lw, *pieces)
 
 
 def test_verify_raney_decomposition_examples():

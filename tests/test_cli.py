@@ -7,9 +7,11 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedwords import CATALOG, default_manifest, main, run_suite
-from gradedwords.cli import EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_PASS
+from gradedwords.cli import _COMMANDS, EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_PASS
 
 
 def run(capsys, *argv):
@@ -390,6 +392,87 @@ def test_run_suite_direct_api():
     payload, code = run_suite([{"command": "count", "z": [1], "p": 3, "k": [1]}], 1)
     assert code == EXIT_PASS
     assert payload["members"][0]["label"] == "count k=1 z=1"
+
+
+# ---------------------------------------------------------------------------
+# one schema for flags and members
+# ---------------------------------------------------------------------------
+
+
+def test_suite_reports_every_member_around_malformed_ones():
+    valid = {"command": "count", "z": [1], "p": 3, "k": [1]}
+    probes = [
+        ({**valid, "p": 3.5}, "--p"),  # a weight no word has: must not read as a mismatch
+        ({**valid, "p": True}, "--p"),
+        ({"command": "count", "z": [1], "k": [1]}, "--p"),
+        ({**valid, "z": 5}, "--z"),
+        ({"command": "series-solve", "z": [2], "order": "3"}, "--order"),
+        ({"command": "verify", "identity": "rothe-1", "n": [2], "z": [1],
+          "point": {"x": "1/0", "y": "7/2"}}, "--point"),
+        # coefficients the truncated series cannot hold read as 0: never a mismatch
+        ({"command": "series-solve", "z": [2], "order": 3, "expect_coefficients": {"1,0": "1"}},
+         "expect_coefficients"),
+        ({"command": "series-solve", "z": [2], "order": 3, "expect_coefficients": {"5": "42"}},
+         "expect_coefficients"),
+    ]
+    csv_forms = [
+        {"command": "count", "z": "1,2", "p": 4, "k": [1, 1]},
+        {"command": "verify", "identity": "rothe-2", "n": [3], "z": [2], "grid_range": "20..40"},
+    ]
+    payload, code = run_suite([valid] + [m for m, _ in probes] + csv_forms, 1)
+    assert code == EXIT_CONFIG
+    members = payload["members"]
+    assert [m["exit_code"] for m in members] == [0] + [2] * len(probes) + [0, 0]
+    for (_, flag), member in zip(probes, members[1:]):
+        assert member["error"].startswith("invalid configuration") and flag in member["error"]
+    assert members[-2]["label"] == "count k=1,1 z=1,2"
+
+
+_MALFORMED = st.sampled_from([True, False, 3.5, -1, "abc", "1/0", [["x"]], {"x": [1]}])
+
+
+@st.composite
+def _malformed_members(draw):
+    member = dict(draw(st.sampled_from(default_manifest())))
+    if draw(st.booleans()):
+        del member[draw(st.sampled_from(["command", *_COMMANDS[member["command"]][1]]))]
+    else:
+        member[draw(st.sampled_from(sorted(member)))] = draw(_MALFORMED)
+    return member
+
+
+@given(member=_malformed_members())
+@settings(max_examples=150, deadline=None)
+def test_malformed_member_exits_two(member):
+    payload, code = run_suite([member], 1)
+    assert code == EXIT_CONFIG, payload
+    assert payload["members"][0]["error"].startswith("invalid configuration")
+
+
+def _argv(member: dict) -> list[str]:
+    """The CLI spelling of a built-in suite member."""
+    command = member["command"]
+    argv = command.split("-", 1) if command.startswith("series") else [command]
+    argv += [member[key] for key in ("kind", "identity") if key in member]
+    for key, value in member.items():
+        if key not in ("command", "kind", "identity"):
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += [f"--{key}", text]
+    return argv
+
+
+def test_cli_flags_and_suite_members_give_the_same_reports(capsys):
+    manifest = default_manifest()
+    payload, _ = run_suite(manifest, 1)
+    spelled = 0
+    for member, entry in zip(manifest, payload["members"]):
+        if "expect_coefficients" in member:  # manifest only: no CLI flag
+            continue
+        code, out, err = run(capsys, *_argv(member))
+        assert (code, err) == (entry["exit_code"], "")
+        assert out == json.dumps(entry["report"], indent=2, sort_keys=True) + "\n"
+        spelled += 1
+    assert spelled == len(manifest) - 1
 
 
 # ---------------------------------------------------------------------------

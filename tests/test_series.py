@@ -18,9 +18,6 @@ from gradedwords import (
     exponents_up_to,
     functional_equation_residual,
     multinomial,
-    series_mul,
-    series_pow,
-    series_reciprocal,
     solve_functional_equation,
 )
 
@@ -86,29 +83,29 @@ def test_product_truncates():
 def test_pow_matches_repeated_multiplication():
     u = TruncatedSeries.variable(1, 1, 6)
     s = TruncatedSeries.one(1, 6) + u + u * u
-    by_pow = series_pow(s, 4)
+    by_pow = s**4
     by_mul = s
     for _ in range(3):
-        by_mul = series_mul(by_mul, s)
+        by_mul = by_mul * s
     assert by_pow == by_mul
-    assert series_pow(s, 0) == TruncatedSeries.one(1, 6)
+    assert s**0 == TruncatedSeries.one(1, 6)
     with pytest.raises(PreconditionError):
-        series_pow(s, -1)
+        s**-1
 
 
 def test_reciprocal_requires_nonzero_constant_term():
     u = TruncatedSeries.variable(1, 1, 4)
     with pytest.raises(PreconditionError):
-        series_reciprocal(u)
+        u.reciprocal()
     s = TruncatedSeries.constant(2, 1, 4) + u
-    assert series_mul(s, series_reciprocal(s)) == TruncatedSeries.one(1, 4)
+    assert s * s.reciprocal() == TruncatedSeries.one(1, 4)
 
 
 def test_binomial_series_reciprocal():
     # 1 / (1 - u)^2 has coefficients k + 1
     one = TruncatedSeries.one(1, 5)
     u = TruncatedSeries.variable(1, 1, 5)
-    s = series_pow(one - u, 2).reciprocal()
+    s = ((one - u) ** 2).reciprocal()
     for k in range(6):
         assert s.coefficient((k,)) == k + 1
 

@@ -20,11 +20,7 @@ from gradedwords import (
     count_words,
     dot,
     enumerate_words,
-    letter_counts,
     multinomial,
-    prefix_weights,
-    reverse,
-    weight,
 )
 
 from conftest import brute_force_class, small_grid
@@ -74,11 +70,8 @@ def test_word_weight_counts_reverse_prefixes():
     a = GradedAlphabet(z=(1, 2))
     w = a.parse_word("b2 a b1 a")
     assert w.weight == 3 + 1 + 2 + 1 == 7
-    assert weight(w) == 7
     assert w.counts == (1, 1)
-    assert letter_counts(w) == (1, 1)
-    assert str(reverse(w)) == "a b1 a b2"
-    assert prefix_weights(w) == (3, 4, 6, 7)
+    assert str(w.reversed()) == "a b1 a b2"
     assert w.prefix_weight_list() == (3, 4, 6, 7)
     assert w.has_prefix_of_weight(0)  # the empty prefix
     assert w.has_prefix_of_weight(4)
