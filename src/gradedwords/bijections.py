@@ -130,48 +130,29 @@ def _balanced_cut(
         t += lw[u[len(u) - a]]
 
 
-def _shift_up(lw: tuple[int, ...], letters: tuple[int, ...], p: int) -> tuple[int, ...]:
-    cut = _prefix_cut(lw, letters, p)
-    if cut is None:
-        raise PreconditionError(f"word has no prefix of weight {p}")
+def _swap_balanced(lw: tuple[int, ...], letters: tuple[int, ...], cut: int) -> tuple[int, ...]:
+    """Split at cut as u.v = u'.x.y.v' around the minimal balanced pair and
+    return u'.rev(y).rev(x).v'."""
     u, v = letters[:cut], letters[cut:]
     x_len, y_len = _balanced_cut(lw, u, v)
     split = len(u) - x_len
     return u[:split] + v[:y_len][::-1] + u[split:][::-1] + v[y_len:]
 
 
+def _shift_up(lw: tuple[int, ...], letters: tuple[int, ...], p: int) -> tuple[int, ...]:
+    cut = _prefix_cut(lw, letters, p)
+    if cut is None:
+        raise PreconditionError(f"word has no prefix of weight {p}")
+    return _swap_balanced(lw, letters, cut)
+
+
 def _shift_down(lw: tuple[int, ...], letters: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Inverse of _shift_up at p: the mirrored search, which is the forward
+    swap on the reversed word cut after its complementary weight."""
     cut = _prefix_cut(lw, letters, p + 1)
     if cut is None:
         raise PreconditionError(f"word has no prefix of weight {p + 1}")
-    big_u, big_v = letters[:cut], letters[cut:]
-    # mirrored search: minimal (prefix xbar of V, suffix ybar of U) with
-    # ||xbar|| + 1 = ||ybar||
-    sw: dict[int, int] = {}
-    acc = 0
-    for a in range(1, len(big_u) + 1):
-        acc += lw[big_u[len(big_u) - a]]
-        sw[acc] = a
-    s = 0
-    b = 0
-    while True:
-        y_len = sw.get(s + 1)
-        if y_len is not None:
-            x_len = b
-            break
-        if b == len(big_v):
-            raise LemmaViolationError(
-                f"no balanced pair for the inverse shift on {letters!r} at p={p}"
-            )
-        b += 1
-        s += lw[big_v[b - 1]]
-    split = len(big_u) - y_len
-    return (
-        big_u[:split]
-        + big_v[:x_len][::-1]
-        + big_u[split:][::-1]
-        + big_v[x_len:]
-    )
+    return _swap_balanced(lw, letters[::-1], len(letters) - cut)[::-1]
 
 
 def _raney_cut(lw: tuple[int, ...], letters: tuple[int, ...], p: int) -> tuple[int, int]:

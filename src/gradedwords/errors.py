@@ -22,7 +22,7 @@ class DimensionMismatchError(PreconditionError):
 
 class PoleError(PreconditionError):
     """A rational identity was evaluated at a point where a summand
-    denominator vanishes.  The message lists the offending index."""
+    denominator vanishes.  The message names each vanishing denominator."""
 
 
 class GridExhaustedError(PreconditionError):

@@ -6,14 +6,20 @@ true identity the two values agree at every admissible point.  Equality as
 polynomials follows from equality on a large enough product grid: if both
 sides have degree at most D in each free variable, agreement at D + 1
 distinct values per variable forces the difference to vanish identically.
-The rational forms (the Abel identities and the x/(x - k.z)-weighted sums)
-reduce to polynomial comparisons after clearing the finitely many listed
-denominators, so the same grid argument applies on pole-free points.
+
+The rational forms (the Abel identities, the x/(x - k.z)-weighted sums and
+absorption) divide by finitely many linear forms.  Each is declared once, as
+a _Pole: the sum of some variables minus a constant, which must not vanish.
+The evaluators refuse a point on a declared pole with PoleError, and the
+grid chooser skips such points.  The grid argument certifies a rational
+identity only if every declared pole is removable, so that each side agrees
+off the poles with a polynomial within its degree bound.  The catalog
+asserts that per entry; the program does not yet check it.
 
 The catalog below records, per identity: the free variables, the degree
-bound, the pole set (as explicit factors of the point), and the evaluator.
-verify_identity_on_grid builds a pole-free integer product grid sized by
-the degree bound and checks exact equality at every point.
+bound, the declared poles, and the evaluator.  verify_identity_on_grid
+builds a pole-free integer product grid sized by the degree bound and
+checks exact equality at every point.
 
 Conventions shared by all evaluators:
 
@@ -29,9 +35,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .arith import (
     MultiIndex,
@@ -103,14 +109,68 @@ def _same_dim(n: MultiIndex, z: MultiIndex) -> None:
         )
 
 
-def _power(base: Scalar, exp: int) -> Fraction:
-    """base**exp with 0**0 = 1; negative exponents via the reciprocal."""
-    base = _frac(base)
-    if exp >= 0:
-        return base**exp
-    if base == 0:
-        raise PoleError(f"zero base raised to the negative power {exp}")
-    return base**exp  # Fraction supports negative exponents on nonzero values
+# ---------------------------------------------------------------------------
+# declared poles: one list per rational form, shared by the evaluators, the
+# point check and the grid chooser
+# ---------------------------------------------------------------------------
+
+
+class _Pole(NamedTuple):
+    """The denominator factor sum(vars) - c, which must not vanish."""
+
+    vars: tuple[str, ...]
+    c: Scalar
+
+    @property
+    def label(self) -> str:
+        head = " + ".join(self.vars)
+        if self.c == 0:
+            return head
+        return f"{head} {'-' if self.c > 0 else '+'} {format_scalar(abs(self.c))}"
+
+
+def _check_poles(poles: list[_Pole], point: dict[str, Fraction]) -> None:
+    sums = {vs: sum(point[v] for v in vs) for vs in {p.vars for p in poles}}
+    # copies of one pole vanish together; name each once
+    violated = dict.fromkeys(p.label for p in poles if sums[p.vars] == p.c)
+    if violated:
+        raise PoleError(f"denominators vanish at this point: {'; '.join(violated)}")
+
+
+def _no_poles(n: MultiIndex, z: MultiIndex) -> list[_Pole]:
+    return []
+
+
+def _poles_x(n: MultiIndex, z: MultiIndex) -> list[_Pole]:
+    """x - k.z for 0 <= k <= n, repeats included: the x/(x - k.z) weights."""
+    kzs: list[Scalar] = [0]
+    for n_i, z_i in zip(n, z):
+        kzs = [z_i * k + v for v in kzs for k in range(n_i + 1)]
+    return [_Pole(("x",), kz) for kz in kzs]
+
+
+def _poles_xy(n: MultiIndex, z: MultiIndex) -> list[_Pole]:
+    """x - k.z and y - (n-k).z for 0 <= k <= n, and x + y - n.z."""
+    xs = _poles_x(n, z)
+    return xs + [_Pole(("y",), kz) for _, kz in xs] + [_Pole(("x", "y"), dot(n, z))]
+
+
+def _poles_abel_1(n: MultiIndex, z: MultiIndex) -> list[_Pole]:
+    """x: the k = 0 term reads x * x^(-1)."""
+    return [_Pole(("x",), 0)]
+
+
+def _poles_abel_2(n: MultiIndex, z: MultiIndex) -> list[_Pole]:
+    """x, the k = n term's y + nz, and at n = 0 the right side's x + y."""
+    poles = [_Pole(("x",), 0), _Pole(("y",), -n[0] * z[0])]
+    if n[0] == 0:
+        poles.append(_Pole(("x", "y"), 0))
+    return poles
+
+
+def _poles_absorption(n: MultiIndex, z: MultiIndex) -> list[_Pole]:
+    """p - k.z, with the multi-index k in the slot n."""
+    return [_Pole(("p",), dot(n, z))]
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +182,11 @@ def eval_abel_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
     """sum_k C(n,k) x(x-kz)^(k-1) (y+kz)^(n-k)  vs  (x+y)^n."""
     x, y, z = _frac(x), _frac(y), _frac(z)
     n = _nat(n, "n")
-    if x == 0:
-        raise PoleError("requires x != 0: the k = 0 term reads x * x^(-1)")
+    _check_poles(_poles_abel_1((n,), (z,)), {"x": x, "y": y})
     lhs = Fraction(0)
     for k in range(n + 1):
-        lhs += math.comb(n, k) * x * _power(x - k * z, k - 1) * _power(y + k * z, n - k)
-    return lhs, _power(x + y, n)
+        lhs += math.comb(n, k) * x * (x - k * z) ** (k - 1) * (y + k * z) ** (n - k)
+    return lhs, (x + y) ** n
 
 
 def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
@@ -139,22 +198,17 @@ def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
     """
     x, y, z = _frac(x), _frac(y), _frac(z)
     n = _nat(n, "n")
-    if x == 0:
-        raise PoleError("requires x != 0: the k = 0 term reads x * x^(-1)")
-    if y + n * z == 0:
-        raise PoleError(f"requires y + nz != 0: the k = {n} term has exponent -1")
-    if n == 0 and x + y == 0:
-        raise PoleError("requires x + y != 0 when n = 0: the right side reads (x+y)^(-1)")
+    _check_poles(_poles_abel_2((n,), (z,)), {"x": x, "y": y})
     lhs = Fraction(0)
     for k in range(n + 1):
         lhs += (
             math.comb(n, k)
             * x
             * (y + n * z)
-            * _power(x - k * z, k - 1)
-            * _power(y + k * z, n - k - 1)
+            * (x - k * z) ** (k - 1)
+            * (y + k * z) ** (n - k - 1)
         )
-    rhs = (x + y + n * z) * _power(x + y, n - 1)
+    rhs = (x + y + n * z) * (x + y) ** (n - 1)
     return lhs, rhs
 
 
@@ -162,9 +216,7 @@ def eval_rothe_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fra
     """sum_k (x/(x-kz)) C(x-kz,k) C(y+kz,n-k)  vs  C(x+y,n)."""
     x, y, z = _frac(x), _frac(y), _frac(z)
     n = _nat(n, "n")
-    offenders = [k for k in range(n + 1) if x - k * z == 0]
-    if offenders:
-        raise PoleError(f"x - kz vanishes at k = {offenders}; requires x - kz != 0 for 0 <= k <= n")
+    _check_poles(_poles_x((n,), (z,)), {"x": x, "y": y})
     lhs = Fraction(0)
     for k in range(n + 1):
         lhs += (
@@ -180,14 +232,7 @@ def eval_rothe_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fra
     vs  (x+y)/(x+y-nz) C(x+y-nz,n)."""
     x, y, z = _frac(x), _frac(y), _frac(z)
     n = _nat(n, "n")
-    offenders = [k for k in range(n + 1) if x - k * z == 0]
-    if offenders:
-        raise PoleError(f"x - kz vanishes at k = {offenders}")
-    offenders = [k for k in range(n + 1) if y - (n - k) * z == 0]
-    if offenders:
-        raise PoleError(f"y - (n-k)z vanishes at k = {offenders}")
-    if x + y - n * z == 0:
-        raise PoleError("x + y - nz vanishes; the right side has a pole")
+    _check_poles(_poles_xy((n,), (z,)), {"x": x, "y": y})
     lhs = Fraction(0)
     for k in range(n + 1):
         lhs += (
@@ -223,7 +268,7 @@ def eval_jensen(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
     rhs = Fraction(0)
     for k in range(n + 1):
         lhs += multinomial(x + k * z, (k,)) * multinomial(y - k * z, (n - k,))
-        rhs += multinomial(x + y - k, (n - k,)) * _power(z, k)
+        rhs += multinomial(x + y - k, (n - k,)) * z**k
     return lhs, rhs
 
 
@@ -239,9 +284,7 @@ def eval_raney_mohanty_1(
     x, y = _frac(x), _frac(y)
     n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
     _same_dim(n, z)
-    offenders = [list(k) for k in box(n) if x - dot(k, z) == 0]
-    if offenders:
-        raise PoleError(f"x - k.z vanishes at k in {offenders}")
+    _check_poles(_poles_x(n, z), {"x": x, "y": y})
     lhs = Fraction(0)
     for k in box(n):
         kz = dot(k, z)
@@ -257,14 +300,7 @@ def eval_raney_mohanty_2(
     x, y = _frac(x), _frac(y)
     n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
     _same_dim(n, z)
-    offenders = [list(k) for k in box(n) if x - dot(k, z) == 0]
-    if offenders:
-        raise PoleError(f"x - k.z vanishes at k in {offenders}")
-    offenders = [list(k) for k in box(n) if y - dot(vec_sub(n, k), z) == 0]
-    if offenders:
-        raise PoleError(f"y - (n-k).z vanishes at k in {offenders}")
-    if x + y - dot(n, z) == 0:
-        raise PoleError("x + y - n.z vanishes; the right side has a pole")
+    _check_poles(_poles_xy(n, z), {"x": x, "y": y})
     lhs = Fraction(0)
     for k in box(n):
         kz = dot(k, z)
@@ -410,9 +446,8 @@ def check_absorption(
     m = len(k)
     if not 1 <= i <= m:
         raise PreconditionError(f"letter index i = {i} out of range 1..{m}")
+    _check_poles(_poles_absorption(k, z), {"p": p})
     kz = dot(k, z)
-    if p - kz == 0:
-        raise PoleError(f"requires p - k.z != 0, got p = {format_scalar(p)}, k.z = {kz}")
     lhs = multinomial(p - kz - 1, vec_sub(k, unit(m, i)))
     rhs = Fraction(k[i - 1]) / (p - kz) * multinomial(p - kz, k)
     return lhs, rhs
@@ -429,15 +464,8 @@ def check_rm2_decomposition(
     x, y = _frac(x), _frac(y)
     n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
     _same_dim(n, z)
-    offenders = [list(k) for k in box(n) if x - dot(k, z) == 0]
-    if offenders:
-        raise PoleError(f"x - k.z vanishes at k in {offenders}")
-    offenders = [list(k) for k in box(n) if y - dot(vec_sub(n, k), z) == 0]
-    if offenders:
-        raise PoleError(f"y - (n-k).z vanishes at k in {offenders}")
+    _check_poles(_poles_xy(n, z), {"x": x, "y": y})
     nz = dot(n, z)
-    if x + y - nz == 0:
-        raise PoleError("x + y - n.z vanishes")
     lhs = Fraction(0)
     s1 = Fraction(0)
     s2 = Fraction(0)
@@ -501,15 +529,6 @@ class IdentitySpec:
         return len(self.n)
 
 
-@dataclass(frozen=True)
-class _Pole:
-    """A denominator factor: fn(point) must be nonzero at evaluation points."""
-
-    vars: frozenset[str]
-    label: str
-    fn: Callable[[dict[str, Fraction]], Fraction]
-
-
 PairList = list[tuple[Fraction, Fraction]]
 
 
@@ -522,7 +541,7 @@ class _Entry:
     classical: bool  # restricted to m = 1
     degree: Callable[[IdentitySpec], int]
     default_lo: Callable[[str, IdentitySpec], int]
-    poles: Callable[[IdentitySpec], list[_Pole]]
+    poles: Callable[[MultiIndex, MultiIndex], list[_Pole]]
     evaluate: Callable[[dict[str, Fraction], IdentitySpec], PairList]
 
 
@@ -547,57 +566,6 @@ def _lo_absorption(var: str, spec: IdentitySpec) -> int:
     return dot(spec.n, spec.z) + 1
 
 
-def _no_poles(spec: IdentitySpec) -> list[_Pole]:
-    return []
-
-
-def _poles_x_minus_kz(spec: IdentitySpec) -> list[_Pole]:
-    out = []
-    for kz in sorted({dot(k, spec.z) for k in box(spec.n)}):
-        out.append(
-            _Pole(frozenset({"x"}), f"x - {kz}", lambda pt, kz=kz: pt["x"] - kz)
-        )
-    return out
-
-
-def _poles_rational_pair(spec: IdentitySpec) -> list[_Pole]:
-    out = _poles_x_minus_kz(spec)
-    for kz in sorted({dot(k, spec.z) for k in box(spec.n)}):
-        out.append(
-            _Pole(frozenset({"y"}), f"y - {kz}", lambda pt, kz=kz: pt["y"] - kz)
-        )
-    nz = dot(spec.n, spec.z)
-    out.append(
-        _Pole(
-            frozenset({"x", "y"}),
-            f"x + y - {nz}",
-            lambda pt: pt["x"] + pt["y"] - nz,
-        )
-    )
-    return out
-
-
-def _poles_abel_1(spec: IdentitySpec) -> list[_Pole]:
-    return [_Pole(frozenset({"x"}), "x", lambda pt: pt["x"])]
-
-
-def _poles_abel_2(spec: IdentitySpec) -> list[_Pole]:
-    n = spec.n[0]
-    z = spec.z[0]
-    out = [
-        _Pole(frozenset({"x"}), "x", lambda pt: pt["x"]),
-        _Pole(frozenset({"y"}), f"y + {n * z}", lambda pt: pt["y"] + n * z),
-    ]
-    if n == 0:
-        out.append(_Pole(frozenset({"x", "y"}), "x + y", lambda pt: pt["x"] + pt["y"]))
-    return out
-
-
-def _poles_absorption(spec: IdentitySpec) -> list[_Pole]:
-    kz = dot(spec.n, spec.z)
-    return [_Pole(frozenset({"p"}), f"p - {kz}", lambda pt: pt["p"] - kz)]
-
-
 def _build_catalog() -> dict[str, _Entry]:
     entries: list[_Entry] = []
 
@@ -607,7 +575,7 @@ def _build_catalog() -> dict[str, _Entry]:
         evaluate: Callable[[dict[str, Fraction], IdentitySpec], PairList],
         *,
         degree: Callable[[IdentitySpec], int] = _deg_conv,
-        poles: Callable[[IdentitySpec], list[_Pole]] = _no_poles,
+        poles: Callable[[MultiIndex, MultiIndex], list[_Pole]] = _no_poles,
         default_lo: Callable[[str, IdentitySpec], int] = _lo_xy,
         classical: bool = False,
         needs: frozenset[str] = frozenset(),
@@ -647,14 +615,14 @@ def _build_catalog() -> dict[str, _Entry]:
         "rothe-1",
         ("x", "y"),
         lambda pt, s: [eval_rothe_1(pt["x"], pt["y"], s.z[0], s.n[0])],
-        poles=_poles_x_minus_kz,
+        poles=_poles_x,
         classical=True,
     )
     add(
         "rothe-2",
         ("x", "y"),
         lambda pt, s: [eval_rothe_2(pt["x"], pt["y"], s.z[0], s.n[0])],
-        poles=_poles_rational_pair,
+        poles=_poles_xy,
         classical=True,
     )
     add(
@@ -673,13 +641,13 @@ def _build_catalog() -> dict[str, _Entry]:
         "raney-mohanty-1",
         ("x", "y"),
         lambda pt, s: [eval_raney_mohanty_1(pt["x"], pt["y"], s.n, s.z)],
-        poles=_poles_x_minus_kz,
+        poles=_poles_x,
     )
     add(
         "raney-mohanty-2",
         ("x", "y"),
         lambda pt, s: [eval_raney_mohanty_2(pt["x"], pt["y"], s.n, s.z)],
-        poles=_poles_rational_pair,
+        poles=_poles_xy,
     )
     add(
         "mohanty-handa",
@@ -726,7 +694,7 @@ def _build_catalog() -> dict[str, _Entry]:
         "rm2-decomposition",
         ("x", "y"),
         lambda pt, s: [check_rm2_decomposition(pt["x"], pt["y"], s.n, s.z)],
-        poles=_poles_rational_pair,
+        poles=_poles_xy,
     )
     add(
         "mh-expansion",
@@ -756,7 +724,7 @@ def _build_catalog() -> dict[str, _Entry]:
         "raney-mohanty-1-vs-rothe-1",
         ("x", "y"),
         _rm1_vs_rothe1,
-        poles=_poles_x_minus_kz,
+        poles=_poles_x,
         classical=True,
     )
     add("mohanty-handa-vs-jensen", ("x", "y"), _mh_vs_jensen, classical=True)
@@ -845,13 +813,13 @@ def _select_axes(
 ) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
     """Choose degree + 1 pole-free integer values per variable.
 
-    Variables are fixed left to right; a candidate for the current variable
-    is accepted only if no pole factor determined by the variables so far
-    vanishes for any combination of already-chosen values, so the final
-    product grid avoids every pole.
+    Variables are fixed left to right.  A pole whose variables are all
+    fixed once the current one is blocks the values c - (sum of the others)
+    for every combination of already-chosen values, so the final product
+    grid avoids every pole.
     """
     degree = entry.degree(spec)
-    poles = entry.poles(spec)
+    poles = entry.poles(spec.n, spec.z)
     axes: dict[str, list[int]] = {}
     skipped: dict[str, list[int]] = {}
     for var in entry.variables:
@@ -862,31 +830,21 @@ def _select_axes(
         else:
             lo = entry.default_lo(var, spec)
             candidates = range(lo, lo + need + _GRID_SCAN_MARGIN)
-        relevant = [
-            p
-            for p in poles
-            if var in p.vars and p.vars <= set(axes) | {var}
-        ]
+        blocked = {
+            pole.c - sum(combo)
+            for pole in poles
+            if var in pole.vars and set(pole.vars) <= axes.keys() | {var}
+            for combo in itertools.product(*(axes[o] for o in pole.vars if o != var))
+        }
         chosen: list[int] = []
         skips: list[int] = []
         for cand in candidates:
-            ok = True
-            for pole in relevant:
-                others = sorted(pole.vars - {var})
-                for combo in itertools.product(*(axes[o] for o in others)):
-                    point = dict(zip(others, combo))
-                    point[var] = Fraction(cand)
-                    if pole.fn(point) == 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                chosen.append(cand)
-                if len(chosen) == need:
-                    break
-            else:
+            if cand in blocked:
                 skips.append(cand)
+                continue
+            chosen.append(cand)
+            if len(chosen) == need:
+                break
         if len(chosen) < need:
             raise GridExhaustedError(
                 f"found only {len(chosen)} of {need} pole-free values for {var} "
@@ -953,11 +911,7 @@ def verify_identity_at_point(
             f"got extra {', '.join(extra)}"
         )
     values = {v: _frac(point[v]) for v in entry.variables}
-    violated = [p.label for p in entry.poles(spec) if p.fn(values) == 0]
-    if violated:
-        raise PoleError(
-            f"denominators vanish at this point: {'; '.join(violated)}"
-        )
+    _check_poles(entry.poles(spec.n, spec.z), values)
     params = _params_dict(spec, entry)
     params["point"] = {v: format_scalar(values[v]) for v in entry.variables}
     pairs = entry.evaluate(values, spec)

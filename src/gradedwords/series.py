@@ -105,7 +105,21 @@ class TruncatedSeries:
     # -- basics -------------------------------------------------------------
 
     def coefficient(self, exponent: MultiIndex) -> Fraction:
-        return self.coeffs.get(tuple(exponent), Fraction(0))
+        """The coefficient of u^exponent; exponents outside the truncation
+        (wrong arity, a negative entry, degree above order) are refused."""
+        exponent = tuple(exponent)
+        value = self.coeffs.get(exponent)
+        if value is not None:
+            return value
+        if len(exponent) != self.nvars:
+            raise DimensionMismatchError(
+                f"exponent {exponent} has {len(exponent)} entries for {self.nvars} variables"
+            )
+        if any(e < 0 for e in exponent) or norm(exponent) > self.order:
+            raise PreconditionError(
+                f"exponent {exponent} is not a monomial of degree <= {self.order}"
+            )
+        return Fraction(0)
 
     @property
     def constant_term(self) -> Fraction:

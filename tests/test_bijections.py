@@ -166,7 +166,7 @@ def test_shift_preconditions():
 
 
 def test_shift_round_trip_exhaustive():
-    for z in [(1,), (2,), (1, 2)]:
+    for z in [(0,), (1,), (2,), (0, 2), (1, 2), (2, 1)]:
         alphabet = GradedAlphabet(z=z)
         for n in itertools.product(range(3), repeat=len(z)):
             nz = dot(n, z)
@@ -175,12 +175,15 @@ def test_shift_round_trip_exhaustive():
                     q = total - nz - p
                     if q < 1:
                         continue
+                    images = set()
                     for w in _class(alphabet, total, n, r=p):
                         image = shift_up(w, p)
                         assert image.weight == w.weight
                         assert image.counts == w.counts
                         assert image.has_prefix_of_weight(p + 1)
                         assert shift_down(image, p) == w
+                        images.add(image)
+                    assert images == set(_class(alphabet, total, n, r=p + 1))
 
 
 def test_shift_down_of_up_image_only():

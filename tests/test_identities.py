@@ -4,6 +4,7 @@ certification, and the counterexample machinery."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,13 @@ from gradedwords import (
     verify_identity_on_grid,
 )
 from gradedwords.identities import (
+    _poles_abel_1,
+    _poles_abel_2,
+    _poles_absorption,
+    _poles_x,
+    _poles_xy,
     check_absorption,
+    check_rm2_decomposition,
     eval_abel_1,
     eval_abel_2,
     eval_gmh_special,
@@ -29,7 +36,10 @@ from gradedwords.identities import (
     eval_gould_mohanty,
     eval_jensen,
     eval_kmx,
+    eval_raney_mohanty_1,
+    eval_raney_mohanty_2,
     eval_rothe_1,
+    eval_rothe_2,
 )
 
 ALL_NAMES = [
@@ -123,6 +133,80 @@ def test_evaluators_return_exact_fractions():
     )
     assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# pole completeness: every declared pole raises PoleError, and every point off
+# the declared poles evaluates (an undeclared pole would divide by zero)
+# ---------------------------------------------------------------------------
+
+HALF = Fraction(1, 2)
+CLASSICAL_SPECS = [((n,), (z,)) for z in (0, 1, 2, HALF) for n in range(4)]
+MULTI_SPECS = [(n, z) for z in ((1, 2), (0, 1)) for n in ((0, 0), (1, 0), (1, 1), (2, 1))]
+
+
+def _classical(evaluate):
+    return lambda pt, n, z: evaluate(pt["x"], pt["y"], z[0], n[0])
+
+
+def _multi(evaluate):
+    return lambda pt, n, z: evaluate(pt["x"], pt["y"], n, z)
+
+
+POLE_SWEEPS = {
+    "abel-1": (_classical(eval_abel_1), _poles_abel_1, CLASSICAL_SPECS),
+    "abel-2": (_classical(eval_abel_2), _poles_abel_2, CLASSICAL_SPECS),
+    "rothe-1": (_classical(eval_rothe_1), _poles_x, CLASSICAL_SPECS),
+    "rothe-2": (_classical(eval_rothe_2), _poles_xy, CLASSICAL_SPECS),
+    "raney-mohanty-1": (_multi(eval_raney_mohanty_1), _poles_x, MULTI_SPECS),
+    "raney-mohanty-2": (_multi(eval_raney_mohanty_2), _poles_xy, MULTI_SPECS),
+    "rm2-decomposition": (_multi(check_rm2_decomposition), _poles_xy, MULTI_SPECS),
+    "absorption": (
+        lambda pt, k, z: check_absorption(pt["p"], k, z, len(k)),
+        _poles_absorption,
+        MULTI_SPECS + [((0,), (1,)), ((3,), (2,))],
+    ),
+}
+
+
+def _near_poles(poles, var):
+    """Every single-variable pole of var, its half-integer neighbours, and a
+    few small half-integers (which also reach the joint x + y poles)."""
+    near = {p.c + d for p in poles if p.vars == (var,) for d in (-HALF, 0, HALF)}
+    return sorted(near | {Fraction(j, 2) for j in range(-4, 5)})
+
+
+@pytest.mark.parametrize("name", list(POLE_SWEEPS))
+def test_declared_poles_are_complete(name):
+    evaluate, declared, specs = POLE_SWEEPS[name]
+    variables = ("p",) if name == "absorption" else ("x", "y")
+    for n, z in specs:
+        poles = declared(n, z)
+        hit = set()
+        axes = [_near_poles(poles, v) for v in variables]
+        for values in itertools.product(*axes):
+            pt = dict(zip(variables, values))
+            on = {p for p in poles if sum(pt[v] for v in p.vars) == p.c}
+            if on:
+                with pytest.raises(PoleError):
+                    evaluate(pt, n, z)
+                hit |= on
+            else:
+                lhs, rhs = evaluate(pt, n, z)
+                assert lhs == rhs, (name, n, z, pt)
+        assert hit == set(poles), (name, n, z)
+
+
+def test_pole_labels_read_as_linear_forms():
+    assert [p.label for p in _poles_xy((2,), (1,))] == [
+        "x", "x - 1", "x - 2", "y", "y - 1", "y - 2", "x + y - 2"
+    ]
+    assert [p.label for p in _poles_abel_2((3,), (2,))] == ["x", "y + 6"]
+    assert [p.label for p in _poles_abel_2((0,), (2,))] == ["x", "y", "x + y"]
+    assert [p.label for p in _poles_x((2,), (HALF,))] == ["x", "x - 1/2", "x - 1"]
+    # k = (1, 0) and (0, 1) both give k.z = 1: the message names x - 1 once
+    with pytest.raises(PoleError, match=r"point: x - 1; y - 1; x \+ y - 2$"):
+        eval_raney_mohanty_2(1, 1, (1, 1), (1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedwords import (
+    DimensionMismatchError,
     PreconditionError,
     TruncatedSeries,
     check_generating_function_1,
@@ -41,8 +42,20 @@ def test_construction_normalizes():
     s = S(1, 3, {(0,): 2, (1,): 0, (5,): 7})
     assert s.coefficient((0,)) == 2
     assert (1,) not in s.coeffs  # zero dropped
-    assert s.coefficient((5,)) == 0  # beyond order dropped
+    assert (5,) not in s.coeffs  # beyond order dropped
     assert isinstance(s.coefficient((0,)), Fraction)
+
+
+def test_coefficient_refuses_exponents_outside_the_truncation():
+    s = S(2, 3, {(1, 1): 4})
+    assert s.coefficient((1, 1)) == 4
+    assert s.coefficient((0, 3)) == 0  # inside the truncation, absent
+    with pytest.raises(DimensionMismatchError):
+        s.coefficient((1,))
+    with pytest.raises(PreconditionError):
+        s.coefficient((-1, 2))
+    with pytest.raises(PreconditionError):
+        s.coefficient((2, 2))  # degree 4 > order 3: unknown, not zero
 
 
 def test_construction_rejects_bad_exponents():
