@@ -2,8 +2,8 @@
 mechanically verified convolution identities, all over exact rationals.
 
 The package has no numerical tolerance anywhere: every comparison is between
-`fractions.Fraction` values, every verdict is exact equality, and every
-reported mismatch comes with a reproducible counterexample.
+Python ints and `fractions.Fraction` values, every verdict is exact equality,
+and every reported mismatch comes with a reproducible counterexample.
 """
 
 from __future__ import annotations

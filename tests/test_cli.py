@@ -5,11 +5,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradedwords
 from gradedwords import CATALOG, default_manifest, main, run_suite
 from gradedwords.cli import _COMMANDS, EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_PASS
 
@@ -36,6 +41,19 @@ def test_count_word_class(capsys):
     assert code == EXIT_PASS
     assert payload["verdict"] == "equal"
     assert payload["details"] == {"formula": 2, "enumerated": 2}
+
+
+def test_python_dash_m_runs_the_command_line():
+    # the package directory's parent goes on the path, as for an installed copy
+    src = str(Path(gradedwords.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "gradedwords", "count", "--z", "1", "--p", "4", "--k", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_PASS, done.stderr
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["details"] == {"formula": 1, "enumerated": 1}
 
 
 def test_count_infeasible_class_is_zero(capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedwords import series
 from gradedwords import (
     DimensionMismatchError,
     PreconditionError,
@@ -106,6 +107,18 @@ def test_pow_matches_repeated_multiplication():
         s**-1
 
 
+def test_pow_without_constant_term_squares_only_while_bits_remain(monkeypatch):
+    s = S(1, 12, {(1,): 1, (2,): -1})
+    products = []
+    mul = TruncatedSeries.__mul__
+    monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for x in range(1, 10):
+        products.clear()
+        s**x
+        # one product per set bit, one square per bit after the first
+        assert len(products) == bin(x).count("1") + x.bit_length() - 1, x
+
+
 def test_reciprocal_requires_nonzero_constant_term():
     u = TruncatedSeries.variable(1, 1, 4)
     with pytest.raises(PreconditionError):
@@ -142,12 +155,46 @@ def test_mul_commutative_associative_distributive(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(s=unit_series(nvars=2, order=3))
-@settings(max_examples=30, deadline=None)
+@st.composite
+def exact_series(draw, constants=(0, 1, -1, 2, Fraction(1, 3))):
+    """A series in 1 to 3 variables: the constant term from `constants`,
+    Fraction coefficients elsewhere."""
+    nvars = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 5 - nvars))
+    coeffs = {
+        e: draw(st.fractions(-3, 3, max_denominator=3))
+        for e in exponents_up_to(nvars, order)
+        if any(e)
+    }
+    coeffs[(0,) * nvars] = draw(st.sampled_from(constants))
+    return S(nvars, order, coeffs)
+
+
+def canonical(s: TruncatedSeries) -> bool:
+    """Every integral coefficient is stored as an int."""
+    return all(type(c) is int or c.denominator != 1 for c in s.coeffs.values())
+
+
+@given(s=exact_series(), x=st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_pow_is_the_repeated_product(s, x):
+    product = TruncatedSeries.one(s.nvars, s.order)
+    for _ in range(x):
+        product = product * s
+    assert canonical(product)
+    power = s**x
+    assert power == product
+    assert canonical(power)
+
+
+@given(s=exact_series(constants=(1, -1, 2, -3, Fraction(1, 3), Fraction(-3, 2))))
+@settings(max_examples=60, deadline=None)
 def test_reciprocal_is_a_two_sided_inverse(s):
     r = s.reciprocal()
-    assert s * r == TruncatedSeries.one(2, 3)
-    assert r * s == TruncatedSeries.one(2, 3)
+    one = TruncatedSeries.one(s.nvars, s.order)
+    assert canonical(r)
+    assert s * r == one
+    assert r * s == one
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +239,51 @@ def test_residual_is_zero_and_solution_stabilizes():
         w = solve_functional_equation(z, 9)
         for e in exponents_up_to(len(z), 7):
             assert v.coefficient(e) == w.coefficient(e)
+
+
+def fixed_point_oracle(z, order):
+    """v by fixed-point iteration from v = 1, with + and * only: round t
+    fixes total degree t."""
+    m = len(z)
+    one = TruncatedSeries.one(m, order)
+    v = one
+    for _ in range(order):
+        nxt = one
+        for i, a in enumerate(z, 1):
+            power = one
+            for _ in range(a):
+                power = power * v
+            nxt = nxt + TruncatedSeries.variable(i, m, order) * power
+        v = nxt
+    return v
+
+
+@pytest.mark.parametrize(
+    "z", [(0,), (1,), (2,), (3,), (0, 2), (2, 0), (1, 2), (2, 2), (1, 0, 3), (1, 1, 1), (0, 0, 1)]
+)
+def test_solve_matches_fixed_point_oracle(z):
+    for order in range(7):
+        v = solve_functional_equation(z, order)
+        assert v == fixed_point_oracle(z, order), order
+        assert all(type(c) is int for c in v.coeffs.values())
+
+
+@pytest.mark.parametrize("z", [(2,), (0, 2), (1, 2), (1, 0, 3)])
+def test_residual_flags_a_raised_coefficient_at_its_degree(z, monkeypatch):
+    order = 5
+    v = solve_functional_equation(z, order)
+
+    def refuse(*args):
+        raise AssertionError("the residual must not use the solver's power recurrence")
+
+    # the certificate forms u_i v^(z_i) from products alone
+    monkeypatch.setattr(series, "_miller_step", refuse)
+    assert functional_equation_residual(v, z).is_zero()
+    for k in exponents_up_to(len(z), order):
+        raised = S(len(z), order, {**v.coeffs, k: v.coeffs.get(k, 0) + 1})
+        residual = functional_equation_residual(raised, z)
+        low = {e: c for e, c in residual.coeffs.items() if sum(e) <= sum(k)}
+        assert low == {k: 1}, k
 
 
 def test_solution_coefficients_are_natural():
