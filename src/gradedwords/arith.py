@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Union
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, PreconditionError
 
 MultiIndex = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -28,6 +28,8 @@ Scalar = Union[int, Fraction]
 __all__ = [
     "MultiIndex",
     "Scalar",
+    "natural",
+    "naturals",
     "dot",
     "norm",
     "multi_factorial",
@@ -40,6 +42,22 @@ __all__ = [
     "format_scalar",
     "parse_scalar",
 ]
+
+
+def natural(value: object, name: str) -> int:
+    """value itself if it is a natural number: an int >= 0, never a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise PreconditionError(f"{name} must be a natural number, got {value!r}")
+    return value
+
+
+def naturals(value: object, name: str) -> MultiIndex:
+    """The entries of value, each a natural number, as a multi-index."""
+    try:
+        entries = tuple(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise PreconditionError(f"{name} must be a vector of naturals, got {value!r}")
+    return tuple(natural(e, f"{name} entry") for e in entries)
 
 
 def _check_dims(a: MultiIndex, b: MultiIndex) -> None:
@@ -75,8 +93,11 @@ def multinomial(x: Scalar, n: MultiIndex) -> Fraction:
 
     Equals the falling factorial x(x-1)...(x-|n|+1) divided by n! when all
     entries of n are nonnegative, and exactly 0 otherwise.  x may be any
-    exact rational; at integer x the result is an integer (denominator 1).
+    exact rational (an int or a Fraction; anything else is refused); at
+    integer x the result is an integer (denominator 1).
     """
+    if not isinstance(x, (int, Fraction)):
+        raise PreconditionError(f"multinomial needs an int or Fraction x, got {x!r}")
     if any(e < 0 for e in n):
         return Fraction(0)
     j = sum(n)

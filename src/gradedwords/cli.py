@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
-from .arith import MultiIndex, dot, format_scalar, parse_scalar
+from .arith import MultiIndex, dot, format_scalar, natural, parse_scalar
 from .bijections import (
     Overshoot,
     PrefixCase,
@@ -298,12 +298,6 @@ def do_series_check(which: int, x: int, z: MultiIndex, order: int) -> EvalReport
 # message.
 
 
-def _nat(value: object, name: str) -> int:
-    if type(value) is not int or value < 0:
-        raise PreconditionError(f"{name} must be a natural number, got {value!r}")
-    return value
-
-
 def _nats(value: object, name: str) -> MultiIndex:
     if isinstance(value, str):
         try:
@@ -387,13 +381,13 @@ _KEYS: dict[str, tuple[Callable[[object, str], object], str]] = {
     "z": (_nats, "--z"),
     "k": (_nats, "--k"),
     "n": (_nats, "--n"),
-    "p": (_nat, "--p"),
-    "q": (_nat, "--q"),
-    "r": (_nat, "--r"),
-    "i": (_nat, "--i"),
-    "j": (_nat, "--j"),
-    "x": (_nat, "--x"),
-    "order": (_nat, "--order"),
+    "p": (natural, "--p"),
+    "q": (natural, "--q"),
+    "r": (natural, "--r"),
+    "i": (natural, "--i"),
+    "j": (natural, "--j"),
+    "x": (natural, "--x"),
+    "order": (natural, "--order"),
     "kind": (_bijection_kind, "kind"),
     "identity": (_text, "identity"),
     "word": (_text, "--word"),

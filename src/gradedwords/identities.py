@@ -16,10 +16,16 @@ identity only if every declared pole is removable, so that each side agrees
 off the poles with a polynomial within its degree bound.  The catalog
 asserts that per entry; the program does not yet check it.
 
-The catalog below records, per identity: the free variables, the degree
-bound, the declared poles, and the evaluator.  verify_identity_on_grid
-builds a pole-free integer product grid sized by the degree bound and
-checks exact equality at every point.
+An identity is declared once, by the @_identity decorator on its public
+evaluator, whose body holds only the mathematics.  The decorator names the
+catalog entry and its degree bound, poles and grid start; the free
+variables, the multi-index slot (n, or k for absorption) and the letter
+indices i and j the entry takes are read from the evaluator's signature.
+The public function it returns checks the arguments and refuses a declared
+pole before running the body; the catalog calls the body directly, with
+parameters checked once per spec and points that avoid every declared pole.
+verify_identity_on_grid builds a pole-free integer product grid sized by
+the degree bound and checks exact equality at every point.
 
 Conventions shared by all evaluators:
 
@@ -33,9 +39,11 @@ Conventions shared by all evaluators:
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -46,6 +54,8 @@ from .arith import (
     dot,
     format_scalar,
     multinomial,
+    natural,
+    naturals,
     norm,
     unit,
     vec_sub,
@@ -88,25 +98,21 @@ def _frac(v: Scalar) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-def _nat(n: object, what: str) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise PreconditionError(f"{what} must be a natural number, got {n!r}")
-    return n
-
-
-def _nat_vector(v: object, what: str) -> MultiIndex:
-    try:
-        entries = tuple(v)  # type: ignore[arg-type]
-    except TypeError:
-        raise PreconditionError(f"{what} must be a vector of naturals, got {v!r}")
-    return tuple(_nat(e, f"{what} entry") for e in entries)
-
-
 def _same_dim(n: MultiIndex, z: MultiIndex) -> None:
     if len(n) != len(z):
         raise DimensionMismatchError(
             f"n has dimension {len(n)} but z has dimension {len(z)}"
         )
+
+
+def _check_letters(
+    needs: frozenset[str], n: MultiIndex, z: MultiIndex, i: object, j: object
+) -> None:
+    """The letter index i and the shift j, where the identity takes them."""
+    if "i" in needs and not 1 <= i <= len(n):
+        raise PreconditionError(f"letter index i = {i} out of range 1..{len(n)}")
+    if "j" in needs and not 1 <= j <= z[i - 1]:
+        raise PreconditionError(f"requires 1 <= j <= z_i, got j = {j} with z_{i} = {z[i - 1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,334 +180,7 @@ def _poles_absorption(n: MultiIndex, z: MultiIndex) -> list[_Pole]:
 
 
 # ---------------------------------------------------------------------------
-# classical single-variable forms (m = 1)
-# ---------------------------------------------------------------------------
-
-
-def eval_abel_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
-    """sum_k C(n,k) x(x-kz)^(k-1) (y+kz)^(n-k)  vs  (x+y)^n."""
-    x, y, z = _frac(x), _frac(y), _frac(z)
-    n = _nat(n, "n")
-    _check_poles(_poles_abel_1((n,), (z,)), {"x": x, "y": y})
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += math.comb(n, k) * x * (x - k * z) ** (k - 1) * (y + k * z) ** (n - k)
-    return lhs, (x + y) ** n
-
-
-def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
-    """sum_k C(n,k) x(y+nz)(x-kz)^(k-1)(y+kz)^(n-k-1)  vs  (x+y+nz)(x+y)^(n-1).
-
-    This is the companion of Abel's identity, normalized so the right side
-    is (x+y+nz)(x+y)^(n-1); under y -> y - nz it is the classical symmetric
-    form sum_k C(n,k) xy(x-kz)^(k-1)(y-(n-k)z)^(n-k-1) = (x+y)(x+y-nz)^(n-1).
-    """
-    x, y, z = _frac(x), _frac(y), _frac(z)
-    n = _nat(n, "n")
-    _check_poles(_poles_abel_2((n,), (z,)), {"x": x, "y": y})
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += (
-            math.comb(n, k)
-            * x
-            * (y + n * z)
-            * (x - k * z) ** (k - 1)
-            * (y + k * z) ** (n - k - 1)
-        )
-    rhs = (x + y + n * z) * (x + y) ** (n - 1)
-    return lhs, rhs
-
-
-def eval_rothe_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
-    """sum_k (x/(x-kz)) C(x-kz,k) C(y+kz,n-k)  vs  C(x+y,n)."""
-    x, y, z = _frac(x), _frac(y), _frac(z)
-    n = _nat(n, "n")
-    _check_poles(_poles_x((n,), (z,)), {"x": x, "y": y})
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += (
-            x / (x - k * z)
-            * multinomial(x - k * z, (k,))
-            * multinomial(y + k * z, (n - k,))
-        )
-    return lhs, multinomial(x + y, (n,))
-
-
-def eval_rothe_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
-    """sum_k xy/((x-kz)(y-(n-k)z)) C(x-kz,k) C(y-(n-k)z,n-k)
-    vs  (x+y)/(x+y-nz) C(x+y-nz,n)."""
-    x, y, z = _frac(x), _frac(y), _frac(z)
-    n = _nat(n, "n")
-    _check_poles(_poles_xy((n,), (z,)), {"x": x, "y": y})
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += (
-            x
-            * y
-            / ((x - k * z) * (y - (n - k) * z))
-            * multinomial(x - k * z, (k,))
-            * multinomial(y - (n - k) * z, (n - k,))
-        )
-    rhs = (x + y) / (x + y - n * z) * multinomial(x + y - n * z, (n,))
-    return lhs, rhs
-
-
-def eval_gould(
-    x: Scalar, y: Scalar, z: Scalar, eps: Scalar, n: int
-) -> tuple[Fraction, Fraction]:
-    """sum_k C(x-kz,k) C(y+kz,n-k)  vs  sum_k C(x+e-kz,k) C(y-e+kz,n-k)."""
-    x, y, z, eps = _frac(x), _frac(y), _frac(z), _frac(eps)
-    n = _nat(n, "n")
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += multinomial(x - k * z, (k,)) * multinomial(y + k * z, (n - k,))
-        rhs += multinomial(x + eps - k * z, (k,)) * multinomial(y - eps + k * z, (n - k,))
-    return lhs, rhs
-
-
-def eval_jensen(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
-    """sum_k C(x+kz,k) C(y-kz,n-k)  vs  sum_k C(x+y-k,n-k) z^k."""
-    x, y, z = _frac(x), _frac(y), _frac(z)
-    n = _nat(n, "n")
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += multinomial(x + k * z, (k,)) * multinomial(y - k * z, (n - k,))
-        rhs += multinomial(x + y - k, (n - k,)) * z**k
-    return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# multi-index forms (any m >= 1)
-# ---------------------------------------------------------------------------
-
-
-def eval_raney_mohanty_1(
-    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
-) -> tuple[Fraction, Fraction]:
-    """sum_{0<=k<=n} (x/(x-k.z)) C(x-k.z,k) C(y+k.z,n-k)  vs  C(x+y,n)."""
-    x, y = _frac(x), _frac(y)
-    n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
-    _same_dim(n, z)
-    _check_poles(_poles_x(n, z), {"x": x, "y": y})
-    lhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        lhs += x / (x - kz) * multinomial(x - kz, k) * multinomial(y + kz, vec_sub(n, k))
-    return lhs, multinomial(x + y, n)
-
-
-def eval_raney_mohanty_2(
-    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
-) -> tuple[Fraction, Fraction]:
-    """sum_k xy/((x-k.z)(y-(n-k).z)) C(x-k.z,k) C(y-(n-k).z,n-k)
-    vs  (x+y)/(x+y-n.z) C(x+y-n.z,n)."""
-    x, y = _frac(x), _frac(y)
-    n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
-    _same_dim(n, z)
-    _check_poles(_poles_xy(n, z), {"x": x, "y": y})
-    lhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        rz = dot(vec_sub(n, k), z)
-        lhs += (
-            x
-            * y
-            / ((x - kz) * (y - rz))
-            * multinomial(x - kz, k)
-            * multinomial(y - rz, vec_sub(n, k))
-        )
-    nz = dot(n, z)
-    rhs = (x + y) / (x + y - nz) * multinomial(x + y - nz, n)
-    return lhs, rhs
-
-
-def eval_mohanty_handa(
-    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
-) -> tuple[Fraction, Fraction]:
-    """sum_k C(x+k.z,k) C(y-k.z,n-k)  vs  sum_k C(x+y-|k|,n-k) C(|k|,k) z^k."""
-    x, y = _frac(x), _frac(y)
-    n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
-    _same_dim(n, z)
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        lhs += multinomial(x + kz, k) * multinomial(y - kz, vec_sub(n, k))
-        z_pow = math.prod(zi**ki for zi, ki in zip(z, k))
-        rhs += multinomial(x + y - norm(k), vec_sub(n, k)) * multinomial(norm(k), k) * z_pow
-    return lhs, rhs
-
-
-def eval_gould_mohanty(
-    x: Scalar, y: Scalar, eps: Scalar, n: MultiIndex, z: MultiIndex
-) -> tuple[Fraction, Fraction]:
-    """sum_k C(x-k.z,k) C(y+k.z,n-k)  vs  sum_k C(x+e-k.z,k) C(y-e+k.z,n-k)."""
-    x, y, eps = _frac(x), _frac(y), _frac(eps)
-    n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
-    _same_dim(n, z)
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        r = vec_sub(n, k)
-        lhs += multinomial(x - kz, k) * multinomial(y + kz, r)
-        rhs += multinomial(x + eps - kz, k) * multinomial(y - eps + kz, r)
-    return lhs, rhs
-
-
-def eval_gmh_special(
-    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex
-) -> tuple[Fraction, Fraction]:
-    """Gould-Mohanty at eps = 1:
-    sum_k C(p-k.z,k) C(q+k.z,n-k)  vs  sum_k C(p+1-k.z,k) C(q-1+k.z,n-k)."""
-    p, q = _frac(p), _frac(q)
-    n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
-    _same_dim(n, z)
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        r = vec_sub(n, k)
-        lhs += multinomial(p - kz, k) * multinomial(q + kz, r)
-        rhs += multinomial(p + 1 - kz, k) * multinomial(q - 1 + kz, r)
-    return lhs, rhs
-
-
-def eval_kmx(
-    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex
-) -> tuple[Fraction, Fraction]:
-    """sum_k [ C(p-k.z,k) C(q+k.z,n-k)
-              + sum_i sum_{j=1}^{z_i} C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k) ]
-    vs  C(p+q,n)."""
-    p, q = _frac(p), _frac(q)
-    n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
-    _same_dim(n, z)
-    m = len(n)
-    lhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        r = vec_sub(n, k)
-        term = multinomial(p - kz, k) * multinomial(q + kz, r)
-        for i in range(1, m + 1):
-            ki = vec_sub(k, unit(m, i))
-            for j in range(1, z[i - 1] + 1):
-                term += multinomial(p - kz + j - 1, ki) * multinomial(q + kz - j, r)
-        lhs += term
-    return lhs, multinomial(p + q, n)
-
-
-def eval_kmpink(
-    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex, i: int, j: int
-) -> tuple[Fraction, Fraction]:
-    """sum_k C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k)
-    vs  sum_k C(p-k.z-1,k-e_i) C(q+k.z,n-k),  for 1 <= j <= z_i."""
-    p, q = _frac(p), _frac(q)
-    n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
-    _same_dim(n, z)
-    m = len(n)
-    if not 1 <= i <= m:
-        raise PreconditionError(f"letter index i = {i} out of range 1..{m}")
-    if not 1 <= j <= z[i - 1]:
-        raise PreconditionError(f"requires 1 <= j <= z_i, got j = {j} with z_{i} = {z[i - 1]}")
-    e_i = unit(m, i)
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        ki = vec_sub(k, e_i)
-        r = vec_sub(n, k)
-        lhs += multinomial(p - kz + j - 1, ki) * multinomial(q + kz - j, r)
-        rhs += multinomial(p - kz - 1, ki) * multinomial(q + kz, r)
-    return lhs, rhs
-
-
-def eval_pkroth(
-    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex
-) -> tuple[Fraction, Fraction]:
-    """sum_k [ C(p-k.z,k) + sum_i z_i C(p-k.z-1,k-e_i) ] C(q+k.z,n-k)
-    vs  C(p+q,n)."""
-    p, q = _frac(p), _frac(q)
-    n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
-    _same_dim(n, z)
-    m = len(n)
-    lhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        head = multinomial(p - kz, k)
-        for i in range(1, m + 1):
-            head += z[i - 1] * multinomial(p - kz - 1, vec_sub(k, unit(m, i)))
-        lhs += head * multinomial(q + kz, vec_sub(n, k))
-    return lhs, multinomial(p + q, n)
-
-
-def check_absorption(
-    p: Scalar, k: MultiIndex, z: MultiIndex, i: int
-) -> tuple[Fraction, Fraction]:
-    """C(p-k.z-1, k-e_i)  vs  (k_i/(p-k.z)) C(p-k.z, k),  p-k.z != 0."""
-    p = _frac(p)
-    k, z = _nat_vector(k, "k"), _nat_vector(z, "z")
-    _same_dim(k, z)
-    m = len(k)
-    if not 1 <= i <= m:
-        raise PreconditionError(f"letter index i = {i} out of range 1..{m}")
-    _check_poles(_poles_absorption(k, z), {"p": p})
-    kz = dot(k, z)
-    lhs = multinomial(p - kz - 1, vec_sub(k, unit(m, i)))
-    rhs = Fraction(k[i - 1]) / (p - kz) * multinomial(p - kz, k)
-    return lhs, rhs
-
-
-def check_rm2_decomposition(
-    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
-) -> tuple[Fraction, Fraction]:
-    """The two-sum rewriting of the second Raney-Mohanty form's left side:
-
-    sum_k xy/((x-k.z)(y-(n-k).z)) C C  vs  (S1 + S2)/(x+y-n.z)  where
-    S1 = sum_k (xy/(x-k.z)) C C  and  S2 = sum_k (xy/(y-(n-k).z)) C C.
-    """
-    x, y = _frac(x), _frac(y)
-    n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
-    _same_dim(n, z)
-    _check_poles(_poles_xy(n, z), {"x": x, "y": y})
-    nz = dot(n, z)
-    lhs = Fraction(0)
-    s1 = Fraction(0)
-    s2 = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        rz = dot(vec_sub(n, k), z)
-        prod = multinomial(x - kz, k) * multinomial(y - rz, vec_sub(n, k))
-        lhs += x * y / ((x - kz) * (y - rz)) * prod
-        s1 += x * y / (x - kz) * prod
-        s2 += x * y / (y - rz) * prod
-    return lhs, (s1 + s2) / (x + y - nz)
-
-
-def check_mh_expansion(
-    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
-) -> tuple[Fraction, Fraction]:
-    """sum_k C(x+k.z,k) C(y-k.z,n-k)
-    vs  C(x+y,n) + sum_i sum_k z_i C(x-1+k.z,k-e_i) C(y-k.z,n-k)."""
-    x, y = _frac(x), _frac(y)
-    n, z = _nat_vector(n, "n"), _nat_vector(z, "z")
-    _same_dim(n, z)
-    m = len(n)
-    lhs = Fraction(0)
-    rhs = multinomial(x + y, n)
-    for k in box(n):
-        kz = dot(k, z)
-        r = vec_sub(n, k)
-        tail = multinomial(y - kz, r)
-        lhs += multinomial(x + kz, k) * tail
-        for i in range(1, m + 1):
-            rhs += z[i - 1] * multinomial(x - 1 + kz, vec_sub(k, unit(m, i))) * tail
-    return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# identity catalog and grid verification
+# the catalog, filled by the @_identity declarations below
 # ---------------------------------------------------------------------------
 
 
@@ -530,6 +209,7 @@ class IdentitySpec:
 
 
 PairList = list[tuple[Fraction, Fraction]]
+_Evaluator = Callable[..., tuple[Fraction, Fraction]]
 
 
 @dataclass(frozen=True)
@@ -542,6 +222,7 @@ class _Entry:
     degree: Callable[[IdentitySpec], int]
     default_lo: Callable[[str, IdentitySpec], int]
     poles: Callable[[MultiIndex, MultiIndex], list[_Pole]]
+    # the pairs at a pole-free point of a spec that passed _validate
     evaluate: Callable[[dict[str, Fraction], IdentitySpec], PairList]
 
 
@@ -566,173 +247,366 @@ def _lo_absorption(var: str, spec: IdentitySpec) -> int:
     return dot(spec.n, spec.z) + 1
 
 
-def _build_catalog() -> dict[str, _Entry]:
-    entries: list[_Entry] = []
+CATALOG: dict[str, _Entry] = {}
 
-    def add(
-        name: str,
-        variables: tuple[str, ...],
-        evaluate: Callable[[dict[str, Fraction], IdentitySpec], PairList],
-        *,
-        degree: Callable[[IdentitySpec], int] = _deg_conv,
-        poles: Callable[[MultiIndex, MultiIndex], list[_Pole]] = _no_poles,
-        default_lo: Callable[[str, IdentitySpec], int] = _lo_xy,
-        classical: bool = False,
-        needs: frozenset[str] = frozenset(),
-        param_name: str = "n",
-    ) -> None:
-        entries.append(
-            _Entry(
-                name=name,
-                variables=variables,
-                param_name=param_name,
-                needs=needs,
-                classical=classical,
-                degree=degree,
-                default_lo=default_lo,
-                poles=poles,
-                evaluate=evaluate,
-            )
+
+def _identity(
+    name: str,
+    *,
+    poles: Callable[[MultiIndex, MultiIndex], list[_Pole]] = _no_poles,
+    degree: Callable[[IdentitySpec], int] = _deg_conv,
+    default_lo: Callable[[str, IdentitySpec], int] = _lo_xy,
+    classical: bool = False,
+) -> Callable[[_Evaluator], _Evaluator]:
+    """Enter the decorated evaluator in CATALOG as `name`; return it checked.
+
+    The free variables are the parameters other than the multi-index slot
+    (n, or k for absorption), z, i and j; the entry takes whichever of i and
+    j the evaluator names.  A classical (m = 1) evaluator takes n and z as
+    scalars.  The returned function turns the variables (and a classical z)
+    into Fractions, checks n or k, z, i and j, refuses a declared pole, and
+    only then runs the body.
+    """
+
+    def declare(body: _Evaluator) -> _Evaluator:
+        sig = inspect.signature(body)
+        slot = "k" if "k" in sig.parameters else "n"
+        variables = tuple(v for v in sig.parameters if v not in (slot, "z", "i", "j"))
+        needs = frozenset(sig.parameters) & {"i", "j"}
+        scalars = [v for v in sig.parameters if v in variables or classical and v == "z"]
+
+        @functools.wraps(body)
+        def checked(*args: object, **kwargs: object) -> tuple[Fraction, Fraction]:
+            a = sig.bind(*args, **kwargs).arguments
+            for v in scalars:
+                a[v] = _frac(a[v])
+            if classical:
+                a["n"] = natural(a["n"], "n")
+                n, z = (a["n"],), (a["z"],)
+            else:
+                n = a[slot] = naturals(a[slot], slot)
+                z = a["z"] = naturals(a["z"], "z")
+                _same_dim(n, z)
+                _check_letters(needs, n, z, a.get("i"), a.get("j"))
+            _check_poles(poles(n, z), a)
+            return body(**a)
+
+        def evaluate(point: dict[str, Fraction], spec: IdentitySpec) -> PairList:
+            if classical:
+                return [body(**point, n=spec.n[0], z=spec.z[0])]
+            letters = {flag: getattr(spec, flag) for flag in needs}
+            return [body(**point, **{slot: spec.n}, z=spec.z, **letters)]
+
+        CATALOG[name] = _Entry(
+            name, variables, slot, needs, classical, degree, default_lo, poles, evaluate
         )
+        return checked
 
-    add(
-        "abel-1",
-        ("x", "y"),
-        lambda pt, s: [eval_abel_1(pt["x"], pt["y"], s.z[0], s.n[0])],
-        degree=_deg_abel,
-        poles=_poles_abel_1,
-        classical=True,
-    )
-    add(
-        "abel-2",
-        ("x", "y"),
-        lambda pt, s: [eval_abel_2(pt["x"], pt["y"], s.z[0], s.n[0])],
-        degree=_deg_abel,
-        poles=_poles_abel_2,
-        classical=True,
-    )
-    add(
-        "rothe-1",
-        ("x", "y"),
-        lambda pt, s: [eval_rothe_1(pt["x"], pt["y"], s.z[0], s.n[0])],
-        poles=_poles_x,
-        classical=True,
-    )
-    add(
-        "rothe-2",
-        ("x", "y"),
-        lambda pt, s: [eval_rothe_2(pt["x"], pt["y"], s.z[0], s.n[0])],
-        poles=_poles_xy,
-        classical=True,
-    )
-    add(
-        "gould",
-        ("x", "y", "eps"),
-        lambda pt, s: [eval_gould(pt["x"], pt["y"], s.z[0], pt["eps"], s.n[0])],
-        classical=True,
-    )
-    add(
-        "jensen",
-        ("x", "y"),
-        lambda pt, s: [eval_jensen(pt["x"], pt["y"], s.z[0], s.n[0])],
-        classical=True,
-    )
-    add(
-        "raney-mohanty-1",
-        ("x", "y"),
-        lambda pt, s: [eval_raney_mohanty_1(pt["x"], pt["y"], s.n, s.z)],
-        poles=_poles_x,
-    )
-    add(
-        "raney-mohanty-2",
-        ("x", "y"),
-        lambda pt, s: [eval_raney_mohanty_2(pt["x"], pt["y"], s.n, s.z)],
-        poles=_poles_xy,
-    )
-    add(
-        "mohanty-handa",
-        ("x", "y"),
-        lambda pt, s: [eval_mohanty_handa(pt["x"], pt["y"], s.n, s.z)],
-    )
-    add(
-        "gould-mohanty",
-        ("x", "y", "eps"),
-        lambda pt, s: [eval_gould_mohanty(pt["x"], pt["y"], pt["eps"], s.n, s.z)],
-    )
-    add(
-        "gmh-special",
-        ("p", "q"),
-        lambda pt, s: [eval_gmh_special(pt["p"], pt["q"], s.n, s.z)],
-    )
-    add(
-        "kmx",
-        ("p", "q"),
-        lambda pt, s: [eval_kmx(pt["p"], pt["q"], s.n, s.z)],
-    )
-    add(
-        "kmpink",
-        ("p", "q"),
-        lambda pt, s: [eval_kmpink(pt["p"], pt["q"], s.n, s.z, s.i, s.j)],
-        needs=frozenset({"i", "j"}),
-    )
-    add(
-        "pkroth",
-        ("p", "q"),
-        lambda pt, s: [eval_pkroth(pt["p"], pt["q"], s.n, s.z)],
-    )
-    add(
-        "absorption",
-        ("p",),
-        lambda pt, s: [check_absorption(pt["p"], s.n, s.z, s.i)],
-        degree=_deg_absorption,
-        poles=_poles_absorption,
-        default_lo=_lo_absorption,
-        needs=frozenset({"i"}),
-        param_name="k",
-    )
-    add(
-        "rm2-decomposition",
-        ("x", "y"),
-        lambda pt, s: [check_rm2_decomposition(pt["x"], pt["y"], s.n, s.z)],
-        poles=_poles_xy,
-    )
-    add(
-        "mh-expansion",
-        ("x", "y"),
-        lambda pt, s: [check_mh_expansion(pt["x"], pt["y"], s.n, s.z)],
-    )
-
-    # coherence entries: the multi-index evaluator at m = 1 must agree
-    # componentwise with its classical counterpart
-    def _gm_vs_gould(pt: dict[str, Fraction], s: IdentitySpec) -> PairList:
-        multi = eval_gould_mohanty(pt["x"], pt["y"], pt["eps"], s.n, s.z)
-        single = eval_gould(pt["x"], pt["y"], s.z[0], pt["eps"], s.n[0])
-        return [(multi[0], single[0]), (multi[1], single[1]), multi]
-
-    def _rm1_vs_rothe1(pt: dict[str, Fraction], s: IdentitySpec) -> PairList:
-        multi = eval_raney_mohanty_1(pt["x"], pt["y"], s.n, s.z)
-        single = eval_rothe_1(pt["x"], pt["y"], s.z[0], s.n[0])
-        return [(multi[0], single[0]), (multi[1], single[1]), multi]
-
-    def _mh_vs_jensen(pt: dict[str, Fraction], s: IdentitySpec) -> PairList:
-        multi = eval_mohanty_handa(pt["x"], pt["y"], s.n, s.z)
-        single = eval_jensen(pt["x"], pt["y"], s.z[0], s.n[0])
-        return [(multi[0], single[0]), (multi[1], single[1]), multi]
-
-    add("gould-mohanty-vs-gould", ("x", "y", "eps"), _gm_vs_gould, classical=True)
-    add(
-        "raney-mohanty-1-vs-rothe-1",
-        ("x", "y"),
-        _rm1_vs_rothe1,
-        poles=_poles_x,
-        classical=True,
-    )
-    add("mohanty-handa-vs-jensen", ("x", "y"), _mh_vs_jensen, classical=True)
-
-    return {e.name: e for e in entries}
+    return declare
 
 
-CATALOG = _build_catalog()
+# ---------------------------------------------------------------------------
+# classical single-variable forms (m = 1)
+# ---------------------------------------------------------------------------
+
+
+@_identity("abel-1", poles=_poles_abel_1, degree=_deg_abel, classical=True)
+def eval_abel_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
+    """sum_k C(n,k) x(x-kz)^(k-1) (y+kz)^(n-k)  vs  (x+y)^n."""
+    lhs = Fraction(0)
+    for k in range(n + 1):
+        lhs += math.comb(n, k) * x * (x - k * z) ** (k - 1) * (y + k * z) ** (n - k)
+    return lhs, (x + y) ** n
+
+
+@_identity("abel-2", poles=_poles_abel_2, degree=_deg_abel, classical=True)
+def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
+    """sum_k C(n,k) x(y+nz)(x-kz)^(k-1)(y+kz)^(n-k-1)  vs  (x+y+nz)(x+y)^(n-1).
+
+    This is the companion of Abel's identity, normalized so the right side
+    is (x+y+nz)(x+y)^(n-1); under y -> y - nz it is the classical symmetric
+    form sum_k C(n,k) xy(x-kz)^(k-1)(y-(n-k)z)^(n-k-1) = (x+y)(x+y-nz)^(n-1).
+    """
+    lhs = Fraction(0)
+    for k in range(n + 1):
+        lhs += (
+            math.comb(n, k)
+            * x
+            * (y + n * z)
+            * (x - k * z) ** (k - 1)
+            * (y + k * z) ** (n - k - 1)
+        )
+    rhs = (x + y + n * z) * (x + y) ** (n - 1)
+    return lhs, rhs
+
+
+@_identity("rothe-1", poles=_poles_x, classical=True)
+def eval_rothe_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
+    """sum_k (x/(x-kz)) C(x-kz,k) C(y+kz,n-k)  vs  C(x+y,n)."""
+    lhs = Fraction(0)
+    for k in range(n + 1):
+        lhs += (
+            x / (x - k * z)
+            * multinomial(x - k * z, (k,))
+            * multinomial(y + k * z, (n - k,))
+        )
+    return lhs, multinomial(x + y, (n,))
+
+
+@_identity("rothe-2", poles=_poles_xy, classical=True)
+def eval_rothe_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
+    """sum_k xy/((x-kz)(y-(n-k)z)) C(x-kz,k) C(y-(n-k)z,n-k)
+    vs  (x+y)/(x+y-nz) C(x+y-nz,n)."""
+    lhs = Fraction(0)
+    for k in range(n + 1):
+        lhs += (
+            x
+            * y
+            / ((x - k * z) * (y - (n - k) * z))
+            * multinomial(x - k * z, (k,))
+            * multinomial(y - (n - k) * z, (n - k,))
+        )
+    rhs = (x + y) / (x + y - n * z) * multinomial(x + y - n * z, (n,))
+    return lhs, rhs
+
+
+@_identity("gould", classical=True)
+def eval_gould(
+    x: Scalar, y: Scalar, z: Scalar, eps: Scalar, n: int
+) -> tuple[Fraction, Fraction]:
+    """sum_k C(x-kz,k) C(y+kz,n-k)  vs  sum_k C(x+e-kz,k) C(y-e+kz,n-k)."""
+    lhs = Fraction(0)
+    rhs = Fraction(0)
+    for k in range(n + 1):
+        lhs += multinomial(x - k * z, (k,)) * multinomial(y + k * z, (n - k,))
+        rhs += multinomial(x + eps - k * z, (k,)) * multinomial(y - eps + k * z, (n - k,))
+    return lhs, rhs
+
+
+@_identity("jensen", classical=True)
+def eval_jensen(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
+    """sum_k C(x+kz,k) C(y-kz,n-k)  vs  sum_k C(x+y-k,n-k) z^k."""
+    lhs = Fraction(0)
+    rhs = Fraction(0)
+    for k in range(n + 1):
+        lhs += multinomial(x + k * z, (k,)) * multinomial(y - k * z, (n - k,))
+        rhs += multinomial(x + y - k, (n - k,)) * z**k
+    return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# multi-index forms (any m >= 1)
+# ---------------------------------------------------------------------------
+
+
+@_identity("raney-mohanty-1", poles=_poles_x)
+def eval_raney_mohanty_1(
+    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
+) -> tuple[Fraction, Fraction]:
+    """sum_{0<=k<=n} (x/(x-k.z)) C(x-k.z,k) C(y+k.z,n-k)  vs  C(x+y,n)."""
+    lhs = Fraction(0)
+    for k in box(n):
+        kz = dot(k, z)
+        lhs += x / (x - kz) * multinomial(x - kz, k) * multinomial(y + kz, vec_sub(n, k))
+    return lhs, multinomial(x + y, n)
+
+
+@_identity("raney-mohanty-2", poles=_poles_xy)
+def eval_raney_mohanty_2(
+    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
+) -> tuple[Fraction, Fraction]:
+    """sum_k xy/((x-k.z)(y-(n-k).z)) C(x-k.z,k) C(y-(n-k).z,n-k)
+    vs  (x+y)/(x+y-n.z) C(x+y-n.z,n)."""
+    lhs = Fraction(0)
+    for k in box(n):
+        kz = dot(k, z)
+        rz = dot(vec_sub(n, k), z)
+        lhs += (
+            x
+            * y
+            / ((x - kz) * (y - rz))
+            * multinomial(x - kz, k)
+            * multinomial(y - rz, vec_sub(n, k))
+        )
+    nz = dot(n, z)
+    rhs = (x + y) / (x + y - nz) * multinomial(x + y - nz, n)
+    return lhs, rhs
+
+
+@_identity("mohanty-handa")
+def eval_mohanty_handa(
+    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
+) -> tuple[Fraction, Fraction]:
+    """sum_k C(x+k.z,k) C(y-k.z,n-k)  vs  sum_k C(x+y-|k|,n-k) C(|k|,k) z^k."""
+    lhs = Fraction(0)
+    rhs = Fraction(0)
+    for k in box(n):
+        kz = dot(k, z)
+        lhs += multinomial(x + kz, k) * multinomial(y - kz, vec_sub(n, k))
+        z_pow = math.prod(zi**ki for zi, ki in zip(z, k))
+        rhs += multinomial(x + y - norm(k), vec_sub(n, k)) * multinomial(norm(k), k) * z_pow
+    return lhs, rhs
+
+
+@_identity("gould-mohanty")
+def eval_gould_mohanty(
+    x: Scalar, y: Scalar, eps: Scalar, n: MultiIndex, z: MultiIndex
+) -> tuple[Fraction, Fraction]:
+    """sum_k C(x-k.z,k) C(y+k.z,n-k)  vs  sum_k C(x+e-k.z,k) C(y-e+k.z,n-k)."""
+    lhs = Fraction(0)
+    rhs = Fraction(0)
+    for k in box(n):
+        kz = dot(k, z)
+        r = vec_sub(n, k)
+        lhs += multinomial(x - kz, k) * multinomial(y + kz, r)
+        rhs += multinomial(x + eps - kz, k) * multinomial(y - eps + kz, r)
+    return lhs, rhs
+
+
+@_identity("gmh-special")
+def eval_gmh_special(
+    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex
+) -> tuple[Fraction, Fraction]:
+    """Gould-Mohanty at eps = 1:
+    sum_k C(p-k.z,k) C(q+k.z,n-k)  vs  sum_k C(p+1-k.z,k) C(q-1+k.z,n-k)."""
+    return eval_gould_mohanty(p, q, 1, n, z)
+
+
+@_identity("kmx")
+def eval_kmx(
+    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex
+) -> tuple[Fraction, Fraction]:
+    """sum_k [ C(p-k.z,k) C(q+k.z,n-k)
+              + sum_i sum_{j=1}^{z_i} C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k) ]
+    vs  C(p+q,n)."""
+    m = len(n)
+    lhs = Fraction(0)
+    for k in box(n):
+        kz = dot(k, z)
+        r = vec_sub(n, k)
+        term = multinomial(p - kz, k) * multinomial(q + kz, r)
+        for i in range(1, m + 1):
+            ki = vec_sub(k, unit(m, i))
+            for j in range(1, z[i - 1] + 1):
+                term += multinomial(p - kz + j - 1, ki) * multinomial(q + kz - j, r)
+        lhs += term
+    return lhs, multinomial(p + q, n)
+
+
+@_identity("kmpink")
+def eval_kmpink(
+    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex, i: int, j: int
+) -> tuple[Fraction, Fraction]:
+    """sum_k C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k)
+    vs  sum_k C(p-k.z-1,k-e_i) C(q+k.z,n-k),  for 1 <= j <= z_i."""
+    e_i = unit(len(n), i)
+    lhs = Fraction(0)
+    rhs = Fraction(0)
+    for k in box(n):
+        kz = dot(k, z)
+        ki = vec_sub(k, e_i)
+        r = vec_sub(n, k)
+        lhs += multinomial(p - kz + j - 1, ki) * multinomial(q + kz - j, r)
+        rhs += multinomial(p - kz - 1, ki) * multinomial(q + kz, r)
+    return lhs, rhs
+
+
+@_identity("pkroth")
+def eval_pkroth(
+    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex
+) -> tuple[Fraction, Fraction]:
+    """sum_k [ C(p-k.z,k) + sum_i z_i C(p-k.z-1,k-e_i) ] C(q+k.z,n-k)
+    vs  C(p+q,n)."""
+    m = len(n)
+    lhs = Fraction(0)
+    for k in box(n):
+        kz = dot(k, z)
+        head = multinomial(p - kz, k)
+        for i in range(1, m + 1):
+            head += z[i - 1] * multinomial(p - kz - 1, vec_sub(k, unit(m, i)))
+        lhs += head * multinomial(q + kz, vec_sub(n, k))
+    return lhs, multinomial(p + q, n)
+
+
+@_identity(
+    "absorption",
+    poles=_poles_absorption,
+    degree=_deg_absorption,
+    default_lo=_lo_absorption,
+)
+def check_absorption(
+    p: Scalar, k: MultiIndex, z: MultiIndex, i: int
+) -> tuple[Fraction, Fraction]:
+    """C(p-k.z-1, k-e_i)  vs  (k_i/(p-k.z)) C(p-k.z, k),  p-k.z != 0."""
+    kz = dot(k, z)
+    lhs = multinomial(p - kz - 1, vec_sub(k, unit(len(k), i)))
+    rhs = Fraction(k[i - 1]) / (p - kz) * multinomial(p - kz, k)
+    return lhs, rhs
+
+
+@_identity("rm2-decomposition", poles=_poles_xy)
+def check_rm2_decomposition(
+    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
+) -> tuple[Fraction, Fraction]:
+    """The two-sum rewriting of the second Raney-Mohanty form's left side:
+
+    sum_k xy/((x-k.z)(y-(n-k).z)) C C  vs  (S1 + S2)/(x+y-n.z)  where
+    S1 = sum_k (xy/(x-k.z)) C C  and  S2 = sum_k (xy/(y-(n-k).z)) C C.
+    """
+    nz = dot(n, z)
+    lhs = Fraction(0)
+    s1 = Fraction(0)
+    s2 = Fraction(0)
+    for k in box(n):
+        kz = dot(k, z)
+        rz = dot(vec_sub(n, k), z)
+        prod = multinomial(x - kz, k) * multinomial(y - rz, vec_sub(n, k))
+        lhs += x * y / ((x - kz) * (y - rz)) * prod
+        s1 += x * y / (x - kz) * prod
+        s2 += x * y / (y - rz) * prod
+    return lhs, (s1 + s2) / (x + y - nz)
+
+
+@_identity("mh-expansion")
+def check_mh_expansion(
+    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
+) -> tuple[Fraction, Fraction]:
+    """sum_k C(x+k.z,k) C(y-k.z,n-k)
+    vs  C(x+y,n) + sum_i sum_k z_i C(x-1+k.z,k-e_i) C(y-k.z,n-k)."""
+    m = len(n)
+    lhs = Fraction(0)
+    rhs = multinomial(x + y, n)
+    for k in box(n):
+        kz = dot(k, z)
+        r = vec_sub(n, k)
+        tail = multinomial(y - kz, r)
+        lhs += multinomial(x + kz, k) * tail
+        for i in range(1, m + 1):
+            rhs += z[i - 1] * multinomial(x - 1 + kz, vec_sub(k, unit(m, i))) * tail
+    return lhs, rhs
+
+
+def _coherence(name: str, multi: str, single: str) -> None:
+    """Declare `name`: the multi-index entry `multi` at m = 1 must agree
+    componentwise with its classical counterpart `single`."""
+    multi_pairs, single_pairs = CATALOG[multi].evaluate, CATALOG[single].evaluate
+
+    def evaluate(point: dict[str, Fraction], spec: IdentitySpec) -> PairList:
+        [(left, right)] = multi_pairs(point, spec)
+        [(single_left, single_right)] = single_pairs(point, spec)
+        return [(left, single_left), (right, single_right), (left, right)]
+
+    CATALOG[name] = replace(CATALOG[multi], name=name, classical=True, evaluate=evaluate)
+
+
+_coherence("gould-mohanty-vs-gould", "gould-mohanty", "gould")
+_coherence("raney-mohanty-1-vs-rothe-1", "raney-mohanty-1", "rothe-1")
+_coherence("mohanty-handa-vs-jensen", "mohanty-handa", "jensen")
+
+
+# ---------------------------------------------------------------------------
+# grid and point verification
+# ---------------------------------------------------------------------------
 
 
 def catalog_names() -> list[str]:
@@ -751,9 +625,10 @@ def _lookup(name: str) -> _Entry:
         raise PreconditionError(f"unknown identity {name!r}; known: {known}")
 
 
-def _validate(spec: IdentitySpec, entry: _Entry) -> None:
-    n = _nat_vector(spec.n, entry.param_name)
-    z = _nat_vector(spec.z, "z")
+def _validate(spec: IdentitySpec, entry: _Entry) -> IdentitySpec:
+    """spec, with n and z as tuples, once every parameter checks out."""
+    n = naturals(spec.n, entry.param_name)
+    z = naturals(spec.z, "z")
     _same_dim(n, z)
     if entry.classical and len(n) != 1:
         raise PreconditionError(
@@ -766,14 +641,10 @@ def _validate(spec: IdentitySpec, entry: _Entry) -> None:
             raise PreconditionError(f"{entry.name} does not take --{flag}")
         if not given and flag in entry.needs:
             raise PreconditionError(f"{entry.name} requires --{flag}")
-    if "i" in entry.needs and not 1 <= spec.i <= len(n):
-        raise PreconditionError(f"letter index i = {spec.i} out of range 1..{len(n)}")
-    if "j" in entry.needs and not 1 <= spec.j <= z[spec.i - 1]:
-        raise PreconditionError(
-            f"requires 1 <= j <= z_i, got j = {spec.j} with z_{spec.i} = {z[spec.i - 1]}"
-        )
+    _check_letters(entry.needs, n, z, spec.i, spec.j)
     if spec.grid_range is not None and spec.grid_range[0] > spec.grid_range[1]:
         raise PreconditionError(f"empty grid range {spec.grid_range}")
+    return replace(spec, n=n, z=z)
 
 
 def _params_dict(spec: IdentitySpec, entry: _Entry) -> dict[str, object]:
@@ -803,6 +674,22 @@ def _rerun_command(spec: IdentitySpec, entry: _Entry, point: dict[str, Fraction]
     rendered = ",".join(f"{v}={format_scalar(point[v])}" for v in entry.variables)
     parts.append(f"--point {rendered}")
     return " ".join(parts)
+
+
+def _counterexample(
+    spec: IdentitySpec, entry: _Entry, point: dict[str, Fraction], pairs: PairList
+) -> Optional[dict[str, object]]:
+    """The first unequal pair at point, with enough context to re-run it."""
+    for idx, (left, right) in enumerate(pairs):
+        if left != right:
+            return {
+                "point": {v: format_scalar(point[v]) for v in entry.variables},
+                "left": format_scalar(left),
+                "right": format_scalar(right),
+                "pair": idx,
+                "rerun": _rerun_command(spec, entry, point),
+            }
+    return None
 
 
 _GRID_SCAN_MARGIN = 512
@@ -860,7 +747,7 @@ def verify_identity_on_grid(spec: IdentitySpec) -> EvalReport:
     """Evaluate both sides on a pole-free product grid sized by the degree
     bound; exact equality everywhere certifies the identity."""
     entry = _lookup(spec.identity)
-    _validate(spec, entry)
+    spec = _validate(spec, entry)
     degree = entry.degree(spec)
     axes, skipped = _select_axes(spec, entry)
     total_points = math.prod(len(axes[v]) for v in entry.variables)
@@ -876,18 +763,11 @@ def verify_identity_on_grid(spec: IdentitySpec) -> EvalReport:
     )
     for combo in itertools.product(*(axes[v] for v in entry.variables)):
         point = {v: Fraction(c) for v, c in zip(entry.variables, combo)}
-        pairs = entry.evaluate(point, spec)
-        for idx, (left, right) in enumerate(pairs):
-            if left != right:
-                report.verdict = VERDICT_MISMATCH
-                report.counterexample = {
-                    "point": {v: format_scalar(point[v]) for v in entry.variables},
-                    "left": format_scalar(left),
-                    "right": format_scalar(right),
-                    "pair": idx,
-                    "rerun": _rerun_command(spec, entry, point),
-                }
-                return report
+        counterexample = _counterexample(spec, entry, point, entry.evaluate(point, spec))
+        if counterexample is not None:
+            report.verdict = VERDICT_MISMATCH
+            report.counterexample = counterexample
+            return report
     report.verdict = VERDICT_EQUAL
     return report
 
@@ -897,7 +777,7 @@ def verify_identity_at_point(
 ) -> EvalReport:
     """Evaluate both sides at one explicit point."""
     entry = _lookup(spec.identity)
-    _validate(spec, entry)
+    spec = _validate(spec, entry)
     missing = [v for v in entry.variables if v not in point]
     if missing:
         raise PreconditionError(
@@ -922,20 +802,11 @@ def verify_identity_at_point(
         report.details = {
             "pairs": [[format_scalar(l), format_scalar(r)] for l, r in pairs]
         }
-    if all(left == right for left, right in pairs):
+    report.counterexample = _counterexample(spec, entry, values, pairs)
+    if report.counterexample is None:
         report.verdict = VERDICT_EQUAL
     else:
         report.verdict = VERDICT_MISMATCH
-        idx, (left, right) = next(
-            (i, lr) for i, lr in enumerate(pairs) if lr[0] != lr[1]
-        )
-        report.left = format_scalar(left)
-        report.right = format_scalar(right)
-        report.counterexample = {
-            "point": params["point"],
-            "left": format_scalar(left),
-            "right": format_scalar(right),
-            "pair": idx,
-            "rerun": _rerun_command(spec, entry, values),
-        }
+        report.left = report.counterexample["left"]
+        report.right = report.counterexample["right"]
     return report

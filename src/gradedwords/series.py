@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .arith import MultiIndex, Scalar, dot, multinomial, norm
+from .arith import MultiIndex, Scalar, dot, multinomial, natural, naturals, norm
 from .errors import DimensionMismatchError, PreconditionError
 from .reports import VERDICT_EQUAL, VERDICT_MISMATCH, EvalReport
 
@@ -240,17 +240,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.nvars, self.order, {k: c for lv in w for k, c in lv.items()})
 
 
-def _check_grading(z: object) -> MultiIndex:
-    try:
-        entries = tuple(z)  # type: ignore[arg-type]
-    except TypeError:
-        raise PreconditionError(f"z must be a vector of naturals, got {z!r}")
-    for e in entries:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-            raise PreconditionError(f"z entries must be naturals, got {entries}")
-    return entries
-
-
 def solve_functional_equation(z: MultiIndex, order: int) -> TruncatedSeries:
     """The unique series v with constant term 1 and v = 1 + sum_i u_i v^(z_i).
 
@@ -258,9 +247,7 @@ def solve_functional_equation(z: MultiIndex, order: int) -> TruncatedSeries:
     of u_i times degree d of v^(z_i), and each power v^a is extended to
     degree d by one Miller step once v is known through degree d.
     """
-    z = _check_grading(z)
-    if order < 0:
-        raise PreconditionError(f"order must be >= 0, got {order}")
+    z, order = naturals(z, "z"), natural(order, "order")
     m = len(z)
     units = [tuple(int(a == i) for a in range(m)) for i in range(m)]
     v = [{(0,) * m: 1}]
@@ -284,7 +271,7 @@ def functional_equation_residual(v: TruncatedSeries, z: MultiIndex) -> Truncated
     Each v^(z_i) is a z_i-fold product, never a Miller power, so a fault in
     the recurrence that solve_functional_equation uses cannot cancel here.
     """
-    z = _check_grading(z)
+    z = naturals(z, "z")
     if len(z) != v.nvars:
         raise DimensionMismatchError(f"z has dimension {len(z)}, series has {v.nvars}")
     residual = v - TruncatedSeries.one(v.nvars, v.order)
@@ -322,8 +309,7 @@ def _check_x(x: object) -> int:
 
 def check_generating_function_1(x: int, z: MultiIndex, order: int) -> EvalReport:
     """sum_k (x/(x+k.z)) C(x+k.z,k) u^k = v^x, coefficientwise to `order`."""
-    x = _check_x(x)
-    z = _check_grading(z)
+    x, z, order = _check_x(x), naturals(z, "z"), natural(order, "order")
     m = len(z)
     tops = ((k, x + dot(k, z)) for k in exponents_up_to(m, order))
     left = TruncatedSeries(m, order, {k: Fraction(x, t) * multinomial(t, k) for k, t in tops})
@@ -333,8 +319,7 @@ def check_generating_function_1(x: int, z: MultiIndex, order: int) -> EvalReport
 
 def check_generating_function_2(x: int, z: MultiIndex, order: int) -> EvalReport:
     """sum_k C(x+k.z,k) u^k = v^x / (1 - sum_i u_i z_i v^(z_i-1))."""
-    x = _check_x(x)
-    z = _check_grading(z)
+    x, z, order = _check_x(x), naturals(z, "z"), natural(order, "order")
     if any(e < 1 for e in z):
         raise PreconditionError(f"requires z_i >= 1 for every i, got z={list(z)}")
     m = len(z)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gradedwords import (
     DimensionMismatchError,
+    PreconditionError,
     box,
     dot,
     format_scalar,
@@ -23,6 +24,7 @@ from gradedwords import (
     vec_sub,
     zeros,
 )
+from gradedwords.arith import natural, naturals
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +64,29 @@ def test_multinomial_is_total_at_negative_and_rational_arguments():
 def test_multinomial_empty_index():
     assert multinomial(17, ()) == 1
     assert multinomial(Fraction(-3, 7), ()) == 1
+
+
+def test_multinomial_refuses_inexact_arguments():
+    # C(2.5, 1) = 5/2: a float must be refused, never truncated to an int
+    for x in (2.5, 2.0, "3", None):
+        with pytest.raises(PreconditionError, match="needs an int or Fraction x"):
+            multinomial(x, (1,))
+        with pytest.raises(PreconditionError):
+            multinomial(x, (-1,))
+    assert multinomial(Fraction(5, 2), (1,)) == Fraction(5, 2)
+    assert multinomial(Fraction(6, 3), (2,)) == 1
+
+
+def test_natural_numbers_refuse_bool_float_and_negatives():
+    assert natural(0, "n") == 0
+    assert naturals([2, 0], "z") == (2, 0)
+    for bad in (True, 2.0, -1, "3", None):
+        with pytest.raises(PreconditionError, match=r"^--p must be a natural number, got "):
+            natural(bad, "--p")
+    with pytest.raises(PreconditionError, match=r"^z entry must be a natural number, got 1\.0$"):
+        naturals((2, 1.0), "z")
+    with pytest.raises(PreconditionError, match=r"^z must be a vector of naturals, got 5$"):
+        naturals(5, "z")
 
 
 def test_multinomial_degree_bound_via_finite_differences():

@@ -4,6 +4,7 @@ certification, and the counterexample machinery."""
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -21,14 +22,12 @@ from gradedwords import (
     verify_identity_at_point,
     verify_identity_on_grid,
 )
+from gradedwords import identities
 from gradedwords.identities import (
-    _poles_abel_1,
     _poles_abel_2,
-    _poles_absorption,
     _poles_x,
     _poles_xy,
     check_absorption,
-    check_rm2_decomposition,
     eval_abel_1,
     eval_abel_2,
     eval_gmh_special,
@@ -36,10 +35,8 @@ from gradedwords.identities import (
     eval_gould_mohanty,
     eval_jensen,
     eval_kmx,
-    eval_raney_mohanty_1,
     eval_raney_mohanty_2,
     eval_rothe_1,
-    eval_rothe_2,
 )
 
 ALL_NAMES = [
@@ -54,6 +51,243 @@ ALL_NAMES = [
 
 def test_catalog_is_complete():
     assert catalog_names() == ALL_NAMES
+
+
+# every catalog entry as its evaluator declares it: free variables, multi-index
+# slot, letter indices taken, m = 1 only, degree bound, grid start, poles, and
+# the public evaluator (None for the coherence entries, which compose two)
+DECLARED = {
+    "abel-1": (("x", "y"), "n", (), True, "_deg_abel", "_lo_xy", "_poles_abel_1", "eval_abel_1"),
+    "abel-2": (("x", "y"), "n", (), True, "_deg_abel", "_lo_xy", "_poles_abel_2", "eval_abel_2"),
+    "rothe-1": (("x", "y"), "n", (), True, "_deg_conv", "_lo_xy", "_poles_x", "eval_rothe_1"),
+    "rothe-2": (("x", "y"), "n", (), True, "_deg_conv", "_lo_xy", "_poles_xy", "eval_rothe_2"),
+    "gould": (("x", "y", "eps"), "n", (), True, "_deg_conv", "_lo_xy", "_no_poles", "eval_gould"),
+    "jensen": (("x", "y"), "n", (), True, "_deg_conv", "_lo_xy", "_no_poles", "eval_jensen"),
+    "raney-mohanty-1": (
+        ("x", "y"), "n", (), False, "_deg_conv", "_lo_xy", "_poles_x", "eval_raney_mohanty_1"
+    ),
+    "raney-mohanty-2": (
+        ("x", "y"), "n", (), False, "_deg_conv", "_lo_xy", "_poles_xy", "eval_raney_mohanty_2"
+    ),
+    "mohanty-handa": (
+        ("x", "y"), "n", (), False, "_deg_conv", "_lo_xy", "_no_poles", "eval_mohanty_handa"
+    ),
+    "gould-mohanty": (
+        ("x", "y", "eps"), "n", (), False, "_deg_conv", "_lo_xy", "_no_poles",
+        "eval_gould_mohanty",
+    ),
+    "gmh-special": (
+        ("p", "q"), "n", (), False, "_deg_conv", "_lo_xy", "_no_poles", "eval_gmh_special"
+    ),
+    "kmx": (("p", "q"), "n", (), False, "_deg_conv", "_lo_xy", "_no_poles", "eval_kmx"),
+    "kmpink": (
+        ("p", "q"), "n", ("i", "j"), False, "_deg_conv", "_lo_xy", "_no_poles", "eval_kmpink"
+    ),
+    "pkroth": (("p", "q"), "n", (), False, "_deg_conv", "_lo_xy", "_no_poles", "eval_pkroth"),
+    "absorption": (
+        ("p",), "k", ("i",), False, "_deg_absorption", "_lo_absorption", "_poles_absorption",
+        "check_absorption",
+    ),
+    "rm2-decomposition": (
+        ("x", "y"), "n", (), False, "_deg_conv", "_lo_xy", "_poles_xy",
+        "check_rm2_decomposition",
+    ),
+    "mh-expansion": (
+        ("x", "y"), "n", (), False, "_deg_conv", "_lo_xy", "_no_poles", "check_mh_expansion"
+    ),
+    "gould-mohanty-vs-gould": (
+        ("x", "y", "eps"), "n", (), True, "_deg_conv", "_lo_xy", "_no_poles", None
+    ),
+    "raney-mohanty-1-vs-rothe-1": (
+        ("x", "y"), "n", (), True, "_deg_conv", "_lo_xy", "_poles_x", None
+    ),
+    "mohanty-handa-vs-jensen": (
+        ("x", "y"), "n", (), True, "_deg_conv", "_lo_xy", "_no_poles", None
+    ),
+}
+
+# signature and docstring of every public evaluator
+PUBLIC_EVALUATORS = {
+    "eval_abel_1": (
+        "(x: 'Scalar', y: 'Scalar', z: 'Scalar', n: 'int') -> 'tuple[Fraction, Fraction]'",
+        "sum_k C(n,k) x(x-kz)^(k-1) (y+kz)^(n-k)  vs  (x+y)^n.",
+    ),
+    "eval_abel_2": (
+        "(x: 'Scalar', y: 'Scalar', z: 'Scalar', n: 'int') -> 'tuple[Fraction, Fraction]'",
+        (
+            "sum_k C(n,k) x(y+nz)(x-kz)^(k-1)(y+kz)^(n-k-1)  vs  (x+y+nz)(x+y)^(n-1).\n"
+            "\n"
+            "    This is the companion of Abel's identity, normalized so the right side\n"
+            "    is (x+y+nz)(x+y)^(n-1); under y -> y - nz it is the classical symmetric\n"
+            "    form sum_k C(n,k) xy(x-kz)^(k-1)(y-(n-k)z)^(n-k-1) = (x+y)(x+y-nz)^(n-1).\n"
+            "    "
+        ),
+    ),
+    "eval_rothe_1": (
+        "(x: 'Scalar', y: 'Scalar', z: 'Scalar', n: 'int') -> 'tuple[Fraction, Fraction]'",
+        "sum_k (x/(x-kz)) C(x-kz,k) C(y+kz,n-k)  vs  C(x+y,n).",
+    ),
+    "eval_rothe_2": (
+        "(x: 'Scalar', y: 'Scalar', z: 'Scalar', n: 'int') -> 'tuple[Fraction, Fraction]'",
+        (
+            "sum_k xy/((x-kz)(y-(n-k)z)) C(x-kz,k) C(y-(n-k)z,n-k)\n"
+            "    vs  (x+y)/(x+y-nz) C(x+y-nz,n)."
+        ),
+    ),
+    "eval_gould": (
+        (
+            "(x: 'Scalar', y: 'Scalar', z: 'Scalar', eps: 'Scalar', n: 'int')"
+            " -> 'tuple[Fraction, Fraction]'"
+        ),
+        "sum_k C(x-kz,k) C(y+kz,n-k)  vs  sum_k C(x+e-kz,k) C(y-e+kz,n-k).",
+    ),
+    "eval_jensen": (
+        "(x: 'Scalar', y: 'Scalar', z: 'Scalar', n: 'int') -> 'tuple[Fraction, Fraction]'",
+        "sum_k C(x+kz,k) C(y-kz,n-k)  vs  sum_k C(x+y-k,n-k) z^k.",
+    ),
+    "eval_raney_mohanty_1": (
+        (
+            "(x: 'Scalar', y: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
+            " -> 'tuple[Fraction, Fraction]'"
+        ),
+        "sum_{0<=k<=n} (x/(x-k.z)) C(x-k.z,k) C(y+k.z,n-k)  vs  C(x+y,n).",
+    ),
+    "eval_raney_mohanty_2": (
+        (
+            "(x: 'Scalar', y: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
+            " -> 'tuple[Fraction, Fraction]'"
+        ),
+        (
+            "sum_k xy/((x-k.z)(y-(n-k).z)) C(x-k.z,k) C(y-(n-k).z,n-k)\n"
+            "    vs  (x+y)/(x+y-n.z) C(x+y-n.z,n)."
+        ),
+    ),
+    "eval_mohanty_handa": (
+        (
+            "(x: 'Scalar', y: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
+            " -> 'tuple[Fraction, Fraction]'"
+        ),
+        "sum_k C(x+k.z,k) C(y-k.z,n-k)  vs  sum_k C(x+y-|k|,n-k) C(|k|,k) z^k.",
+    ),
+    "eval_gould_mohanty": (
+        (
+            "(x: 'Scalar', y: 'Scalar', eps: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
+            " -> 'tuple[Fraction, Fraction]'"
+        ),
+        "sum_k C(x-k.z,k) C(y+k.z,n-k)  vs  sum_k C(x+e-k.z,k) C(y-e+k.z,n-k).",
+    ),
+    "eval_gmh_special": (
+        (
+            "(p: 'Scalar', q: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
+            " -> 'tuple[Fraction, Fraction]'"
+        ),
+        (
+            "Gould-Mohanty at eps = 1:\n"
+            "    sum_k C(p-k.z,k) C(q+k.z,n-k)  vs  sum_k C(p+1-k.z,k) C(q-1+k.z,n-k)."
+        ),
+    ),
+    "eval_kmx": (
+        (
+            "(p: 'Scalar', q: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
+            " -> 'tuple[Fraction, Fraction]'"
+        ),
+        (
+            "sum_k [ C(p-k.z,k) C(q+k.z,n-k)\n"
+            "              + sum_i sum_{j=1}^{z_i} C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k) ]\n"
+            "    vs  C(p+q,n)."
+        ),
+    ),
+    "eval_kmpink": (
+        (
+            "(p: 'Scalar', q: 'Scalar', n: 'MultiIndex', z: 'MultiIndex', i: 'int', j: 'int')"
+            " -> 'tuple[Fraction, Fraction]'"
+        ),
+        (
+            "sum_k C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k)\n"
+            "    vs  sum_k C(p-k.z-1,k-e_i) C(q+k.z,n-k),  for 1 <= j <= z_i."
+        ),
+    ),
+    "eval_pkroth": (
+        (
+            "(p: 'Scalar', q: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
+            " -> 'tuple[Fraction, Fraction]'"
+        ),
+        (
+            "sum_k [ C(p-k.z,k) + sum_i z_i C(p-k.z-1,k-e_i) ] C(q+k.z,n-k)\n"
+            "    vs  C(p+q,n)."
+        ),
+    ),
+    "check_absorption": (
+        "(p: 'Scalar', k: 'MultiIndex', z: 'MultiIndex', i: 'int') -> 'tuple[Fraction, Fraction]'",
+        "C(p-k.z-1, k-e_i)  vs  (k_i/(p-k.z)) C(p-k.z, k),  p-k.z != 0.",
+    ),
+    "check_rm2_decomposition": (
+        (
+            "(x: 'Scalar', y: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
+            " -> 'tuple[Fraction, Fraction]'"
+        ),
+        (
+            "The two-sum rewriting of the second Raney-Mohanty form's left side:\n"
+            "\n"
+            "    sum_k xy/((x-k.z)(y-(n-k).z)) C C  vs  (S1 + S2)/(x+y-n.z)  where\n"
+            "    S1 = sum_k (xy/(x-k.z)) C C  and  S2 = sum_k (xy/(y-(n-k).z)) C C.\n"
+            "    "
+        ),
+    ),
+    "check_mh_expansion": (
+        (
+            "(x: 'Scalar', y: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
+            " -> 'tuple[Fraction, Fraction]'"
+        ),
+        (
+            "sum_k C(x+k.z,k) C(y-k.z,n-k)\n"
+            "    vs  C(x+y,n) + sum_i sum_k z_i C(x-1+k.z,k-e_i) C(y-k.z,n-k)."
+        ),
+    ),
+}
+
+
+def _call_public(name, pt, n, z):
+    """name's public evaluator at pt, called the way its catalog entry reads
+    its signature; i is the last letter and j = 1 where the entry takes them."""
+    entry = CATALOG[name]
+    evaluator = getattr(identities, DECLARED[name][-1])
+    if entry.classical:
+        return evaluator(**pt, n=n[0], z=z[0])
+    letters = {flag: {"i": len(n), "j": 1}[flag] for flag in entry.needs}
+    return evaluator(**pt, **{entry.param_name: n}, z=z, **letters)
+
+
+def test_catalog_is_derived_from_the_evaluators():
+    assert list(CATALOG) == list(DECLARED)
+    for name, row in DECLARED.items():
+        entry = CATALOG[name]
+        variables, slot, needs, classical, degree, lo, poles, evaluator = row
+        assert entry.name == name
+        assert entry.variables == variables, name
+        assert (entry.param_name, entry.needs, entry.classical) == (
+            slot, frozenset(needs), classical
+        ), name
+        assert entry.degree is getattr(identities, degree), name
+        assert entry.default_lo is getattr(identities, lo), name
+        assert entry.poles is getattr(identities, poles), name
+        if evaluator is None:
+            continue
+        # the entry evaluates what its public evaluator does, off every pole
+        n, z = ((2,), (1,)) if classical else ((1, 1), (1, 2))
+        pt = dict(zip(variables, map(Fraction, (11, 13, 17))))
+        spec = IdentitySpec(
+            identity=name, n=n, z=z,
+            i=len(n) if "i" in needs else None, j=1 if "j" in needs else None,
+        )
+        assert entry.evaluate(pt, spec) == [_call_public(name, pt, n, z)], name
+    public = [v for v in identities.__all__ if v.startswith(("eval_", "check_"))]
+    assert public == list(PUBLIC_EVALUATORS)
+    for fname, (signature, doc) in PUBLIC_EVALUATORS.items():
+        evaluator = getattr(identities, fname)
+        assert evaluator.__name__ == fname
+        assert str(inspect.signature(evaluator)) == signature, fname
+        assert evaluator.__doc__ == doc, fname
 
 
 def test_identity_variables():
@@ -145,28 +379,25 @@ CLASSICAL_SPECS = [((n,), (z,)) for z in (0, 1, 2, HALF) for n in range(4)]
 MULTI_SPECS = [(n, z) for z in ((1, 2), (0, 1)) for n in ((0, 0), (1, 0), (1, 1), (2, 1))]
 
 
-def _classical(evaluate):
-    return lambda pt, n, z: evaluate(pt["x"], pt["y"], z[0], n[0])
-
-
-def _multi(evaluate):
-    return lambda pt, n, z: evaluate(pt["x"], pt["y"], n, z)
-
-
 POLE_SWEEPS = {
-    "abel-1": (_classical(eval_abel_1), _poles_abel_1, CLASSICAL_SPECS),
-    "abel-2": (_classical(eval_abel_2), _poles_abel_2, CLASSICAL_SPECS),
-    "rothe-1": (_classical(eval_rothe_1), _poles_x, CLASSICAL_SPECS),
-    "rothe-2": (_classical(eval_rothe_2), _poles_xy, CLASSICAL_SPECS),
-    "raney-mohanty-1": (_multi(eval_raney_mohanty_1), _poles_x, MULTI_SPECS),
-    "raney-mohanty-2": (_multi(eval_raney_mohanty_2), _poles_xy, MULTI_SPECS),
-    "rm2-decomposition": (_multi(check_rm2_decomposition), _poles_xy, MULTI_SPECS),
-    "absorption": (
-        lambda pt, k, z: check_absorption(pt["p"], k, z, len(k)),
-        _poles_absorption,
-        MULTI_SPECS + [((0,), (1,)), ((3,), (2,))],
-    ),
+    "abel-1": CLASSICAL_SPECS,
+    "abel-2": CLASSICAL_SPECS,
+    "rothe-1": CLASSICAL_SPECS,
+    "rothe-2": CLASSICAL_SPECS,
+    "raney-mohanty-1": MULTI_SPECS,
+    "raney-mohanty-2": MULTI_SPECS,
+    "rm2-decomposition": MULTI_SPECS,
+    "absorption": MULTI_SPECS + [((0,), (1,)), ((3,), (2,))],
 }
+
+
+def test_every_rational_evaluator_is_swept():
+    rational = {
+        name
+        for name, row in DECLARED.items()
+        if row[-1] is not None and CATALOG[name].poles((1,), (1,))
+    }
+    assert rational == set(POLE_SWEEPS)
 
 
 def _near_poles(poles, var):
@@ -178,10 +409,10 @@ def _near_poles(poles, var):
 
 @pytest.mark.parametrize("name", list(POLE_SWEEPS))
 def test_declared_poles_are_complete(name):
-    evaluate, declared, specs = POLE_SWEEPS[name]
-    variables = ("p",) if name == "absorption" else ("x", "y")
-    for n, z in specs:
-        poles = declared(n, z)
+    entry = CATALOG[name]
+    variables = entry.variables
+    for n, z in POLE_SWEEPS[name]:
+        poles = entry.poles(n, z)
         hit = set()
         axes = [_near_poles(poles, v) for v in variables]
         for values in itertools.product(*axes):
@@ -189,10 +420,10 @@ def test_declared_poles_are_complete(name):
             on = {p for p in poles if sum(pt[v] for v in p.vars) == p.c}
             if on:
                 with pytest.raises(PoleError):
-                    evaluate(pt, n, z)
+                    _call_public(name, pt, n, z)
                 hit |= on
             else:
-                lhs, rhs = evaluate(pt, n, z)
+                lhs, rhs = _call_public(name, pt, n, z)
                 assert lhs == rhs, (name, n, z, pt)
         assert hit == set(poles), (name, n, z)
 

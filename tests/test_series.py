@@ -336,6 +336,19 @@ def test_generating_function_x_restriction():
         check_generating_function_2(Fraction(1, 2), (1,), 5)
 
 
+def test_order_and_grading_must_be_naturals():
+    # a float order raised TypeError (the exit-3 class); True passed as order 1
+    for bad in (2.0, True, -1):
+        with pytest.raises(PreconditionError, match=r"^order must be a natural number"):
+            solve_functional_equation((1,), bad)
+        with pytest.raises(PreconditionError, match=r"^order must be a natural number"):
+            check_generating_function_1(1, (1,), bad)
+        with pytest.raises(PreconditionError, match=r"^order must be a natural number"):
+            check_generating_function_2(1, (1,), bad)
+    with pytest.raises(PreconditionError, match=r"^z entry must be a natural number, got True$"):
+        solve_functional_equation((1, True), 3)
+
+
 def test_generating_function_2_needs_positive_grading():
     with pytest.raises(PreconditionError):
         check_generating_function_2(1, (0,), 5)
