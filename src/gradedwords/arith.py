@@ -11,13 +11,16 @@ The central primitive is the generalized multinomial coefficient
 
 a total function: negative entries in n silently give 0.  Identity sums rely
 on this vanishing (terms like k - e_i with k_i = 0 simply drop out), so no
-error is raised.
+error is raised.  C(x, n) is an int at an integer x (an int, or a Fraction
+with denominator 1) and a Fraction otherwise, so sums over integer points
+stay in int arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Union
 
 from .errors import DimensionMismatchError, PreconditionError
@@ -30,6 +33,7 @@ __all__ = [
     "Scalar",
     "natural",
     "naturals",
+    "rational",
     "dot",
     "norm",
     "multi_factorial",
@@ -60,6 +64,14 @@ def naturals(value: object, name: str) -> MultiIndex:
     return tuple(natural(e, f"{name} entry") for e in entries)
 
 
+def rational(value: object, name: str) -> Scalar:
+    """value itself if it is an exact rational: an int or a Fraction, never a
+    bool or a float."""
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise PreconditionError(f"{name} must be an int or a Fraction, got {value!r}")
+    return value
+
+
 def _check_dims(a: MultiIndex, b: MultiIndex) -> None:
     if len(a) != len(b):
         raise DimensionMismatchError(
@@ -88,30 +100,40 @@ def multi_factorial(a: MultiIndex) -> int:
     return out
 
 
-def multinomial(x: Scalar, n: MultiIndex) -> Fraction:
+def multinomial(x: Scalar, n: MultiIndex) -> Scalar:
     """Generalized multinomial coefficient C(x, n).
 
     Equals the falling factorial x(x-1)...(x-|n|+1) divided by n! when all
     entries of n are nonnegative, and exactly 0 otherwise.  x may be any
-    exact rational (an int or a Fraction; anything else is refused); at
-    integer x the result is an integer (denominator 1).
+    exact rational (an int or a Fraction; anything else is refused).  The
+    result is an int at an integer x (an int, or a Fraction with denominator
+    1), and a Fraction otherwise.
     """
-    if not isinstance(x, (int, Fraction)):
-        raise PreconditionError(f"multinomial needs an int or Fraction x, got {x!r}")
-    if any(e < 0 for e in n):
-        return Fraction(0)
+    if type(x) is not int:  # an int is the grid's case: skip the slower checks
+        if not isinstance(x, (int, Fraction)):
+            raise PreconditionError(f"multinomial needs an int or Fraction x, got {x!r}")
+        if x.denominator != 1:
+            if min(n, default=0) < 0:
+                return Fraction(0)
+            ff = Fraction(1)
+            for t in range(sum(n)):
+                ff *= x - t
+            return ff / multi_factorial(n)
+        x = int(x)
+    if min(n, default=0) < 0:
+        return 0
+    # integer x: a product of binomials, C(x, n) = prod_i C(x - n_1 - ... - n_(i-1), n_i),
+    # after upper negation C(x, n) = (-1)^|n| C(|n| - x - 1, n) at negative x
     j = sum(n)
-    if isinstance(x, Fraction) and x.denominator != 1:
-        ff = Fraction(1)
-        for t in range(j):
-            ff *= x - t
-        return ff / multi_factorial(n)
-    # integer fast path (grid evaluation spends nearly all its time here)
-    xi = int(x)
-    ff = 1
-    for t in range(j):
-        ff *= xi - t
-    return Fraction(ff, multi_factorial(n))
+    out = 1
+    if x < 0:
+        out, x = (-1) ** j, j - x - 1
+    elif x < j:
+        return 0
+    for e in n:
+        out *= comb(x, e)
+        x -= e
+    return out
 
 
 def vec_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
@@ -140,14 +162,7 @@ def box(n: MultiIndex) -> Iterator[MultiIndex]:
 
     Empty if any entry of n is negative.
     """
-    if any(e < 0 for e in n):
-        return
-    if not n:
-        yield ()
-        return
-    for head in range(n[0] + 1):
-        for tail in box(n[1:]):
-            yield (head,) + tail
+    return itertools.product(*(range(e + 1) for e in n))
 
 
 def format_scalar(v: Scalar) -> str:

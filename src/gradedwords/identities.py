@@ -27,6 +27,14 @@ parameters checked once per spec and points that avoid every declared pole.
 verify_identity_on_grid builds a pole-free integer product grid sized by
 the degree bound and checks exact equality at every point.
 
+Grid points are ints, and so is C(x, n) at an integer x, so the polynomial
+sides are evaluated in int arithmetic.  A Fraction appears only where a
+rational form divides by a declared pole, as Fraction(num, den) (for the
+Abel forms, whose power -1 falls on a declared pole, through _pow).  No
+evaluator divides two ints with / or raises an int to a negative power, so
+no value is ever a float.  The public evaluators return a pair of Fractions
+whatever the path.
+
 Conventions shared by all evaluators:
 
 * multinomial(x, n) is the total function: zero whenever n has a negative
@@ -57,6 +65,7 @@ from .arith import (
     natural,
     naturals,
     norm,
+    rational,
     unit,
     vec_sub,
 )
@@ -94,10 +103,6 @@ __all__ = [
 ]
 
 
-def _frac(v: Scalar) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
 def _same_dim(n: MultiIndex, z: MultiIndex) -> None:
     if len(n) != len(z):
         raise DimensionMismatchError(
@@ -109,9 +114,9 @@ def _check_letters(
     needs: frozenset[str], n: MultiIndex, z: MultiIndex, i: object, j: object
 ) -> None:
     """The letter index i and the shift j, where the identity takes them."""
-    if "i" in needs and not 1 <= i <= len(n):
+    if "i" in needs and not 1 <= natural(i, "i") <= len(n):
         raise PreconditionError(f"letter index i = {i} out of range 1..{len(n)}")
-    if "j" in needs and not 1 <= j <= z[i - 1]:
+    if "j" in needs and not 1 <= natural(j, "j") <= z[i - 1]:
         raise PreconditionError(f"requires 1 <= j <= z_i, got j = {j} with z_{i} = {z[i - 1]}")
 
 
@@ -135,7 +140,7 @@ class _Pole(NamedTuple):
         return f"{head} {'-' if self.c > 0 else '+'} {format_scalar(abs(self.c))}"
 
 
-def _check_poles(poles: list[_Pole], point: dict[str, Fraction]) -> None:
+def _check_poles(poles: list[_Pole], point: dict[str, Scalar]) -> None:
     sums = {vs: sum(point[v] for v in vs) for vs in {p.vars for p in poles}}
     # copies of one pole vanish together; name each once
     violated = dict.fromkeys(p.label for p in poles if sums[p.vars] == p.c)
@@ -208,8 +213,8 @@ class IdentitySpec:
         return len(self.n)
 
 
-PairList = list[tuple[Fraction, Fraction]]
-_Evaluator = Callable[..., tuple[Fraction, Fraction]]
+PairList = list[tuple[Scalar, Scalar]]
+_Evaluator = Callable[..., tuple[Scalar, Scalar]]
 
 
 @dataclass(frozen=True)
@@ -223,7 +228,7 @@ class _Entry:
     default_lo: Callable[[str, IdentitySpec], int]
     poles: Callable[[MultiIndex, MultiIndex], list[_Pole]]
     # the pairs at a pole-free point of a spec that passed _validate
-    evaluate: Callable[[dict[str, Fraction], IdentitySpec], PairList]
+    evaluate: Callable[[dict[str, Scalar], IdentitySpec], PairList]
 
 
 def _deg_conv(spec: IdentitySpec) -> int:
@@ -263,9 +268,10 @@ def _identity(
     The free variables are the parameters other than the multi-index slot
     (n, or k for absorption), z, i and j; the entry takes whichever of i and
     j the evaluator names.  A classical (m = 1) evaluator takes n and z as
-    scalars.  The returned function turns the variables (and a classical z)
-    into Fractions, checks n or k, z, i and j, refuses a declared pole, and
-    only then runs the body.
+    scalars.  The returned function checks that the variables (and a
+    classical z) are exact rationals, checks n or k, z, i and j, refuses a
+    declared pole, and only then runs the body; it returns both sides as
+    Fractions.
     """
 
     def declare(body: _Evaluator) -> _Evaluator:
@@ -279,7 +285,7 @@ def _identity(
         def checked(*args: object, **kwargs: object) -> tuple[Fraction, Fraction]:
             a = sig.bind(*args, **kwargs).arguments
             for v in scalars:
-                a[v] = _frac(a[v])
+                a[v] = rational(a[v], v)
             if classical:
                 a["n"] = natural(a["n"], "n")
                 n, z = (a["n"],), (a["z"],)
@@ -289,9 +295,10 @@ def _identity(
                 _same_dim(n, z)
                 _check_letters(needs, n, z, a.get("i"), a.get("j"))
             _check_poles(poles(n, z), a)
-            return body(**a)
+            left, right = body(**a)
+            return Fraction(left), Fraction(right)
 
-        def evaluate(point: dict[str, Fraction], spec: IdentitySpec) -> PairList:
+        def evaluate(point: dict[str, Scalar], spec: IdentitySpec) -> PairList:
             if classical:
                 return [body(**point, n=spec.n[0], z=spec.z[0])]
             letters = {flag: getattr(spec, flag) for flag in needs}
@@ -310,12 +317,18 @@ def _identity(
 # ---------------------------------------------------------------------------
 
 
+def _pow(base: Scalar, e: int) -> Scalar:
+    """base ** e, as Fraction(1, base ** -e) at a negative e: the Abel forms
+    reach the power -1 only at a declared pole."""
+    return base**e if e >= 0 else Fraction(1, base**-e)
+
+
 @_identity("abel-1", poles=_poles_abel_1, degree=_deg_abel, classical=True)
 def eval_abel_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k C(n,k) x(x-kz)^(k-1) (y+kz)^(n-k)  vs  (x+y)^n."""
-    lhs = Fraction(0)
+    lhs = 0
     for k in range(n + 1):
-        lhs += math.comb(n, k) * x * (x - k * z) ** (k - 1) * (y + k * z) ** (n - k)
+        lhs += math.comb(n, k) * x * _pow(x - k * z, k - 1) * (y + k * z) ** (n - k)
     return lhs, (x + y) ** n
 
 
@@ -327,28 +340,26 @@ def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
     is (x+y+nz)(x+y)^(n-1); under y -> y - nz it is the classical symmetric
     form sum_k C(n,k) xy(x-kz)^(k-1)(y-(n-k)z)^(n-k-1) = (x+y)(x+y-nz)^(n-1).
     """
-    lhs = Fraction(0)
+    lhs = 0
     for k in range(n + 1):
         lhs += (
             math.comb(n, k)
             * x
             * (y + n * z)
-            * (x - k * z) ** (k - 1)
-            * (y + k * z) ** (n - k - 1)
+            * _pow(x - k * z, k - 1)
+            * _pow(y + k * z, n - k - 1)
         )
-    rhs = (x + y + n * z) * (x + y) ** (n - 1)
+    rhs = (x + y + n * z) * _pow(x + y, n - 1)
     return lhs, rhs
 
 
 @_identity("rothe-1", poles=_poles_x, classical=True)
 def eval_rothe_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k (x/(x-kz)) C(x-kz,k) C(y+kz,n-k)  vs  C(x+y,n)."""
-    lhs = Fraction(0)
+    lhs = 0
     for k in range(n + 1):
-        lhs += (
-            x / (x - k * z)
-            * multinomial(x - k * z, (k,))
-            * multinomial(y + k * z, (n - k,))
+        lhs += Fraction(
+            x * multinomial(x - k * z, (k,)) * multinomial(y + k * z, (n - k,)), x - k * z
         )
     return lhs, multinomial(x + y, (n,))
 
@@ -357,16 +368,14 @@ def eval_rothe_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fra
 def eval_rothe_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k xy/((x-kz)(y-(n-k)z)) C(x-kz,k) C(y-(n-k)z,n-k)
     vs  (x+y)/(x+y-nz) C(x+y-nz,n)."""
-    lhs = Fraction(0)
+    lhs = 0
     for k in range(n + 1):
-        lhs += (
-            x
-            * y
-            / ((x - k * z) * (y - (n - k) * z))
-            * multinomial(x - k * z, (k,))
-            * multinomial(y - (n - k) * z, (n - k,))
+        kz, rz = k * z, (n - k) * z
+        lhs += Fraction(
+            x * y * multinomial(x - kz, (k,)) * multinomial(y - rz, (n - k,)),
+            (x - kz) * (y - rz),
         )
-    rhs = (x + y) / (x + y - n * z) * multinomial(x + y - n * z, (n,))
+    rhs = Fraction((x + y) * multinomial(x + y - n * z, (n,)), x + y - n * z)
     return lhs, rhs
 
 
@@ -375,8 +384,8 @@ def eval_gould(
     x: Scalar, y: Scalar, z: Scalar, eps: Scalar, n: int
 ) -> tuple[Fraction, Fraction]:
     """sum_k C(x-kz,k) C(y+kz,n-k)  vs  sum_k C(x+e-kz,k) C(y-e+kz,n-k)."""
-    lhs = Fraction(0)
-    rhs = Fraction(0)
+    lhs = 0
+    rhs = 0
     for k in range(n + 1):
         lhs += multinomial(x - k * z, (k,)) * multinomial(y + k * z, (n - k,))
         rhs += multinomial(x + eps - k * z, (k,)) * multinomial(y - eps + k * z, (n - k,))
@@ -386,8 +395,8 @@ def eval_gould(
 @_identity("jensen", classical=True)
 def eval_jensen(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k C(x+kz,k) C(y-kz,n-k)  vs  sum_k C(x+y-k,n-k) z^k."""
-    lhs = Fraction(0)
-    rhs = Fraction(0)
+    lhs = 0
+    rhs = 0
     for k in range(n + 1):
         lhs += multinomial(x + k * z, (k,)) * multinomial(y - k * z, (n - k,))
         rhs += multinomial(x + y - k, (n - k,)) * z**k
@@ -399,15 +408,26 @@ def eval_jensen(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
+def _terms(n: MultiIndex, z: MultiIndex) -> tuple[tuple, ...]:
+    """The summands 0 <= k <= n in lexicographic order, each as the tuple
+    (k, k.z, n - k, (n - k).z, (k - e_1, ..., k - e_m)), built once per
+    (n, z) rather than at every point of a grid."""
+    units = [unit(len(n), i) for i in range(1, len(n) + 1)]
+    return tuple(
+        (k, dot(k, z), vec_sub(n, k), dot(vec_sub(n, k), z), tuple(vec_sub(k, e) for e in units))
+        for k in box(n)
+    )
+
+
 @_identity("raney-mohanty-1", poles=_poles_x)
 def eval_raney_mohanty_1(
     x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
 ) -> tuple[Fraction, Fraction]:
     """sum_{0<=k<=n} (x/(x-k.z)) C(x-k.z,k) C(y+k.z,n-k)  vs  C(x+y,n)."""
-    lhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        lhs += x / (x - kz) * multinomial(x - kz, k) * multinomial(y + kz, vec_sub(n, k))
+    lhs = 0
+    for k, kz, r, _, _ in _terms(n, z):
+        lhs += Fraction(x * multinomial(x - kz, k) * multinomial(y + kz, r), x - kz)
     return lhs, multinomial(x + y, n)
 
 
@@ -417,19 +437,13 @@ def eval_raney_mohanty_2(
 ) -> tuple[Fraction, Fraction]:
     """sum_k xy/((x-k.z)(y-(n-k).z)) C(x-k.z,k) C(y-(n-k).z,n-k)
     vs  (x+y)/(x+y-n.z) C(x+y-n.z,n)."""
-    lhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        rz = dot(vec_sub(n, k), z)
-        lhs += (
-            x
-            * y
-            / ((x - kz) * (y - rz))
-            * multinomial(x - kz, k)
-            * multinomial(y - rz, vec_sub(n, k))
+    lhs = 0
+    for k, kz, r, rz, _ in _terms(n, z):
+        lhs += Fraction(
+            x * y * multinomial(x - kz, k) * multinomial(y - rz, r), (x - kz) * (y - rz)
         )
     nz = dot(n, z)
-    rhs = (x + y) / (x + y - nz) * multinomial(x + y - nz, n)
+    rhs = Fraction((x + y) * multinomial(x + y - nz, n), x + y - nz)
     return lhs, rhs
 
 
@@ -438,13 +452,12 @@ def eval_mohanty_handa(
     x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
 ) -> tuple[Fraction, Fraction]:
     """sum_k C(x+k.z,k) C(y-k.z,n-k)  vs  sum_k C(x+y-|k|,n-k) C(|k|,k) z^k."""
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        lhs += multinomial(x + kz, k) * multinomial(y - kz, vec_sub(n, k))
+    lhs = 0
+    rhs = 0
+    for k, kz, r, _, _ in _terms(n, z):
+        lhs += multinomial(x + kz, k) * multinomial(y - kz, r)
         z_pow = math.prod(zi**ki for zi, ki in zip(z, k))
-        rhs += multinomial(x + y - norm(k), vec_sub(n, k)) * multinomial(norm(k), k) * z_pow
+        rhs += multinomial(x + y - norm(k), r) * multinomial(norm(k), k) * z_pow
     return lhs, rhs
 
 
@@ -453,11 +466,9 @@ def eval_gould_mohanty(
     x: Scalar, y: Scalar, eps: Scalar, n: MultiIndex, z: MultiIndex
 ) -> tuple[Fraction, Fraction]:
     """sum_k C(x-k.z,k) C(y+k.z,n-k)  vs  sum_k C(x+e-k.z,k) C(y-e+k.z,n-k)."""
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        r = vec_sub(n, k)
+    lhs = 0
+    rhs = 0
+    for k, kz, r, _, _ in _terms(n, z):
         lhs += multinomial(x - kz, k) * multinomial(y + kz, r)
         rhs += multinomial(x + eps - kz, k) * multinomial(y - eps + kz, r)
     return lhs, rhs
@@ -479,15 +490,11 @@ def eval_kmx(
     """sum_k [ C(p-k.z,k) C(q+k.z,n-k)
               + sum_i sum_{j=1}^{z_i} C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k) ]
     vs  C(p+q,n)."""
-    m = len(n)
-    lhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        r = vec_sub(n, k)
+    lhs = 0
+    for k, kz, r, _, below in _terms(n, z):
         term = multinomial(p - kz, k) * multinomial(q + kz, r)
-        for i in range(1, m + 1):
-            ki = vec_sub(k, unit(m, i))
-            for j in range(1, z[i - 1] + 1):
+        for z_i, ki in zip(z, below):
+            for j in range(1, z_i + 1):
                 term += multinomial(p - kz + j - 1, ki) * multinomial(q + kz - j, r)
         lhs += term
     return lhs, multinomial(p + q, n)
@@ -499,13 +506,10 @@ def eval_kmpink(
 ) -> tuple[Fraction, Fraction]:
     """sum_k C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k)
     vs  sum_k C(p-k.z-1,k-e_i) C(q+k.z,n-k),  for 1 <= j <= z_i."""
-    e_i = unit(len(n), i)
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        ki = vec_sub(k, e_i)
-        r = vec_sub(n, k)
+    lhs = 0
+    rhs = 0
+    for _, kz, r, _, below in _terms(n, z):
+        ki = below[i - 1]
         lhs += multinomial(p - kz + j - 1, ki) * multinomial(q + kz - j, r)
         rhs += multinomial(p - kz - 1, ki) * multinomial(q + kz, r)
     return lhs, rhs
@@ -517,14 +521,12 @@ def eval_pkroth(
 ) -> tuple[Fraction, Fraction]:
     """sum_k [ C(p-k.z,k) + sum_i z_i C(p-k.z-1,k-e_i) ] C(q+k.z,n-k)
     vs  C(p+q,n)."""
-    m = len(n)
-    lhs = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
+    lhs = 0
+    for k, kz, r, _, below in _terms(n, z):
         head = multinomial(p - kz, k)
-        for i in range(1, m + 1):
-            head += z[i - 1] * multinomial(p - kz - 1, vec_sub(k, unit(m, i)))
-        lhs += head * multinomial(q + kz, vec_sub(n, k))
+        for z_i, ki in zip(z, below):
+            head += z_i * multinomial(p - kz - 1, ki)
+        lhs += head * multinomial(q + kz, r)
     return lhs, multinomial(p + q, n)
 
 
@@ -540,7 +542,7 @@ def check_absorption(
     """C(p-k.z-1, k-e_i)  vs  (k_i/(p-k.z)) C(p-k.z, k),  p-k.z != 0."""
     kz = dot(k, z)
     lhs = multinomial(p - kz - 1, vec_sub(k, unit(len(k), i)))
-    rhs = Fraction(k[i - 1]) / (p - kz) * multinomial(p - kz, k)
+    rhs = Fraction(k[i - 1] * multinomial(p - kz, k), p - kz)
     return lhs, rhs
 
 
@@ -554,17 +556,15 @@ def check_rm2_decomposition(
     S1 = sum_k (xy/(x-k.z)) C C  and  S2 = sum_k (xy/(y-(n-k).z)) C C.
     """
     nz = dot(n, z)
-    lhs = Fraction(0)
-    s1 = Fraction(0)
-    s2 = Fraction(0)
-    for k in box(n):
-        kz = dot(k, z)
-        rz = dot(vec_sub(n, k), z)
-        prod = multinomial(x - kz, k) * multinomial(y - rz, vec_sub(n, k))
-        lhs += x * y / ((x - kz) * (y - rz)) * prod
-        s1 += x * y / (x - kz) * prod
-        s2 += x * y / (y - rz) * prod
-    return lhs, (s1 + s2) / (x + y - nz)
+    lhs = 0
+    s1 = 0
+    s2 = 0
+    for k, kz, r, rz, _ in _terms(n, z):
+        prod = x * y * multinomial(x - kz, k) * multinomial(y - rz, r)
+        lhs += Fraction(prod, (x - kz) * (y - rz))
+        s1 += Fraction(prod, x - kz)
+        s2 += Fraction(prod, y - rz)
+    return lhs, Fraction(s1 + s2, x + y - nz)
 
 
 @_identity("mh-expansion")
@@ -573,16 +573,13 @@ def check_mh_expansion(
 ) -> tuple[Fraction, Fraction]:
     """sum_k C(x+k.z,k) C(y-k.z,n-k)
     vs  C(x+y,n) + sum_i sum_k z_i C(x-1+k.z,k-e_i) C(y-k.z,n-k)."""
-    m = len(n)
-    lhs = Fraction(0)
+    lhs = 0
     rhs = multinomial(x + y, n)
-    for k in box(n):
-        kz = dot(k, z)
-        r = vec_sub(n, k)
+    for k, kz, r, _, below in _terms(n, z):
         tail = multinomial(y - kz, r)
         lhs += multinomial(x + kz, k) * tail
-        for i in range(1, m + 1):
-            rhs += z[i - 1] * multinomial(x - 1 + kz, vec_sub(k, unit(m, i))) * tail
+        for z_i, ki in zip(z, below):
+            rhs += z_i * multinomial(x - 1 + kz, ki) * tail
     return lhs, rhs
 
 
@@ -591,7 +588,7 @@ def _coherence(name: str, multi: str, single: str) -> None:
     componentwise with its classical counterpart `single`."""
     multi_pairs, single_pairs = CATALOG[multi].evaluate, CATALOG[single].evaluate
 
-    def evaluate(point: dict[str, Fraction], spec: IdentitySpec) -> PairList:
+    def evaluate(point: dict[str, Scalar], spec: IdentitySpec) -> PairList:
         [(left, right)] = multi_pairs(point, spec)
         [(single_left, single_right)] = single_pairs(point, spec)
         return [(left, single_left), (right, single_right), (left, right)]
@@ -660,7 +657,7 @@ def _params_dict(spec: IdentitySpec, entry: _Entry) -> dict[str, object]:
     return params
 
 
-def _rerun_command(spec: IdentitySpec, entry: _Entry, point: dict[str, Fraction]) -> str:
+def _rerun_command(spec: IdentitySpec, entry: _Entry, point: dict[str, Scalar]) -> str:
     parts = [
         "gradedwords verify",
         spec.identity,
@@ -677,7 +674,7 @@ def _rerun_command(spec: IdentitySpec, entry: _Entry, point: dict[str, Fraction]
 
 
 def _counterexample(
-    spec: IdentitySpec, entry: _Entry, point: dict[str, Fraction], pairs: PairList
+    spec: IdentitySpec, entry: _Entry, point: dict[str, Scalar], pairs: PairList
 ) -> Optional[dict[str, object]]:
     """The first unequal pair at point, with enough context to re-run it."""
     for idx, (left, right) in enumerate(pairs):
@@ -762,7 +759,7 @@ def verify_identity_on_grid(spec: IdentitySpec) -> EvalReport:
         },
     )
     for combo in itertools.product(*(axes[v] for v in entry.variables)):
-        point = {v: Fraction(c) for v, c in zip(entry.variables, combo)}
+        point = dict(zip(entry.variables, combo))
         counterexample = _counterexample(spec, entry, point, entry.evaluate(point, spec))
         if counterexample is not None:
             report.verdict = VERDICT_MISMATCH
@@ -790,7 +787,7 @@ def verify_identity_at_point(
             f"{entry.name} takes only {', '.join(entry.variables)}; "
             f"got extra {', '.join(extra)}"
         )
-    values = {v: _frac(point[v]) for v in entry.variables}
+    values = {v: rational(point[v], v) for v in entry.variables}
     _check_poles(entry.poles(spec.n, spec.z), values)
     params = _params_dict(spec, entry)
     params["point"] = {v: format_scalar(values[v]) for v in entry.variables}

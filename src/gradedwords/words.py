@@ -260,7 +260,7 @@ def count_words(p: int, k: MultiIndex, alphabet: GradedAlphabet) -> Fraction:
         )
     if p < 0 or any(e < 0 for e in k) or p - dot(k, alphabet.z) < 0:
         return Fraction(0)
-    return multinomial(p - dot(k, alphabet.z), k)
+    return Fraction(multinomial(p - dot(k, alphabet.z), k))
 
 
 def count_prefix_class(

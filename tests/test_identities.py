@@ -9,6 +9,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedwords import (
     CATALOG,
@@ -34,6 +36,7 @@ from gradedwords.identities import (
     eval_gould,
     eval_gould_mohanty,
     eval_jensen,
+    eval_kmpink,
     eval_kmx,
     eval_raney_mohanty_2,
     eval_rothe_1,
@@ -367,6 +370,90 @@ def test_evaluators_return_exact_fractions():
     )
     assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
     assert lhs == rhs
+
+
+def _default_spec(name, n=None, z=None):
+    """A spec of the catalog entry name at n, z (defaults by the entry's
+    shape), with i the last letter and j = 1 where the entry takes them."""
+    entry = CATALOG[name]
+    if n is None:
+        n, z = ((3,), (2,)) if entry.classical else ((1, 2), (1, 2))
+    return IdentitySpec(
+        identity=name, n=n, z=z,
+        i=len(n) if "i" in entry.needs else None, j=1 if "j" in entry.needs else None,
+    )
+
+
+def test_grid_path_stays_in_int_and_fraction_arithmetic():
+    # every catalog entry, at the int points of its own default grid, yields
+    # ints and Fractions only: a `/` between two ints would yield a float
+    for name, entry in CATALOG.items():
+        shapes = [((0,), (1,)), ((3,), (2,)), ((2,), (0,))] if entry.classical else [
+            ((1, 2), (1, 2)), ((2, 1), (0, 1)), ((0, 0), (2, 1))
+        ]
+        for n, z in shapes:
+            spec = identities._validate(_default_spec(name, n, z), entry)
+            axes, _ = identities._select_axes(spec, entry)
+            for combo in itertools.product(*(axes[v] for v in entry.variables)):
+                point = dict(zip(entry.variables, combo))
+                for pair in entry.evaluate(point, spec):
+                    assert all(type(v) in (int, Fraction) for v in pair), (name, n, z, point)
+    # the public evaluators return two Fractions at int and integral-Fraction inputs
+    for name, row in DECLARED.items():
+        if row[-1] is None:
+            continue
+        spec = _default_spec(name)
+        for values in ((11, 13, 17), (Fraction(11), Fraction(13), Fraction(17))):
+            pt = dict(zip(CATALOG[name].variables, values))
+            pair = _call_public(name, pt, spec.n, spec.z)
+            assert [type(v) for v in pair] == [Fraction, Fraction], (name, values)
+    # C(x, n) is an int at every integer x, negative ones included
+    for x in range(-6, 9):
+        for n in ((0,), (3,), (2, 1), (1, 0, 2), (1, -1), ()):
+            assert type(multinomial(x, n)) is int, (x, n)
+            assert type(multinomial(Fraction(x), n)) is int, (x, n)
+    assert type(multinomial(Fraction(1, 2), (2,))) is Fraction
+
+
+PUBLIC = [name for name, row in DECLARED.items() if row[-1] is not None]
+
+
+@given(
+    name=st.sampled_from(PUBLIC),
+    slot=st.integers(min_value=0, max_value=3),
+    bad=st.one_of(st.booleans(), st.floats()),
+    via_point=st.booleans(),
+)
+@settings(max_examples=200)
+def test_float_and_bool_variables_are_refused(name, slot, bad, via_point):
+    entry = CATALOG[name]
+    spec = _default_spec(name)
+    pt = dict(zip(entry.variables, (11, 13, 17)))
+    z = spec.z
+    # the classical forms also take their scalar z from the caller
+    targets = list(entry.variables) + (["z"] if entry.classical and not via_point else [])
+    target = targets[slot % len(targets)]
+    if target == "z":
+        z = (bad,)
+    else:
+        pt[target] = bad
+    with pytest.raises(PreconditionError, match=f"^{target} must be an int or a Fraction"):
+        if via_point:
+            verify_identity_at_point(spec, pt)
+        else:
+            _call_public(name, pt, spec.n, z)
+
+
+def test_letter_indices_must_be_naturals():
+    for i, j in ((True, 1), (1, True), (1.0, 1), (1, 1.0)):
+        with pytest.raises(PreconditionError, match="must be a natural number"):
+            verify_identity_on_grid(IdentitySpec("kmpink", (1, 1), (1, 2), i=i, j=j))
+        with pytest.raises(PreconditionError, match="must be a natural number"):
+            eval_kmpink(11, 13, (1, 1), (1, 2), i, j)
+    with pytest.raises(PreconditionError, match="must be a natural number"):
+        verify_identity_on_grid(IdentitySpec("absorption", (1, 1), (1, 2), i=True))
+    report = verify_identity_on_grid(IdentitySpec("kmpink", (1, 1), (1, 2), i=1, j=1))
+    assert report.ok and report.params["i"] == 1
 
 
 # ---------------------------------------------------------------------------
