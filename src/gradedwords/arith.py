@@ -105,12 +105,12 @@ def multinomial(x: Scalar, n: MultiIndex) -> Scalar:
 
     Equals the falling factorial x(x-1)...(x-|n|+1) divided by n! when all
     entries of n are nonnegative, and exactly 0 otherwise.  x may be any
-    exact rational (an int or a Fraction; anything else is refused).  The
-    result is an int at an integer x (an int, or a Fraction with denominator
-    1), and a Fraction otherwise.
+    exact rational (an int or a Fraction, never a bool; anything else is
+    refused).  The result is an int at an integer x (an int, or a Fraction
+    with denominator 1), and a Fraction otherwise.
     """
     if type(x) is not int:  # an int is the grid's case: skip the slower checks
-        if not isinstance(x, (int, Fraction)):
+        if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
             raise PreconditionError(f"multinomial needs an int or Fraction x, got {x!r}")
         if x.denominator != 1:
             if min(n, default=0) < 0:

@@ -18,9 +18,11 @@ Two constructions:
   whole class as the weight-p prefix subclass plus a disjoint union of
   products of smaller classes.
 
-All searches run in one pass over the strictly increasing prefix/suffix
-weight sequences.  The module-level verify_* functions replay a construction
-over an entire class by enumeration and report the tallies.
+A unit shift is local: one merge of the suffix weights of u and the prefix
+weights of v, walked outward from the cut, stops at the minimal pair.  The
+image's weight-(p+1) cut is |u'| + |y|, so the swap returns it and r-fold
+shifts and their inverses carry it from step to step.  The verify_* functions
+replay a construction over an entire class and report the tallies.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .arith import MultiIndex, dot, multinomial, norm, unit, vec_sub, box
+from .arith import MultiIndex, dot, multinomial, unit, vec_sub, box
 from .errors import DimensionMismatchError, LemmaViolationError, PreconditionError
 from .reports import VERDICT_FAIL, VERDICT_PASS, EvalReport
 from .words import (
@@ -36,6 +38,7 @@ from .words import (
     Word,
     _iter_class,
     _prefix_cut,
+    _trusted_word,
     count_prefix_class,
     count_words,
 )
@@ -98,61 +101,41 @@ RaneyFactorization = Union[PrefixCase, Overshoot]
 # ---------------------------------------------------------------------------
 
 
-def _prefix_weight_table(lw: tuple[int, ...], letters: tuple[int, ...]) -> dict[int, int]:
-    """Map weight -> prefix length, over nonempty prefixes."""
-    out: dict[int, int] = {}
-    acc = 0
-    for i, c in enumerate(letters):
-        acc += lw[c]
-        out[acc] = i + 1
-    return out
-
-
 def _balanced_cut(
-    lw: tuple[int, ...], u: tuple[int, ...], v: tuple[int, ...]
+    lw: tuple[int, ...], letters: tuple[int, ...], cut: int, excess: int
 ) -> tuple[int, int]:
-    """Lengths (|x|, |y|) of the minimal suffix x of u and prefix y of v
-    with ||x|| + 1 = ||y||.  Walks suffix weights of u in increasing order.
-    """
-    pw = _prefix_weight_table(lw, v)
-    t = 0
-    a = 0
-    while True:
-        y_len = pw.get(t + 1)
-        if y_len is not None:
-            return a, y_len
-        if a == len(u):
+    """Bounds (i, j) of the minimal segments x = letters[i:cut] and
+    y = letters[cut:j] with ||y|| - ||x|| = excess (+1 or -1): one merge of
+    the suffix weights of letters[:cut] and the prefix weights of
+    letters[cut:], which stops at the first balanced pair."""
+    i = j = cut
+    gap = 0  # ||y|| - ||x|| of the segments walked so far
+    while gap != excess:
+        if gap < excess and j < len(letters):
+            gap += lw[letters[j]]
+            j += 1
+        elif gap > excess and i > 0:
+            i -= 1
+            gap -= lw[letters[i]]
+        else:
             raise LemmaViolationError(
-                f"no balanced pair for u={u!r}, v={v!r}: this contradicts the "
-                "prefix-weight pigeonhole and would be a counterexample"
+                f"no balanced pair for u={letters[:cut]!r}, v={letters[cut:]!r}: this "
+                "contradicts the prefix-weight pigeonhole and would be a counterexample"
             )
-        a += 1
-        t += lw[u[len(u) - a]]
+    return i, j
 
 
-def _swap_balanced(lw: tuple[int, ...], letters: tuple[int, ...], cut: int) -> tuple[int, ...]:
-    """Split at cut as u.v = u'.x.y.v' around the minimal balanced pair and
-    return u'.rev(y).rev(x).v'."""
-    u, v = letters[:cut], letters[cut:]
-    x_len, y_len = _balanced_cut(lw, u, v)
-    split = len(u) - x_len
-    return u[:split] + v[:y_len][::-1] + u[split:][::-1] + v[y_len:]
-
-
-def _shift_up(lw: tuple[int, ...], letters: tuple[int, ...], p: int) -> tuple[int, ...]:
-    cut = _prefix_cut(lw, letters, p)
-    if cut is None:
-        raise PreconditionError(f"word has no prefix of weight {p}")
-    return _swap_balanced(lw, letters, cut)
-
-
-def _shift_down(lw: tuple[int, ...], letters: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Inverse of _shift_up at p: the mirrored search, which is the forward
-    swap on the reversed word cut after its complementary weight."""
-    cut = _prefix_cut(lw, letters, p + 1)
-    if cut is None:
-        raise PreconditionError(f"word has no prefix of weight {p + 1}")
-    return _swap_balanced(lw, letters[::-1], len(letters) - cut)[::-1]
+def _swap_balanced(
+    lw: tuple[int, ...], letters: tuple[int, ...], cut: int, excess: int = 1
+) -> tuple[tuple[int, ...], int]:
+    """Split at cut as u.v = u'.x.y.v' around the minimal pair with
+    ||y|| - ||x|| = excess, and return u'.rev(y).rev(x).v' with its cut
+    |u'| + |y|.  At excess +1 this is the unit shift up from the weight-p
+    cut to the image's weight-(p+1) cut; at excess -1 it is the shift down
+    (the mirrored search) from the weight-(p+1) cut to the weight-p cut."""
+    i, j = _balanced_cut(lw, letters, cut, excess)
+    image = letters[:i] + letters[cut:j][::-1] + letters[i:cut][::-1] + letters[j:]
+    return image, i + j - cut
 
 
 def _raney_cut(lw: tuple[int, ...], letters: tuple[int, ...], p: int) -> tuple[int, int]:
@@ -199,12 +182,10 @@ def _raney_join(
 # ---------------------------------------------------------------------------
 
 
-def _class_params(w: Word, p: int) -> tuple[MultiIndex, int, int]:
-    """(n, n.z, q) of the class w lives in relative to the split weight p."""
-    n = w.counts
-    nz = dot(n, w.alphabet.z)
-    q = w.weight - p - nz
-    return n, nz, q
+def _class_params(w: Word, p: int) -> tuple[int, int]:
+    """(n.z, q) of w's class at split weight p, n the letter counts of w:
+    each b_i outweighs a by z_i, so ||w|| = |w| + n.z and q = |w| - p."""
+    return w.weight - len(w), len(w) - p
 
 
 def find_equal_prefixes(u: Word, v: Word, n: MultiIndex) -> tuple[Word, Word]:
@@ -259,55 +240,55 @@ def find_balanced_pair(u: Word, v: Word) -> BalancedPair:
             f"requires ||u|| >= n.z and ||v|| >= n.z + 1 (n.z = {nz})"
         )
     lw = u.alphabet.letter_weights()
-    x_len, y_len = _balanced_cut(lw, u.letters, v.letters)
+    u_cut, end = _balanced_cut(lw, u.letters + v.letters, len(u), 1)
+    v_cut = end - len(u)
     return BalancedPair(
-        x=u.suffix(x_len), y=v.prefix(y_len), u_cut=len(u) - x_len, v_cut=y_len
+        x=u.suffix(len(u) - u_cut), y=v.prefix(v_cut), u_cut=u_cut, v_cut=v_cut
     )
 
 
-def _check_shift_preconditions(w: Word, p: int, r: int = 1) -> None:
-    n, nz, q = _class_params(w, p)
+def _shift_cut(w: Word, p: int, r: int, at: int) -> int:
+    """Check the preconditions of an r-fold shift from prefix weight p, and
+    return the length of the weight-`at` prefix of w, which must exist."""
+    nz, q = _class_params(w, p)
     if p < nz:
         raise PreconditionError(f"requires p >= n.z (p={p}, n.z={nz})")
     if q < r:
         raise PreconditionError(
             f"requires q >= r >= 1 (q={q}, r={r}); q is the word weight minus p + n.z"
         )
+    cut = w.prefix_cut(at)
+    if cut is None:
+        raise PreconditionError(f"word {w} has no prefix of weight {at}")
+    return cut
 
 
 def shift_up(w: Word, p: int) -> Word:
     """Send a word with a weight-p prefix to one with a weight-(p+1) prefix,
     preserving weight and letter counts.  Bijective on the prefix class."""
-    _check_shift_preconditions(w, p)
-    if not w.has_prefix_of_weight(p):
-        raise PreconditionError(f"word {w} has no prefix of weight {p}")
-    lw = w.alphabet.letter_weights()
-    return Word(w.alphabet, _shift_up(lw, w.letters, p))
+    return shift_by(w, p, 1)
 
 
 def shift_down(w: Word, p: int) -> Word:
     """Inverse of shift_up(., p): takes the word with a weight-(p+1) prefix
     back to the unique preimage with a weight-p prefix."""
-    _check_shift_preconditions(w, p)
-    if not w.has_prefix_of_weight(p + 1):
-        raise PreconditionError(f"word {w} has no prefix of weight {p + 1}")
-    lw = w.alphabet.letter_weights()
-    return Word(w.alphabet, _shift_down(lw, w.letters, p))
+    cut = _shift_cut(w, p, 1, p + 1)
+    image, _ = _swap_balanced(w.alphabet.letter_weights(), w.letters, cut, -1)
+    return _trusted_word(w.alphabet, image)
 
 
 def shift_by(w: Word, p: int, r: int) -> Word:
     """r-fold composition of unit shifts: prefix weight p to prefix weight
-    p + r.  Requires q >= r >= 1."""
+    p + r.  Requires q >= r >= 1.  Each unit shift returns its image's next
+    cut, so the word is scanned for a cut only once."""
     if r < 1:
         raise PreconditionError(f"requires r >= 1, got {r}")
-    _check_shift_preconditions(w, p, r)
-    if not w.has_prefix_of_weight(p):
-        raise PreconditionError(f"word {w} has no prefix of weight {p}")
+    cut = _shift_cut(w, p, r, p)
     lw = w.alphabet.letter_weights()
     letters = w.letters
-    for step in range(r):
-        letters = _shift_up(lw, letters, p + step)
-    return Word(w.alphabet, letters)
+    for _ in range(r):
+        letters, cut = _swap_balanced(lw, letters, cut)
+    return _trusted_word(w.alphabet, letters)
 
 
 def raney_factorize(w: Word, p: int) -> RaneyFactorization:
@@ -323,7 +304,7 @@ def raney_factorize(w: Word, p: int) -> RaneyFactorization:
         raise PreconditionError(
             f"requires z_i >= 1 for every i, got z={alphabet.z}"
         )
-    n, nz, q = _class_params(w, p)
+    nz, q = _class_params(w, p)
     if p < nz:
         raise PreconditionError(f"requires p >= n.z (p={p}, n.z={nz})")
     if q < 1:
@@ -400,9 +381,9 @@ def verify_shift_bijection(
         )
     images = set()
     for letters in source:
-        current = letters
-        for step in range(r):
-            current = _shift_up(lw, current, p + step)
+        current, cut = letters, _prefix_cut(lw, letters, p)
+        for _ in range(r):
+            current, cut = _swap_balanced(lw, current, cut)
         if current not in target:
             return fail(
                 "image escapes the target class",
@@ -417,8 +398,8 @@ def verify_shift_bijection(
             )
         images.add(current)
         back = current
-        for step in range(r - 1, -1, -1):
-            back = _shift_down(lw, back, p + step)
+        for _ in range(r):
+            back, cut = _swap_balanced(lw, back, cut, -1)
         if back != letters:
             return fail(
                 "inverse does not round-trip",
@@ -474,11 +455,7 @@ def verify_raney_decomposition(
             i, j, u = 0, 0, letters[:cut]
         else:
             i, j, u = letters[cut - 1], achieved - p, letters[: cut - 1]
-            counts_u = [0] * m
-            for c in letters[:cut]:
-                if c:
-                    counts_u[c - 1] += 1
-            key = (i, j, tuple(counts_u))
+            key = (i, j, tuple(map(letters[:cut].count, range(1, m + 1))))
             overshoot_tally[key] = overshoot_tally.get(key, 0) + 1
         try:
             reassembled = _raney_join(lw, p, i, j, u, letters[cut:])
@@ -506,9 +483,10 @@ def verify_raney_decomposition(
                 ku = vec_sub(k, unit(m, i))
                 head_p = p + j - z[i - 1] - 1
                 tail_p = q + nz - j
+                # an infeasible piece (negative weight or count) counts as zero
                 formula = count_words(head_p, ku, alphabet) * count_words(
                     tail_p, vec_sub(n, k), alphabet
-                ) if all(e >= 0 for e in ku) and head_p >= 0 and tail_p >= 0 else 0
+                )
                 tally = overshoot_tally.get((i, j, k), 0)
                 if formula != tally:
                     return fail(

@@ -58,6 +58,7 @@ from .words import (
     count_prefix_class,
     count_words,
     enumerate_words,
+    _iter_class,
 )
 
 __all__ = ["main", "default_manifest", "run_suite"]
@@ -96,9 +97,7 @@ def do_count(
     if n is not None:
         _require(q is not None, "prefix-class count needs --q along with --n")
         formula = count_prefix_class(p, q, n, alphabet)
-        enumerated = sum(
-            1 for _ in enumerate_words(WordClassSpec(p=p + q, k=n, r=p), alphabet)
-        )
+        enumerated = sum(1 for _ in _iter_class(alphabet.z, p + q, n, p))
         report = EvalReport(
             check="count-prefix-class",
             params={"p": p, "q": q, "n": list(n), "z": list(z)},
@@ -107,7 +106,7 @@ def do_count(
         _require(k is not None, "count needs --k (word class) or --n with --q (prefix class)")
         _require(q is None, "--q only applies to the prefix-class form (with --n)")
         formula = count_words(p, k, alphabet)
-        enumerated = sum(1 for _ in enumerate_words(WordClassSpec(p=p, k=k), alphabet))
+        enumerated = sum(1 for _ in _iter_class(alphabet.z, p, k))
         report = EvalReport(check="count", params={"p": p, "k": list(k), "z": list(z)})
     report.details = {"formula": int(formula), "enumerated": enumerated}
     report.verdict = VERDICT_EQUAL if formula == enumerated else VERDICT_MISMATCH

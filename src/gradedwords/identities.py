@@ -480,7 +480,7 @@ def eval_gmh_special(
 ) -> tuple[Fraction, Fraction]:
     """Gould-Mohanty at eps = 1:
     sum_k C(p-k.z,k) C(q+k.z,n-k)  vs  sum_k C(p+1-k.z,k) C(q-1+k.z,n-k)."""
-    return eval_gould_mohanty(p, q, 1, n, z)
+    return eval_gould_mohanty.__wrapped__(p, q, 1, n, z)
 
 
 @_identity("kmx")
@@ -639,8 +639,12 @@ def _validate(spec: IdentitySpec, entry: _Entry) -> IdentitySpec:
         if not given and flag in entry.needs:
             raise PreconditionError(f"{entry.name} requires --{flag}")
     _check_letters(entry.needs, n, z, spec.i, spec.j)
-    if spec.grid_range is not None and spec.grid_range[0] > spec.grid_range[1]:
-        raise PreconditionError(f"empty grid range {spec.grid_range}")
+    if spec.grid_range is not None:
+        ends = spec.grid_range if isinstance(spec.grid_range, (tuple, list)) else ()
+        if len(ends) != 2 or any(not isinstance(e, int) or isinstance(e, bool) for e in ends):
+            raise PreconditionError(f"grid range must be a pair of ints, got {spec.grid_range!r}")
+        if ends[0] > ends[1]:
+            raise PreconditionError(f"empty grid range {spec.grid_range}")
     return replace(spec, n=n, z=z)
 
 

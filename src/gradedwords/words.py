@@ -16,13 +16,21 @@ prefix length, so a word has at most one prefix of any given weight.  The
 empty prefix (weight 0) counts as a prefix, so r = 0 selects the whole class.
 
 The count of class(p, k) is the multinomial C(p - k.z, k): such words have
-length p - k.z, and the formula chooses the positions of the b letters.
+length p - k.z, and the formula chooses the positions of the b letters.  The
+class is exactly the arrangements of the multiset {a^(p - k.z - |k|),
+b_1^(k_1), ..., b_m^(k_m)}, which Knuth's Algorithm L (TAOCP vol. 4A,
+7.2.1.2) visits in lexicographic order.  class(p, k, r) is listed as its
+weight-r prefixes u in lexicographic order, each followed by the arrangements
+of the letters u leaves over.  That order is lexicographic too: two distinct
+weight-r words are never prefixes of each other, so they differ at a position
+inside both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from .arith import MultiIndex, dot, multinomial, norm, vec_sub, box
@@ -48,11 +56,13 @@ class GradedAlphabet:
 
     z: MultiIndex
     _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(e < 0 for e in self.z):
             raise PreconditionError(f"grading entries must be >= 0, got {self.z}")
         object.__setattr__(self, "_weights", (1,) + tuple(e + 1 for e in self.z))
+        object.__setattr__(self, "_names", tuple(map(self.letter_name, range(self.m + 1))))
 
     @property
     def m(self) -> int:
@@ -105,27 +115,22 @@ class Word:
 
     def __post_init__(self) -> None:
         m = self.alphabet.m
-        if any(not 0 <= c <= m for c in self.letters):
+        if self.letters and not 0 <= min(self.letters) <= max(self.letters) <= m:
             raise PreconditionError(f"letter code out of range 0..{m}")
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return " ".join(self.alphabet.letter_name(c) for c in self.letters)
+        return " ".join(map(self.alphabet._names.__getitem__, self.letters))
 
     @property
     def weight(self) -> int:
-        lw = self.alphabet.letter_weights()
-        return sum(lw[c] for c in self.letters)
+        return sum(map(self.alphabet._weights.__getitem__, self.letters))
 
     @property
     def counts(self) -> MultiIndex:
-        out = [0] * self.alphabet.m
-        for c in self.letters:
-            if c:
-                out[c - 1] += 1
-        return tuple(out)
+        return tuple(map(self.letters.count, range(1, self.alphabet.m + 1)))
 
     def reversed(self) -> "Word":
         return Word(self.alphabet, self.letters[::-1])
@@ -143,23 +148,25 @@ class Word:
 
     def prefix_weight_list(self) -> tuple[int, ...]:
         """Weights of the nonempty prefixes, strictly increasing, one per length."""
-        lw = self.alphabet.letter_weights()
-        out = []
-        acc = 0
-        for c in self.letters:
-            acc += lw[c]
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(map(self.alphabet._weights.__getitem__, self.letters)))
 
     def prefix_cut(self, r: int) -> Optional[int]:
         """Length of the (unique) prefix of weight r, or None.
 
         r = 0 always cuts at the empty prefix.
         """
-        return _prefix_cut(self.alphabet.letter_weights(), self.letters, r)
+        return _prefix_cut(self.alphabet._weights, self.letters, r)
 
     def has_prefix_of_weight(self, r: int) -> bool:
-        return self.prefix_cut(r) is not None
+        return _prefix_cut(self.alphabet._weights, self.letters, r) is not None
+
+
+def _trusted_word(alphabet: GradedAlphabet, letters: tuple[int, ...]) -> Word:
+    """Word(alphabet, letters) without the range check, for in-range letters."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "alphabet", alphabet)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 @dataclass(frozen=True)
@@ -187,50 +194,77 @@ def _prefix_cut(lw: tuple[int, ...], letters: tuple[int, ...], target: int) -> O
     return None
 
 
+def _arrangements(counts: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every arrangement of counts[c] copies of each code c, in lexicographic
+    order: Knuth's Algorithm L, from the sorted multiset to its reverse."""
+    a = [c for c, e in enumerate(counts) for _ in range(e)]
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        # a[j+1:] is the longest non-increasing tail: raise a[j] to the next
+        # larger letter of that tail, then sort the tail ascending
+        j = last - 1
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        aj = a[j]
+        t = last
+        while aj >= a[t]:
+            t -= 1
+        a[j] = a[t]
+        a[t] = aj
+        a[j + 1 :] = a[:j:-1]
+
+
+def _check_dimension(counts: MultiIndex, alphabet: GradedAlphabet) -> None:
+    if len(counts) != alphabet.m:
+        raise DimensionMismatchError(
+            f"counts length {len(counts)} vs alphabet dimension {alphabet.m}"
+        )
+
+
 def _iter_class(
     z: MultiIndex, p: int, k: MultiIndex, r: Optional[int] = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield the letter tuples of class(p, k) (restricted to prefix weight r
     if given) in lexicographic order.
 
-    Recursive over remaining letter budgets; a branch is pruned as soon as
-    the running weight passes r without hitting it, since prefix weights
-    only ever increase.
+    A depth-first search, kept on the head list rather than the call stack,
+    lists the weight-r prefixes u in lexicographic order, pruning a branch
+    once its weight would pass r; each u is followed by the Algorithm L
+    arrangements of the letters it leaves over (counts holds them).  No
+    weight-r word is a prefix of another, so this (u, v) order is
+    lexicographic.  r = None, like r = 0, takes the single empty prefix.
     """
-    if p < 0 or any(e < 0 for e in k):
+    r = r or 0
+    if p < 0 or any(e < 0 for e in k) or r > p:
         return
-    num_a = p - dot(k, z) - norm(k)
-    if num_a < 0:
+    counts = [p - dot(k, z) - norm(k), *k]
+    if counts[0] < 0:
         return
-    if r is not None and r > p:
-        return
-    m = len(z)
-    weights = tuple(e + 1 for e in z)
-    counts = list(k)
-    word: list[int] = []
-
-    def rec(na: int, acc_weight: int, hit: bool) -> Iterator[tuple[int, ...]]:
-        if r is not None and not hit:
-            if acc_weight > r:
-                return
-            hit = acc_weight == r
-        if na == 0 and acc_weight == p:
-            if r is None or hit:
-                yield tuple(word)
+    weights = (1, *(e + 1 for e in z))
+    head: list[int] = []
+    acc = c = 0  # the weight of head, and the next letter to try after it
+    while True:
+        while acc < r and c < len(weights):
+            if counts[c] and acc + weights[c] <= r:
+                counts[c] -= 1
+                head.append(c)
+                acc += weights[c]
+                c = 0
+            else:
+                c += 1
+        if acc == r:
+            u = tuple(head)
+            for v in _arrangements(counts):
+                yield u + v
+        if not head:
             return
-        if na > 0:
-            word.append(0)
-            yield from rec(na - 1, acc_weight + 1, hit)
-            word.pop()
-        for i in range(m):
-            if counts[i] > 0:
-                counts[i] -= 1
-                word.append(i + 1)
-                yield from rec(na, acc_weight + weights[i], hit)
-                word.pop()
-                counts[i] += 1
-
-    yield from rec(num_a, 0, False)
+        c = head.pop()
+        counts[c] += 1
+        acc -= weights[c]
+        c += 1
 
 
 def enumerate_words(spec: WordClassSpec, alphabet: GradedAlphabet) -> Iterator[Word]:
@@ -239,12 +273,9 @@ def enumerate_words(spec: WordClassSpec, alphabet: GradedAlphabet) -> Iterator[W
 
     Infeasible specs (p - k.z - |k| < 0, or r unreachable) yield nothing.
     """
-    if len(spec.k) != alphabet.m:
-        raise DimensionMismatchError(
-            f"counts length {len(spec.k)} vs alphabet dimension {alphabet.m}"
-        )
+    _check_dimension(spec.k, alphabet)
     for letters in _iter_class(alphabet.z, spec.p, spec.k, spec.r):
-        yield Word(alphabet, letters)
+        yield _trusted_word(alphabet, letters)
 
 
 def count_words(p: int, k: MultiIndex, alphabet: GradedAlphabet) -> Fraction:
@@ -254,10 +285,7 @@ def count_words(p: int, k: MultiIndex, alphabet: GradedAlphabet) -> Fraction:
     total multinomial at a negative first argument need not vanish (e.g.
     C(-1, (1,1)) = 2), but no word has a negative number of a's.
     """
-    if len(k) != alphabet.m:
-        raise DimensionMismatchError(
-            f"counts length {len(k)} vs alphabet dimension {alphabet.m}"
-        )
+    _check_dimension(k, alphabet)
     if p < 0 or any(e < 0 for e in k) or p - dot(k, alphabet.z) < 0:
         return Fraction(0)
     return Fraction(multinomial(p - dot(k, alphabet.z), k))
@@ -274,10 +302,7 @@ def count_prefix_class(
     to a pair (word of weight p with counts k, word of weight q with counts
     n - k), which is where the sum comes from.  Requires p, q >= n.z.
     """
-    if len(n) != alphabet.m:
-        raise DimensionMismatchError(
-            f"counts length {len(n)} vs alphabet dimension {alphabet.m}"
-        )
+    _check_dimension(n, alphabet)
     nz = dot(n, alphabet.z)
     if p < nz or q < nz:
         raise PreconditionError(

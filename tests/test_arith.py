@@ -77,6 +77,14 @@ def test_multinomial_refuses_inexact_arguments():
     assert multinomial(Fraction(6, 3), (2,)) == 1
 
 
+def test_multinomial_refuses_bool():
+    # natural and rational refuse bools; so does the multinomial
+    for x in (True, False):
+        with pytest.raises(PreconditionError, match="needs an int or Fraction x"):
+            multinomial(x, (1,))
+    assert multinomial(1, (1,)) == 1
+
+
 def test_natural_numbers_refuse_bool_float_and_negatives():
     assert natural(0, "n") == 0
     assert naturals([2, 0], "z") == (2, 0)

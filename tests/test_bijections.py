@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gradedwords import (
     GradedAlphabet,
+    LemmaViolationError,
     Overshoot,
     PrefixCase,
     PreconditionError,
@@ -27,7 +28,7 @@ from gradedwords import (
     verify_raney_decomposition,
     verify_shift_bijection,
 )
-from gradedwords.bijections import _raney_join
+from gradedwords.bijections import _raney_join, _swap_balanced
 
 A1 = GradedAlphabet(z=(1,))
 A2 = GradedAlphabet(z=(1, 2))
@@ -184,6 +185,47 @@ def test_shift_round_trip_exhaustive():
                         assert shift_down(image, p) == w
                         images.add(image)
                     assert images == set(_class(alphabet, total, n, r=p + 1))
+
+
+def test_shift_kernel_returns_the_image_cut_exhaustive():
+    # the swap at the weight-p cut reports the image's weight-(p+1) cut, and
+    # the mirrored swap at the weight-(p+1) cut reports the weight-p cut
+    for z in [(0,), (1,), (3,), (0, 2), (1, 2), (1, 0, 1)]:
+        alphabet = GradedAlphabet(z=z)
+        lw = alphabet.letter_weights()
+        for n in itertools.product(range(3), repeat=len(z)):
+            nz = dot(n, z)
+            for total in range(2 * nz + 1, 2 * nz + 6):
+                for p in range(nz, total - nz):
+                    for w in _class(alphabet, total, n, r=p):
+                        image, cut = _swap_balanced(lw, w.letters, w.prefix_cut(p))
+                        assert cut == Word(alphabet, image).prefix_cut(p + 1)
+                        back, back_cut = _swap_balanced(lw, image, cut, -1)
+                        assert back == w.letters
+                        assert back_cut == w.prefix_cut(p)
+
+
+def test_shift_kernel_without_a_balanced_pair_is_a_lemma_violation():
+    lw = (1, 3)  # z = (2): b weighs 3
+    cases = [
+        ((1,), 0, 1),  # u empty, v = b skips weight 1
+        ((1, 1), 1, 1),  # suffix weights 0, 3 of u vs prefix weight 3 of v
+        ((0, 0), 2, 1),  # v empty
+        ((1,), 1, -1),  # mirrored search, u = b skips weight 1
+        ((0, 0), 0, -1),  # mirrored search, u empty
+    ]
+    for letters, cut, excess in cases:
+        with pytest.raises(LemmaViolationError):
+            _swap_balanced(lw, letters, cut, excess)
+    # off the preconditions the merge either finds a pair or reports the
+    # violation; it never runs off either end of the word
+    for letters in itertools.product(range(2), repeat=5):
+        for cut in range(6):
+            for excess in (1, -1):
+                try:
+                    _swap_balanced(lw, letters, cut, excess)
+                except LemmaViolationError:
+                    pass
 
 
 def test_shift_down_of_up_image_only():

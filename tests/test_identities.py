@@ -704,6 +704,33 @@ def test_dimension_and_parameter_validation():
         )
 
 
+def test_grid_range_must_be_a_pair_of_ints():
+    # a float end or a short range used to escape as a TypeError or an
+    # IndexError (exit 3), and a bool end was read as 0 or 1
+    bad = [(0.5, 9), (0, 9.0), (True, 9), (0, True), (Fraction(1), 9), (5,), (1, 9, 3), 7]
+    for grid_range in bad:
+        with pytest.raises(PreconditionError, match="grid range must be a pair of ints"):
+            verify_identity_on_grid(
+                IdentitySpec(identity="rothe-1", n=(1,), z=(1,), grid_range=grid_range)
+            )
+    report = verify_identity_on_grid(
+        IdentitySpec(identity="rothe-1", n=(1,), z=(1,), grid_range=(-3, 9))
+    )
+    assert report.ok
+
+
+def test_gmh_special_grid_runs_the_gould_mohanty_body_unchecked(monkeypatch):
+    calls = []
+    monkeypatch.setattr(identities, "_check_poles", lambda *args: calls.append(args))
+    spec = IdentitySpec(identity="gmh-special", n=(2, 1), z=(1, 2))
+    pairs = CATALOG["gmh-special"].evaluate({"p": 7, "q": 5}, spec)
+    assert calls == []  # no argument or pole re-check per grid point
+    assert pairs == [eval_gould_mohanty(7, 5, 1, (2, 1), (1, 2))]
+    assert eval_gmh_special(Fraction(7, 2), 5, (2, 1), (1, 2)) == eval_gould_mohanty(
+        Fraction(7, 2), 5, 1, (2, 1), (1, 2)
+    )
+
+
 def test_mismatch_produces_counterexample_with_rerun_command(monkeypatch):
     entry = CATALOG["rothe-1"]
 

@@ -111,23 +111,39 @@ def test_enumeration_matches_oracle():
 
 
 def test_enumeration_with_prefix_restriction_matches_oracle():
-    for z in [(1,), (2,), (1, 2)]:
+    # m up to 3, zero grading entries, r past p, and k past the feasible
+    # counts (p - k.z - |k| < 0)
+    for z, max_p in [((1,), 9), ((2,), 9), ((0,), 8), ((1, 2), 9), ((0, 2), 8), ((1, 0, 2), 7)]:
         alphabet = GradedAlphabet(z=z)
-        for p in range(2, 9):
-            for r in range(p + 1):
-                for k in itertools.product(range(3), repeat=len(z)):
+        for p in range(max_p):
+            for k in itertools.product(range(3), repeat=len(z)):
+                for r in range(p + 3):
                     expected = brute_force_class(z, p, k, r=r)
                     got = [
                         w.letters
                         for w in enumerate_words(WordClassSpec(p=p, k=k, r=r), alphabet)
                     ]
                     assert got == expected, (z, p, k, r)
+                    if r == 0:  # the empty prefix selects the whole class
+                        assert got == brute_force_class(z, p, k)
+
+
+def test_long_words_enumerate_without_recursion():
+    # one call frame per letter used to pass the interpreter's recursion limit
+    alphabet = GradedAlphabet(z=(1,))
+    seqs = [
+        w.letters for w in enumerate_words(WordClassSpec(p=1201, k=(1,), r=1100), alphabet)
+    ]
+    assert len(seqs) == count_prefix_class(1100, 101, (1,), alphabet) == 1199
+    assert seqs == sorted(seqs)
+    assert (0,) * 1099 + (1,) + (0,) * 100 not in seqs  # its prefix weights skip 1100
 
 
 def test_enumerated_words_lie_in_their_class():
     alphabet = GradedAlphabet(z=(1, 2))
     k = (1, 1)
     for w in enumerate_words(WordClassSpec(p=7, k=k), alphabet):
+        assert w == Word(alphabet, w.letters)  # as the checked constructor builds it
         assert w.weight == 7
         assert w.counts == k
         assert len(w) == 7 - dot(k, alphabet.z)
