@@ -120,6 +120,20 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", cleaned)
 
     @classmethod
+    def _trusted(cls, nvars: int, order: int, coeffs: dict) -> TruncatedSeries:
+        """A series from a kernel's own coeffs, whose exponents are already
+        tuples of nvars naturals of total degree <= order and whose values
+        are ints or Fractions; only zeros and integral Fractions are cleaned."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "nvars", nvars)
+        object.__setattr__(series, "order", order)
+        object.__setattr__(series, "coeffs", {
+            e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in coeffs.items() if c
+        })
+        return series
+
+    @classmethod
     def constant(cls, value: Scalar, nvars: int, order: int) -> TruncatedSeries:
         return cls(nvars, order, {(0,) * nvars: Fraction(value)})
 
@@ -185,7 +199,7 @@ class TruncatedSeries:
         out = dict(self.coeffs)
         for exponent, value in other.coeffs.items():
             out[exponent] = out.get(exponent, 0) + value
-        return TruncatedSeries(self.nvars, self.order, out)
+        return TruncatedSeries._trusted(self.nvars, self.order, out)
 
     def __neg__(self) -> TruncatedSeries:
         return self.scaled(-1)
@@ -196,7 +210,7 @@ class TruncatedSeries:
     def scaled(self, factor: Scalar) -> TruncatedSeries:
         factor = _exact(Fraction(factor), 1)
         scaled = {e: factor * c for e, c in self.coeffs.items()}
-        return TruncatedSeries(self.nvars, self.order, scaled)
+        return TruncatedSeries._trusted(self.nvars, self.order, scaled)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check_compatible(other)
@@ -207,7 +221,7 @@ class TruncatedSeries:
                 for e2, c2 in level.items():
                     key = tuple(map(int.__add__, e1, e2))
                     out[key] = out.get(key, 0) + c1 * c2
-        return TruncatedSeries(self.nvars, self.order, out)
+        return TruncatedSeries._trusted(self.nvars, self.order, out)
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
         if not isinstance(exponent, int) or exponent < 0:
@@ -237,7 +251,8 @@ class TruncatedSeries:
         w = [{(0,) * self.nvars: _exact(Fraction(c0) ** alpha, 1)}]
         for d in range(1, self.order + 1):
             w.append(_miller_step(s, w, alpha, d, c0))
-        return TruncatedSeries(self.nvars, self.order, {k: c for lv in w for k, c in lv.items()})
+        coeffs = {k: c for level in w for k, c in level.items()}
+        return TruncatedSeries._trusted(self.nvars, self.order, coeffs)
 
 
 def solve_functional_equation(z: MultiIndex, order: int) -> TruncatedSeries:
@@ -262,7 +277,7 @@ def solve_functional_equation(z: MultiIndex, order: int) -> TruncatedSeries:
                 key = tuple(map(int.__add__, k, unit))
                 level[key] = level.get(key, 0) + c
         v.append(level)
-    return TruncatedSeries(m, order, {k: c for level in v for k, c in level.items()})
+    return TruncatedSeries._trusted(m, order, {k: c for level in v for k, c in level.items()})
 
 
 def functional_equation_residual(v: TruncatedSeries, z: MultiIndex) -> TruncatedSeries:

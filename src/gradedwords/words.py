@@ -57,25 +57,37 @@ class GradedAlphabet:
     z: MultiIndex
     _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(e < 0 for e in self.z):
             raise PreconditionError(f"grading entries must be >= 0, got {self.z}")
         object.__setattr__(self, "_weights", (1,) + tuple(e + 1 for e in self.z))
         object.__setattr__(self, "_names", tuple(map(self.letter_name, range(self.m + 1))))
+        object.__setattr__(self, "_hash", hash(tuple(self.z)))
+
+    def __hash__(self) -> int:
+        # every Word hash hashes its alphabet, so the alphabet's is computed once
+        return self._hash
 
     @property
     def m(self) -> int:
         return len(self.z)
 
+    def _check_code(self, code: int) -> None:
+        if type(code) is not int or not 0 <= code <= self.m:
+            raise PreconditionError(f"letter code {code!r} out of range 0..{self.m}")
+
     def letter_weight(self, code: int) -> int:
-        return 1 if code == 0 else self.z[code - 1] + 1
+        self._check_code(code)
+        return self._weights[code]
 
     def letter_weights(self) -> tuple[int, ...]:
         """Weight table indexed by letter code."""
         return self._weights
 
     def letter_name(self, code: int) -> str:
+        self._check_code(code)
         if code == 0:
             return "a"
         return "b" if self.m == 1 else f"b{code}"

@@ -4,8 +4,10 @@ manifest-driven suites, and determinism."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradedwords
-from gradedwords import CATALOG, default_manifest, main, run_suite
-from gradedwords.cli import _COMMANDS, EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_PASS
+import gradedwords.cli as cli
+from gradedwords import CATALOG, PreconditionError, default_manifest, main, run_suite
+from gradedwords.cli import _COMMANDS, EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_PASS
 
 
 def run(capsys, *argv):
@@ -388,11 +391,159 @@ def test_suite_missing_manifest_file(capsys):
     assert code == EXIT_CONFIG and "not found" in err
 
 
-def test_suite_deterministic_across_job_counts(tmp_path, capsys):
-    code1, out1, _ = run(capsys, "suite", "--jobs", "1")
-    code2, out2, _ = run(capsys, "suite", "--jobs", "4")
-    assert code1 == code2 == EXIT_PASS
-    assert out1 == out2
+# every command, a counterexample (exit 1), a malformed member (exit 2) and a
+# member whose handler raises (exit 3, see _mixed_suite), around the built-in
+# suite so that the predicted work is past the fork floor
+_MIXED = default_manifest() + [
+    {"command": "enumerate", "z": [1], "p": 6, "k": [2], "r": 2},
+    {"command": "bijection", "kind": "shift", "z": [1], "p": 2, "word": "a a b a b", "r": 2},
+    {"command": "verify", "identity": "rothe-1", "n": [2], "z": [1],
+     "point": {"x": "1/2", "y": "7/3"}},
+    {"command": "series-solve", "z": [2], "order": 4, "expect_coefficients": {"3": "99"}},
+    {"command": "count", "z": [1], "p": 3.5, "k": [1]},
+    {"command": "series-check2", "x": 5, "z": [2], "order": 3, "label": "raises"},
+]
+
+
+@pytest.fixture
+def mixed_suite(tmp_path, monkeypatch):
+    """The _MIXED manifest file, with series-check2 made to raise at x = 5,
+    and room for three workers whatever the machine's CPU count."""
+    handler, *keys = _COMMANDS["series-check2"]
+
+    def boom(**values):
+        if values["x"] == 5:
+            raise RuntimeError("handler fault")
+        return handler(**values)
+
+    monkeypatch.setitem(_COMMANDS, "series-check2", (boom, *keys))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(_MIXED))
+    return str(path)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that gains an item on every os.fork call; the calls still fork."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def test_suite_deterministic_across_job_counts(capsys, mixed_suite, forks):
+    outputs = [run(capsys, "suite", "--manifest", mixed_suite, "--jobs", str(jobs))
+               for jobs in (1, 2, 3)]
+    assert len(forks) == 0 + 1 + 2
+    assert outputs[0] == outputs[1] == outputs[2]
+    code, out, err = outputs[0]
+    assert code == EXIT_COUNTEREXAMPLE and err == ""
+    codes = [member["exit_code"] for member in json.loads(out)["members"]]
+    assert codes == [EXIT_PASS] * (len(_MIXED) - 3) + [EXIT_COUNTEREXAMPLE, EXIT_CONFIG, EXIT_INTERNAL]
+    assert run(capsys, "suite", "--jobs", "1") == run(capsys, "suite", "--jobs", "2")
+
+
+def _die(*_):
+    os._exit(1)
+
+
+def _truncated(manifest, share, fd):
+    os.write(fd, pickle.dumps([(index, {}) for index in share])[:-3])
+
+
+def _wrong_share(manifest, share, fd):
+    os.write(fd, pickle.dumps([(index, {"index": index}) for index in share[1:]]))
+
+
+@pytest.mark.parametrize("child", [_die, _truncated, _wrong_share])
+def test_a_failed_child_share_is_rerun_in_process(capsys, mixed_suite, forks, monkeypatch, child):
+    expected = run(capsys, "suite", "--manifest", mixed_suite, "--jobs", "1")
+    monkeypatch.setattr(cli, "_serve_share", child)
+    assert run(capsys, "suite", "--manifest", mixed_suite, "--jobs", "3") == expected
+    assert len(forks) == 2
+
+
+def test_small_or_single_worker_suites_do_not_fork(monkeypatch, forks):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    run_suite([{"command": "count", "z": [1], "p": 3, "k": [1]}] * 3, 4)  # below the floor
+    run_suite(_MIXED, 1)
+    run_suite(_MIXED[:1], 4)  # one member, one worker
+    assert forks == []
+    monkeypatch.setattr(cli, "_can_fork", lambda: False)
+    run_suite(_MIXED, 4)
+    assert forks == []
+
+
+def test_worker_count_is_capped_by_cpus_and_members():
+    assert cli._worker_count(100000, 2, 45) == 2
+    assert cli._worker_count(3, 8, 2) == 2
+    assert cli._worker_count(4, 8, 45) == 4
+    assert cli._worker_count(4, 8, 0) == 1
+
+
+def test_jobs_far_above_the_cpu_count_forks_at_most_cpus_minus_one(forks):
+    payload, code = run_suite(default_manifest(), 100000)
+    assert code == EXIT_PASS and payload["passed"] == len(default_manifest())
+    assert len(forks) <= cli._usable_cpus() - 1
+
+
+@given(work=st.lists(st.integers(0, 100), max_size=8), workers=st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_lpt_shares_partition_the_members_within_four_thirds(work, workers):
+    shares = cli._lpt_shares(work, workers)
+    assert len(shares) == workers
+    assert sorted(i for share in shares for i in share) == list(range(len(work)))
+    assert all(shares) or len(work) < workers
+    loads = [sum(work[i] for i in share) for share in shares]
+    assert loads == sorted(loads)
+    optimum = min(
+        max(sum(w for w, k in zip(work, owner) if k == worker) for worker in range(workers))
+        for owner in itertools.product(range(workers), repeat=len(work))
+    )
+    assert 3 * loads[-1] <= 4 * optimum  # Graham (1969)
+
+
+def test_predicted_work_sizes_every_built_in_member():
+    for member in default_manifest():
+        work = cli._predicted_work(*cli._coerce_member(member))
+        assert type(work) is int and work >= cli._DISPATCH_US
+
+
+@pytest.mark.parametrize("member", [
+    {"command": "count", "z": [1], "p": 3, "k": [1, 1]},
+    {"command": "count", "z": [2], "p": 1, "q": 1, "n": [3]},
+    {"command": "count", "z": [1], "p": 3, "n": [1]},
+    {"command": "count", "z": [1], "p": 3},
+    {"command": "enumerate", "z": [1, 2], "p": 3, "k": [1]},
+    {"command": "bijection", "kind": "shift", "z": [1], "p": 0, "q": 1, "n": [4]},
+    {"command": "bijection", "kind": "raney", "z": [1], "p": 3, "n": [1]},
+    {"command": "bijection", "kind": "raney", "z": [1, 2], "p": 3, "q": 1, "n": [1]},
+    {"command": "verify", "identity": "nonsense", "n": [2], "z": [1]},
+    {"command": "verify", "identity": "abel-1", "n": [], "z": []},
+    {"command": "verify", "identity": "abel-1", "z": [1]},
+    {"command": "verify", "identity": "gould", "n": [1, 2], "z": [1]},
+    {"command": "series-solve", "z": [], "order": 0},
+])
+def test_predicted_work_of_a_refused_member_is_a_number(member):
+    work = cli._predicted_work(*cli._coerce_member(member))
+    assert type(work) is int and work >= cli._DISPATCH_US
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exit_two(capsys, monkeypatch, jobs):
+    code, out, err = run(capsys, "suite", "--jobs", jobs)
+    assert code == EXIT_CONFIG and "--jobs" in err and out == ""
+    monkeypatch.setenv("GRADEDWORDS_JOBS", jobs)
+    code, out, err = run(capsys, "suite")
+    assert code == EXIT_CONFIG and "GRADEDWORDS_JOBS" in err and out == ""
+    with pytest.raises(PreconditionError, match="--jobs"):
+        run_suite([], int(jobs))
 
 
 def test_suite_jobs_env_var(tmp_path, capsys, monkeypatch):
@@ -465,6 +616,16 @@ def test_malformed_member_exits_two(member):
     payload, code = run_suite([member], 1)
     assert code == EXIT_CONFIG, payload
     assert payload["members"][0]["error"].startswith("invalid configuration")
+
+
+@given(member=_malformed_members())
+@settings(max_examples=100, deadline=None)
+def test_predicted_work_never_raises_past_coercion(member):
+    try:
+        command, values = cli._coerce_member(member)
+    except PreconditionError:
+        return  # run_suite predicts 0 for a member that fails coercion
+    assert type(cli._predicted_work(command, values)) is int
 
 
 def _argv(member: dict) -> list[str]:

@@ -197,6 +197,16 @@ def test_reciprocal_is_a_two_sided_inverse(s):
     assert r * s == one
 
 
+@given(s=exact_series(), factor=st.fractions(-2, 2, max_denominator=3))
+@settings(max_examples=60, deadline=None)
+def test_kernel_results_are_what_the_checked_constructor_builds(s, factor):
+    """The kernels skip the constructor's checks; what they build must hold
+    no zero and no integral Fraction, exactly as if it had been checked."""
+    for result in (s + s.scaled(factor), s - s, s.scaled(factor), s * s, s**2):
+        assert canonical(result) and all(result.coeffs.values())
+        assert result == TruncatedSeries(result.nvars, result.order, result.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # the functional equation
 # ---------------------------------------------------------------------------

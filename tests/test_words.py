@@ -40,6 +40,22 @@ def test_letter_weights_and_names():
     assert GradedAlphabet(z=(4,)).letter_name(1) == "b"
 
 
+@pytest.mark.parametrize("code", [-1, 3, 7, True, 1.0])
+def test_letter_codes_outside_the_alphabet_are_refused(code):
+    a = GradedAlphabet(z=(1, 2))
+    with pytest.raises(PreconditionError, match="letter code"):
+        a.letter_weight(code)
+    with pytest.raises(PreconditionError, match="letter code"):
+        a.letter_name(code)
+
+
+def test_equal_alphabets_hash_equal():
+    a, b = GradedAlphabet(z=(1, 2)), GradedAlphabet(z=(1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert len({Word(a, (0, 1)), Word(b, (0, 1))}) == 1
+    assert GradedAlphabet(z=(2, 1)) != a
+
+
 def test_negative_grading_rejected():
     with pytest.raises(PreconditionError):
         GradedAlphabet(z=(1, -1))
