@@ -343,17 +343,20 @@ def _scalar(value: object, name: str) -> Fraction:
 
 def _point(value: object, name: str) -> dict[str, Fraction]:
     if isinstance(value, str):
-        pairs = []
+        texts: dict[str, str] = {}
         for piece in value.split(","):
             var, sep, text = piece.partition("=")
+            var = var.strip()
             if not sep:
                 raise PreconditionError(f"{name} expects var=value pairs, got {piece!r}")
-            pairs.append((var.strip(), text))
+            if var in texts:
+                raise PreconditionError(f"{name} gives {var} more than once")
+            texts[var] = text
     elif isinstance(value, dict):
-        pairs = list(value.items())
+        texts = value
     else:
         raise PreconditionError(f"{name} expects var=value pairs or an object, got {value!r}")
-    return {var: _scalar(text, f"{name} {var}") for var, text in pairs}
+    return {var: _scalar(text, f"{name} {var}") for var, text in texts.items()}
 
 
 def _coefficients(value: object, name: str) -> tuple[tuple[MultiIndex, Fraction], ...]:
@@ -490,9 +493,12 @@ def _run_entry(index: int, config: object) -> dict:
 # Predicted member time in microseconds: a dispatch cost plus a per-unit cost
 # times a closed-form count of the member's work.  The per-unit costs are
 # medians of per-member timings over the benchmark manifests (CPython 3.11,
-# 2 vCPUs).  Over 1032 members of those manifests, measured time was 0.45 to
-# 1.6 times the prediction between the 10th and 90th percentiles, which is
-# all the LPT schedule needs.
+# 2 vCPUs).  The two verify costs were fitted again, timing the grid kernel
+# that memoizes C(x, n) side by side with the one before it: 5 us per grid
+# point x term and 77 us per term at a point.  Over 1077 members of those
+# manifests and the built-in suite, measured time was 0.32 to 1.6 times the
+# prediction between the 10th and 90th percentiles, which is all the LPT
+# schedule needs.
 _DISPATCH_US = 30
 
 
@@ -527,10 +533,10 @@ def _predicted_work(command: str, values: dict) -> int:
             if entry is not None and slot:
                 terms = math.prod(e + 1 for e in slot)
                 if get("point") is not None:
-                    units = 80 * terms
+                    units = 77 * terms
                 else:
                     degree = entry.degree(IdentitySpec(entry.name, slot, z))
-                    units = 9 * (degree + 1) ** len(entry.variables) * terms
+                    units = 5 * (degree + 1) ** len(entry.variables) * terms
         else:
             units = 9 * math.comb(get("order") + 2 * len(z), 2 * len(z))
     except PreconditionError:

@@ -28,12 +28,24 @@ verify_identity_on_grid builds a pole-free integer product grid sized by
 the degree bound and checks exact equality at every point.
 
 Grid points are ints, and so is C(x, n) at an integer x, so the polynomial
-sides are evaluated in int arithmetic.  A Fraction appears only where a
-rational form divides by a declared pole, as Fraction(num, den) (for the
-Abel forms, whose power -1 falls on a declared pole, through _pow).  No
-evaluator divides two ints with / or raises an int to a negative power, so
-no value is ever a float.  The public evaluators return a pair of Fractions
-whatever the path.
+sides are evaluated in int arithmetic.  A rational side sums its quotients
+through _qsum: numerators and denominators are accumulated in ints over one
+common denominator, a product of declared poles, and a single
+Fraction(num, den) is built at the end.  _qsum is the one place a rational
+side divides, where an exact polynomial division would go.  The Abel forms
+keep _pow, whose power -1 falls on a declared pole: read as a quotient, the
+factor (x - kz)^(k-1) would bring a pole nobody declared.  No evaluator
+divides two ints with / or raises an int to a negative power, so no value is
+ever a float.  The public evaluators return a pair of Fractions whatever the
+path.
+
+The bodies recompute the same C(x, n) many times across a grid (C(x - k.z,
+k) recurs for every y and eps).  While verify_identity_on_grid runs, the
+bodies' multinomial reads a memo keyed by (x, n), and the memo is emptied
+whenever the grid is left, by a verdict or by an exception, so nothing
+carries over to the next certification.  Every argument that reaches the
+memo has been checked by _validate, so a bool or a float never matches a
+cached int.  Point checks and the public evaluators compute C(x, n) afresh.
 
 Conventions shared by all evaluators:
 
@@ -47,13 +59,14 @@ Conventions shared by all evaluators:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .arith import (
     MultiIndex,
@@ -313,7 +326,8 @@ def _identity(
 
 
 # ---------------------------------------------------------------------------
-# classical single-variable forms (m = 1)
+# shared arithmetic of the bodies: one division per rational side, and C(x, n)
+# computed once per grid certification
 # ---------------------------------------------------------------------------
 
 
@@ -321,6 +335,58 @@ def _pow(base: Scalar, e: int) -> Scalar:
     """base ** e, as Fraction(1, base ** -e) at a negative e: the Abel forms
     reach the power -1 only at a declared pole."""
     return base**e if e >= 0 else Fraction(1, base**-e)
+
+
+def _qsum(terms: Iterable[tuple[Scalar, Scalar]]) -> Fraction:
+    """The sum of num/den over the (num, den) terms, as one Fraction.
+
+    The terms are added over a common denominator, the product of every
+    den, and divided once.  Each den is a product of declared poles, so it
+    is nonzero wherever the caller evaluates."""
+    num, den = 0, 1
+    for a, b in terms:
+        if type(a) is not int or type(b) is not int:  # a rational point: a/b over ints
+            a, b = a.numerator * b.denominator, a.denominator * b.numerator
+        num, den = num * b + a * den, den * b
+    return Fraction(num, den)
+
+
+_multinomial = multinomial  # arith's, which the bodies call outside a grid
+
+
+class _Memo(dict):
+    """C(x, n) under the key (x, n), each computed once."""
+
+    def __missing__(self, key: tuple[Scalar, MultiIndex]) -> Scalar:
+        value = self[key] = _multinomial(*key)
+        return value
+
+
+_MEMO = _Memo()
+
+
+def _memo_multinomial(x: Scalar, n: MultiIndex) -> Scalar:
+    return _MEMO[x, n]
+
+
+@contextlib.contextmanager
+def _memoized():
+    """Within the block the bodies read C(x, n) from _MEMO; on every way
+    out they get arith's multinomial back and _MEMO is emptied.  Grids run
+    at once in two threads would share the memo, which changes no value:
+    every entry is the exact C(x, n) of its key."""
+    global multinomial
+    multinomial = _memo_multinomial
+    try:
+        yield
+    finally:
+        multinomial = _multinomial
+        _MEMO.clear()
+
+
+# ---------------------------------------------------------------------------
+# classical single-variable forms (m = 1)
+# ---------------------------------------------------------------------------
 
 
 @_identity("abel-1", poles=_poles_abel_1, degree=_deg_abel, classical=True)
@@ -356,11 +422,10 @@ def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
 @_identity("rothe-1", poles=_poles_x, classical=True)
 def eval_rothe_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k (x/(x-kz)) C(x-kz,k) C(y+kz,n-k)  vs  C(x+y,n)."""
-    lhs = 0
-    for k in range(n + 1):
-        lhs += Fraction(
-            x * multinomial(x - k * z, (k,)) * multinomial(y + k * z, (n - k,)), x - k * z
-        )
+    lhs = _qsum(
+        (x * multinomial(x - k * z, (k,)) * multinomial(y + k * z, (n - k,)), x - k * z)
+        for k in range(n + 1)
+    )
     return lhs, multinomial(x + y, (n,))
 
 
@@ -368,14 +433,14 @@ def eval_rothe_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fra
 def eval_rothe_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k xy/((x-kz)(y-(n-k)z)) C(x-kz,k) C(y-(n-k)z,n-k)
     vs  (x+y)/(x+y-nz) C(x+y-nz,n)."""
-    lhs = 0
-    for k in range(n + 1):
-        kz, rz = k * z, (n - k) * z
-        lhs += Fraction(
-            x * y * multinomial(x - kz, (k,)) * multinomial(y - rz, (n - k,)),
-            (x - kz) * (y - rz),
+    lhs = _qsum(
+        (
+            x * y * multinomial(x - k * z, (k,)) * multinomial(y - (n - k) * z, (n - k,)),
+            (x - k * z) * (y - (n - k) * z),
         )
-    rhs = Fraction((x + y) * multinomial(x + y - n * z, (n,)), x + y - n * z)
+        for k in range(n + 1)
+    )
+    rhs = _qsum([((x + y) * multinomial(x + y - n * z, (n,)), x + y - n * z)])
     return lhs, rhs
 
 
@@ -425,9 +490,10 @@ def eval_raney_mohanty_1(
     x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
 ) -> tuple[Fraction, Fraction]:
     """sum_{0<=k<=n} (x/(x-k.z)) C(x-k.z,k) C(y+k.z,n-k)  vs  C(x+y,n)."""
-    lhs = 0
-    for k, kz, r, _, _ in _terms(n, z):
-        lhs += Fraction(x * multinomial(x - kz, k) * multinomial(y + kz, r), x - kz)
+    lhs = _qsum(
+        (x * multinomial(x - kz, k) * multinomial(y + kz, r), x - kz)
+        for k, kz, r, _, _ in _terms(n, z)
+    )
     return lhs, multinomial(x + y, n)
 
 
@@ -437,13 +503,12 @@ def eval_raney_mohanty_2(
 ) -> tuple[Fraction, Fraction]:
     """sum_k xy/((x-k.z)(y-(n-k).z)) C(x-k.z,k) C(y-(n-k).z,n-k)
     vs  (x+y)/(x+y-n.z) C(x+y-n.z,n)."""
-    lhs = 0
-    for k, kz, r, rz, _ in _terms(n, z):
-        lhs += Fraction(
-            x * y * multinomial(x - kz, k) * multinomial(y - rz, r), (x - kz) * (y - rz)
-        )
+    lhs = _qsum(
+        (x * y * multinomial(x - kz, k) * multinomial(y - rz, r), (x - kz) * (y - rz))
+        for k, kz, r, rz, _ in _terms(n, z)
+    )
     nz = dot(n, z)
-    rhs = Fraction((x + y) * multinomial(x + y - nz, n), x + y - nz)
+    rhs = _qsum([((x + y) * multinomial(x + y - nz, n), x + y - nz)])
     return lhs, rhs
 
 
@@ -542,7 +607,7 @@ def check_absorption(
     """C(p-k.z-1, k-e_i)  vs  (k_i/(p-k.z)) C(p-k.z, k),  p-k.z != 0."""
     kz = dot(k, z)
     lhs = multinomial(p - kz - 1, vec_sub(k, unit(len(k), i)))
-    rhs = Fraction(k[i - 1] * multinomial(p - kz, k), p - kz)
+    rhs = _qsum([(k[i - 1] * multinomial(p - kz, k), p - kz)])
     return lhs, rhs
 
 
@@ -555,16 +620,14 @@ def check_rm2_decomposition(
     sum_k xy/((x-k.z)(y-(n-k).z)) C C  vs  (S1 + S2)/(x+y-n.z)  where
     S1 = sum_k (xy/(x-k.z)) C C  and  S2 = sum_k (xy/(y-(n-k).z)) C C.
     """
-    nz = dot(n, z)
-    lhs = 0
-    s1 = 0
-    s2 = 0
-    for k, kz, r, rz, _ in _terms(n, z):
-        prod = x * y * multinomial(x - kz, k) * multinomial(y - rz, r)
-        lhs += Fraction(prod, (x - kz) * (y - rz))
-        s1 += Fraction(prod, x - kz)
-        s2 += Fraction(prod, y - rz)
-    return lhs, Fraction(s1 + s2, x + y - nz)
+    w = x + y - dot(n, z)
+    rows = [
+        (x * y * multinomial(x - kz, k) * multinomial(y - rz, r), x - kz, y - rz)
+        for k, kz, r, rz, _ in _terms(n, z)
+    ]
+    lhs = _qsum((prod, a * b) for prod, a, b in rows)
+    rhs = _qsum((prod, d * w) for prod, a, b in rows for d in (a, b))  # (S1 + S2) / w
+    return lhs, rhs
 
 
 @_identity("mh-expansion")
@@ -762,13 +825,14 @@ def verify_identity_on_grid(spec: IdentitySpec) -> EvalReport:
             "points": total_points,
         },
     )
-    for combo in itertools.product(*(axes[v] for v in entry.variables)):
-        point = dict(zip(entry.variables, combo))
-        counterexample = _counterexample(spec, entry, point, entry.evaluate(point, spec))
-        if counterexample is not None:
-            report.verdict = VERDICT_MISMATCH
-            report.counterexample = counterexample
-            return report
+    with _memoized():
+        for combo in itertools.product(*(axes[v] for v in entry.variables)):
+            point = dict(zip(entry.variables, combo))
+            counterexample = _counterexample(spec, entry, point, entry.evaluate(point, spec))
+            if counterexample is not None:
+                report.verdict = VERDICT_MISMATCH
+                report.counterexample = counterexample
+                return report
     report.verdict = VERDICT_EQUAL
     return report
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .arith import MultiIndex, Scalar, dot, multinomial, natural, naturals, norm
+from .arith import MultiIndex, Scalar, dot, multinomial, natural, naturals, norm, rational
 from .errors import DimensionMismatchError, PreconditionError
 from .reports import VERDICT_EQUAL, VERDICT_MISMATCH, EvalReport
 
@@ -96,8 +96,9 @@ class TruncatedSeries:
     """Exact power series in nvars variables, truncated at total degree order.
 
     Absent exponents mean coefficient zero; nothing beyond the truncation
-    order is stored.  `coeffs` holds an int for every integral coefficient
-    and a Fraction otherwise; coefficient() always returns a Fraction.
+    order is stored.  Coefficients must be ints or Fractions, never a bool
+    or a float.  `coeffs` holds an int for every integral coefficient and a
+    Fraction otherwise; coefficient() always returns a Fraction.
     Instances are immutable; all arithmetic returns new series with the
     same nvars and order.
     """
@@ -107,14 +108,14 @@ class TruncatedSeries:
     coeffs: Mapping[MultiIndex, Scalar] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.nvars < 0 or self.order < 0:
-            raise PreconditionError(f"nvars and order must be >= 0, got {self.nvars}, {self.order}")
+        natural(self.nvars, "nvars")
+        natural(self.order, "order")
         cleaned: dict[MultiIndex, Scalar] = {}
         for exponent, value in self.coeffs.items():
             exponent = tuple(exponent)
             if len(exponent) != self.nvars or min(exponent, default=0) < 0:
                 raise PreconditionError(f"bad exponent {exponent} for {self.nvars} variables")
-            value = value if type(value) is int else _exact(Fraction(value), 1)
+            value = _exact(rational(value, f"coefficient of {exponent}"), 1)
             if value and sum(exponent) <= self.order:
                 cleaned[exponent] = value
         object.__setattr__(self, "coeffs", cleaned)
@@ -135,7 +136,10 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value: Scalar, nvars: int, order: int) -> TruncatedSeries:
-        return cls(nvars, order, {(0,) * nvars: Fraction(value)})
+        value = rational(value, "constant")
+        natural(nvars, "nvars")
+        natural(order, "order")
+        return cls._trusted(nvars, order, {(0,) * nvars: value})
 
     @classmethod
     def one(cls, nvars: int, order: int) -> TruncatedSeries:
@@ -148,10 +152,11 @@ class TruncatedSeries:
     @classmethod
     def variable(cls, i: int, nvars: int, order: int) -> TruncatedSeries:
         """The series u_i (1-based index)."""
-        if not 1 <= i <= nvars:
+        natural(order, "order")
+        if not 1 <= natural(i, "variable index") <= natural(nvars, "nvars"):
             raise PreconditionError(f"variable index {i} out of range 1..{nvars}")
         exponent = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return cls(nvars, order, {exponent: 1})
+        return cls._trusted(nvars, order, {exponent: 1} if order else {})
 
     def coefficient(self, exponent: MultiIndex) -> Fraction:
         """The coefficient of u^exponent; exponents outside the truncation
@@ -208,7 +213,7 @@ class TruncatedSeries:
         return self + (-other)
 
     def scaled(self, factor: Scalar) -> TruncatedSeries:
-        factor = _exact(Fraction(factor), 1)
+        factor = _exact(rational(factor, "scale factor"), 1)
         scaled = {e: factor * c for e, c in self.coeffs.items()}
         return TruncatedSeries._trusted(self.nvars, self.order, scaled)
 
@@ -224,8 +229,7 @@ class TruncatedSeries:
         return TruncatedSeries._trusted(self.nvars, self.order, out)
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise PreconditionError(f"series power must be a natural number, got {exponent!r}")
+        natural(exponent, "series power")
         if self.coeffs.get((0,) * self.nvars):
             return self._power(exponent)
         # no Miller recurrence without a constant term: repeated squaring
@@ -327,7 +331,9 @@ def check_generating_function_1(x: int, z: MultiIndex, order: int) -> EvalReport
     x, z, order = _check_x(x), naturals(z, "z"), natural(order, "order")
     m = len(z)
     tops = ((k, x + dot(k, z)) for k in exponents_up_to(m, order))
-    left = TruncatedSeries(m, order, {k: Fraction(x, t) * multinomial(t, k) for k, t in tops})
+    left = TruncatedSeries._trusted(
+        m, order, {k: _exact(x * multinomial(t, k), t) for k, t in tops}
+    )
     right = solve_functional_equation(z, order) ** x
     return _compare_series("generating-function-1", x, z, left, right)
 
@@ -339,7 +345,7 @@ def check_generating_function_2(x: int, z: MultiIndex, order: int) -> EvalReport
         raise PreconditionError(f"requires z_i >= 1 for every i, got z={list(z)}")
     m = len(z)
     tops = ((k, x + dot(k, z)) for k in exponents_up_to(m, order))
-    left = TruncatedSeries(m, order, {k: multinomial(t, k) for k, t in tops})
+    left = TruncatedSeries._trusted(m, order, {k: multinomial(t, k) for k, t in tops})
     v = solve_functional_equation(z, order)
     denominator = TruncatedSeries.one(m, order)
     for i, a in enumerate(z, 1):

@@ -222,6 +222,19 @@ def test_verify_point_on_pole_is_config_error(capsys):
     assert "denominators vanish" in err
 
 
+def test_verify_point_naming_a_variable_twice_is_config_error(capsys):
+    # y = 2 used to win silently, with exit 0
+    code, out, err = run(
+        capsys, "verify", "rothe-1", "--n", "2", "--z", "1", "--point", "x=1/2,y=1/3,y=2"
+    )
+    assert code == EXIT_CONFIG
+    assert "--point gives y more than once" in err
+    payload, code = run_suite([{"command": "verify", "identity": "rothe-1", "n": [2], "z": [1],
+                                "point": "x=1/2, y=1/3, x=1/2"}], 1)
+    assert code == EXIT_CONFIG
+    assert "--point gives x more than once" in payload["members"][0]["error"]
+
+
 def test_verify_absorption_uses_k_flag(capsys):
     code, payload = run_json(
         capsys, "verify", "absorption", "--k", "2,1", "--z", "1,2", "--i", "1"

@@ -748,3 +748,100 @@ def test_mismatch_produces_counterexample_with_rerun_command(monkeypatch):
     assert "--point" in ce["rerun"]
     # the rerun command names every variable of the identity
     assert "x=" in ce["rerun"] and "y=" in ce["rerun"]
+
+
+# ---------------------------------------------------------------------------
+# the per-grid memo of C(x, n), and the one division of a rational side
+# ---------------------------------------------------------------------------
+
+
+def _memo_is_gone():
+    return not identities._MEMO and identities.multinomial is multinomial
+
+
+def _spying(monkeypatch, name, after=None):
+    """CATALOG[name] with an evaluate that records the memo's size after each
+    point (then applies after, if given, to the pairs)."""
+    entry = CATALOG[name]
+    sizes = []
+
+    def spy(point, spec):
+        pairs = entry.evaluate(point, spec)
+        sizes.append(len(identities._MEMO))
+        return pairs if after is None else after(pairs)
+
+    monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, evaluate=spy))
+    return sizes
+
+
+def test_memo_is_emptied_after_a_passing_grid(monkeypatch):
+    sizes = _spying(monkeypatch, "gould-mohanty")
+    assert verify_identity_on_grid(IdentitySpec("gould-mohanty", (2, 1), (1, 2))).ok
+    # the memo fills across the grid's points, and repeats hit it: each point
+    # makes 4 calls per term (6 terms), but C(x - k.z, k) does not depend on
+    # y or eps, so the 64 points reach only 48 distinct keys
+    assert 0 < sizes[0] < sizes[-1] <= len(sizes) * 4 * 6 // 10
+    assert _memo_is_gone()
+
+
+def test_memo_is_emptied_after_a_mismatch(monkeypatch):
+    sizes = _spying(monkeypatch, "rothe-1", lambda pairs: [(l, r + 1) for l, r in pairs])
+    report = verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,)))
+    assert report.verdict == "mismatch" and sizes[0] > 0
+    assert _memo_is_gone()
+
+
+def test_memo_is_emptied_after_a_body_raises(monkeypatch):
+    def fault(pairs):
+        raise RuntimeError("body fault")
+
+    sizes = _spying(monkeypatch, "kmx", fault)
+    with pytest.raises(RuntimeError, match="body fault"):
+        verify_identity_on_grid(IdentitySpec("kmx", (1, 1), (1, 2)))
+    assert sizes[0] > 0
+    assert _memo_is_gone()
+
+
+def test_point_checks_and_public_evaluators_leave_no_memo():
+    eval_rothe_1(7, 5, 1, 3)
+    verify_identity_at_point(IdentitySpec("gould", (2,), (1,)), {"x": 3, "y": 5, "eps": 1})
+    assert _memo_is_gone()
+
+
+def test_a_wrong_memo_entry_is_a_mismatch():
+    # the first point of the rothe-1 grid at n = 2, z = 1 is x = y = 3, whose
+    # right side is C(x + y, 2) = C(6, 2) = 15
+    identities._MEMO[6, (2,)] = 16
+    report = verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,)))
+    assert report.verdict == "mismatch"
+    assert report.counterexample["point"] == {"x": "3", "y": "3"}
+    assert report.counterexample["right"] == "16"
+    assert _memo_is_gone()
+    assert verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,))).ok
+
+
+_QTERM_PART = st.one_of(
+    st.integers(-50, 50), st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9))
+)
+_QTERMS = st.lists(st.tuples(_QTERM_PART, _QTERM_PART.filter(bool)), max_size=8)
+
+
+@given(terms=_QTERMS)
+@settings(max_examples=200)
+def test_qsum_is_the_termwise_fraction_sum(terms):
+    got = identities._qsum(iter(terms))
+    assert type(got) is Fraction
+    assert got == sum((Fraction(a) / Fraction(b) for a, b in terms), Fraction(0))
+
+
+def test_qsum_with_int_terms_divides_once(monkeypatch):
+    made = []
+    real = identities.Fraction
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(identities, "Fraction", counting)
+    assert identities._qsum([(1, 2), (1, -3), (5, 6), (0, 7)]) == real(1)
+    assert len(made) == 1

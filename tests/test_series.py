@@ -207,6 +207,56 @@ def test_kernel_results_are_what_the_checked_constructor_builds(s, factor):
         assert result == TruncatedSeries(result.nvars, result.order, result.coeffs)
 
 
+def test_builders_are_what_the_checked_constructor_builds():
+    """one, variable and constant skip the constructor's checks."""
+    for nvars, order in ((0, 0), (1, 0), (1, 3), (3, 2)):
+        for value in (1, 0, -2, Fraction(4, 2), Fraction(-1, 3)):
+            built = TruncatedSeries.constant(value, nvars, order)
+            assert canonical(built)
+            assert built == S(nvars, order, {(0,) * nvars: value})
+        assert TruncatedSeries.one(nvars, order) == S(nvars, order, {(0,) * nvars: 1})
+        for i in range(1, nvars + 1):
+            exponent = tuple(int(j == i - 1) for j in range(nvars))
+            assert TruncatedSeries.variable(i, nvars, order) == S(nvars, order, {exponent: 1})
+
+
+@pytest.mark.parametrize("x, z, order", [(1, (2,), 9), (3, (1, 2), 5), (2, (1, 3), 4)])
+def test_generating_function_left_sides_are_what_the_checked_constructor_builds(
+    x, z, order, monkeypatch
+):
+    lefts = []
+    monkeypatch.setattr(series, "_compare_series", lambda *args: lefts.append(args[3]))
+    check_generating_function_1(x, z, order)
+    check_generating_function_2(x, z, order)
+    gf1, gf2 = lefts
+    tops = [(k, x + sum(a * b for a, b in zip(k, z))) for k in exponents_up_to(len(z), order)]
+    assert canonical(gf1) and canonical(gf2)
+    assert gf1 == S(len(z), order, {k: Fraction(x, t) * multinomial(t, k) for k, t in tops})
+    assert gf2 == S(len(z), order, {k: multinomial(t, k) for k, t in tops})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: S(1, 3, {(0,): 0.1}),
+    lambda: S(1, 3, {(1,): True}),
+    lambda: S(1, 3, {(1,): "1/2"}),
+    lambda: TruncatedSeries.constant(0.5, 1, 2),
+    lambda: TruncatedSeries.constant(False, 1, 2),
+    lambda: TruncatedSeries.one(1, 2.0),
+    lambda: TruncatedSeries.one(-1, 2),
+    lambda: TruncatedSeries.variable(True, 1, 2),
+    lambda: TruncatedSeries.zero(1, True),
+    lambda: TruncatedSeries.one(1, 3).scaled(0.25),
+    lambda: TruncatedSeries.one(1, 3).scaled(True),
+    lambda: TruncatedSeries.one(1, 3) ** True,
+    lambda: TruncatedSeries.one(1, 3) ** 2.0,
+])
+def test_floats_and_bools_are_refused(make):
+    # a float coefficient was stored as its binary value, 0.1 as
+    # 3602879701896397/36028797018963968, and a bool passed as 1
+    with pytest.raises(PreconditionError, match="must be"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # the functional equation
 # ---------------------------------------------------------------------------
