@@ -13,7 +13,8 @@ a total function: negative entries in n silently give 0.  Identity sums rely
 on this vanishing (terms like k - e_i with k_i = 0 simply drop out), so no
 error is raised.  C(x, n) is an int at an integer x (an int, or a Fraction
 with denominator 1) and a Fraction otherwise, so sums over integer points
-stay in int arithmetic.
+stay in int arithmetic.  exact(num, den) is the package's one division, an
+int wherever the quotient is integral; qsum sums quotients through it once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import DimensionMismatchError, PreconditionError
 
@@ -38,6 +39,8 @@ __all__ = [
     "norm",
     "multi_factorial",
     "multinomial",
+    "exact",
+    "qsum",
     "vec_add",
     "vec_sub",
     "unit",
@@ -134,6 +137,28 @@ def multinomial(x: Scalar, n: MultiIndex) -> Scalar:
         out *= comb(x, e)
         x -= e
     return out
+
+
+def exact(num: Scalar, den: Scalar) -> Scalar:
+    """num / den, as an int when the quotient is integral."""
+    if type(num) is int and type(den) is int and not num % den:
+        return num // den
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
+
+
+def qsum(terms: Iterable[tuple[Scalar, Scalar]]) -> Scalar:
+    """The sum of num/den over the (num, den) terms, through one exact().
+
+    The terms are added over a common denominator, the product of every
+    den, and divided once: an int when the sum is integral, else a Fraction.
+    Every den must be nonzero."""
+    num, den = 0, 1
+    for a, b in terms:
+        if type(a) is not int or type(b) is not int:  # a rational point: a/b over ints
+            a, b = a.numerator * b.denominator, a.denominator * b.numerator
+        num, den = num * b + a * den, den * b
+    return exact(num, den)
 
 
 def vec_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:

@@ -5,6 +5,10 @@ series (solve|check1|check2), suite.  Reports are JSON by default
 (deterministic: sorted keys, fixed enumeration order); --format text prints
 a human summary of the same structure.
 
+Each command is declared once, by its handler's signature: the member
+schema (_COMMANDS) and the argument parser are derived from it and from the
+key table _KEYS, so flags and manifest members share every check and message.
+
 Exit codes: 0 all checks passed; 1 a mathematical mismatch (a would-be
 counterexample, printed with full reproduction context); 2 invalid
 configuration or violated precondition; 3 internal error.
@@ -13,13 +17,14 @@ configuration or violated precondition; 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import heapq
+import inspect
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from .arith import MultiIndex, dot, format_scalar, natural, parse_scalar
@@ -37,6 +42,7 @@ from .errors import LemmaViolationError, PreconditionError
 from .identities import (
     CATALOG,
     IdentitySpec,
+    _lookup,
     catalog_names,
     verify_identity_at_point,
     verify_identity_on_grid,
@@ -78,10 +84,6 @@ def _require(condition: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
-def _alphabet(z: MultiIndex) -> GradedAlphabet:
-    return GradedAlphabet(z=tuple(z))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers (shared by CLI flags and manifest members)
 # ---------------------------------------------------------------------------
@@ -95,9 +97,10 @@ def do_count(
     n: Optional[MultiIndex] = None,
 ) -> EvalReport:
     """Closed-form count vs enumeration, for a word class or a prefix class."""
-    alphabet = _alphabet(z)
+    alphabet = GradedAlphabet(z)
     if n is not None:
         _require(q is not None, "prefix-class count needs --q along with --n")
+        _require(k is None, "--k only applies to the word-class form (without --n)")
         formula = count_prefix_class(p, q, n, alphabet)
         enumerated = sum(1 for _ in _iter_class(alphabet.z, p + q, n, p))
         report = EvalReport(
@@ -125,7 +128,7 @@ def do_enumerate(
     z: MultiIndex, p: int, k: MultiIndex, r: Optional[int] = None
 ) -> dict:
     """List a word class in lexicographic order."""
-    alphabet = _alphabet(z)
+    alphabet = GradedAlphabet(z)
     words = [
         str(w) for w in enumerate_words(WordClassSpec(p=p, k=k, r=r), alphabet)
     ]
@@ -145,7 +148,7 @@ def do_bijection(
     word: Optional[str] = None,
 ) -> EvalReport:
     """Apply a bijection to one word, or verify it over a whole class."""
-    alphabet = _alphabet(z)
+    alphabet = GradedAlphabet(z)
     if word is not None:
         w = alphabet.parse_word(word)
         if n is not None:
@@ -214,16 +217,15 @@ def do_verify(
     point: Optional[dict[str, Fraction]] = None,
 ) -> EvalReport:
     """Check one catalog identity on a grid or at a single point."""
-    _require(
-        not (n is not None and k is not None),
-        "give the multi-index as --n or --k, not both",
-    )
-    slot = n if n is not None else k
-    _require(slot is not None, f"verify {identity} needs --n (or --k for absorption)")
+    own = _lookup(identity).param_name  # k for absorption, n for the rest
+    other = "n" if own == "k" else "k"
+    slots = {"n": n, "k": k}
+    _require(slots[other] is None, f"verify {identity} takes --{own}, not --{other}")
+    _require(slots[own] is not None, f"verify {identity} needs --{own}")
     spec = IdentitySpec(
         identity=identity,
-        n=tuple(slot),
-        z=tuple(z),
+        n=slots[own],
+        z=z,
         i=i,
         j=j,
         grid_range=grid_range,
@@ -238,8 +240,7 @@ def do_series_solve(
     order: int,
     expect_coefficients: Optional[tuple[tuple[MultiIndex, Fraction], ...]] = None,
 ) -> EvalReport:
-    """Solve the functional equation and report the coefficients, checking
-    the residual, coefficient naturality, and any expected values."""
+    """Solve the functional equation, checking residual, naturality and expected values."""
     for exponent, _ in expect_coefficients or ():
         _require(
             len(exponent) == len(z) and sum(exponent) <= order,
@@ -283,20 +284,14 @@ def do_series_solve(
     return report
 
 
-def do_series_check(which: int, x: int, z: MultiIndex, order: int) -> EvalReport:
-    if which == 1:
-        return check_generating_function_1(x, tuple(z), order)
-    return check_generating_function_2(x, tuple(z), order)
-
-
 # ---------------------------------------------------------------------------
 # member schema (shared by CLI flags and manifest members)
 # ---------------------------------------------------------------------------
 
-# Every key has one kind wherever it appears, and each command lists its
-# required and optional keys.  Coercion rejects bool and float (a JSON 3.5 or
-# true must not pass as a weight) and names the key as its CLI flag in every
-# message.
+# Every key has one kind wherever it appears, and each command takes the
+# keys its handler's parameters name.  Coercion rejects bool and float (a JSON
+# 3.5 or true must not pass as a weight) and names the key as its CLI flag in
+# every message.
 
 
 def _nats(value: object, name: str) -> MultiIndex:
@@ -380,37 +375,47 @@ def _bijection_kind(value: object, name: str) -> str:
     return value
 
 
-# key -> (coercer, the key's name in messages: its CLI flag where it has one)
-_KEYS: dict[str, tuple[Callable[[object, str], object], str]] = {
-    "z": (_nats, "--z"),
-    "k": (_nats, "--k"),
-    "n": (_nats, "--n"),
-    "p": (natural, "--p"),
-    "q": (natural, "--q"),
-    "r": (natural, "--r"),
-    "i": (natural, "--i"),
-    "j": (natural, "--j"),
-    "x": (natural, "--x"),
-    "order": (natural, "--order"),
-    "kind": (_bijection_kind, "kind"),
-    "identity": (_text, "identity"),
-    "word": (_text, "--word"),
-    "grid_range": (_range, "--grid-range"),
-    "point": (_point, "--point"),
-    "expect_coefficients": (_coefficients, "expect_coefficients"),
-    "label": (_text, "label"),
+# key -> (coercer, the key's name in messages: its CLI flag where it has one,
+# its help text)
+_KEYS: dict[str, tuple[Callable[[object, str], object], str, str]] = {
+    "z": (_nats, "--z", "grading, comma-separated naturals"),
+    "k": (_nats, "--k", "letter counts of a word class; the multi-index of absorption"),
+    "n": (_nats, "--n", "letter counts of a prefix class; an identity's multi-index"),
+    "p": (natural, "--p", "word weight (the prefix weight of a prefix class)"),
+    "q": (natural, "--q", "suffix weight of a prefix class"),
+    "r": (natural, "--r", "required prefix weight (enumerate); shift distance, default 1"),
+    "i": (natural, "--i", "letter index i"),
+    "j": (natural, "--j", "letter index j"),
+    "x": (natural, "--x", "exponent x >= 1 of the generating-function checks"),
+    "order": (natural, "--order", "truncation order N"),
+    "kind": (_bijection_kind, "kind", "shift or raney"),
+    "identity": (_text, "identity", f"one of: {', '.join(catalog_names())}"),
+    "word": (_text, "--word", "apply to this word instead of the whole class"),
+    "grid_range": (_range, "--grid-range", "draw grid candidates from this range A..B"),
+    "point": (_point, "--point", "evaluate at one exact point VAR=VALUE,... instead of a grid"),
+    "expect_coefficients": (_coefficients, "expect_coefficients", "manifest only: exponent: value"),
+    "label": (_text, "label", "manifest only: the member's label in the suite report"),
 }
 
+
+def _schema(handler: Callable[..., Payload]) -> tuple[Callable[..., Payload], tuple, tuple]:
+    """(handler, required keys, optional keys): the handler's parameters
+    without and with a default."""
+    params = inspect.signature(handler).parameters.values()
+    required = tuple(p.name for p in params if p.default is p.empty)
+    return handler, required, tuple(p.name for p in params if p.name not in required)
+
+
 # command -> (handler, required keys, optional keys)
-_COMMANDS: dict[str, tuple[Callable[..., Payload], tuple[str, ...], tuple[str, ...]]] = {
-    "count": (do_count, ("z", "p"), ("k", "q", "n")),
-    "enumerate": (do_enumerate, ("z", "p", "k"), ("r",)),
-    "bijection": (do_bijection, ("kind", "z", "p"), ("q", "n", "r", "word")),
-    "verify": (do_verify, ("identity", "z"), ("n", "k", "i", "j", "grid_range", "point")),
-    "series-solve": (do_series_solve, ("z", "order"), ("expect_coefficients",)),
-    "series-check1": (partial(do_series_check, 1), ("x", "z", "order"), ()),
-    "series-check2": (partial(do_series_check, 2), ("x", "z", "order"), ()),
-}
+_COMMANDS = {name: _schema(handler) for name, handler in {
+    "count": do_count,
+    "enumerate": do_enumerate,
+    "bijection": do_bijection,
+    "verify": do_verify,
+    "series-solve": do_series_solve,
+    "series-check1": check_generating_function_1,
+    "series-check2": check_generating_function_2,
+}.items()}
 
 
 def _coerce_member(config: object) -> tuple[str, dict]:
@@ -432,7 +437,7 @@ def _coerce_member(config: object) -> tuple[str, dict]:
     del given["command"]
     values = {}
     for key, value in given.items():
-        coerce, name = _KEYS[key]
+        coerce, name, _ = _KEYS[key]
         values[key] = coerce(value, name)
     return command, values
 
@@ -514,9 +519,9 @@ def _predicted_work(command: str, values: dict) -> int:
     try:
         if command in ("count", "enumerate"):
             if n is not None and q is not None:
-                units = 2 * int(count_prefix_class(p, q, n, _alphabet(z)))
+                units = 2 * int(count_prefix_class(p, q, n, GradedAlphabet(z)))
             elif get("k") is not None:
-                size = int(count_words(p, get("k"), _alphabet(z)))
+                size = int(count_words(p, get("k"), GradedAlphabet(z)))
                 units = (1 if command == "count" else 4) * size
         elif command == "bijection":
             if get("word") is not None:
@@ -524,9 +529,9 @@ def _predicted_work(command: str, values: dict) -> int:
             elif q is not None and n is not None:
                 total = q + dot(n, z)
                 if get("kind") == "shift":
-                    units = 9 * r * int(count_prefix_class(p, total, n, _alphabet(z)))
+                    units = 9 * r * int(count_prefix_class(p, total, n, GradedAlphabet(z)))
                 else:
-                    units = 9 * int(count_words(p + total, n, _alphabet(z)))
+                    units = 9 * int(count_words(p + total, n, GradedAlphabet(z)))
         elif command == "verify":
             entry = CATALOG.get(get("identity"))
             slot = n if n is not None else get("k")
@@ -857,7 +862,11 @@ def _default_jobs() -> int:
     return jobs
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line, built once per process: a subcommand per command name
+    before its first "-", a positional per required key without a flag, and a
+    flag per key with one.  The schema, not argparse, refuses a missing or bad key."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json",
                         help="report rendering (default json)")
@@ -868,50 +877,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification of graded-word bijections and convolution identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", parents=[common],
-                             help="closed-form count vs enumeration")
-    p_count.add_argument("--z", required=True, help="grading, comma-separated naturals")
-    p_count.add_argument("--p", required=True, type=int, help="word weight")
-    p_count.add_argument("--k", help="letter counts (word-class form)")
-    p_count.add_argument("--q", type=int, help="suffix weight (prefix-class form)")
-    p_count.add_argument("--n", help="letter counts (prefix-class form, with --q)")
-
-    p_enum = sub.add_parser("enumerate", parents=[common], help="list a word class")
-    p_enum.add_argument("--z", required=True)
-    p_enum.add_argument("--p", required=True, type=int)
-    p_enum.add_argument("--k", required=True)
-    p_enum.add_argument("--r", type=int, help="require a prefix of this weight")
-
-    p_bij = sub.add_parser("bijection", parents=[common],
-                           help="apply or verify a bijection")
-    p_bij.add_argument("kind", choices=("shift", "raney"))
-    p_bij.add_argument("--z", required=True)
-    p_bij.add_argument("--p", required=True, type=int)
-    p_bij.add_argument("--q", type=int)
-    p_bij.add_argument("--n")
-    p_bij.add_argument("--r", type=int, help="shift distance (shift only, default 1)")
-    p_bij.add_argument("--word", help="apply to this word instead of the whole class")
-
-    p_verify = sub.add_parser("verify", parents=[common], help="check an identity")
-    p_verify.add_argument("identity", metavar="identity",
-                          help=f"one of: {', '.join(catalog_names())}")
-    p_verify.add_argument("--n")
-    p_verify.add_argument("--k", help="multi-index for absorption (alias of --n)")
-    p_verify.add_argument("--z", required=True)
-    p_verify.add_argument("--i", type=int)
-    p_verify.add_argument("--j", type=int)
-    p_verify.add_argument("--grid-range", metavar="A..B",
-                          help="draw grid candidates from this inclusive range")
-    p_verify.add_argument("--point", metavar="VAR=VALUE,...",
-                          help="evaluate at one exact point instead of a grid")
-
-    p_series = sub.add_parser("series", parents=[common],
-                              help="functional-equation series checks")
-    p_series.add_argument("action", choices=("solve", "check1", "check2"))
-    p_series.add_argument("--z", required=True)
-    p_series.add_argument("--order", required=True, type=int, help="truncation order N")
-    p_series.add_argument("--x", type=int, help="exponent for check1/check2")
+    groups: dict[str, dict[str, tuple]] = {}
+    for name, spec in _COMMANDS.items():
+        head, _, action = name.partition("-")
+        groups.setdefault(head, {})[action] = spec
+    for head, actions in groups.items():
+        summary = "; ".join(
+            (f"{action}: " if action else "") + handler.__doc__.splitlines()[0].rstrip(".")
+            for action, (handler, _, _) in actions.items()
+        )
+        p_sub = sub.add_parser(head, parents=[common], help=summary, description=summary)
+        if "" not in actions:
+            p_sub.add_argument("action", choices=list(actions))
+        required = {key for _, keys, _ in actions.values() for key in keys}
+        for key in dict.fromkeys(key for _, req, opt in actions.values() for key in req + opt):
+            coerce, name, text = _KEYS[key]
+            if name.startswith("--"):
+                p_sub.add_argument(name, type=int if coerce is natural else None, help=text)
+            elif key in required:
+                p_sub.add_argument(key, nargs="?", help=text)
 
     p_suite = sub.add_parser("suite", parents=[common], help="run a manifest of checks")
     p_suite.add_argument("--manifest", metavar="PATH",
@@ -922,6 +906,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unrepeated(pairs: list[tuple[str, object]]) -> dict:
+    """A manifest's JSON object; a repeated key, whose last value json would keep, is refused."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise PreconditionError(f"manifest repeats the key {key!r} in one object")
+    return obj
+
+
 def _dispatch(args: argparse.Namespace) -> tuple[Payload, int]:
     if args.command != "suite":
         member = {
@@ -929,14 +923,14 @@ def _dispatch(args: argparse.Namespace) -> tuple[Payload, int]:
             for key, value in vars(args).items()
             if key not in ("format", "output", "action")
         }
-        if args.command == "series":
-            member["command"] = f"series-{args.action}"
+        if "action" in args:
+            member["command"] += "-" + args.action
         payload = run_member(member)
         return payload, _payload_exit_code(payload)
     if args.manifest:
         try:
             with open(args.manifest, encoding="utf-8") as handle:
-                manifest = json.load(handle)
+                manifest = json.load(handle, object_pairs_hook=_unrepeated)
         except FileNotFoundError:
             raise PreconditionError(f"manifest file not found: {args.manifest}")
         except json.JSONDecodeError as exc:

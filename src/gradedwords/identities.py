@@ -29,9 +29,9 @@ the degree bound and checks exact equality at every point.
 
 Grid points are ints, and so is C(x, n) at an integer x, so the polynomial
 sides are evaluated in int arithmetic.  A rational side sums its quotients
-through _qsum: numerators and denominators are accumulated in ints over one
-common denominator, a product of declared poles, and a single
-Fraction(num, den) is built at the end.  _qsum is the one place a rational
+through arith.qsum: numerators and denominators are accumulated in ints over
+one common denominator, a product of declared poles, and divided once, by
+arith.exact, into an int or a Fraction.  qsum is the one place a rational
 side divides, where an exact polynomial division would go.  The Abel forms
 keep _pow, whose power -1 falls on a declared pole: read as a quotient, the
 factor (x - kz)^(k-1) would bring a pole nobody declared.  No evaluator
@@ -66,7 +66,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .arith import (
     MultiIndex,
@@ -75,6 +75,7 @@ from .arith import (
     dot,
     format_scalar,
     multinomial,
+    qsum,
     natural,
     naturals,
     norm,
@@ -337,20 +338,6 @@ def _pow(base: Scalar, e: int) -> Scalar:
     return base**e if e >= 0 else Fraction(1, base**-e)
 
 
-def _qsum(terms: Iterable[tuple[Scalar, Scalar]]) -> Fraction:
-    """The sum of num/den over the (num, den) terms, as one Fraction.
-
-    The terms are added over a common denominator, the product of every
-    den, and divided once.  Each den is a product of declared poles, so it
-    is nonzero wherever the caller evaluates."""
-    num, den = 0, 1
-    for a, b in terms:
-        if type(a) is not int or type(b) is not int:  # a rational point: a/b over ints
-            a, b = a.numerator * b.denominator, a.denominator * b.numerator
-        num, den = num * b + a * den, den * b
-    return Fraction(num, den)
-
-
 _multinomial = multinomial  # arith's, which the bodies call outside a grid
 
 
@@ -422,7 +409,7 @@ def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
 @_identity("rothe-1", poles=_poles_x, classical=True)
 def eval_rothe_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k (x/(x-kz)) C(x-kz,k) C(y+kz,n-k)  vs  C(x+y,n)."""
-    lhs = _qsum(
+    lhs = qsum(
         (x * multinomial(x - k * z, (k,)) * multinomial(y + k * z, (n - k,)), x - k * z)
         for k in range(n + 1)
     )
@@ -433,14 +420,14 @@ def eval_rothe_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fra
 def eval_rothe_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k xy/((x-kz)(y-(n-k)z)) C(x-kz,k) C(y-(n-k)z,n-k)
     vs  (x+y)/(x+y-nz) C(x+y-nz,n)."""
-    lhs = _qsum(
+    lhs = qsum(
         (
             x * y * multinomial(x - k * z, (k,)) * multinomial(y - (n - k) * z, (n - k,)),
             (x - k * z) * (y - (n - k) * z),
         )
         for k in range(n + 1)
     )
-    rhs = _qsum([((x + y) * multinomial(x + y - n * z, (n,)), x + y - n * z)])
+    rhs = qsum([((x + y) * multinomial(x + y - n * z, (n,)), x + y - n * z)])
     return lhs, rhs
 
 
@@ -490,7 +477,7 @@ def eval_raney_mohanty_1(
     x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
 ) -> tuple[Fraction, Fraction]:
     """sum_{0<=k<=n} (x/(x-k.z)) C(x-k.z,k) C(y+k.z,n-k)  vs  C(x+y,n)."""
-    lhs = _qsum(
+    lhs = qsum(
         (x * multinomial(x - kz, k) * multinomial(y + kz, r), x - kz)
         for k, kz, r, _, _ in _terms(n, z)
     )
@@ -503,12 +490,12 @@ def eval_raney_mohanty_2(
 ) -> tuple[Fraction, Fraction]:
     """sum_k xy/((x-k.z)(y-(n-k).z)) C(x-k.z,k) C(y-(n-k).z,n-k)
     vs  (x+y)/(x+y-n.z) C(x+y-n.z,n)."""
-    lhs = _qsum(
+    lhs = qsum(
         (x * y * multinomial(x - kz, k) * multinomial(y - rz, r), (x - kz) * (y - rz))
         for k, kz, r, rz, _ in _terms(n, z)
     )
     nz = dot(n, z)
-    rhs = _qsum([((x + y) * multinomial(x + y - nz, n), x + y - nz)])
+    rhs = qsum([((x + y) * multinomial(x + y - nz, n), x + y - nz)])
     return lhs, rhs
 
 
@@ -607,7 +594,7 @@ def check_absorption(
     """C(p-k.z-1, k-e_i)  vs  (k_i/(p-k.z)) C(p-k.z, k),  p-k.z != 0."""
     kz = dot(k, z)
     lhs = multinomial(p - kz - 1, vec_sub(k, unit(len(k), i)))
-    rhs = _qsum([(k[i - 1] * multinomial(p - kz, k), p - kz)])
+    rhs = qsum([(k[i - 1] * multinomial(p - kz, k), p - kz)])
     return lhs, rhs
 
 
@@ -625,8 +612,8 @@ def check_rm2_decomposition(
         (x * y * multinomial(x - kz, k) * multinomial(y - rz, r), x - kz, y - rz)
         for k, kz, r, rz, _ in _terms(n, z)
     ]
-    lhs = _qsum((prod, a * b) for prod, a, b in rows)
-    rhs = _qsum((prod, d * w) for prod, a, b in rows for d in (a, b))  # (S1 + S2) / w
+    lhs = qsum((prod, a * b) for prod, a, b in rows)
+    rhs = qsum((prod, d * w) for prod, a, b in rows for d in (a, b))  # (S1 + S2) / w
     return lhs, rhs
 
 

@@ -2,11 +2,13 @@
 
 A TruncatedSeries holds the coefficients of total degree at most N in m
 variables u_1..u_m: an int where the value is integral, a Fraction only
-where a division leaves a remainder.  Arithmetic truncates at N; a product
-pairs each term only with the terms of the other factor that keep it within
-degree N.  Powers with a nonzero constant term, and the reciprocal (power
--1), come from the Euler-operator recurrence of J.C.P. Miller (Knuth, TAOCP
-vol. 2, 4.7), one quadratic pass for any a: for w = s^a,
+where a division leaves a remainder.  Every division goes through
+arith.exact, the division arith.qsum makes for the rational identities.
+Arithmetic truncates at N; a product pairs each term only with the terms of
+the other factor that keep it within degree N.  Powers with a nonzero
+constant term, and the reciprocal (power -1), come from the Euler-operator
+recurrence of J.C.P. Miller (Knuth, TAOCP vol. 2, 4.7), one quadratic pass
+for any a: for w = s^a,
 
     |k| s_0 w_k = sum_{0 < j <= k} (a|j| - |k-j|) s_j w_(k-j).
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .arith import MultiIndex, Scalar, dot, multinomial, natural, naturals, norm, rational
+from .arith import MultiIndex, Scalar, dot, exact, multinomial, natural, naturals, norm, rational
 from .errors import DimensionMismatchError, PreconditionError
 from .reports import VERDICT_EQUAL, VERDICT_MISMATCH, EvalReport
 
@@ -60,14 +62,6 @@ def exponents_up_to(nvars: int, order: int) -> Iterator[MultiIndex]:
         yield from parts(degree, nvars)
 
 
-def _exact(num: Scalar, den: Scalar) -> Scalar:
-    """num / den, as an int when the quotient is integral."""
-    if type(num) is int and type(den) is int and not num % den:
-        return num // den
-    q = Fraction(num, den)
-    return q.numerator if q.denominator == 1 else q
-
-
 def _by_degree(coeffs: Mapping[MultiIndex, Scalar], order: int) -> list[dict]:
     """The terms of a series grouped by total degree, 0 through order."""
     out: list[dict] = [{} for _ in range(order + 1)]
@@ -88,7 +82,7 @@ def _miller_step(s: list[dict], w: list[dict], alpha: int, d: int, c0: Scalar) -
             for i, wi in w[d - t].items():
                 k = tuple(map(int.__add__, i, j))
                 acc[k] = acc.get(k, 0) + c * wi
-    return {k: _exact(n, d * c0) for k, n in acc.items() if n}
+    return {k: exact(n, d * c0) for k, n in acc.items() if n}
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +109,7 @@ class TruncatedSeries:
             exponent = tuple(exponent)
             if len(exponent) != self.nvars or min(exponent, default=0) < 0:
                 raise PreconditionError(f"bad exponent {exponent} for {self.nvars} variables")
-            value = _exact(rational(value, f"coefficient of {exponent}"), 1)
+            value = exact(rational(value, f"coefficient of {exponent}"), 1)
             if value and sum(exponent) <= self.order:
                 cleaned[exponent] = value
         object.__setattr__(self, "coeffs", cleaned)
@@ -213,7 +207,7 @@ class TruncatedSeries:
         return self + (-other)
 
     def scaled(self, factor: Scalar) -> TruncatedSeries:
-        factor = _exact(rational(factor, "scale factor"), 1)
+        factor = exact(rational(factor, "scale factor"), 1)
         scaled = {e: factor * c for e, c in self.coeffs.items()}
         return TruncatedSeries._trusted(self.nvars, self.order, scaled)
 
@@ -252,7 +246,7 @@ class TruncatedSeries:
         """self^alpha by the Miller recurrence; the constant term is nonzero."""
         c0 = self.coeffs[(0,) * self.nvars]
         s = _by_degree(self.coeffs, self.order)
-        w = [{(0,) * self.nvars: _exact(Fraction(c0) ** alpha, 1)}]
+        w = [{(0,) * self.nvars: exact(Fraction(c0) ** alpha, 1)}]
         for d in range(1, self.order + 1):
             w.append(_miller_step(s, w, alpha, d, c0))
         coeffs = {k: c for level in w for k, c in level.items()}
@@ -332,7 +326,7 @@ def check_generating_function_1(x: int, z: MultiIndex, order: int) -> EvalReport
     m = len(z)
     tops = ((k, x + dot(k, z)) for k in exponents_up_to(m, order))
     left = TruncatedSeries._trusted(
-        m, order, {k: _exact(x * multinomial(t, k), t) for k, t in tops}
+        m, order, {k: exact(x * multinomial(t, k), t) for k, t in tops}
     )
     right = solve_functional_equation(z, order) ** x
     return _compare_series("generating-function-1", x, z, left, right)

@@ -57,18 +57,12 @@ class GradedAlphabet:
     z: MultiIndex
     _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(e < 0 for e in self.z):
             raise PreconditionError(f"grading entries must be >= 0, got {self.z}")
         object.__setattr__(self, "_weights", (1,) + tuple(e + 1 for e in self.z))
         object.__setattr__(self, "_names", tuple(map(self.letter_name, range(self.m + 1))))
-        object.__setattr__(self, "_hash", hash(tuple(self.z)))
-
-    def __hash__(self) -> int:
-        # every Word hash hashes its alphabet, so the alphabet's is computed once
-        return self._hash
 
     @property
     def m(self) -> int:

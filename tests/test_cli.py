@@ -667,6 +667,113 @@ def test_cli_flags_and_suite_members_give_the_same_reports(capsys):
     assert spelled == len(manifest) - 1
 
 
+# the schema as it was declared by hand, before it was read from the handlers
+_FROZEN_COMMANDS = {
+    "count": (("z", "p"), ("k", "q", "n")),
+    "enumerate": (("z", "p", "k"), ("r",)),
+    "bijection": (("kind", "z", "p"), ("q", "n", "r", "word")),
+    "verify": (("identity", "z"), ("n", "k", "i", "j", "grid_range", "point")),
+    "series-solve": (("z", "order"), ("expect_coefficients",)),
+    "series-check1": (("x", "z", "order"), ()),
+    "series-check2": (("x", "z", "order"), ()),
+}
+
+
+def test_commands_are_read_from_the_handler_signatures():
+    assert {name: keys for name, (_, *keys) in _COMMANDS.items()} == {
+        name: list(keys) for name, keys in _FROZEN_COMMANDS.items()
+    }
+    assert _COMMANDS["series-check1"][0] is gradedwords.check_generating_function_1
+    assert _COMMANDS["series-check2"][0] is gradedwords.check_generating_function_2
+    assert all(key in cli._KEYS for _, req, opt in _COMMANDS.values() for key in req + opt)
+
+
+def test_a_flag_is_an_int_exactly_where_its_key_is_a_natural():
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser  # built once per process
+    for name, (_, required, optional) in _COMMANDS.items():
+        for key in required + optional:
+            coerce, flag, _ = cli._KEYS[key]
+            if flag.startswith("--"):
+                parsed = vars(parser.parse_args([*name.split("-", 1), flag, "3"]))[key]
+                assert parsed == (3 if coerce is cli.natural else "3"), (name, flag)
+
+
+@pytest.mark.parametrize("sub", ["count", "enumerate", "bijection", "verify", "series", "suite"])
+def test_help_lists_exactly_the_flags_of_the_subcommands_keys(sub):
+    src = str(Path(gradedwords.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="1000")  # one line per option
+    done = subprocess.run([sys.executable, "-m", "gradedwords", sub, "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_PASS and done.stderr == ""
+    listed = {line.split()[0] for line in done.stdout.splitlines() if line.startswith("  --")}
+    keys = {key for name, (_, req, opt) in _COMMANDS.items()
+            if name.split("-")[0] == sub for key in req + opt}
+    flags = {cli._KEYS[key][1] for key in keys} if keys else {"--manifest", "--jobs"}
+    assert listed == {"--format", "--output"} | {f for f in flags if f.startswith("--")}
+    if sub == "verify":
+        assert ", ".join(CATALOG) in done.stdout
+
+
+_MINIMAL = [
+    {"command": "count", "z": [1], "p": 3, "k": [1]},
+    {"command": "enumerate", "z": [1], "p": 3, "k": [1]},
+    {"command": "bijection", "kind": "shift", "z": [1], "p": 2, "word": "a a b"},
+    {"command": "verify", "identity": "rothe-1", "z": [1], "n": [2]},
+    {"command": "series-solve", "z": [2], "order": 3},
+    {"command": "series-check1", "x": 1, "z": [1], "order": 3},
+    {"command": "series-check2", "x": 1, "z": [1], "order": 3},
+]
+
+
+@pytest.mark.parametrize("member", _MINIMAL, ids=[m["command"] for m in _MINIMAL])
+def test_a_missing_required_key_gets_the_members_message(capsys, member):
+    assert run(capsys, *_argv(member))[0] == EXIT_PASS
+    for key in _COMMANDS[member["command"]][1]:
+        partial = {k: v for k, v in member.items() if k != key}
+        code, out, err = run(capsys, *_argv(partial))  # returns: argparse does not exit
+        entry = run_suite([partial], 1)[0]["members"][0]
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == entry["error"] + "\n"
+        assert err.endswith(f"{member['command']} needs {cli._KEYS[key][1]}\n")
+
+
+def test_a_bad_positional_gets_the_members_message(capsys):
+    code, out, err = run(capsys, "bijection", "foo", "--z", "1", "--p", "1")
+    assert code == EXIT_CONFIG and "kind must be shift or raney, got 'foo'" in err
+    code, out, err = run(capsys, "verify", "nonsense", "--n", "1", "--z", "1")
+    assert code == EXIT_CONFIG and "unknown identity 'nonsense'" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # --k used to be dropped from the prefix-class count's params, with exit 0
+    (["count", "--z", "1", "--p", "2", "--q", "2", "--n", "1", "--k", "5"], "--k only applies"),
+    # --k used to be an alias of --n for every identity
+    (["verify", "rothe-1", "--k", "2", "--z", "1"], "rothe-1 takes --n, not --k"),
+    (["verify", "absorption", "--n", "2,1", "--z", "1,2", "--i", "1"],
+     "absorption takes --k, not --n"),
+    (["verify", "kmx", "--n", "1", "--k", "1", "--z", "1"], "kmx takes --n, not --k"),
+    (["verify", "absorption", "--z", "1,2", "--i", "1"], "absorption needs --k"),
+])
+def test_each_flag_has_one_meaning(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG and out == "" and flag in err
+
+
+@pytest.mark.parametrize("text, key", [
+    ('[{"command": "count", "z": [1], "p": 3, "k": [1], "p": 4}]', "'p'"),
+    ('[{"command": "verify", "identity": "rothe-1", "n": [2], "z": [1],'
+     ' "point": {"x": "1/2", "y": "1/3", "y": "2"}}]', "'y'"),
+])
+def test_a_manifest_repeating_a_key_exits_two(tmp_path, capsys, text, key):
+    # json keeps the last value: the point member used to run at y = 2, with exit 0
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "suite", "--manifest", str(path))
+    assert code == EXIT_CONFIG and out == ""
+    assert f"repeats the key {key}" in err
+
+
 # ---------------------------------------------------------------------------
 # output handling
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from gradedwords import (
     verify_identity_at_point,
     verify_identity_on_grid,
 )
-from gradedwords import identities
+from gradedwords import arith, identities
 from gradedwords.identities import (
     _poles_abel_2,
     _poles_x,
@@ -829,19 +829,22 @@ _QTERMS = st.lists(st.tuples(_QTERM_PART, _QTERM_PART.filter(bool)), max_size=8)
 @given(terms=_QTERMS)
 @settings(max_examples=200)
 def test_qsum_is_the_termwise_fraction_sum(terms):
-    got = identities._qsum(iter(terms))
-    assert type(got) is Fraction
-    assert got == sum((Fraction(a) / Fraction(b) for a, b in terms), Fraction(0))
+    got = arith.qsum(iter(terms))
+    want = sum((Fraction(a) / Fraction(b) for a, b in terms), Fraction(0))
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
 def test_qsum_with_int_terms_divides_once(monkeypatch):
     made = []
-    real = identities.Fraction
+    real = arith.Fraction
 
     def counting(*args):
         made.append(args)
         return real(*args)
 
-    monkeypatch.setattr(identities, "Fraction", counting)
-    assert identities._qsum([(1, 2), (1, -3), (5, 6), (0, 7)]) == real(1)
+    monkeypatch.setattr(arith, "Fraction", counting)
+    one = arith.qsum([(1, 2), (1, -3), (5, 6), (0, 7)])
+    assert type(one) is int and one == 1 and made == []  # integral: no Fraction at all
+    assert arith.qsum([(1, 2), (1, -3), (5, 7)]) == real(37, 42)
     assert len(made) == 1
