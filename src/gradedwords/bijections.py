@@ -36,8 +36,8 @@ from .reports import VERDICT_FAIL, VERDICT_PASS, EvalReport
 from .words import (
     GradedAlphabet,
     Word,
-    _iter_class,
-    _prefix_cut,
+    _class_blocks,
+    _class_size,
     _trusted_word,
     count_prefix_class,
     count_words,
@@ -250,6 +250,8 @@ def find_balanced_pair(u: Word, v: Word) -> BalancedPair:
 def _shift_cut(w: Word, p: int, r: int, at: int) -> int:
     """Check the preconditions of an r-fold shift from prefix weight p, and
     return the length of the weight-`at` prefix of w, which must exist."""
+    if r < 1:
+        raise PreconditionError(f"requires r >= 1, got {r}")
     nz, q = _class_params(w, p)
     if p < nz:
         raise PreconditionError(f"requires p >= n.z (p={p}, n.z={nz})")
@@ -277,18 +279,32 @@ def shift_down(w: Word, p: int) -> Word:
     return _trusted_word(w.alphabet, image)
 
 
+def _shift_letters(
+    lw: tuple[int, ...], letters: tuple[int, ...], cut: int, r: int, excess: int = 1
+) -> tuple[tuple[int, ...], int]:
+    """r unit shifts from the cut, up (excess +1) or down (-1), each carrying
+    the cut to the next: the last image and its cut."""
+    for _ in range(r):
+        letters, cut = _swap_balanced(lw, letters, cut, excess)
+    return letters, cut
+
+
 def shift_by(w: Word, p: int, r: int) -> Word:
     """r-fold composition of unit shifts: prefix weight p to prefix weight
     p + r.  Requires q >= r >= 1.  Each unit shift returns its image's next
     cut, so the word is scanned for a cut only once."""
-    if r < 1:
-        raise PreconditionError(f"requires r >= 1, got {r}")
     cut = _shift_cut(w, p, r, p)
-    lw = w.alphabet.letter_weights()
-    letters = w.letters
-    for _ in range(r):
-        letters, cut = _swap_balanced(lw, letters, cut)
+    letters, _ = _shift_letters(w.alphabet.letter_weights(), w.letters, cut, r)
     return _trusted_word(w.alphabet, letters)
+
+
+def _shift_round_trip(w: Word, p: int, r: int) -> tuple[Word, Word]:
+    """shift_by(w, p, r), and that image shifted back down r times.  The
+    way back starts from the image's cut, so w is the only word scanned."""
+    lw = w.alphabet.letter_weights()
+    image, cut = _shift_letters(lw, w.letters, _shift_cut(w, p, r, p), r)
+    back, _ = _shift_letters(lw, image, cut, r, -1)
+    return _trusted_word(w.alphabet, image), _trusted_word(w.alphabet, back)
 
 
 def raney_factorize(w: Word, p: int) -> RaneyFactorization:
@@ -366,8 +382,12 @@ def verify_shift_bijection(
     lw = alphabet.letter_weights()
     params = {"p": p, "q": q, "n": list(n), "z": list(z), "r": r}
 
-    source = list(_iter_class(z, total_weight, n, r=p))
-    target = set(_iter_class(z, total_weight, n, r=p + r))
+    tables: dict = {}  # the leftover-letter tables both classes share
+    source = list(_class_blocks(z, total_weight, n, p, tables))
+    source_size = sum(len(table) for _, _, table in source)
+    target = set()
+    for _, head, table in _class_blocks(z, total_weight, n, p + r, tables):
+        target.update(map(head.__add__, table))
     report = EvalReport(check="shift-bijection", params=params)
 
     def fail(reason: str, **ctx: object) -> EvalReport:
@@ -375,38 +395,39 @@ def verify_shift_bijection(
         report.counterexample = {"reason": reason, **ctx}
         return report
 
-    if len(source) != len(target):
+    if source_size != len(target):
         return fail(
-            "class sizes differ", source_size=len(source), target_size=len(target)
+            "class sizes differ", source_size=source_size, target_size=len(target)
         )
     images = set()
-    for letters in source:
-        current, cut = letters, _prefix_cut(lw, letters, p)
-        for _ in range(r):
-            current, cut = _swap_balanced(lw, current, cut)
-        if current not in target:
-            return fail(
-                "image escapes the target class",
-                word=_render(alphabet, letters),
-                image=_render(alphabet, current),
-            )
-        if current in images:
-            return fail(
-                "shift is not injective",
-                word=_render(alphabet, letters),
-                image=_render(alphabet, current),
-            )
-        images.add(current)
-        back = current
-        for _ in range(r):
-            back, cut = _swap_balanced(lw, back, cut, -1)
-        if back != letters:
-            return fail(
-                "inverse does not round-trip",
-                word=_render(alphabet, letters),
-                image=_render(alphabet, current),
-                back=_render(alphabet, back),
-            )
+    for source_cut, head, table in source:
+        for letters in map(head.__add__, table):
+            current, cut = letters, source_cut  # the block's weight-p cut
+            for _ in range(r):
+                current, cut = _swap_balanced(lw, current, cut)
+            if current not in target:
+                return fail(
+                    "image escapes the target class",
+                    word=_render(alphabet, letters),
+                    image=_render(alphabet, current),
+                )
+            if current in images:
+                return fail(
+                    "shift is not injective",
+                    word=_render(alphabet, letters),
+                    image=_render(alphabet, current),
+                )
+            images.add(current)
+            back = current
+            for _ in range(r):
+                back, cut = _swap_balanced(lw, back, cut, -1)
+            if back != letters:
+                return fail(
+                    "inverse does not round-trip",
+                    word=_render(alphabet, letters),
+                    image=_render(alphabet, current),
+                    back=_render(alphabet, back),
+                )
     if images != target:
         missing = sorted(target - images)[:3]
         return fail(
@@ -415,8 +436,8 @@ def verify_shift_bijection(
         )
     report.verdict = VERDICT_PASS
     report.details = {
-        "class_size": len(source),
-        "round_trips": len(source),
+        "class_size": source_size,
+        "round_trips": source_size,
     }
     return report
 
@@ -447,25 +468,27 @@ def verify_raney_decomposition(
     prefix_tally = 0
     overshoot_tally: dict[tuple[int, int, MultiIndex], int] = {}
     total = 0
-    for letters in _iter_class(z, total_weight, n):
-        total += 1
-        cut, achieved = _raney_cut(lw, letters, p)
-        if achieved == p:
-            prefix_tally += 1
-            i, j, u = 0, 0, letters[:cut]
-        else:
-            i, j, u = letters[cut - 1], achieved - p, letters[: cut - 1]
-            key = (i, j, tuple(map(letters[:cut].count, range(1, m + 1))))
-            overshoot_tally[key] = overshoot_tally.get(key, 0) + 1
-        try:
-            reassembled = _raney_join(lw, p, i, j, u, letters[cut:])
-        except PreconditionError as exc:
-            return fail(str(exc), word=_render(alphabet, letters))
-        if reassembled != letters:
-            return fail("factorization does not reassemble", word=_render(alphabet, letters))
+    tables: dict = {}  # the leftover-letter tables every class below shares
+    for _, head, table in _class_blocks(z, total_weight, n, tables=tables):
+        for letters in map(head.__add__, table):
+            total += 1
+            cut, achieved = _raney_cut(lw, letters, p)
+            if achieved == p:
+                prefix_tally += 1
+                i, j, u = 0, 0, letters[:cut]
+            else:
+                i, j, u = letters[cut - 1], achieved - p, letters[: cut - 1]
+                key = (i, j, tuple(map(letters[:cut].count, range(1, m + 1))))
+                overshoot_tally[key] = overshoot_tally.get(key, 0) + 1
+            try:
+                reassembled = _raney_join(lw, p, i, j, u, letters[cut:])
+            except PreconditionError as exc:
+                return fail(str(exc), word=_render(alphabet, letters))
+            if reassembled != letters:
+                return fail("factorization does not reassemble", word=_render(alphabet, letters))
 
     # the weight-p prefix subclass, both routes
-    prefix_enumerated = sum(1 for _ in _iter_class(z, total_weight, n, r=p))
+    prefix_enumerated = _class_size(z, total_weight, n, p, tables)
     prefix_formula = count_prefix_class(p, q + nz, n, alphabet)
     if not prefix_tally == prefix_enumerated == prefix_formula:
         return fail(
@@ -498,10 +521,8 @@ def verify_raney_decomposition(
                         formula=str(formula),
                     )
                 if tally:
-                    head_count = sum(1 for _ in _iter_class(z, head_p, ku))
-                    tail_count = sum(
-                        1 for _ in _iter_class(z, tail_p, vec_sub(n, k))
-                    )
+                    head_count = _class_size(z, head_p, ku, tables=tables)
+                    tail_count = _class_size(z, tail_p, vec_sub(n, k), tables=tables)
                     if head_count * tail_count != tally:
                         return fail(
                             "overshoot cell tally disagrees with enumeration",

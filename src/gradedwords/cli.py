@@ -33,8 +33,7 @@ from .bijections import (
     PrefixCase,
     raney_factorize,
     raney_unfactorize,
-    shift_by,
-    shift_down,
+    _shift_round_trip,
     verify_raney_decomposition,
     verify_shift_bijection,
 )
@@ -62,11 +61,11 @@ from .series import (
 )
 from .words import (
     GradedAlphabet,
-    WordClassSpec,
     count_prefix_class,
     count_words,
-    enumerate_words,
-    _iter_class,
+    _check_dimension,
+    _class_blocks,
+    _class_size,
 )
 
 __all__ = ["main", "default_manifest", "run_suite"]
@@ -102,7 +101,7 @@ def do_count(
         _require(q is not None, "prefix-class count needs --q along with --n")
         _require(k is None, "--k only applies to the word-class form (without --n)")
         formula = count_prefix_class(p, q, n, alphabet)
-        enumerated = sum(1 for _ in _iter_class(alphabet.z, p + q, n, p))
+        enumerated = _class_size(alphabet.z, p + q, n, p)
         report = EvalReport(
             check="count-prefix-class",
             params={"p": p, "q": q, "n": list(n), "z": list(z)},
@@ -111,7 +110,7 @@ def do_count(
         _require(k is not None, "count needs --k (word class) or --n with --q (prefix class)")
         _require(q is None, "--q only applies to the prefix-class form (with --n)")
         formula = count_words(p, k, alphabet)
-        enumerated = sum(1 for _ in _iter_class(alphabet.z, p, k))
+        enumerated = _class_size(alphabet.z, p, k)
         report = EvalReport(check="count", params={"p": p, "k": list(k), "z": list(z)})
     report.details = {"formula": int(formula), "enumerated": enumerated}
     report.verdict = VERDICT_EQUAL if formula == enumerated else VERDICT_MISMATCH
@@ -129,9 +128,18 @@ def do_enumerate(
 ) -> dict:
     """List a word class in lexicographic order."""
     alphabet = GradedAlphabet(z)
-    words = [
-        str(w) for w in enumerate_words(WordClassSpec(p=p, k=k, r=r), alphabet)
-    ]
+    _check_dimension(k, alphabet)
+    names = tuple(map(alphabet.letter_name, range(alphabet.m + 1)))
+    words: list[str] = []
+    rendered: dict[int, list[str]] = {}  # id(table) -> its tails as text
+    for _, head, table in _class_blocks(z, p, k, r):
+        tails = rendered.get(id(table))
+        if tails is None:
+            tails = rendered[id(table)] = [" ".join(map(names.__getitem__, t)) for t in table]
+        start = " ".join(map(names.__getitem__, head))
+        if start and table[0]:  # a space only between a head and a tail
+            start += " "
+        words += map(start.__add__, tails)
     params: dict[str, object] = {"p": p, "k": list(k), "z": list(z)}
     if r is not None:
         params["r"] = r
@@ -164,10 +172,7 @@ def do_bijection(
             )
         if kind == "shift":
             steps = 1 if r is None else r
-            image = shift_by(w, p, steps)
-            back = image
-            for step in range(steps - 1, -1, -1):
-                back = shift_down(back, p + step)
+            image, back = _shift_round_trip(w, p, steps)
             report = EvalReport(
                 check="shift-word",
                 params={"p": p, "z": list(z), "r": steps},
@@ -222,6 +227,7 @@ def do_verify(
     slots = {"n": n, "k": k}
     _require(slots[other] is None, f"verify {identity} takes --{own}, not --{other}")
     _require(slots[own] is not None, f"verify {identity} needs --{own}")
+    _require(point is None or grid_range is None, "--point and --grid-range exclude each other")
     spec = IdentitySpec(
         identity=identity,
         n=slots[own],
@@ -500,10 +506,14 @@ def _run_entry(index: int, config: object) -> dict:
 # medians of per-member timings over the benchmark manifests (CPython 3.11,
 # 2 vCPUs).  The two verify costs were fitted again, timing the grid kernel
 # that memoizes C(x, n) side by side with the one before it: 5 us per grid
-# point x term and 77 us per term at a point.  Over 1077 members of those
-# manifests and the built-in suite, measured time was 0.32 to 1.6 times the
-# prediction between the 10th and 90th percentiles, which is all the LPT
-# schedule needs.
+# point x term and 77 us per term at a point.  The word-class costs were
+# fitted again for the block enumerator: members timed in shuffled order,
+# each cost scaled by the host speed the unchanged verify and series costs
+# read in the same run.  Per word that gave 2/3 us for counts of both forms,
+# 1 us to enumerate, 7 us per unit shift and 10 us per Raney factorization.
+# Over 1593 members of seeds 1-3 of those manifests and the built-in suite,
+# measured time was 0.38 to 1.7 times the prediction between the 10th and
+# 90th percentiles, which is all the LPT schedule needs.
 _DISPATCH_US = 30
 
 
@@ -519,19 +529,19 @@ def _predicted_work(command: str, values: dict) -> int:
     try:
         if command in ("count", "enumerate"):
             if n is not None and q is not None:
-                units = 2 * int(count_prefix_class(p, q, n, GradedAlphabet(z)))
+                units = 2 * int(count_prefix_class(p, q, n, GradedAlphabet(z))) // 3
             elif get("k") is not None:
                 size = int(count_words(p, get("k"), GradedAlphabet(z)))
-                units = (1 if command == "count" else 4) * size
+                units = 2 * size // 3 if command == "count" else size
         elif command == "bijection":
             if get("word") is not None:
                 units = 2 * r * len(get("word").split())
             elif q is not None and n is not None:
                 total = q + dot(n, z)
                 if get("kind") == "shift":
-                    units = 9 * r * int(count_prefix_class(p, total, n, GradedAlphabet(z)))
+                    units = 7 * r * int(count_prefix_class(p, total, n, GradedAlphabet(z)))
                 else:
-                    units = 9 * int(count_words(p + total, n, GradedAlphabet(z)))
+                    units = 10 * int(count_words(p + total, n, GradedAlphabet(z)))
         elif command == "verify":
             entry = CATALOG.get(get("identity"))
             slot = n if n is not None else get("k")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +29,9 @@ from gradedwords import (
     verify_raney_decomposition,
     verify_shift_bijection,
 )
+from gradedwords import bijections, main
 from gradedwords.bijections import _raney_join, _swap_balanced
+from gradedwords.cli import EXIT_COUNTEREXAMPLE
 
 A1 = GradedAlphabet(z=(1,))
 A2 = GradedAlphabet(z=(1, 2))
@@ -226,6 +229,40 @@ def test_shift_kernel_without_a_balanced_pair_is_a_lemma_violation():
                     _swap_balanced(lw, letters, cut, excess)
                 except LemmaViolationError:
                     pass
+
+
+def _wrong_cut(lw, letters, cut, excess=1):
+    image, image_cut = _swap_balanced(lw, letters, cut, excess)
+    return image, image_cut + 1 if excess == 1 else image_cut
+
+
+def _collapsing():
+    first = []
+
+    def collapsed(lw, letters, cut, excess=1):
+        result = _swap_balanced(lw, letters, cut, excess)
+        if excess == 1:
+            first.append(result)
+            return first[0]
+        return result
+
+    return collapsed
+
+
+@pytest.mark.parametrize("kernel, reason", [
+    (lambda: _wrong_cut, "inverse does not round-trip"),
+    (_collapsing, "shift is not injective"),
+])
+def test_a_faulty_shift_kernel_is_a_counterexample(monkeypatch, capsys, kernel, reason):
+    # the source cuts come from the enumeration blocks, the image cuts from
+    # the kernel: a kernel at fault must still fail the class, not pass it
+    monkeypatch.setattr(bijections, "_swap_balanced", kernel())
+    report = verify_shift_bijection(2, 2, (2,), A1)
+    assert report.verdict == "fail" and report.counterexample["reason"] == reason
+    monkeypatch.setattr(bijections, "_swap_balanced", kernel())
+    code = main(["bijection", "shift", "--z", "1", "--p", "2", "--q", "2", "--n", "2"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_COUNTEREXAMPLE and out["counterexample"]["reason"] == reason
 
 
 def test_shift_down_of_up_image_only():

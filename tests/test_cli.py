@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 import gradedwords
 import gradedwords.cli as cli
+from gradedwords import words
+from gradedwords.bijections import _shift_round_trip
 from gradedwords import CATALOG, PreconditionError, default_manifest, main, run_suite
 from gradedwords.cli import _COMMANDS, EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_PASS
 
@@ -99,6 +101,26 @@ def test_enumerate_with_prefix_restriction(capsys):
     assert payload["words"] == ["a a b", "b a a"]
 
 
+@pytest.mark.parametrize("cap", [1, 5, words._TABLE_CAP])
+@pytest.mark.parametrize("z, p, k, r", [
+    ((1,), 0, (0,), None),  # the empty word
+    ((1,), 0, (0,), 0),
+    ((1,), 13, (3,), None),  # more words than the table cap: heads before the tables
+    ((1,), 13, (3,), 6),
+    ((1,), 13, (3,), 13),  # the weight-r prefix is the whole word: every tail is empty
+    ((1, 2), 12, (2, 1), None),
+    ((1, 2), 12, (2, 1), 5),
+    ((0, 1), 6, (1, 1), 6),
+    ((1,), 4, (1,), None),  # one table and an empty head
+])
+def test_enumerate_renders_every_word_as_str_does(monkeypatch, cap, z, p, k, r):
+    monkeypatch.setattr(words, "_TABLE_CAP", cap)
+    alphabet = gradedwords.GradedAlphabet(z=z)
+    expected = [str(w) for w in gradedwords.enumerate_words(gradedwords.WordClassSpec(p, k, r), alphabet)]
+    payload = cli.do_enumerate(z, p, k, r)
+    assert payload["words"] == expected and payload["count"] == len(expected) > 0
+
+
 def test_bad_csv_rejected(capsys):
     code, out, err = run(capsys, "count", "--z", "x", "--p", "3", "--k", "1")
     assert code == EXIT_CONFIG and "--z" in err
@@ -136,6 +158,27 @@ def test_bijection_shift_word_r_fold(capsys):
         "--word", "a b a",
     )
     assert payload["details"]["image"] == "b a a"
+
+
+def test_bijection_shift_word_steps_back_as_the_shift_down_chain(capsys):
+    alphabet = gradedwords.GradedAlphabet(z=(1, 2))
+    p, r = 4, 3
+    source = list(gradedwords.enumerate_words(gradedwords.WordClassSpec(11, (1, 1), p), alphabet))
+    assert len(source) > 1
+    for w in source:
+        image, back = _shift_round_trip(w, p, r)
+        chain = image
+        for step in range(r - 1, -1, -1):
+            chain = gradedwords.shift_down(chain, p + step)
+        assert image == gradedwords.shift_by(w, p, r) and back == chain == w
+    code, payload = run_json(
+        capsys, "bijection", "shift", "--z", "1,2", "--p", "4", "--r", "3",
+        "--word", "a b2 a b1 a a a a",
+    )
+    assert code == EXIT_PASS and payload["verdict"] == "pass"
+    assert payload["details"]["image"] == str(
+        gradedwords.shift_by(alphabet.parse_word("a b2 a b1 a a a a"), 4, 3)
+    )
 
 
 def test_bijection_word_validation(capsys):
@@ -233,6 +276,20 @@ def test_verify_point_naming_a_variable_twice_is_config_error(capsys):
                                 "point": "x=1/2, y=1/3, x=1/2"}], 1)
     assert code == EXIT_CONFIG
     assert "--point gives x more than once" in payload["members"][0]["error"]
+
+
+def test_verify_point_with_a_grid_range_is_config_error(capsys):
+    # the range used to be ignored, with exit 0
+    code, out, err = run(
+        capsys, "verify", "rothe-1", "--n", "2", "--z", "1",
+        "--point", "x=1/2,y=7/3", "--grid-range", "20..40",
+    )
+    assert code == EXIT_CONFIG and out == ""
+    assert "--point and --grid-range exclude each other" in err
+    payload, code = run_suite([{"command": "verify", "identity": "rothe-1", "n": [2], "z": [1],
+                                "point": {"x": "1/2", "y": "7/3"}, "grid_range": [20, 40]}], 1)
+    assert code == EXIT_CONFIG
+    assert "--point and --grid-range exclude each other" in payload["members"][0]["error"]
 
 
 def test_verify_absorption_uses_k_flag(capsys):

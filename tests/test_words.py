@@ -3,6 +3,7 @@ cross-checked against an independent brute-force oracle."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from gradedwords import (
     enumerate_words,
     multinomial,
 )
+from gradedwords import words
 
 from conftest import brute_force_class, small_grid
 
@@ -261,3 +263,79 @@ def test_counts_are_exact_fractions_with_unit_denominator():
     a = GradedAlphabet(z=(1, 2))
     c = count_prefix_class(5, 5, (1, 1), a)
     assert isinstance(c, Fraction) and c.denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# block enumeration
+# ---------------------------------------------------------------------------
+
+# (z, p, k): each class has more words than the default table cap, so the
+# head search places letters past the weight-r prefix before it takes a table
+_LARGE_CLASSES = [
+    ((1,), 13, (3,)),
+    ((0,), 10, (4,)),
+    ((2,), 16, (3,)),
+    ((1, 2), 12, (2, 1)),
+    ((0, 1), 9, (2, 2)),
+    ((1, 0, 2), 10, (1, 1, 1)),
+    ((0, 0, 0), 7, (1, 2, 1)),
+]
+
+
+def _flattened(blocks):
+    return [head + t for _, head, table in blocks for t in table]
+
+
+_oracle = functools.cache(brute_force_class)
+
+
+@pytest.mark.parametrize("cap", [1, 5, words._TABLE_CAP])
+@pytest.mark.parametrize("z, p, k", _LARGE_CLASSES)
+def test_blocks_flatten_to_algorithm_l_and_the_oracle(monkeypatch, cap, z, p, k):
+    assert count_words(p, k, GradedAlphabet(z=z)) > words._TABLE_CAP
+    monkeypatch.setattr(words, "_TABLE_CAP", cap)
+    counts = [p - dot(k, z) - sum(k), *k]
+    whole = _flattened(words._class_blocks(z, p, k))
+    assert whole == list(words._arrangements(counts)) == _oracle(z, p, k)
+    for r in range(p + 2):
+        blocks = list(words._class_blocks(z, p, k, r))
+        assert _flattened(blocks) == _oracle(z, p, k, r), r
+        assert all(len(table) <= cap for _, _, table in blocks)
+    blocks = list(words._class_blocks(z, p, k))
+    assert len(blocks) > 1 and any(head for _, head, _ in blocks)
+
+
+@pytest.mark.parametrize("cap", [1, 5, words._TABLE_CAP])
+@pytest.mark.parametrize("z, p, k", _LARGE_CLASSES)
+def test_each_block_cuts_at_its_weight_r_prefix(monkeypatch, cap, z, p, k):
+    monkeypatch.setattr(words, "_TABLE_CAP", cap)
+    lw = GradedAlphabet(z=z).letter_weights()
+    for r in [None, *range(p + 1)]:
+        for cut, head, table in words._class_blocks(z, p, k, r):
+            assert cut <= len(head)
+            for t in table:
+                assert words._prefix_cut(lw, head + t, r or 0) == cut
+
+
+def test_blocks_of_the_1200_letter_class_equal_the_plain_stream():
+    z, lw = (1,), (1, 2)
+    whole = list(words._arrangements([1199, 1]))
+    blocks = list(words._class_blocks(z, 1201, (1,)))
+    assert _flattened(blocks) == list(words._iter_class(z, 1201, (1,))) == whole
+    assert len(blocks) > 1 and all(len(table) <= words._TABLE_CAP for _, _, table in blocks)
+    prefixed = [w for w in whole if 1100 in itertools.accumulate(map(lw.__getitem__, w))]
+    blocks = list(words._class_blocks(z, 1201, (1,), 1100))
+    assert _flattened(blocks) == prefixed
+    assert all(sum(map(lw.__getitem__, head[:cut])) == 1100 for cut, head, _ in blocks)
+
+
+def test_tables_are_shared_between_classes():
+    # the weight-3 and weight-4 prefix classes of a shift leave some equal letters over
+    tables: dict = {}
+    source = list(words._class_blocks((1,), 16, (4,), 3, tables))
+    listed = dict(tables)
+    target = list(words._class_blocks((1,), 16, (4,), 4, tables))
+    assert listed and all(tables[key] is table for key, table in listed.items())
+    assert {id(table) for _, _, table in source} & {id(table) for _, _, table in target}
+    assert _flattened(target) == brute_force_class((1,), 16, (4,), r=4)
+    assert words._class_size((1,), 16, (4,), 4, tables) == len(_flattened(target))
