@@ -21,8 +21,17 @@ Two constructions:
 A unit shift is local: one merge of the suffix weights of u and the prefix
 weights of v, walked outward from the cut, stops at the minimal pair.  The
 image's weight-(p+1) cut is |u'| + |y|, so the swap returns it and r-fold
-shifts and their inverses carry it from step to step.  The verify_* functions
-replay a construction over an entire class and report the tallies.
+shifts and their inverses carry it from step to step.  When the letter
+across the cut weighs 1 the swap moves nothing, and the word itself comes
+back with its cut moved by one.
+
+The verify_* functions replay a construction over an entire class and
+report the tallies.  The shift's certificate streams the source class: each
+image must be in the target class (length, letter counts and its prefix of
+weight p + r) and go back to its word under the downward shifts, a left
+inverse that makes the map injective; the two classes are then counted by
+enumeration, and equal sizes make it a bijection.  No set of words is kept,
+so memory is one word and its image, besides the enumeration's tables.
 """
 
 from __future__ import annotations
@@ -132,7 +141,16 @@ def _swap_balanced(
     ||y|| - ||x|| = excess, and return u'.rev(y).rev(x).v' with its cut
     |u'| + |y|.  At excess +1 this is the unit shift up from the weight-p
     cut to the image's weight-(p+1) cut; at excess -1 it is the shift down
-    (the mirrored search) from the weight-(p+1) cut to the weight-p cut."""
+    (the mirrored search) from the weight-(p+1) cut to the weight-p cut.
+
+    When the letter across the cut weighs 1 (x empty and y that letter, or
+    the mirror), the image is the word itself: it comes back as the same
+    tuple with the cut moved by one, the merge's own result on that input."""
+    if excess == 1:
+        if 0 <= cut < len(letters) and lw[letters[cut]] == 1:
+            return letters, cut + 1
+    elif cut > 0 and lw[letters[cut - 1]] == 1:
+        return letters, cut - 1
     i, j = _balanced_cut(lw, letters, cut, excess)
     image = letters[:i] + letters[cut:j][::-1] + letters[i:cut][::-1] + letters[j:]
     return image, i + j - cut
@@ -371,23 +389,37 @@ def _check_class_args(p: int, q: int, n: MultiIndex, alphabet: GradedAlphabet) -
 def verify_shift_bijection(
     p: int, q: int, n: MultiIndex, alphabet: GradedAlphabet, r: int = 1
 ) -> EvalReport:
-    """Replay the r-fold weight shift over the whole class and check it is a
+    """Replay the r-fold weight shift over the whole class and certify it a
     bijection from the prefix-weight-p subclass onto the prefix-weight-(p+r)
-    subclass, inverted word-for-word by the downward shifts."""
+    subclass, streaming: no collection of words is kept.
+
+    Each source word w, with its weight-p cut c from the enumeration, goes
+    to an image w' with cut c', and two things are checked.
+
+    * Membership: w' is in the target class.  An image that is w itself
+      (the same tuple, so the same length and counts) needs
+      c <= c' <= |w| and ||w[c:c']|| = r; any other needs |w'| = |w|, the
+      letter counts of w, 0 <= c' <= |w'| and ||w'[:c']|| = p + r.
+    * Left inverse: the r downward shifts from (w', c') give w back.
+
+    Prefix weights increase strictly, so c' is fixed by w', and the left
+    inverse (a function of w' alone) makes the map injective.  The source
+    and target classes are then counted by enumeration, and equal finite
+    sizes make the injective map a bijection.  Memory is one word and its
+    image at a time, besides the leftover-letter tables the enumeration
+    shares; the kernel is taken to be a function of its arguments.
+    """
     nz = _check_class_args(p, q, n, alphabet)
     if not 1 <= r <= q:
         raise PreconditionError(f"requires q >= r >= 1 (q={q}, r={r})")
     total_weight = p + q + nz
     z = alphabet.z
     lw = alphabet.letter_weights()
+    length = total_weight - nz  # every word of the class
+    codes = range(alphabet.m + 1)
+    counts = (length - sum(n), *n)  # of each code, a first
+    target_weight = p + r
     params = {"p": p, "q": q, "n": list(n), "z": list(z), "r": r}
-
-    tables: dict = {}  # the leftover-letter tables both classes share
-    source = list(_class_blocks(z, total_weight, n, p, tables))
-    source_size = sum(len(table) for _, _, table in source)
-    target = set()
-    for _, head, table in _class_blocks(z, total_weight, n, p + r, tables):
-        target.update(map(head.__add__, table))
     report = EvalReport(check="shift-bijection", params=params)
 
     def fail(reason: str, **ctx: object) -> EvalReport:
@@ -395,45 +427,45 @@ def verify_shift_bijection(
         report.counterexample = {"reason": reason, **ctx}
         return report
 
-    if source_size != len(target):
-        return fail(
-            "class sizes differ", source_size=source_size, target_size=len(target)
-        )
-    images = set()
-    for source_cut, head, table in source:
+    tables: dict = {}  # the leftover-letter tables both classes share
+    source_size = 0
+    for source_cut, head, table in _class_blocks(z, total_weight, n, p, tables):
         for letters in map(head.__add__, table):
-            current, cut = letters, source_cut  # the block's weight-p cut
+            image, cut = letters, source_cut  # the block's weight-p cut
             for _ in range(r):
-                current, cut = _swap_balanced(lw, current, cut)
-            if current not in target:
+                image, cut = _swap_balanced(lw, image, cut)
+            if image is letters:
+                member = (
+                    source_cut <= cut <= length
+                    and sum(map(lw.__getitem__, letters[source_cut:cut])) == r
+                )
+            else:
+                member = (
+                    len(image) == length
+                    and tuple(map(image.count, codes)) == counts
+                    and 0 <= cut <= length
+                    and sum(map(lw.__getitem__, image[:cut])) == target_weight
+                )
+            if not member:
                 return fail(
                     "image escapes the target class",
                     word=_render(alphabet, letters),
-                    image=_render(alphabet, current),
+                    image=_render(alphabet, image),
                 )
-            if current in images:
-                return fail(
-                    "shift is not injective",
-                    word=_render(alphabet, letters),
-                    image=_render(alphabet, current),
-                )
-            images.add(current)
-            back = current
+            back = image
             for _ in range(r):
                 back, cut = _swap_balanced(lw, back, cut, -1)
             if back != letters:
                 return fail(
                     "inverse does not round-trip",
                     word=_render(alphabet, letters),
-                    image=_render(alphabet, current),
+                    image=_render(alphabet, image),
                     back=_render(alphabet, back),
                 )
-    if images != target:
-        missing = sorted(target - images)[:3]
-        return fail(
-            "shift is not surjective",
-            missing=[_render(alphabet, w) for w in missing],
-        )
+            source_size += 1
+    target_size = _class_size(z, total_weight, n, target_weight, tables)
+    if source_size != target_size:
+        return fail("class sizes differ", source_size=source_size, target_size=target_size)
     report.verdict = VERDICT_PASS
     report.details = {
         "class_size": source_size,

@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .arith import MultiIndex, dot, format_scalar, natural, parse_scalar
+from .arith import MultiIndex, box, dot, format_scalar, natural, parse_scalar, vec_sub
 from .bijections import (
     Overshoot,
     PrefixCase,
@@ -510,10 +510,11 @@ def _run_entry(index: int, config: object) -> dict:
 # fitted again for the block enumerator: members timed in shuffled order,
 # each cost scaled by the host speed the unchanged verify and series costs
 # read in the same run.  Per word that gave 2/3 us for counts of both forms,
-# 1 us to enumerate, 7 us per unit shift and 10 us per Raney factorization.
-# Over 1593 members of seeds 1-3 of those manifests and the built-in suite,
-# measured time was 0.38 to 1.7 times the prediction between the 10th and
-# 90th percentiles, which is all the LPT schedule needs.
+# 1 us to enumerate, 5 us per unit shift (a swap that leaves the word as it
+# is costs no new tuple) and 10 us per Raney factorization.  Over the 1551
+# members of seeds 1-3 of those manifests and the built-in suite that run to
+# a verdict, measured time was 0.56 to 2.2 times the prediction between the
+# 10th and 90th percentiles, which is all the LPT schedule needs.
 _DISPATCH_US = 30
 
 
@@ -531,7 +532,15 @@ def _predicted_work(command: str, values: dict) -> int:
             if n is not None and q is not None:
                 units = 2 * int(count_prefix_class(p, q, n, GradedAlphabet(z))) // 3
             elif get("k") is not None:
-                size = int(count_words(p, get("k"), GradedAlphabet(z)))
+                k, alphabet, prefix = get("k"), GradedAlphabet(z), get("r")
+                if prefix is None:
+                    size = int(count_words(p, k, alphabet))
+                else:  # split at the weight-r prefix; infeasible pieces count 0
+                    size = sum(
+                        int(count_words(prefix, j, alphabet))
+                        * int(count_words(p - prefix, vec_sub(k, j), alphabet))
+                        for j in box(k)
+                    )
                 units = 2 * size // 3 if command == "count" else size
         elif command == "bijection":
             if get("word") is not None:
@@ -539,7 +548,7 @@ def _predicted_work(command: str, values: dict) -> int:
             elif q is not None and n is not None:
                 total = q + dot(n, z)
                 if get("kind") == "shift":
-                    units = 7 * r * int(count_prefix_class(p, total, n, GradedAlphabet(z)))
+                    units = 5 * r * int(count_prefix_class(p, total, n, GradedAlphabet(z)))
                 else:
                     units = 10 * int(count_words(p + total, n, GradedAlphabet(z)))
         elif command == "verify":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +31,7 @@ from gradedwords import (
     verify_shift_bijection,
 )
 from gradedwords import bijections, main
-from gradedwords.bijections import _raney_join, _swap_balanced
+from gradedwords.bijections import _balanced_cut, _raney_join, _swap_balanced
 from gradedwords.cli import EXIT_COUNTEREXAMPLE
 
 A1 = GradedAlphabet(z=(1,))
@@ -231,6 +232,33 @@ def test_shift_kernel_without_a_balanced_pair_is_a_lemma_violation():
                     pass
 
 
+def _plain_swap(lw, letters, cut, excess):
+    i, j = _balanced_cut(lw, letters, cut, excess)
+    return letters[:i] + letters[cut:j][::-1] + letters[i:cut][::-1] + letters[j:], i + j - cut
+
+
+def test_shift_kernel_matches_the_plain_formula_exhaustive():
+    # the unmoved-image shortcut returns what the formula builds, on every
+    # word of small classes, at every cut (and one past either end) and in
+    # both directions, and raises where the formula raises
+    for z in [(0,), (1,), (3,), (0, 2), (1, 2)]:
+        alphabet = GradedAlphabet(z=z)
+        lw = alphabet.letter_weights()
+        for n in itertools.product(range(3), repeat=len(z)):
+            nz = dot(n, z)
+            for total in range(nz, nz + 6):
+                for w in _class(alphabet, total, n):
+                    for cut in range(-1, len(w) + 2):
+                        for excess in (1, -1):
+                            try:
+                                expected = _plain_swap(lw, w.letters, cut, excess)
+                            except (LemmaViolationError, IndexError) as exc:
+                                with pytest.raises(type(exc)):
+                                    _swap_balanced(lw, w.letters, cut, excess)
+                            else:
+                                assert _swap_balanced(lw, w.letters, cut, excess) == expected
+
+
 def _wrong_cut(lw, letters, cut, excess=1):
     image, image_cut = _swap_balanced(lw, letters, cut, excess)
     return image, image_cut + 1 if excess == 1 else image_cut
@@ -249,13 +277,31 @@ def _collapsing():
     return collapsed
 
 
+def _unmoved(lw, letters, cut, excess=1):
+    # every word its own image, the cut moved by one: round trips hold
+    return letters, cut + excess
+
+
+def _relabelled(lw, letters, cut, excess=1):
+    # the true image with its last letter (past every cut of the class
+    # below) relabelled, and undone on the way back: round trips hold
+    if excess == 1:
+        image, image_cut = _swap_balanced(lw, letters, cut, excess)
+        return image[:-1] + ((image[-1] + 1) % len(lw),), image_cut
+    return _swap_balanced(lw, letters[:-1] + ((letters[-1] - 1) % len(lw),), cut, excess)
+
+
 @pytest.mark.parametrize("kernel, reason", [
-    (lambda: _wrong_cut, "inverse does not round-trip"),
-    (_collapsing, "shift is not injective"),
+    pytest.param(lambda: _wrong_cut, "image escapes the target class", id="wrong-cut"),
+    pytest.param(_collapsing, "inverse does not round-trip", id="collapsing"),
+    pytest.param(lambda: _unmoved, "image escapes the target class", id="unmoved"),
+    pytest.param(lambda: _relabelled, "image escapes the target class", id="relabelled"),
 ])
 def test_a_faulty_shift_kernel_is_a_counterexample(monkeypatch, capsys, kernel, reason):
     # the source cuts come from the enumeration blocks, the image cuts from
-    # the kernel: a kernel at fault must still fail the class, not pass it
+    # the kernel: a kernel at fault must still fail the class, not pass it.
+    # _unmoved is caught only by the check on an image that is its word,
+    # _relabelled only by the letter counts of a moved image
     monkeypatch.setattr(bijections, "_swap_balanced", kernel())
     report = verify_shift_bijection(2, 2, (2,), A1)
     assert report.verdict == "fail" and report.counterexample["reason"] == reason
@@ -263,6 +309,18 @@ def test_a_faulty_shift_kernel_is_a_counterexample(monkeypatch, capsys, kernel, 
     code = main(["bijection", "shift", "--z", "1", "--p", "2", "--q", "2", "--n", "2"])
     out = json.loads(capsys.readouterr().out)
     assert code == EXIT_COUNTEREXAMPLE and out["counterexample"]["reason"] == reason
+
+
+def test_a_target_class_of_another_size_is_a_counterexample(monkeypatch):
+    # injective onto a subset of the target is not a bijection: the count
+    # comparison is the part of the certificate that rules it out
+    counted = bijections._class_size
+    monkeypatch.setattr(bijections, "_class_size", lambda *args: counted(*args) + 1)
+    report = verify_shift_bijection(2, 2, (2,), A1)
+    assert report.verdict == "fail"
+    assert report.counterexample == {
+        "reason": "class sizes differ", "source_size": 4, "target_size": 5,
+    }
 
 
 def test_shift_down_of_up_image_only():
@@ -288,6 +346,19 @@ def test_verify_shift_bijection_report():
     assert report.details["class_size"] == 4
     report3 = verify_shift_bijection(2, 3, (1,), GradedAlphabet(z=(2,)), r=2)
     assert report3.ok and report3.params["r"] == 2
+
+
+def test_verify_shift_bijection_streams_in_constant_memory():
+    # 13 095 source words, each with its image and round trip: either class
+    # held as a set of words would take about 5 MB
+    tracemalloc.start()
+    try:
+        report = verify_shift_bijection(10, 4, (3, 2), A2, r=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.details == {"class_size": 13095, "round_trips": 13095}
+    assert peak < 1_000_000
 
 
 def test_verify_shift_bijection_rejects_bad_parameters():

@@ -4,6 +4,7 @@ manifest-driven suites, and determinism."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -376,6 +377,18 @@ def test_default_suite_passes(capsys):
     assert payload["total"] == len(default_manifest())
 
 
+# SHA-256 of the standard output of `gradedwords suite --jobs 1`.  Speed-ups
+# must leave every report byte of the built-in suite as it is; a change that
+# means to move them replaces this digest, in plain view
+_SUITE_DIGEST = "7cb7f8f920cb967987a8ead178f971971b814dd632b0ac2b831e80dbf9db736b"
+
+
+def test_default_suite_report_bytes_are_frozen(capsys):
+    code, out, err = run(capsys, "suite", "--jobs", "1")
+    assert (code, err) == (EXIT_PASS, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _SUITE_DIGEST
+
+
 def test_default_manifest_covers_every_identity(capsys):
     verified = {
         member["identity"]
@@ -583,6 +596,18 @@ def test_predicted_work_sizes_every_built_in_member():
     for member in default_manifest():
         work = cli._predicted_work(*cli._coerce_member(member))
         assert type(work) is int and work >= cli._DISPATCH_US
+
+
+@pytest.mark.parametrize("z, p, k, r", [
+    ((3,), 23, (4,), 16),  # 141 of the class's 330 words
+    ((1, 2), 11, (1, 2), 4),
+    ((0, 1), 6, (2, 1), 0),  # r = 0 is the whole class
+    ((2,), 7, (1,), 2),  # b weighs 3, so the weight-2 prefix is a a
+    ((1,), 4, (1,), 9),  # r past the word's weight
+])
+def test_predicted_work_sizes_a_prefixed_enumeration_by_its_prefix_class(z, p, k, r):
+    work = cli._predicted_work("enumerate", {"z": z, "p": p, "k": k, "r": r})
+    assert work == cli._DISPATCH_US + words._class_size(z, p, k, r)
 
 
 @pytest.mark.parametrize("member", [
