@@ -192,6 +192,8 @@ def box(n: MultiIndex) -> Iterator[MultiIndex]:
 
 def format_scalar(v: Scalar) -> str:
     """Render an exact scalar: decimal string if integral, else "p/q"."""
+    if type(v) is int:
+        return str(v)
     f = Fraction(v)
     if f.denominator == 1:
         return str(f.numerator)

@@ -255,7 +255,7 @@ def do_series_solve(
         )
     v = solve_functional_equation(tuple(z), order)
     residual_zero = functional_equation_residual(v, tuple(z)).is_zero()
-    natural = all(c.denominator == 1 and c >= 0 for c in v.coeffs.values())
+    natural = all(type(c) is int and c >= 0 for c in v.coeffs.values())
     report = EvalReport(
         check="series-solve",
         params={"z": list(z), "order": order},
@@ -277,7 +277,7 @@ def do_series_solve(
         return report
     if expect_coefficients:
         for exponent, expected in expect_coefficients:
-            actual = v.coefficient(exponent)
+            actual = v.coeffs.get(exponent, 0)
             if actual != expected:
                 report.verdict = VERDICT_MISMATCH
                 report.counterexample = {
@@ -509,12 +509,15 @@ def _run_entry(index: int, config: object) -> dict:
 # point x term and 77 us per term at a point.  The word-class costs were
 # fitted again for the block enumerator: members timed in shuffled order,
 # each cost scaled by the host speed the unchanged verify and series costs
-# read in the same run.  Per word that gave 2/3 us for counts of both forms,
-# 1 us to enumerate, 5 us per unit shift (a swap that leaves the word as it
-# is costs no new tuple) and 10 us per Raney factorization.  Over the 1551
-# members of seeds 1-3 of those manifests and the built-in suite that run to
-# a verdict, measured time was 0.56 to 2.2 times the prediction between the
-# 10th and 90th percentiles, which is all the LPT schedule needs.
+# read in the same run.  Per word that gave 2/3 us for counts by k, 5 us per
+# unit shift (a swap that leaves the word as it is costs no new tuple) and
+# 10 us per Raney factorization.  Fitted again the same way for the packed
+# series kernels, scaled by the verify costs alone: 6 us per term pair, and
+# per word 2 us for prefix-class counts, 2 us to enumerate a class by k and
+# 1 us to enumerate a weight-r prefix class.  Over the 1551 members of seeds
+# 1-3 of those manifests and the built-in suite that run to a verdict,
+# measured time was 0.44 to 1.99 times the prediction between the 10th and
+# 90th percentiles, which is all the LPT schedule needs.
 _DISPATCH_US = 30
 
 
@@ -530,18 +533,19 @@ def _predicted_work(command: str, values: dict) -> int:
     try:
         if command in ("count", "enumerate"):
             if n is not None and q is not None:
-                units = 2 * int(count_prefix_class(p, q, n, GradedAlphabet(z))) // 3
+                units = 2 * int(count_prefix_class(p, q, n, GradedAlphabet(z)))
             elif get("k") is not None:
                 k, alphabet, prefix = get("k"), GradedAlphabet(z), get("r")
                 if prefix is None:
-                    size = int(count_words(p, k, alphabet))
+                    size, per_word = int(count_words(p, k, alphabet)), 2
                 else:  # split at the weight-r prefix; infeasible pieces count 0
                     size = sum(
                         int(count_words(prefix, j, alphabet))
                         * int(count_words(p - prefix, vec_sub(k, j), alphabet))
                         for j in box(k)
                     )
-                units = 2 * size // 3 if command == "count" else size
+                    per_word = 1
+                units = 2 * size // 3 if command == "count" else per_word * size
         elif command == "bijection":
             if get("word") is not None:
                 units = 2 * r * len(get("word").split())
@@ -562,7 +566,7 @@ def _predicted_work(command: str, values: dict) -> int:
                     degree = entry.degree(IdentitySpec(entry.name, slot, z))
                     units = 5 * (degree + 1) ** len(entry.variables) * terms
         else:
-            units = 9 * math.comb(get("order") + 2 * len(z), 2 * len(z))
+            units = 6 * math.comb(get("order") + 2 * len(z), 2 * len(z))
     except PreconditionError:
         pass
     return _DISPATCH_US + units

@@ -23,13 +23,27 @@ recurrence.  The two generating-function identities
 
 are verified coefficientwise, for positive integer x only (series powers
 need no exp/log machinery then); reports record that restriction.
+
+The kernels (product, power, solver) key their terms by packed ints, not by
+exponent tuples (Kronecker substitution): e in m variables packs to
+e_1 + e_2 B + ... + e_m B^(m-1) in base B = N + 1.  No entry of an exponent
+of degree <= N reaches B, so packing is additive, pack(i) + pack(j) =
+pack(i + j), for every pair with |i| + |j| <= N: no carry crosses from one
+entry into the next.  Each kernel pairs terms by degree and drops a pair of
+degree above N before it adds their keys; such a pair could alias, as
+pack((N, 0)) + pack((1, 0)) = pack((0, 1)).  `coeffs` stays keyed by
+tuples: terms are packed on the way into a kernel and unpacked on the way
+out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
+from functools import lru_cache
+from math import comb
+from operator import mul
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .arith import MultiIndex, Scalar, dot, exact, multinomial, natural, naturals, norm, rational
 from .errors import DimensionMismatchError, PreconditionError
@@ -62,25 +76,64 @@ def exponents_up_to(nvars: int, order: int) -> Iterator[MultiIndex]:
         yield from parts(degree, nvars)
 
 
-def _by_degree(coeffs: Mapping[MultiIndex, Scalar], order: int) -> list[dict]:
-    """The terms of a series grouped by total degree, 0 through order."""
-    out: list[dict] = [{} for _ in range(order + 1)]
-    for exponent, value in coeffs.items():
-        out[sum(exponent)][exponent] = value
+class _Memo(dict):
+    """A dict that fills in each missing key with fill(key) on first use."""
+
+    def __init__(self, fill: Callable) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+@lru_cache(maxsize=32)
+def _packing(nvars: int, order: int) -> tuple[tuple[int, ...], _Memo, _Memo]:
+    """Kronecker packing of the exponents of degree <= order: the weights
+    (1, B, ..., B^(nvars-1)) of base B = order + 1, and two memos filled in
+    as exponents are used, so they hold the exponents a computation reaches
+    rather than all C(order + nvars, nvars): the exponent of a packed key,
+    and the (degree, packed key) of an exponent."""
+    base = order + 1
+    weights = tuple(base**i for i in range(nvars))
+
+    def unpack(key: int) -> MultiIndex:
+        rest, digits = key, []
+        for _ in range(nvars):
+            rest, digit = divmod(rest, base)
+            digits.append(digit)
+        if rest or key < 0 or sum(digits) > order:  # a kernel's bug, never an input's
+            raise ValueError(f"packed key {key} is no exponent of degree <= {order}")
+        return tuple(digits)
+
+    return weights, _Memo(unpack), _Memo(lambda e: (sum(e), sum(map(mul, e, weights))))
+
+
+def _by_degree(series: TruncatedSeries) -> list[dict]:
+    """The terms of a series grouped by total degree, 0 through order, and
+    keyed by packed exponents."""
+    pack = _packing(series.nvars, series.order)[2]
+    out: list[dict] = [{} for _ in range(series.order + 1)]
+    for exponent, value in series.coeffs.items():
+        degree, key = pack[exponent]
+        out[degree][key] = value
     return out
 
 
 def _miller_step(s: list[dict], w: list[dict], alpha: int, d: int, c0: Scalar) -> dict:
-    """Degree d of w = s^alpha, given s through degree d and w below it."""
+    """Degree d of w = s^alpha, given s through degree d and w below it, all
+    keyed by packed exponents."""
     acc: dict = {}
     for t in range(1, d + 1):
         f = alpha * t - (d - t)
-        if not f:
+        low = w[d - t]
+        if not f or not low:
             continue
         for j, sj in s[t].items():
             c = f * sj
-            for i, wi in w[d - t].items():
-                k = tuple(map(int.__add__, i, j))
+            for i, wi in low.items():
+                k = i + j
                 acc[k] = acc.get(k, 0) + c * wi
     return {k: exact(n, d * c0) for k, n in acc.items() if n}
 
@@ -93,8 +146,8 @@ class TruncatedSeries:
     order is stored.  Coefficients must be ints or Fractions, never a bool
     or a float.  `coeffs` holds an int for every integral coefficient and a
     Fraction otherwise; coefficient() always returns a Fraction.
-    Instances are immutable; all arithmetic returns new series with the
-    same nvars and order.
+    Instances are immutable; all arithmetic returns series with the same
+    nvars and order.
     """
 
     nvars: int
@@ -115,16 +168,23 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", cleaned)
 
     @classmethod
-    def _trusted(cls, nvars: int, order: int, coeffs: dict) -> TruncatedSeries:
+    def _trusted(
+        cls, nvars: int, order: int, coeffs: dict, packed: bool = False
+    ) -> TruncatedSeries:
         """A series from a kernel's own coeffs, whose exponents are already
-        tuples of nvars naturals of total degree <= order and whose values
-        are ints or Fractions; only zeros and integral Fractions are cleaned."""
+        tuples of nvars naturals of total degree <= order, or their packed
+        keys if `packed` (unpacked here through the table of _packing), and
+        whose values are ints or Fractions; only zeros and integral Fractions
+        are cleaned."""
+        terms: Iterable = coeffs.items()
+        if packed:
+            terms = zip(map(_packing(nvars, order)[1].__getitem__, coeffs), coeffs.values())
         series = object.__new__(cls)
         object.__setattr__(series, "nvars", nvars)
         object.__setattr__(series, "order", order)
         object.__setattr__(series, "coeffs", {
             e: c if type(c) is int or c.denominator != 1 else c.numerator
-            for e, c in coeffs.items() if c
+            for e, c in terms if c
         })
         return series
 
@@ -213,19 +273,24 @@ class TruncatedSeries:
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check_compatible(other)
-        right = _by_degree(other.coeffs, self.order)
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for level in right[: self.order - sum(e1) + 1]:
-                for e2, c2 in level.items():
-                    key = tuple(map(int.__add__, e1, e2))
-                    out[key] = out.get(key, 0) + c1 * c2
-        return TruncatedSeries._trusted(self.nvars, self.order, out)
+        order, right, out = self.order, _by_degree(other), {}
+        for d, level in enumerate(_by_degree(self)):
+            if not level:
+                continue
+            # the terms of other that keep a degree-d term within the order
+            low = [term for terms in right[: order - d + 1] for term in terms.items()]
+            for e1, c1 in level.items():
+                for e2, c2 in low:
+                    k = e1 + e2
+                    out[k] = out.get(k, 0) + c1 * c2
+        return TruncatedSeries._trusted(self.nvars, order, out, packed=True)
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
         natural(exponent, "series power")
+        if not exponent:
+            return TruncatedSeries.one(self.nvars, self.order)
         if self.coeffs.get((0,) * self.nvars):
-            return self._power(exponent)
+            return self if exponent == 1 else self._power(exponent)
         # no Miller recurrence without a constant term: repeated squaring
         result, base = TruncatedSeries.one(self.nvars, self.order), self
         while exponent:
@@ -245,12 +310,12 @@ class TruncatedSeries:
     def _power(self, alpha: int) -> TruncatedSeries:
         """self^alpha by the Miller recurrence; the constant term is nonzero."""
         c0 = self.coeffs[(0,) * self.nvars]
-        s = _by_degree(self.coeffs, self.order)
-        w = [{(0,) * self.nvars: exact(Fraction(c0) ** alpha, 1)}]
+        s = _by_degree(self)
+        w = [{0: c0**alpha if alpha >= 0 else exact(1, c0**-alpha)}]
         for d in range(1, self.order + 1):
             w.append(_miller_step(s, w, alpha, d, c0))
         coeffs = {k: c for level in w for k, c in level.items()}
-        return TruncatedSeries._trusted(self.nvars, self.order, coeffs)
+        return TruncatedSeries._trusted(self.nvars, self.order, coeffs, packed=True)
 
 
 def solve_functional_equation(z: MultiIndex, order: int) -> TruncatedSeries:
@@ -258,24 +323,26 @@ def solve_functional_equation(z: MultiIndex, order: int) -> TruncatedSeries:
 
     Solved one total degree at a time: degree d + 1 of v is the sum over i
     of u_i times degree d of v^(z_i), and each power v^a is extended to
-    degree d by one Miller step once v is known through degree d.
+    degree d by one Miller step once v is known through degree d.  Terms
+    are keyed by packed exponents, u_i by the weight B^(i-1).
     """
     z, order = naturals(z, "z"), natural(order, "order")
     m = len(z)
-    units = [tuple(int(a == i) for a in range(m)) for i in range(m)]
-    v = [{(0,) * m: 1}]
+    weights = _packing(m, order)[0]
+    v = [{0: 1}]
     powers = {a: [v[0]] for a in z}
     for d in range(order):
         if d:
             for a, w in powers.items():
                 w.append(_miller_step(v, w, a, d, 1))
         level: dict = {}
-        for unit, a in zip(units, z):
+        for unit, a in zip(weights, z):
             for k, c in powers[a][d].items():
-                key = tuple(map(int.__add__, k, unit))
-                level[key] = level.get(key, 0) + c
+                k += unit
+                level[k] = level.get(k, 0) + c
         v.append(level)
-    return TruncatedSeries._trusted(m, order, {k: c for level in v for k, c in level.items()})
+    coeffs = {k: c for level in v for k, c in level.items()}
+    return TruncatedSeries._trusted(m, order, coeffs, packed=True)
 
 
 def functional_equation_residual(v: TruncatedSeries, z: MultiIndex) -> TruncatedSeries:
@@ -302,15 +369,23 @@ _X_RESTRICTION = "x verified for positive integers only"
 def _compare_series(
     check: str, x: int, z: MultiIndex, left: TruncatedSeries, right: TruncatedSeries
 ) -> EvalReport:
+    """Equal iff the coefficients agree at every exponent of degree <= order:
+    both coeffs are canonical and hold no zero, so that is dict equality.
+    A mismatch names its first exponent in graded order."""
     report = EvalReport(check=check, params={"x": x, "z": list(z), "order": left.order})
-    for compared, exponent in enumerate(exponents_up_to(left.nvars, left.order), 1):
+    if left.coeffs == right.coeffs:
+        report.verdict = VERDICT_EQUAL
+        report.details = {
+            "coefficients_compared": comb(left.order + left.nvars, left.nvars),
+            "restriction": _X_RESTRICTION,
+        }
+        return report
+    for exponent in exponents_up_to(left.nvars, left.order):
         lc, rc = left.coeffs.get(exponent, 0), right.coeffs.get(exponent, 0)
         if lc != rc:
-            report.verdict = VERDICT_MISMATCH
-            report.counterexample = {"exponent": list(exponent), "left": str(lc), "right": str(rc)}
-            return report
-    report.verdict = VERDICT_EQUAL
-    report.details = {"coefficients_compared": compared, "restriction": _X_RESTRICTION}
+            break
+    report.verdict = VERDICT_MISMATCH
+    report.counterexample = {"exponent": list(exponent), "left": str(lc), "right": str(rc)}
     return report
 
 

@@ -171,6 +171,20 @@ def test_format_and_parse_scalar_round_trip():
     assert parse_scalar("5/10") == Fraction(1, 2)
 
 
+def _format_through_fraction(v) -> str:
+    """format_scalar as it was before its int fast path."""
+    f = Fraction(v)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+@pytest.mark.parametrize("v", [
+    0, 7, -7, 10**30, -(10**30), True, False,  # a bool renders as 1 or 0, as before
+    Fraction(0), Fraction(-7), Fraction(4, 2), Fraction(22, 7), Fraction(-3, 2),
+])
+def test_format_scalar_renders_as_through_a_fraction(v):
+    assert format_scalar(v) == _format_through_fraction(v)
+
+
 @given(num=st.integers(-10**6, 10**6), den=st.integers(1, 10**6))
 @settings(max_examples=50)
 def test_parse_format_inverse(num, den):

@@ -389,6 +389,36 @@ def test_default_suite_report_bytes_are_frozen(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _SUITE_DIGEST
 
 
+# Series reports larger than the built-in suite's (orders up to 30, three
+# variables, expected coefficients checked and missed), frozen the same way
+_SERIES_MANIFEST = [
+    {"command": "series-solve", "z": [0, 2], "order": 7, "expect_coefficients":
+        {"0,0": "1", "1,0": "1", "2,0": "0", "1,3": "20", "0,7": "429"}},
+    {"command": "series-solve", "z": [1, 2], "order": 6,
+     "expect_coefficients": {"1,1": "3", "2,2": "1/2"}},
+]
+_SERIES_DIGESTS = [
+    (["series", "solve", "--z", "1,2", "--order", "8"], EXIT_PASS,
+     "78e7347b4a053df3556b55c44da222593e51b7745ab5cc208eff593dbb398b64"),
+    (["series", "check1", "--x", "5", "--z", "1", "--order", "30"], EXIT_PASS,
+     "d6766465e78c0f122c3d8090ae6490c17a7036df8e68b634e22e450ad607b373"),
+    (["series", "check2", "--x", "3", "--z", "1,2,3", "--order", "3"], EXIT_PASS,
+     "b975e2ff59765396dc17de7baca03e966ca51578a6b89c3774a80957fd8d3e30"),
+    (["suite", "--jobs", "1", "--manifest", "MANIFEST"], EXIT_COUNTEREXAMPLE,
+     "589b357307b9cf9d681253e2941d94174e6d66bbde2ec4dbd1d510c6b53d1340"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", _SERIES_DIGESTS,
+                         ids=["solve", "check1", "check2", "manifest"])
+def test_series_report_bytes_are_frozen(argv, exit_code, digest, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(_SERIES_MANIFEST))
+    code, out, err = run(capsys, *(str(path) if a == "MANIFEST" else a for a in argv))
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_default_manifest_covers_every_identity(capsys):
     verified = {
         member["identity"]

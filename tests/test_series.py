@@ -3,6 +3,7 @@ v = 1 + sum_i u_i v^{z_i}, with independent coefficient oracles."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedwords import series
+from gradedwords import main, run_suite, series
+from gradedwords.arith import exact
 from gradedwords import (
     DimensionMismatchError,
     PreconditionError,
@@ -156,11 +158,11 @@ def test_mul_commutative_associative_distributive(a, b, c):
 
 
 @st.composite
-def exact_series(draw, constants=(0, 1, -1, 2, Fraction(1, 3))):
-    """A series in 1 to 3 variables: the constant term from `constants`,
-    Fraction coefficients elsewhere."""
-    nvars = draw(st.integers(1, 3))
-    order = draw(st.integers(0, 5 - nvars))
+def exact_series(draw, constants=(0, 1, -1, 2, Fraction(1, 3)), shape=None):
+    """A series in 1 to 3 variables, or of the given (nvars, order): the
+    constant term from `constants`, Fraction coefficients elsewhere."""
+    nvars = draw(st.integers(1, 3)) if shape is None else shape[0]
+    order = draw(st.integers(0, 5 - nvars)) if shape is None else shape[1]
     coeffs = {
         e: draw(st.fractions(-3, 3, max_denominator=3))
         for e in exponents_up_to(nvars, order)
@@ -233,6 +235,136 @@ def test_generating_function_left_sides_are_what_the_checked_constructor_builds(
     assert canonical(gf1) and canonical(gf2)
     assert gf1 == S(len(z), order, {k: Fraction(x, t) * multinomial(t, k) for k, t in tops})
     assert gf2 == S(len(z), order, {k: multinomial(t, k) for k, t in tops})
+
+
+# ---------------------------------------------------------------------------
+# the packed kernels against a tuple-keyed oracle
+# ---------------------------------------------------------------------------
+
+
+def graded(nvars: int, order: int) -> list[tuple[int, ...]]:
+    """Every exponent of degree <= order, lower degrees first."""
+    box = itertools.product(range(order + 1), repeat=nvars)
+    return sorted((e for e in box if sum(e) <= order), key=sum)
+
+
+def schoolbook_product(a: dict, b: dict, order: int) -> dict:
+    """The truncated product of two tuple-keyed coefficient maps, term by term."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) <= order:
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def schoolbook_power(a: dict, x: int, nvars: int, order: int) -> dict:
+    out = {(0,) * nvars: 1}
+    for _ in range(x):
+        out = schoolbook_product(out, a, order)
+    return out
+
+
+def schoolbook_reciprocal(a: dict, nvars: int, order: int) -> dict:
+    """r with a r = 1, solved in graded order: a_0 r_k = [k = 0] - sum over
+    j != 0 of a_j r_(k-j)."""
+    zero = (0,) * nvars
+    r: dict = {}
+    for k in graded(nvars, order):
+        total = Fraction(k == zero)
+        for j, c in a.items():
+            if j != zero and all(x <= y for x, y in zip(j, k)):
+                total -= c * r.get(tuple(y - x for x, y in zip(j, k)), 0)
+        r[k] = total / a[zero]
+    return {e: c for e, c in r.items() if c}
+
+
+def schoolbook_solution(z: tuple[int, ...], order: int) -> dict:
+    """v = 1 + sum_i u_i v^(z_i) by fixed-point iteration with the
+    schoolbook product; round t fixes total degree t."""
+    m = len(z)
+    one = {(0,) * m: 1}
+    v = one
+    for _ in range(order):
+        nxt = dict(one)
+        for i, a in enumerate(z):
+            for e, c in schoolbook_power(v, a, m, order).items():
+                e = tuple(x + (t == i) for t, x in enumerate(e))
+                if sum(e) <= order:
+                    nxt[e] = nxt.get(e, 0) + c
+        v = nxt
+    return v
+
+
+@st.composite
+def series_pairs(draw):
+    s = draw(exact_series())
+    return s, draw(exact_series(shape=(s.nvars, s.order)))
+
+
+@given(pair=series_pairs(), x=st.integers(0, 5))
+@settings(max_examples=80, deadline=None)
+def test_product_and_power_match_the_schoolbook_oracle(pair, x):
+    s, t = pair
+    assert (s * t).coeffs == schoolbook_product(s.coeffs, t.coeffs, s.order)
+    assert (s**x).coeffs == schoolbook_power(s.coeffs, x, s.nvars, s.order)
+
+
+@given(s=exact_series(constants=(1, -1, 2, -3, Fraction(1, 3), Fraction(-3, 2))))
+@settings(max_examples=60, deadline=None)
+def test_reciprocal_matches_the_schoolbook_oracle(s):
+    assert s.reciprocal().coeffs == schoolbook_reciprocal(s.coeffs, s.nvars, s.order)
+
+
+@given(z=st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_solve_matches_the_schoolbook_oracle(z, data):
+    order = data.draw(st.integers(0, 7 - 2 * len(z)))
+    assert solve_functional_equation(z, order).coeffs == schoolbook_solution(z, order)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_packed_keys_do_not_alias_across_the_truncation(order):
+    # m = 2 packs in base order + 1, where (order, 0) + (1, 0) packs as (0, 1):
+    # u1^order u1 lies above the truncation and must vanish, not land on u2
+    one, u1 = TruncatedSeries.one(2, order), TruncatedSeries.variable(1, 2, order)
+    top = S(2, order, {(order, 0): 1})
+    assert (top * u1).is_zero() and (u1 * top).is_zero()
+    for product in ((one + top) * (one + u1), (one + u1) ** (order + 1), (one - u1).reciprocal()):
+        assert all(e[1] == 0 for e in product.coeffs), product
+    assert (one + top) * (one + u1) == S(2, order, {(0, 0): 1, (1, 0): 1}) + top
+    assert (one + u1) ** (order + 1) == S(
+        2, order, {(j, 0): math.comb(order + 1, j) for j in range(order + 1)}
+    )
+    assert (one - u1).reciprocal() == S(2, order, {(j, 0): 1 for j in range(order + 1)})
+
+
+def test_packing_holds_only_the_exponents_a_computation_reaches():
+    # all exponents of degree <= 400 in 3 variables would be C(403, 3) = 10.9 M
+    order = 400
+    u1, u3 = TruncatedSeries.variable(1, 3, order), TruncatedSeries.variable(3, 3, order)
+    s = TruncatedSeries.one(3, order) + u1 + u3
+    assert s**3 == s * s * s
+    assert (s**3).coeffs[(1, 0, 2)] == 3 and len((s**3).coeffs) == 10
+    _, unpack, pack = series._packing(3, order)
+    assert len(unpack) == 10 and len(pack) <= 10
+    # a key past the last digit, and the key of (1, 400, 0), of degree 401
+    for key in (-1, (order + 1) ** 3, 1 + 400 * (order + 1)):
+        with pytest.raises(ValueError, match="no exponent of degree <= 400"):
+            unpack[key]
+
+
+def test_power_zero_is_one_and_power_one_is_itself_without_a_miller_pass(monkeypatch):
+    calls = []
+    step = series._miller_step
+    monkeypatch.setattr(series, "_miller_step", lambda *args: calls.append(1) or step(*args))
+    v = solve_functional_equation((1, 2), 6)
+    calls.clear()
+    assert v**0 == TruncatedSeries.one(2, 6) and calls == []
+    assert v**1 == v and calls == []
+    v**2
+    assert calls  # the counter sees a Miller pass where there is one
 
 
 @pytest.mark.parametrize("make", [
@@ -385,6 +517,28 @@ def test_generating_function_1_multi_index():
     for z in [(1, 1), (1, 2), (3, 2)]:
         for x in (1, 4):
             assert check_generating_function_1(x, z, 6).ok
+
+
+@pytest.mark.parametrize("check, command", [
+    (check_generating_function_1, "series-check1"),
+    (check_generating_function_2, "series-check2"),
+])
+def test_planted_left_side_mismatch_is_named_at_its_first_exponent(check, command, monkeypatch):
+    x, z, order = 2, (1, 2), 4
+    planted = [(2, 1), (1, 2), (0, 3)]  # graded order puts (0, 3) first
+    real = series.multinomial
+    monkeypatch.setattr(series, "multinomial", lambda t, k: real(t, k) + (k in planted))
+    report = check(x, z, order)
+    assert report.verdict == "mismatch"
+    k, t = (0, 3), x + 6
+    left, right = real(t, k) + 1, real(t, k)
+    if command == "series-check1":
+        left, right = exact(x * left, t), exact(x * right, t)
+    assert report.counterexample == {"exponent": [0, 3], "left": str(left), "right": str(right)}
+    assert main([*command.split("-"), "--x", str(x), "--z", "1,2", "--order", str(order)]) == 1
+    payload, code = run_suite([{"command": command, "x": x, "z": list(z), "order": order}], 1)
+    assert code == 1 and payload["members"][0]["exit_code"] == 1
+    assert payload["members"][0]["report"]["counterexample"] == report.counterexample
 
 
 def test_generating_function_x_restriction():
