@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .arith import MultiIndex, box, dot, format_scalar, natural, parse_scalar, vec_sub
+from .arith import MultiIndex, dot, format_scalar, natural, parse_scalar
 from .bijections import (
     Overshoot,
     PrefixCase,
@@ -66,6 +66,7 @@ from .words import (
     _check_dimension,
     _class_blocks,
     _class_size,
+    _split_count,
 )
 
 __all__ = ["main", "default_manifest", "run_suite"]
@@ -101,7 +102,7 @@ def do_count(
         _require(q is not None, "prefix-class count needs --q along with --n")
         _require(k is None, "--k only applies to the word-class form (without --n)")
         formula = count_prefix_class(p, q, n, alphabet)
-        enumerated = _class_size(alphabet.z, p + q, n, p)
+        enumerated = _class_size(alphabet, p + q, n, p)
         report = EvalReport(
             check="count-prefix-class",
             params={"p": p, "q": q, "n": list(n), "z": list(z)},
@@ -110,7 +111,7 @@ def do_count(
         _require(k is not None, "count needs --k (word class) or --n with --q (prefix class)")
         _require(q is None, "--q only applies to the prefix-class form (with --n)")
         formula = count_words(p, k, alphabet)
-        enumerated = _class_size(alphabet.z, p, k)
+        enumerated = _class_size(alphabet, p, k)
         report = EvalReport(check="count", params={"p": p, "k": list(k), "z": list(z)})
     report.details = {"formula": int(formula), "enumerated": enumerated}
     report.verdict = VERDICT_EQUAL if formula == enumerated else VERDICT_MISMATCH
@@ -129,10 +130,10 @@ def do_enumerate(
     """List a word class in lexicographic order."""
     alphabet = GradedAlphabet(z)
     _check_dimension(k, alphabet)
-    names = tuple(map(alphabet.letter_name, range(alphabet.m + 1)))
+    names = alphabet._names
     words: list[str] = []
     rendered: dict[int, list[str]] = {}  # id(table) -> its tails as text
-    for _, head, table in _class_blocks(z, p, k, r):
+    for _, head, table in _class_blocks(alphabet, p, k, r):
         tails = rendered.get(id(table))
         if tails is None:
             tails = rendered[id(table)] = [" ".join(map(names.__getitem__, t)) for t in table]
@@ -503,21 +504,17 @@ def _run_entry(index: int, config: object) -> dict:
 
 # Predicted member time in microseconds: a dispatch cost plus a per-unit cost
 # times a closed-form count of the member's work.  The per-unit costs are
-# medians of per-member timings over the benchmark manifests (CPython 3.11,
-# 2 vCPUs).  The two verify costs were fitted again, timing the grid kernel
-# that memoizes C(x, n) side by side with the one before it: 5 us per grid
-# point x term and 77 us per term at a point.  The word-class costs were
-# fitted again for the block enumerator: members timed in shuffled order,
-# each cost scaled by the host speed the unchanged verify and series costs
-# read in the same run.  Per word that gave 2/3 us for counts by k, 5 us per
-# unit shift (a swap that leaves the word as it is costs no new tuple) and
-# 10 us per Raney factorization.  Fitted again the same way for the packed
-# series kernels, scaled by the verify costs alone: 6 us per term pair, and
-# per word 2 us for prefix-class counts, 2 us to enumerate a class by k and
-# 1 us to enumerate a weight-r prefix class.  Over the 1551 members of seeds
-# 1-3 of those manifests and the built-in suite that run to a verdict,
-# measured time was 0.44 to 1.99 times the prediction between the 10th and
-# 90th percentiles, which is all the LPT schedule needs.
+# medians of per-member timings (CPython 3.11.7, 2 vCPUs) over the members of
+# seeds 1-3 of the benchmark manifests and the built-in suite that run to a
+# verdict, timed in shuffled order, each cost scaled by the host speed that
+# costs left unchanged read in the same run.  They are 5 us per grid point x
+# term and 77 us per term at a point; 6 us per series term pair; and per word
+# 2/3 us for counts by k, 2 us for prefix-class counts, 2 us to enumerate a
+# class by k, 1 us to enumerate a weight-r prefix class, 5 us per unit shift
+# (a swap that leaves the word as it is costs no new tuple) and 10 us per
+# Raney factorization.  Over those 1551 members, measured time was 0.44 to
+# 1.99 times the prediction between the 10th and 90th percentiles, which is
+# all the LPT schedule needs.
 _DISPATCH_US = 30
 
 
@@ -538,13 +535,8 @@ def _predicted_work(command: str, values: dict) -> int:
                 k, alphabet, prefix = get("k"), GradedAlphabet(z), get("r")
                 if prefix is None:
                     size, per_word = int(count_words(p, k, alphabet)), 2
-                else:  # split at the weight-r prefix; infeasible pieces count 0
-                    size = sum(
-                        int(count_words(prefix, j, alphabet))
-                        * int(count_words(p - prefix, vec_sub(k, j), alphabet))
-                        for j in box(k)
-                    )
-                    per_word = 1
+                else:  # split at the weight-r prefix
+                    size, per_word = _split_count(alphabet.z, prefix, p - prefix, k), 1
                 units = 2 * size // 3 if command == "count" else per_word * size
         elif command == "bijection":
             if get("word") is not None:

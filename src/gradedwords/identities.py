@@ -41,11 +41,12 @@ path.
 
 The bodies recompute the same C(x, n) many times across a grid (C(x - k.z,
 k) recurs for every y and eps).  While verify_identity_on_grid runs, the
-bodies' multinomial reads a memo keyed by (x, n), and the memo is emptied
-whenever the grid is left, by a verdict or by an exception, so nothing
-carries over to the next certification.  Every argument that reaches the
-memo has been checked by _validate, so a bool or a float never matches a
-cached int.  Point checks and the public evaluators compute C(x, n) afresh.
+bodies' multinomial is a fresh functools.cache of arith's, and the cache is
+dropped whenever the grid is left, by a verdict or by an exception, so
+nothing carries over to the next certification.  Every argument that
+reaches the cache has been checked by _validate, so a bool or a float never
+matches a cached int.  Point checks and the public evaluators compute
+C(x, n) afresh.
 
 Conventions shared by all evaluators:
 
@@ -68,6 +69,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
+from . import arith
 from .arith import (
     MultiIndex,
     Scalar,
@@ -338,37 +340,19 @@ def _pow(base: Scalar, e: int) -> Scalar:
     return base**e if e >= 0 else Fraction(1, base**-e)
 
 
-_multinomial = multinomial  # arith's, which the bodies call outside a grid
-
-
-class _Memo(dict):
-    """C(x, n) under the key (x, n), each computed once."""
-
-    def __missing__(self, key: tuple[Scalar, MultiIndex]) -> Scalar:
-        value = self[key] = _multinomial(*key)
-        return value
-
-
-_MEMO = _Memo()
-
-
-def _memo_multinomial(x: Scalar, n: MultiIndex) -> Scalar:
-    return _MEMO[x, n]
-
-
 @contextlib.contextmanager
 def _memoized():
-    """Within the block the bodies read C(x, n) from _MEMO; on every way
-    out they get arith's multinomial back and _MEMO is emptied.  Grids run
-    at once in two threads would share the memo, which changes no value:
-    every entry is the exact C(x, n) of its key."""
+    """Within the block the bodies read C(x, n) through a fresh
+    functools.cache of arith's multinomial; on every way out they get
+    arith's back and the cache is dropped.  Grids run at once in two threads
+    would share a cache, which changes no value: every entry is the exact
+    C(x, n) of its key."""
     global multinomial
-    multinomial = _memo_multinomial
+    multinomial = functools.cache(arith.multinomial)
     try:
         yield
     finally:
-        multinomial = _multinomial
-        _MEMO.clear()
+        multinomial = arith.multinomial
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Optional
 
-from .arith import MultiIndex, dot, multinomial, norm, vec_sub, box
+from .arith import MultiIndex, dot, multinomial, naturals, norm, vec_sub, box
 from .errors import DimensionMismatchError, PreconditionError
 
 __all__ = [
@@ -69,8 +69,7 @@ class GradedAlphabet:
     _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(e < 0 for e in self.z):
-            raise PreconditionError(f"grading entries must be >= 0, got {self.z}")
+        object.__setattr__(self, "z", naturals(self.z, "z"))
         object.__setattr__(self, "_weights", (1,) + tuple(e + 1 for e in self.z))
         object.__setattr__(self, "_names", tuple(map(self.letter_name, range(self.m + 1))))
 
@@ -95,9 +94,6 @@ class GradedAlphabet:
         if code == 0:
             return "a"
         return "b" if self.m == 1 else f"b{code}"
-
-    def word(self, letters: tuple[int, ...]) -> "Word":
-        return Word(self, letters)
 
     def parse_word(self, text: str) -> "Word":
         """Parse the space-separated text format, e.g. "a b2 a b1".
@@ -131,8 +127,10 @@ class Word:
 
     def __post_init__(self) -> None:
         m = self.alphabet.m
-        if self.letters and not 0 <= min(self.letters) <= max(self.letters) <= m:
-            raise PreconditionError(f"letter code out of range 0..{m}")
+        if self.letters and not (
+            {*map(type, self.letters)} == {int} and 0 <= min(self.letters) <= max(self.letters) <= m
+        ):
+            raise PreconditionError(f"letter codes must be ints in 0..{m}, got {self.letters!r}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -171,10 +169,11 @@ class Word:
 
         r = 0 always cuts at the empty prefix.
         """
-        return _prefix_cut(self.alphabet._weights, self.letters, r)
+        length, weight = _cut(self.alphabet._weights, self.letters, r)
+        return length if weight == r else None
 
     def has_prefix_of_weight(self, r: int) -> bool:
-        return _prefix_cut(self.alphabet._weights, self.letters, r) is not None
+        return self.prefix_cut(r) is not None
 
 
 def _trusted_word(alphabet: GradedAlphabet, letters: tuple[int, ...]) -> Word:
@@ -197,20 +196,29 @@ class WordClassSpec:
     k: MultiIndex
     r: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        k = tuple(self.k)
+        if any(type(e) is not int for e in (self.p, *k, 0 if self.r is None else self.r)):
+            raise PreconditionError(
+                f"a word class needs an int p, int k entries and an int r, "
+                f"got p={self.p!r}, k={self.k!r}, r={self.r!r}"
+            )
+        object.__setattr__(self, "k", k)
 
-def _prefix_cut(lw: tuple[int, ...], letters: tuple[int, ...], target: int) -> Optional[int]:
-    """Length of the prefix of weight target under the weight table lw, or
-    None.  target 0 cuts at 0."""
-    if target == 0:
-        return 0
+
+def _cut(lw: tuple[int, ...], letters: tuple[int, ...], target: int) -> tuple[int, int]:
+    """(length, weight) of the shortest prefix of weight >= target under the
+    weight table lw, or of the whole word if it weighs less.  Prefix weights
+    increase strictly, so the word has a prefix of weight target exactly
+    when the weight returned is target."""
+    if target <= 0:
+        return 0, 0
     acc = 0
-    for i, c in enumerate(letters):
+    for i, c in enumerate(letters, 1):
         acc += lw[c]
-        if acc == target:
-            return i + 1
-        if acc > target:
-            return None
-    return None
+        if acc >= target:
+            return i, acc
+    return len(letters), acc
 
 
 def _arrangements(counts: list[int]) -> Iterator[tuple[int, ...]]:
@@ -258,7 +266,7 @@ _Block = tuple[int, tuple[int, ...], _Table]
 
 
 def _class_blocks(
-    z: MultiIndex,
+    alphabet: GradedAlphabet,
     p: int,
     k: MultiIndex,
     r: Optional[int] = None,
@@ -276,17 +284,18 @@ def _class_blocks(
     arrangements are the Algorithm L table of the leftover counts, memoized
     in tables (pass one dict to share them between classes).  No head is a
     prefix of another, so the (head, table) order is lexicographic.
-    r = None, like r = 0, takes the single empty prefix.
+    r = None, like r = 0, takes the single empty prefix; a negative r, or
+    one past p, takes none.
     """
     r = r or 0
-    if p < 0 or any(e < 0 for e in k) or r > p:
+    if p < 0 or any(e < 0 for e in k) or not 0 <= r <= p:
         return
-    counts = [p - dot(k, z) - norm(k), *k]
+    counts = [p - dot(k, alphabet.z) - norm(k), *k]
     if counts[0] < 0:
         return
     if tables is None:
         tables = {}
-    weights = (1, *(e + 1 for e in z))
+    weights = alphabet._weights
     top = len(weights)
     left, size = 0, 1
     for e in counts:  # size = the multinomial of counts
@@ -326,22 +335,20 @@ def _class_blocks(
 
 
 def _iter_class(
-    z: MultiIndex, p: int, k: MultiIndex, r: Optional[int] = None
+    alphabet: GradedAlphabet, p: int, k: MultiIndex, r: Optional[int] = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield the letter tuples of class(p, k) (restricted to prefix weight r
     if given) in lexicographic order: the blocks of _class_blocks, flattened.
 
-    Each block is a head and a table of at most _TABLE_CAP tails, its words
-    built by map(head.__add__, table) in C rather than by a Python step per
-    word.  The cap is 64 because caps from 32 to 64 built the benchmark's
-    classes fastest: smaller caps multiply the blocks, larger ones list big
-    tables, at one Python step per entry, that few heads share."""
-    for _, head, table in _class_blocks(z, p, k, r):
+    Each block is a head and a table of at most _TABLE_CAP tails (the
+    comment at _TABLE_CAP gives its value), its words built by
+    map(head.__add__, table) in C rather than by a Python step per word."""
+    for _, head, table in _class_blocks(alphabet, p, k, r):
         yield from map(head.__add__, table)
 
 
 def _class_size(
-    z: MultiIndex,
+    alphabet: GradedAlphabet,
     p: int,
     k: MultiIndex,
     r: Optional[int] = None,
@@ -350,7 +357,7 @@ def _class_size(
     """The number of words of the class, each built from its block and counted."""
     return sum(
         len(list(map(head.__add__, table)))
-        for _, head, table in _class_blocks(z, p, k, r, tables)
+        for _, head, table in _class_blocks(alphabet, p, k, r, tables)
     )
 
 
@@ -362,7 +369,7 @@ def enumerate_words(spec: WordClassSpec, alphabet: GradedAlphabet) -> Iterator[W
     """
     _check_dimension(spec.k, alphabet)
     build = functools.partial(_trusted_word, alphabet)
-    for _, head, table in _class_blocks(alphabet.z, spec.p, spec.k, spec.r):
+    for _, head, table in _class_blocks(alphabet, spec.p, spec.k, spec.r):
         yield from map(build, map(head.__add__, table))
 
 
@@ -379,26 +386,34 @@ def count_words(p: int, k: MultiIndex, alphabet: GradedAlphabet) -> Fraction:
     return Fraction(multinomial(p - dot(k, alphabet.z), k))
 
 
-def count_prefix_class(
-    p: int, q: int, n: MultiIndex, alphabet: GradedAlphabet
-) -> Fraction:
-    """Closed-form count of class(p + q, n, r=p): the convolution sum
+def _split_count(z: MultiIndex, p: int, q: int, n: MultiIndex) -> int:
+    """The number of words of weight p + q with letter counts n that have a
+    prefix of weight p: the convolution sum
 
         sum_k C(p - k.z, k) C(q - (n-k).z, n-k)
 
     over 0 <= k <= n.  Splitting such a word at its weight-p prefix sends it
     to a pair (word of weight p with counts k, word of weight q with counts
-    n - k), which is where the sum comes from.  Requires p, q >= n.z.
-    """
+    n - k), which is where the sum comes from.  A piece of negative length
+    has no words and counts as zero, so any p, q and n may be given."""
+    total = 0
+    for k in box(n):
+        nk = vec_sub(n, k)
+        head, tail = p - dot(k, z), q - dot(nk, z)
+        if head >= 0 and tail >= 0:
+            total += multinomial(head, k) * multinomial(tail, nk)
+    return total
+
+
+def count_prefix_class(
+    p: int, q: int, n: MultiIndex, alphabet: GradedAlphabet
+) -> Fraction:
+    """Closed-form count of class(p + q, n, r=p), the sum of _split_count.
+    Requires p, q >= n.z."""
     _check_dimension(n, alphabet)
     nz = dot(n, alphabet.z)
     if p < nz or q < nz:
         raise PreconditionError(
             f"prefix-class count requires p >= n.z and q >= n.z (p={p}, q={q}, n.z={nz})"
         )
-    z = alphabet.z
-    total = Fraction(0)
-    for k in box(n):
-        nk = vec_sub(n, k)
-        total += multinomial(p - dot(k, z), k) * multinomial(q - dot(nk, z), nk)
-    return total
+    return Fraction(_split_count(alphabet.z, p, q, n))

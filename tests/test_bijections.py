@@ -450,7 +450,7 @@ def test_raney_unfactorize_validates_consistency():
         raney_unfactorize(PrefixCase(u=A1.parse_word("a"), v=A1.parse_word("b")), 2)
     with pytest.raises(PreconditionError):
         raney_unfactorize(
-            Overshoot(i=1, j=2, u_prime=A1.word(()), v=A1.parse_word("a")), 1
+            Overshoot(i=1, j=2, u_prime=Word(A1, ()), v=A1.parse_word("a")), 1
         )  # j > z_1
     with pytest.raises(PreconditionError):
         raney_unfactorize(

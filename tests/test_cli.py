@@ -21,7 +21,9 @@ import gradedwords
 import gradedwords.cli as cli
 from gradedwords import words
 from gradedwords.bijections import _shift_round_trip
-from gradedwords import CATALOG, PreconditionError, default_manifest, main, run_suite
+from gradedwords import (
+    CATALOG, GradedAlphabet, PreconditionError, default_manifest, main, run_suite,
+)
 from gradedwords.cli import _COMMANDS, EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_PASS
 
 
@@ -637,7 +639,7 @@ def test_predicted_work_sizes_every_built_in_member():
 ])
 def test_predicted_work_sizes_a_prefixed_enumeration_by_its_prefix_class(z, p, k, r):
     work = cli._predicted_work("enumerate", {"z": z, "p": p, "k": k, "r": r})
-    assert work == cli._DISPATCH_US + words._class_size(z, p, k, r)
+    assert work == cli._DISPATCH_US + words._class_size(GradedAlphabet(z), p, k, r)
 
 
 @pytest.mark.parametrize("member", [

@@ -751,43 +751,47 @@ def test_mismatch_produces_counterexample_with_rerun_command(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the per-grid memo of C(x, n), and the one division of a rational side
+# the per-grid cache of C(x, n), and the one division of a rational side
 # ---------------------------------------------------------------------------
 
 
 def _memo_is_gone():
-    return not identities._MEMO and identities.multinomial is multinomial
+    return identities.multinomial is arith.multinomial
 
 
 def _spying(monkeypatch, name, after=None):
-    """CATALOG[name] with an evaluate that records the memo's size after each
-    point (then applies after, if given, to the pairs)."""
+    """CATALOG[name] with an evaluate that records the grid cache's
+    cache_info() after each point (then applies after, if given, to the
+    pairs)."""
     entry = CATALOG[name]
-    sizes = []
+    infos = []
 
     def spy(point, spec):
         pairs = entry.evaluate(point, spec)
-        sizes.append(len(identities._MEMO))
+        infos.append(identities.multinomial.cache_info())
         return pairs if after is None else after(pairs)
 
     monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, evaluate=spy))
-    return sizes
+    return infos
 
 
 def test_memo_is_emptied_after_a_passing_grid(monkeypatch):
-    sizes = _spying(monkeypatch, "gould-mohanty")
+    infos = _spying(monkeypatch, "gould-mohanty")
     assert verify_identity_on_grid(IdentitySpec("gould-mohanty", (2, 1), (1, 2))).ok
-    # the memo fills across the grid's points, and repeats hit it: each point
+    # the cache fills across the grid's points, and repeats hit it: each point
     # makes 4 calls per term (6 terms), but C(x - k.z, k) does not depend on
     # y or eps, so the 64 points reach only 48 distinct keys
+    sizes = [info.currsize for info in infos]
     assert 0 < sizes[0] < sizes[-1] <= len(sizes) * 4 * 6 // 10
+    assert infos[-1].hits + infos[-1].misses == len(infos) * 4 * 6
+    assert infos[-1].hits > infos[-1].misses
     assert _memo_is_gone()
 
 
 def test_memo_is_emptied_after_a_mismatch(monkeypatch):
-    sizes = _spying(monkeypatch, "rothe-1", lambda pairs: [(l, r + 1) for l, r in pairs])
+    infos = _spying(monkeypatch, "rothe-1", lambda pairs: [(l, r + 1) for l, r in pairs])
     report = verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,)))
-    assert report.verdict == "mismatch" and sizes[0] > 0
+    assert report.verdict == "mismatch" and infos[0].currsize > 0
     assert _memo_is_gone()
 
 
@@ -795,10 +799,10 @@ def test_memo_is_emptied_after_a_body_raises(monkeypatch):
     def fault(pairs):
         raise RuntimeError("body fault")
 
-    sizes = _spying(monkeypatch, "kmx", fault)
+    infos = _spying(monkeypatch, "kmx", fault)
     with pytest.raises(RuntimeError, match="body fault"):
         verify_identity_on_grid(IdentitySpec("kmx", (1, 1), (1, 2)))
-    assert sizes[0] > 0
+    assert infos[0].currsize > 0
     assert _memo_is_gone()
 
 
@@ -808,15 +812,24 @@ def test_point_checks_and_public_evaluators_leave_no_memo():
     assert _memo_is_gone()
 
 
-def test_a_wrong_memo_entry_is_a_mismatch():
+def test_a_wrong_memo_entry_is_a_mismatch(monkeypatch):
     # the first point of the rothe-1 grid at n = 2, z = 1 is x = y = 3, whose
-    # right side is C(x + y, 2) = C(6, 2) = 15
-    identities._MEMO[6, (2,)] = 16
+    # right side is C(x + y, 2) = C(6, 2) = 15; the grid caches the
+    # multinomial arith holds when it starts
+    real = arith.multinomial
+
+    def wrong(x, n):
+        return 16 if (x, n) == (6, (2,)) else real(x, n)
+
+    monkeypatch.setattr(arith, "multinomial", wrong)
+    monkeypatch.setattr(identities, "multinomial", wrong)  # undone below as well
     report = verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,)))
     assert report.verdict == "mismatch"
     assert report.counterexample["point"] == {"x": "3", "y": "3"}
     assert report.counterexample["right"] == "16"
     assert _memo_is_gone()
+    monkeypatch.undo()
+    assert identities.multinomial is real is multinomial
     assert verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,))).ok
 
 

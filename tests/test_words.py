@@ -3,6 +3,7 @@ cross-checked against an independent brute-force oracle."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from fractions import Fraction
@@ -25,7 +26,7 @@ from gradedwords import (
 )
 from gradedwords import words
 
-from conftest import brute_force_class, small_grid
+from conftest import brute_force_class, brute_force_sequences, small_grid
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,41 @@ def test_prefix_weights_strictly_increasing():
 def test_word_letter_code_out_of_range():
     with pytest.raises(PreconditionError):
         Word(GradedAlphabet(z=(1,)), (0, 2))
+
+
+@pytest.mark.parametrize("z", [(0.5,), (1, 2.0), (True,), (1, -1), 3, None])
+def test_alphabet_refuses_a_grading_of_other_than_naturals(z):
+    with pytest.raises(PreconditionError, match="z"):
+        GradedAlphabet(z=z)
+
+
+def test_alphabet_from_a_list_is_hashable_and_equals_the_tuple_form():
+    a = GradedAlphabet(z=[1, 2])
+    assert a.z == (1, 2) and a == GradedAlphabet(z=(1, 2))
+    assert hash(a) == hash(GradedAlphabet(z=(1, 2)))
+
+
+@pytest.mark.parametrize("letters", [(True, 0), (0, False), (0.0, 1), (1, 1.0)])
+def test_word_refuses_letters_that_are_not_ints(letters):
+    with pytest.raises(PreconditionError, match="letter codes"):
+        Word(GradedAlphabet(z=(1,)), letters)
+
+
+@pytest.mark.parametrize("p, k, r", [
+    (3.0, (1,), None), (True, (1,), None), (3, (1.0,), None), (3, (True,), None),
+    (3, (1,), 1.5), (3, (1,), True), (Fraction(3), (1,), None),
+])
+def test_class_spec_refuses_non_int_weights_counts_and_prefixes(p, k, r):
+    with pytest.raises(PreconditionError, match="int"):
+        WordClassSpec(p, k, r)
+
+
+def test_negative_weights_and_prefixes_give_empty_classes():
+    alphabet = GradedAlphabet(z=(1,))
+    assert WordClassSpec(3, [1]).k == (1,)
+    assert list(enumerate_words(WordClassSpec(-1, (0,)), alphabet)) == []
+    assert list(enumerate_words(WordClassSpec(3, (1,), -1), alphabet)) == []
+    assert len(list(enumerate_words(WordClassSpec(3, (1,), 0), alphabet))) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +295,23 @@ def test_count_prefix_class_matches_filtered_enumeration(z, n, p, q):
     assert formula == listed
 
 
+@pytest.mark.parametrize("z", [(0,), (2,), (0, 1), (1, 2), (1, 0, 2)])
+def test_split_count_matches_brute_force(z):
+    # any p, q and n: negative weights, counts past the feasible ones and
+    # (as an enumeration's prefix weight r past the class weight) q < 0
+    lw = GradedAlphabet(z=z).letter_weights()
+    for total in range(-3, 10):
+        # the words of weight total, tallied by letter counts and prefix weight
+        tally = collections.Counter(
+            (tuple(map(seq.count, range(1, len(z) + 1))), weight)
+            for seq in brute_force_sequences(z, total)
+            for weight in {0, *itertools.accumulate(map(lw.__getitem__, seq))}
+        )
+        for n in itertools.product(range(-1, 3), repeat=len(z)):
+            for p in range(-2, 7):
+                assert words._split_count(z, p, total - p, n) == tally[n, p], (n, p, total)
+
+
 def test_counts_are_exact_fractions_with_unit_denominator():
     a = GradedAlphabet(z=(1, 2))
     c = count_prefix_class(5, 5, (1, 1), a)
@@ -292,16 +345,17 @@ _oracle = functools.cache(brute_force_class)
 @pytest.mark.parametrize("cap", [1, 5, words._TABLE_CAP])
 @pytest.mark.parametrize("z, p, k", _LARGE_CLASSES)
 def test_blocks_flatten_to_algorithm_l_and_the_oracle(monkeypatch, cap, z, p, k):
-    assert count_words(p, k, GradedAlphabet(z=z)) > words._TABLE_CAP
+    alphabet = GradedAlphabet(z=z)
+    assert count_words(p, k, alphabet) > words._TABLE_CAP
     monkeypatch.setattr(words, "_TABLE_CAP", cap)
     counts = [p - dot(k, z) - sum(k), *k]
-    whole = _flattened(words._class_blocks(z, p, k))
+    whole = _flattened(words._class_blocks(alphabet, p, k))
     assert whole == list(words._arrangements(counts)) == _oracle(z, p, k)
     for r in range(p + 2):
-        blocks = list(words._class_blocks(z, p, k, r))
+        blocks = list(words._class_blocks(alphabet, p, k, r))
         assert _flattened(blocks) == _oracle(z, p, k, r), r
         assert all(len(table) <= cap for _, _, table in blocks)
-    blocks = list(words._class_blocks(z, p, k))
+    blocks = list(words._class_blocks(alphabet, p, k))
     assert len(blocks) > 1 and any(head for _, head, _ in blocks)
 
 
@@ -309,22 +363,40 @@ def test_blocks_flatten_to_algorithm_l_and_the_oracle(monkeypatch, cap, z, p, k)
 @pytest.mark.parametrize("z, p, k", _LARGE_CLASSES)
 def test_each_block_cuts_at_its_weight_r_prefix(monkeypatch, cap, z, p, k):
     monkeypatch.setattr(words, "_TABLE_CAP", cap)
-    lw = GradedAlphabet(z=z).letter_weights()
+    alphabet = GradedAlphabet(z=z)
+    lw = alphabet.letter_weights()
     for r in [None, *range(p + 1)]:
-        for cut, head, table in words._class_blocks(z, p, k, r):
+        for cut, head, table in words._class_blocks(alphabet, p, k, r):
             assert cut <= len(head)
             for t in table:
-                assert words._prefix_cut(lw, head + t, r or 0) == cut
+                assert words._cut(lw, head + t, r or 0) == (cut, r or 0)
+
+
+def _cut_oracle(lw, letters, target):
+    prefixes = [0, *itertools.accumulate(map(lw.__getitem__, letters))]
+    for length, weight in enumerate(prefixes):
+        if weight >= target:
+            return length, weight
+    return len(letters), prefixes[-1]
+
+
+@pytest.mark.parametrize("z", [(0,), (1,), (3,), (0, 0), (0, 2), (1, 2), (1, 0, 2), (0, 0, 1)])
+def test_cut_is_the_first_prefix_at_or_past_the_target(z):
+    lw = GradedAlphabet(z=z).letter_weights()
+    for weight in range(8):
+        for letters in brute_force_sequences(z, weight):
+            for target in range(-1, weight + 2):
+                assert words._cut(lw, letters, target) == _cut_oracle(lw, letters, target)
 
 
 def test_blocks_of_the_1200_letter_class_equal_the_plain_stream():
-    z, lw = (1,), (1, 2)
+    alphabet, lw = GradedAlphabet(z=(1,)), (1, 2)
     whole = list(words._arrangements([1199, 1]))
-    blocks = list(words._class_blocks(z, 1201, (1,)))
-    assert _flattened(blocks) == list(words._iter_class(z, 1201, (1,))) == whole
+    blocks = list(words._class_blocks(alphabet, 1201, (1,)))
+    assert _flattened(blocks) == list(words._iter_class(alphabet, 1201, (1,))) == whole
     assert len(blocks) > 1 and all(len(table) <= words._TABLE_CAP for _, _, table in blocks)
     prefixed = [w for w in whole if 1100 in itertools.accumulate(map(lw.__getitem__, w))]
-    blocks = list(words._class_blocks(z, 1201, (1,), 1100))
+    blocks = list(words._class_blocks(alphabet, 1201, (1,), 1100))
     assert _flattened(blocks) == prefixed
     assert all(sum(map(lw.__getitem__, head[:cut])) == 1100 for cut, head, _ in blocks)
 
@@ -332,10 +404,11 @@ def test_blocks_of_the_1200_letter_class_equal_the_plain_stream():
 def test_tables_are_shared_between_classes():
     # the weight-3 and weight-4 prefix classes of a shift leave some equal letters over
     tables: dict = {}
-    source = list(words._class_blocks((1,), 16, (4,), 3, tables))
+    alphabet = GradedAlphabet(z=(1,))
+    source = list(words._class_blocks(alphabet, 16, (4,), 3, tables))
     listed = dict(tables)
-    target = list(words._class_blocks((1,), 16, (4,), 4, tables))
+    target = list(words._class_blocks(alphabet, 16, (4,), 4, tables))
     assert listed and all(tables[key] is table for key, table in listed.items())
     assert {id(table) for _, _, table in source} & {id(table) for _, _, table in target}
     assert _flattened(target) == brute_force_class((1,), 16, (4,), r=4)
-    assert words._class_size((1,), 16, (4,), 4, tables) == len(_flattened(target))
+    assert words._class_size(alphabet, 16, (4,), 4, tables) == len(_flattened(target))
