@@ -39,13 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .arith import MultiIndex, dot, multinomial, unit, vec_sub, box
+from .arith import MultiIndex, dot, multinomial, naturals, unit, vec_sub, box
 from .errors import DimensionMismatchError, LemmaViolationError, PreconditionError
 from .reports import VERDICT_FAIL, VERDICT_PASS, EvalReport
 from .words import (
     GradedAlphabet,
     Word,
     _check_dimension,
+    _check_ints,
     _class_blocks,
     _class_size,
     _cut,
@@ -190,25 +191,22 @@ def _raney_join(
 # ---------------------------------------------------------------------------
 
 
-def _class_params(w: Word, p: int) -> tuple[int, int]:
-    """(n.z, q) of w's class at split weight p, n the letter counts of w:
-    each b_i outweighs a by z_i, so ||w|| = |w| + n.z and q = |w| - p."""
-    return w.weight - len(w), len(w) - p
-
-
-def _check_split(p: int, nz: int, q: Optional[int] = None) -> None:
-    """The hypotheses of a split at weight p: p >= n.z, and q >= 1 when q
-    is given (an r-fold shift checks q >= r itself)."""
+def _check_split(
+    p: int, q: int, nz: int, r: int = 1, grading: Optional[MultiIndex] = None
+) -> None:
+    """The hypotheses of a split at weight p of a class of weight p + q + n.z,
+    checked in this order: p, q and r are ints; every z_i >= 1, when the
+    overshoot factorization passes its grading (each b_i must outweigh a);
+    p >= n.z; and q >= r >= 1, r the shift distance (1 for a unit shift and
+    for the factorization).  A word w of the class has q = |w| - p and
+    n.z = ||w|| - |w|, since each b_i outweighs a by z_i."""
+    _check_ints(p=p, q=q, r=r)
+    if grading is not None and any(e < 1 for e in grading):
+        raise PreconditionError(f"requires z_i >= 1 for every i, got z={grading}")
     if p < nz:
         raise PreconditionError(f"requires p >= n.z (p={p}, n.z={nz})")
-    if q is not None and q < 1:
-        raise PreconditionError(f"requires q >= 1 (q={q})")
-
-
-def _check_raney_grading(alphabet: GradedAlphabet) -> None:
-    """The overshoot factorization needs every b_i to outweigh a."""
-    if any(e < 1 for e in alphabet.z):
-        raise PreconditionError(f"requires z_i >= 1 for every i, got z={alphabet.z}")
+    if not 1 <= r <= q:
+        raise PreconditionError(f"requires q >= r >= 1 (q={q}, r={r})")
 
 
 def find_equal_prefixes(u: Word, v: Word, n: MultiIndex) -> tuple[Word, Word]:
@@ -271,16 +269,9 @@ def find_balanced_pair(u: Word, v: Word) -> BalancedPair:
 
 
 def _shift_cut(w: Word, p: int, r: int, at: int) -> int:
-    """Check the preconditions of an r-fold shift from prefix weight p, and
+    """Check the hypotheses of an r-fold shift from prefix weight p, and
     return the length of the weight-`at` prefix of w, which must exist."""
-    if r < 1:
-        raise PreconditionError(f"requires r >= 1, got {r}")
-    nz, q = _class_params(w, p)
-    _check_split(p, nz)
-    if q < r:
-        raise PreconditionError(
-            f"requires q >= r >= 1 (q={q}, r={r}); q is the word weight minus p + n.z"
-        )
+    _check_split(p, len(w) - p, w.weight - len(w), r)
     cut = w.prefix_cut(at)
     if cut is None:
         raise PreconditionError(f"word {w} has no prefix of weight {at}")
@@ -313,8 +304,9 @@ def _shift_letters(
 
 def shift_by(w: Word, p: int, r: int) -> Word:
     """r-fold composition of unit shifts: prefix weight p to prefix weight
-    p + r.  Requires q >= r >= 1.  Each unit shift returns its image's next
-    cut, so the word is scanned for a cut only once."""
+    p + r.  Requires int p and r, p >= n.z and q >= r >= 1.  Each unit
+    shift returns its image's next cut, so the word is scanned for a cut
+    only once."""
     cut = _shift_cut(w, p, r, p)
     letters, _ = _shift_letters(w.alphabet.letter_weights(), w.letters, cut, r)
     return _trusted_word(w.alphabet, letters)
@@ -334,12 +326,11 @@ def raney_factorize(w: Word, p: int) -> RaneyFactorization:
 
     PrefixCase(u, v) when ||u|| = p; otherwise the prefix overshoots through
     its final letter b_i by j = ||u|| - p with 1 <= j <= z_i, giving
-    Overshoot(i, j, u_prime, v) where u = u_prime . b_i.  Requires every
-    z_i >= 1, p >= n.z and q >= 1.
+    Overshoot(i, j, u_prime, v) where u = u_prime . b_i.  Requires an int
+    p, every z_i >= 1, p >= n.z and q >= 1.
     """
     alphabet = w.alphabet
-    _check_raney_grading(alphabet)
-    _check_split(p, *_class_params(w, p))
+    _check_split(p, len(w) - p, w.weight - len(w), grading=alphabet.z)
     cut, achieved = _cut(alphabet.letter_weights(), w.letters, p)
     u, v = w.prefix(cut), Word(alphabet, w.letters[cut:])
     if achieved == p:
@@ -367,15 +358,6 @@ def raney_unfactorize(f: RaneyFactorization, p: int) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def _check_class_args(p: int, q: int, n: MultiIndex, alphabet: GradedAlphabet) -> int:
-    _check_dimension(n, alphabet)
-    if any(e < 0 for e in n):
-        raise PreconditionError(f"letter counts must be >= 0, got {n}")
-    nz = dot(n, alphabet.z)
-    _check_split(p, nz, q)
-    return nz
-
-
 def verify_shift_bijection(
     p: int, q: int, n: MultiIndex, alphabet: GradedAlphabet, r: int = 1
 ) -> EvalReport:
@@ -399,9 +381,10 @@ def verify_shift_bijection(
     image at a time, besides the leftover-letter tables the enumeration
     shares; the kernel is taken to be a function of its arguments.
     """
-    nz = _check_class_args(p, q, n, alphabet)
-    if not 1 <= r <= q:
-        raise PreconditionError(f"requires q >= r >= 1 (q={q}, r={r})")
+    n = naturals(n, "n")
+    _check_dimension(n, alphabet)
+    nz = dot(n, alphabet.z)
+    _check_split(p, q, nz, r)
     total_weight = p + q + nz
     z = alphabet.z
     lw = alphabet.letter_weights()
@@ -473,8 +456,10 @@ def verify_raney_decomposition(
     """Factorize every word of class(p + q + n.z, n) at weight p and check
     the case tallies against the closed-form and enumerated counts of each
     piece, with every factorization round-tripped."""
-    _check_raney_grading(alphabet)
-    nz = _check_class_args(p, q, n, alphabet)
+    n = naturals(n, "n")
+    _check_dimension(n, alphabet)
+    nz = dot(n, alphabet.z)
+    _check_split(p, q, nz, grading=alphabet.z)
     z = alphabet.z
     m = alphabet.m
     lw = alphabet.letter_weights()

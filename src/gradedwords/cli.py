@@ -113,11 +113,11 @@ def do_count(
         formula = count_words(p, k, alphabet)
         enumerated = _class_size(alphabet, p, k)
         report = EvalReport(check="count", params={"p": p, "k": list(k), "z": list(z)})
-    report.details = {"formula": int(formula), "enumerated": enumerated}
+    report.details = {"formula": formula, "enumerated": enumerated}
     report.verdict = VERDICT_EQUAL if formula == enumerated else VERDICT_MISMATCH
     if not report.ok:
         report.counterexample = {
-            "formula": int(formula),
+            "formula": formula,
             "enumerated": enumerated,
             "params": report.params,
         }
@@ -157,6 +157,7 @@ def do_bijection(
     word: Optional[str] = None,
 ) -> EvalReport:
     """Apply a bijection to one word, or verify it over a whole class."""
+    _require(kind == "shift" or r is None, "bijection raney does not take --r")
     alphabet = GradedAlphabet(z)
     if word is not None:
         w = alphabet.parse_word(word)
@@ -183,7 +184,6 @@ def do_bijection(
             if not report.ok:
                 report.counterexample = {"word": str(w), "image": str(image), "back": str(back)}
             return report
-        _require(r is None, "bijection raney does not take --r")
         f = raney_factorize(w, p)
         if isinstance(f, PrefixCase):
             case = {"case": "prefix", "u": str(f.u), "v": str(f.v)}
@@ -208,7 +208,6 @@ def do_bijection(
     _require(q is not None and n is not None, f"bijection {kind} over a class needs --q and --n")
     if kind == "shift":
         return verify_shift_bijection(p, q, n, alphabet, r=1 if r is None else r)
-    _require(r is None, "bijection raney does not take --r")
     return verify_raney_decomposition(p, q, n, alphabet)
 
 
@@ -481,6 +480,16 @@ def _payload_exit_code(payload: Payload) -> int:
     return EXIT_PASS
 
 
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and message of a command that raised exc: a
+    counterexample, a refused configuration, or a fault of this program."""
+    if isinstance(exc, LemmaViolationError):
+        return EXIT_COUNTEREXAMPLE, f"counterexample: {exc}"
+    if isinstance(exc, PreconditionError):
+        return EXIT_CONFIG, f"invalid configuration: {exc}"
+    return EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}"
+
+
 def _run_entry(index: int, config: object) -> dict:
     """One member's suite entry; the member's failure is recorded, never raised."""
     entry: dict = {"index": index, "label": f"member {index}"}
@@ -490,15 +499,8 @@ def _run_entry(index: int, config: object) -> dict:
         payload = _execute(command, values)
         entry["exit_code"] = _payload_exit_code(payload)
         entry["report"] = payload.to_dict() if isinstance(payload, EvalReport) else payload
-    except LemmaViolationError as exc:
-        entry["exit_code"] = EXIT_COUNTEREXAMPLE
-        entry["error"] = f"counterexample: {exc}"
-    except PreconditionError as exc:
-        entry["exit_code"] = EXIT_CONFIG
-        entry["error"] = f"invalid configuration: {exc}"
     except Exception as exc:  # noqa: BLE001 - member isolation
-        entry["exit_code"] = EXIT_INTERNAL
-        entry["error"] = f"internal error: {type(exc).__name__}: {exc}"
+        entry["exit_code"], entry["error"] = _failure(exc)
     return entry
 
 
@@ -530,11 +532,11 @@ def _predicted_work(command: str, values: dict) -> int:
     try:
         if command in ("count", "enumerate"):
             if n is not None and q is not None:
-                units = 2 * int(count_prefix_class(p, q, n, GradedAlphabet(z)))
+                units = 2 * count_prefix_class(p, q, n, GradedAlphabet(z))
             elif get("k") is not None:
                 k, alphabet, prefix = get("k"), GradedAlphabet(z), get("r")
                 if prefix is None:
-                    size, per_word = int(count_words(p, k, alphabet)), 2
+                    size, per_word = count_words(p, k, alphabet), 2
                 else:  # split at the weight-r prefix
                     size, per_word = _split_count(alphabet.z, prefix, p - prefix, k), 1
                 units = 2 * size // 3 if command == "count" else per_word * size
@@ -544,9 +546,9 @@ def _predicted_work(command: str, values: dict) -> int:
             elif q is not None and n is not None:
                 total = q + dot(n, z)
                 if get("kind") == "shift":
-                    units = 5 * r * int(count_prefix_class(p, total, n, GradedAlphabet(z)))
+                    units = 5 * r * count_prefix_class(p, total, n, GradedAlphabet(z))
                 else:
-                    units = 10 * int(count_words(p + total, n, GradedAlphabet(z)))
+                    units = 10 * count_words(p + total, n, GradedAlphabet(z))
         elif command == "verify":
             entry = CATALOG.get(get("identity"))
             slot = n if n is not None else get("k")
@@ -864,19 +866,6 @@ def _emit(payload: Payload, args: argparse.Namespace) -> None:
         print(text)
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("GRADEDWORDS_JOBS")
-    if not env:
-        return _usable_cpus()
-    try:
-        jobs = int(env)
-    except ValueError:
-        raise PreconditionError(f"GRADEDWORDS_JOBS must be an integer, got {env!r}")
-    if jobs < 1:
-        raise PreconditionError(f"GRADEDWORDS_JOBS must be >= 1, got {env!r}")
-    return jobs
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line, built once per process: a subcommand per command name
@@ -916,7 +905,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--manifest", metavar="PATH",
                          help="JSON list of member configs (default: built-in suite)")
     p_suite.add_argument("--jobs", type=int,
-                         help="worker processes (default: GRADEDWORDS_JOBS or the usable CPUs)")
+                         help="worker processes (default: the usable CPUs)")
 
     return parser
 
@@ -954,7 +943,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[Payload, int]:
             )
     else:
         manifest = default_manifest()
-    jobs = _default_jobs() if args.jobs is None else args.jobs
+    jobs = _usable_cpus() if args.jobs is None else args.jobs
     return run_suite(manifest, jobs)
 
 
@@ -963,15 +952,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = _dispatch(args)
-    except LemmaViolationError as exc:
-        print(f"counterexample: {exc}", file=sys.stderr)
-        return EXIT_COUNTEREXAMPLE
-    except PreconditionError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - last-resort exit code mapping
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, message = _failure(exc)
+        print(message, file=sys.stderr)
+        return code
     _emit(payload, args)
     return code
 

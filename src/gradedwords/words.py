@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Optional
 
@@ -120,12 +119,14 @@ class GradedAlphabet:
 
 @dataclass(frozen=True)
 class Word:
-    """A finite letter sequence over a graded alphabet."""
+    """A finite letter sequence over a graded alphabet, its letters stored
+    as a tuple of codes."""
 
     alphabet: GradedAlphabet
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "letters", tuple(self.letters))
         m = self.alphabet.m
         if self.letters and not (
             {*map(type, self.letters)} == {int} and 0 <= min(self.letters) <= max(self.letters) <= m
@@ -190,7 +191,8 @@ def _trusted_word(alphabet: GradedAlphabet, letters: tuple[int, ...]) -> Word:
 @dataclass(frozen=True)
 class WordClassSpec:
     """Description of a word class: weight p, letter counts k, optional
-    required prefix weight r."""
+    required prefix weight r.  p, the entries of k and r must be ints, never
+    a bool; a negative one gives an empty class."""
 
     p: int
     k: MultiIndex
@@ -198,12 +200,21 @@ class WordClassSpec:
 
     def __post_init__(self) -> None:
         k = tuple(self.k)
-        if any(type(e) is not int for e in (self.p, *k, 0 if self.r is None else self.r)):
-            raise PreconditionError(
-                f"a word class needs an int p, int k entries and an int r, "
-                f"got p={self.p!r}, k={self.k!r}, r={self.r!r}"
-            )
+        _check_ints(p=self.p, k=k, r=self.r)
         object.__setattr__(self, "k", k)
+
+
+def _check_ints(**values: object) -> None:
+    """Refuse, by its name, a value that is not an int (a bool, float or
+    Fraction included), or a tuple with such an entry; None passes.  The
+    word layer's one type check: a class's p, k and r, a prefix class's q,
+    and a split's p, q and r."""
+    for name, value in values.items():
+        if type(value) is tuple:
+            if not all(type(e) is int for e in value):
+                raise PreconditionError(f"{name} entries must be ints, got {value!r}")
+        elif value is not None and type(value) is not int:
+            raise PreconditionError(f"{name} must be an int, got {value!r}")
 
 
 def _cut(lw: tuple[int, ...], letters: tuple[int, ...], target: int) -> tuple[int, int]:
@@ -373,17 +384,20 @@ def enumerate_words(spec: WordClassSpec, alphabet: GradedAlphabet) -> Iterator[W
         yield from map(build, map(head.__add__, table))
 
 
-def count_words(p: int, k: MultiIndex, alphabet: GradedAlphabet) -> Fraction:
-    """Closed-form count of class(p, k): the multinomial C(p - k.z, k).
+def count_words(p: int, k: MultiIndex, alphabet: GradedAlphabet) -> int:
+    """Closed-form count of class(p, k): the multinomial C(p - k.z, k), an int.
 
-    Infeasible classes count as zero.  The guard on p - k.z < 0 matters: the
-    total multinomial at a negative first argument need not vanish (e.g.
-    C(-1, (1,1)) = 2), but no word has a negative number of a's.
+    p and the entries of k must be ints (never a bool), as for a
+    WordClassSpec.  Infeasible classes, a negative p or k entry among them,
+    count as zero.  The guard on p - k.z < 0 matters: the total multinomial
+    at a negative first argument need not vanish (e.g. C(-1, (1,1)) = 2),
+    but no word has a negative number of a's.
     """
+    k = WordClassSpec(p, k).k
     _check_dimension(k, alphabet)
     if p < 0 or any(e < 0 for e in k) or p - dot(k, alphabet.z) < 0:
-        return Fraction(0)
-    return Fraction(multinomial(p - dot(k, alphabet.z), k))
+        return 0
+    return multinomial(p - dot(k, alphabet.z), k)
 
 
 def _split_count(z: MultiIndex, p: int, q: int, n: MultiIndex) -> int:
@@ -405,15 +419,16 @@ def _split_count(z: MultiIndex, p: int, q: int, n: MultiIndex) -> int:
     return total
 
 
-def count_prefix_class(
-    p: int, q: int, n: MultiIndex, alphabet: GradedAlphabet
-) -> Fraction:
-    """Closed-form count of class(p + q, n, r=p), the sum of _split_count.
-    Requires p, q >= n.z."""
+def count_prefix_class(p: int, q: int, n: MultiIndex, alphabet: GradedAlphabet) -> int:
+    """Closed-form count of class(p + q, n, r=p), the sum of _split_count,
+    an int.  p, q and the entries of n must be ints (never a bool), and
+    p, q >= n.z."""
+    n = tuple(n)
+    _check_ints(p=p, q=q, n=n)
     _check_dimension(n, alphabet)
     nz = dot(n, alphabet.z)
     if p < nz or q < nz:
         raise PreconditionError(
             f"prefix-class count requires p >= n.z and q >= n.z (p={p}, q={q}, n.z={nz})"
         )
-    return Fraction(_split_count(alphabet.z, p, q, n))
+    return _split_count(alphabet.z, p, q, n)

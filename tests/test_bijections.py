@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import itertools
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +21,8 @@ from gradedwords import (
     PreconditionError,
     Word,
     WordClassSpec,
+    count_prefix_class,
+    count_words,
     dot,
     enumerate_words,
     find_balanced_pair,
@@ -425,6 +430,12 @@ def test_raney_preconditions():
         raney_factorize(w, 2)  # q = 0
 
 
+def test_raney_factorize_refuses_a_split_weight_between_ints():
+    # a weight-1.5 "overshoot" through the letter a would be no factorization
+    with pytest.raises(PreconditionError, match=r"\bp\b"):
+        raney_factorize(A1.parse_word("a a b a"), 1.5)
+
+
 def test_raney_prefix_case_iff_word_has_weight_p_prefix():
     for z in [(1,), (2,), (1, 2)]:
         alphabet = GradedAlphabet(z=z)
@@ -491,3 +502,61 @@ def test_verify_raney_decomposition_examples():
 def test_verify_raney_decomposition_rejects_zero_grading():
     with pytest.raises(PreconditionError):
         verify_raney_decomposition(1, 1, (1,), GradedAlphabet(z=(0,)))
+
+
+# ---------------------------------------------------------------------------
+# the argument checks of the word layer
+# ---------------------------------------------------------------------------
+
+_W = A1.parse_word("a a b a")  # n.z = 1, prefix weights 1, 2, 4, 5
+
+# each public word and bijection entry point, with arguments it accepts
+# (every int among them is 1, so a bad value of the same size can replace it)
+_ENTRY_CALLS = {
+    count_words: dict(p=1, k=(1,), alphabet=A1),
+    count_prefix_class: dict(p=1, q=1, n=(1,), alphabet=A1),
+    shift_up: dict(w=_W, p=1),
+    shift_down: dict(w=_W, p=1),
+    shift_by: dict(w=_W, p=1, r=1),
+    raney_factorize: dict(w=_W, p=1),
+    verify_shift_bijection: dict(p=1, q=1, n=(1,), alphabet=A1, r=1),
+    verify_raney_decomposition: dict(p=1, q=1, n=(1,), alphabet=A1),
+}
+
+
+def _int_params(entry):
+    """The parameters annotated as an int or a multi-index of ints."""
+    return [
+        name
+        for name, param in inspect.signature(entry).parameters.items()
+        if param.annotation in ("int", "MultiIndex")
+    ]
+
+
+def test_every_entry_point_has_int_parameters():
+    assert all(map(_int_params, _ENTRY_CALLS))
+
+
+@pytest.mark.parametrize("entry, name", [
+    (entry, name) for entry in _ENTRY_CALLS for name in _int_params(entry)
+], ids=lambda x: getattr(x, "__name__", x))
+@pytest.mark.parametrize("bad", [1.0, True, Fraction(1)], ids=repr)
+def test_a_float_bool_or_fraction_int_argument_is_refused_by_name(entry, name, bad):
+    args = _ENTRY_CALLS[entry]
+    entry(**args)
+    value = (bad,) if type(args[name]) is tuple else bad
+    with pytest.raises(PreconditionError, match=rf"\b{name}\b"):
+        entry(**{**args, name: value})
+
+
+@pytest.mark.parametrize("message", [
+    "requires p >= n.z", "requires q >= r >= 1", "requires z_i >= 1 for every i",
+])
+def test_each_split_hypothesis_is_raised_from_one_place(message):
+    # a refactor that forks the split check again fails here
+    tree = ast.parse(inspect.getsource(bijections))
+    raises = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and message in ast.unparse(node)
+    ]
+    assert len(raises) == 1

@@ -663,25 +663,11 @@ def test_predicted_work_of_a_refused_member_is_a_number(member):
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_jobs_below_one_exit_two(capsys, monkeypatch, jobs):
+def test_jobs_below_one_exit_two(capsys, jobs):
     code, out, err = run(capsys, "suite", "--jobs", jobs)
     assert code == EXIT_CONFIG and "--jobs" in err and out == ""
-    monkeypatch.setenv("GRADEDWORDS_JOBS", jobs)
-    code, out, err = run(capsys, "suite")
-    assert code == EXIT_CONFIG and "GRADEDWORDS_JOBS" in err and out == ""
     with pytest.raises(PreconditionError, match="--jobs"):
         run_suite([], int(jobs))
-
-
-def test_suite_jobs_env_var(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps([{"command": "count", "z": [1], "p": 3, "k": [1]}]))
-    monkeypatch.setenv("GRADEDWORDS_JOBS", "2")
-    code, payload = run_json(capsys, "suite", "--manifest", str(path))
-    assert code == EXIT_PASS
-    monkeypatch.setenv("GRADEDWORDS_JOBS", "zero")
-    code, out, err = run(capsys, "suite", "--manifest", str(path))
-    assert code == EXIT_CONFIG and "GRADEDWORDS_JOBS" in err
 
 
 def test_run_suite_direct_api():

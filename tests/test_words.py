@@ -129,6 +129,12 @@ def test_word_refuses_letters_that_are_not_ints(letters):
         Word(GradedAlphabet(z=(1,)), letters)
 
 
+def test_word_from_a_list_is_hashable_and_equals_the_tuple_form():
+    w = Word(GradedAlphabet(z=(1,)), [0, 1])
+    assert w.letters == (0, 1) and w == Word(GradedAlphabet(z=(1,)), (0, 1))
+    assert hash(w) == hash(Word(GradedAlphabet(z=(1,)), (0, 1)))
+
+
 @pytest.mark.parametrize("p, k, r", [
     (3.0, (1,), None), (True, (1,), None), (3, (1.0,), None), (3, (True,), None),
     (3, (1,), 1.5), (3, (1,), True), (Fraction(3), (1,), None),
@@ -312,10 +318,11 @@ def test_split_count_matches_brute_force(z):
                 assert words._split_count(z, p, total - p, n) == tally[n, p], (n, p, total)
 
 
-def test_counts_are_exact_fractions_with_unit_denominator():
+def test_counts_are_ints():
     a = GradedAlphabet(z=(1, 2))
-    c = count_prefix_class(5, 5, (1, 1), a)
-    assert isinstance(c, Fraction) and c.denominator == 1
+    assert type(count_prefix_class(5, 5, (1, 1), a)) is int
+    assert type(count_words(9, (2, 2), a)) is int
+    assert type(count_words(2, (2, 2), a)) is int  # an infeasible class
 
 
 # ---------------------------------------------------------------------------
