@@ -200,6 +200,13 @@ def format_scalar(v: Scalar) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Inverse of format_scalar; accepts "30", "-4" and "2/3" forms."""
-    return Fraction(text.strip())
+def parse_scalar(text: str) -> Scalar:
+    """Inverse of format_scalar; accepts "30", "-4" and "2/3" forms, and
+    whatever else Fraction(text.strip()) accepts.  An integer text parses
+    as an int: int() is several times faster than Fraction(), and every
+    text it accepts Fraction() accepts with the same value."""
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        return Fraction(text)

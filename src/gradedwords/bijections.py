@@ -209,6 +209,13 @@ def _check_split(
         raise PreconditionError(f"requires q >= r >= 1 (q={q}, r={r})")
 
 
+def _check_word_split(w: Word, p: int, r: int = 1, grading: Optional[MultiIndex] = None) -> None:
+    """_check_split for a word w of the class: p and r are checked to be
+    ints before q = |w| - p is formed from p."""
+    _check_ints(p=p, r=r)
+    _check_split(p, len(w) - p, w.weight - len(w), r, grading)
+
+
 def find_equal_prefixes(u: Word, v: Word, n: MultiIndex) -> tuple[Word, Word]:
     """Nonempty prefixes x of u and y of v with ||x|| = ||y||, minimal.
 
@@ -268,13 +275,14 @@ def find_balanced_pair(u: Word, v: Word) -> BalancedPair:
     )
 
 
-def _shift_cut(w: Word, p: int, r: int, at: int) -> int:
+def _shift_cut(w: Word, p: int, r: int, lift: int = 0) -> int:
     """Check the hypotheses of an r-fold shift from prefix weight p, and
-    return the length of the weight-`at` prefix of w, which must exist."""
-    _check_split(p, len(w) - p, w.weight - len(w), r)
-    cut = w.prefix_cut(at)
+    return the length of the weight-(p + lift) prefix of w, which must
+    exist."""
+    _check_word_split(w, p, r)
+    cut = w.prefix_cut(p + lift)
     if cut is None:
-        raise PreconditionError(f"word {w} has no prefix of weight {at}")
+        raise PreconditionError(f"word {w} has no prefix of weight {p + lift}")
     return cut
 
 
@@ -287,7 +295,7 @@ def shift_up(w: Word, p: int) -> Word:
 def shift_down(w: Word, p: int) -> Word:
     """Inverse of shift_up(., p): takes the word with a weight-(p+1) prefix
     back to the unique preimage with a weight-p prefix."""
-    cut = _shift_cut(w, p, 1, p + 1)
+    cut = _shift_cut(w, p, 1, 1)
     image, _ = _swap_balanced(w.alphabet.letter_weights(), w.letters, cut, -1)
     return _trusted_word(w.alphabet, image)
 
@@ -307,7 +315,7 @@ def shift_by(w: Word, p: int, r: int) -> Word:
     p + r.  Requires int p and r, p >= n.z and q >= r >= 1.  Each unit
     shift returns its image's next cut, so the word is scanned for a cut
     only once."""
-    cut = _shift_cut(w, p, r, p)
+    cut = _shift_cut(w, p, r)
     letters, _ = _shift_letters(w.alphabet.letter_weights(), w.letters, cut, r)
     return _trusted_word(w.alphabet, letters)
 
@@ -316,7 +324,7 @@ def _shift_round_trip(w: Word, p: int, r: int) -> tuple[Word, Word]:
     """shift_by(w, p, r), and that image shifted back down r times.  The
     way back starts from the image's cut, so w is the only word scanned."""
     lw = w.alphabet.letter_weights()
-    image, cut = _shift_letters(lw, w.letters, _shift_cut(w, p, r, p), r)
+    image, cut = _shift_letters(lw, w.letters, _shift_cut(w, p, r), r)
     back, _ = _shift_letters(lw, image, cut, r, -1)
     return _trusted_word(w.alphabet, image), _trusted_word(w.alphabet, back)
 
@@ -330,7 +338,7 @@ def raney_factorize(w: Word, p: int) -> RaneyFactorization:
     p, every z_i >= 1, p >= n.z and q >= 1.
     """
     alphabet = w.alphabet
-    _check_split(p, len(w) - p, w.weight - len(w), grading=alphabet.z)
+    _check_word_split(w, p, grading=alphabet.z)
     cut, achieved = _cut(alphabet.letter_weights(), w.letters, p)
     u, v = w.prefix(cut), Word(alphabet, w.letters[cut:])
     if achieved == p:
@@ -342,7 +350,8 @@ def raney_factorize(w: Word, p: int) -> RaneyFactorization:
 
 
 def raney_unfactorize(f: RaneyFactorization, p: int) -> Word:
-    """Reassemble the word whose factorization at p is f."""
+    """Reassemble the word whose factorization at p is f.  Requires an int p."""
+    _check_ints(p=p)
     if isinstance(f, PrefixCase):
         i, j, u = 0, 0, f.u
     else:

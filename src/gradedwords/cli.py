@@ -24,10 +24,9 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .arith import MultiIndex, dot, format_scalar, natural, parse_scalar
+from .arith import MultiIndex, Scalar, dot, format_scalar, natural, parse_scalar
 from .bijections import (
     Overshoot,
     PrefixCase,
@@ -52,6 +51,7 @@ from .reports import (
     VERDICT_MISMATCH,
     VERDICT_PASS,
     EvalReport,
+    render_json,
 )
 from .series import (
     check_generating_function_1,
@@ -219,7 +219,7 @@ def do_verify(
     i: Optional[int] = None,
     j: Optional[int] = None,
     grid_range: Optional[tuple[int, int]] = None,
-    point: Optional[dict[str, Fraction]] = None,
+    point: Optional[dict[str, Scalar]] = None,
 ) -> EvalReport:
     """Check one catalog identity on a grid or at a single point."""
     own = _lookup(identity).param_name  # k for absorption, n for the rest
@@ -244,7 +244,7 @@ def do_verify(
 def do_series_solve(
     z: MultiIndex,
     order: int,
-    expect_coefficients: Optional[tuple[tuple[MultiIndex, Fraction], ...]] = None,
+    expect_coefficients: Optional[tuple[tuple[MultiIndex, Scalar], ...]] = None,
 ) -> EvalReport:
     """Solve the functional equation, checking residual, naturality and expected values."""
     for exponent, _ in expect_coefficients or ():
@@ -331,9 +331,9 @@ def _range(value: object, name: str) -> tuple[int, int]:
     raise PreconditionError(f"{name} expects A..B or [A, B] with integers A, B, got {value!r}")
 
 
-def _scalar(value: object, name: str) -> Fraction:
+def _scalar(value: object, name: str) -> Scalar:
     if type(value) is int:
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
             return parse_scalar(value)
@@ -342,7 +342,7 @@ def _scalar(value: object, name: str) -> Fraction:
     raise PreconditionError(f"{name} value {value!r} is not an exact scalar")
 
 
-def _point(value: object, name: str) -> dict[str, Fraction]:
+def _point(value: object, name: str) -> dict[str, Scalar]:
     if isinstance(value, str):
         texts: dict[str, str] = {}
         for piece in value.split(","):
@@ -360,7 +360,7 @@ def _point(value: object, name: str) -> dict[str, Fraction]:
     return {var: _scalar(text, f"{name} {var}") for var, text in texts.items()}
 
 
-def _coefficients(value: object, name: str) -> tuple[tuple[MultiIndex, Fraction], ...]:
+def _coefficients(value: object, name: str) -> tuple[tuple[MultiIndex, Scalar], ...]:
     if not isinstance(value, dict):
         raise PreconditionError(f"{name} expects an object of exponent: value, got {value!r}")
     return tuple(
@@ -490,11 +490,24 @@ def _failure(exc: Exception) -> tuple[int, str]:
     return EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}"
 
 
-def _run_entry(index: int, config: object) -> dict:
-    """One member's suite entry; the member's failure is recorded, never raised."""
+Member = Union[tuple[str, dict], Exception]
+
+
+def _coerced(config: object) -> Member:
+    """A member's (command, typed values), or the exception its coercion raised."""
+    try:
+        return _coerce_member(config)
+    except Exception as exc:  # noqa: BLE001 - member isolation; recorded by _run_entry
+        return exc
+
+
+def _run_entry(index: int, member: Member) -> dict:
+    """One coerced member's suite entry; the member's failure is recorded, never raised."""
     entry: dict = {"index": index, "label": f"member {index}"}
     try:
-        command, values = _coerce_member(config)
+        if isinstance(member, Exception):
+            raise member
+        command, values = member
         entry["label"] = values.get("label", _member_label(command, values))
         payload = _execute(command, values)
         entry["exit_code"] = _payload_exit_code(payload)
@@ -606,11 +619,11 @@ def _lpt_shares(work: Sequence[int], workers: int) -> list[list[int]]:
     return [shares[worker] for *_, worker in sorted(loads)]
 
 
-def _serve_share(manifest: list, share: list[int], fd: int) -> None:
+def _serve_share(members: list[Member], share: list[int], fd: int) -> None:
     """A forked child's work: one pickle of [(index, entry), ...] for share, written to fd."""
     import pickle
 
-    pairs = [(index, _run_entry(index, manifest[index])) for index in share]
+    pairs = [(index, _run_entry(index, members[index])) for index in share]
     with open(fd, "wb") as pipe:
         pickle.dump(pairs, pipe, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -629,7 +642,7 @@ def _received(data: bytes, share: list[int]) -> Optional[list[dict]]:
     return None
 
 
-def _run_forked(manifest: list, shares: list[list[int]]) -> list[dict]:
+def _run_forked(members: list[Member], shares: list[list[int]]) -> list[dict]:
     """Every member's entry: shares[1:] in forked children, shares[0] here.
 
     A share whose child cannot be forked, exits nonzero, is killed, or sends
@@ -637,7 +650,7 @@ def _run_forked(manifest: list, shares: list[list[int]]) -> list[dict]:
     never lost or invented.  Children leave only through os._exit: they never
     return into the caller, flush inherited stdio or run atexit handlers.
     """
-    entries: list = [None] * len(manifest)
+    entries: list = [None] * len(members)
     local = list(shares[0])
     children: list[tuple[int, int, list[int]]] = []
     reaped = 0
@@ -655,14 +668,14 @@ def _run_forked(manifest: list, shares: list[list[int]]) -> list[dict]:
                 code = 1
                 try:
                     os.close(read_fd)
-                    _serve_share(manifest, share, write_fd)
+                    _serve_share(members, share, write_fd)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write_fd)
             children.append((pid, read_fd, share))
         for index in local:
-            entries[index] = _run_entry(index, manifest[index])
+            entries[index] = _run_entry(index, members[index])
         for pid, read_fd, share in children:
             with open(read_fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -670,7 +683,7 @@ def _run_forked(manifest: list, shares: list[list[int]]) -> list[dict]:
             reaped += 1
             got = _received(data, share) if status == 0 else None
             if got is None:
-                got = [_run_entry(index, manifest[index]) for index in share]
+                got = [_run_entry(index, members[index]) for index in share]
             for index, entry in zip(share, got):
                 entries[index] = entry
     finally:
@@ -687,29 +700,26 @@ def _run_forked(manifest: list, shares: list[list[int]]) -> list[dict]:
 def run_suite(manifest: list, jobs: int) -> tuple[dict, int]:
     """Run every member, isolating failures; verdict pass iff all pass.
 
-    Members are split by predicted work across up to `jobs` forked worker
-    processes, and the entries are put back in manifest order, so the
-    report does not depend on `jobs`.  The suite runs serially in this
-    process when one worker would do, when it cannot fork safely, or when
-    the predicted work is too small to pay for a fork.
+    Each member is coerced once, here.  Members are split by predicted
+    work across up to `jobs` forked worker processes, and the entries are
+    put back in manifest order, so the report does not depend on `jobs`.
+    The suite runs serially in this process when one worker would do, when
+    it cannot fork safely, or when the predicted work is too small to pay
+    for a fork.
     """
     if not isinstance(manifest, list):
         raise PreconditionError("manifest must be a JSON list of config objects")
     if type(jobs) is not int or jobs < 1:
         raise PreconditionError(f"--jobs must be a positive integer, got {jobs!r}")
-    workers = _worker_count(jobs, _usable_cpus(), len(manifest))
+    coerced = [_coerced(config) for config in manifest]
+    workers = _worker_count(jobs, _usable_cpus(), len(coerced))
     members = None
     if workers > 1 and _can_fork():
-        work = []
-        for config in manifest:
-            try:
-                work.append(_predicted_work(*_coerce_member(config)))
-            except PreconditionError:
-                work.append(0)
+        work = [0 if isinstance(m, Exception) else _predicted_work(*m) for m in coerced]
         if sum(work) >= _PARALLEL_FLOOR_US:
-            members = _run_forked(manifest, _lpt_shares(work, workers))
+            members = _run_forked(coerced, _lpt_shares(work, workers))
     if members is None:
-        members = [_run_entry(index, config) for index, config in enumerate(manifest)]
+        members = [_run_entry(index, member) for index, member in enumerate(coerced)]
     codes = [m["exit_code"] for m in members]
     suite_code = EXIT_PASS
     for level in (EXIT_COUNTEREXAMPLE, EXIT_CONFIG, EXIT_INTERNAL):
@@ -815,7 +825,7 @@ def default_manifest() -> list[dict]:
 def _render_json(payload: Payload) -> str:
     if isinstance(payload, EvalReport):
         return payload.to_json()
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return render_json(payload)
 
 
 def _render_text(payload: Payload) -> str:
@@ -854,7 +864,7 @@ def _render_text(payload: Payload) -> str:
             lines.append(f"[{member['index']:3d}] {status:8s} {member['label']}" + (f" — {note}" if note else ""))
         lines.append(f"suite: {payload['verdict']} ({payload['passed']}/{payload['total']} passed)")
         return "\n".join(lines)
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return render_json(payload)
 
 
 def _emit(payload: Payload, args: argparse.Namespace) -> None:

@@ -185,6 +185,32 @@ def test_format_scalar_renders_as_through_a_fraction(v):
     assert format_scalar(v) == _format_through_fraction(v)
 
 
+# scalar-like text: signs, separators, exponents, base prefixes, non-ASCII
+# digits and spaces, and the whitespace str.strip removes but a regex \s may not
+_SCALAR_CHARS = "0123456789_+-/.eExob \t\n\x1c\x85\u3000\u0663\uff17"
+_SPACES = st.sampled_from(["", " ", "\t\n", "\x1c", "\u3000"])
+_NUMERAL_TEXT = st.tuples(
+    _SPACES,
+    st.sampled_from(["", "+", "-", "--"]),
+    st.integers(0, 10**30).flatmap(lambda n: st.sampled_from([str(n), f"{n:_}", f"0{n}", f"0x{n}"])),
+    st.sampled_from(["", "/7", "/0", "/-7", ".5", "e2", "_"]),
+    _SPACES,
+).map("".join)
+
+
+@given(text=st.one_of(st.text(), st.text(_SCALAR_CHARS, max_size=12), _NUMERAL_TEXT))
+@settings(max_examples=400)
+def test_parse_scalar_accepts_exactly_what_fraction_accepts(text):
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            parse_scalar(text)
+    else:
+        value = parse_scalar(text)
+        assert value == expected and format_scalar(value) == format_scalar(expected)
+
+
 @given(num=st.integers(-10**6, 10**6), den=st.integers(1, 10**6))
 @settings(max_examples=50)
 def test_parse_format_inverse(num, den):

@@ -519,6 +519,7 @@ _ENTRY_CALLS = {
     shift_down: dict(w=_W, p=1),
     shift_by: dict(w=_W, p=1, r=1),
     raney_factorize: dict(w=_W, p=1),
+    raney_unfactorize: dict(f=raney_factorize(_W, 1), p=1),
     verify_shift_bijection: dict(p=1, q=1, n=(1,), alphabet=A1, r=1),
     verify_raney_decomposition: dict(p=1, q=1, n=(1,), alphabet=A1),
 }
@@ -540,7 +541,7 @@ def test_every_entry_point_has_int_parameters():
 @pytest.mark.parametrize("entry, name", [
     (entry, name) for entry in _ENTRY_CALLS for name in _int_params(entry)
 ], ids=lambda x: getattr(x, "__name__", x))
-@pytest.mark.parametrize("bad", [1.0, True, Fraction(1)], ids=repr)
+@pytest.mark.parametrize("bad", [1.0, True, Fraction(1), "1"], ids=repr)
 def test_a_float_bool_or_fraction_int_argument_is_refused_by_name(entry, name, bad):
     args = _ENTRY_CALLS[entry]
     entry(**args)

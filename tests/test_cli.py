@@ -564,6 +564,24 @@ def test_suite_deterministic_across_job_counts(capsys, mixed_suite, forks):
     assert run(capsys, "suite", "--jobs", "1") == run(capsys, "suite", "--jobs", "2")
 
 
+def test_each_member_is_coerced_once_in_the_parent(mixed_suite, forks, monkeypatch):
+    expected = run_suite(_MIXED, 1)
+    parent, calls, coerce = os.getpid(), [], cli._coerce_member
+
+    def counted(config):
+        # a child that coerced would record this as its member's internal error
+        assert os.getpid() == parent, "a forked child coerced a member"
+        calls.append(config)
+        return coerce(config)
+
+    monkeypatch.setattr(cli, "_coerce_member", counted)
+    for jobs in (1, 3):
+        calls.clear()
+        assert run_suite(_MIXED, jobs) == expected
+        assert calls == _MIXED
+    assert len(forks) == 2
+
+
 def _die(*_):
     os._exit(1)
 
