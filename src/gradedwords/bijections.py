@@ -26,16 +26,24 @@ across the cut weighs 1 the swap moves nothing, and the word itself comes
 back with its cut moved by one.
 
 The verify_* functions replay a construction over an entire class and
-report the tallies.  The shift's certificate streams the source class: each
-image must be in the target class (length, letter counts and its prefix of
-weight p + r) and go back to its word under the downward shifts, a left
-inverse that makes the map injective; the two classes are then counted by
-enumeration, and equal sizes make it a bijection.  No set of words is kept,
-so memory is one word and its image, besides the enumeration's tables.
+report the tallies.  They take the class in the enumeration's blocks (a
+shared head and a table of tails) and do once per block what the head
+fixes: the shift's weight-p source cut, and the factorization's weight-p
+scan with its tally when the scan stops in the head.  What depends on the
+whole word, the shift and its inverse, and the factorization's join and its
+comparison with the word, is done for every word.
+
+The shift's certificate streams the source class: each image must be in
+the target class (length, letter counts and its prefix of weight p + r) and
+go back to its word under the downward shifts, a left inverse that makes
+the map injective; the two classes are then counted by enumeration, and
+equal sizes make it a bijection.  No set of words is kept, so memory is one
+word and its image, besides the enumeration's tables.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -464,7 +472,17 @@ def verify_raney_decomposition(
 ) -> EvalReport:
     """Factorize every word of class(p + q + n.z, n) at weight p and check
     the case tallies against the closed-form and enumerated counts of each
-    piece, with every factorization round-tripped."""
+    piece, with every factorization round-tripped.
+
+    The class comes in enumeration blocks, each a shared head and a table
+    of tails.  The weight-p scan runs once per block, over its head: when
+    it stops there, it reads no tail letter, so every word of the block has
+    the same cut, case and overshoot cell, and the block is tallied at once.
+    Per word, the pieces are still joined by _raney_join and the result
+    compared with the word.  A block whose scan runs off its head is
+    scanned, tallied, joined and compared word by word, and so is a block
+    with a failing word, so a failure names the first failing word of the
+    class.  The join is taken to be a function of its arguments."""
     n = naturals(n, "n")
     _check_dimension(n, alphabet)
     nz = dot(n, alphabet.z)
@@ -484,8 +502,31 @@ def verify_raney_decomposition(
     prefix_tally = 0
     overshoot_tally: dict[tuple[int, int, MultiIndex], int] = {}
     total = 0
+    codes = range(1, m + 1)
     tables: dict = {}  # the leftover-letter tables every class below shares
     for _, head, table in _class_blocks(alphabet, total_weight, n, tables=tables):
+        cut, achieved = _cut(lw, head, p)
+        if achieved >= p:  # the scan stopped in the head: one cut for the block
+            if achieved == p:
+                i, j, u = 0, 0, head[:cut]
+            else:
+                i, j, u = head[cut - 1], achieved - p, head[: cut - 1]
+            join = functools.partial(_raney_join, lw, p, i, j, u)
+            rest = head[cut:]
+            try:
+                reassembled = list(map(join, map(rest.__add__, table)))
+            except PreconditionError:
+                reassembled = None
+            if reassembled == list(map(head.__add__, table)):
+                total += len(table)
+                if achieved == p:
+                    prefix_tally += len(table)
+                else:
+                    key = (i, j, tuple(map(head[:cut].count, codes)))
+                    overshoot_tally[key] = overshoot_tally.get(key, 0) + len(table)
+                continue
+        # word by word: a block whose scan runs off its head, or that has a
+        # failing word, which this names
         for letters in map(head.__add__, table):
             total += 1
             cut, achieved = _cut(lw, letters, p)
@@ -494,7 +535,7 @@ def verify_raney_decomposition(
                 i, j, u = 0, 0, letters[:cut]
             else:
                 i, j, u = letters[cut - 1], achieved - p, letters[: cut - 1]
-                key = (i, j, tuple(map(letters[:cut].count, range(1, m + 1))))
+                key = (i, j, tuple(map(letters[:cut].count, codes)))
                 overshoot_tally[key] = overshoot_tally.get(key, 0) + 1
             try:
                 reassembled = _raney_join(lw, p, i, j, u, letters[cut:])

@@ -524,12 +524,16 @@ def _run_entry(index: int, member: Member) -> dict:
 # verdict, timed in shuffled order, each cost scaled by the host speed that
 # costs left unchanged read in the same run.  They are 5 us per grid point x
 # term and 77 us per term at a point; 6 us per series term pair; and per word
-# 2/3 us for counts by k, 2 us for prefix-class counts, 2 us to enumerate a
-# class by k, 1 us to enumerate a weight-r prefix class, 5 us per unit shift
-# (a swap that leaves the word as it is costs no new tuple) and 10 us per
-# Raney factorization.  Over those 1551 members, measured time was 0.44 to
-# 1.99 times the prediction between the 10th and 90th percentiles, which is
-# all the LPT schedule needs.
+# 2 us to enumerate a class by k, 1 us to enumerate a weight-r prefix class
+# and 5 us per unit shift (a swap that leaves the word as it is costs no new
+# tuple).  Counts and Raney classes cost little per word but much per member
+# beyond the dispatch (head search, closed forms, the report), so the median
+# member prices their words at 3 to 6 times what a large class pays, and that
+# price made the LPT shares less even.  Their prices are instead the summed
+# member time less dispatch over the summed words: 1/4 us for counts by k,
+# 1/2 us for prefix-class counts and 4 us per Raney factorization.  Over
+# those 1551 members, measured time was 0.47 to 2.47 times the prediction
+# between the 10th and 90th percentiles, which is all the LPT schedule needs.
 _DISPATCH_US = 30
 
 
@@ -545,14 +549,14 @@ def _predicted_work(command: str, values: dict) -> int:
     try:
         if command in ("count", "enumerate"):
             if n is not None and q is not None:
-                units = 2 * count_prefix_class(p, q, n, GradedAlphabet(z))
+                units = count_prefix_class(p, q, n, GradedAlphabet(z)) // 2
             elif get("k") is not None:
                 k, alphabet, prefix = get("k"), GradedAlphabet(z), get("r")
                 if prefix is None:
                     size, per_word = count_words(p, k, alphabet), 2
                 else:  # split at the weight-r prefix
                     size, per_word = _split_count(alphabet.z, prefix, p - prefix, k), 1
-                units = 2 * size // 3 if command == "count" else per_word * size
+                units = size // 4 if command == "count" else per_word * size
         elif command == "bijection":
             if get("word") is not None:
                 units = 2 * r * len(get("word").split())
@@ -561,7 +565,7 @@ def _predicted_work(command: str, values: dict) -> int:
                 if get("kind") == "shift":
                     units = 5 * r * count_prefix_class(p, total, n, GradedAlphabet(z))
                 else:
-                    units = 10 * count_words(p + total, n, GradedAlphabet(z))
+                    units = 4 * count_words(p + total, n, GradedAlphabet(z))
         elif command == "verify":
             entry = CATALOG.get(get("identity"))
             slot = n if n is not None else get("k")

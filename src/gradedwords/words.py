@@ -31,7 +31,8 @@ head, and every class of one verification, that leaves the same letters.
 The heads come in lexicographic order and none is a prefix of another, so
 the blocks concatenated are the class in lexicographic order; consumers
 build a block's words with map(head.__add__, table), without a Python step
-per word.
+per word.  A class is counted by its table lengths, so a count builds no
+word at all.
 """
 
 from __future__ import annotations
@@ -365,11 +366,9 @@ def _class_size(
     r: Optional[int] = None,
     tables: Optional[dict[tuple[int, ...], _Table]] = None,
 ) -> int:
-    """The number of words of the class, each built from its block and counted."""
-    return sum(
-        len(list(map(head.__add__, table)))
-        for _, head, table in _class_blocks(alphabet, p, k, r, tables)
-    )
+    """The number of words of the class: the table lengths of its blocks,
+    summed.  The count is the enumeration's own, with no word built."""
+    return sum(len(table) for _, _, table in _class_blocks(alphabet, p, k, r, tables))
 
 
 def enumerate_words(spec: WordClassSpec, alphabet: GradedAlphabet) -> Iterator[Word]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import collections
 import inspect
 import itertools
 import json
@@ -35,7 +36,7 @@ from gradedwords import (
     verify_raney_decomposition,
     verify_shift_bijection,
 )
-from gradedwords import bijections, main
+from gradedwords import bijections, main, words
 from gradedwords.bijections import _balanced_cut, _raney_join, _swap_balanced
 from gradedwords.cli import EXIT_COUNTEREXAMPLE
 
@@ -502,6 +503,184 @@ def test_verify_raney_decomposition_examples():
 def test_verify_raney_decomposition_rejects_zero_grading():
     with pytest.raises(PreconditionError):
         verify_raney_decomposition(1, 1, (1,), GradedAlphabet(z=(0,)))
+
+
+# class(p + q + n.z, n) over A2 with p = 4, q = 5, n = (2, 1): 252 words in
+# enumeration blocks of both kinds, some whose weight-p scan stops in the
+# shared head and some whose scan runs into the table
+_RANEY_CLASS = (4, 5, (2, 1))
+_RANEY_ARGV = ["bijection", "raney", "--z", "1,2", "--p", "4", "--q", "5", "--n", "2,1"]
+
+
+def _raney_blocks(split_in_head):
+    """The blocks of _RANEY_CLASS whose weight-p scan stops in the head, or not."""
+    p, q, n = _RANEY_CLASS
+    lw = A2.letter_weights()
+    return [
+        (head, table)
+        for _, head, table in words._class_blocks(A2, p + q + dot(n, A2.z), n)
+        if (bijections._cut(lw, head, p)[1] >= p) == split_in_head
+    ]
+
+
+def test_the_raney_class_has_blocks_of_both_kinds():
+    assert _raney_blocks(True) and _raney_blocks(False)
+
+
+def _first_raney_failure():
+    """The counterexample of the word-by-word certificate: the reason and
+    the word of the first word of _RANEY_CLASS, in class order, whose
+    factorization by the (possibly planted) bijections._cut and
+    bijections._raney_join does not reassemble it."""
+    p, q, n = _RANEY_CLASS
+    lw = A2.letter_weights()
+    for letters in words._iter_class(A2, p + q + dot(n, A2.z), n):
+        cut, achieved = bijections._cut(lw, letters, p)
+        if achieved == p:
+            i, j, u = 0, 0, letters[:cut]
+        else:
+            i, j, u = letters[cut - 1], achieved - p, letters[: cut - 1]
+        try:
+            if bijections._raney_join(lw, p, i, j, u, letters[cut:]) == letters:
+                continue
+            reason = "factorization does not reassemble"
+        except PreconditionError as exc:
+            reason = str(exc)
+        return {"reason": reason, "word": str(Word(A2, letters))}
+    return None
+
+
+def _target(split_in_head):
+    """The middle word of the first block of the given kind."""
+    head, table = _raney_blocks(split_in_head)[0]
+    return head + table[len(table) // 2]
+
+
+def _dropping_join(target):
+    def join(lw, p, i, j, u, v):
+        word = _raney_join(lw, p, i, j, u, v)
+        return _raney_join(lw, p, i, j, u, v[:-1]) if word >= target else word
+
+    return join
+
+
+def _relabelling_join(target):
+    def join(lw, p, i, j, u, v):
+        word = _raney_join(lw, p, i, j, u, v)
+        if word >= target:
+            return _raney_join(lw, p, i, j, u, v[:-1] + ((v[-1] + 1) % len(lw),))
+        return word
+
+    return join
+
+
+def _refusing_join(target):
+    def join(lw, p, i, j, u, v):
+        word = _raney_join(lw, p, i, j, u, v)
+        if word == target:
+            raise PreconditionError("planted refusal")
+        return word
+
+    return join
+
+
+@pytest.mark.parametrize("split_in_head", [True, False], ids=["head-block", "table-block"])
+@pytest.mark.parametrize("join, reason", [
+    (_dropping_join, "factorization does not reassemble"),
+    (_relabelling_join, "factorization does not reassemble"),
+    (_refusing_join, "planted refusal"),
+])
+def test_a_faulty_raney_join_names_the_first_failing_word(
+    monkeypatch, capsys, join, reason, split_in_head
+):
+    # the fault fires from a word inside a block on: per block or per word,
+    # the certificate must name that word, as the word-by-word walk does
+    target = _target(split_in_head)
+    monkeypatch.setattr(bijections, "_raney_join", join(target))
+    expected = {"reason": reason, "word": str(Word(A2, target))}
+    assert _first_raney_failure() == expected
+    report = verify_raney_decomposition(*_RANEY_CLASS, A2)
+    assert report.verdict == "fail" and report.counterexample == expected
+    code = main(_RANEY_ARGV)
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_COUNTEREXAMPLE and out["counterexample"] == expected
+
+
+def _strict_cut(lw, letters, target):
+    # the shortest prefix of weight > target, where >= is due
+    acc = 0
+    for length, c in enumerate(letters, 1):
+        acc += lw[c]
+        if acc > target:
+            return length, acc
+    return len(letters), acc
+
+
+def test_a_faulty_weight_p_scan_names_the_first_failing_word(monkeypatch, capsys):
+    monkeypatch.setattr(bijections, "_cut", _strict_cut)
+    expected = _first_raney_failure()
+    assert expected is not None
+    report = verify_raney_decomposition(*_RANEY_CLASS, A2)
+    assert report.verdict == "fail" and report.counterexample == expected
+    code = main(_RANEY_ARGV)
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_COUNTEREXAMPLE and out["counterexample"] == expected
+
+
+@pytest.mark.parametrize("p, q, n", [_RANEY_CLASS, (7, 6, (1, 3))])
+def test_block_tallies_are_the_word_by_word_tallies(p, q, n):
+    # in the 2860-word class (7, 6, (1, 3)) some blocks overshoot in the
+    # head and still place a b letter after the cut: a cell must count the
+    # letters up to the cut, not the whole head
+    lw = A2.letter_weights()
+    past_the_cut = [
+        head
+        for _, head, _ in words._class_blocks(A2, p + q + dot(n, A2.z), n)
+        for cut, achieved in [bijections._cut(lw, head, p)]
+        if achieved > p and any(head[cut:])
+    ]
+    assert bool(past_the_cut) == (n == (1, 3))
+    prefix_case, cells = 0, collections.Counter()
+    for w in _class(A2, p + q + dot(n, A2.z), n):
+        f = raney_factorize(w, p)
+        if isinstance(f, PrefixCase):
+            prefix_case += 1
+        else:
+            k = (f.u_prime + Word(A2, (f.i,))).counts
+            cells[f"i={f.i},j={f.j},k={','.join(map(str, k))}"] += 1
+    report = verify_raney_decomposition(p, q, n, A2)
+    assert report.ok and report.details == {
+        "total": prefix_case + sum(cells.values()),
+        "prefix_case": prefix_case,
+        "overshoot": sum(cells.values()),
+        "overshoot_cells": dict(sorted(cells.items())),
+    }
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap bijections.<name>; the list returned grows by one entry per call."""
+    calls = []
+    kernel = getattr(bijections, name)
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(bijections, name, counted)
+    return calls
+
+
+def test_every_word_of_a_class_is_joined_and_shifted(monkeypatch):
+    # the per-block work (scans, cuts and tallies) may move; the per-word
+    # checks may not: every word is joined, and shifted r times each way
+    joins = _count_calls(monkeypatch, "_raney_join")
+    report = verify_raney_decomposition(*_RANEY_CLASS, A2)
+    assert report.ok and len(joins) == report.details["total"] == 252
+    swaps = _count_calls(monkeypatch, "_swap_balanced")
+    for r in (1, 2, 3):
+        swaps.clear()
+        report = verify_shift_bijection(4, 5, (2, 1), A2, r)
+        assert report.ok and len(swaps) == 2 * r * report.details["class_size"], r
 
 
 # ---------------------------------------------------------------------------

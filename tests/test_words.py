@@ -238,6 +238,27 @@ def test_count_words_matches_enumeration_exhaustively():
                 assert formula.denominator == 1
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["own-tables", "shared-tables"])
+def test_class_size_is_the_enumeration_count_and_the_closed_form(shared):
+    # _class_size sums table lengths and builds no word: it must agree with
+    # the words it stands for, and with count_words or the split sum
+    tables = {} if shared else None
+    for z in small_grid():
+        alphabet = GradedAlphabet(z=z)
+        for p in range(8):
+            for k in itertools.product(range(3), repeat=len(z)):
+                for r in [None, *range(-1, p + 2)]:
+                    size = words._class_size(alphabet, p, k, r, tables)
+                    assert size == len(list(words._iter_class(alphabet, p, k, r))), (z, p, k, r)
+                    if r is None or r == 0:
+                        assert size == count_words(p, k, alphabet), (z, p, k, r)
+                    elif r > 0:
+                        assert size == words._split_count(z, r, p - r, k), (z, p, k, r)
+                    else:
+                        assert size == 0, (z, p, k, r)
+    assert not shared or tables
+
+
 def test_count_words_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         count_words(3, (1, 1), GradedAlphabet(z=(1,)))
