@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
-from typing import Iterable, Iterator, Union
+from math import comb, factorial, prod
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import DimensionMismatchError, PreconditionError
 
@@ -118,10 +118,10 @@ def multinomial(x: Scalar, n: MultiIndex) -> Scalar:
         if x.denominator != 1:
             if min(n, default=0) < 0:
                 return Fraction(0)
-            ff = Fraction(1)
-            for t in range(sum(n)):
-                ff *= x - t
-            return ff / multi_factorial(n)
+            # x = a/b: the falling factorial is prod (a - t b) over b^|n|,
+            # an int product divided once
+            a, b, j = x.numerator, x.denominator, sum(n)
+            return Fraction(prod(range(a, a - j * b, -b)), b**j * multi_factorial(n))
         x = int(x)
     if min(n, default=0) < 0:
         return 0
@@ -137,6 +137,18 @@ def multinomial(x: Scalar, n: MultiIndex) -> Scalar:
         out *= comb(x, e)
         x -= e
     return out
+
+
+class _Memo(dict):
+    """A dict that fills in each missing key with fill(key) on first use."""
+
+    def __init__(self, fill: Callable) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def exact(num: Scalar, den: Scalar) -> Scalar:

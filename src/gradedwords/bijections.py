@@ -480,9 +480,10 @@ def verify_raney_decomposition(
     the same cut, case and overshoot cell, and the block is tallied at once.
     Per word, the pieces are still joined by _raney_join and the result
     compared with the word.  A block whose scan runs off its head is
-    scanned, tallied, joined and compared word by word, and so is a block
-    with a failing word, so a failure names the first failing word of the
-    class.  The join is taken to be a function of its arguments."""
+    tallied, joined and compared word by word, the scan going on in each
+    tail from the head's weight; so is a block with a failing word, so a
+    failure names the first failing word of the class.  The join is taken
+    to be a function of its arguments."""
     n = naturals(n, "n")
     _check_dimension(n, alphabet)
     nz = dot(n, alphabet.z)
@@ -505,8 +506,9 @@ def verify_raney_decomposition(
     codes = range(1, m + 1)
     tables: dict = {}  # the leftover-letter tables every class below shares
     for _, head, table in _class_blocks(alphabet, total_weight, n, tables=tables):
-        cut, achieved = _cut(lw, head, p)
-        if achieved >= p:  # the scan stopped in the head: one cut for the block
+        head_cut, head_weight = _cut(lw, head, p)
+        if head_weight >= p:  # the scan stopped in the head: one cut for the block
+            cut, achieved = head_cut, head_weight
             if achieved == p:
                 i, j, u = 0, 0, head[:cut]
             else:
@@ -525,11 +527,17 @@ def verify_raney_decomposition(
                     key = (i, j, tuple(map(head[:cut].count, codes)))
                     overshoot_tally[key] = overshoot_tally.get(key, 0) + len(table)
                 continue
-        # word by word: a block whose scan runs off its head, or that has a
-        # failing word, which this names
-        for letters in map(head.__add__, table):
+        # word by word: a block whose scan runs off its head, where it goes on
+        # in each tail from the head's weight, or that has a failing word,
+        # which this names
+        for tail in table:
+            letters = head + tail
             total += 1
-            cut, achieved = _cut(lw, letters, p)
+            if head_weight < p:
+                tail_cut, tail_weight = _cut(lw, tail, p - head_weight)
+                cut, achieved = head_cut + tail_cut, head_weight + tail_weight
+            else:
+                cut, achieved = head_cut, head_weight
             if achieved == p:
                 prefix_tally += 1
                 i, j, u = 0, 0, letters[:cut]

@@ -522,18 +522,20 @@ def _run_entry(index: int, member: Member) -> dict:
 # medians of per-member timings (CPython 3.11.7, 2 vCPUs) over the members of
 # seeds 1-3 of the benchmark manifests and the built-in suite that run to a
 # verdict, timed in shuffled order, each cost scaled by the host speed that
-# costs left unchanged read in the same run.  They are 5 us per grid point x
-# term and 77 us per term at a point; 6 us per series term pair; and per word
-# 2 us to enumerate a class by k, 1 us to enumerate a weight-r prefix class
-# and 5 us per unit shift (a swap that leaves the word as it is costs no new
-# tuple).  Counts and Raney classes cost little per word but much per member
-# beyond the dispatch (head search, closed forms, the report), so the median
-# member prices their words at 3 to 6 times what a large class pays, and that
-# price made the LPT shares less even.  Their prices are instead the summed
-# member time less dispatch over the summed words: 1/4 us for counts by k,
-# 1/2 us for prefix-class counts and 4 us per Raney factorization.  Over
-# those 1551 members, measured time was 0.47 to 2.47 times the prediction
-# between the 10th and 90th percentiles, which is all the LPT schedule needs.
+# costs left unchanged read in the same run.  They are 4 us per grid point x
+# term (an Abel grid point, at about 1.3 us, is priced the same: a price of
+# its own left the LPT shares as they were) and 50 us per term at a point;
+# 6 us per series term pair; and per word 2 us to enumerate a class by k,
+# 1 us to enumerate a weight-r prefix class and 5 us per unit shift (a swap
+# that leaves the word as it is costs no new tuple).  Counts and Raney
+# classes cost little per word but much per member beyond the dispatch (head
+# search, closed forms, the report), so the median member prices their words
+# at 3 to 6 times what a large class pays, and that price made the LPT shares
+# less even.  Their prices are instead the summed member time less dispatch
+# over the summed words: 1/4 us for counts by k, 1/2 us for prefix-class
+# counts and 4 us per Raney factorization.  Over those 1551 members,
+# measured time was 0.4 to 2.0 times the prediction between the 10th and
+# 90th percentiles, which is all the LPT schedule needs.
 _DISPATCH_US = 30
 
 
@@ -572,10 +574,10 @@ def _predicted_work(command: str, values: dict) -> int:
             if entry is not None and slot:
                 terms = math.prod(e + 1 for e in slot)
                 if get("point") is not None:
-                    units = 77 * terms
+                    units = 50 * terms
                 else:
                     degree = entry.degree(IdentitySpec(entry.name, slot, z))
-                    units = 5 * (degree + 1) ** len(entry.variables) * terms
+                    units = 4 * (degree + 1) ** len(entry.variables) * terms
         else:
             units = 6 * math.comb(get("order") + 2 * len(z), 2 * len(z))
     except PreconditionError:

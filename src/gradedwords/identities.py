@@ -33,27 +33,33 @@ through arith.qsum: numerators and denominators are accumulated in ints over
 one common denominator, a product of declared poles, and divided once, by
 arith.exact, into an int or a Fraction.  qsum is the one place a rational
 side divides, where an exact polynomial division would go.  The Abel forms
-keep _pow, whose power -1 falls on a declared pole: read as a quotient, the
-factor (x - kz)^(k-1) would bring a pole nobody declared.  No evaluator
-divides two ints with / or raises an int to a negative power, so no value is
-ever a float.  The public evaluators return a pair of Fractions whatever the
-path.
+divide nowhere: each quotient of theirs cancels to 1 off a declared pole
+(the conventions below), and every other power they take is a natural one.
+No evaluator divides two ints with / or raises a scalar to a negative power,
+so no value is ever a float, and at an integer point every side is an int.
+The public evaluators return a pair of Fractions whatever the path.
 
-The bodies recompute the same C(x, n) many times across a grid (C(x - k.z,
-k) recurs for every y and eps).  While verify_identity_on_grid runs, the
-bodies' multinomial is a fresh functools.cache of arith's, and the cache is
+A body reads C(x, k) from rows: row[x] is C(x, k), and the terms table of
+(n, z) carries, for each summand k, k.z and the rows of C(., k), C(., n - k)
+and each C(., k - e_i), besides constants such as |k|, next to the row of
+C(., n).  A grid recomputes the same C(x, k) many times (C(x - k.z, k)
+recurs for every y and eps), so while verify_identity_on_grid runs, the
+bodies read that grid's own tables, whose rows are dicts keyed by x that
+fill from arith's multinomial on first use.  The tables and their rows are
 dropped whenever the grid is left, by a verdict or by an exception, so
-nothing carries over to the next certification.  Every argument that
-reaches the cache has been checked by _validate, so a bool or a float never
-matches a cached int.  Point checks and the public evaluators compute
-C(x, n) afresh.
+nothing carries over to the next certification.  Every x that reaches a row
+there is an int.  Point checks and the public evaluators read a table whose
+rows compute C(x, k) at each lookup and store nothing: one point never
+repeats a lookup, and a rational x would only cost a Fraction hash.
 
 Conventions shared by all evaluators:
 
 * multinomial(x, n) is the total function: zero whenever n has a negative
   entry, so sums may range over the full box 0 <= k <= n.
 * the Abel factor x(x - kz)^(k-1) is read as (x/(x - kz)) * (x - kz)^k,
-  which makes the k = 0 term exactly 1 and requires x != 0.
+  which makes it exactly 1 at k = 0 and requires x != 0; likewise abel-2's
+  (y + nz)(y + kz)^(n-k-1) is 1 at k = n, off y + nz = 0, and its right
+  side (x + y)(x + y)^(-1) is 1 at n = 0, off x + y = 0.
 * summation over multi-indices is in lexicographic order; with exact
   arithmetic the order is irrelevant, but reports stay reproducible.
 """
@@ -67,16 +73,17 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import arith
 from .arith import (
     MultiIndex,
     Scalar,
+    _Memo,
     box,
     dot,
     format_scalar,
-    multinomial,
+    multi_factorial,
     qsum,
     natural,
     naturals,
@@ -329,30 +336,96 @@ def _identity(
 
 
 # ---------------------------------------------------------------------------
-# shared arithmetic of the bodies: one division per rational side, and C(x, n)
-# computed once per grid certification
+# shared arithmetic of the bodies: the rows C(., k), carried by one terms
+# table per (n, z), and filled once per grid certification
 # ---------------------------------------------------------------------------
 
 
-def _pow(base: Scalar, e: int) -> Scalar:
-    """base ** e, as Fraction(1, base ** -e) at a negative e: the Abel forms
-    reach the power -1 only at a declared pole."""
-    return base**e if e >= 0 else Fraction(1, base**-e)
+class _Fresh:
+    """The row C(., k) outside a grid: each lookup computes C(x, k) afresh,
+    and nothing is stored."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: MultiIndex) -> None:
+        self.k = k
+
+    def __getitem__(self, x: Scalar) -> Scalar:
+        return arith.multinomial(x, self.k)
+
+
+_Row = Union[_Memo, _Fresh]  # C(x, k) is row[x]
+
+
+class _Table(NamedTuple):
+    """The terms table of (n, z).  Its summands k, 0 <= k <= n, each come
+    as the tuple (k.z, C(., k), C(., n - k), (C(., k - e_i) for i = 1..m),
+    |k|, z^k C(|k|, k)), holding rows where C(., .) is written."""
+
+    nz: int  # n.z
+    cn: _Row  # C(., n)
+    terms: tuple[tuple, ...]  # the summands, lexicographic in k
+    rows: tuple[_Row, ...]  # every row above, each once
+
+
+@functools.lru_cache(maxsize=1024)
+def _fresh_table(n: MultiIndex, z: MultiIndex) -> _Table:
+    """The terms table of (n, z) with one _Fresh row per multi-index, built
+    once per (n, z) rather than at every point."""
+    row = _Memo(_Fresh)
+    units = [unit(len(n), i) for i in range(1, len(n) + 1)]
+    terms = []
+    for k in box(n):
+        size = norm(k)
+        z_pow = math.prod(zi**ki for zi, ki in zip(z, k))
+        terms.append(
+            (
+                dot(k, z),
+                row[k],
+                row[vec_sub(n, k)],
+                tuple(row[vec_sub(k, e)] for e in units),
+                size,
+                z_pow * (math.factorial(size) // multi_factorial(k)),
+            )
+        )
+    return _Table(dot(n, z), row[n], tuple(terms), tuple(row.values()))
+
+
+def _filled(table: _Table) -> _Table:
+    """table with each _Fresh row replaced by a row of its own: a dict from
+    x to C(x, k), filled on first use by the _Fresh row, which looks arith's
+    multinomial up at each call."""
+    memo = {fresh: _Memo(fresh.__getitem__) for fresh in table.rows}
+    row = memo.__getitem__
+    terms = tuple(
+        (kz, row(ck), row(cr), tuple(map(row, below)), size, weight)
+        for kz, ck, cr, below, size, weight in table.terms
+    )
+    return _Table(table.nz, row(table.cn), terms, tuple(memo.values()))
+
+
+_grid: Optional[_Memo] = None  # the running grid's tables, by (n, z)
+
+
+def _terms(n: MultiIndex, z: MultiIndex) -> _Table:
+    """The terms table of (n, z): the running grid's, or outside a grid one
+    whose rows store nothing."""
+    grid = _grid  # read once: another thread's grid may end meanwhile
+    return _fresh_table(n, z) if grid is None else grid[n, z]
 
 
 @contextlib.contextmanager
 def _memoized():
-    """Within the block the bodies read C(x, n) through a fresh
-    functools.cache of arith's multinomial; on every way out they get
-    arith's back and the cache is dropped.  Grids run at once in two threads
-    would share a cache, which changes no value: every entry is the exact
-    C(x, n) of its key."""
-    global multinomial
-    multinomial = functools.cache(arith.multinomial)
+    """Within the block the bodies read the grid's own tables, whose rows
+    fill as they are read; on every way out the tables and rows are dropped.
+    Grids run at once in two threads could read each other's rows, which
+    changes no value: every entry is the exact C(x, k) of its row and x."""
+    global _grid
+    _grid = _Memo(lambda nz: _filled(_fresh_table(*nz)))
     try:
         yield
     finally:
-        multinomial = arith.multinomial
+        _grid = None
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +438,8 @@ def eval_abel_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
     """sum_k C(n,k) x(x-kz)^(k-1) (y+kz)^(n-k)  vs  (x+y)^n."""
     lhs = 0
     for k in range(n + 1):
-        lhs += math.comb(n, k) * x * _pow(x - k * z, k - 1) * (y + k * z) ** (n - k)
+        head = x * (x - k * z) ** (k - 1) if k else 1  # x * x^(-1), off the pole x
+        lhs += math.comb(n, k) * head * (y + k * z) ** (n - k)
     return lhs, (x + y) ** n
 
 
@@ -379,39 +453,33 @@ def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
     """
     lhs = 0
     for k in range(n + 1):
-        lhs += (
-            math.comb(n, k)
-            * x
-            * (y + n * z)
-            * _pow(x - k * z, k - 1)
-            * _pow(y + k * z, n - k - 1)
-        )
-    rhs = (x + y + n * z) * _pow(x + y, n - 1)
+        head = x * (x - k * z) ** (k - 1) if k else 1  # x * x^(-1), off the pole x
+        # (y+nz)(y+nz)^(-1) at k = n, off the pole y + nz
+        tail = (y + n * z) * (y + k * z) ** (n - k - 1) if k < n else 1
+        lhs += math.comb(n, k) * head * tail
+    rhs = (x + y + n * z) * (x + y) ** (n - 1) if n else 1  # at n = 0, off the pole x + y
     return lhs, rhs
 
 
 @_identity("rothe-1", poles=_poles_x, classical=True)
 def eval_rothe_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k (x/(x-kz)) C(x-kz,k) C(y+kz,n-k)  vs  C(x+y,n)."""
-    lhs = qsum(
-        (x * multinomial(x - k * z, (k,)) * multinomial(y + k * z, (n - k,)), x - k * z)
-        for k in range(n + 1)
-    )
-    return lhs, multinomial(x + y, (n,))
+    table = _terms((n,), (z,))
+    lhs = qsum((x * ck[x - kz] * cr[y + kz], x - kz) for kz, ck, cr, _, _, _ in table.terms)
+    return lhs, table.cn[x + y]
 
 
 @_identity("rothe-2", poles=_poles_xy, classical=True)
 def eval_rothe_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k xy/((x-kz)(y-(n-k)z)) C(x-kz,k) C(y-(n-k)z,n-k)
     vs  (x+y)/(x+y-nz) C(x+y-nz,n)."""
+    table = _terms((n,), (z,))
+    y_nz = y - table.nz  # y - (n-k)z is y_nz + kz
     lhs = qsum(
-        (
-            x * y * multinomial(x - k * z, (k,)) * multinomial(y - (n - k) * z, (n - k,)),
-            (x - k * z) * (y - (n - k) * z),
-        )
-        for k in range(n + 1)
+        (x * y * ck[x - kz] * cr[y_nz + kz], (x - kz) * (y_nz + kz))
+        for kz, ck, cr, _, _, _ in table.terms
     )
-    rhs = qsum([((x + y) * multinomial(x + y - n * z, (n,)), x + y - n * z)])
+    rhs = qsum([((x + y) * table.cn[x + y_nz], x + y_nz)])
     return lhs, rhs
 
 
@@ -422,9 +490,9 @@ def eval_gould(
     """sum_k C(x-kz,k) C(y+kz,n-k)  vs  sum_k C(x+e-kz,k) C(y-e+kz,n-k)."""
     lhs = 0
     rhs = 0
-    for k in range(n + 1):
-        lhs += multinomial(x - k * z, (k,)) * multinomial(y + k * z, (n - k,))
-        rhs += multinomial(x + eps - k * z, (k,)) * multinomial(y - eps + k * z, (n - k,))
+    for kz, ck, cr, _, _, _ in _terms((n,), (z,)).terms:
+        lhs += ck[x - kz] * cr[y + kz]
+        rhs += ck[x + eps - kz] * cr[y - eps + kz]
     return lhs, rhs
 
 
@@ -433,9 +501,9 @@ def eval_jensen(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
     """sum_k C(x+kz,k) C(y-kz,n-k)  vs  sum_k C(x+y-k,n-k) z^k."""
     lhs = 0
     rhs = 0
-    for k in range(n + 1):
-        lhs += multinomial(x + k * z, (k,)) * multinomial(y - k * z, (n - k,))
-        rhs += multinomial(x + y - k, (n - k,)) * z**k
+    for kz, ck, cr, _, k, _ in _terms((n,), (z,)).terms:
+        lhs += ck[x + kz] * cr[y - kz]
+        rhs += cr[x + y - k] * z**k
     return lhs, rhs
 
 
@@ -444,28 +512,14 @@ def eval_jensen(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1024)
-def _terms(n: MultiIndex, z: MultiIndex) -> tuple[tuple, ...]:
-    """The summands 0 <= k <= n in lexicographic order, each as the tuple
-    (k, k.z, n - k, (n - k).z, (k - e_1, ..., k - e_m)), built once per
-    (n, z) rather than at every point of a grid."""
-    units = [unit(len(n), i) for i in range(1, len(n) + 1)]
-    return tuple(
-        (k, dot(k, z), vec_sub(n, k), dot(vec_sub(n, k), z), tuple(vec_sub(k, e) for e in units))
-        for k in box(n)
-    )
-
-
 @_identity("raney-mohanty-1", poles=_poles_x)
 def eval_raney_mohanty_1(
     x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
 ) -> tuple[Fraction, Fraction]:
     """sum_{0<=k<=n} (x/(x-k.z)) C(x-k.z,k) C(y+k.z,n-k)  vs  C(x+y,n)."""
-    lhs = qsum(
-        (x * multinomial(x - kz, k) * multinomial(y + kz, r), x - kz)
-        for k, kz, r, _, _ in _terms(n, z)
-    )
-    return lhs, multinomial(x + y, n)
+    table = _terms(n, z)
+    lhs = qsum((x * ck[x - kz] * cr[y + kz], x - kz) for kz, ck, cr, _, _, _ in table.terms)
+    return lhs, table.cn[x + y]
 
 
 @_identity("raney-mohanty-2", poles=_poles_xy)
@@ -474,12 +528,13 @@ def eval_raney_mohanty_2(
 ) -> tuple[Fraction, Fraction]:
     """sum_k xy/((x-k.z)(y-(n-k).z)) C(x-k.z,k) C(y-(n-k).z,n-k)
     vs  (x+y)/(x+y-n.z) C(x+y-n.z,n)."""
+    table = _terms(n, z)
+    y_nz = y - table.nz  # y - (n-k).z is y_nz + k.z
     lhs = qsum(
-        (x * y * multinomial(x - kz, k) * multinomial(y - rz, r), (x - kz) * (y - rz))
-        for k, kz, r, rz, _ in _terms(n, z)
+        (x * y * ck[x - kz] * cr[y_nz + kz], (x - kz) * (y_nz + kz))
+        for kz, ck, cr, _, _, _ in table.terms
     )
-    nz = dot(n, z)
-    rhs = qsum([((x + y) * multinomial(x + y - nz, n), x + y - nz)])
+    rhs = qsum([((x + y) * table.cn[x + y_nz], x + y_nz)])
     return lhs, rhs
 
 
@@ -490,10 +545,9 @@ def eval_mohanty_handa(
     """sum_k C(x+k.z,k) C(y-k.z,n-k)  vs  sum_k C(x+y-|k|,n-k) C(|k|,k) z^k."""
     lhs = 0
     rhs = 0
-    for k, kz, r, _, _ in _terms(n, z):
-        lhs += multinomial(x + kz, k) * multinomial(y - kz, r)
-        z_pow = math.prod(zi**ki for zi, ki in zip(z, k))
-        rhs += multinomial(x + y - norm(k), r) * multinomial(norm(k), k) * z_pow
+    for kz, ck, cr, _, size, weight in _terms(n, z).terms:
+        lhs += ck[x + kz] * cr[y - kz]
+        rhs += cr[x + y - size] * weight
     return lhs, rhs
 
 
@@ -504,9 +558,9 @@ def eval_gould_mohanty(
     """sum_k C(x-k.z,k) C(y+k.z,n-k)  vs  sum_k C(x+e-k.z,k) C(y-e+k.z,n-k)."""
     lhs = 0
     rhs = 0
-    for k, kz, r, _, _ in _terms(n, z):
-        lhs += multinomial(x - kz, k) * multinomial(y + kz, r)
-        rhs += multinomial(x + eps - kz, k) * multinomial(y - eps + kz, r)
+    for kz, ck, cr, _, _, _ in _terms(n, z).terms:
+        lhs += ck[x - kz] * cr[y + kz]
+        rhs += ck[x + eps - kz] * cr[y - eps + kz]
     return lhs, rhs
 
 
@@ -526,14 +580,15 @@ def eval_kmx(
     """sum_k [ C(p-k.z,k) C(q+k.z,n-k)
               + sum_i sum_{j=1}^{z_i} C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k) ]
     vs  C(p+q,n)."""
+    table = _terms(n, z)
     lhs = 0
-    for k, kz, r, _, below in _terms(n, z):
-        term = multinomial(p - kz, k) * multinomial(q + kz, r)
-        for z_i, ki in zip(z, below):
+    for kz, ck, cr, below, _, _ in table.terms:
+        term = ck[p - kz] * cr[q + kz]
+        for z_i, ci in zip(z, below):
             for j in range(1, z_i + 1):
-                term += multinomial(p - kz + j - 1, ki) * multinomial(q + kz - j, r)
+                term += ci[p - kz + j - 1] * cr[q + kz - j]
         lhs += term
-    return lhs, multinomial(p + q, n)
+    return lhs, table.cn[p + q]
 
 
 @_identity("kmpink")
@@ -544,10 +599,10 @@ def eval_kmpink(
     vs  sum_k C(p-k.z-1,k-e_i) C(q+k.z,n-k),  for 1 <= j <= z_i."""
     lhs = 0
     rhs = 0
-    for _, kz, r, _, below in _terms(n, z):
-        ki = below[i - 1]
-        lhs += multinomial(p - kz + j - 1, ki) * multinomial(q + kz - j, r)
-        rhs += multinomial(p - kz - 1, ki) * multinomial(q + kz, r)
+    for kz, _, cr, below, _, _ in _terms(n, z).terms:
+        ci = below[i - 1]
+        lhs += ci[p - kz + j - 1] * cr[q + kz - j]
+        rhs += ci[p - kz - 1] * cr[q + kz]
     return lhs, rhs
 
 
@@ -557,13 +612,14 @@ def eval_pkroth(
 ) -> tuple[Fraction, Fraction]:
     """sum_k [ C(p-k.z,k) + sum_i z_i C(p-k.z-1,k-e_i) ] C(q+k.z,n-k)
     vs  C(p+q,n)."""
+    table = _terms(n, z)
     lhs = 0
-    for k, kz, r, _, below in _terms(n, z):
-        head = multinomial(p - kz, k)
-        for z_i, ki in zip(z, below):
-            head += z_i * multinomial(p - kz - 1, ki)
-        lhs += head * multinomial(q + kz, r)
-    return lhs, multinomial(p + q, n)
+    for kz, ck, cr, below, _, _ in table.terms:
+        head = ck[p - kz]
+        for z_i, ci in zip(z, below):
+            head += z_i * ci[p - kz - 1]
+        lhs += head * cr[q + kz]
+    return lhs, table.cn[p + q]
 
 
 @_identity(
@@ -576,9 +632,9 @@ def check_absorption(
     p: Scalar, k: MultiIndex, z: MultiIndex, i: int
 ) -> tuple[Fraction, Fraction]:
     """C(p-k.z-1, k-e_i)  vs  (k_i/(p-k.z)) C(p-k.z, k),  p-k.z != 0."""
-    kz = dot(k, z)
-    lhs = multinomial(p - kz - 1, vec_sub(k, unit(len(k), i)))
-    rhs = qsum([(k[i - 1] * multinomial(p - kz, k), p - kz)])
+    kz, ck, _, below, _, _ = _terms(k, z).terms[-1]  # the last summand of the box is k
+    lhs = below[i - 1][p - kz - 1]
+    rhs = qsum([(k[i - 1] * ck[p - kz], p - kz)])
     return lhs, rhs
 
 
@@ -591,10 +647,12 @@ def check_rm2_decomposition(
     sum_k xy/((x-k.z)(y-(n-k).z)) C C  vs  (S1 + S2)/(x+y-n.z)  where
     S1 = sum_k (xy/(x-k.z)) C C  and  S2 = sum_k (xy/(y-(n-k).z)) C C.
     """
-    w = x + y - dot(n, z)
+    table = _terms(n, z)
+    y_nz = y - table.nz  # y - (n-k).z is y_nz + k.z
+    w = x + y_nz
     rows = [
-        (x * y * multinomial(x - kz, k) * multinomial(y - rz, r), x - kz, y - rz)
-        for k, kz, r, rz, _ in _terms(n, z)
+        (x * y * ck[x - kz] * cr[y_nz + kz], x - kz, y_nz + kz)
+        for kz, ck, cr, _, _, _ in table.terms
     ]
     lhs = qsum((prod, a * b) for prod, a, b in rows)
     rhs = qsum((prod, d * w) for prod, a, b in rows for d in (a, b))  # (S1 + S2) / w
@@ -607,13 +665,14 @@ def check_mh_expansion(
 ) -> tuple[Fraction, Fraction]:
     """sum_k C(x+k.z,k) C(y-k.z,n-k)
     vs  C(x+y,n) + sum_i sum_k z_i C(x-1+k.z,k-e_i) C(y-k.z,n-k)."""
+    table = _terms(n, z)
     lhs = 0
-    rhs = multinomial(x + y, n)
-    for k, kz, r, _, below in _terms(n, z):
-        tail = multinomial(y - kz, r)
-        lhs += multinomial(x + kz, k) * tail
-        for z_i, ki in zip(z, below):
-            rhs += z_i * multinomial(x - 1 + kz, ki) * tail
+    rhs = table.cn[x + y]
+    for kz, ck, cr, below, _, _ in table.terms:
+        tail = cr[y - kz]
+        lhs += ck[x + kz] * tail
+        for z_i, ci in zip(z, below):
+            rhs += z_i * ci[x - 1 + kz] * tail
     return lhs, rhs
 
 

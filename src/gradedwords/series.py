@@ -43,9 +43,20 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .arith import MultiIndex, Scalar, dot, exact, multinomial, natural, naturals, norm, rational
+from .arith import (
+    MultiIndex,
+    Scalar,
+    _Memo,
+    dot,
+    exact,
+    multinomial,
+    natural,
+    naturals,
+    norm,
+    rational,
+)
 from .errors import DimensionMismatchError, PreconditionError
 from .reports import VERDICT_EQUAL, VERDICT_MISMATCH, EvalReport
 
@@ -74,18 +85,6 @@ def exponents_up_to(nvars: int, order: int) -> Iterator[MultiIndex]:
 
     for degree in range(order + 1):
         yield from parts(degree, nvars)
-
-
-class _Memo(dict):
-    """A dict that fills in each missing key with fill(key) on first use."""
-
-    def __init__(self, fill: Callable) -> None:
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 @lru_cache(maxsize=32)

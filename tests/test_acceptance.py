@@ -7,6 +7,8 @@ integers only, no tolerances anywhere.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import itertools
 import sys
 from contextlib import contextmanager
@@ -31,6 +33,8 @@ from gradedwords import (
     verify_identity_on_grid,
     verify_raney_decomposition,
 )
+from gradedwords.cli import default_manifest, run_suite
+from gradedwords.identities import CATALOG
 
 MAX_WEIGHT = 14
 MAX_NORM = 4
@@ -233,22 +237,50 @@ def _identity_configs(name: str, z: tuple, n: tuple):
     return [(None, None)]
 
 
+def _catalog_sweep():
+    """Every catalog spec criterion 6 certifies."""
+    for m in (1, 2):
+        names = (_CLASSICAL if m == 1 else []) + _MULTI
+        for z in itertools.product((0, 1, 3), repeat=m):
+            for n in _multi_indices(m):
+                for name in names:
+                    for i, j in _identity_configs(name, z, n):
+                        yield IdentitySpec(identity=name, n=n, z=z, i=i, j=j)
+
+
 def test_criterion_6_identity_catalog(capfd):
     verified = 0
     with criterion("criterion 6 (identity catalog verifies on degree-bound grids)", capfd) as info:
-        for m in (1, 2):
-            names = (_CLASSICAL if m == 1 else []) + _MULTI
-            for z in itertools.product((0, 1, 3), repeat=m):
-                for n in _multi_indices(m):
-                    for name in names:
-                        for i, j in _identity_configs(name, z, n):
-                            spec = IdentitySpec(identity=name, n=n, z=z, i=i, j=j)
-                            report = verify_identity_on_grid(spec)
-                            assert report.ok, (
-                                name, n, z, i, j, report.counterexample,
-                            )
-                            verified += 1
+        for spec in _catalog_sweep():
+            report = verify_identity_on_grid(spec)
+            assert report.ok, (
+                spec.identity, spec.n, spec.z, spec.i, spec.j, report.counterexample,
+            )
+            verified += 1
         info["detail"] = f"{verified} grid certifications"
+
+
+def test_every_side_at_an_integer_point_is_an_int(monkeypatch):
+    # over the criterion 6 sweep and the built-in suite (grids and int
+    # points): every side is an int, so no Fraction is built there
+    seen, bad = collections.Counter(), []
+    for name, entry in list(CATALOG.items()):
+
+        def spy(point, spec, evaluate=entry.evaluate, name=name):
+            pairs = evaluate(point, spec)
+            if all(type(v) is int for v in point.values()):
+                seen[name] += 1
+                if any(type(v) is not int for pair in pairs for v in pair):
+                    bad.append((name, spec, point, pairs))
+            return pairs
+
+        monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, evaluate=spy))
+    for spec in _catalog_sweep():
+        assert verify_identity_on_grid(spec).ok
+    payload, code = run_suite(default_manifest(), jobs=1)
+    assert code == 0 and payload["failed"] == 0
+    assert bad == []
+    assert set(seen) == set(CATALOG) and sum(seen.values()) > 10_000
 
 
 def test_criterion_7_classical_coherence(capfd):

@@ -121,6 +121,29 @@ def test_multinomial_pascal_recurrence(x, n):
     assert multinomial(x, n) == rhs
 
 
+def _falling_factorial_reference(x: Fraction, n: tuple) -> Fraction:
+    """C(x, n) by one Fraction multiply per factor of the falling factorial."""
+    if min(n, default=0) < 0:
+        return Fraction(0)
+    ff = Fraction(1)
+    for t in range(sum(n)):
+        ff *= x - t
+    return ff / multi_factorial(n)
+
+
+@given(
+    a=st.integers(min_value=-60, max_value=60),
+    b=st.integers(min_value=2, max_value=12),
+    n=st.lists(st.integers(min_value=-1, max_value=4), min_size=0, max_size=3).map(tuple),
+)
+@settings(max_examples=300)
+def test_multinomial_at_a_rational_x_is_the_falling_factorial(a, b, n):
+    x = Fraction(a, b)
+    got = multinomial(x, n)
+    assert got == _falling_factorial_reference(x, n)
+    assert type(got) is (int if x.denominator == 1 else Fraction)
+
+
 def test_multi_factorial():
     assert multi_factorial((3,)) == 6
     assert multi_factorial((2, 3)) == 12

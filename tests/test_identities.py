@@ -4,8 +4,10 @@ certification, and the counterexample machinery."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import inspect
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,7 @@ from gradedwords import (
     verify_identity_on_grid,
 )
 from gradedwords import arith, identities
+from gradedwords.cli import EXIT_CONFIG, main
 from gradedwords.identities import (
     _poles_abel_2,
     _poles_x,
@@ -325,6 +328,33 @@ def test_abel_forms_need_nonzero_x():
         eval_abel_1(Fraction(0), Fraction(5), 1, 2)
     with pytest.raises(PoleError):
         eval_abel_2(Fraction(2), Fraction(-2), 1, 2)  # y + nz = 0
+
+
+@pytest.mark.parametrize(
+    "name, n, z, point, pole",
+    [
+        ("abel-1", 2, 1, (0, 5), "x"),
+        ("abel-1", 0, 3, (0, 5), "x"),
+        ("abel-2", 2, 1, (0, 5), "x"),
+        ("abel-2", 3, 2, (4, -6), "y + 6"),  # y + nz = 0
+        ("abel-2", 0, 2, (3, 0), "y"),
+        ("abel-2", 0, 2, (3, -3), "x + y"),
+    ],
+)
+def test_abel_poles_are_refused_by_the_evaluators_and_verify_point(
+    name, n, z, point, pole, capsys
+):
+    # the Abel sides read x/x, (y + nz)/(y + nz) and, at n = 0, (x + y)/(x + y)
+    # as 1, so only the pole check stands between such a point and a value
+    evaluator = {"abel-1": eval_abel_1, "abel-2": eval_abel_2}[name]
+    for x, y in (point, (Fraction(point[0]), Fraction(point[1]))):
+        with pytest.raises(PoleError) as err:
+            evaluator(x, y, z, n)
+        assert str(err.value).endswith(f"vanish at this point: {pole}")
+    argv = ["verify", name, "--n", str(n), "--z", str(z), "--point", "x={},y={}".format(*point)]
+    code = main(argv)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().endswith(f"vanish at this point: {pole}")
 
 
 def test_rothe_1_value_and_poles():
@@ -751,85 +781,118 @@ def test_mismatch_produces_counterexample_with_rerun_command(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the per-grid cache of C(x, n), and the one division of a rational side
+# the per-grid rows of C(x, k), and the one division of a rational side
 # ---------------------------------------------------------------------------
 
 
 def _memo_is_gone():
-    return identities.multinomial is arith.multinomial
+    return identities._grid is None
+
+
+def _rows(tables):
+    """The rows the terms tables carry."""
+    return [row for table in tables for row in table.rows]
+
+
+def _counting(monkeypatch):
+    """The (x, k) of every call of arith's multinomial from now on."""
+    calls = []
+    real = arith.multinomial
+
+    def counted(x, k):
+        calls.append((x, k))
+        return real(x, k)
+
+    monkeypatch.setattr(arith, "multinomial", counted)
+    return calls
 
 
 def _spying(monkeypatch, name, after=None):
-    """CATALOG[name] with an evaluate that records the grid cache's
-    cache_info() after each point (then applies after, if given, to the
-    pairs)."""
+    """CATALOG[name] with an evaluate that records, after each point, how
+    many values the grid's rows hold, and weak references to those rows
+    (then applies after, if given, to the pairs)."""
     entry = CATALOG[name]
-    infos = []
+    sizes, refs = [], {}
 
     def spy(point, spec):
         pairs = entry.evaluate(point, spec)
-        infos.append(identities.multinomial.cache_info())
+        rows = _rows(identities._grid.values())
+        sizes.append(sum(map(len, rows)))
+        refs.update((id(row), weakref.ref(row)) for row in rows)
         return pairs if after is None else after(pairs)
 
     monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, evaluate=spy))
-    return infos
+    return sizes, refs
+
+
+def _rows_are_freed(refs):
+    gc.collect()
+    return refs and all(ref() is None for ref in refs.values())
 
 
 def test_memo_is_emptied_after_a_passing_grid(monkeypatch):
-    infos = _spying(monkeypatch, "gould-mohanty")
+    sizes, refs = _spying(monkeypatch, "gould-mohanty")
+    calls = _counting(monkeypatch)
     assert verify_identity_on_grid(IdentitySpec("gould-mohanty", (2, 1), (1, 2))).ok
-    # the cache fills across the grid's points, and repeats hit it: each point
-    # makes 4 calls per term (6 terms), but C(x - k.z, k) does not depend on
-    # y or eps, so the 64 points reach only 48 distinct keys
-    sizes = [info.currsize for info in infos]
-    assert 0 < sizes[0] < sizes[-1] <= len(sizes) * 4 * 6 // 10
-    assert infos[-1].hits + infos[-1].misses == len(infos) * 4 * 6
-    assert infos[-1].hits > infos[-1].misses
-    assert _memo_is_gone()
+    # the rows fill across the grid's points, and repeats are read from them:
+    # each point reads 4 values per term (6 terms), but C(x - k.z, k) does not
+    # depend on y or eps, so the 64 points reach only 48 distinct (x, k), and
+    # arith's multinomial runs once for each
+    assert len(sizes) == 64
+    assert 0 < sizes[0] < sizes[-1] == 48 == len(calls) == len(set(calls))
+    assert _memo_is_gone() and _rows_are_freed(refs)
 
 
 def test_memo_is_emptied_after_a_mismatch(monkeypatch):
-    infos = _spying(monkeypatch, "rothe-1", lambda pairs: [(l, r + 1) for l, r in pairs])
+    sizes, refs = _spying(monkeypatch, "rothe-1", lambda pairs: [(l, r + 1) for l, r in pairs])
     report = verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,)))
-    assert report.verdict == "mismatch" and infos[0].currsize > 0
-    assert _memo_is_gone()
+    assert report.verdict == "mismatch" and sizes == [sizes[0]] and sizes[0] > 0
+    assert _memo_is_gone() and _rows_are_freed(refs)
 
 
 def test_memo_is_emptied_after_a_body_raises(monkeypatch):
     def fault(pairs):
         raise RuntimeError("body fault")
 
-    infos = _spying(monkeypatch, "kmx", fault)
+    sizes, refs = _spying(monkeypatch, "kmx", fault)
     with pytest.raises(RuntimeError, match="body fault"):
         verify_identity_on_grid(IdentitySpec("kmx", (1, 1), (1, 2)))
-    assert infos[0].currsize > 0
-    assert _memo_is_gone()
+    assert sizes[0] > 0
+    assert _memo_is_gone() and _rows_are_freed(refs)
 
 
-def test_point_checks_and_public_evaluators_leave_no_memo():
+def test_point_checks_and_public_evaluators_leave_no_memo(monkeypatch):
+    calls = _counting(monkeypatch)
+    # rothe-1 at n = 3 reads 9 values: C(x - kz, k) C(y + kz, 3 - k) for
+    # k = 0..3, and C(x + y, 3); a second call computes all 9 again
     eval_rothe_1(7, 5, 1, 3)
+    assert len(calls) == 9
+    eval_rothe_1(Fraction(7, 2), 5, 1, 3)
     verify_identity_at_point(IdentitySpec("gould", (2,), (1,)), {"x": 3, "y": 5, "eps": 1})
+    eval_rothe_1(7, 5, 1, 3)
+    assert len(calls) == 9 + 9 + 12 + 9 and calls[-9:] == calls[:9]
     assert _memo_is_gone()
+    tables = [identities._terms((3,), (1,)), identities._terms((2,), (1,))]
+    assert all(type(row) is identities._Fresh for row in _rows(tables))
 
 
 def test_a_wrong_memo_entry_is_a_mismatch(monkeypatch):
     # the first point of the rothe-1 grid at n = 2, z = 1 is x = y = 3, whose
-    # right side is C(x + y, 2) = C(6, 2) = 15; the grid caches the
-    # multinomial arith holds when it starts
+    # right side is C(x + y, 2) = C(6, 2) = 15; the grid's rows fill from the
+    # multinomial arith holds when they fill
     real = arith.multinomial
 
     def wrong(x, n):
         return 16 if (x, n) == (6, (2,)) else real(x, n)
 
     monkeypatch.setattr(arith, "multinomial", wrong)
-    monkeypatch.setattr(identities, "multinomial", wrong)  # undone below as well
     report = verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,)))
     assert report.verdict == "mismatch"
     assert report.counterexample["point"] == {"x": "3", "y": "3"}
     assert report.counterexample["right"] == "16"
     assert _memo_is_gone()
     monkeypatch.undo()
-    assert identities.multinomial is real is multinomial
+    assert arith.multinomial is real is multinomial
     assert verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,))).ok
 
 
