@@ -34,7 +34,6 @@ from .bijections import (
     raney_unfactorize,
     shift_by,
     shift_down,
-    shift_up,
     verify_raney_decomposition,
     verify_shift_bijection,
 )
@@ -49,7 +48,6 @@ from .errors import (
 from .identities import (
     CATALOG,
     IdentitySpec,
-    catalog_names,
     identity_variables,
     verify_identity_at_point,
     verify_identity_on_grid,
@@ -95,7 +93,6 @@ __all__ = [
     "WordClassSpec",
     "__version__",
     "box",
-    "catalog_names",
     "check_generating_function_1",
     "check_generating_function_2",
     "count_prefix_class",
@@ -119,7 +116,6 @@ __all__ = [
     "run_suite",
     "shift_by",
     "shift_down",
-    "shift_up",
     "solve_functional_equation",
     "unit",
     "vec_add",

@@ -202,14 +202,34 @@ def box(n: MultiIndex) -> Iterator[MultiIndex]:
     return itertools.product(*(range(e + 1) for e in n))
 
 
+# Digits per chunk of _digits: below 640, the least limit that
+# sys.set_int_max_str_digits accepts, so str() takes every chunk.
+_CHUNK_DIGITS = 600
+
+
+def _digits(n: int) -> str:
+    """The decimal text of n, from chunks of _CHUNK_DIGITS digits each, for
+    an int too long for str() under the interpreter's digit limit."""
+    rest, chunks = abs(n), []
+    while True:
+        rest, chunk = divmod(rest, 10**_CHUNK_DIGITS)
+        chunks.append(chunk)
+        if not rest:
+            break
+    head = "-" * (n < 0) + str(chunks.pop())
+    return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
+
+
 def format_scalar(v: Scalar) -> str:
-    """Render an exact scalar: decimal string if integral, else "p/q"."""
-    if type(v) is int:
-        return str(v)
-    f = Fraction(v)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """Render an exact scalar: decimal string if integral, else "p/q",
+    every digit of it, also past the limit that str() puts on an int."""
+    f = v if type(v) is int else Fraction(v)
+    try:
+        return str(f)
+    except ValueError:
+        if f.denominator == 1:
+            return _digits(f.numerator)
+        return f"{_digits(f.numerator)}/{_digits(f.denominator)}"
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -70,7 +70,6 @@ __all__ = [
     "RaneyFactorization",
     "find_equal_prefixes",
     "find_balanced_pair",
-    "shift_up",
     "shift_down",
     "shift_by",
     "raney_factorize",
@@ -275,7 +274,7 @@ def find_balanced_pair(u: Word, v: Word) -> BalancedPair:
         raise PreconditionError(
             f"requires ||u|| >= n.z and ||v|| >= n.z + 1 (n.z = {nz})"
         )
-    lw = u.alphabet.letter_weights()
+    lw = u.alphabet.weights
     u_cut, end = _balanced_cut(lw, u.letters + v.letters, len(u), 1)
     v_cut = end - len(u)
     return BalancedPair(
@@ -294,17 +293,11 @@ def _shift_cut(w: Word, p: int, r: int, lift: int = 0) -> int:
     return cut
 
 
-def shift_up(w: Word, p: int) -> Word:
-    """Send a word with a weight-p prefix to one with a weight-(p+1) prefix,
-    preserving weight and letter counts.  Bijective on the prefix class."""
-    return shift_by(w, p, 1)
-
-
 def shift_down(w: Word, p: int) -> Word:
-    """Inverse of shift_up(., p): takes the word with a weight-(p+1) prefix
+    """Inverse of shift_by(., p, 1): takes the word with a weight-(p+1) prefix
     back to the unique preimage with a weight-p prefix."""
     cut = _shift_cut(w, p, 1, 1)
-    image, _ = _swap_balanced(w.alphabet.letter_weights(), w.letters, cut, -1)
+    image, _ = _swap_balanced(w.alphabet.weights, w.letters, cut, -1)
     return _trusted_word(w.alphabet, image)
 
 
@@ -324,14 +317,14 @@ def shift_by(w: Word, p: int, r: int) -> Word:
     shift returns its image's next cut, so the word is scanned for a cut
     only once."""
     cut = _shift_cut(w, p, r)
-    letters, _ = _shift_letters(w.alphabet.letter_weights(), w.letters, cut, r)
+    letters, _ = _shift_letters(w.alphabet.weights, w.letters, cut, r)
     return _trusted_word(w.alphabet, letters)
 
 
 def _shift_round_trip(w: Word, p: int, r: int) -> tuple[Word, Word]:
     """shift_by(w, p, r), and that image shifted back down r times.  The
     way back starts from the image's cut, so w is the only word scanned."""
-    lw = w.alphabet.letter_weights()
+    lw = w.alphabet.weights
     image, cut = _shift_letters(lw, w.letters, _shift_cut(w, p, r), r)
     back, _ = _shift_letters(lw, image, cut, r, -1)
     return _trusted_word(w.alphabet, image), _trusted_word(w.alphabet, back)
@@ -347,7 +340,7 @@ def raney_factorize(w: Word, p: int) -> RaneyFactorization:
     """
     alphabet = w.alphabet
     _check_word_split(w, p, grading=alphabet.z)
-    cut, achieved = _cut(alphabet.letter_weights(), w.letters, p)
+    cut, achieved = _cut(alphabet.weights, w.letters, p)
     u, v = w.prefix(cut), Word(alphabet, w.letters[cut:])
     if achieved == p:
         return PrefixCase(u=u, v=v)
@@ -366,7 +359,7 @@ def raney_unfactorize(f: RaneyFactorization, p: int) -> Word:
         i, j, u = f.i, f.j, f.u_prime
     if u.alphabet != f.v.alphabet:
         raise DimensionMismatchError("cannot concatenate words over different alphabets")
-    letters = _raney_join(u.alphabet.letter_weights(), p, i, j, u.letters, f.v.letters)
+    letters = _raney_join(u.alphabet.weights, p, i, j, u.letters, f.v.letters)
     return Word(u.alphabet, letters)
 
 
@@ -404,7 +397,7 @@ def verify_shift_bijection(
     _check_split(p, q, nz, r)
     total_weight = p + q + nz
     z = alphabet.z
-    lw = alphabet.letter_weights()
+    lw = alphabet.weights
     length = total_weight - nz  # every word of the class
     codes = range(alphabet.m + 1)
     counts = (length - sum(n), *n)  # of each code, a first
@@ -490,7 +483,7 @@ def verify_raney_decomposition(
     _check_split(p, q, nz, grading=alphabet.z)
     z = alphabet.z
     m = alphabet.m
-    lw = alphabet.letter_weights()
+    lw = alphabet.weights
     total_weight = p + q + nz
     params = {"p": p, "q": q, "n": list(n), "z": list(z)}
     report = EvalReport(check="raney-decomposition", params=params)

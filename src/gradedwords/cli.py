@@ -41,7 +41,6 @@ from .identities import (
     CATALOG,
     IdentitySpec,
     _lookup,
-    catalog_names,
     verify_identity_at_point,
     verify_identity_on_grid,
 )
@@ -130,7 +129,7 @@ def do_enumerate(
     """List a word class in lexicographic order."""
     alphabet = GradedAlphabet(z)
     _check_dimension(k, alphabet)
-    names = alphabet._names
+    names = alphabet.names
     words: list[str] = []
     rendered: dict[int, list[str]] = {}  # id(table) -> its tails as text
     for _, head, table in _class_blocks(alphabet, p, k, r):
@@ -395,7 +394,7 @@ _KEYS: dict[str, tuple[Callable[[object, str], object], str, str]] = {
     "x": (natural, "--x", "exponent x >= 1 of the generating-function checks"),
     "order": (natural, "--order", "truncation order N"),
     "kind": (_bijection_kind, "kind", "shift or raney"),
-    "identity": (_text, "identity", f"one of: {', '.join(catalog_names())}"),
+    "identity": (_text, "identity", f"one of: {', '.join(CATALOG)}"),
     "word": (_text, "--word", "apply to this word instead of the whole class"),
     "grid_range": (_range, "--grid-range", "draw grid candidates from this range A..B"),
     "point": (_point, "--point", "evaluate at one exact point VAR=VALUE,... instead of a grid"),
@@ -649,7 +648,8 @@ def _received(data: bytes, share: list[int]) -> Optional[list[dict]]:
 
 
 def _run_forked(members: list[Member], shares: list[list[int]]) -> list[dict]:
-    """Every member's entry: shares[1:] in forked children, shares[0] here.
+    """Every member's entry: shares[1:] in forked children, shares[0] here,
+    so a single share forks nothing.
 
     A share whose child cannot be forked, exits nonzero, is killed, or sends
     anything but its own entries is re-run in this process, so a verdict is
@@ -719,13 +719,12 @@ def run_suite(manifest: list, jobs: int) -> tuple[dict, int]:
         raise PreconditionError(f"--jobs must be a positive integer, got {jobs!r}")
     coerced = [_coerced(config) for config in manifest]
     workers = _worker_count(jobs, _usable_cpus(), len(coerced))
-    members = None
+    shares = [list(range(len(coerced)))]
     if workers > 1 and _can_fork():
         work = [0 if isinstance(m, Exception) else _predicted_work(*m) for m in coerced]
         if sum(work) >= _PARALLEL_FLOOR_US:
-            members = _run_forked(coerced, _lpt_shares(work, workers))
-    if members is None:
-        members = [_run_entry(index, member) for index, member in enumerate(coerced)]
+            shares = _lpt_shares(work, workers)
+    members = _run_forked(coerced, shares)
     codes = [m["exit_code"] for m in members]
     suite_code = EXIT_PASS
     for level in (EXIT_COUNTEREXAMPLE, EXIT_CONFIG, EXIT_INTERNAL):

@@ -119,7 +119,6 @@ __all__ = [
     "check_absorption",
     "check_rm2_decomposition",
     "check_mh_expansion",
-    "catalog_names",
     "identity_variables",
     "verify_identity_on_grid",
     "verify_identity_at_point",
@@ -678,7 +677,9 @@ def check_mh_expansion(
 
 def _coherence(name: str, multi: str, single: str) -> None:
     """Declare `name`: the multi-index entry `multi` at m = 1 must agree
-    componentwise with its classical counterpart `single`."""
+    componentwise with its classical counterpart `single`.  The classical
+    bodies stay separate evaluators because criterion 7 takes them as its
+    reference; a tier-1 test checks them against textbook binomials."""
     multi_pairs, single_pairs = CATALOG[multi].evaluate, CATALOG[single].evaluate
 
     def evaluate(point: dict[str, Scalar], spec: IdentitySpec) -> PairList:
@@ -697,10 +698,6 @@ _coherence("mohanty-handa-vs-jensen", "mohanty-handa", "jensen")
 # ---------------------------------------------------------------------------
 # grid and point verification
 # ---------------------------------------------------------------------------
-
-
-def catalog_names() -> list[str]:
-    return list(CATALOG)
 
 
 def identity_variables(name: str) -> tuple[str, ...]:

@@ -195,14 +195,6 @@ class TruncatedSeries:
         return cls._trusted(nvars, order, {(0,) * nvars: value})
 
     @classmethod
-    def one(cls, nvars: int, order: int) -> TruncatedSeries:
-        return cls.constant(1, nvars, order)
-
-    @classmethod
-    def zero(cls, nvars: int, order: int) -> TruncatedSeries:
-        return cls(nvars, order, {})
-
-    @classmethod
     def variable(cls, i: int, nvars: int, order: int) -> TruncatedSeries:
         """The series u_i (1-based index)."""
         natural(order, "order")
@@ -227,10 +219,6 @@ class TruncatedSeries:
                 f"exponent {exponent} is not a monomial of degree <= {self.order}"
             )
         return Fraction(0)
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * self.nvars)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -287,11 +275,11 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> TruncatedSeries:
         natural(exponent, "series power")
         if not exponent:
-            return TruncatedSeries.one(self.nvars, self.order)
+            return TruncatedSeries.constant(1, self.nvars, self.order)
         if self.coeffs.get((0,) * self.nvars):
             return self if exponent == 1 else self._power(exponent)
         # no Miller recurrence without a constant term: repeated squaring
-        result, base = TruncatedSeries.one(self.nvars, self.order), self
+        result, base = TruncatedSeries.constant(1, self.nvars, self.order), self
         while exponent:
             if exponent & 1:
                 result = result * base
@@ -353,9 +341,9 @@ def functional_equation_residual(v: TruncatedSeries, z: MultiIndex) -> Truncated
     z = naturals(z, "z")
     if len(z) != v.nvars:
         raise DimensionMismatchError(f"z has dimension {len(z)}, series has {v.nvars}")
-    residual = v - TruncatedSeries.one(v.nvars, v.order)
+    residual = v - TruncatedSeries.constant(1, v.nvars, v.order)
     for i, a in enumerate(z, 1):
-        power = TruncatedSeries.one(v.nvars, v.order)
+        power = TruncatedSeries.constant(1, v.nvars, v.order)
         for _ in range(a):
             power = power * v
         residual = residual - TruncatedSeries.variable(i, v.nvars, v.order) * power
@@ -415,7 +403,7 @@ def check_generating_function_2(x: int, z: MultiIndex, order: int) -> EvalReport
     tops = ((k, x + dot(k, z)) for k in exponents_up_to(m, order))
     left = TruncatedSeries._trusted(m, order, {k: multinomial(t, k) for k, t in tops})
     v = solve_functional_equation(z, order)
-    denominator = TruncatedSeries.one(m, order)
+    denominator = TruncatedSeries.constant(1, m, order)
     for i, a in enumerate(z, 1):
         denominator = denominator - (TruncatedSeries.variable(i, m, order) * v ** (a - 1)).scaled(a)
     right = (v**x) * denominator.reciprocal()

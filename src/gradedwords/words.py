@@ -61,17 +61,18 @@ class GradedAlphabet:
     """The alphabet {a, b_1..b_m} with ||a|| = 1 and ||b_i|| = z_i + 1.
 
     z_i = 0 is allowed (a weight-1 letter distinct from a); operations that
-    need z_i >= 1 check it themselves.
+    need z_i >= 1 check it themselves.  The tuples weights and names give
+    each letter's weight and name, indexed by letter code.
     """
 
     z: MultiIndex
-    _weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", naturals(self.z, "z"))
-        object.__setattr__(self, "_weights", (1,) + tuple(e + 1 for e in self.z))
-        object.__setattr__(self, "_names", tuple(map(self.letter_name, range(self.m + 1))))
+        object.__setattr__(self, "weights", (1,) + tuple(e + 1 for e in self.z))
+        object.__setattr__(self, "names", tuple(map(self.letter_name, range(self.m + 1))))
 
     @property
     def m(self) -> int:
@@ -83,11 +84,7 @@ class GradedAlphabet:
 
     def letter_weight(self, code: int) -> int:
         self._check_code(code)
-        return self._weights[code]
-
-    def letter_weights(self) -> tuple[int, ...]:
-        """Weight table indexed by letter code."""
-        return self._weights
+        return self.weights[code]
 
     def letter_name(self, code: int) -> str:
         self._check_code(code)
@@ -138,11 +135,11 @@ class Word:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return " ".join(map(self.alphabet._names.__getitem__, self.letters))
+        return " ".join(map(self.alphabet.names.__getitem__, self.letters))
 
     @property
     def weight(self) -> int:
-        return sum(map(self.alphabet._weights.__getitem__, self.letters))
+        return sum(map(self.alphabet.weights.__getitem__, self.letters))
 
     @property
     def counts(self) -> MultiIndex:
@@ -164,18 +161,15 @@ class Word:
 
     def prefix_weight_list(self) -> tuple[int, ...]:
         """Weights of the nonempty prefixes, strictly increasing, one per length."""
-        return tuple(accumulate(map(self.alphabet._weights.__getitem__, self.letters)))
+        return tuple(accumulate(map(self.alphabet.weights.__getitem__, self.letters)))
 
     def prefix_cut(self, r: int) -> Optional[int]:
         """Length of the (unique) prefix of weight r, or None.
 
         r = 0 always cuts at the empty prefix.
         """
-        length, weight = _cut(self.alphabet._weights, self.letters, r)
+        length, weight = _cut(self.alphabet.weights, self.letters, r)
         return length if weight == r else None
-
-    def has_prefix_of_weight(self, r: int) -> bool:
-        return self.prefix_cut(r) is not None
 
 
 def _trusted_word(alphabet: GradedAlphabet, letters: tuple[int, ...]) -> Word:
@@ -307,7 +301,7 @@ def _class_blocks(
         return
     if tables is None:
         tables = {}
-    weights = alphabet._weights
+    weights = alphabet.weights
     top = len(weights)
     left, size = 0, 1
     for e in counts:  # size = the multinomial of counts

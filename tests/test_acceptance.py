@@ -28,7 +28,6 @@ from gradedwords import (
     multinomial,
     shift_by,
     shift_down,
-    shift_up,
     solve_functional_equation,
     verify_identity_on_grid,
     verify_raney_decomposition,
@@ -106,7 +105,7 @@ def test_criterion_2_prefix_class_count(capfd):
                                 enumerate_words(WordClassSpec(p=total, k=n), alphabet)
                             )
                         enumerated = sum(
-                            1 for w in words if w.has_prefix_of_weight(p)
+                            1 for w in words if w.prefix_cut(p) is not None
                         )
                         formula = count_prefix_class(p, q, n, alphabet)
                         assert formula == enumerated, (z, n, p, q, formula, enumerated)
@@ -136,11 +135,11 @@ def _shift_tables():
                     continue
                 pmax = total - nz - 1  # q = total - nz - p >= 1
                 classes = {
-                    p: [w for w in words if w.has_prefix_of_weight(p)]
+                    p: [w for w in words if w.prefix_cut(p) is not None]
                     for p in range(nz, pmax + 2)
                 }
                 step = {
-                    p: [(w, shift_up(w, p)) for w in classes[p]]
+                    p: [(w, shift_by(w, p, 1)) for w in classes[p]]
                     for p in range(nz, pmax + 1)
                 }
                 _SHIFT_TABLES[(z, n, total)] = (classes, step)

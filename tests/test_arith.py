@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradedwords import (
@@ -208,6 +209,26 @@ def test_format_scalar_renders_as_through_a_fraction(v):
     assert format_scalar(v) == _format_through_fraction(v)
 
 
+def _with_int_str_limit(limit: int, f, *args):
+    """f(*args) with sys.set_int_max_str_digits(limit), restored after."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return f(*args)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("v", [
+    10**4300, -(10**4300), 10**6000 - 1, 7 * 10**4800 + 3, 10**1200,
+    Fraction(-1, 10**5000), Fraction(10**4301 + 1, 3),
+], ids=["1e4300", "-1e4300", "1e6000-1", "7e4800+3", "1e1200", "-1/1e5000", "(1e4301+1)/3"])
+def test_format_scalar_prints_every_digit_past_the_int_str_limit(v):
+    expected = _with_int_str_limit(0, _format_through_fraction, v)  # 0: no limit
+    assert format_scalar(v) == expected
+    assert _with_int_str_limit(640, format_scalar, v) == expected  # the least limit allowed
+
+
 # scalar-like text: signs, separators, exponents, base prefixes, non-ASCII
 # digits and spaces, and the whitespace str.strip removes but a regex \s may not
 _SCALAR_CHARS = "0123456789_+-/.eExob \t\n\x1c\x85\u3000\u0663\uff17"
@@ -223,6 +244,8 @@ _NUMERAL_TEXT = st.tuples(
 
 @given(text=st.one_of(st.text(), st.text(_SCALAR_CHARS, max_size=12), _NUMERAL_TEXT))
 @settings(max_examples=400)
+@example("1E4300")
+@example("1e-5000")
 def test_parse_scalar_accepts_exactly_what_fraction_accepts(text):
     try:
         expected = Fraction(text.strip())

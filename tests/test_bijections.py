@@ -32,7 +32,6 @@ from gradedwords import (
     raney_unfactorize,
     shift_by,
     shift_down,
-    shift_up,
     verify_raney_decomposition,
     verify_shift_bijection,
 )
@@ -151,25 +150,25 @@ def test_balanced_pair_minimality_oracle():
 
 
 def test_shift_up_examples():
-    assert str(shift_up(A1.parse_word("a b"), 1)) == "b a"
-    assert str(shift_up(A1.parse_word("a a b"), 2)) == "a b a"
+    assert str(shift_by(A1.parse_word("a b"), 1, 1)) == "b a"
+    assert str(shift_by(A1.parse_word("a a b"), 2, 1)) == "a b a"
 
 
 def test_shift_on_all_a_words_is_identity():
     for length in range(1, 6):
         w = Word(A1, (0,) * length)
         for p in range(length):
-            assert shift_up(w, p) == w
+            assert shift_by(w, p, 1) == w
 
 
 def test_shift_preconditions():
     w = A1.parse_word("a b")  # weight 3, n = (1), n.z = 1
     with pytest.raises(PreconditionError):
-        shift_up(w, 0)  # p < n.z
+        shift_by(w, 0, 1)  # p < n.z
     with pytest.raises(PreconditionError):
-        shift_up(w, 2)  # q = 3 - 2 - 1 = 0 < 1
+        shift_by(w, 2, 1)  # q = 3 - 2 - 1 = 0 < 1
     with pytest.raises(PreconditionError):
-        shift_up(A1.parse_word("b a"), 1)  # no weight-1 prefix
+        shift_by(A1.parse_word("b a"), 1, 1)  # no weight-1 prefix
     with pytest.raises(PreconditionError):
         shift_by(A1.parse_word("a a b"), 1, 0)  # r < 1
     with pytest.raises(PreconditionError):
@@ -188,10 +187,10 @@ def test_shift_round_trip_exhaustive():
                         continue
                     images = set()
                     for w in _class(alphabet, total, n, r=p):
-                        image = shift_up(w, p)
+                        image = shift_by(w, p, 1)
                         assert image.weight == w.weight
                         assert image.counts == w.counts
-                        assert image.has_prefix_of_weight(p + 1)
+                        assert image.prefix_cut(p + 1) is not None
                         assert shift_down(image, p) == w
                         images.add(image)
                     assert images == set(_class(alphabet, total, n, r=p + 1))
@@ -202,7 +201,7 @@ def test_shift_kernel_returns_the_image_cut_exhaustive():
     # the mirrored swap at the weight-(p+1) cut reports the weight-p cut
     for z in [(0,), (1,), (3,), (0, 2), (1, 2), (1, 0, 1)]:
         alphabet = GradedAlphabet(z=z)
-        lw = alphabet.letter_weights()
+        lw = alphabet.weights
         for n in itertools.product(range(3), repeat=len(z)):
             nz = dot(n, z)
             for total in range(2 * nz + 1, 2 * nz + 6):
@@ -249,7 +248,7 @@ def test_shift_kernel_matches_the_plain_formula_exhaustive():
     # both directions, and raises where the formula raises
     for z in [(0,), (1,), (3,), (0, 2), (1, 2)]:
         alphabet = GradedAlphabet(z=z)
-        lw = alphabet.letter_weights()
+        lw = alphabet.weights
         for n in itertools.product(range(3), repeat=len(z)):
             nz = dot(n, z)
             for total in range(nz, nz + 6):
@@ -338,9 +337,8 @@ def test_shift_down_of_up_image_only():
 def test_shift_by_is_the_iterated_unit_shift():
     w = A1.parse_word("a b a")  # Γ(p=1) member, total 4, n = (1), q = 2
     two = shift_by(w, 1, 2)
-    assert two == shift_up(shift_up(w, 1), 2)
-    assert two.has_prefix_of_weight(3)
-    assert shift_by(w, 1, 1) == shift_up(w, 1)
+    assert two == shift_by(shift_by(w, 1, 1), 2, 1)
+    assert two.prefix_cut(3) is not None
 
 
 def test_verify_shift_bijection_report():
@@ -394,7 +392,7 @@ def test_shift_round_trip_random(z, n, p_off, q, pick):
     assume(words)
     w = words[pick % len(words)]
     image = shift_by(w, p, q)  # the largest allowed shift distance
-    assert image.has_prefix_of_weight(p + q)
+    assert image.prefix_cut(p + q) is not None
     back = image
     for step in range(q - 1, -1, -1):
         back = shift_down(back, p + step)
@@ -446,7 +444,7 @@ def test_raney_prefix_case_iff_word_has_weight_p_prefix():
                 for q in range(1, 4):
                     for w in _class(alphabet, p + q + nz, n):
                         f = raney_factorize(w, p)
-                        if w.has_prefix_of_weight(p):
+                        if w.prefix_cut(p) is not None:
                             assert isinstance(f, PrefixCase)
                             assert f.u.weight == p
                         else:
@@ -471,7 +469,7 @@ def test_raney_unfactorize_validates_consistency():
 
 
 def test_raney_join_rejects_inconsistent_pieces():
-    lw = A2.letter_weights()  # a, b1, b2 weigh 1, 2, 3
+    lw = A2.weights  # a, b1, b2 weigh 1, 2, 3
     assert _raney_join(lw, 1, 0, 0, (0,), (2,)) == (0, 2)
     assert _raney_join(lw, 2, 2, 1, (), (0,)) == (2, 0)  # b2 overshoots 2 by 1
     for pieces in [
@@ -515,7 +513,7 @@ _RANEY_ARGV = ["bijection", "raney", "--z", "1,2", "--p", "4", "--q", "5", "--n"
 def _raney_blocks(split_in_head):
     """The blocks of _RANEY_CLASS whose weight-p scan stops in the head, or not."""
     p, q, n = _RANEY_CLASS
-    lw = A2.letter_weights()
+    lw = A2.weights
     return [
         (head, table)
         for _, head, table in words._class_blocks(A2, p + q + dot(n, A2.z), n)
@@ -533,7 +531,7 @@ def _first_raney_failure():
     factorization by the (possibly planted) bijections._cut and
     bijections._raney_join does not reassemble it."""
     p, q, n = _RANEY_CLASS
-    lw = A2.letter_weights()
+    lw = A2.weights
     for letters in words._iter_class(A2, p + q + dot(n, A2.z), n):
         cut, achieved = bijections._cut(lw, letters, p)
         if achieved == p:
@@ -632,7 +630,7 @@ def test_block_tallies_are_the_word_by_word_tallies(p, q, n):
     # in the 2860-word class (7, 6, (1, 3)) some blocks overshoot in the
     # head and still place a b letter after the cut: a cell must count the
     # letters up to the cut, not the whole head
-    lw = A2.letter_weights()
+    lw = A2.weights
     past_the_cut = [
         head
         for _, head, _ in words._class_blocks(A2, p + q + dot(n, A2.z), n)
@@ -694,7 +692,6 @@ _W = A1.parse_word("a a b a")  # n.z = 1, prefix weights 1, 2, 4, 5
 _ENTRY_CALLS = {
     count_words: dict(p=1, k=(1,), alphabet=A1),
     count_prefix_class: dict(p=1, q=1, n=(1,), alphabet=A1),
-    shift_up: dict(w=_W, p=1),
     shift_down: dict(w=_W, p=1),
     shift_by: dict(w=_W, p=1, r=1),
     raney_factorize: dict(w=_W, p=1),

@@ -11,6 +11,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,25 @@ def test_verify_at_point_with_fractions(capsys):
     assert payload["left"] == payload["right"]
 
 
+@pytest.mark.parametrize("identity, n, point, x, side", [
+    ("rothe-1", "2", "x=1E2200,y=1", 10**2200, (10**2200 + 1) * 10**2200 // 2),  # C(x + y, 2)
+    ("gould", "1", "x=1E4300,y=1,eps=0", 10**4300, 10**4300),
+    ("gould", "1", "x=1e-5000,y=1,eps=0", Fraction(1, 10**5000), Fraction(1, 10**5000)),
+], ids=["rothe-1-1E2200", "gould-1E4300", "gould-1e-5000"])
+def test_verify_prints_every_digit_past_the_int_str_limit(capsys, identity, n, point, x, side):
+    # these exited 3: str() refuses an int of more than 4300 digits
+    code, payload = run_json(capsys, "verify", identity, "--n", n, "--z", "1", "--point", point)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected_x, expected_side = str(x), str(side)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == EXIT_PASS
+    assert payload["left"] == payload["right"] == expected_side
+    assert payload["params"]["point"]["x"] == expected_x
+
+
 def test_verify_point_on_pole_is_config_error(capsys):
     code, out, err = run(
         capsys, "verify", "rothe-1", "--n", "2", "--z", "1", "--point", "x=1,y=9"
@@ -427,9 +447,7 @@ def test_default_manifest_covers_every_identity(capsys):
         for member in default_manifest()
         if member["command"] == "verify"
     }
-    from gradedwords import catalog_names
-
-    assert verified == set(catalog_names())
+    assert verified == set(CATALOG)
 
 
 def test_suite_manifest_file(tmp_path, capsys):

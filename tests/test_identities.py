@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import inspect
 import itertools
+import math
 import weakref
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from gradedwords import (
     IdentitySpec,
     PoleError,
     PreconditionError,
-    catalog_names,
     identity_variables,
     multinomial,
     verify_identity_at_point,
@@ -43,6 +43,7 @@ from gradedwords.identities import (
     eval_kmx,
     eval_raney_mohanty_2,
     eval_rothe_1,
+    eval_rothe_2,
 )
 
 ALL_NAMES = [
@@ -56,7 +57,7 @@ ALL_NAMES = [
 
 
 def test_catalog_is_complete():
-    assert catalog_names() == ALL_NAMES
+    assert list(CATALOG) == ALL_NAMES
 
 
 # every catalog entry as its evaluator declares it: free variables, multi-index
@@ -379,6 +380,67 @@ def test_gould_shift_invariance_chain():
 def test_jensen_value():
     lhs, rhs = eval_jensen(Fraction(1, 2), Fraction(1, 3), 2, 2)
     assert lhs == rhs
+
+
+def _binomial(x, k):
+    """C(x, k) by the textbook: the falling factorial x(x-1)...(x-k+1) over k!."""
+    return Fraction(math.prod(x - i for i in range(k))) / math.factorial(k)
+
+
+def _rothe_1(x, y, z, n):
+    lhs = sum(Fraction(x) / (x - k * z) * _binomial(x - k * z, k) * _binomial(y + k * z, n - k)
+              for k in range(n + 1))
+    return lhs, _binomial(x + y, n)
+
+
+def _rothe_2(x, y, z, n):
+    lhs = sum(
+        Fraction(x * y) / ((x - k * z) * (y - (n - k) * z))
+        * _binomial(x - k * z, k) * _binomial(y - (n - k) * z, n - k)
+        for k in range(n + 1)
+    )
+    return lhs, Fraction(x + y) / (x + y - n * z) * _binomial(x + y - n * z, n)
+
+
+def _gould_sum(x, y, z, n):
+    return sum(_binomial(x - k * z, k) * _binomial(y + k * z, n - k) for k in range(n + 1))
+
+
+def _gould(x, y, z, eps, n):
+    return _gould_sum(x, y, z, n), _gould_sum(x + eps, y - eps, z, n)
+
+
+def _jensen(x, y, z, n):
+    lhs = sum(_binomial(x + k * z, k) * _binomial(y - k * z, n - k) for k in range(n + 1))
+    return lhs, sum(_binomial(x + y - k, n - k) * z**k for k in range(n + 1))
+
+
+_POINT_VALUES = [0, 1, -2, 3, Fraction(5, 2), Fraction(-1, 3)]
+
+
+# criterion 7 compares the multi-index evaluators at m = 1 with these four,
+# so they are checked here against formulas that share none of their code
+@pytest.mark.parametrize("evaluator, reference", [
+    (eval_rothe_1, _rothe_1), (eval_rothe_2, _rothe_2),
+    (eval_gould, _gould), (eval_jensen, _jensen),
+], ids=["rothe-1", "rothe-2", "gould", "jensen"])
+def test_classical_evaluators_match_the_textbook_formulas(evaluator, reference):
+    variables = [v for v in inspect.signature(evaluator).parameters if v not in ("z", "n")]
+    evaluated = 0
+    for n, z in itertools.product(range(5), (0, 1, 2, Fraction(1, 2))):
+        for values in itertools.product(_POINT_VALUES, repeat=len(variables)):
+            point = dict(zip(variables, values))
+            try:
+                expected = reference(**point, z=z, n=n)
+            except ZeroDivisionError:  # a textbook denominator vanishes: a declared pole
+                with pytest.raises(PoleError):
+                    evaluator(**point, z=z, n=n)
+                continue
+            assert evaluator(**point, z=z, n=n) == expected, (point, z, n)
+            assert expected[0] == expected[1], (point, z, n)
+            evaluated += 1
+    swept = 20 * len(_POINT_VALUES) ** len(variables)  # 5 values of n times 4 of z
+    assert 2 * evaluated > swept  # most points are off the poles
 
 
 def test_kmx_equals_vandermonde_total():

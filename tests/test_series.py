@@ -70,13 +70,13 @@ def test_construction_rejects_bad_exponents():
 
 def test_equality_and_zero():
     assert S(1, 4, {(2,): 5}) == S(1, 4, {(2,): Fraction(5)})
-    assert S(1, 4, {}) == TruncatedSeries.zero(1, 4)
-    assert TruncatedSeries.zero(2, 3).is_zero()
+    assert S(1, 4, {}) == TruncatedSeries(1, 4)
+    assert TruncatedSeries(2, 3).is_zero()
     assert S(1, 3, {}) != S(1, 4, {})  # different truncation orders differ
 
 
 def test_constant_one_variable():
-    assert TruncatedSeries.one(2, 3).constant_term == 1
+    assert TruncatedSeries.constant(1, 2, 3).coefficient((0, 0)) == 1
     u2 = TruncatedSeries.variable(2, 2, 3)
     assert u2.coefficient((0, 1)) == 1
     with pytest.raises(PreconditionError):
@@ -90,7 +90,7 @@ def test_constant_one_variable():
 
 def test_product_truncates():
     u = TruncatedSeries.variable(1, 1, 2)
-    one = TruncatedSeries.one(1, 2)
+    one = TruncatedSeries.constant(1, 1, 2)
     geometric = (one - u).reciprocal()
     assert geometric == S(1, 2, {(0,): 1, (1,): 1, (2,): 1})
     assert (one + u) * (one - u) == S(1, 2, {(0,): 1, (2,): -1})
@@ -98,13 +98,13 @@ def test_product_truncates():
 
 def test_pow_matches_repeated_multiplication():
     u = TruncatedSeries.variable(1, 1, 6)
-    s = TruncatedSeries.one(1, 6) + u + u * u
+    s = TruncatedSeries.constant(1, 1, 6) + u + u * u
     by_pow = s**4
     by_mul = s
     for _ in range(3):
         by_mul = by_mul * s
     assert by_pow == by_mul
-    assert s**0 == TruncatedSeries.one(1, 6)
+    assert s**0 == TruncatedSeries.constant(1, 1, 6)
     with pytest.raises(PreconditionError):
         s**-1
 
@@ -126,12 +126,12 @@ def test_reciprocal_requires_nonzero_constant_term():
     with pytest.raises(PreconditionError):
         u.reciprocal()
     s = TruncatedSeries.constant(2, 1, 4) + u
-    assert s * s.reciprocal() == TruncatedSeries.one(1, 4)
+    assert s * s.reciprocal() == TruncatedSeries.constant(1, 1, 4)
 
 
 def test_binomial_series_reciprocal():
     # 1 / (1 - u)^2 has coefficients k + 1
-    one = TruncatedSeries.one(1, 5)
+    one = TruncatedSeries.constant(1, 1, 5)
     u = TruncatedSeries.variable(1, 1, 5)
     s = ((one - u) ** 2).reciprocal()
     for k in range(6):
@@ -180,7 +180,7 @@ def canonical(s: TruncatedSeries) -> bool:
 @given(s=exact_series(), x=st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
 def test_pow_is_the_repeated_product(s, x):
-    product = TruncatedSeries.one(s.nvars, s.order)
+    product = TruncatedSeries.constant(1, s.nvars, s.order)
     for _ in range(x):
         product = product * s
     assert canonical(product)
@@ -193,7 +193,7 @@ def test_pow_is_the_repeated_product(s, x):
 @settings(max_examples=60, deadline=None)
 def test_reciprocal_is_a_two_sided_inverse(s):
     r = s.reciprocal()
-    one = TruncatedSeries.one(s.nvars, s.order)
+    one = TruncatedSeries.constant(1, s.nvars, s.order)
     assert canonical(r)
     assert s * r == one
     assert r * s == one
@@ -216,7 +216,7 @@ def test_builders_are_what_the_checked_constructor_builds():
             built = TruncatedSeries.constant(value, nvars, order)
             assert canonical(built)
             assert built == S(nvars, order, {(0,) * nvars: value})
-        assert TruncatedSeries.one(nvars, order) == S(nvars, order, {(0,) * nvars: 1})
+        assert TruncatedSeries.constant(1, nvars, order) == S(nvars, order, {(0,) * nvars: 1})
         for i in range(1, nvars + 1):
             exponent = tuple(int(j == i - 1) for j in range(nvars))
             assert TruncatedSeries.variable(i, nvars, order) == S(nvars, order, {exponent: 1})
@@ -328,7 +328,7 @@ def test_solve_matches_the_schoolbook_oracle(z, data):
 def test_packed_keys_do_not_alias_across_the_truncation(order):
     # m = 2 packs in base order + 1, where (order, 0) + (1, 0) packs as (0, 1):
     # u1^order u1 lies above the truncation and must vanish, not land on u2
-    one, u1 = TruncatedSeries.one(2, order), TruncatedSeries.variable(1, 2, order)
+    one, u1 = TruncatedSeries.constant(1, 2, order), TruncatedSeries.variable(1, 2, order)
     top = S(2, order, {(order, 0): 1})
     assert (top * u1).is_zero() and (u1 * top).is_zero()
     for product in ((one + top) * (one + u1), (one + u1) ** (order + 1), (one - u1).reciprocal()):
@@ -344,7 +344,7 @@ def test_packing_holds_only_the_exponents_a_computation_reaches():
     # all exponents of degree <= 400 in 3 variables would be C(403, 3) = 10.9 M
     order = 400
     u1, u3 = TruncatedSeries.variable(1, 3, order), TruncatedSeries.variable(3, 3, order)
-    s = TruncatedSeries.one(3, order) + u1 + u3
+    s = TruncatedSeries.constant(1, 3, order) + u1 + u3
     assert s**3 == s * s * s
     assert (s**3).coeffs[(1, 0, 2)] == 3 and len((s**3).coeffs) == 10
     _, unpack, pack = series._packing(3, order)
@@ -361,7 +361,7 @@ def test_power_zero_is_one_and_power_one_is_itself_without_a_miller_pass(monkeyp
     monkeypatch.setattr(series, "_miller_step", lambda *args: calls.append(1) or step(*args))
     v = solve_functional_equation((1, 2), 6)
     calls.clear()
-    assert v**0 == TruncatedSeries.one(2, 6) and calls == []
+    assert v**0 == TruncatedSeries.constant(1, 2, 6) and calls == []
     assert v**1 == v and calls == []
     v**2
     assert calls  # the counter sees a Miller pass where there is one
@@ -373,14 +373,14 @@ def test_power_zero_is_one_and_power_one_is_itself_without_a_miller_pass(monkeyp
     lambda: S(1, 3, {(1,): "1/2"}),
     lambda: TruncatedSeries.constant(0.5, 1, 2),
     lambda: TruncatedSeries.constant(False, 1, 2),
-    lambda: TruncatedSeries.one(1, 2.0),
-    lambda: TruncatedSeries.one(-1, 2),
+    lambda: TruncatedSeries.constant(1, 1, 2.0),
+    lambda: TruncatedSeries.constant(1, -1, 2),
     lambda: TruncatedSeries.variable(True, 1, 2),
-    lambda: TruncatedSeries.zero(1, True),
-    lambda: TruncatedSeries.one(1, 3).scaled(0.25),
-    lambda: TruncatedSeries.one(1, 3).scaled(True),
-    lambda: TruncatedSeries.one(1, 3) ** True,
-    lambda: TruncatedSeries.one(1, 3) ** 2.0,
+    lambda: TruncatedSeries(1, True),
+    lambda: TruncatedSeries.constant(1, 1, 3).scaled(0.25),
+    lambda: TruncatedSeries.constant(1, 1, 3).scaled(True),
+    lambda: TruncatedSeries.constant(1, 1, 3) ** True,
+    lambda: TruncatedSeries.constant(1, 1, 3) ** 2.0,
 ])
 def test_floats_and_bools_are_refused(make):
     # a float coefficient was stored as its binary value, 0.1 as
@@ -437,7 +437,7 @@ def fixed_point_oracle(z, order):
     """v by fixed-point iteration from v = 1, with + and * only: round t
     fixes total degree t."""
     m = len(z)
-    one = TruncatedSeries.one(m, order)
+    one = TruncatedSeries.constant(1, m, order)
     v = one
     for _ in range(order):
         nxt = one

@@ -37,7 +37,7 @@ from conftest import brute_force_class, brute_force_sequences, small_grid
 def test_letter_weights_and_names():
     a = GradedAlphabet(z=(2, 0))
     assert a.m == 2
-    assert a.letter_weights() == (1, 3, 1)
+    assert a.weights == (1, 3, 1)
     assert a.letter_name(0) == "a"
     assert a.letter_name(1) == "b1"
     assert GradedAlphabet(z=(4,)).letter_name(1) == "b"
@@ -92,9 +92,9 @@ def test_word_weight_counts_reverse_prefixes():
     assert w.counts == (1, 1)
     assert str(w.reversed()) == "a b1 a b2"
     assert w.prefix_weight_list() == (3, 4, 6, 7)
-    assert w.has_prefix_of_weight(0)  # the empty prefix
-    assert w.has_prefix_of_weight(4)
-    assert not w.has_prefix_of_weight(5)
+    assert w.prefix_cut(0) == 0  # the empty prefix
+    assert w.prefix_cut(4) == 2
+    assert w.prefix_cut(5) is None
 
 
 def test_prefix_weights_strictly_increasing():
@@ -275,7 +275,7 @@ def test_count_prefix_class_small_values():
     # exists for "a a b" and "b a a" but not "a b a" (weights 1, 3, 4)
     expected = sum(
         1 for w in enumerate_words(WordClassSpec(p=4, k=(1,)), a)
-        if w.has_prefix_of_weight(2)
+        if w.prefix_cut(2) is not None
     )
     assert count_prefix_class(2, 2, (1,), a) == expected == 2
 
@@ -317,7 +317,7 @@ def test_count_prefix_class_matches_filtered_enumeration(z, n, p, q):
     listed = sum(
         1
         for w in enumerate_words(WordClassSpec(p=p + q, k=n), alphabet)
-        if w.has_prefix_of_weight(p)
+        if w.prefix_cut(p) is not None
     )
     assert formula == listed
 
@@ -326,7 +326,7 @@ def test_count_prefix_class_matches_filtered_enumeration(z, n, p, q):
 def test_split_count_matches_brute_force(z):
     # any p, q and n: negative weights, counts past the feasible ones and
     # (as an enumeration's prefix weight r past the class weight) q < 0
-    lw = GradedAlphabet(z=z).letter_weights()
+    lw = GradedAlphabet(z=z).weights
     for total in range(-3, 10):
         # the words of weight total, tallied by letter counts and prefix weight
         tally = collections.Counter(
@@ -392,7 +392,7 @@ def test_blocks_flatten_to_algorithm_l_and_the_oracle(monkeypatch, cap, z, p, k)
 def test_each_block_cuts_at_its_weight_r_prefix(monkeypatch, cap, z, p, k):
     monkeypatch.setattr(words, "_TABLE_CAP", cap)
     alphabet = GradedAlphabet(z=z)
-    lw = alphabet.letter_weights()
+    lw = alphabet.weights
     for r in [None, *range(p + 1)]:
         for cut, head, table in words._class_blocks(alphabet, p, k, r):
             assert cut <= len(head)
@@ -410,7 +410,7 @@ def _cut_oracle(lw, letters, target):
 
 @pytest.mark.parametrize("z", [(0,), (1,), (3,), (0, 0), (0, 2), (1, 2), (1, 0, 2), (0, 0, 1)])
 def test_cut_is_the_first_prefix_at_or_past_the_target(z):
-    lw = GradedAlphabet(z=z).letter_weights()
+    lw = GradedAlphabet(z=z).weights
     for weight in range(8):
         for letters in brute_force_sequences(z, weight):
             for target in range(-1, weight + 2):
