@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import heapq
 import inspect
 import json
-import math
 import os
+import struct
 import sys
-from typing import Callable, Optional, Sequence, Union
+import time
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .arith import MultiIndex, Scalar, dot, format_scalar, natural, parse_scalar
 from .bijections import (
@@ -65,7 +65,6 @@ from .words import (
     _check_dimension,
     _class_blocks,
     _class_size,
-    _split_count,
 )
 
 __all__ = ["main", "default_manifest", "run_suite"]
@@ -516,80 +515,12 @@ def _run_entry(index: int, member: Member) -> dict:
     return entry
 
 
-# Predicted member time in microseconds: a dispatch cost plus a per-unit cost
-# times a closed-form count of the member's work.  The per-unit costs are
-# medians of per-member timings (CPython 3.11.7, 2 vCPUs) over the members of
-# seeds 1-3 of the benchmark manifests and the built-in suite that run to a
-# verdict, timed in shuffled order, each cost scaled by the host speed that
-# costs left unchanged read in the same run.  They are 4 us per grid point x
-# term (an Abel grid point, at about 1.3 us, is priced the same: a price of
-# its own left the LPT shares as they were) and 50 us per term at a point;
-# 6 us per series term pair; and per word 2 us to enumerate a class by k,
-# 1 us to enumerate a weight-r prefix class and 5 us per unit shift (a swap
-# that leaves the word as it is costs no new tuple).  Counts and Raney
-# classes cost little per word but much per member beyond the dispatch (head
-# search, closed forms, the report), so the median member prices their words
-# at 3 to 6 times what a large class pays, and that price made the LPT shares
-# less even.  Their prices are instead the summed member time less dispatch
-# over the summed words: 1/4 us for counts by k, 1/2 us for prefix-class
-# counts and 4 us per Raney factorization.  Over those 1551 members,
-# measured time was 0.4 to 2.0 times the prediction between the 10th and
-# 90th percentiles, which is all the LPT schedule needs.
-_DISPATCH_US = 30
-
-
-def _predicted_work(command: str, values: dict) -> int:
-    """Predicted microseconds for one coerced member: word-class sizes for
-    count and enumerate, r x class size for shifts, grid points x
-    multi-index terms for identities, and for series the C(order + 2m, 2m)
-    term pairs of one truncated product.  A member its handler would refuse
-    predicts the dispatch cost or less."""
-    get = values.get
-    z, p, q, n, r = get("z", ()), get("p"), get("q"), get("n"), get("r") or 1
-    units = 0
-    try:
-        if command in ("count", "enumerate"):
-            if n is not None and q is not None:
-                units = count_prefix_class(p, q, n, GradedAlphabet(z)) // 2
-            elif get("k") is not None:
-                k, alphabet, prefix = get("k"), GradedAlphabet(z), get("r")
-                if prefix is None:
-                    size, per_word = count_words(p, k, alphabet), 2
-                else:  # split at the weight-r prefix
-                    size, per_word = _split_count(alphabet.z, prefix, p - prefix, k), 1
-                units = size // 4 if command == "count" else per_word * size
-        elif command == "bijection":
-            if get("word") is not None:
-                units = 2 * r * len(get("word").split())
-            elif q is not None and n is not None:
-                total = q + dot(n, z)
-                if get("kind") == "shift":
-                    units = 5 * r * count_prefix_class(p, total, n, GradedAlphabet(z))
-                else:
-                    units = 4 * count_words(p + total, n, GradedAlphabet(z))
-        elif command == "verify":
-            entry = CATALOG.get(get("identity"))
-            slot = n if n is not None else get("k")
-            if entry is not None and slot:
-                terms = math.prod(e + 1 for e in slot)
-                if get("point") is not None:
-                    units = 50 * terms
-                else:
-                    degree = entry.degree(IdentitySpec(entry.name, slot, z))
-                    units = 4 * (degree + 1) ** len(entry.variables) * terms
-        else:
-            units = 6 * math.comb(get("order") + 2 * len(z), 2 * len(z))
-    except PreconditionError:
-        pass
-    return _DISPATCH_US + units
-
-
-# Below this much predicted work the suite runs serially.  Measured with
-# CPython 3.11 on 2 vCPUs, in a 20-30 MB process: a fork made a suite of
-# 1 ms of work take 3-4 ms (the child's start and the page copies both
-# processes make after the fork, its exit and the pickle round trip), and
-# two workers broke even at 10-15 ms of predicted work.
-_PARALLEL_FLOOR_US = 15000
+# Below this much work left, timed on the members run so far, the suite
+# stays in this process.  Measured with CPython 3.11 on 2 vCPUs, in a 20-30 MB
+# process: a fork made a suite of 1 ms of work take 3-4 ms (the child's start
+# and the page copies both processes make after the fork, its exit and the
+# pickle round trip), and two workers broke even at 10-15 ms of work.
+_PARALLEL_FLOOR_S = 0.015
 
 
 def _usable_cpus() -> int:
@@ -610,121 +541,140 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
 
 
-def _lpt_shares(work: Sequence[int], workers: int) -> list[list[int]]:
-    """Member indices per worker by Graham's LPT rule: largest predicted work
-    first, each to the least-loaded worker (then the one with fewest
-    members), for a makespan within 4/3 of optimal.  The lightest share
-    comes first."""
-    loads = [(0, 0, worker) for worker in range(workers)]  # (load, members, worker)
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    for index in sorted(range(len(work)), key=work.__getitem__, reverse=True):
-        load, size, worker = heapq.heappop(loads)
-        shares[worker].append(index)
-        heapq.heappush(loads, (load + work[index], size + 1, worker))
-    return [shares[worker] for *_, worker in sorted(loads)]
+def _queue(start: int, stop: int) -> bytes:
+    """Members start..stop-1 as at most PIPE_BUF // 8 runs of contiguous
+    indices, each a little-endian (start, stop) pair of 4-byte ints: one
+    atomic write to an empty pipe, of which every 8-byte read takes a run."""
+    import select
+
+    runs = min(stop - start, select.PIPE_BUF // 8)
+    bounds = [start + (stop - start) * j // runs for j in range(runs + 1)]
+    return b"".join(struct.pack("<II", a, b) for a, b in zip(bounds, bounds[1:]))
 
 
-def _serve_share(members: list[Member], share: list[int], fd: int) -> None:
-    """A forked child's work: one pickle of [(index, entry), ...] for share, written to fd."""
+def _taken(queue: int) -> Iterator[int]:
+    """The member indices of the runs read off the queue pipe, a run at a
+    time as the caller asks for more, until the pipe is drained."""
+    while run := os.read(queue, 8):
+        yield from range(*struct.unpack("<II", run))
+
+
+def _serve(members: list[Member], queue: int, fd: int) -> None:
+    """A forked child's work: every member of the runs it takes off the
+    queue, then one pickle of [(index, entry), ...] written to fd."""
     import pickle
 
-    pairs = [(index, _run_entry(index, members[index])) for index in share]
+    pairs = [(index, _run_entry(index, members[index])) for index in _taken(queue)]
     with open(fd, "wb") as pipe:
         pickle.dump(pairs, pipe, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _received(data: bytes, share: list[int]) -> Optional[list[dict]]:
-    """The entries a child sent, or None unless data unpickles into exactly
-    one (index, entry) pair per member of share, in share order."""
+def _accept(data: bytes, entries: list) -> None:
+    """Fill entries from a child's pickle of (index, entry) pairs, but only
+    if its indices are distinct, in range and not yet filled and every entry
+    is a dict: a child's truncated or garbled data fills nothing."""
     import pickle
 
     try:
         pairs = pickle.loads(data)
-        if [index for index, _ in pairs] == share and all(type(e) is dict for _, e in pairs):
-            return [entry for _, entry in pairs]
+        fresh = {i for i, entry in pairs if type(entry) is dict and type(i) is int
+                 and 0 <= i < len(entries) and entries[i] is None}
     except Exception:  # noqa: BLE001 - truncated or garbled bytes from a dying child
-        pass
-    return None
+        return
+    if len(fresh) == len(pairs):
+        for index, entry in pairs:
+            entries[index] = entry
 
 
-def _run_forked(members: list[Member], shares: list[list[int]]) -> list[dict]:
-    """Every member's entry: shares[1:] in forked children, shares[0] here,
-    so a single share forks nothing.
+def _run_forked(members: list[Member], entries: list, start: int, children: int) -> None:
+    """Fill the entries from start on, from one queue that this process and
+    `children` forked workers take runs of members from as they come free.
 
-    A share whose child cannot be forked, exits nonzero, is killed, or sends
-    anything but its own entries is re-run in this process, so a verdict is
-    never lost or invented.  Children leave only through os._exit: they never
-    return into the caller, flush inherited stdio or run atexit handlers.
+    A member whose child is never forked, dies or sends data _accept refuses
+    is run here once every child is reaped, so a verdict is never lost or
+    invented.  Children leave only through os._exit: they never return into
+    the caller, flush inherited stdio or run atexit handlers.
     """
-    entries: list = [None] * len(members)
-    local = list(shares[0])
-    children: list[tuple[int, int, list[int]]] = []
+    queue, write_fd = os.pipe()
+    forked: list[tuple[int, int]] = []  # (pid, read fd)
     reaped = 0
     try:
-        for share in shares[1:]:
+        with open(write_fd, "wb", buffering=0) as pipe:
+            pipe.write(_queue(start, len(members)))
+        for _ in range(children):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
             except OSError:
                 os.close(read_fd)
                 os.close(write_fd)
-                local += share
-                continue
+                break
             if pid == 0:
                 code = 1
                 try:
                     os.close(read_fd)
-                    _serve_share(members, share, write_fd)
+                    _serve(members, queue, write_fd)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write_fd)
-            children.append((pid, read_fd, share))
-        for index in local:
+            forked.append((pid, read_fd))
+        for index in _taken(queue):
             entries[index] = _run_entry(index, members[index])
-        for pid, read_fd, share in children:
+        for pid, read_fd in forked:
             with open(read_fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
             reaped += 1
-            got = _received(data, share) if status == 0 else None
-            if got is None:
-                got = [_run_entry(index, members[index]) for index in share]
-            for index, entry in zip(share, got):
-                entries[index] = entry
+            if status == 0:
+                _accept(data, entries)
     finally:
-        for position, (pid, read_fd, _) in enumerate(children):
+        os.close(queue)
+        for position, (pid, read_fd) in enumerate(forked):
             os.close(read_fd)
             if position >= reaped:
                 import signal
 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    for index in range(start, len(members)):
+        if entries[index] is None:
+            entries[index] = _run_entry(index, members[index])
+
+
+def _run_members(members: list[Member], workers: int) -> list[dict]:
+    """Every member's entry, in manifest order.  Members run here, in order,
+    until their mean time so far times the members left reaches
+    _PARALLEL_FLOOR_S; then up to workers - 1 children fork to share the rest."""
+    entries: list = [None] * len(members)
+    began = time.perf_counter()
+    for index, member in enumerate(members):
+        entries[index] = _run_entry(index, member)
+        done, left = index + 1, len(members) - index - 1
+        children = min(workers, left) - 1
+        if children > 0 and (time.perf_counter() - began) / done * left >= _PARALLEL_FLOOR_S:
+            _run_forked(members, entries, done, children)
+            break
     return entries
 
 
 def run_suite(manifest: list, jobs: int) -> tuple[dict, int]:
     """Run every member, isolating failures; verdict pass iff all pass.
 
-    Each member is coerced once, here.  Members are split by predicted
-    work across up to `jobs` forked worker processes, and the entries are
-    put back in manifest order, so the report does not depend on `jobs`.
-    The suite runs serially in this process when one worker would do, when
-    it cannot fork safely, or when the predicted work is too small to pay
-    for a fork.
+    Each member is coerced once, here.  Members run across up to `jobs`
+    processes, this one and forked workers that take them from one queue,
+    and the entries are put back in manifest order, so the report does not
+    depend on `jobs`.  The suite runs serially in this process when one
+    worker would do, when it cannot fork safely, or when the work left,
+    timed on the members run so far, is too small to pay for a fork.
     """
     if not isinstance(manifest, list):
         raise PreconditionError("manifest must be a JSON list of config objects")
     if type(jobs) is not int or jobs < 1:
         raise PreconditionError(f"--jobs must be a positive integer, got {jobs!r}")
     coerced = [_coerced(config) for config in manifest]
-    workers = _worker_count(jobs, _usable_cpus(), len(coerced))
-    shares = [list(range(len(coerced)))]
-    if workers > 1 and _can_fork():
-        work = [0 if isinstance(m, Exception) else _predicted_work(*m) for m in coerced]
-        if sum(work) >= _PARALLEL_FLOOR_US:
-            shares = _lpt_shares(work, workers)
-    members = _run_forked(coerced, shares)
+    workers = _worker_count(jobs, _usable_cpus(), len(coerced)) if _can_fork() else 1
+    members = _run_members(coerced, workers)
     codes = [m["exit_code"] for m in members]
     suite_code = EXIT_PASS
     for level in (EXIT_COUNTEREXAMPLE, EXIT_CONFIG, EXIT_INTERNAL):

@@ -8,7 +8,9 @@ strings ("2/3"); structural tallies (class sizes, point counts) stay plain
 integers.
 
 render_json is the package's one JSON report renderer.  Its output is byte
-for byte that of json.dumps(obj, indent=2, sort_keys=True), but faster:
+for byte that of json.dumps(obj, indent=2, sort_keys=True), except that it
+prints every digit of an int past the interpreter's int-to-str limit where
+json.dumps raises ValueError, and it is faster:
 CPython 3.11 runs json's C encoder only when indent is None, and with an
 indent json.dumps walks the value through pure-Python generators, one step
 per value.  render_json makes one call per value and one join per
@@ -24,6 +26,8 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Optional
+
+from .arith import _digits
 
 __all__ = [
     "EvalReport",
@@ -104,7 +108,8 @@ class EvalReport:
 def render_json(value: object) -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for a
     value of str, int, bool and None leaves in lists, tuples and dicts with
-    str keys; any other type raises TypeError."""
+    str keys; an int too long for str() prints every digit where json.dumps
+    raises, and any other type raises TypeError."""
     return _render(value, "\n")
 
 
@@ -125,7 +130,10 @@ def _render(value: object, newline: str) -> str:
             items.append(_quote(key) + ": " + _render(value[key], inner))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if kind is int:
-        return int.__repr__(value)
+        try:
+            return int.__repr__(value)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            return _digits(value)
     if kind is list or kind is tuple:
         if not value:
             return "[]"

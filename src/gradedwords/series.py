@@ -51,6 +51,7 @@ from .arith import (
     _Memo,
     dot,
     exact,
+    format_scalar,
     multinomial,
     natural,
     naturals,
@@ -372,7 +373,9 @@ def _compare_series(
         if lc != rc:
             break
     report.verdict = VERDICT_MISMATCH
-    report.counterexample = {"exponent": list(exponent), "left": str(lc), "right": str(rc)}
+    report.counterexample = {
+        "exponent": list(exponent), "left": format_scalar(lc), "right": format_scalar(rc)
+    }
     return report
 
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import pickle
+import select
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,7 +24,7 @@ import gradedwords.cli as cli
 from gradedwords import words
 from gradedwords.bijections import _shift_round_trip
 from gradedwords import (
-    CATALOG, GradedAlphabet, PreconditionError, default_manifest, main, run_suite,
+    CATALOG, PreconditionError, default_manifest, main, run_suite,
 )
 from gradedwords.cli import _COMMANDS, EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_PASS
 
@@ -526,7 +527,7 @@ def test_suite_missing_manifest_file(capsys):
 
 # every command, a counterexample (exit 1), a malformed member (exit 2) and a
 # member whose handler raises (exit 3, see _mixed_suite), around the built-in
-# suite so that the predicted work is past the fork floor
+# suite
 _MIXED = default_manifest() + [
     {"command": "enumerate", "z": [1], "p": 6, "k": [2], "r": 2},
     {"command": "bijection", "kind": "shift", "z": [1], "p": 2, "word": "a a b a b", "r": 2},
@@ -556,9 +557,14 @@ def mixed_suite(tmp_path, monkeypatch):
     return str(path)
 
 
+_FLOOR_S = cli._PARALLEL_FLOOR_S
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """A list that gains an item on every os.fork call; the calls still fork."""
+    """A list that gains an item on every os.fork call; the calls still fork.
+    The fork floor is 0, so a suite that may fork does so after its first member."""
+    monkeypatch.setattr(cli, "_PARALLEL_FLOOR_S", 0)
     calls = []
     real_fork = os.fork
 
@@ -604,25 +610,104 @@ def _die(*_):
     os._exit(1)
 
 
-def _truncated(manifest, share, fd):
-    os.write(fd, pickle.dumps([(index, {}) for index in share])[:-3])
+def _die_after_one_run(members, queue, fd):
+    os.read(queue, 8)
+    os._exit(1)
 
 
-def _wrong_share(manifest, share, fd):
-    os.write(fd, pickle.dumps([(index, {"index": index}) for index in share[1:]]))
+def _truncated(members, queue, fd):
+    os.write(fd, pickle.dumps([(index, {}) for index in cli._taken(queue)])[:-3])
 
 
-@pytest.mark.parametrize("child", [_die, _truncated, _wrong_share])
+def _wrong_share(members, queue, fd):
+    # member 0 ran in the parent, before the fork
+    os.write(fd, pickle.dumps([(index, {"index": index}) for index in [0, *cli._taken(queue)]]))
+
+
+_FAILED_CHILDREN = [_die, _die_after_one_run, _truncated, _wrong_share]
+
+
+@pytest.mark.parametrize("child", _FAILED_CHILDREN)
 def test_a_failed_child_share_is_rerun_in_process(capsys, mixed_suite, forks, monkeypatch, child):
     expected = run(capsys, "suite", "--manifest", mixed_suite, "--jobs", "1")
-    monkeypatch.setattr(cli, "_serve_share", child)
+    monkeypatch.setattr(cli, "_serve", child)
     assert run(capsys, "suite", "--manifest", mixed_suite, "--jobs", "3") == expected
     assert len(forks) == 2
 
 
+@pytest.mark.parametrize("data, filled", [
+    (pickle.dumps([(1, {"a": 1}), (3, {"b": 2})]), {1: {"a": 1}, 3: {"b": 2}}),
+    (pickle.dumps([]), {}),
+    (pickle.dumps([(1, {}), (1, {})]), {}),  # an index twice
+    (pickle.dumps([(1, {}), (4, {})]), {}),  # past the last member
+    (pickle.dumps([(1, {}), (-1, {})]), {}),  # negative
+    (pickle.dumps([(1, {}), (0, {})]), {}),  # already filled in the parent
+    (pickle.dumps([(2, {}), (True, {})]), {}),  # not an int
+    (pickle.dumps([(1, {}), (2, "entry")]), {}),  # not a dict
+    (pickle.dumps([(1, {}, 2)]), {}),  # not a pair
+    (pickle.dumps([(1, {}), (2, {})])[:-3], {}),  # truncated
+    (b"", {}),
+    (b"\x80garbage", {}),
+])
+def test_accept_fills_nothing_unless_every_pair_is_fresh(data, filled):
+    entries = [{"index": 0}, None, None, None]
+    cli._accept(data, entries)
+    assert entries == [{"index": 0}, *(filled.get(i) for i in range(1, 4))]
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("child", [None, *_FAILED_CHILDREN])
+def test_a_forked_suite_leaves_no_fd_open_and_no_child_unreaped(forks, monkeypatch, child):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    if child is not None:
+        monkeypatch.setattr(cli, "_serve", child)
+    before = _open_fds()
+    payload, code = run_suite(default_manifest(), 2)
+    assert _open_fds() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 1
+    assert (payload, code) == run_suite(default_manifest(), 1)
+
+
+@pytest.mark.parametrize("start, stop", [(1, 2), (1, 45), (0, 512), (3, 516), (1, 1500), (0, 100000)])
+def test_the_queue_lists_each_member_once_in_at_most_pipe_buf_bytes(start, stop):
+    data = cli._queue(start, stop)
+    assert len(data) <= select.PIPE_BUF
+    sizes = [b - a for a, b in struct.iter_unpack("<II", data)]
+    assert min(sizes) >= 1
+    assert (max(sizes) == 1) == (stop - start <= select.PIPE_BUF // 8)
+    read_fd, write_fd = os.pipe()
+    try:
+        with open(write_fd, "wb", buffering=0) as pipe:
+            pipe.write(data)
+        assert list(cli._taken(read_fd)) == list(range(start, stop))
+    finally:
+        os.close(read_fd)
+
+
+def test_runs_of_several_members_give_the_serial_bytes(capsys, tmp_path, forks, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    manifest = [{"command": "count", "z": [i % 3], "p": 2 + i % 5, "k": [1], "label": f"m{i}"}
+                for i in range(1500)]
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(manifest))
+    serial = run(capsys, "suite", "--manifest", str(path), "--jobs", "1")
+    assert forks == []
+    assert run(capsys, "suite", "--manifest", str(path), "--jobs", "2") == serial
+    assert len(forks) == 1
+    assert serial[0] == EXIT_PASS and len(json.loads(serial[1])["members"]) == 1500
+
+
 def test_small_or_single_worker_suites_do_not_fork(monkeypatch, forks):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "_PARALLEL_FLOOR_S", _FLOOR_S)
     run_suite([{"command": "count", "z": [1], "p": 3, "k": [1]}] * 3, 4)  # below the floor
+    monkeypatch.setattr(cli, "_PARALLEL_FLOOR_S", 0)
     run_suite(_MIXED, 1)
     run_suite(_MIXED[:1], 4)  # one member, one worker
     assert forks == []
@@ -642,60 +727,6 @@ def test_jobs_far_above_the_cpu_count_forks_at_most_cpus_minus_one(forks):
     payload, code = run_suite(default_manifest(), 100000)
     assert code == EXIT_PASS and payload["passed"] == len(default_manifest())
     assert len(forks) <= cli._usable_cpus() - 1
-
-
-@given(work=st.lists(st.integers(0, 100), max_size=8), workers=st.integers(1, 3))
-@settings(max_examples=150, deadline=None)
-def test_lpt_shares_partition_the_members_within_four_thirds(work, workers):
-    shares = cli._lpt_shares(work, workers)
-    assert len(shares) == workers
-    assert sorted(i for share in shares for i in share) == list(range(len(work)))
-    assert all(shares) or len(work) < workers
-    loads = [sum(work[i] for i in share) for share in shares]
-    assert loads == sorted(loads)
-    optimum = min(
-        max(sum(w for w, k in zip(work, owner) if k == worker) for worker in range(workers))
-        for owner in itertools.product(range(workers), repeat=len(work))
-    )
-    assert 3 * loads[-1] <= 4 * optimum  # Graham (1969)
-
-
-def test_predicted_work_sizes_every_built_in_member():
-    for member in default_manifest():
-        work = cli._predicted_work(*cli._coerce_member(member))
-        assert type(work) is int and work >= cli._DISPATCH_US
-
-
-@pytest.mark.parametrize("z, p, k, r", [
-    ((3,), 23, (4,), 16),  # 141 of the class's 330 words
-    ((1, 2), 11, (1, 2), 4),
-    ((0, 1), 6, (2, 1), 0),  # r = 0 is the whole class
-    ((2,), 7, (1,), 2),  # b weighs 3, so the weight-2 prefix is a a
-    ((1,), 4, (1,), 9),  # r past the word's weight
-])
-def test_predicted_work_sizes_a_prefixed_enumeration_by_its_prefix_class(z, p, k, r):
-    work = cli._predicted_work("enumerate", {"z": z, "p": p, "k": k, "r": r})
-    assert work == cli._DISPATCH_US + words._class_size(GradedAlphabet(z), p, k, r)
-
-
-@pytest.mark.parametrize("member", [
-    {"command": "count", "z": [1], "p": 3, "k": [1, 1]},
-    {"command": "count", "z": [2], "p": 1, "q": 1, "n": [3]},
-    {"command": "count", "z": [1], "p": 3, "n": [1]},
-    {"command": "count", "z": [1], "p": 3},
-    {"command": "enumerate", "z": [1, 2], "p": 3, "k": [1]},
-    {"command": "bijection", "kind": "shift", "z": [1], "p": 0, "q": 1, "n": [4]},
-    {"command": "bijection", "kind": "raney", "z": [1], "p": 3, "n": [1]},
-    {"command": "bijection", "kind": "raney", "z": [1, 2], "p": 3, "q": 1, "n": [1]},
-    {"command": "verify", "identity": "nonsense", "n": [2], "z": [1]},
-    {"command": "verify", "identity": "abel-1", "n": [], "z": []},
-    {"command": "verify", "identity": "abel-1", "z": [1]},
-    {"command": "verify", "identity": "gould", "n": [1, 2], "z": [1]},
-    {"command": "series-solve", "z": [], "order": 0},
-])
-def test_predicted_work_of_a_refused_member_is_a_number(member):
-    work = cli._predicted_work(*cli._coerce_member(member))
-    assert type(work) is int and work >= cli._DISPATCH_US
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -765,16 +796,6 @@ def test_malformed_member_exits_two(member):
     payload, code = run_suite([member], 1)
     assert code == EXIT_CONFIG, payload
     assert payload["members"][0]["error"].startswith("invalid configuration")
-
-
-@given(member=_malformed_members())
-@settings(max_examples=100, deadline=None)
-def test_predicted_work_never_raises_past_coercion(member):
-    try:
-        command, values = cli._coerce_member(member)
-    except PreconditionError:
-        return  # run_suite predicts 0 for a member that fails coercion
-    assert type(cli._predicted_work(command, values)) is int
 
 
 def _argv(member: dict) -> list[str]:

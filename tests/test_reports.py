@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedwords import check_generating_function_1
 from gradedwords.reports import render_json
 
 # text with the characters JSON escapes or that look like its syntax
@@ -41,6 +43,32 @@ _TREES = st.recursive(
 @settings(max_examples=200)
 def test_render_json_is_json_dumps_with_indent_two_and_sorted_keys(tree):
     assert render_json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def _unlimited_json(value: object) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) with no int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(value, indent=2, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("value", [
+    10**4300, -(10**4300), {"x": [7 * 10**6000 + 3]}, (10**5000 - 1, "a"),
+], ids=["1e4300", "-1e4300", "7e6000+3", "1e5000-1"])
+def test_render_json_prints_every_digit_of_an_int_past_the_str_limit(value):
+    with pytest.raises(ValueError):
+        json.dumps(value, indent=2, sort_keys=True)
+    assert render_json(value) == _unlimited_json(value)
+
+
+def test_a_report_holding_a_huge_param_renders_every_digit():
+    # the params' x raised ValueError from str() past 4300 digits
+    report = check_generating_function_1(10**5000, (1,), 2)
+    assert report.ok
+    assert '"x": 1' + "0" * 5000 + ",\n" in report.to_json()
 
 
 @pytest.mark.parametrize("value, kind", [

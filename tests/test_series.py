@@ -541,6 +541,23 @@ def test_planted_left_side_mismatch_is_named_at_its_first_exponent(check, comman
     assert payload["members"][0]["report"]["counterexample"] == report.counterexample
 
 
+@pytest.mark.parametrize("check, left, right", [
+    # C(x + 1, 1) + 1 = x + 2 against x + 1
+    (check_generating_function_2, "1" + "0" * 4999 + "2", "1" + "0" * 4999 + "1"),
+    # x/(x + 1) * (C(x + 1, 1) + 1) = x(x + 2)/(x + 1) against x
+    (check_generating_function_1, "1" + "0" * 4999 + "2" + "0" * 5000 + "/1" + "0" * 4999 + "1",
+     "1" + "0" * 5000),
+], ids=["gf2-int", "gf1-fraction"])
+def test_a_mismatch_past_the_int_str_limit_names_every_digit(check, left, right, monkeypatch):
+    # str() refuses an int of more than 4300 digits
+    real = series.multinomial
+    monkeypatch.setattr(series, "multinomial", lambda t, k: real(t, k) + (k == (1,)))
+    report = check(10**5000, (1,), 2)
+    assert report.verdict == "mismatch"
+    assert report.counterexample == {"exponent": [1], "left": left, "right": right}
+    assert report.to_json().count(left) == 1
+
+
 def test_generating_function_x_restriction():
     with pytest.raises(PreconditionError):
         check_generating_function_1(0, (1,), 5)
