@@ -13,14 +13,22 @@ a total function: negative entries in n silently give 0.  Identity sums rely
 on this vanishing (terms like k - e_i with k_i = 0 simply drop out), so no
 error is raised.  C(x, n) is an int at an integer x (an int, or a Fraction
 with denominator 1) and a Fraction otherwise, so sums over integer points
-stay in int arithmetic.  exact(num, den) is the package's one division, an
-int wherever the quotient is integral; qsum sums quotients through it once.
+stay in int arithmetic.  At an integer x it is one binomial times a weight,
+
+    C(x, n) = C(x, |n|) |n|!/n!,
+    C(x, |n|) = (-1)^|n| C(|n| - x - 1, |n|)    at x < 0 (upper negation),
+
+and the pair (|n|, |n|!/n!) of each n is kept in a bounded cache, so a
+call at an integer x costs one math.comb.  exact(num, den) is the
+package's one division, an int wherever the quotient is integral; qsum
+sums quotients through it once.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator, Union
 
@@ -123,20 +131,30 @@ def multinomial(x: Scalar, n: MultiIndex) -> Scalar:
             a, b, j = x.numerator, x.denominator, sum(n)
             return Fraction(prod(range(a, a - j * b, -b)), b**j * multi_factorial(n))
         x = int(x)
+    # integer x: C(x, n) = C(x, |n|) |n|!/n!, with (|n|, |n|!/n!) from the
+    # cache; comb is 0 at 0 <= x < |n|, and at negative x upper negation
+    # gives C(x, |n|) = (-1)^|n| C(|n| - x - 1, |n|)
+    j, weight = _shape(tuple(n))
+    if not weight:  # a negative entry
+        return 0
+    if x >= 0:
+        return comb(x, j) * weight
+    out = comb(j - x - 1, j) * weight
+    return -out if j & 1 else out
+
+
+@lru_cache(maxsize=1024)
+def _shape(n: MultiIndex) -> tuple[int, int]:
+    """(|n|, |n|!/n!) for a multi-index n >= 0, and (0, 0) if an entry of n
+    is negative.  The weight is the product of the binomials
+    C(n_1 + ... + n_i, n_i), which computes no factorial of |n|."""
     if min(n, default=0) < 0:
-        return 0
-    # integer x: a product of binomials, C(x, n) = prod_i C(x - n_1 - ... - n_(i-1), n_i),
-    # after upper negation C(x, n) = (-1)^|n| C(|n| - x - 1, n) at negative x
-    j = sum(n)
-    out = 1
-    if x < 0:
-        out, x = (-1) ** j, j - x - 1
-    elif x < j:
-        return 0
+        return 0, 0
+    j, weight = 0, 1
     for e in n:
-        out *= comb(x, e)
-        x -= e
-    return out
+        j += e
+        weight *= comb(j, e)
+    return j, weight
 
 
 class _Memo(dict):

@@ -301,6 +301,7 @@ def _identity(
         slot = "k" if "k" in sig.parameters else "n"
         variables = tuple(v for v in sig.parameters if v not in (slot, "z", "i", "j"))
         needs = frozenset(sig.parameters) & {"i", "j"}
+        plain = slot == "n" and not needs  # every entry but kmpink and absorption
         scalars = [v for v in sig.parameters if v in variables or classical and v == "z"]
 
         @functools.wraps(body)
@@ -323,6 +324,8 @@ def _identity(
         def evaluate(point: dict[str, Scalar], spec: IdentitySpec) -> PairList:
             if classical:
                 return [body(**point, n=spec.n[0], z=spec.z[0])]
+            if plain:
+                return [body(**point, n=spec.n, z=spec.z)]
             letters = {flag: getattr(spec, flag) for flag in needs}
             return [body(**point, **{slot: spec.n}, z=spec.z, **letters)]
 
@@ -852,14 +855,16 @@ def verify_identity_on_grid(spec: IdentitySpec) -> EvalReport:
             "points": total_points,
         },
     )
+    variables, evaluate = entry.variables, entry.evaluate
     with _memoized():
-        for combo in itertools.product(*(axes[v] for v in entry.variables)):
-            point = dict(zip(entry.variables, combo))
-            counterexample = _counterexample(spec, entry, point, entry.evaluate(point, spec))
-            if counterexample is not None:
-                report.verdict = VERDICT_MISMATCH
-                report.counterexample = counterexample
-                return report
+        for combo in itertools.product(*(axes[v] for v in variables)):
+            point = dict(zip(variables, combo))
+            pairs = evaluate(point, spec)
+            for left, right in pairs:
+                if left != right:  # only a mismatch builds the counterexample
+                    report.verdict = VERDICT_MISMATCH
+                    report.counterexample = _counterexample(spec, entry, point, pairs)
+                    return report
     report.verdict = VERDICT_EQUAL
     return report
 

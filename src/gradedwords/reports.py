@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Optional
 
-from .arith import _digits
+from .arith import _digits, format_scalar
 
 __all__ = [
     "EvalReport",
@@ -99,7 +99,11 @@ class EvalReport:
         """One-line human rendering."""
         bits = [f"{self.check}: {self.verdict}"]
         if self.params:
-            bits.append(" ".join(f"{k}={v}" for k, v in sorted(self.params.items())))
+            # an int param through format_scalar: every digit, also past str()'s limit
+            bits.append(" ".join(
+                f"{k}={format_scalar(v) if type(v) is int else v}"
+                for k, v in sorted(self.params.items())
+            ))
         if not self.ok and self.counterexample:
             bits.append(f"counterexample: {json.dumps(self.counterexample, sort_keys=True)}")
         return "  ".join(bits)

@@ -121,21 +121,21 @@ def _by_degree(series: TruncatedSeries) -> list[dict]:
     return out
 
 
-def _miller_step(s: list[dict], w: list[dict], alpha: int, d: int, c0: Scalar) -> dict:
-    """Degree d of w = s^alpha, given s through degree d and w below it, all
-    keyed by packed exponents."""
+def _miller_step(s: list[list], w: list[list], alpha: int, d: int, c0: Scalar) -> list:
+    """Degree d of w = s^alpha, given s through degree d and w below it;
+    each degree is a list of (packed exponent, coefficient) pairs."""
     acc: dict = {}
     for t in range(1, d + 1):
         f = alpha * t - (d - t)
         low = w[d - t]
         if not f or not low:
             continue
-        for j, sj in s[t].items():
+        for j, sj in s[t]:
             c = f * sj
-            for i, wi in low.items():
+            for i, wi in low:
                 k = i + j
                 acc[k] = acc.get(k, 0) + c * wi
-    return {k: exact(n, d * c0) for k, n in acc.items() if n}
+    return [(k, exact(n, d * c0)) for k, n in acc.items() if n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,11 +298,11 @@ class TruncatedSeries:
     def _power(self, alpha: int) -> TruncatedSeries:
         """self^alpha by the Miller recurrence; the constant term is nonzero."""
         c0 = self.coeffs[(0,) * self.nvars]
-        s = _by_degree(self)
-        w = [{0: c0**alpha if alpha >= 0 else exact(1, c0**-alpha)}]
+        s = [list(level.items()) for level in _by_degree(self)]
+        w = [[(0, c0**alpha if alpha >= 0 else exact(1, c0**-alpha))]]
         for d in range(1, self.order + 1):
             w.append(_miller_step(s, w, alpha, d, c0))
-        coeffs = {k: c for level in w for k, c in level.items()}
+        coeffs = {k: c for level in w for k, c in level}
         return TruncatedSeries._trusted(self.nvars, self.order, coeffs, packed=True)
 
 
@@ -311,13 +311,14 @@ def solve_functional_equation(z: MultiIndex, order: int) -> TruncatedSeries:
 
     Solved one total degree at a time: degree d + 1 of v is the sum over i
     of u_i times degree d of v^(z_i), and each power v^a is extended to
-    degree d by one Miller step once v is known through degree d.  Terms
-    are keyed by packed exponents, u_i by the weight B^(i-1).
+    degree d by one Miller step once v is known through degree d.  Each
+    degree is a list of (packed exponent, coefficient) pairs; u_i packs to
+    the weight B^(i-1).
     """
     z, order = naturals(z, "z"), natural(order, "order")
     m = len(z)
     weights = _packing(m, order)[0]
-    v = [{0: 1}]
+    v = [[(0, 1)]]
     powers = {a: [v[0]] for a in z}
     for d in range(order):
         if d:
@@ -325,11 +326,11 @@ def solve_functional_equation(z: MultiIndex, order: int) -> TruncatedSeries:
                 w.append(_miller_step(v, w, a, d, 1))
         level: dict = {}
         for unit, a in zip(weights, z):
-            for k, c in powers[a][d].items():
+            for k, c in powers[a][d]:
                 k += unit
                 level[k] = level.get(k, 0) + c
-        v.append(level)
-    coeffs = {k: c for level in v for k, c in level.items()}
+        v.append(list(level.items()))
+    coeffs = {k: c for level in v for k, c in level}
     return TruncatedSeries._trusted(m, order, coeffs, packed=True)
 
 

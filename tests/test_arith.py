@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -25,6 +26,7 @@ from gradedwords import (
     vec_sub,
     zeros,
 )
+from gradedwords import arith
 from gradedwords.arith import natural, naturals
 
 
@@ -84,6 +86,46 @@ def test_multinomial_refuses_bool():
         with pytest.raises(PreconditionError, match="needs an int or Fraction x"):
             multinomial(x, (1,))
     assert multinomial(1, (1,)) == 1
+
+
+def _comb_product_reference(x: int, n: tuple) -> int:
+    """C(x, n) at an integer x by a product of binomials,
+    prod_i C(x - n_1 - ... - n_(i-1), n_i), after upper negation at x < 0."""
+    if min(n, default=0) < 0:
+        return 0
+    j = sum(n)
+    out = 1
+    if x < 0:
+        out, x = (-1) ** j, j - x - 1
+    elif x < j:
+        return 0
+    for e in n:
+        out *= math.comb(x, e)
+        x -= e
+    return out
+
+
+def test_multinomial_at_an_integer_x_is_the_comb_product():
+    # every n of length m <= 3 with entries in -2..6, at every x in -40..40,
+    # as a tuple and as a list, and x also as an integral Fraction
+    for m in range(4):
+        for n in itertools.product(range(-2, 7), repeat=m):
+            for x in range(-40, 41):
+                expected = _comb_product_reference(x, n)
+                for got in (multinomial(x, n), multinomial(x, list(n)),
+                            multinomial(Fraction(x, 1), n)):
+                    assert got == expected and type(got) is int, (x, n)
+
+
+def test_multinomial_is_exact_past_the_cache_of_multi_indices():
+    # more distinct n than the cache of (|n|, |n|!/n!) holds, twice over,
+    # so entries are evicted and computed again
+    shapes = list(itertools.product(range(7), repeat=4))
+    assert len(shapes) > arith._shape.cache_info().maxsize
+    for _ in range(2):
+        for n in shapes:
+            for x in (-9, 5, 30):
+                assert multinomial(x, n) == _comb_product_reference(x, n), (x, n)
 
 
 def test_natural_numbers_refuse_bool_float_and_negatives():

@@ -831,6 +831,7 @@ def test_mismatch_produces_counterexample_with_rerun_command(monkeypatch):
         return [(left, right + 1) for left, right in pairs]
 
     monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, evaluate=broken))
+    calls = _counterexample_calls(monkeypatch)
     report = verify_identity_on_grid(IdentitySpec(identity="rothe-1", n=(2,), z=(1,)))
     assert not report.ok
     assert report.verdict == "mismatch"
@@ -840,6 +841,55 @@ def test_mismatch_produces_counterexample_with_rerun_command(monkeypatch):
     assert "--point" in ce["rerun"]
     # the rerun command names every variable of the identity
     assert "x=" in ce["rerun"] and "y=" in ce["rerun"]
+    # only the mismatching point builds a counterexample
+    assert calls == [{"x": 3, "y": 3}]
+    assert ce == {
+        "point": {"x": "3", "y": "3"}, "left": "15", "right": "16", "pair": 0,
+        "rerun": "gradedwords verify rothe-1 --n 2 --z 1 --point x=3,y=3",
+    }
+
+
+def _counterexample_calls(monkeypatch):
+    """The point of every call of identities._counterexample from now on."""
+    calls = []
+    real = identities._counterexample
+
+    def spy(spec, entry, point, pairs):
+        calls.append(dict(point))
+        return real(spec, entry, point, pairs)
+
+    monkeypatch.setattr(identities, "_counterexample", spy)
+    return calls
+
+
+def test_a_passing_grid_builds_no_counterexample(monkeypatch):
+    calls = _counterexample_calls(monkeypatch)
+    for name in CATALOG:
+        assert verify_identity_on_grid(_default_spec(name)).ok, name
+    assert calls == []
+
+
+def test_a_later_pair_at_a_later_point_is_the_counterexample(monkeypatch):
+    # the coherence entry gives three pairs per point; break the last one at
+    # x = 4 only, past the grid's first points
+    name = "raney-mohanty-1-vs-rothe-1"
+    entry = CATALOG[name]
+
+    def broken(point, spec):
+        pairs = entry.evaluate(point, spec)
+        if point["x"] == 4:
+            left, right = pairs[2]
+            pairs[2] = (left, right - 1)
+        return pairs
+
+    monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, evaluate=broken))
+    calls = _counterexample_calls(monkeypatch)
+    report = verify_identity_on_grid(IdentitySpec(identity=name, n=(2,), z=(1,)))
+    assert report.verdict == "mismatch"
+    assert calls == [{"x": 4, "y": 3}]
+    ce = report.counterexample
+    assert (ce["point"], ce["pair"]) == ({"x": "4", "y": "3"}, 2)
+    assert int(ce["left"]) == int(ce["right"]) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,13 @@ def test_a_report_holding_a_huge_param_renders_every_digit():
     assert '"x": 1' + "0" * 5000 + ",\n" in report.to_json()
 
 
+def test_a_report_holding_a_huge_param_summarizes_every_digit():
+    # summary() wrote params by str(), which raised ValueError past 4300 digits
+    x = 7 * 10**5000 + 3
+    summary = check_generating_function_1(x, (1,), 2).summary()
+    assert summary.startswith("generating-function-1: equal  order=2 x=7" + "0" * 4999 + "3 z=[1]")
+
+
 @pytest.mark.parametrize("value, kind", [
     (0.5, "float"),
     (Fraction(1, 2), "Fraction"),
