@@ -26,6 +26,7 @@ sums quotients through it once.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -220,22 +221,43 @@ def box(n: MultiIndex) -> Iterator[MultiIndex]:
     return itertools.product(*(range(e + 1) for e in n))
 
 
-# Digits per chunk of _digits: below 640, the least limit that
-# sys.set_int_max_str_digits accepts, so str() takes every chunk.
-_CHUNK_DIGITS = 600
+# Bits of the pieces that _digits converts to Decimal directly.
+_LEAF_BITS = 128
 
 
 def _digits(n: int) -> str:
-    """The decimal text of n, from chunks of _CHUNK_DIGITS digits each, for
-    an int too long for str() under the interpreter's digit limit."""
-    rest, chunks = abs(n), []
-    while True:
-        rest, chunk = divmod(rest, 10**_CHUNK_DIGITS)
-        chunks.append(chunk)
-        if not rest:
-            break
-    head = "-" * (n < 0) + str(chunks.pop())
-    return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
+    """The decimal text of n, for an int too long for str() under the
+    interpreter's digit limit; a Decimal's text has no such limit.
+
+    n is cut in two by bits, each half converted alike down to pieces of
+    _LEAF_BITS, and the halves joined as hi * 2**h + lo in Decimal arithmetic
+    with no rounding.  Cutting by bits costs no division, and the Decimal
+    products of long numbers are subquadratic, where CPython 3.11's int
+    division and str() are quadratic in the number of digits.
+    """
+    Decimal = decimal.Decimal
+    powers: dict[int, decimal.Decimal] = {}  # h -> Decimal(2)**h
+
+    def power(h: int) -> decimal.Decimal:
+        if h not in powers:
+            half = h >> 1
+            powers[h] = Decimal(2) ** h if h <= _LEAF_BITS else power(half) * power(h - half)
+        return powers[h]
+
+    def convert(v: int, bits: int) -> decimal.Decimal:
+        # v < 2**bits
+        if bits <= _LEAF_BITS:
+            return Decimal(v)
+        h = bits >> 1
+        hi = v >> h
+        return convert(v - (hi << h), h) + convert(hi, bits - h) * power(h)
+
+    rest = abs(n)
+    with decimal.localcontext() as context:
+        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        text = str(convert(rest, rest.bit_length()))
+    return "-" * (n < 0) + text
 
 
 def format_scalar(v: Scalar) -> str:

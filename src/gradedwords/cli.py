@@ -9,6 +9,12 @@ Each command is declared once, by its handler's signature: the member
 schema (_COMMANDS) and the argument parser are derived from it and from the
 key table _KEYS, so flags and manifest members share every check and message.
 
+Importing this module loads none of the four layers (words, bijections,
+identities, series), nor argparse.  Each handler imports its own layers on
+its first call and binds the names the table _LAYERS lists into this
+module, so a process compiles only the layers of the commands it runs.  A
+suite binds every layer before it forks, so no worker compiles one.
+
 Exit codes: 0 all checks passed; 1 a mathematical mismatch (a would-be
 counterexample, printed with full reproduction context); 2 invalid
 configuration or violated precondition; 3 internal error.
@@ -16,34 +22,18 @@ configuration or violated precondition; 3 internal error.
 
 from __future__ import annotations
 
-import argparse
 import functools
+import importlib
 import inspect
 import json
 import os
 import struct
 import sys
 import time
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 from .arith import MultiIndex, Scalar, dot, format_scalar, natural, parse_scalar
-from .bijections import (
-    Overshoot,
-    PrefixCase,
-    raney_factorize,
-    raney_unfactorize,
-    _shift_round_trip,
-    verify_raney_decomposition,
-    verify_shift_bijection,
-)
 from .errors import LemmaViolationError, PreconditionError
-from .identities import (
-    CATALOG,
-    IdentitySpec,
-    _lookup,
-    verify_identity_at_point,
-    verify_identity_on_grid,
-)
 from .reports import (
     VERDICT_EQUAL,
     VERDICT_FAIL,
@@ -52,20 +42,9 @@ from .reports import (
     EvalReport,
     render_json,
 )
-from .series import (
-    check_generating_function_1,
-    check_generating_function_2,
-    functional_equation_residual,
-    solve_functional_equation,
-)
-from .words import (
-    GradedAlphabet,
-    count_prefix_class,
-    count_words,
-    _check_dimension,
-    _class_blocks,
-    _class_size,
-)
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main", "default_manifest", "run_suite"]
 
@@ -82,6 +61,40 @@ def _require(condition: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
+# layer -> the names the handlers call from it.  A layer is imported, and
+# its names bound into this module's globals, when the first handler that
+# needs it runs; a process that never runs one never compiles the layer.
+# Each layer is bound once and its names never again, so a value later set
+# on one of them (a tracing wrapper, a test's stand-in) stays in place.
+_LAYERS = {
+    "words": (
+        "GradedAlphabet", "count_prefix_class", "count_words", "_check_dimension",
+        "_class_blocks", "_class_size",
+    ),
+    "bijections": (
+        "PrefixCase", "raney_factorize", "raney_unfactorize", "_shift_round_trip",
+        "verify_raney_decomposition", "verify_shift_bijection",
+    ),
+    "identities": (
+        "IdentitySpec", "_lookup", "verify_identity_at_point", "verify_identity_on_grid",
+    ),
+    "series": (
+        "check_generating_function_1", "check_generating_function_2",
+        "functional_equation_residual", "solve_functional_equation",
+    ),
+}
+_bound: set[str] = set()
+
+
+def _bind(*layers: str) -> None:
+    """Import each of the layers not bound yet and bind its _LAYERS names here."""
+    for layer in layers:
+        if layer not in _bound:
+            module = importlib.import_module(f".{layer}", __package__)
+            globals().update((name, getattr(module, name)) for name in _LAYERS[layer])
+            _bound.add(layer)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers (shared by CLI flags and manifest members)
 # ---------------------------------------------------------------------------
@@ -95,6 +108,7 @@ def do_count(
     n: Optional[MultiIndex] = None,
 ) -> EvalReport:
     """Closed-form count vs enumeration, for a word class or a prefix class."""
+    _bind("words")
     alphabet = GradedAlphabet(z)
     if n is not None:
         _require(q is not None, "prefix-class count needs --q along with --n")
@@ -126,6 +140,7 @@ def do_enumerate(
     z: MultiIndex, p: int, k: MultiIndex, r: Optional[int] = None
 ) -> dict:
     """List a word class in lexicographic order."""
+    _bind("words")
     alphabet = GradedAlphabet(z)
     _check_dimension(k, alphabet)
     names = alphabet.names
@@ -155,6 +170,7 @@ def do_bijection(
     word: Optional[str] = None,
 ) -> EvalReport:
     """Apply a bijection to one word, or verify it over a whole class."""
+    _bind("words", "bijections")
     _require(kind == "shift" or r is None, "bijection raney does not take --r")
     alphabet = GradedAlphabet(z)
     if word is not None:
@@ -220,6 +236,7 @@ def do_verify(
     point: Optional[dict[str, Scalar]] = None,
 ) -> EvalReport:
     """Check one catalog identity on a grid or at a single point."""
+    _bind("identities")
     own = _lookup(identity).param_name  # k for absorption, n for the rest
     other = "n" if own == "k" else "k"
     slots = {"n": n, "k": k}
@@ -245,6 +262,7 @@ def do_series_solve(
     expect_coefficients: Optional[tuple[tuple[MultiIndex, Scalar], ...]] = None,
 ) -> EvalReport:
     """Solve the functional equation, checking residual, naturality and expected values."""
+    _bind("series")
     for exponent, _ in expect_coefficients or ():
         _require(
             len(exponent) == len(z) and sum(exponent) <= order,
@@ -286,6 +304,18 @@ def do_series_solve(
                 return report
         report.details["expected_coefficients_checked"] = len(expect_coefficients)
     return report
+
+
+def do_series_check1(x: int, z: MultiIndex, order: int) -> EvalReport:
+    """sum_k (x/(x+k.z)) C(x+k.z,k) u^k = v^x, coefficientwise to `order`."""
+    _bind("series")
+    return check_generating_function_1(x, z, order)
+
+
+def do_series_check2(x: int, z: MultiIndex, order: int) -> EvalReport:
+    """sum_k C(x+k.z,k) u^k = v^x / (1 - sum_i u_i z_i v^(z_i-1))."""
+    _bind("series")
+    return check_generating_function_2(x, z, order)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +409,15 @@ def _bijection_kind(value: object, name: str) -> str:
     return value
 
 
+# the names of identities.CATALOG, in its order, for --identity's help
+# without importing the identities layer
+_CATALOG_NAMES = (
+    "abel-1", "abel-2", "rothe-1", "rothe-2", "gould", "jensen", "raney-mohanty-1",
+    "raney-mohanty-2", "mohanty-handa", "gould-mohanty", "gmh-special", "kmx", "kmpink",
+    "pkroth", "absorption", "rm2-decomposition", "mh-expansion", "gould-mohanty-vs-gould",
+    "raney-mohanty-1-vs-rothe-1", "mohanty-handa-vs-jensen",
+)
+
 # key -> (coercer, the key's name in messages: its CLI flag where it has one,
 # its help text)
 _KEYS: dict[str, tuple[Callable[[object, str], object], str, str]] = {
@@ -393,7 +432,7 @@ _KEYS: dict[str, tuple[Callable[[object, str], object], str, str]] = {
     "x": (natural, "--x", "exponent x >= 1 of the generating-function checks"),
     "order": (natural, "--order", "truncation order N"),
     "kind": (_bijection_kind, "kind", "shift or raney"),
-    "identity": (_text, "identity", f"one of: {', '.join(CATALOG)}"),
+    "identity": (_text, "identity", f"one of: {', '.join(_CATALOG_NAMES)}"),
     "word": (_text, "--word", "apply to this word instead of the whole class"),
     "grid_range": (_range, "--grid-range", "draw grid candidates from this range A..B"),
     "point": (_point, "--point", "evaluate at one exact point VAR=VALUE,... instead of a grid"),
@@ -417,8 +456,8 @@ _COMMANDS = {name: _schema(handler) for name, handler in {
     "bijection": do_bijection,
     "verify": do_verify,
     "series-solve": do_series_solve,
-    "series-check1": check_generating_function_1,
-    "series-check2": check_generating_function_2,
+    "series-check1": do_series_check1,
+    "series-check2": do_series_check2,
 }.items()}
 
 
@@ -653,6 +692,7 @@ def _run_members(members: list[Member], workers: int) -> list[dict]:
         done, left = index + 1, len(members) - index - 1
         children = min(workers, left) - 1
         if children > 0 and (time.perf_counter() - began) / done * left >= _PARALLEL_FLOOR_S:
+            _bind(*_LAYERS)  # here, not in each child after the fork
             _run_forked(members, entries, done, children)
             break
     return entries
@@ -836,6 +876,8 @@ def _build_parser() -> argparse.ArgumentParser:
     """The command line, built once per process: a subcommand per command name
     before its first "-", a positional per required key without a flag, and a
     flag per key with one.  The schema, not argparse, refuses a missing or bad key."""
+    import argparse
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json",
                         help="report rendering (default json)")

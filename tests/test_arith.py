@@ -261,10 +261,25 @@ def _with_int_str_limit(limit: int, f, *args):
         sys.set_int_max_str_digits(before)
 
 
-@pytest.mark.parametrize("v", [
-    10**4300, -(10**4300), 10**6000 - 1, 7 * 10**4800 + 3, 10**1200,
-    Fraction(-1, 10**5000), Fraction(10**4301 + 1, 3),
-], ids=["1e4300", "-1e4300", "1e6000-1", "7e4800+3", "1e1200", "-1/1e5000", "(1e4301+1)/3"])
+def _of_length(digits: int) -> int:
+    """An int of that many digits, not all alike: 1 and then 142857 repeated."""
+    return 10 ** (digits - 1) + 10 ** (digits - 1) // 7
+
+
+_HUGE = {
+    "1e4300": 10**4300, "-1e4300": -(10**4300), "1e6000-1": 10**6000 - 1,
+    "7e4800+3": 7 * 10**4800 + 3, "1e1200": 10**1200, "-1/1e5000": Fraction(-1, 10**5000),
+    "(1e4301+1)/3": Fraction(10**4301 + 1, 3),
+    # lengths around 1, 2, 4 and 8 chunks of 600 digits, either sign
+    **{f"{sign}{chunks}x600{delta:+d}": int(f"{sign}1") * _of_length(600 * chunks + delta)
+       for chunks in (1, 2, 4, 8) for delta in (-1, 0, 1) for sign in ("", "-")},
+    # around the powers of two at which the bits are cut in halves
+    **{f"2**{bits}{delta:+d}": 2**bits + delta for bits in (4096, 16384) for delta in (-1, 0, 1)},
+    "-(2**16384-1)/2**4096": Fraction(1 - 2**16384, 2**4096),
+}
+
+
+@pytest.mark.parametrize("v", _HUGE.values(), ids=_HUGE.keys())
 def test_format_scalar_prints_every_digit_past_the_int_str_limit(v):
     expected = _with_int_str_limit(0, _format_through_fraction, v)  # 0: no limit
     assert format_scalar(v) == expected

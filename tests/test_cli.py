@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import pickle
@@ -57,13 +58,16 @@ def test_python_dash_m_runs_the_command_line():
     # the package directory's parent goes on the path, as for an installed copy
     src = str(Path(gradedwords.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "gradedwords", "count", "--z", "1", "--p", "4", "--k", "2"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == EXIT_PASS, done.stderr
-    assert done.stderr == ""
-    assert json.loads(done.stdout)["details"] == {"formula": 1, "enumerated": 1}
+    # gradedwords.cli used to print runpy's RuntimeWarning that the package
+    # had imported it before it ran as __main__
+    for module in ("gradedwords", "gradedwords.cli"):
+        done = subprocess.run(
+            [sys.executable, "-m", module, "count", "--z", "1", "--p", "4", "--k", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == EXIT_PASS, done.stderr
+        assert done.stderr == ""
+        assert json.loads(done.stdout)["details"] == {"formula": 1, "enumerated": 1}
 
 
 def test_count_infeasible_class_is_zero(capsys):
@@ -840,8 +844,12 @@ def test_commands_are_read_from_the_handler_signatures():
     assert {name: keys for name, (_, *keys) in _COMMANDS.items()} == {
         name: list(keys) for name, keys in _FROZEN_COMMANDS.items()
     }
-    assert _COMMANDS["series-check1"][0] is gradedwords.check_generating_function_1
-    assert _COMMANDS["series-check2"][0] is gradedwords.check_generating_function_2
+    for name, check in [("series-check1", gradedwords.check_generating_function_1),
+                        ("series-check2", gradedwords.check_generating_function_2)]:
+        handler = _COMMANDS[name][0]
+        assert inspect.signature(handler) == inspect.signature(check)
+        assert handler.__doc__.splitlines()[0] == check.__doc__.splitlines()[0]  # its help
+        assert handler(3, (1, 2), 5).to_dict() == check(3, (1, 2), 5).to_dict()
     assert all(key in cli._KEYS for _, req, opt in _COMMANDS.values() for key in req + opt)
 
 
@@ -929,6 +937,113 @@ def test_a_manifest_repeating_a_key_exits_two(tmp_path, capsys, text, key):
     code, out, err = run(capsys, "suite", "--manifest", str(path))
     assert code == EXIT_CONFIG and out == ""
     assert f"repeats the key {key}" in err
+
+
+# ---------------------------------------------------------------------------
+# what gets imported
+# ---------------------------------------------------------------------------
+
+# run in a new interpreter, with `loaded()` the package's modules it holds
+_FRESH = """
+import inspect, json, os, sys
+
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("gradedwords."))
+
+"""
+
+
+def _fresh(code: str):
+    """What code prints as JSON on its last line, run after _FRESH in a new
+    interpreter with the package on the path."""
+    src = str(Path(gradedwords.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _FRESH + code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# the layer functions among cli's attributes when cli imported every layer at
+# its top: the names a tracer finds there and wraps
+_LAYER_FUNCTIONS = [
+    "_check_dimension", "_class_blocks", "_class_size", "_lookup", "_shift_round_trip",
+    "check_generating_function_1", "check_generating_function_2", "count_prefix_class",
+    "count_words", "dot", "format_scalar", "functional_equation_residual", "natural",
+    "parse_scalar", "raney_factorize", "raney_unfactorize", "render_json",
+    "solve_functional_equation", "verify_identity_at_point", "verify_identity_on_grid",
+    "verify_raney_decomposition", "verify_shift_bijection",
+]
+
+_OWN_LAYERS = {"count": ["words"], "enumerate": ["words"], "bijection": ["bijections", "words"],
+               "verify": ["identities"], "series-solve": ["series"],
+               "series-check1": ["series"], "series-check2": ["series"]}
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    assert _fresh("import gradedwords\nprint(json.dumps(loaded()))") == []
+
+
+def test_importing_the_cli_loads_no_layer_and_not_argparse():
+    code = "import gradedwords.cli\nprint(json.dumps([loaded(), 'argparse' in sys.modules]))"
+    assert _fresh(code) == [["arith", "cli", "errors", "reports"], False]
+
+
+@pytest.mark.parametrize("member", _MINIMAL, ids=[m["command"] for m in _MINIMAL])
+def test_a_command_loads_only_its_own_layer(member):
+    code = (f"import gradedwords.cli as cli\nbefore = loaded()\n"
+            f"code = cli.main({_argv(member)!r} + ['--output', os.devnull])\n"
+            f"print(json.dumps([code, sorted(set(loaded()) - set(before))]))")
+    assert _fresh(code) == [EXIT_PASS, _OWN_LAYERS[member["command"]]]
+
+
+def test_a_forking_suite_binds_every_layer_before_it_forks():
+    # without that, each child would compile the layers its members need
+    code = """import gradedwords.cli as cli
+cli._PARALLEL_FLOOR_S, cli._usable_cpus = 0, lambda: 2
+seen, fork = [], os.fork
+def spy():
+    seen.append(loaded())
+    return fork()
+os.fork = spy
+payload, code = cli.run_suite([{"command": "count", "z": [1], "p": 3, "k": [1]}] * 4, 2)
+print(json.dumps([code, seen]))"""
+    layers = ["arith", "bijections", "cli", "errors", "identities", "reports", "series", "words"]
+    assert _fresh(code) == [EXIT_PASS, [layers]]
+
+
+def test_cli_holds_the_layer_functions_once_bound_and_never_rebinds_them():
+    # a tracer wraps the layer functions it finds among cli's attributes
+    # after a first pass; a second pass must call the wrappers
+    code = f"""import gradedwords.cli as cli
+def layer_functions():
+    return sorted(name for name, value in vars(cli).items() if inspect.isfunction(value)
+                  and value.__module__ not in (cli.__name__, None)
+                  and value.__module__.startswith("gradedwords."))
+members, called = {_MINIMAL!r}, set()
+for member in members:
+    cli.run_member(member)
+found = layer_functions()
+def traced(name, fn):
+    def wrapper(*args, **kwargs):
+        called.add(name)
+        return fn(*args, **kwargs)
+    return wrapper
+wrappers = {{name: traced(name, getattr(cli, name)) for name in found}}
+for name, wrapper in wrappers.items():
+    setattr(cli, name, wrapper)
+for member in members:
+    cli.run_member(member)
+kept = all(getattr(cli, name) is wrapper for name, wrapper in wrappers.items())
+print(json.dumps([found, kept, sorted(called)]))"""
+    found, kept, called = _fresh(code)
+    assert found == _LAYER_FUNCTIONS and kept
+    assert {"count_words", "_class_blocks", "_shift_round_trip", "verify_identity_on_grid",
+            "solve_functional_equation", "check_generating_function_1",
+            "check_generating_function_2"} <= set(called)
+
+
+def test_the_identity_help_names_the_catalog_in_order():
+    assert cli._CATALOG_NAMES == tuple(CATALOG)
 
 
 # ---------------------------------------------------------------------------
