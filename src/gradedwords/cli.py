@@ -434,7 +434,10 @@ _KEYS: dict[str, tuple[Callable[[object, str], object], str, str]] = {
     "kind": (_bijection_kind, "kind", "shift or raney"),
     "identity": (_text, "identity", f"one of: {', '.join(_CATALOG_NAMES)}"),
     "word": (_text, "--word", "apply to this word instead of the whole class"),
-    "grid_range": (_range, "--grid-range", "draw grid candidates from this range A..B"),
+    "grid_range": (
+        _range, "--grid-range",
+        "draw grid candidates from this range A..B; for A < 0 join it with =: --grid-range=-3..3",
+    ),
     "point": (_point, "--point", "evaluate at one exact point VAR=VALUE,... instead of a grid"),
     "expect_coefficients": (_coefficients, "expect_coefficients", "manifest only: exponent: value"),
     "label": (_text, "label", "manifest only: the member's label in the suite report"),

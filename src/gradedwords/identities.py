@@ -22,10 +22,13 @@ catalog entry and its degree bound, poles and grid start; the free
 variables, the multi-index slot (n, or k for absorption) and the letter
 indices i and j the entry takes are read from the evaluator's signature.
 The public function it returns checks the arguments and refuses a declared
-pole before running the body; the catalog calls the body directly, with
-parameters checked once per spec and points that avoid every declared pole.
-verify_identity_on_grid builds a pole-free integer product grid sized by
-the degree bound and checks exact equality at every point.
+pole before running the body.  The catalog calls the body directly and
+positionally, in its signature order, with the free variables from a point
+(a tuple in the entry's variable order) and the fixed parameters (n or k,
+z, and i and j where taken) from the spec, checked once per spec; the call
+is worked out once per entry, at declaration.  verify_identity_on_grid
+builds a pole-free integer product grid sized by the degree bound and
+checks exact equality at every point.
 
 Grid points are ints, and so is C(x, n) at an integer x, so the polynomial
 sides are evaluated in int arithmetic.  A rational side sums its quotients
@@ -249,8 +252,9 @@ class _Entry:
     degree: Callable[[IdentitySpec], int]
     default_lo: Callable[[str, IdentitySpec], int]
     poles: Callable[[MultiIndex, MultiIndex], list[_Pole]]
-    # the pairs at a pole-free point of a spec that passed _validate
-    evaluate: Callable[[dict[str, Scalar], IdentitySpec], PairList]
+    # the pairs at a pole-free point, given as a tuple in variables order,
+    # of a spec that passed _validate
+    evaluate: Callable[[tuple[Scalar, ...], IdentitySpec], PairList]
 
 
 def _deg_conv(spec: IdentitySpec) -> int:
@@ -293,7 +297,8 @@ def _identity(
     scalars.  The returned function checks that the variables (and a
     classical z) are exact rationals, checks n or k, z, i and j, refuses a
     declared pole, and only then runs the body; it returns both sides as
-    Fractions.
+    Fractions.  The entry's evaluate calls the body unchecked, through
+    _positional.
     """
 
     def declare(body: _Evaluator) -> _Evaluator:
@@ -301,7 +306,6 @@ def _identity(
         slot = "k" if "k" in sig.parameters else "n"
         variables = tuple(v for v in sig.parameters if v not in (slot, "z", "i", "j"))
         needs = frozenset(sig.parameters) & {"i", "j"}
-        plain = slot == "n" and not needs  # every entry but kmpink and absorption
         scalars = [v for v in sig.parameters if v in variables or classical and v == "z"]
 
         @functools.wraps(body)
@@ -321,20 +325,46 @@ def _identity(
             left, right = body(**a)
             return Fraction(left), Fraction(right)
 
-        def evaluate(point: dict[str, Scalar], spec: IdentitySpec) -> PairList:
-            if classical:
-                return [body(**point, n=spec.n[0], z=spec.z[0])]
-            if plain:
-                return [body(**point, n=spec.n, z=spec.z)]
-            letters = {flag: getattr(spec, flag) for flag in needs}
-            return [body(**point, **{slot: spec.n}, z=spec.z, **letters)]
-
+        evaluate = _positional(name, body, variables, classical)
         CATALOG[name] = _Entry(
             name, variables, slot, needs, classical, degree, default_lo, poles, evaluate
         )
         return checked
 
     return declare
+
+
+def _positional(
+    name: str, body: _Evaluator, variables: tuple[str, ...], classical: bool
+) -> Callable[[tuple[Scalar, ...], IdentitySpec], PairList]:
+    """The catalog entry's evaluate: at (values, spec) it returns
+    [body(...)], called positionally in body's own parameter order, with each
+    free variable taken from values (a tuple in variables order) and each
+    fixed parameter read from spec: n (or k) and z, as scalars for a
+    classical body, and i and j where body takes them.
+
+    The call is generated once, here, as source, since the signatures
+    interleave variables and fixed parameters (gould's is x, y, z, eps, n).
+    A point then costs one tuple unpacking, a few attribute reads and the
+    call; nothing is kept between calls, so grids may run in two threads.
+    """
+    if classical:
+        fixed = {"n": "spec.n[0]", "z": "spec.z[0]"}
+    else:  # the slot k carries absorption's multi-index in spec.n
+        fixed = {"n": "spec.n", "k": "spec.n", "z": "spec.z", "i": "spec.i", "j": "spec.j"}
+    held = [f"v{idx}" for idx in range(len(variables))]
+    args = [
+        held[variables.index(p)] if p in variables else fixed[p]
+        for p in inspect.signature(body).parameters
+    ]
+    source = (
+        "def evaluate(values, spec):\n"
+        f"    {', '.join(held)}, = values\n"
+        f"    return [body({', '.join(args)})]\n"
+    )
+    scope = {"body": body}
+    exec(compile(source, f"<evaluate of {name}>", "exec"), scope)
+    return scope["evaluate"]
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +715,9 @@ def _coherence(name: str, multi: str, single: str) -> None:
     reference; a tier-1 test checks them against textbook binomials."""
     multi_pairs, single_pairs = CATALOG[multi].evaluate, CATALOG[single].evaluate
 
-    def evaluate(point: dict[str, Scalar], spec: IdentitySpec) -> PairList:
-        [(left, right)] = multi_pairs(point, spec)
-        [(single_left, single_right)] = single_pairs(point, spec)
+    def evaluate(values: tuple[Scalar, ...], spec: IdentitySpec) -> PairList:
+        [(left, right)] = multi_pairs(values, spec)
+        [(single_left, single_right)] = single_pairs(values, spec)
         return [(left, single_left), (right, single_right), (left, right)]
 
     CATALOG[name] = replace(CATALOG[multi], name=name, classical=True, evaluate=evaluate)
@@ -857,11 +887,11 @@ def verify_identity_on_grid(spec: IdentitySpec) -> EvalReport:
     )
     variables, evaluate = entry.variables, entry.evaluate
     with _memoized():
-        for combo in itertools.product(*(axes[v] for v in variables)):
-            point = dict(zip(variables, combo))
-            pairs = evaluate(point, spec)
+        for values in itertools.product(*(axes[v] for v in variables)):
+            pairs = evaluate(values, spec)
             for left, right in pairs:
-                if left != right:  # only a mismatch builds the counterexample
+                if left != right:  # only a mismatch builds the point dict
+                    point = dict(zip(variables, values))
                     report.verdict = VERDICT_MISMATCH
                     report.counterexample = _counterexample(spec, entry, point, pairs)
                     return report
@@ -891,7 +921,7 @@ def verify_identity_at_point(
     _check_poles(entry.poles(spec.n, spec.z), values)
     params = _params_dict(spec, entry)
     params["point"] = {v: format_scalar(values[v]) for v in entry.variables}
-    pairs = entry.evaluate(values, spec)
+    pairs = entry.evaluate(tuple(values.values()), spec)
     report = EvalReport(check=spec.identity, params=params)
     report.left = format_scalar(pairs[0][0])
     report.right = format_scalar(pairs[0][1])

@@ -265,12 +265,12 @@ def test_every_side_at_an_integer_point_is_an_int(monkeypatch):
     seen, bad = collections.Counter(), []
     for name, entry in list(CATALOG.items()):
 
-        def spy(point, spec, evaluate=entry.evaluate, name=name):
-            pairs = evaluate(point, spec)
-            if all(type(v) is int for v in point.values()):
+        def spy(values, spec, evaluate=entry.evaluate, name=name):
+            pairs = evaluate(values, spec)
+            if all(type(v) is int for v in values):
                 seen[name] += 1
                 if any(type(v) is not int for pair in pairs for v in pair):
-                    bad.append((name, spec, point, pairs))
+                    bad.append((name, spec, values, pairs))
             return pairs
 
         monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, evaluate=spy))

@@ -341,11 +341,54 @@ def test_verify_bad_grid_range_syntax(capsys):
     assert code == EXIT_CONFIG and "A..B" in err
 
 
+def test_verify_negative_grid_range_is_given_with_an_equals_sign(capsys):
+    # argparse reads a separate value starting with "-" as a flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "rothe-1", "--n", "2", "--z", "1", "--grid-range", "-3..3"])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "--grid-range: expected one argument" in capsys.readouterr().err
+    code, payload = run_json(
+        capsys, "verify", "rothe-1", "--n", "2", "--z", "1", "--grid-range=-3..3"
+    )
+    assert code == EXIT_PASS
+    # x = 0, 1, 2 are poles of x/(x - kz); y has none
+    assert payload["grid"]["axes"] == {"x": [-3, -2, -1], "y": [-3, -2, -1]}
+
+
+_GOULD_POINT = ["verify", "gould", "--n", "2", "--z", "1", "--point"]
+
+
+def test_verify_point_ignores_the_order_of_its_variables(capsys, tmp_path):
+    code, out, err = run(capsys, *_GOULD_POINT, "x=1/2,y=2,eps=1/3")
+    assert code == EXIT_PASS and err == ""
+    for shuffled in ("eps=1/3,y=2,x=1/2", "y=2,eps=1/3,x=1/2"):
+        assert run(capsys, *_GOULD_POINT, shuffled) == (code, out, err)
+    # a manifest member's point object, with its keys in either order
+    outputs = []
+    for point in ({"x": "1/2", "y": "2", "eps": "1/3"}, {"eps": "1/3", "y": "2", "x": "1/2"}):
+        path = tmp_path / "manifest.json"
+        member = {"command": "verify", "identity": "gould", "n": [2], "z": [1], "point": point}
+        path.write_text(json.dumps([member]))
+        outputs.append(run(capsys, "suite", "--manifest", str(path), "--jobs", "1"))
+    assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_PASS
+    assert json.loads(outputs[0][1])["members"][0]["report"] == json.loads(out)
+
+
+def test_verify_point_missing_or_extra_variable_whatever_the_order(capsys):
+    missing = "invalid configuration: gould needs values for x, y, eps; missing eps\n"
+    extra = "invalid configuration: gould takes only x, y, eps; got extra w\n"
+    for point, message in (
+        ("x=1/2,y=2", missing), ("y=2,x=1/2", missing),
+        ("x=1/2,y=2,eps=1/3,w=4", extra), ("w=4,eps=1/3,x=1/2,y=2", extra),
+    ):
+        assert run(capsys, *_GOULD_POINT, point) == (EXIT_CONFIG, "", message), point
+
+
 def test_verify_mismatch_exits_one_with_counterexample(capsys, monkeypatch):
     entry = CATALOG["rothe-1"]
 
-    def broken(point, spec):
-        return [(left, right + 1) for left, right in entry.evaluate(point, spec)]
+    def broken(values, spec):
+        return [(left, right + 1) for left, right in entry.evaluate(values, spec)]
 
     monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, evaluate=broken))
     code, payload = run_json(capsys, "verify", "rothe-1", "--n", "2", "--z", "1")

@@ -282,12 +282,13 @@ def test_catalog_is_derived_from_the_evaluators():
             continue
         # the entry evaluates what its public evaluator does, off every pole
         n, z = ((2,), (1,)) if classical else ((1, 1), (1, 2))
-        pt = dict(zip(variables, map(Fraction, (11, 13, 17))))
+        values = tuple(map(Fraction, (11, 13, 17)))[: len(variables)]
+        pt = dict(zip(variables, values))
         spec = IdentitySpec(
             identity=name, n=n, z=z,
             i=len(n) if "i" in needs else None, j=1 if "j" in needs else None,
         )
-        assert entry.evaluate(pt, spec) == [_call_public(name, pt, n, z)], name
+        assert entry.evaluate(values, spec) == [_call_public(name, pt, n, z)], name
     public = [v for v in identities.__all__ if v.startswith(("eval_", "check_"))]
     assert public == list(PUBLIC_EVALUATORS)
     for fname, (signature, doc) in PUBLIC_EVALUATORS.items():
@@ -443,6 +444,240 @@ def test_classical_evaluators_match_the_textbook_formulas(evaluator, reference):
     assert 2 * evaluated > swept  # most points are off the poles
 
 
+# textbook forms of every other catalog identity, sharing no code with
+# identities.py; C(x, k) of a multi-index k is the falling factorial
+# x(x-1)...(x-|k|+1) over k_1! ... k_m!, and 0 when some k_i < 0
+
+
+def _multinomial(x, k):
+    if any(c < 0 for c in k):
+        return Fraction(0)
+    return Fraction(math.prod(x - i for i in range(sum(k)))) / math.prod(map(math.factorial, k))
+
+
+def _box(n):
+    return itertools.product(*(range(c + 1) for c in n))
+
+
+def _dot(a, b):
+    return sum(s * t for s, t in zip(a, b))
+
+
+def _minus(a, b):
+    return tuple(s - t for s, t in zip(a, b))
+
+
+def _unit(m, i):
+    return tuple(int(t == i) for t in range(1, m + 1))
+
+
+def _abel_1(x, y, z, n):
+    lhs = sum(
+        _binomial(n, k) * x * Fraction(x - k * z) ** (k - 1) * Fraction(y + k * z) ** (n - k)
+        for k in range(n + 1)
+    )
+    return lhs, Fraction(x + y) ** n
+
+
+def _abel_2(x, y, z, n):
+    lhs = sum(
+        _binomial(n, k) * x * (y + n * z)
+        * Fraction(x - k * z) ** (k - 1) * Fraction(y + k * z) ** (n - k - 1)
+        for k in range(n + 1)
+    )
+    return lhs, (x + y + n * z) * Fraction(x + y) ** (n - 1)
+
+
+def _raney_mohanty_1(x, y, n, z):
+    lhs = sum(
+        Fraction(x) / (x - _dot(k, z))
+        * _multinomial(x - _dot(k, z), k) * _multinomial(y + _dot(k, z), _minus(n, k))
+        for k in _box(n)
+    )
+    return lhs, _multinomial(x + y, n)
+
+
+def _rm2_terms(x, y, n, z):
+    """(xy C(x-k.z,k) C(y-(n-k).z,n-k), x-k.z, y-(n-k).z) for each k."""
+    for k in _box(n):
+        a, b = x - _dot(k, z), y - _dot(_minus(n, k), z)
+        yield x * y * _multinomial(a, k) * _multinomial(b, _minus(n, k)), a, b
+
+
+def _raney_mohanty_2(x, y, n, z):
+    lhs = sum(Fraction(prod) / (a * b) for prod, a, b in _rm2_terms(x, y, n, z))
+    w = x + y - _dot(n, z)
+    return lhs, Fraction(x + y) / w * _multinomial(w, n)
+
+
+def _rm2_decomposition(x, y, n, z):
+    terms = list(_rm2_terms(x, y, n, z))
+    lhs = sum(Fraction(prod) / (a * b) for prod, a, b in terms)
+    s1 = sum(Fraction(prod) / a for prod, a, _ in terms)
+    s2 = sum(Fraction(prod) / b for prod, _, b in terms)
+    return lhs, (s1 + s2) / (x + y - _dot(n, z))
+
+
+def _mohanty_handa(x, y, n, z):
+    lhs = sum(
+        _multinomial(x + _dot(k, z), k) * _multinomial(y - _dot(k, z), _minus(n, k))
+        for k in _box(n)
+    )
+    rhs = sum(
+        _multinomial(x + y - sum(k), _minus(n, k)) * _multinomial(sum(k), k)
+        * math.prod(zi**ki for zi, ki in zip(z, k))
+        for k in _box(n)
+    )
+    return lhs, rhs
+
+
+def _gould_mohanty_sum(x, y, n, z):
+    return sum(
+        _multinomial(x - _dot(k, z), k) * _multinomial(y + _dot(k, z), _minus(n, k))
+        for k in _box(n)
+    )
+
+
+def _gould_mohanty(x, y, eps, n, z):
+    return _gould_mohanty_sum(x, y, n, z), _gould_mohanty_sum(x + eps, y - eps, n, z)
+
+
+def _gmh_special(p, q, n, z):
+    return _gould_mohanty(p, q, 1, n, z)
+
+
+def _kmx(p, q, n, z):
+    lhs = 0
+    for k in _box(n):
+        kz, rest = _dot(k, z), _minus(n, k)
+        lhs += _multinomial(p - kz, k) * _multinomial(q + kz, rest)
+        for i in range(1, len(n) + 1):
+            below = _minus(k, _unit(len(n), i))
+            for j in range(1, z[i - 1] + 1):
+                lhs += _multinomial(p - kz + j - 1, below) * _multinomial(q + kz - j, rest)
+    return lhs, _multinomial(p + q, n)
+
+
+def _kmpink(p, q, n, z, i, j):
+    lhs = rhs = 0
+    for k in _box(n):
+        kz, below, rest = _dot(k, z), _minus(k, _unit(len(n), i)), _minus(n, k)
+        lhs += _multinomial(p - kz + j - 1, below) * _multinomial(q + kz - j, rest)
+        rhs += _multinomial(p - kz - 1, below) * _multinomial(q + kz, rest)
+    return lhs, rhs
+
+
+def _pkroth(p, q, n, z):
+    lhs = 0
+    for k in _box(n):
+        kz = _dot(k, z)
+        head = _multinomial(p - kz, k) + sum(
+            z[i - 1] * _multinomial(p - kz - 1, _minus(k, _unit(len(n), i)))
+            for i in range(1, len(n) + 1)
+        )
+        lhs += head * _multinomial(q + kz, _minus(n, k))
+    return lhs, _multinomial(p + q, n)
+
+
+def _absorption(p, k, z, i):
+    kz = _dot(k, z)
+    lhs = _multinomial(p - kz - 1, _minus(k, _unit(len(k), i)))
+    return lhs, Fraction(k[i - 1]) / (p - kz) * _multinomial(p - kz, k)
+
+
+def _mh_expansion(x, y, n, z):
+    lhs = sum(
+        _multinomial(x + _dot(k, z), k) * _multinomial(y - _dot(k, z), _minus(n, k))
+        for k in _box(n)
+    )
+    rhs = _multinomial(x + y, n) + sum(
+        z[i - 1] * _multinomial(x - 1 + _dot(k, z), _minus(k, _unit(len(n), i)))
+        * _multinomial(y - _dot(k, z), _minus(n, k))
+        for i in range(1, len(n) + 1)
+        for k in _box(n)
+    )
+    return lhs, rhs
+
+
+REFERENCES = {
+    "abel-1": _abel_1, "abel-2": _abel_2, "rothe-1": _rothe_1, "rothe-2": _rothe_2,
+    "gould": _gould, "jensen": _jensen,
+    "raney-mohanty-1": _raney_mohanty_1, "raney-mohanty-2": _raney_mohanty_2,
+    "mohanty-handa": _mohanty_handa, "gould-mohanty": _gould_mohanty,
+    "gmh-special": _gmh_special, "kmx": _kmx, "kmpink": _kmpink, "pkroth": _pkroth,
+    "absorption": _absorption, "rm2-decomposition": _rm2_decomposition,
+    "mh-expansion": _mh_expansion,
+}
+COHERENT = {
+    "gould-mohanty-vs-gould": ("gould-mohanty", "gould"),
+    "raney-mohanty-1-vs-rothe-1": ("raney-mohanty-1", "rothe-1"),
+    "mohanty-handa-vs-jensen": ("mohanty-handa", "jensen"),
+}
+_REFERENCE_SHAPES = [  # (n, z) at m = 1, 2 and 3
+    ((0,), (1,)), ((2,), (1,)), ((3,), (2,)),
+    ((1, 2), (1, 2)), ((2, 1), (0, 1)), ((1, 1), (2, 3)),
+    ((1, 1, 1), (1, 0, 2)),
+]
+_REFERENCE_VALUES = [-3, 5, Fraction(7, 2), Fraction(-2, 3)]
+
+
+def _every_letter(needs, n, z):
+    """Each (i, j) an entry taking needs may get at (n, z): every i in
+    1..m, and every j in 1..z_i."""
+    if "j" in needs:
+        return [(i, j) for i in range(1, len(n) + 1) for j in range(1, z[i - 1] + 1)]
+    if "i" in needs:
+        return [(i, None) for i in range(1, len(n) + 1)]
+    return [(None, None)]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_every_side_matches_its_textbook_formula(name):
+    # each side separately, through the catalog's positional call and through
+    # the public evaluator: exchanging two arguments of a body (gould's z and
+    # eps, say) can leave an identity that still holds on every grid
+    entry = CATALOG[name]
+    multi, single = COHERENT.get(name, (name, None))
+    evaluator = None if single else getattr(identities, DECLARED[name][-1])
+    evaluated = swept = 0
+    for n, z in _REFERENCE_SHAPES:
+        if entry.classical and len(n) > 1:
+            continue
+        for (i, j), values in itertools.product(
+            _every_letter(entry.needs, n, z),
+            itertools.product(_REFERENCE_VALUES, repeat=len(entry.variables)),
+        ):
+            if entry.classical and not single:
+                fixed = {"n": n[0], "z": z[0]}
+            else:
+                fixed = {entry.param_name: n, "z": z}
+                fixed.update({flag: v for flag, v in (("i", i), ("j", j)) if v is not None})
+            point = dict(zip(entry.variables, values))  # the references bind by name
+            where = (name, n, z, i, j, point)
+            swept += 1
+            try:
+                expected = [REFERENCES[multi](**point, **fixed)]
+                if single:
+                    single_pair = REFERENCES[single](**point, n=n[0], z=z[0])
+                    (left, right), (single_left, single_right) = expected[0], single_pair
+                    expected = [(left, single_left), (right, single_right), (left, right)]
+            except ZeroDivisionError:  # a textbook denominator vanishes: a declared pole
+                if evaluator:
+                    with pytest.raises(PoleError):
+                        evaluator(**point, **fixed)
+                continue
+            spec = IdentitySpec(name, n, z, i=i, j=j)
+            pairs = entry.evaluate(values, spec)
+            assert len(pairs) == len(expected), where
+            for (left, right), (want_left, want_right) in zip(pairs, expected):
+                assert left == want_left and right == want_right, where
+                assert want_left == want_right, where
+            if evaluator:
+                assert evaluator(**point, **fixed) == expected[0], where
+            evaluated += 1
+    assert 2 * evaluated > swept  # most points are off the poles
+
+
 def test_kmx_equals_vandermonde_total():
     lhs, rhs = eval_kmx(Fraction(6), Fraction(3), (2,), (1,))
     assert lhs == rhs == multinomial(Fraction(9), (2,))
@@ -486,10 +721,9 @@ def test_grid_path_stays_in_int_and_fraction_arithmetic():
         for n, z in shapes:
             spec = identities._validate(_default_spec(name, n, z), entry)
             axes, _ = identities._select_axes(spec, entry)
-            for combo in itertools.product(*(axes[v] for v in entry.variables)):
-                point = dict(zip(entry.variables, combo))
-                for pair in entry.evaluate(point, spec):
-                    assert all(type(v) in (int, Fraction) for v in pair), (name, n, z, point)
+            for values in itertools.product(*(axes[v] for v in entry.variables)):
+                for pair in entry.evaluate(values, spec):
+                    assert all(type(v) in (int, Fraction) for v in pair), (name, n, z, values)
     # the public evaluators return two Fractions at int and integral-Fraction inputs
     for name, row in DECLARED.items():
         if row[-1] is None:
@@ -811,11 +1045,23 @@ def test_grid_range_must_be_a_pair_of_ints():
     assert report.ok
 
 
+def test_every_identity_verifies_on_a_range_below_zero_across_its_poles():
+    # the bodies meet negative arguments, and every rational form skips a
+    # pole inside the range
+    for name, entry in CATALOG.items():
+        n, z = ((3,), (1,)) if entry.classical else ((2, 1), (0, 1))
+        spec = dataclasses.replace(_default_spec(name, n, z), grid_range=(-3, 9))
+        report = verify_identity_on_grid(spec)
+        assert report.ok, (name, report.counterexample)
+        assert all(axis[0] < 0 for axis in report.grid["axes"].values()), name
+        assert bool(report.grid["skipped"]) == bool(entry.poles(n, z)), name
+
+
 def test_gmh_special_grid_runs_the_gould_mohanty_body_unchecked(monkeypatch):
     calls = []
     monkeypatch.setattr(identities, "_check_poles", lambda *args: calls.append(args))
     spec = IdentitySpec(identity="gmh-special", n=(2, 1), z=(1, 2))
-    pairs = CATALOG["gmh-special"].evaluate({"p": 7, "q": 5}, spec)
+    pairs = CATALOG["gmh-special"].evaluate((7, 5), spec)
     assert calls == []  # no argument or pole re-check per grid point
     assert pairs == [eval_gould_mohanty(7, 5, 1, (2, 1), (1, 2))]
     assert eval_gmh_special(Fraction(7, 2), 5, (2, 1), (1, 2)) == eval_gould_mohanty(
@@ -826,8 +1072,8 @@ def test_gmh_special_grid_runs_the_gould_mohanty_body_unchecked(monkeypatch):
 def test_mismatch_produces_counterexample_with_rerun_command(monkeypatch):
     entry = CATALOG["rothe-1"]
 
-    def broken(point, spec):
-        pairs = entry.evaluate(point, spec)
+    def broken(values, spec):
+        pairs = entry.evaluate(values, spec)
         return [(left, right + 1) for left, right in pairs]
 
     monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, evaluate=broken))
@@ -875,9 +1121,9 @@ def test_a_later_pair_at_a_later_point_is_the_counterexample(monkeypatch):
     name = "raney-mohanty-1-vs-rothe-1"
     entry = CATALOG[name]
 
-    def broken(point, spec):
-        pairs = entry.evaluate(point, spec)
-        if point["x"] == 4:
+    def broken(values, spec):
+        pairs = entry.evaluate(values, spec)
+        if dict(zip(entry.variables, values))["x"] == 4:
             left, right = pairs[2]
             pairs[2] = (left, right - 1)
         return pairs
@@ -926,8 +1172,8 @@ def _spying(monkeypatch, name, after=None):
     entry = CATALOG[name]
     sizes, refs = [], {}
 
-    def spy(point, spec):
-        pairs = entry.evaluate(point, spec)
+    def spy(values, spec):
+        pairs = entry.evaluate(values, spec)
         rows = _rows(identities._grid.values())
         sizes.append(sum(map(len, rows)))
         refs.update((id(row), weakref.ref(row)) for row in rows)
