@@ -405,11 +405,6 @@ def verify_shift_bijection(
     params = {"p": p, "q": q, "n": list(n), "z": list(z), "r": r}
     report = EvalReport(check="shift-bijection", params=params)
 
-    def fail(reason: str, **ctx: object) -> EvalReport:
-        report.verdict = VERDICT_FAIL
-        report.counterexample = {"reason": reason, **ctx}
-        return report
-
     tables: dict = {}  # the leftover-letter tables both classes share
     source_size = 0
     # The r-loops below inline _shift_letters: at r = 1 the extra call per
@@ -433,8 +428,8 @@ def verify_shift_bijection(
                     and sum(map(lw.__getitem__, image[:cut])) == target_weight
                 )
             if not member:
-                return fail(
-                    "image escapes the target class",
+                return _fail(
+                    report, "image escapes the target class",
                     word=_render(alphabet, letters),
                     image=_render(alphabet, image),
                 )
@@ -442,8 +437,8 @@ def verify_shift_bijection(
             for _ in range(r):
                 back, cut = _swap_balanced(lw, back, cut, -1)
             if back != letters:
-                return fail(
-                    "inverse does not round-trip",
+                return _fail(
+                    report, "inverse does not round-trip",
                     word=_render(alphabet, letters),
                     image=_render(alphabet, image),
                     back=_render(alphabet, back),
@@ -451,7 +446,7 @@ def verify_shift_bijection(
             source_size += 1
     target_size = _class_size(alphabet, total_weight, n, target_weight, tables)
     if source_size != target_size:
-        return fail("class sizes differ", source_size=source_size, target_size=target_size)
+        return _fail(report, "class sizes differ", source_size=source_size, target_size=target_size)
     report.verdict = VERDICT_PASS
     report.details = {
         "class_size": source_size,
@@ -487,11 +482,6 @@ def verify_raney_decomposition(
     total_weight = p + q + nz
     params = {"p": p, "q": q, "n": list(n), "z": list(z)}
     report = EvalReport(check="raney-decomposition", params=params)
-
-    def fail(reason: str, **ctx: object) -> EvalReport:
-        report.verdict = VERDICT_FAIL
-        report.counterexample = {"reason": reason, **ctx}
-        return report
 
     prefix_tally = 0
     overshoot_tally: dict[tuple[int, int, MultiIndex], int] = {}
@@ -541,16 +531,18 @@ def verify_raney_decomposition(
             try:
                 reassembled = _raney_join(lw, p, i, j, u, letters[cut:])
             except PreconditionError as exc:
-                return fail(str(exc), word=_render(alphabet, letters))
+                return _fail(report, str(exc), word=_render(alphabet, letters))
             if reassembled != letters:
-                return fail("factorization does not reassemble", word=_render(alphabet, letters))
+                return _fail(
+                    report, "factorization does not reassemble", word=_render(alphabet, letters)
+                )
 
     # the weight-p prefix subclass, both routes
     prefix_enumerated = _class_size(alphabet, total_weight, n, p, tables)
     prefix_formula = count_prefix_class(p, q + nz, n, alphabet)
     if not prefix_tally == prefix_enumerated == prefix_formula:
-        return fail(
-            "prefix-case tally disagrees",
+        return _fail(
+            report, "prefix-case tally disagrees",
             tally=prefix_tally,
             enumerated=prefix_enumerated,
             formula=str(prefix_formula),
@@ -570,8 +562,8 @@ def verify_raney_decomposition(
                 )
                 tally = overshoot_tally.get((i, j, k), 0)
                 if formula != tally:
-                    return fail(
-                        "overshoot cell tally disagrees with the closed form",
+                    return _fail(
+                        report, "overshoot cell tally disagrees with the closed form",
                         i=i,
                         j=j,
                         k=list(k),
@@ -582,8 +574,8 @@ def verify_raney_decomposition(
                     head_count = _class_size(alphabet, head_p, ku, tables=tables)
                     tail_count = _class_size(alphabet, tail_p, vec_sub(n, k), tables=tables)
                     if head_count * tail_count != tally:
-                        return fail(
-                            "overshoot cell tally disagrees with enumeration",
+                        return _fail(
+                            report, "overshoot cell tally disagrees with enumeration",
                             i=i,
                             j=j,
                             k=list(k),
@@ -592,11 +584,13 @@ def verify_raney_decomposition(
                         )
                 rhs_total += tally
     if rhs_total != total:
-        return fail("cases do not partition the class", total=total, sum_of_cases=rhs_total)
+        return _fail(
+            report, "cases do not partition the class", total=total, sum_of_cases=rhs_total
+        )
     closed_total = multinomial(p + q, n)
     if closed_total != total:
-        return fail(
-            "class size disagrees with C(p+q, n)",
+        return _fail(
+            report, "class size disagrees with C(p+q, n)",
             total=total,
             formula=str(closed_total),
         )
@@ -611,6 +605,13 @@ def verify_raney_decomposition(
             for (i, j, k), c in sorted(overshoot_tally.items())
         },
     }
+    return report
+
+
+def _fail(report: EvalReport, reason: str, **ctx: object) -> EvalReport:
+    """report, failed for reason, with ctx as the counterexample's context."""
+    report.verdict = VERDICT_FAIL
+    report.counterexample = {"reason": reason, **ctx}
     return report
 
 

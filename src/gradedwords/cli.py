@@ -849,8 +849,6 @@ def _render_text(payload: Payload) -> str:
                 f"  [{exponent}] {value}"
                 for exponent, value in payload.details["coefficients"].items()
             )
-        if payload.counterexample is not None:
-            lines.append(f"counterexample: {json.dumps(payload.counterexample, sort_keys=True)}")
         return "\n".join(lines)
     if payload.get("check") == "enumerate":
         return "\n".join(payload["words"])

@@ -86,7 +86,6 @@ from .arith import (
     box,
     dot,
     format_scalar,
-    multi_factorial,
     qsum,
     natural,
     naturals,
@@ -417,7 +416,7 @@ def _fresh_table(n: MultiIndex, z: MultiIndex) -> _Table:
                 row[vec_sub(n, k)],
                 tuple(row[vec_sub(k, e)] for e in units),
                 size,
-                z_pow * (math.factorial(size) // multi_factorial(k)),
+                z_pow * arith.multinomial(size, k),
             )
         )
     return _Table(dot(n, z), row[n], tuple(terms), tuple(row.values()))
@@ -816,9 +815,6 @@ def _counterexample(
     return None
 
 
-_GRID_SCAN_MARGIN = 512
-
-
 def _select_axes(
     spec: IdentitySpec, entry: _Entry
 ) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
@@ -835,18 +831,18 @@ def _select_axes(
     skipped: dict[str, list[int]] = {}
     for var in entry.variables:
         need = degree + 1
-        if spec.grid_range is not None:
-            lo, hi = spec.grid_range
-            candidates = range(lo, hi + 1)
-        else:
-            lo = entry.default_lo(var, spec)
-            candidates = range(lo, lo + need + _GRID_SCAN_MARGIN)
         blocked = {
             pole.c - sum(combo)
             for pole in poles
             if var in pole.vars and set(pole.vars) <= axes.keys() | {var}
             for combo in itertools.product(*(axes[o] for o in pole.vars if o != var))
         }
+        if spec.grid_range is not None:
+            lo, hi = spec.grid_range
+            candidates = range(lo, hi + 1)
+        else:  # at most len(blocked) of these are blocked, so need are left
+            lo = entry.default_lo(var, spec)
+            candidates = range(lo, lo + need + len(blocked))
         chosen: list[int] = []
         skips: list[int] = []
         for cand in candidates:

@@ -75,22 +75,8 @@ class EvalReport:
         return self.verdict in _OK
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "check": self.check,
-            "params": self.params,
-            "verdict": self.verdict,
-        }
-        if self.left is not None:
-            out["left"] = self.left
-        if self.right is not None:
-            out["right"] = self.right
-        if self.grid is not None:
-            out["grid"] = self.grid
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        if self.details is not None:
-            out["details"] = self.details
-        return out
+        """The fields that are set; None means absent from the report."""
+        return {key: value for key, value in vars(self).items() if value is not None}
 
     def to_json(self) -> str:
         return render_json(self.to_dict())

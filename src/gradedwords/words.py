@@ -24,10 +24,11 @@ b_1^(k_1), ..., b_m^(k_m)}, which Knuth's Algorithm L (TAOCP vol. 4A,
 A class is listed in blocks (cut, head, table): every word of a block is
 head + t for t in its table, and cut is the length of the word's weight-r
 prefix.  A depth-first search over heads first places the weight-r prefix,
-then keeps placing letters until the letters left over have at most
-_TABLE_CAP arrangements.  Those arrangements are the table, listed once by
-Algorithm L and memoized by their letter counts, so a table can serve every
-head, and every class of one verification, that leaves the same letters.
+then keeps placing letters until the letters left over have one arrangement
+(below weight r, a run of one letter placed whole) or at most _TABLE_CAP.
+Those arrangements are the table, listed once by Algorithm L and memoized
+by their letter counts, so a table can serve every head, and every class of
+one verification, that leaves the same letters.
 The heads come in lexicographic order and none is a prefix of another, so
 the blocks concatenated are the class in lexicographic order; consumers
 build a block's words with map(head.__add__, table), without a Python step
@@ -38,7 +39,6 @@ word at all.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterator, Optional
@@ -230,7 +230,9 @@ def _cut(lw: tuple[int, ...], letters: tuple[int, ...], target: int) -> tuple[in
 def _arrangements(counts: list[int]) -> Iterator[tuple[int, ...]]:
     """Every arrangement of counts[c] copies of each code c, in lexicographic
     order: Knuth's Algorithm L, from the sorted multiset to its reverse."""
-    a = [c for c, e in enumerate(counts) for _ in range(e)]
+    a: list[int] = []
+    for c, e in enumerate(counts):
+        a += [c] * e
     last = len(a) - 1
     while True:
         yield tuple(a)
@@ -286,7 +288,9 @@ def _class_blocks(
     in lexicographic order, pruning a branch once its weight would pass r.
     Past the prefix it places any letter still left, until the letters left
     over have at most _TABLE_CAP arrangements; size holds that count
-    exactly, updated as size * counts[c] // left when c is placed.  The
+    exactly, updated as size * counts[c] // left when c is placed.  Below
+    weight r, size 1 leaves a run of one letter, which reaches r or never:
+    it is placed in one step, never pushed, or its branch is dropped.  The
     arrangements are the Algorithm L table of the leftover counts, memoized
     in tables (pass one dict to share them between classes).  No head is a
     prefix of another, so the (head, table) order is lexicographic.
@@ -303,19 +307,22 @@ def _class_blocks(
         tables = {}
     weights = alphabet.weights
     top = len(weights)
-    left, size = 0, 1
-    for e in counts:  # size = the multinomial of counts
-        left += e
-        size *= math.comb(left, e)
+    left = sum(counts)
+    size = multinomial(left, k)  # the arrangements of the letters left
     head: list[int] = []
     acc = c = cut = 0  # the weight of head, the next letter to try, the weight-r cut
     while True:
-        if acc >= r and size <= _TABLE_CAP:
-            key = tuple(counts)
-            table = tables.get(key)
-            if table is None:
-                table = tables[key] = list(_arrangements(counts))
-            yield cut, tuple(head), table
+        if acc >= r:
+            if size <= _TABLE_CAP:
+                yield cut, tuple(head), _table(tables, counts)
+                c = top
+        elif size == 1:  # the letters left are one run, of c: it reaches r or never
+            c = counts.index(left)
+            steps, short = divmod(r - acc, weights[c])
+            if not short and steps <= counts[c]:
+                counts[c] -= steps
+                yield len(head) + steps, (*head, *[c] * steps), _table(tables, counts)
+                counts[c] += steps
             c = top
         # below weight r a letter must fit under r; past it any letter left goes
         while c < top and not (counts[c] and (acc >= r or acc + weights[c] <= r)):
@@ -340,17 +347,13 @@ def _class_blocks(
         c += 1
 
 
-def _iter_class(
-    alphabet: GradedAlphabet, p: int, k: MultiIndex, r: Optional[int] = None
-) -> Iterator[tuple[int, ...]]:
-    """Yield the letter tuples of class(p, k) (restricted to prefix weight r
-    if given) in lexicographic order: the blocks of _class_blocks, flattened.
-
-    Each block is a head and a table of at most _TABLE_CAP tails (the
-    comment at _TABLE_CAP gives its value), its words built by
-    map(head.__add__, table) in C rather than by a Python step per word."""
-    for _, head, table in _class_blocks(alphabet, p, k, r):
-        yield from map(head.__add__, table)
+def _table(tables: dict[tuple[int, ...], _Table], counts: list[int]) -> _Table:
+    """The Algorithm L table of counts, from the memo tables or put there."""
+    key = tuple(counts)
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = list(_arrangements(counts))
+    return table
 
 
 def _class_size(

@@ -33,7 +33,7 @@ from gradedwords import (
     verify_raney_decomposition,
 )
 from gradedwords.cli import default_manifest, run_suite
-from gradedwords.identities import CATALOG
+from gradedwords.identities import CATALOG, _select_axes, _validate
 
 MAX_WEIGHT = 14
 MAX_NORM = 4
@@ -257,6 +257,40 @@ def test_criterion_6_identity_catalog(capfd):
             )
             verified += 1
         info["detail"] = f"{verified} grid certifications"
+
+
+def _suite_grid_specs():
+    """The identity specs of the built-in suite's grid members."""
+    for member in default_manifest():
+        if member["command"] == "verify" and "point" not in member:
+            yield IdentitySpec(
+                identity=member["identity"],
+                n=tuple(member.get("n") or member["k"]),
+                z=tuple(member["z"]),
+                i=member.get("i"),
+                j=member.get("j"),
+            )
+
+
+def test_default_grids_start_above_every_pole():
+    # a default axis scans degree + 1 + (values blocked) candidates from its
+    # start: over criterion 6's sweep and the suite's grids, every value a
+    # pole blocks lies below that start, so no default grid skips a value
+    checked = 0
+    for spec in itertools.chain(_catalog_sweep(), _suite_grid_specs()):
+        entry = CATALOG[spec.identity]
+        spec = _validate(spec, entry)
+        axes, skipped = _select_axes(spec, entry)
+        assert skipped == {}, spec
+        for pole in entry.poles(spec.n, spec.z):
+            var = max(pole.vars, key=entry.variables.index)  # the last fixed
+            others = [axes[v] for v in pole.vars if v != var]
+            lo = entry.default_lo(var, spec)
+            assert all(pole.c - sum(combo) < lo for combo in itertools.product(*others)), (
+                spec, pole,
+            )
+        checked += 1
+    assert checked > 2000
 
 
 def test_every_side_at_an_integer_point_is_an_int(monkeypatch):

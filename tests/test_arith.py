@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -319,3 +321,19 @@ def test_parse_scalar_accepts_exactly_what_fraction_accepts(text):
 def test_parse_format_inverse(num, den):
     s = Fraction(num, den)
     assert parse_scalar(format_scalar(s)) == s
+
+
+def test_only_arith_takes_a_factorial():
+    # C(x, n) has one implementation, arith.multinomial: no other module
+    # computes one from factorials
+    calls = []
+    for path in sorted(Path(arith.__file__).parent.glob("*.py")):
+        if path.name == "arith.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("factorial", "multi_factorial"):
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

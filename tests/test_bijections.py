@@ -532,7 +532,8 @@ def _first_raney_failure():
     bijections._raney_join does not reassemble it."""
     p, q, n = _RANEY_CLASS
     lw = A2.weights
-    for letters in words._iter_class(A2, p + q + dot(n, A2.z), n):
+    blocks = words._class_blocks(A2, p + q + dot(n, A2.z), n)
+    for letters in (head + t for _, head, table in blocks for t in table):
         cut, achieved = bijections._cut(lw, letters, p)
         if achieved == p:
             i, j, u = 0, 0, letters[:cut]

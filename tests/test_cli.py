@@ -397,6 +397,18 @@ def test_verify_mismatch_exits_one_with_counterexample(capsys, monkeypatch):
     assert "rerun" in payload["counterexample"]
 
 
+def test_text_output_prints_a_counterexample_once(capsys, monkeypatch):
+    entry = CATALOG["rothe-1"]
+
+    def broken(values, spec):
+        return [(left, right + 1) for left, right in entry.evaluate(values, spec)]
+
+    monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, evaluate=broken))
+    code, out, err = run(capsys, "verify", "rothe-1", "--n", "2", "--z", "1", "--format", "text")
+    assert code == EXIT_COUNTEREXAMPLE and err == ""
+    assert out.count("counterexample:") == 1 and "rerun" in out
+
+
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------

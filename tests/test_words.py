@@ -6,6 +6,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -249,7 +250,7 @@ def test_class_size_is_the_enumeration_count_and_the_closed_form(shared):
             for k in itertools.product(range(3), repeat=len(z)):
                 for r in [None, *range(-1, p + 2)]:
                     size = words._class_size(alphabet, p, k, r, tables)
-                    assert size == len(list(words._iter_class(alphabet, p, k, r))), (z, p, k, r)
+                    assert size == len(_flattened(words._class_blocks(alphabet, p, k, r))), (z, p, k, r)
                     if r is None or r == 0:
                         assert size == count_words(p, k, alphabet), (z, p, k, r)
                     elif r > 0:
@@ -421,12 +422,45 @@ def test_blocks_of_the_1200_letter_class_equal_the_plain_stream():
     alphabet, lw = GradedAlphabet(z=(1,)), (1, 2)
     whole = list(words._arrangements([1199, 1]))
     blocks = list(words._class_blocks(alphabet, 1201, (1,)))
-    assert _flattened(blocks) == list(words._iter_class(alphabet, 1201, (1,))) == whole
+    assert _flattened(blocks) == whole
     assert len(blocks) > 1 and all(len(table) <= words._TABLE_CAP for _, _, table in blocks)
     prefixed = [w for w in whole if 1100 in itertools.accumulate(map(lw.__getitem__, w))]
     blocks = list(words._class_blocks(alphabet, 1201, (1,), 1100))
     assert _flattened(blocks) == prefixed
     assert all(sum(map(lw.__getitem__, head[:cut])) == 1100 for cut, head, _ in blocks)
+
+
+def test_a_forced_run_below_the_cut_is_placed_in_one_step():
+    # below weight r, letters left with one arrangement are a run of one
+    # letter, placed whole: each head of the r = 1100 class ends in such a
+    # run of a, so its 1199 words cost no more than the whole class's 1200
+    alphabet = GradedAlphabet(z=(1,))
+
+    def best_of_three(r):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            words._class_size(alphabet, 1201, (1,), r)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_three(1100) <= best_of_three(None)
+
+
+@pytest.mark.parametrize(
+    "z, max_p", [((0,), 10), ((1,), 12), ((2,), 12), ((0, 1), 8), ((1, 2), 10), ((1, 1, 2), 7)]
+)
+def test_blocks_and_cuts_of_every_prefix_class_match_the_oracle(z, max_p):
+    alphabet = GradedAlphabet(z=z)
+    lw = alphabet.weights
+    for p in range(max_p + 1):
+        for k in itertools.product(range(3), repeat=len(z)):
+            for r in range(p + 1):
+                blocks = list(words._class_blocks(alphabet, p, k, r))
+                assert _flattened(blocks) == brute_force_class(z, p, k, r), (p, k, r)
+                for cut, head, _ in blocks:
+                    assert cut <= len(head), (p, k, r)
+                    assert sum(map(lw.__getitem__, head[:cut])) == r, (p, k, r)
 
 
 def test_tables_are_shared_between_classes():
