@@ -865,11 +865,14 @@ def _render_text(payload: Payload) -> str:
 
 def _emit(payload: Payload, args: argparse.Namespace) -> None:
     text = _render_json(payload) if args.format == "json" else _render_text(payload)
-    if args.output:
+    if args.output is None:
+        print(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write report to {args.output}: {exc.strerror or exc}")
 
 
 @functools.cache
@@ -939,12 +942,16 @@ def _dispatch(args: argparse.Namespace) -> tuple[Payload, int]:
             member["command"] += "-" + args.action
         payload = run_member(member)
         return payload, _payload_exit_code(payload)
-    if args.manifest:
+    if args.manifest is not None:
         try:
             with open(args.manifest, encoding="utf-8") as handle:
                 manifest = json.load(handle, object_pairs_hook=_unrepeated)
         except FileNotFoundError:
             raise PreconditionError(f"manifest file not found: {args.manifest}")
+        except OSError as exc:
+            raise PreconditionError(f"cannot read manifest {args.manifest}: {exc.strerror or exc}")
+        except UnicodeDecodeError as exc:
+            raise PreconditionError(f"manifest {args.manifest} is not UTF-8: {exc.reason}")
         except json.JSONDecodeError as exc:
             raise PreconditionError(
                 f"manifest parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -960,11 +967,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = _dispatch(args)
+        _emit(payload, args)
     except Exception as exc:  # noqa: BLE001 - last-resort exit code mapping
         code, message = _failure(exc)
         print(message, file=sys.stderr)
-        return code
-    _emit(payload, args)
     return code
 
 

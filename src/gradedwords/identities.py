@@ -25,10 +25,10 @@ The public function it returns checks the arguments and refuses a declared
 pole before running the body.  The catalog calls the body directly and
 positionally, in its signature order, with the free variables from a point
 (a tuple in the entry's variable order) and the fixed parameters (n or k,
-z, and i and j where taken) from the spec, checked once per spec; the call
-is worked out once per entry, at declaration.  verify_identity_on_grid
-builds a pole-free integer product grid sized by the degree bound and
-checks exact equality at every point.
+z, and i and j where taken) from the spec, checked once per spec, and the
+terms table below; the call is worked out once per entry, at declaration.
+verify_identity_on_grid builds a pole-free integer product grid sized by
+the degree bound and checks exact equality at every point.
 
 Grid points are ints, and so is C(x, n) at an integer x, so the polynomial
 sides are evaluated in int arithmetic.  A rational side sums its quotients
@@ -42,18 +42,20 @@ No evaluator divides two ints with / or raises a scalar to a negative power,
 so no value is ever a float, and at an integer point every side is an int.
 The public evaluators return a pair of Fractions whatever the path.
 
-A body reads C(x, k) from rows: row[x] is C(x, k), and the terms table of
-(n, z) carries, for each summand k, k.z and the rows of C(., k), C(., n - k)
-and each C(., k - e_i), besides constants such as |k|, next to the row of
-C(., n).  A grid recomputes the same C(x, k) many times (C(x - k.z, k)
-recurs for every y and eps), so while verify_identity_on_grid runs, the
-bodies read that grid's own tables, whose rows are dicts keyed by x that
-fill from arith's multinomial on first use.  The tables and their rows are
-dropped whenever the grid is left, by a verdict or by an exception, so
-nothing carries over to the next certification.  Every x that reaches a row
-there is an int.  Point checks and the public evaluators read a table whose
-rows compute C(x, k) at each lookup and store nothing: one point never
-repeats a lookup, and a rational x would only cost a Fraction hash.
+A body reads C(x, k) from rows, in the terms table of (n, z) it is handed
+as its trailing table argument: row[x] is C(x, k), and the table carries,
+for each summand k, k.z and the rows of C(., k), C(., n - k) and each
+C(., k - e_i), besides constants such as |k|, next to the row of C(., n).
+A grid recomputes the same C(x, k) many times (C(x - k.z, k) recurs for
+every y and eps), so verify_identity_on_grid builds one table and hands it
+to every point; its rows are dicts keyed by x that fill from arith's
+multinomial on first use.  The table is a local of the grid, dropped when
+the grid is left by a verdict or by an exception, so nothing carries over
+to the next certification, and a grid run meanwhile builds its own.  Every
+x that reaches a row there is an int.  Point checks and the public evaluators
+pass a table whose rows compute C(x, k) at each lookup and store nothing:
+one point never repeats a lookup, and a rational x would only cost a
+Fraction hash.
 
 Conventions shared by all evaluators:
 
@@ -69,7 +71,6 @@ Conventions shared by all evaluators:
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import inspect
 import itertools
@@ -252,8 +253,8 @@ class _Entry:
     default_lo: Callable[[str, IdentitySpec], int]
     poles: Callable[[MultiIndex, MultiIndex], list[_Pole]]
     # the pairs at a pole-free point, given as a tuple in variables order,
-    # of a spec that passed _validate
-    evaluate: Callable[[tuple[Scalar, ...], IdentitySpec], PairList]
+    # of a spec that passed _validate, reading the terms table of (n, z)
+    evaluate: Callable[[tuple[Scalar, ...], IdentitySpec, _Table], PairList]
 
 
 def _deg_conv(spec: IdentitySpec) -> int:
@@ -291,25 +292,28 @@ def _identity(
     """Enter the decorated evaluator in CATALOG as `name`; return it checked.
 
     The free variables are the parameters other than the multi-index slot
-    (n, or k for absorption), z, i and j; the entry takes whichever of i and
-    j the evaluator names.  A classical (m = 1) evaluator takes n and z as
-    scalars.  The returned function checks that the variables (and a
-    classical z) are exact rationals, checks n or k, z, i and j, refuses a
-    declared pole, and only then runs the body; it returns both sides as
+    (n, or k for absorption), z, i, j and table; the entry takes whichever
+    of i and j the evaluator names.  A classical (m = 1) evaluator takes n
+    and z as scalars.  The returned function, whose signature is the
+    body's without table, checks that the variables (and a classical z) are
+    exact rationals, checks n or k, z, i and j, refuses a declared pole,
+    and only then runs the body, handing a body that takes table the terms
+    table of (n, z) with rows that store nothing; it returns both sides as
     Fractions.  The entry's evaluate calls the body unchecked, through
     _positional.
     """
 
     def declare(body: _Evaluator) -> _Evaluator:
         sig = inspect.signature(body)
+        public = sig.replace(parameters=[p for p in sig.parameters.values() if p.name != "table"])
         slot = "k" if "k" in sig.parameters else "n"
-        variables = tuple(v for v in sig.parameters if v not in (slot, "z", "i", "j"))
+        variables = tuple(v for v in public.parameters if v not in (slot, "z", "i", "j"))
         needs = frozenset(sig.parameters) & {"i", "j"}
         scalars = [v for v in sig.parameters if v in variables or classical and v == "z"]
 
         @functools.wraps(body)
         def checked(*args: object, **kwargs: object) -> tuple[Fraction, Fraction]:
-            a = sig.bind(*args, **kwargs).arguments
+            a = public.bind(*args, **kwargs).arguments
             for v in scalars:
                 a[v] = rational(a[v], v)
             if classical:
@@ -321,9 +325,12 @@ def _identity(
                 _same_dim(n, z)
                 _check_letters(needs, n, z, a.get("i"), a.get("j"))
             _check_poles(poles(n, z), a)
+            if "table" in sig.parameters:
+                a["table"] = _fresh_table(n, z)
             left, right = body(**a)
             return Fraction(left), Fraction(right)
 
+        checked.__signature__ = public
         evaluate = _positional(name, body, variables, classical)
         CATALOG[name] = _Entry(
             name, variables, slot, needs, classical, degree, default_lo, poles, evaluate
@@ -335,29 +342,31 @@ def _identity(
 
 def _positional(
     name: str, body: _Evaluator, variables: tuple[str, ...], classical: bool
-) -> Callable[[tuple[Scalar, ...], IdentitySpec], PairList]:
-    """The catalog entry's evaluate: at (values, spec) it returns
+) -> Callable[[tuple[Scalar, ...], IdentitySpec, _Table], PairList]:
+    """The catalog entry's evaluate: at (values, spec, table) it returns
     [body(...)], called positionally in body's own parameter order, with each
-    free variable taken from values (a tuple in variables order) and each
-    fixed parameter read from spec: n (or k) and z, as scalars for a
-    classical body, and i and j where body takes them.
+    free variable taken from values (a tuple in variables order), each
+    fixed parameter read from spec (n or k and z, as scalars for a
+    classical body, and i and j where body takes them) and table, the
+    terms table of (spec.n, spec.z), where body takes it.
 
     The call is generated once, here, as source, since the signatures
-    interleave variables and fixed parameters (gould's is x, y, z, eps, n).
-    A point then costs one tuple unpacking, a few attribute reads and the
-    call; nothing is kept between calls, so grids may run in two threads.
+    interleave variables and fixed parameters (gould's is x, y, z, eps, n,
+    table).  A point then costs one tuple unpacking, a few attribute reads
+    and the call.
     """
     if classical:
         fixed = {"n": "spec.n[0]", "z": "spec.z[0]"}
     else:  # the slot k carries absorption's multi-index in spec.n
         fixed = {"n": "spec.n", "k": "spec.n", "z": "spec.z", "i": "spec.i", "j": "spec.j"}
+    fixed["table"] = "table"
     held = [f"v{idx}" for idx in range(len(variables))]
     args = [
         held[variables.index(p)] if p in variables else fixed[p]
         for p in inspect.signature(body).parameters
     ]
     source = (
-        "def evaluate(values, spec):\n"
+        "def evaluate(values, spec, table):\n"
         f"    {', '.join(held)}, = values\n"
         f"    return [body({', '.join(args)})]\n"
     )
@@ -396,7 +405,6 @@ class _Table(NamedTuple):
     nz: int  # n.z
     cn: _Row  # C(., n)
     terms: tuple[tuple, ...]  # the summands, lexicographic in k
-    rows: tuple[_Row, ...]  # every row above, each once
 
 
 @functools.lru_cache(maxsize=1024)
@@ -419,44 +427,19 @@ def _fresh_table(n: MultiIndex, z: MultiIndex) -> _Table:
                 z_pow * arith.multinomial(size, k),
             )
         )
-    return _Table(dot(n, z), row[n], tuple(terms), tuple(row.values()))
+    return _Table(dot(n, z), row[n], tuple(terms))
 
 
 def _filled(table: _Table) -> _Table:
     """table with each _Fresh row replaced by a row of its own: a dict from
     x to C(x, k), filled on first use by the _Fresh row, which looks arith's
     multinomial up at each call."""
-    memo = {fresh: _Memo(fresh.__getitem__) for fresh in table.rows}
-    row = memo.__getitem__
+    row = _Memo(lambda fresh: _Memo(fresh.__getitem__)).__getitem__
     terms = tuple(
         (kz, row(ck), row(cr), tuple(map(row, below)), size, weight)
         for kz, ck, cr, below, size, weight in table.terms
     )
-    return _Table(table.nz, row(table.cn), terms, tuple(memo.values()))
-
-
-_grid: Optional[_Memo] = None  # the running grid's tables, by (n, z)
-
-
-def _terms(n: MultiIndex, z: MultiIndex) -> _Table:
-    """The terms table of (n, z): the running grid's, or outside a grid one
-    whose rows store nothing."""
-    grid = _grid  # read once: another thread's grid may end meanwhile
-    return _fresh_table(n, z) if grid is None else grid[n, z]
-
-
-@contextlib.contextmanager
-def _memoized():
-    """Within the block the bodies read the grid's own tables, whose rows
-    fill as they are read; on every way out the tables and rows are dropped.
-    Grids run at once in two threads could read each other's rows, which
-    changes no value: every entry is the exact C(x, k) of its row and x."""
-    global _grid
-    _grid = _Memo(lambda nz: _filled(_fresh_table(*nz)))
-    try:
-        yield
-    finally:
-        _grid = None
+    return _Table(table.nz, row(table.cn), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +476,20 @@ def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
 
 
 @_identity("rothe-1", poles=_poles_x, classical=True)
-def eval_rothe_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
+def eval_rothe_1(
+    x: Scalar, y: Scalar, z: Scalar, n: int, table: _Table
+) -> tuple[Fraction, Fraction]:
     """sum_k (x/(x-kz)) C(x-kz,k) C(y+kz,n-k)  vs  C(x+y,n)."""
-    table = _terms((n,), (z,))
     lhs = qsum((x * ck[x - kz] * cr[y + kz], x - kz) for kz, ck, cr, _, _, _ in table.terms)
     return lhs, table.cn[x + y]
 
 
 @_identity("rothe-2", poles=_poles_xy, classical=True)
-def eval_rothe_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
+def eval_rothe_2(
+    x: Scalar, y: Scalar, z: Scalar, n: int, table: _Table
+) -> tuple[Fraction, Fraction]:
     """sum_k xy/((x-kz)(y-(n-k)z)) C(x-kz,k) C(y-(n-k)z,n-k)
     vs  (x+y)/(x+y-nz) C(x+y-nz,n)."""
-    table = _terms((n,), (z,))
     y_nz = y - table.nz  # y - (n-k)z is y_nz + kz
     lhs = qsum(
         (x * y * ck[x - kz] * cr[y_nz + kz], (x - kz) * (y_nz + kz))
@@ -516,23 +501,25 @@ def eval_rothe_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fra
 
 @_identity("gould", classical=True)
 def eval_gould(
-    x: Scalar, y: Scalar, z: Scalar, eps: Scalar, n: int
+    x: Scalar, y: Scalar, z: Scalar, eps: Scalar, n: int, table: _Table
 ) -> tuple[Fraction, Fraction]:
     """sum_k C(x-kz,k) C(y+kz,n-k)  vs  sum_k C(x+e-kz,k) C(y-e+kz,n-k)."""
     lhs = 0
     rhs = 0
-    for kz, ck, cr, _, _, _ in _terms((n,), (z,)).terms:
+    for kz, ck, cr, _, _, _ in table.terms:
         lhs += ck[x - kz] * cr[y + kz]
         rhs += ck[x + eps - kz] * cr[y - eps + kz]
     return lhs, rhs
 
 
 @_identity("jensen", classical=True)
-def eval_jensen(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
+def eval_jensen(
+    x: Scalar, y: Scalar, z: Scalar, n: int, table: _Table
+) -> tuple[Fraction, Fraction]:
     """sum_k C(x+kz,k) C(y-kz,n-k)  vs  sum_k C(x+y-k,n-k) z^k."""
     lhs = 0
     rhs = 0
-    for kz, ck, cr, _, k, _ in _terms((n,), (z,)).terms:
+    for kz, ck, cr, _, k, _ in table.terms:
         lhs += ck[x + kz] * cr[y - kz]
         rhs += cr[x + y - k] * z**k
     return lhs, rhs
@@ -545,21 +532,19 @@ def eval_jensen(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
 
 @_identity("raney-mohanty-1", poles=_poles_x)
 def eval_raney_mohanty_1(
-    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
+    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
 ) -> tuple[Fraction, Fraction]:
     """sum_{0<=k<=n} (x/(x-k.z)) C(x-k.z,k) C(y+k.z,n-k)  vs  C(x+y,n)."""
-    table = _terms(n, z)
     lhs = qsum((x * ck[x - kz] * cr[y + kz], x - kz) for kz, ck, cr, _, _, _ in table.terms)
     return lhs, table.cn[x + y]
 
 
 @_identity("raney-mohanty-2", poles=_poles_xy)
 def eval_raney_mohanty_2(
-    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
+    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
 ) -> tuple[Fraction, Fraction]:
     """sum_k xy/((x-k.z)(y-(n-k).z)) C(x-k.z,k) C(y-(n-k).z,n-k)
     vs  (x+y)/(x+y-n.z) C(x+y-n.z,n)."""
-    table = _terms(n, z)
     y_nz = y - table.nz  # y - (n-k).z is y_nz + k.z
     lhs = qsum(
         (x * y * ck[x - kz] * cr[y_nz + kz], (x - kz) * (y_nz + kz))
@@ -571,12 +556,12 @@ def eval_raney_mohanty_2(
 
 @_identity("mohanty-handa")
 def eval_mohanty_handa(
-    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
+    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
 ) -> tuple[Fraction, Fraction]:
     """sum_k C(x+k.z,k) C(y-k.z,n-k)  vs  sum_k C(x+y-|k|,n-k) C(|k|,k) z^k."""
     lhs = 0
     rhs = 0
-    for kz, ck, cr, _, size, weight in _terms(n, z).terms:
+    for kz, ck, cr, _, size, weight in table.terms:
         lhs += ck[x + kz] * cr[y - kz]
         rhs += cr[x + y - size] * weight
     return lhs, rhs
@@ -584,12 +569,12 @@ def eval_mohanty_handa(
 
 @_identity("gould-mohanty")
 def eval_gould_mohanty(
-    x: Scalar, y: Scalar, eps: Scalar, n: MultiIndex, z: MultiIndex
+    x: Scalar, y: Scalar, eps: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
 ) -> tuple[Fraction, Fraction]:
     """sum_k C(x-k.z,k) C(y+k.z,n-k)  vs  sum_k C(x+e-k.z,k) C(y-e+k.z,n-k)."""
     lhs = 0
     rhs = 0
-    for kz, ck, cr, _, _, _ in _terms(n, z).terms:
+    for kz, ck, cr, _, _, _ in table.terms:
         lhs += ck[x - kz] * cr[y + kz]
         rhs += ck[x + eps - kz] * cr[y - eps + kz]
     return lhs, rhs
@@ -597,21 +582,20 @@ def eval_gould_mohanty(
 
 @_identity("gmh-special")
 def eval_gmh_special(
-    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex
+    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
 ) -> tuple[Fraction, Fraction]:
     """Gould-Mohanty at eps = 1:
     sum_k C(p-k.z,k) C(q+k.z,n-k)  vs  sum_k C(p+1-k.z,k) C(q-1+k.z,n-k)."""
-    return eval_gould_mohanty.__wrapped__(p, q, 1, n, z)
+    return eval_gould_mohanty.__wrapped__(p, q, 1, n, z, table)
 
 
 @_identity("kmx")
 def eval_kmx(
-    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex
+    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
 ) -> tuple[Fraction, Fraction]:
     """sum_k [ C(p-k.z,k) C(q+k.z,n-k)
               + sum_i sum_{j=1}^{z_i} C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k) ]
     vs  C(p+q,n)."""
-    table = _terms(n, z)
     lhs = 0
     for kz, ck, cr, below, _, _ in table.terms:
         term = ck[p - kz] * cr[q + kz]
@@ -624,13 +608,13 @@ def eval_kmx(
 
 @_identity("kmpink")
 def eval_kmpink(
-    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex, i: int, j: int
+    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex, i: int, j: int, table: _Table
 ) -> tuple[Fraction, Fraction]:
     """sum_k C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k)
     vs  sum_k C(p-k.z-1,k-e_i) C(q+k.z,n-k),  for 1 <= j <= z_i."""
     lhs = 0
     rhs = 0
-    for kz, _, cr, below, _, _ in _terms(n, z).terms:
+    for kz, _, cr, below, _, _ in table.terms:
         ci = below[i - 1]
         lhs += ci[p - kz + j - 1] * cr[q + kz - j]
         rhs += ci[p - kz - 1] * cr[q + kz]
@@ -639,11 +623,10 @@ def eval_kmpink(
 
 @_identity("pkroth")
 def eval_pkroth(
-    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex
+    p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
 ) -> tuple[Fraction, Fraction]:
     """sum_k [ C(p-k.z,k) + sum_i z_i C(p-k.z-1,k-e_i) ] C(q+k.z,n-k)
     vs  C(p+q,n)."""
-    table = _terms(n, z)
     lhs = 0
     for kz, ck, cr, below, _, _ in table.terms:
         head = ck[p - kz]
@@ -660,10 +643,10 @@ def eval_pkroth(
     default_lo=_lo_absorption,
 )
 def check_absorption(
-    p: Scalar, k: MultiIndex, z: MultiIndex, i: int
+    p: Scalar, k: MultiIndex, z: MultiIndex, i: int, table: _Table
 ) -> tuple[Fraction, Fraction]:
     """C(p-k.z-1, k-e_i)  vs  (k_i/(p-k.z)) C(p-k.z, k),  p-k.z != 0."""
-    kz, ck, _, below, _, _ = _terms(k, z).terms[-1]  # the last summand of the box is k
+    kz, ck, _, below, _, _ = table.terms[-1]  # the last summand of the box is k
     lhs = below[i - 1][p - kz - 1]
     rhs = qsum([(k[i - 1] * ck[p - kz], p - kz)])
     return lhs, rhs
@@ -671,14 +654,13 @@ def check_absorption(
 
 @_identity("rm2-decomposition", poles=_poles_xy)
 def check_rm2_decomposition(
-    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
+    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
 ) -> tuple[Fraction, Fraction]:
     """The two-sum rewriting of the second Raney-Mohanty form's left side:
 
     sum_k xy/((x-k.z)(y-(n-k).z)) C C  vs  (S1 + S2)/(x+y-n.z)  where
     S1 = sum_k (xy/(x-k.z)) C C  and  S2 = sum_k (xy/(y-(n-k).z)) C C.
     """
-    table = _terms(n, z)
     y_nz = y - table.nz  # y - (n-k).z is y_nz + k.z
     w = x + y_nz
     rows = [
@@ -692,11 +674,10 @@ def check_rm2_decomposition(
 
 @_identity("mh-expansion")
 def check_mh_expansion(
-    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex
+    x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
 ) -> tuple[Fraction, Fraction]:
     """sum_k C(x+k.z,k) C(y-k.z,n-k)
     vs  C(x+y,n) + sum_i sum_k z_i C(x-1+k.z,k-e_i) C(y-k.z,n-k)."""
-    table = _terms(n, z)
     lhs = 0
     rhs = table.cn[x + y]
     for kz, ck, cr, below, _, _ in table.terms:
@@ -714,9 +695,9 @@ def _coherence(name: str, multi: str, single: str) -> None:
     reference; a tier-1 test checks them against textbook binomials."""
     multi_pairs, single_pairs = CATALOG[multi].evaluate, CATALOG[single].evaluate
 
-    def evaluate(values: tuple[Scalar, ...], spec: IdentitySpec) -> PairList:
-        [(left, right)] = multi_pairs(values, spec)
-        [(single_left, single_right)] = single_pairs(values, spec)
+    def evaluate(values: tuple[Scalar, ...], spec: IdentitySpec, table: _Table) -> PairList:
+        [(left, right)] = multi_pairs(values, spec, table)
+        [(single_left, single_right)] = single_pairs(values, spec, table)
         return [(left, single_left), (right, single_right), (left, right)]
 
     CATALOG[name] = replace(CATALOG[multi], name=name, classical=True, evaluate=evaluate)
@@ -784,16 +765,10 @@ def _params_dict(spec: IdentitySpec, entry: _Entry) -> dict[str, object]:
 
 
 def _rerun_command(spec: IdentitySpec, entry: _Entry, point: dict[str, Scalar]) -> str:
-    parts = [
-        "gradedwords verify",
-        spec.identity,
-        f"--{entry.param_name} {','.join(map(str, spec.n))}",
-        f"--z {','.join(map(str, spec.z))}",
-    ]
-    if spec.i is not None:
-        parts.append(f"--i {spec.i}")
-    if spec.j is not None:
-        parts.append(f"--j {spec.j}")
+    params = _params_dict(spec, entry)
+    parts = ["gradedwords verify", params.pop("identity")]
+    for flag, value in params.items():
+        parts.append(f"--{flag} {','.join(map(str, value)) if isinstance(value, list) else value}")
     rendered = ",".join(f"{v}={format_scalar(point[v])}" for v in entry.variables)
     parts.append(f"--point {rendered}")
     return " ".join(parts)
@@ -882,15 +857,15 @@ def verify_identity_on_grid(spec: IdentitySpec) -> EvalReport:
         },
     )
     variables, evaluate = entry.variables, entry.evaluate
-    with _memoized():
-        for values in itertools.product(*(axes[v] for v in variables)):
-            pairs = evaluate(values, spec)
-            for left, right in pairs:
-                if left != right:  # only a mismatch builds the point dict
-                    point = dict(zip(variables, values))
-                    report.verdict = VERDICT_MISMATCH
-                    report.counterexample = _counterexample(spec, entry, point, pairs)
-                    return report
+    table = _filled(_fresh_table(spec.n, spec.z))
+    for values in itertools.product(*(axes[v] for v in variables)):
+        pairs = evaluate(values, spec, table)
+        for left, right in pairs:
+            if left != right:  # only a mismatch builds the point dict
+                point = dict(zip(variables, values))
+                report.verdict = VERDICT_MISMATCH
+                report.counterexample = _counterexample(spec, entry, point, pairs)
+                return report
     report.verdict = VERDICT_EQUAL
     return report
 
@@ -917,7 +892,7 @@ def verify_identity_at_point(
     _check_poles(entry.poles(spec.n, spec.z), values)
     params = _params_dict(spec, entry)
     params["point"] = {v: format_scalar(values[v]) for v in entry.variables}
-    pairs = entry.evaluate(tuple(values.values()), spec)
+    pairs = entry.evaluate(tuple(values.values()), spec, _fresh_table(spec.n, spec.z))
     report = EvalReport(check=spec.identity, params=params)
     report.left = format_scalar(pairs[0][0])
     report.right = format_scalar(pairs[0][1])

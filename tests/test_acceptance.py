@@ -299,8 +299,8 @@ def test_every_side_at_an_integer_point_is_an_int(monkeypatch):
     seen, bad = collections.Counter(), []
     for name, entry in list(CATALOG.items()):
 
-        def spy(values, spec, evaluate=entry.evaluate, name=name):
-            pairs = evaluate(values, spec)
+        def spy(values, spec, table, evaluate=entry.evaluate, name=name):
+            pairs = evaluate(values, spec, table)
             if all(type(v) is int for v in values):
                 seen[name] += 1
                 if any(type(v) is not int for pair in pairs for v in pair):

@@ -1,7 +1,9 @@
-"""The public surface: exactly the listed names, each of which resolves."""
+"""The public surface: exactly the listed names, each of which resolves, and
+no module that rebinds a global."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -79,3 +81,16 @@ def test_every_private_name_the_readme_cites_is_defined():
         if not re.search(rf"^\s*(?:def|class)\s+{name}\b|^\s*{name}\s*[:=]", source, re.M)
     ]
     assert cited and missing == []
+
+
+def test_no_module_rebinds_a_global():
+    # state a function reads goes in as an argument: a global statement would
+    # let one call rebind what another, still running, reads
+    root = Path(__file__).resolve().parent.parent / "src" / "gradedwords"
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

@@ -387,8 +387,8 @@ def test_verify_point_missing_or_extra_variable_whatever_the_order(capsys):
 def test_verify_mismatch_exits_one_with_counterexample(capsys, monkeypatch):
     entry = CATALOG["rothe-1"]
 
-    def broken(values, spec):
-        return [(left, right + 1) for left, right in entry.evaluate(values, spec)]
+    def broken(values, spec, table):
+        return [(left, right + 1) for left, right in entry.evaluate(values, spec, table)]
 
     monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, evaluate=broken))
     code, payload = run_json(capsys, "verify", "rothe-1", "--n", "2", "--z", "1")
@@ -400,8 +400,8 @@ def test_verify_mismatch_exits_one_with_counterexample(capsys, monkeypatch):
 def test_text_output_prints_a_counterexample_once(capsys, monkeypatch):
     entry = CATALOG["rothe-1"]
 
-    def broken(values, spec):
-        return [(left, right + 1) for left, right in entry.evaluate(values, spec)]
+    def broken(values, spec, table):
+        return [(left, right + 1) for left, right in entry.evaluate(values, spec, table)]
 
     monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, evaluate=broken))
     code, out, err = run(capsys, "verify", "rothe-1", "--n", "2", "--z", "1", "--format", "text")
@@ -582,6 +582,23 @@ def test_suite_manifest_parse_error_names_line(tmp_path, capsys):
 def test_suite_missing_manifest_file(capsys):
     code, out, err = run(capsys, "suite", "--manifest", "/nonexistent/m.json")
     assert code == EXIT_CONFIG and "not found" in err
+
+
+def test_suite_unreadable_manifest_exits_two(tmp_path, capsys):
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes(b'[{"label": "caf\xe9"}]')
+    for path, message in (
+        (tmp_path, f"invalid configuration: cannot read manifest {tmp_path}: Is a directory\n"),
+        (binary,
+         f"invalid configuration: manifest {binary} is not UTF-8: invalid continuation byte\n"),
+    ):
+        assert run(capsys, "suite", "--manifest", str(path)) == (EXIT_CONFIG, "", message)
+
+
+def test_suite_empty_manifest_path_is_refused(capsys):
+    # an empty path names no file; it does not select the built-in suite
+    code, out, err = run(capsys, "suite", "--manifest", "")
+    assert (code, out) == (EXIT_CONFIG, "") and "manifest file not found" in err
 
 
 # every command, a counterexample (exit 1), a malformed member (exit 2) and a
@@ -1115,6 +1132,18 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["verdict"] == "equal"
+
+
+@pytest.mark.parametrize("command", [["count", "--z", "1", "--p", "3", "--k", "1"], ["suite"]])
+def test_an_unwritable_output_exits_two(tmp_path, capsys, command):
+    # a missing directory, a directory, and an empty path: exit 2, not a traceback
+    for target, reason in (
+        (tmp_path / "missing" / "x.json", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+        ("", "No such file or directory"),
+    ):
+        message = f"invalid configuration: cannot write report to {target}: {reason}\n"
+        assert run(capsys, *command, "--output", str(target)) == (EXIT_CONFIG, "", message)
 
 
 def test_json_keys_are_sorted(capsys):

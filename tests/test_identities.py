@@ -288,7 +288,8 @@ def test_catalog_is_derived_from_the_evaluators():
             identity=name, n=n, z=z,
             i=len(n) if "i" in needs else None, j=1 if "j" in needs else None,
         )
-        assert entry.evaluate(values, spec) == [_call_public(name, pt, n, z)], name
+        table = identities._fresh_table(n, z)
+        assert entry.evaluate(values, spec, table) == [_call_public(name, pt, n, z)], name
     public = [v for v in identities.__all__ if v.startswith(("eval_", "check_"))]
     assert public == list(PUBLIC_EVALUATORS)
     for fname, (signature, doc) in PUBLIC_EVALUATORS.items():
@@ -667,7 +668,7 @@ def test_every_side_matches_its_textbook_formula(name):
                         evaluator(**point, **fixed)
                 continue
             spec = IdentitySpec(name, n, z, i=i, j=j)
-            pairs = entry.evaluate(values, spec)
+            pairs = entry.evaluate(values, spec, identities._fresh_table(n, z))
             assert len(pairs) == len(expected), where
             for (left, right), (want_left, want_right) in zip(pairs, expected):
                 assert left == want_left and right == want_right, where
@@ -721,8 +722,9 @@ def test_grid_path_stays_in_int_and_fraction_arithmetic():
         for n, z in shapes:
             spec = identities._validate(_default_spec(name, n, z), entry)
             axes, _ = identities._select_axes(spec, entry)
+            table = identities._filled(identities._fresh_table(n, z))
             for values in itertools.product(*(axes[v] for v in entry.variables)):
-                for pair in entry.evaluate(values, spec):
+                for pair in entry.evaluate(values, spec, table):
                     assert all(type(v) in (int, Fraction) for v in pair), (name, n, z, values)
     # the public evaluators return two Fractions at int and integral-Fraction inputs
     for name, row in DECLARED.items():
@@ -1061,7 +1063,8 @@ def test_gmh_special_grid_runs_the_gould_mohanty_body_unchecked(monkeypatch):
     calls = []
     monkeypatch.setattr(identities, "_check_poles", lambda *args: calls.append(args))
     spec = IdentitySpec(identity="gmh-special", n=(2, 1), z=(1, 2))
-    pairs = CATALOG["gmh-special"].evaluate((7, 5), spec)
+    table = identities._fresh_table(spec.n, spec.z)
+    pairs = CATALOG["gmh-special"].evaluate((7, 5), spec, table)
     assert calls == []  # no argument or pole re-check per grid point
     assert pairs == [eval_gould_mohanty(7, 5, 1, (2, 1), (1, 2))]
     assert eval_gmh_special(Fraction(7, 2), 5, (2, 1), (1, 2)) == eval_gould_mohanty(
@@ -1072,8 +1075,8 @@ def test_gmh_special_grid_runs_the_gould_mohanty_body_unchecked(monkeypatch):
 def test_mismatch_produces_counterexample_with_rerun_command(monkeypatch):
     entry = CATALOG["rothe-1"]
 
-    def broken(values, spec):
-        pairs = entry.evaluate(values, spec)
+    def broken(values, spec, table):
+        pairs = entry.evaluate(values, spec, table)
         return [(left, right + 1) for left, right in pairs]
 
     monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, evaluate=broken))
@@ -1121,8 +1124,8 @@ def test_a_later_pair_at_a_later_point_is_the_counterexample(monkeypatch):
     name = "raney-mohanty-1-vs-rothe-1"
     entry = CATALOG[name]
 
-    def broken(values, spec):
-        pairs = entry.evaluate(values, spec)
+    def broken(values, spec, table):
+        pairs = entry.evaluate(values, spec, table)
         if dict(zip(entry.variables, values))["x"] == 4:
             left, right = pairs[2]
             pairs[2] = (left, right - 1)
@@ -1143,17 +1146,19 @@ def test_a_later_pair_at_a_later_point_is_the_counterexample(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _memo_is_gone():
-    return identities._grid is None
+def _rows(table):
+    """The rows a terms table carries, each once."""
+    rows = [table.cn]
+    for _, ck, cr, below, _, _ in table.terms:
+        rows += [ck, cr, *below]
+    return list({id(row): row for row in rows}.values())
 
 
-def _rows(tables):
-    """The rows the terms tables carry."""
-    return [row for table in tables for row in table.rows]
-
-
-def _counting(monkeypatch):
-    """The (x, k) of every call of arith's multinomial from now on."""
+def _counting(monkeypatch, *shapes):
+    """The (x, k) of every call of arith's multinomial from now on, once the
+    terms tables of the (n, z) in shapes are built (their weights call it)."""
+    for n, z in shapes:
+        identities._fresh_table(n, z)
     calls = []
     real = arith.multinomial
 
@@ -1167,14 +1172,14 @@ def _counting(monkeypatch):
 
 def _spying(monkeypatch, name, after=None):
     """CATALOG[name] with an evaluate that records, after each point, how
-    many values the grid's rows hold, and weak references to those rows
-    (then applies after, if given, to the pairs)."""
+    many values the rows of the table it is handed hold, and weak references
+    to those rows (then applies after, if given, to the pairs)."""
     entry = CATALOG[name]
     sizes, refs = [], {}
 
-    def spy(values, spec):
-        pairs = entry.evaluate(values, spec)
-        rows = _rows(identities._grid.values())
+    def spy(values, spec, table):
+        pairs = entry.evaluate(values, spec, table)
+        rows = _rows(table)
         sizes.append(sum(map(len, rows)))
         refs.update((id(row), weakref.ref(row)) for row in rows)
         return pairs if after is None else after(pairs)
@@ -1190,7 +1195,7 @@ def _rows_are_freed(refs):
 
 def test_memo_is_emptied_after_a_passing_grid(monkeypatch):
     sizes, refs = _spying(monkeypatch, "gould-mohanty")
-    calls = _counting(monkeypatch)
+    calls = _counting(monkeypatch, ((2, 1), (1, 2)))
     assert verify_identity_on_grid(IdentitySpec("gould-mohanty", (2, 1), (1, 2))).ok
     # the rows fill across the grid's points, and repeats are read from them:
     # each point reads 4 values per term (6 terms), but C(x - k.z, k) does not
@@ -1198,14 +1203,14 @@ def test_memo_is_emptied_after_a_passing_grid(monkeypatch):
     # arith's multinomial runs once for each
     assert len(sizes) == 64
     assert 0 < sizes[0] < sizes[-1] == 48 == len(calls) == len(set(calls))
-    assert _memo_is_gone() and _rows_are_freed(refs)
+    assert _rows_are_freed(refs)
 
 
 def test_memo_is_emptied_after_a_mismatch(monkeypatch):
     sizes, refs = _spying(monkeypatch, "rothe-1", lambda pairs: [(l, r + 1) for l, r in pairs])
     report = verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,)))
     assert report.verdict == "mismatch" and sizes == [sizes[0]] and sizes[0] > 0
-    assert _memo_is_gone() and _rows_are_freed(refs)
+    assert _rows_are_freed(refs)
 
 
 def test_memo_is_emptied_after_a_body_raises(monkeypatch):
@@ -1216,11 +1221,37 @@ def test_memo_is_emptied_after_a_body_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="body fault"):
         verify_identity_on_grid(IdentitySpec("kmx", (1, 1), (1, 2)))
     assert sizes[0] > 0
-    assert _memo_is_gone() and _rows_are_freed(refs)
+    assert _rows_are_freed(refs)
+
+
+def test_a_grid_inside_a_grid_leaves_the_outer_rows_alone(monkeypatch):
+    # a rothe-1 grid runs before every point of a gould-mohanty grid; the
+    # outer grid still reads its own rows, so arith's multinomial runs once
+    # per distinct (x, k) of the outer grid, as it does with no inner grid
+    entry = CATALOG["gould-mohanty"]
+    calls = _counting(monkeypatch, ((2, 1), (1, 2)))
+
+    def nested(values, spec, table):
+        mark = len(calls)
+        assert verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,))).ok
+        del calls[mark:]  # the inner grid's own calls
+        return entry.evaluate(values, spec, table)
+
+    monkeypatch.setitem(CATALOG, "gould-mohanty", dataclasses.replace(entry, evaluate=nested))
+    assert verify_identity_on_grid(IdentitySpec("gould-mohanty", (2, 1), (1, 2))).ok
+    assert len(calls) == len(set(calls)) == 48
 
 
 def test_point_checks_and_public_evaluators_leave_no_memo(monkeypatch):
-    calls = _counting(monkeypatch)
+    calls = _counting(monkeypatch, ((3,), (1,)), ((2,), (1,)))
+    tables = []
+    real = identities._fresh_table
+
+    def recorded(n, z):
+        tables.append(real(n, z))
+        return tables[-1]
+
+    monkeypatch.setattr(identities, "_fresh_table", recorded)
     # rothe-1 at n = 3 reads 9 values: C(x - kz, k) C(y + kz, 3 - k) for
     # k = 0..3, and C(x + y, 3); a second call computes all 9 again
     eval_rothe_1(7, 5, 1, 3)
@@ -1229,9 +1260,9 @@ def test_point_checks_and_public_evaluators_leave_no_memo(monkeypatch):
     verify_identity_at_point(IdentitySpec("gould", (2,), (1,)), {"x": 3, "y": 5, "eps": 1})
     eval_rothe_1(7, 5, 1, 3)
     assert len(calls) == 9 + 9 + 12 + 9 and calls[-9:] == calls[:9]
-    assert _memo_is_gone()
-    tables = [identities._terms((3,), (1,)), identities._terms((2,), (1,))]
-    assert all(type(row) is identities._Fresh for row in _rows(tables))
+    # each was handed a table whose rows store nothing
+    assert len(tables) == 4
+    assert all(type(row) is identities._Fresh for table in tables for row in _rows(table))
 
 
 def test_a_wrong_memo_entry_is_a_mismatch(monkeypatch):
@@ -1244,11 +1275,12 @@ def test_a_wrong_memo_entry_is_a_mismatch(monkeypatch):
         return 16 if (x, n) == (6, (2,)) else real(x, n)
 
     monkeypatch.setattr(arith, "multinomial", wrong)
+    sizes, refs = _spying(monkeypatch, "rothe-1")
     report = verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,)))
     assert report.verdict == "mismatch"
     assert report.counterexample["point"] == {"x": "3", "y": "3"}
     assert report.counterexample["right"] == "16"
-    assert _memo_is_gone()
+    assert _rows_are_freed(refs)
     monkeypatch.undo()
     assert arith.multinomial is real is multinomial
     assert verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,))).ok
