@@ -36,9 +36,9 @@ comparison with the word, is done for every word.
 The shift's certificate streams the source class: each image must be in
 the target class (length, letter counts and its prefix of weight p + r) and
 go back to its word under the downward shifts, a left inverse that makes
-the map injective; the two classes are then counted by enumeration, and
-equal sizes make it a bijection.  No set of words is kept, so memory is one
-word and its image, besides the enumeration's tables.
+the map injective; the two classes are then counted by enumeration and by
+the closed form, and equal sizes make it a bijection.  No set of words is
+kept, so memory is one word and its image, besides the enumeration's tables.
 """
 
 from __future__ import annotations
@@ -387,7 +387,8 @@ def verify_shift_bijection(
     Prefix weights increase strictly, so c' is fixed by w', and the left
     inverse (a function of w' alone) makes the map injective.  The source
     and target classes are then counted by enumeration, and equal finite
-    sizes make the injective map a bijection.  Memory is one word and its
+    sizes, each also checked against the closed form count_prefix_class,
+    make the injective map a bijection.  Memory is one word and its
     image at a time, besides the leftover-letter tables the enumeration
     shares; the kernel is taken to be a function of its arguments.
     """
@@ -447,6 +448,13 @@ def verify_shift_bijection(
     target_size = _class_size(alphabet, total_weight, n, target_weight, tables)
     if source_size != target_size:
         return _fail(report, "class sizes differ", source_size=source_size, target_size=target_size)
+    source_formula = count_prefix_class(p, q + nz, n, alphabet)
+    target_formula = count_prefix_class(target_weight, q + nz - r, n, alphabet)
+    if not source_size == source_formula == target_formula:
+        return _fail(
+            report, "class size disagrees with the closed form", class_size=source_size,
+            source_formula=str(source_formula), target_formula=str(target_formula),
+        )
     report.verdict = VERDICT_PASS
     report.details = {
         "class_size": source_size,

@@ -863,16 +863,28 @@ def _render_text(payload: Payload) -> str:
     return render_json(payload)
 
 
+def _write(path: str, text: Optional[str] = None) -> None:
+    """Write text to the --output path; without text, only check that it opens
+    for writing, truncating no existing file and leaving no new one behind."""
+    try:
+        if text is not None:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        elif os.path.exists(path):
+            os.close(os.open(path, os.O_WRONLY))
+        else:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.remove(path)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write report to {path}: {exc.strerror or exc}")
+
+
 def _emit(payload: Payload, args: argparse.Namespace) -> None:
     text = _render_json(payload) if args.format == "json" else _render_text(payload)
     if args.output is None:
         print(text)
-        return
-    try:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    except OSError as exc:
-        raise PreconditionError(f"cannot write report to {args.output}: {exc.strerror or exc}")
+    else:
+        _write(args.output, text)
 
 
 @functools.cache
@@ -966,6 +978,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output is not None:
+            _write(args.output)
         payload, code = _dispatch(args)
         _emit(payload, args)
     except Exception as exc:  # noqa: BLE001 - last-resort exit code mapping

@@ -18,7 +18,7 @@ asserts that per entry; the program does not yet check it.
 
 An identity is declared once, by the @_identity decorator on its public
 evaluator, whose body holds only the mathematics.  The decorator names the
-catalog entry and its degree bound, poles and grid start; the free
+catalog entry, its poles and how far its degree bound exceeds |n|; the free
 variables, the multi-index slot (n, or k for absorption) and the letter
 indices i and j the entry takes are read from the evaluator's signature.
 The public function it returns checks the arguments and refuses a declared
@@ -28,7 +28,8 @@ positionally, in its signature order, with the free variables from a point
 z, and i and j where taken) from the spec, checked once per spec, and the
 terms table below; the call is worked out once per entry, at declaration.
 verify_identity_on_grid builds a pole-free integer product grid sized by
-the degree bound and checks exact equality at every point.
+the degree bound, each default axis starting past the poles in its variable
+alone, and checks exact equality at every point.
 
 Grid points are ints, and so is C(x, n) at an integer x, so the polynomial
 sides are evaluated in int arithmetic.  A rational side sums its quotients
@@ -233,10 +234,6 @@ class IdentitySpec:
     j: Optional[int] = None
     grid_range: Optional[tuple[int, int]] = None
 
-    @property
-    def m(self) -> int:
-        return len(self.n)
-
 
 PairList = list[tuple[Scalar, Scalar]]
 _Evaluator = Callable[..., tuple[Scalar, Scalar]]
@@ -249,33 +246,11 @@ class _Entry:
     param_name: str  # "n" or "k"
     needs: frozenset[str]  # subset of {"i", "j"}
     classical: bool  # restricted to m = 1
-    degree: Callable[[IdentitySpec], int]
-    default_lo: Callable[[str, IdentitySpec], int]
+    extra_degree: int  # the degree bound is |n| + extra_degree
     poles: Callable[[MultiIndex, MultiIndex], list[_Pole]]
     # the pairs at a pole-free point, given as a tuple in variables order,
     # of a spec that passed _validate, reading the terms table of (n, z)
     evaluate: Callable[[tuple[Scalar, ...], IdentitySpec, _Table], PairList]
-
-
-def _deg_conv(spec: IdentitySpec) -> int:
-    return norm(spec.n)
-
-
-def _deg_abel(spec: IdentitySpec) -> int:
-    return spec.n[0] + 1
-
-
-def _deg_absorption(spec: IdentitySpec) -> int:
-    return norm(spec.n) + 1
-
-
-def _lo_xy(var: str, spec: IdentitySpec) -> int:
-    nz = dot(spec.n, spec.z)
-    return {"x": nz + 1, "y": nz + 1, "eps": 0, "p": nz, "q": 1}[var]
-
-
-def _lo_absorption(var: str, spec: IdentitySpec) -> int:
-    return dot(spec.n, spec.z) + 1
 
 
 CATALOG: dict[str, _Entry] = {}
@@ -285,12 +260,12 @@ def _identity(
     name: str,
     *,
     poles: Callable[[MultiIndex, MultiIndex], list[_Pole]] = _no_poles,
-    degree: Callable[[IdentitySpec], int] = _deg_conv,
-    default_lo: Callable[[str, IdentitySpec], int] = _lo_xy,
+    extra_degree: int = 0,
     classical: bool = False,
 ) -> Callable[[_Evaluator], _Evaluator]:
     """Enter the decorated evaluator in CATALOG as `name`; return it checked.
 
+    Each side has degree at most |n| + extra_degree in each free variable.
     The free variables are the parameters other than the multi-index slot
     (n, or k for absorption), z, i, j and table; the entry takes whichever
     of i and j the evaluator names.  A classical (m = 1) evaluator takes n
@@ -333,7 +308,7 @@ def _identity(
         checked.__signature__ = public
         evaluate = _positional(name, body, variables, classical)
         CATALOG[name] = _Entry(
-            name, variables, slot, needs, classical, degree, default_lo, poles, evaluate
+            name, variables, slot, needs, classical, extra_degree, poles, evaluate
         )
         return checked
 
@@ -447,7 +422,7 @@ def _filled(table: _Table) -> _Table:
 # ---------------------------------------------------------------------------
 
 
-@_identity("abel-1", poles=_poles_abel_1, degree=_deg_abel, classical=True)
+@_identity("abel-1", poles=_poles_abel_1, extra_degree=1, classical=True)
 def eval_abel_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k C(n,k) x(x-kz)^(k-1) (y+kz)^(n-k)  vs  (x+y)^n."""
     lhs = 0
@@ -457,7 +432,7 @@ def eval_abel_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
     return lhs, (x + y) ** n
 
 
-@_identity("abel-2", poles=_poles_abel_2, degree=_deg_abel, classical=True)
+@_identity("abel-2", poles=_poles_abel_2, extra_degree=1, classical=True)
 def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k C(n,k) x(y+nz)(x-kz)^(k-1)(y+kz)^(n-k-1)  vs  (x+y+nz)(x+y)^(n-1).
 
@@ -636,12 +611,7 @@ def eval_pkroth(
     return lhs, table.cn[p + q]
 
 
-@_identity(
-    "absorption",
-    poles=_poles_absorption,
-    degree=_deg_absorption,
-    default_lo=_lo_absorption,
-)
+@_identity("absorption", poles=_poles_absorption, extra_degree=1)
 def check_absorption(
     p: Scalar, k: MultiIndex, z: MultiIndex, i: int, table: _Table
 ) -> tuple[Fraction, Fraction]:
@@ -790,33 +760,41 @@ def _counterexample(
     return None
 
 
+def _start(var: str, nz: int) -> int:
+    """The first value of var's default axis, before its poles raise it."""
+    return {"x": nz + 1, "y": nz + 1, "eps": 0, "p": nz, "q": 1}[var]
+
+
 def _select_axes(
     spec: IdentitySpec, entry: _Entry
-) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-    """Choose degree + 1 pole-free integer values per variable.
+) -> tuple[dict[str, list[int]], dict[str, list[int]], int]:
+    """Choose degree + 1 pole-free integer values per variable; return the
+    axes, the values skipped on each, and the degree bound |n| + extra_degree.
 
     Variables are fixed left to right.  A pole whose variables are all
     fixed once the current one is blocks the values c - (sum of the others)
     for every combination of already-chosen values, so the final product
-    grid avoids every pole.
+    grid avoids every pole.  A default axis starts past every pole in its
+    variable alone, so none of those is ever skipped.
     """
-    degree = entry.degree(spec)
+    degree = norm(spec.n) + entry.extra_degree
+    need = degree + 1
     poles = entry.poles(spec.n, spec.z)
     axes: dict[str, list[int]] = {}
     skipped: dict[str, list[int]] = {}
     for var in entry.variables:
-        need = degree + 1
-        blocked = {
-            pole.c - sum(combo)
-            for pole in poles
-            if var in pole.vars and set(pole.vars) <= axes.keys() | {var}
-            for combo in itertools.product(*(axes[o] for o in pole.vars if o != var))
-        }
+        lo = _start(var, dot(spec.n, spec.z))
+        blocked: set[Scalar] = set()
+        for pole in poles:
+            if var in pole.vars and set(pole.vars) <= axes.keys() | {var}:
+                others = [axes[o] for o in pole.vars if o != var]
+                blocked.update(pole.c - sum(combo) for combo in itertools.product(*others))
+                if not others:
+                    lo = max(lo, pole.c + 1)
         if spec.grid_range is not None:
             lo, hi = spec.grid_range
             candidates = range(lo, hi + 1)
         else:  # at most len(blocked) of these are blocked, so need are left
-            lo = entry.default_lo(var, spec)
             candidates = range(lo, lo + need + len(blocked))
         chosen: list[int] = []
         skips: list[int] = []
@@ -835,7 +813,7 @@ def _select_axes(
         axes[var] = chosen
         if skips:
             skipped[var] = skips
-    return axes, skipped
+    return axes, skipped, degree
 
 
 def verify_identity_on_grid(spec: IdentitySpec) -> EvalReport:
@@ -843,8 +821,7 @@ def verify_identity_on_grid(spec: IdentitySpec) -> EvalReport:
     bound; exact equality everywhere certifies the identity."""
     entry = _lookup(spec.identity)
     spec = _validate(spec, entry)
-    degree = entry.degree(spec)
-    axes, skipped = _select_axes(spec, entry)
+    axes, skipped, degree = _select_axes(spec, entry)
     total_points = math.prod(len(axes[v]) for v in entry.variables)
     report = EvalReport(
         check=spec.identity,

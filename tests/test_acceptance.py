@@ -275,18 +275,19 @@ def _suite_grid_specs():
 def test_default_grids_start_above_every_pole():
     # a default axis scans degree + 1 + (values blocked) candidates from its
     # start: over criterion 6's sweep and the suite's grids, every value a
-    # pole blocks lies below that start, so no default grid skips a value
+    # pole blocks lies below the first value the grid used, so no default
+    # grid skips a value
     checked = 0
     for spec in itertools.chain(_catalog_sweep(), _suite_grid_specs()):
         entry = CATALOG[spec.identity]
         spec = _validate(spec, entry)
-        axes, skipped = _select_axes(spec, entry)
+        axes, skipped, _ = _select_axes(spec, entry)
         assert skipped == {}, spec
         for pole in entry.poles(spec.n, spec.z):
             var = max(pole.vars, key=entry.variables.index)  # the last fixed
             others = [axes[v] for v in pole.vars if v != var]
-            lo = entry.default_lo(var, spec)
-            assert all(pole.c - sum(combo) < lo for combo in itertools.product(*others)), (
+            start = axes[var][0]
+            assert all(pole.c - sum(combo) < start for combo in itertools.product(*others)), (
                 spec, pole,
             )
         checked += 1

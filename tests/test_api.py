@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import gradedwords
+from gradedwords import identities
 
 MODULES = [gradedwords] + [
     importlib.import_module(f"gradedwords.{info.name}")
@@ -81,6 +83,14 @@ def test_every_private_name_the_readme_cites_is_defined():
         if not re.search(rf"^\s*(?:def|class)\s+{name}\b|^\s*{name}\s*[:=]", source, re.M)
     ]
     assert cited and missing == []
+
+
+def test_every_keyword_of_the_readme_decorator_example_is_taken():
+    # the README's `@_identity(...)` example names only options the decorator has
+    root = Path(__file__).resolve().parent.parent
+    examples = re.findall(r"@_identity\(([^)]*)\)", (root / "README.md").read_text())
+    keywords = {key for example in examples for key in re.findall(r"(\w+)=", example)}
+    assert keywords and keywords <= set(inspect.signature(identities._identity).parameters)
 
 
 def test_no_module_rebinds_a_global():

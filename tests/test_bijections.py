@@ -328,6 +328,27 @@ def test_a_target_class_of_another_size_is_a_counterexample(monkeypatch):
     }
 
 
+def test_a_shortfall_shared_by_both_classes_is_a_counterexample(monkeypatch):
+    # a walker that drops one word from each class keeps the two sizes equal:
+    # only the closed forms of both classes rule it out
+    blocks, counted = bijections._class_blocks, bijections._class_size
+
+    def short_blocks(*args):
+        walked = blocks(*args)
+        cut, head, table = next(walked)
+        yield cut, head, table[1:]
+        yield from walked
+
+    monkeypatch.setattr(bijections, "_class_blocks", short_blocks)
+    monkeypatch.setattr(bijections, "_class_size", lambda *args: counted(*args) - 1)
+    report = verify_shift_bijection(2, 2, (2,), A1)
+    assert report.verdict == "fail"
+    assert report.counterexample == {
+        "reason": "class size disagrees with the closed form",
+        "class_size": 3, "source_formula": "4", "target_formula": "4",
+    }
+
+
 def test_shift_down_of_up_image_only():
     w = A2.parse_word("a a b2")  # prefix weights 1, 2, 5
     with pytest.raises(PreconditionError):

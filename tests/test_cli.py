@@ -1146,6 +1146,32 @@ def test_an_unwritable_output_exits_two(tmp_path, capsys, command):
         assert run(capsys, *command, "--output", str(target)) == (EXIT_CONFIG, "", message)
 
 
+@pytest.mark.parametrize(
+    "command", [["count", "--z", "1", "--p", "3", "--k", "1"], ["suite", "--jobs", "1"]]
+)
+def test_an_unwritable_output_is_refused_before_any_member_runs(
+    tmp_path, capsys, monkeypatch, command
+):
+    calls = []
+    monkeypatch.setattr(cli, "_execute", lambda *args: calls.append(args))
+    for target in (tmp_path / "missing" / "x.json", tmp_path, ""):
+        assert run(capsys, *command, "--output", str(target))[0] == EXIT_CONFIG
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", [
+    ["count", "--z", "1", "--p", "3", "--k", "x"],
+    ["suite", "--manifest", "missing.json"],
+])
+def test_a_refused_command_leaves_the_output_path_as_it_was(tmp_path, capsys, command):
+    earlier = tmp_path / "report.json"
+    earlier.write_bytes(b'{"verdict": "equal"}\n')
+    for target in (earlier, tmp_path / "new.json"):
+        assert run(capsys, *command, "--output", str(target))[0] == EXIT_CONFIG
+    assert earlier.read_bytes() == b'{"verdict": "equal"}\n'
+    assert list(tmp_path.iterdir()) == [earlier]
+
+
 def test_json_keys_are_sorted(capsys):
     code, out, err = run(capsys, "count", "--z", "1", "--p", "3", "--k", "1")
     payload = json.loads(out)

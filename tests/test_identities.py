@@ -61,56 +61,30 @@ def test_catalog_is_complete():
 
 
 # every catalog entry as its evaluator declares it: free variables, multi-index
-# slot, letter indices taken, m = 1 only, degree bound, grid start, poles, and
-# the public evaluator (None for the coherence entries, which compose two)
+# slot, letter indices taken, m = 1 only, the degree bound's excess over |n|,
+# poles, and the public evaluator (None for the coherence entries, which
+# compose two)
 DECLARED = {
-    "abel-1": (("x", "y"), "n", (), True, "_deg_abel", "_lo_xy", "_poles_abel_1", "eval_abel_1"),
-    "abel-2": (("x", "y"), "n", (), True, "_deg_abel", "_lo_xy", "_poles_abel_2", "eval_abel_2"),
-    "rothe-1": (("x", "y"), "n", (), True, "_deg_conv", "_lo_xy", "_poles_x", "eval_rothe_1"),
-    "rothe-2": (("x", "y"), "n", (), True, "_deg_conv", "_lo_xy", "_poles_xy", "eval_rothe_2"),
-    "gould": (("x", "y", "eps"), "n", (), True, "_deg_conv", "_lo_xy", "_no_poles", "eval_gould"),
-    "jensen": (("x", "y"), "n", (), True, "_deg_conv", "_lo_xy", "_no_poles", "eval_jensen"),
-    "raney-mohanty-1": (
-        ("x", "y"), "n", (), False, "_deg_conv", "_lo_xy", "_poles_x", "eval_raney_mohanty_1"
-    ),
-    "raney-mohanty-2": (
-        ("x", "y"), "n", (), False, "_deg_conv", "_lo_xy", "_poles_xy", "eval_raney_mohanty_2"
-    ),
-    "mohanty-handa": (
-        ("x", "y"), "n", (), False, "_deg_conv", "_lo_xy", "_no_poles", "eval_mohanty_handa"
-    ),
-    "gould-mohanty": (
-        ("x", "y", "eps"), "n", (), False, "_deg_conv", "_lo_xy", "_no_poles",
-        "eval_gould_mohanty",
-    ),
-    "gmh-special": (
-        ("p", "q"), "n", (), False, "_deg_conv", "_lo_xy", "_no_poles", "eval_gmh_special"
-    ),
-    "kmx": (("p", "q"), "n", (), False, "_deg_conv", "_lo_xy", "_no_poles", "eval_kmx"),
-    "kmpink": (
-        ("p", "q"), "n", ("i", "j"), False, "_deg_conv", "_lo_xy", "_no_poles", "eval_kmpink"
-    ),
-    "pkroth": (("p", "q"), "n", (), False, "_deg_conv", "_lo_xy", "_no_poles", "eval_pkroth"),
-    "absorption": (
-        ("p",), "k", ("i",), False, "_deg_absorption", "_lo_absorption", "_poles_absorption",
-        "check_absorption",
-    ),
-    "rm2-decomposition": (
-        ("x", "y"), "n", (), False, "_deg_conv", "_lo_xy", "_poles_xy",
-        "check_rm2_decomposition",
-    ),
-    "mh-expansion": (
-        ("x", "y"), "n", (), False, "_deg_conv", "_lo_xy", "_no_poles", "check_mh_expansion"
-    ),
-    "gould-mohanty-vs-gould": (
-        ("x", "y", "eps"), "n", (), True, "_deg_conv", "_lo_xy", "_no_poles", None
-    ),
-    "raney-mohanty-1-vs-rothe-1": (
-        ("x", "y"), "n", (), True, "_deg_conv", "_lo_xy", "_poles_x", None
-    ),
-    "mohanty-handa-vs-jensen": (
-        ("x", "y"), "n", (), True, "_deg_conv", "_lo_xy", "_no_poles", None
-    ),
+    "abel-1": (("x", "y"), "n", (), True, 1, "_poles_abel_1", "eval_abel_1"),
+    "abel-2": (("x", "y"), "n", (), True, 1, "_poles_abel_2", "eval_abel_2"),
+    "rothe-1": (("x", "y"), "n", (), True, 0, "_poles_x", "eval_rothe_1"),
+    "rothe-2": (("x", "y"), "n", (), True, 0, "_poles_xy", "eval_rothe_2"),
+    "gould": (("x", "y", "eps"), "n", (), True, 0, "_no_poles", "eval_gould"),
+    "jensen": (("x", "y"), "n", (), True, 0, "_no_poles", "eval_jensen"),
+    "raney-mohanty-1": (("x", "y"), "n", (), False, 0, "_poles_x", "eval_raney_mohanty_1"),
+    "raney-mohanty-2": (("x", "y"), "n", (), False, 0, "_poles_xy", "eval_raney_mohanty_2"),
+    "mohanty-handa": (("x", "y"), "n", (), False, 0, "_no_poles", "eval_mohanty_handa"),
+    "gould-mohanty": (("x", "y", "eps"), "n", (), False, 0, "_no_poles", "eval_gould_mohanty"),
+    "gmh-special": (("p", "q"), "n", (), False, 0, "_no_poles", "eval_gmh_special"),
+    "kmx": (("p", "q"), "n", (), False, 0, "_no_poles", "eval_kmx"),
+    "kmpink": (("p", "q"), "n", ("i", "j"), False, 0, "_no_poles", "eval_kmpink"),
+    "pkroth": (("p", "q"), "n", (), False, 0, "_no_poles", "eval_pkroth"),
+    "absorption": (("p",), "k", ("i",), False, 1, "_poles_absorption", "check_absorption"),
+    "rm2-decomposition": (("x", "y"), "n", (), False, 0, "_poles_xy", "check_rm2_decomposition"),
+    "mh-expansion": (("x", "y"), "n", (), False, 0, "_no_poles", "check_mh_expansion"),
+    "gould-mohanty-vs-gould": (("x", "y", "eps"), "n", (), True, 0, "_no_poles", None),
+    "raney-mohanty-1-vs-rothe-1": (("x", "y"), "n", (), True, 0, "_poles_x", None),
+    "mohanty-handa-vs-jensen": (("x", "y"), "n", (), True, 0, "_no_poles", None),
 }
 
 # signature and docstring of every public evaluator
@@ -269,14 +243,13 @@ def test_catalog_is_derived_from_the_evaluators():
     assert list(CATALOG) == list(DECLARED)
     for name, row in DECLARED.items():
         entry = CATALOG[name]
-        variables, slot, needs, classical, degree, lo, poles, evaluator = row
+        variables, slot, needs, classical, extra_degree, poles, evaluator = row
         assert entry.name == name
         assert entry.variables == variables, name
         assert (entry.param_name, entry.needs, entry.classical) == (
             slot, frozenset(needs), classical
         ), name
-        assert entry.degree is getattr(identities, degree), name
-        assert entry.default_lo is getattr(identities, lo), name
+        assert entry.extra_degree == extra_degree, name
         assert entry.poles is getattr(identities, poles), name
         if evaluator is None:
             continue
@@ -721,7 +694,7 @@ def test_grid_path_stays_in_int_and_fraction_arithmetic():
         ]
         for n, z in shapes:
             spec = identities._validate(_default_spec(name, n, z), entry)
-            axes, _ = identities._select_axes(spec, entry)
+            axes, _, _ = identities._select_axes(spec, entry)
             table = identities._filled(identities._fresh_table(n, z))
             for values in itertools.product(*(axes[v] for v in entry.variables)):
                 for pair in entry.evaluate(values, spec, table):
@@ -934,6 +907,22 @@ def test_abel_grid_avoids_zero_x():
     )
     assert report.ok
     assert 0 not in report.grid["axes"]["x"]
+
+
+def test_a_default_axis_starts_past_a_planted_pole(monkeypatch):
+    # a default axis starts past every declared pole in its variable alone:
+    # a further pole x = n.z + 5 moves x's start from n.z + 1 to n.z + 6, so
+    # the grid skips nothing (n.z = 5 here, and |n| + 1 = 5 values per axis)
+    entry = CATALOG["raney-mohanty-1"]
+
+    def poles(n, z):
+        return entry.poles(n, z) + [identities._Pole(("x",), 10)]
+
+    monkeypatch.setitem(CATALOG, entry.name, dataclasses.replace(entry, poles=poles))
+    report = verify_identity_on_grid(IdentitySpec(identity=entry.name, n=(3, 1), z=(1, 2)))
+    assert report.ok
+    assert report.grid["axes"] == {"x": [11, 12, 13, 14, 15], "y": [6, 7, 8, 9, 10]}
+    assert report.grid["skipped"] == {}
 
 
 def test_grid_exhaustion_is_a_config_error():
