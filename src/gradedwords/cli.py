@@ -865,16 +865,17 @@ def _render_text(payload: Payload) -> str:
 
 def _write(path: str, text: Optional[str] = None) -> None:
     """Write text to the --output path; without text, only check that it opens
-    for writing, truncating no existing file and leaving no new one behind."""
+    for writing, truncating no existing file and leaving no new one behind,
+    and opening no FIFO or device, whose reader would take that close for EOF."""
     try:
         if text is not None:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
-        elif os.path.exists(path):
-            os.close(os.open(path, os.O_WRONLY))
-        else:
+        elif not os.path.exists(path):
             os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
             os.remove(path)
+        elif os.path.isfile(path) or os.path.isdir(path):  # a directory fails here
+            os.close(os.open(path, os.O_WRONLY))
     except OSError as exc:
         raise PreconditionError(f"cannot write report to {path}: {exc.strerror or exc}")
 

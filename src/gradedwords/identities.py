@@ -6,6 +6,15 @@ true identity the two values agree at every admissible point.  Equality as
 polynomials follows from equality on a large enough product grid: if both
 sides have degree at most D in each free variable, agreement at D + 1
 distinct values per variable forces the difference to vanish identically.
+Every grid takes D = |n| (|k| for absorption).  C(L, k) has degree |k| in
+each variable of a linear form L, so a convolution term C(L, k) C(L', n - k)
+has degree at most |n|: that bounds gould, jensen, the Mohanty forms,
+gmh-special, kmx, kmpink, pkroth and mh-expansion, eps included.  A weight
+x/(x - k.z) cancels the factor x - k.z of C(x - k.z, k), or is 1 at k = 0:
+that bounds the Rothe and Raney-Mohanty forms and rm2-decomposition, whose
+right side is its left term by term.  The Abel terms have degree k in x and
+n - k in y, and absorption's sides degree |k| - 1 off its pole.  A tier-1
+test checks the rule by finite differences along generic lines.
 
 The rational forms (the Abel identities, the x/(x - k.z)-weighted sums and
 absorption) divide by finitely many linear forms.  Each is declared once, as
@@ -18,9 +27,9 @@ asserts that per entry; the program does not yet check it.
 
 An identity is declared once, by the @_identity decorator on its public
 evaluator, whose body holds only the mathematics.  The decorator names the
-catalog entry, its poles and how far its degree bound exceeds |n|; the free
-variables, the multi-index slot (n, or k for absorption) and the letter
-indices i and j the entry takes are read from the evaluator's signature.
+catalog entry and its poles; the free variables, the multi-index slot (n,
+or k for absorption) and the letter indices i and j the entry takes are
+read from the evaluator's signature.
 The public function it returns checks the arguments and refuses a declared
 pole before running the body.  The catalog calls the body directly and
 positionally, in its signature order, with the free variables from a point
@@ -28,8 +37,8 @@ positionally, in its signature order, with the free variables from a point
 z, and i and j where taken) from the spec, checked once per spec, and the
 terms table below; the call is worked out once per entry, at declaration.
 verify_identity_on_grid builds a pole-free integer product grid sized by
-the degree bound, each default axis starting past the poles in its variable
-alone, and checks exact equality at every point.
+the degree bound, each default axis starting at 0 or past the poles in its
+variable alone, and checks exact equality at every point.
 
 Grid points are ints, and so is C(x, n) at an integer x, so the polynomial
 sides are evaluated in int arithmetic.  A rational side sums its quotients
@@ -246,7 +255,6 @@ class _Entry:
     param_name: str  # "n" or "k"
     needs: frozenset[str]  # subset of {"i", "j"}
     classical: bool  # restricted to m = 1
-    extra_degree: int  # the degree bound is |n| + extra_degree
     poles: Callable[[MultiIndex, MultiIndex], list[_Pole]]
     # the pairs at a pole-free point, given as a tuple in variables order,
     # of a spec that passed _validate, reading the terms table of (n, z)
@@ -260,22 +268,20 @@ def _identity(
     name: str,
     *,
     poles: Callable[[MultiIndex, MultiIndex], list[_Pole]] = _no_poles,
-    extra_degree: int = 0,
     classical: bool = False,
 ) -> Callable[[_Evaluator], _Evaluator]:
     """Enter the decorated evaluator in CATALOG as `name`; return it checked.
 
-    Each side has degree at most |n| + extra_degree in each free variable.
-    The free variables are the parameters other than the multi-index slot
-    (n, or k for absorption), z, i, j and table; the entry takes whichever
-    of i and j the evaluator names.  A classical (m = 1) evaluator takes n
-    and z as scalars.  The returned function, whose signature is the
-    body's without table, checks that the variables (and a classical z) are
-    exact rationals, checks n or k, z, i and j, refuses a declared pole,
-    and only then runs the body, handing a body that takes table the terms
-    table of (n, z) with rows that store nothing; it returns both sides as
-    Fractions.  The entry's evaluate calls the body unchecked, through
-    _positional.
+    Each side has degree at most |n| in each free variable.  The free
+    variables are the parameters other than the multi-index slot (n, or k
+    for absorption), z, i, j and table; the entry takes whichever of i and j
+    the evaluator names.  A classical (m = 1) evaluator takes n and z as
+    scalars.  The returned function, whose signature is the body's without
+    table, checks that the variables (and a classical z) are exact
+    rationals, checks n or k, z, i and j, refuses a declared pole, and only
+    then runs the body, handing a body that takes table the terms table of
+    (n, z) with rows that store nothing; it returns both sides as Fractions.
+    The entry's evaluate calls the body unchecked, through _positional.
     """
 
     def declare(body: _Evaluator) -> _Evaluator:
@@ -307,9 +313,7 @@ def _identity(
 
         checked.__signature__ = public
         evaluate = _positional(name, body, variables, classical)
-        CATALOG[name] = _Entry(
-            name, variables, slot, needs, classical, extra_degree, poles, evaluate
-        )
+        CATALOG[name] = _Entry(name, variables, slot, needs, classical, poles, evaluate)
         return checked
 
     return declare
@@ -422,7 +426,7 @@ def _filled(table: _Table) -> _Table:
 # ---------------------------------------------------------------------------
 
 
-@_identity("abel-1", poles=_poles_abel_1, extra_degree=1, classical=True)
+@_identity("abel-1", poles=_poles_abel_1, classical=True)
 def eval_abel_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k C(n,k) x(x-kz)^(k-1) (y+kz)^(n-k)  vs  (x+y)^n."""
     lhs = 0
@@ -432,7 +436,7 @@ def eval_abel_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
     return lhs, (x + y) ** n
 
 
-@_identity("abel-2", poles=_poles_abel_2, extra_degree=1, classical=True)
+@_identity("abel-2", poles=_poles_abel_2, classical=True)
 def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
     """sum_k C(n,k) x(y+nz)(x-kz)^(k-1)(y+kz)^(n-k-1)  vs  (x+y+nz)(x+y)^(n-1).
 
@@ -611,7 +615,7 @@ def eval_pkroth(
     return lhs, table.cn[p + q]
 
 
-@_identity("absorption", poles=_poles_absorption, extra_degree=1)
+@_identity("absorption", poles=_poles_absorption)
 def check_absorption(
     p: Scalar, k: MultiIndex, z: MultiIndex, i: int, table: _Table
 ) -> tuple[Fraction, Fraction]:
@@ -760,30 +764,25 @@ def _counterexample(
     return None
 
 
-def _start(var: str, nz: int) -> int:
-    """The first value of var's default axis, before its poles raise it."""
-    return {"x": nz + 1, "y": nz + 1, "eps": 0, "p": nz, "q": 1}[var]
-
-
 def _select_axes(
     spec: IdentitySpec, entry: _Entry
 ) -> tuple[dict[str, list[int]], dict[str, list[int]], int]:
-    """Choose degree + 1 pole-free integer values per variable; return the
-    axes, the values skipped on each, and the degree bound |n| + extra_degree.
+    """Choose |n| + 1 pole-free integer values per variable; return the
+    axes, the values skipped on each, and the degree bound |n|.
 
     Variables are fixed left to right.  A pole whose variables are all
     fixed once the current one is blocks the values c - (sum of the others)
     for every combination of already-chosen values, so the final product
-    grid avoids every pole.  A default axis starts past every pole in its
-    variable alone, so none of those is ever skipped.
+    grid avoids every pole.  A default axis starts at 0, raised past every
+    pole in its variable alone, so none of those is ever skipped.
     """
-    degree = norm(spec.n) + entry.extra_degree
+    degree = norm(spec.n)
     need = degree + 1
     poles = entry.poles(spec.n, spec.z)
     axes: dict[str, list[int]] = {}
     skipped: dict[str, list[int]] = {}
     for var in entry.variables:
-        lo = _start(var, dot(spec.n, spec.z))
+        lo = 0
         blocked: set[Scalar] = set()
         for pole in poles:
             if var in pole.vars and set(pole.vars) <= axes.keys() | {var}:
@@ -821,21 +820,20 @@ def verify_identity_on_grid(spec: IdentitySpec) -> EvalReport:
     bound; exact equality everywhere certifies the identity."""
     entry = _lookup(spec.identity)
     spec = _validate(spec, entry)
-    axes, skipped, degree = _select_axes(spec, entry)
-    total_points = math.prod(len(axes[v]) for v in entry.variables)
+    axes, skipped, degree = _select_axes(spec, entry)  # axes in variables order
     report = EvalReport(
         check=spec.identity,
         params=_params_dict(spec, entry),
         grid={
-            "axes": {v: axes[v] for v in entry.variables},
-            "degree_bounds": {v: degree for v in entry.variables},
+            "axes": axes,
+            "degree_bounds": dict.fromkeys(entry.variables, degree),
             "skipped": skipped,
-            "points": total_points,
+            "points": math.prod(map(len, axes.values())),
         },
     )
     variables, evaluate = entry.variables, entry.evaluate
     table = _filled(_fresh_table(spec.n, spec.z))
-    for values in itertools.product(*(axes[v] for v in variables)):
+    for values in itertools.product(*axes.values()):
         pairs = evaluate(values, spec, table)
         for left, right in pairs:
             if left != right:  # only a mismatch builds the point dict

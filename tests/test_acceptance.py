@@ -33,7 +33,7 @@ from gradedwords import (
     verify_raney_decomposition,
 )
 from gradedwords.cli import default_manifest, run_suite
-from gradedwords.identities import CATALOG, _select_axes, _validate
+from gradedwords.identities import CATALOG, _fresh_table, _select_axes, _validate
 
 MAX_WEIGHT = 14
 MAX_NORM = 4
@@ -317,20 +317,67 @@ def test_every_side_at_an_integer_point_is_an_int(monkeypatch):
     assert set(seen) == set(CATALOG) and sum(seen.values()) > 10_000
 
 
+def _coherence_sweep():
+    """Every coherence spec criterion 7 certifies."""
+    for name in _COHERENCE:
+        for z in ((0,), (1,), (3,)):
+            for n in _multi_indices(1):
+                yield IdentitySpec(identity=name, n=n, z=z)
+
+
 def test_criterion_7_classical_coherence(capfd):
     verified = 0
     with criterion(
         "criterion 7 (multi-index evaluators match classical forms at m = 1)", capfd
     ) as info:
-        for name in _COHERENCE:
-            for z in ((0,), (1,), (3,)):
-                for n in _multi_indices(1):
-                    report = verify_identity_on_grid(
-                        IdentitySpec(identity=name, n=n, z=z)
-                    )
-                    assert report.ok, (name, n, z, report.counterexample)
-                    verified += 1
+        for spec in _coherence_sweep():
+            report = verify_identity_on_grid(spec)
+            assert report.ok, (spec.identity, spec.n, spec.z, report.counterexample)
+            verified += 1
         info["detail"] = f"{verified} shared grids"
+
+
+# the free variables along which some side of the entry has degree exactly
+# the grid's bound |n| >= 1 for some spec of criterion 6's or 7's sweep; the
+# sides of kmpink and absorption stop at |n| - 1, and gould's and
+# gould-mohanty's sides have lower degree in eps (the left side has none)
+REACH_THE_BOUND = {
+    name: () if name in ("kmpink", "absorption") else tuple(
+        v for v in entry.variables if v != "eps"
+    )
+    for name, entry in CATALOG.items()
+}
+
+
+def test_every_side_has_degree_at_most_the_grid_bound_along_generic_lines():
+    # a grid of D + 1 values per variable certifies an identity only if each
+    # side has degree at most D in each free variable.  Along an axis-parallel
+    # line through a generic integer point, far from every pole, a side of
+    # degree at most D has a zero (D + 1)-th forward difference; its D-th
+    # difference is nonzero where it has degree exactly D.  D is the bound
+    # _select_axes sizes the grid by
+    over, reached = {}, collections.defaultdict(set)  # over: the first spec past D
+    for spec in itertools.chain(_catalog_sweep(), _coherence_sweep()):
+        entry = CATALOG[spec.identity]
+        spec = _validate(spec, entry)
+        _, _, degree = _select_axes(spec, entry)
+        table = _fresh_table(spec.n, spec.z)
+        base = [1009 + 101 * j for j in range(len(entry.variables))]
+        for axis, var in enumerate(entry.variables):
+            line = []
+            for t in range(degree + 2):
+                values = tuple(b + t * (j == axis) for j, b in enumerate(base))
+                line.append([side for pair in entry.evaluate(values, spec, table) for side in pair])
+            for diffs in zip(*line):  # one side along the line
+                for _ in range(degree):
+                    diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+                if diffs[0] != diffs[1]:
+                    over.setdefault((spec.identity, var), (degree, spec.n, spec.z, spec.i, spec.j))
+                if diffs[0] != 0 and degree > 0:
+                    reached[spec.identity].add(var)
+    assert over == {}
+    assert {name: tuple(v for v in CATALOG[name].variables if v in reached[name])
+            for name in CATALOG} == REACH_THE_BOUND
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -91,6 +92,18 @@ def test_every_keyword_of_the_readme_decorator_example_is_taken():
     examples = re.findall(r"@_identity\(([^)]*)\)", (root / "README.md").read_text())
     keywords = {key for example in examples for key in re.findall(r"(\w+)=", example)}
     assert keywords and keywords <= set(inspect.signature(identities._identity).parameters)
+
+
+def test_the_readme_grid_example_is_the_programs_grid(capsys):
+    # each `$ gradedwords verify …` example whose output shows a "grid" object
+    # shows the grid that command reports
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = re.findall(r"^\$ gradedwords (verify .*)\n(.*\"grid\":.*)$", text, re.M)
+    for command, shown in examples:
+        grid, _ = json.JSONDecoder().raw_decode(shown, shown.index('"grid":') + len('"grid":'))
+        assert gradedwords.main(command.split()) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == grid, command
+    assert examples
 
 
 def test_no_module_rebinds_a_global():

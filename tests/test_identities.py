@@ -61,30 +61,29 @@ def test_catalog_is_complete():
 
 
 # every catalog entry as its evaluator declares it: free variables, multi-index
-# slot, letter indices taken, m = 1 only, the degree bound's excess over |n|,
-# poles, and the public evaluator (None for the coherence entries, which
-# compose two)
+# slot, letter indices taken, m = 1 only, poles, and the public evaluator (None
+# for the coherence entries, which compose two)
 DECLARED = {
-    "abel-1": (("x", "y"), "n", (), True, 1, "_poles_abel_1", "eval_abel_1"),
-    "abel-2": (("x", "y"), "n", (), True, 1, "_poles_abel_2", "eval_abel_2"),
-    "rothe-1": (("x", "y"), "n", (), True, 0, "_poles_x", "eval_rothe_1"),
-    "rothe-2": (("x", "y"), "n", (), True, 0, "_poles_xy", "eval_rothe_2"),
-    "gould": (("x", "y", "eps"), "n", (), True, 0, "_no_poles", "eval_gould"),
-    "jensen": (("x", "y"), "n", (), True, 0, "_no_poles", "eval_jensen"),
-    "raney-mohanty-1": (("x", "y"), "n", (), False, 0, "_poles_x", "eval_raney_mohanty_1"),
-    "raney-mohanty-2": (("x", "y"), "n", (), False, 0, "_poles_xy", "eval_raney_mohanty_2"),
-    "mohanty-handa": (("x", "y"), "n", (), False, 0, "_no_poles", "eval_mohanty_handa"),
-    "gould-mohanty": (("x", "y", "eps"), "n", (), False, 0, "_no_poles", "eval_gould_mohanty"),
-    "gmh-special": (("p", "q"), "n", (), False, 0, "_no_poles", "eval_gmh_special"),
-    "kmx": (("p", "q"), "n", (), False, 0, "_no_poles", "eval_kmx"),
-    "kmpink": (("p", "q"), "n", ("i", "j"), False, 0, "_no_poles", "eval_kmpink"),
-    "pkroth": (("p", "q"), "n", (), False, 0, "_no_poles", "eval_pkroth"),
-    "absorption": (("p",), "k", ("i",), False, 1, "_poles_absorption", "check_absorption"),
-    "rm2-decomposition": (("x", "y"), "n", (), False, 0, "_poles_xy", "check_rm2_decomposition"),
-    "mh-expansion": (("x", "y"), "n", (), False, 0, "_no_poles", "check_mh_expansion"),
-    "gould-mohanty-vs-gould": (("x", "y", "eps"), "n", (), True, 0, "_no_poles", None),
-    "raney-mohanty-1-vs-rothe-1": (("x", "y"), "n", (), True, 0, "_poles_x", None),
-    "mohanty-handa-vs-jensen": (("x", "y"), "n", (), True, 0, "_no_poles", None),
+    "abel-1": (("x", "y"), "n", (), True, "_poles_abel_1", "eval_abel_1"),
+    "abel-2": (("x", "y"), "n", (), True, "_poles_abel_2", "eval_abel_2"),
+    "rothe-1": (("x", "y"), "n", (), True, "_poles_x", "eval_rothe_1"),
+    "rothe-2": (("x", "y"), "n", (), True, "_poles_xy", "eval_rothe_2"),
+    "gould": (("x", "y", "eps"), "n", (), True, "_no_poles", "eval_gould"),
+    "jensen": (("x", "y"), "n", (), True, "_no_poles", "eval_jensen"),
+    "raney-mohanty-1": (("x", "y"), "n", (), False, "_poles_x", "eval_raney_mohanty_1"),
+    "raney-mohanty-2": (("x", "y"), "n", (), False, "_poles_xy", "eval_raney_mohanty_2"),
+    "mohanty-handa": (("x", "y"), "n", (), False, "_no_poles", "eval_mohanty_handa"),
+    "gould-mohanty": (("x", "y", "eps"), "n", (), False, "_no_poles", "eval_gould_mohanty"),
+    "gmh-special": (("p", "q"), "n", (), False, "_no_poles", "eval_gmh_special"),
+    "kmx": (("p", "q"), "n", (), False, "_no_poles", "eval_kmx"),
+    "kmpink": (("p", "q"), "n", ("i", "j"), False, "_no_poles", "eval_kmpink"),
+    "pkroth": (("p", "q"), "n", (), False, "_no_poles", "eval_pkroth"),
+    "absorption": (("p",), "k", ("i",), False, "_poles_absorption", "check_absorption"),
+    "rm2-decomposition": (("x", "y"), "n", (), False, "_poles_xy", "check_rm2_decomposition"),
+    "mh-expansion": (("x", "y"), "n", (), False, "_no_poles", "check_mh_expansion"),
+    "gould-mohanty-vs-gould": (("x", "y", "eps"), "n", (), True, "_no_poles", None),
+    "raney-mohanty-1-vs-rothe-1": (("x", "y"), "n", (), True, "_poles_x", None),
+    "mohanty-handa-vs-jensen": (("x", "y"), "n", (), True, "_no_poles", None),
 }
 
 # signature and docstring of every public evaluator
@@ -243,13 +242,12 @@ def test_catalog_is_derived_from_the_evaluators():
     assert list(CATALOG) == list(DECLARED)
     for name, row in DECLARED.items():
         entry = CATALOG[name]
-        variables, slot, needs, classical, extra_degree, poles, evaluator = row
+        variables, slot, needs, classical, poles, evaluator = row
         assert entry.name == name
         assert entry.variables == variables, name
         assert (entry.param_name, entry.needs, entry.classical) == (
             slot, frozenset(needs), classical
         ), name
-        assert entry.extra_degree == extra_degree, name
         assert entry.poles is getattr(identities, poles), name
         if evaluator is None:
             continue
@@ -910,9 +908,10 @@ def test_abel_grid_avoids_zero_x():
 
 
 def test_a_default_axis_starts_past_a_planted_pole(monkeypatch):
-    # a default axis starts past every declared pole in its variable alone:
-    # a further pole x = n.z + 5 moves x's start from n.z + 1 to n.z + 6, so
-    # the grid skips nothing (n.z = 5 here, and |n| + 1 = 5 values per axis)
+    # a default axis starts at 0, raised past every declared pole in its
+    # variable alone: a further pole x = n.z + 5 moves x's start from n.z + 1
+    # to n.z + 6, so the grid skips nothing (n.z = 5 here, and |n| + 1 = 5
+    # values per axis); y has no pole and starts at 0
     entry = CATALOG["raney-mohanty-1"]
 
     def poles(n, z):
@@ -921,8 +920,27 @@ def test_a_default_axis_starts_past_a_planted_pole(monkeypatch):
     monkeypatch.setitem(CATALOG, entry.name, dataclasses.replace(entry, poles=poles))
     report = verify_identity_on_grid(IdentitySpec(identity=entry.name, n=(3, 1), z=(1, 2)))
     assert report.ok
-    assert report.grid["axes"] == {"x": [11, 12, 13, 14, 15], "y": [6, 7, 8, 9, 10]}
+    assert report.grid["axes"] == {"x": [11, 12, 13, 14, 15], "y": [0, 1, 2, 3, 4]}
     assert report.grid["skipped"] == {}
+
+
+def test_a_free_variable_named_t_gets_a_default_axis(monkeypatch):
+    # the grid knows no variable by name: a body in t alone, Vandermonde's
+    # sum_k C(t, k) C(t, n - k) = C(2t, n), verifies on a default grid whose
+    # one axis starts at 0
+    monkeypatch.setitem(CATALOG, "planted-t", None)  # undo removes the entry
+
+    @identities._identity("planted-t")
+    def eval_planted(t, n, z, table):
+        """sum_k C(t, k) C(t, n - k)  vs  C(2t, n)."""
+        return sum(ck[t] * cr[t] for _, ck, cr, _, _, _ in table.terms), table.cn[2 * t]
+
+    assert CATALOG["planted-t"].variables == ("t",)
+    report = verify_identity_on_grid(IdentitySpec(identity="planted-t", n=(2, 1), z=(1, 2)))
+    assert report.ok
+    assert report.grid == {
+        "axes": {"t": [0, 1, 2, 3]}, "degree_bounds": {"t": 3}, "skipped": {}, "points": 4
+    }
 
 
 def test_grid_exhaustion_is_a_config_error():
@@ -1038,10 +1056,14 @@ def test_grid_range_must_be_a_pair_of_ints():
 
 def test_every_identity_verifies_on_a_range_below_zero_across_its_poles():
     # the bodies meet negative arguments, and every rational form skips a
-    # pole inside the range
+    # pole inside the range: the range starts 3 below the lowest declared
+    # constant (0 without poles), so |n| + 1 = 4 values reach it, and runs
+    # past the highest
     for name, entry in CATALOG.items():
         n, z = ((3,), (1,)) if entry.classical else ((2, 1), (0, 1))
-        spec = dataclasses.replace(_default_spec(name, n, z), grid_range=(-3, 9))
+        cs = [pole.c for pole in entry.poles(n, z)] or [0]
+        grid_range = (min(cs) - 3, max(cs) + 9)
+        spec = dataclasses.replace(_default_spec(name, n, z), grid_range=grid_range)
         report = verify_identity_on_grid(spec)
         assert report.ok, (name, report.counterexample)
         assert all(axis[0] < 0 for axis in report.grid["axes"].values()), name
@@ -1080,10 +1102,10 @@ def test_mismatch_produces_counterexample_with_rerun_command(monkeypatch):
     # the rerun command names every variable of the identity
     assert "x=" in ce["rerun"] and "y=" in ce["rerun"]
     # only the mismatching point builds a counterexample
-    assert calls == [{"x": 3, "y": 3}]
+    assert calls == [{"x": 3, "y": 0}]
     assert ce == {
-        "point": {"x": "3", "y": "3"}, "left": "15", "right": "16", "pair": 0,
-        "rerun": "gradedwords verify rothe-1 --n 2 --z 1 --point x=3,y=3",
+        "point": {"x": "3", "y": "0"}, "left": "3", "right": "4", "pair": 0,
+        "rerun": "gradedwords verify rothe-1 --n 2 --z 1 --point x=3,y=0",
     }
 
 
@@ -1124,9 +1146,9 @@ def test_a_later_pair_at_a_later_point_is_the_counterexample(monkeypatch):
     calls = _counterexample_calls(monkeypatch)
     report = verify_identity_on_grid(IdentitySpec(identity=name, n=(2,), z=(1,)))
     assert report.verdict == "mismatch"
-    assert calls == [{"x": 4, "y": 3}]
+    assert calls == [{"x": 4, "y": 0}]
     ce = report.counterexample
-    assert (ce["point"], ce["pair"]) == ({"x": "4", "y": "3"}, 2)
+    assert (ce["point"], ce["pair"]) == ({"x": "4", "y": "0"}, 2)
     assert int(ce["left"]) == int(ce["right"]) + 1
 
 
@@ -1255,19 +1277,19 @@ def test_point_checks_and_public_evaluators_leave_no_memo(monkeypatch):
 
 
 def test_a_wrong_memo_entry_is_a_mismatch(monkeypatch):
-    # the first point of the rothe-1 grid at n = 2, z = 1 is x = y = 3, whose
-    # right side is C(x + y, 2) = C(6, 2) = 15; the grid's rows fill from the
-    # multinomial arith holds when they fill
+    # the first point of the rothe-1 grid at n = 2, z = 1 is x = 3, y = 0,
+    # whose right side is C(x + y, 2) = C(3, 2) = 3; the grid's rows fill from
+    # the multinomial arith holds when they fill
     real = arith.multinomial
 
     def wrong(x, n):
-        return 16 if (x, n) == (6, (2,)) else real(x, n)
+        return 16 if (x, n) == (3, (2,)) else real(x, n)
 
     monkeypatch.setattr(arith, "multinomial", wrong)
     sizes, refs = _spying(monkeypatch, "rothe-1")
     report = verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,)))
     assert report.verdict == "mismatch"
-    assert report.counterexample["point"] == {"x": "3", "y": "3"}
+    assert report.counterexample["point"] == {"x": "3", "y": "0"}
     assert report.counterexample["right"] == "16"
     assert _rows_are_freed(refs)
     monkeypatch.undo()
