@@ -27,25 +27,36 @@ back with its cut moved by one.
 
 The verify_* functions replay a construction over an entire class and
 report the tallies.  They take the class in the enumeration's blocks (a
-shared head and a table of tails) and do once per block what the head
-fixes: the shift's weight-p source cut, and the factorization's weight-p
-scan with its tally when the scan stops in the head.  What depends on the
-whole word, the shift and its inverse, and the factorization's join and its
-comparison with the word, is done for every word.
+shared head and a strictly increasing table of tails) and certify a block
+by ranges of its table: the words whose tails share their first few
+letters, found by bisect.  A range is checked once, on its shared prefix
+alone: the shift's r steps up and down, or the factorization's weight-p
+scan and one join.  When the check needs a letter past the prefix, the
+range splits by the next tail letter; a one-word range is the whole word,
+checked as it stands.  A failing range is checked word by word, so a
+failure names the first failing word of the class.
+
+This rests on one assumption: the kernel, the scan and the join read only
+the letters they are given, so that on any longer word they give the same
+result followed by the rest.  The tier-1 tests named
+test_the_*_reads_only_the_letters_it_is_given check it on every word of
+the acceptance criteria's classes, at every split point.
 
 The shift's certificate streams the source class: each image must be in
 the target class (length, letter counts and its prefix of weight p + r) and
 go back to its word under the downward shifts, a left inverse that makes
 the map injective; the two classes are then counted by enumeration and by
 the closed form, and equal sizes make it a bijection.  No set of words is
-kept, so memory is one word and its image, besides the enumeration's tables.
+kept, so memory is one range's prefix and its image, besides the
+enumeration's tables.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .arith import MultiIndex, dot, multinomial, naturals, unit, vec_sub, box
 from .errors import DimensionMismatchError, LemmaViolationError, PreconditionError
@@ -122,11 +133,13 @@ RaneyFactorization = Union[PrefixCase, Overshoot]
 
 def _balanced_cut(
     lw: tuple[int, ...], letters: tuple[int, ...], cut: int, excess: int
-) -> tuple[int, int]:
+) -> Optional[tuple[int, int]]:
     """Bounds (i, j) of the minimal segments x = letters[i:cut] and
     y = letters[cut:j] with ||y|| - ||x|| = excess (+1 or -1): one merge of
     the suffix weights of letters[:cut] and the prefix weights of
-    letters[cut:], which stops at the first balanced pair."""
+    letters[cut:], which stops at the first balanced pair.  None when the
+    merge runs off either end of the letters given: past their end a longer
+    word may still hold the pair; in a whole word there is none."""
     i = j = cut
     gap = 0  # ||y|| - ||x|| of the segments walked so far
     while gap != excess:
@@ -137,31 +150,42 @@ def _balanced_cut(
             i -= 1
             gap -= lw[letters[i]]
         else:
-            raise LemmaViolationError(
-                f"no balanced pair for u={letters[:cut]!r}, v={letters[cut:]!r}: this "
-                "contradicts the prefix-weight pigeonhole and would be a counterexample"
-            )
+            return None
     return i, j
+
+
+def _no_pair(letters: tuple[int, ...], cut: int) -> LemmaViolationError:
+    """The counterexample of a whole word with no balanced pair at cut."""
+    return LemmaViolationError(
+        f"no balanced pair for u={letters[:cut]!r}, v={letters[cut:]!r}: this "
+        "contradicts the prefix-weight pigeonhole and would be a counterexample"
+    )
 
 
 def _swap_balanced(
     lw: tuple[int, ...], letters: tuple[int, ...], cut: int, excess: int = 1
-) -> tuple[tuple[int, ...], int]:
+) -> Optional[tuple[tuple[int, ...], int]]:
     """Split at cut as u.v = u'.x.y.v' around the minimal pair with
     ||y|| - ||x|| = excess, and return u'.rev(y).rev(x).v' with its cut
     |u'| + |y|.  At excess +1 this is the unit shift up from the weight-p
     cut to the image's weight-(p+1) cut; at excess -1 it is the shift down
     (the mirrored search) from the weight-(p+1) cut to the weight-p cut.
+    None when _balanced_cut finds no pair in the letters given.
 
     When the letter across the cut weighs 1 (x empty and y that letter, or
     the mirror), the image is the word itself: it comes back as the same
-    tuple with the cut moved by one, the merge's own result on that input."""
+    tuple with the cut moved by one, the merge's own result on that input.
+    Only letters[i:j] are read, so on any letters that extend the ones
+    given the result is the same image extended the same way."""
     if excess == 1:
         if 0 <= cut < len(letters) and lw[letters[cut]] == 1:
             return letters, cut + 1
     elif cut > 0 and lw[letters[cut - 1]] == 1:
         return letters, cut - 1
-    i, j = _balanced_cut(lw, letters, cut, excess)
+    found = _balanced_cut(lw, letters, cut, excess)
+    if found is None:
+        return None
+    i, j = found
     image = letters[:i] + letters[cut:j][::-1] + letters[i:cut][::-1] + letters[j:]
     return image, i + j - cut
 
@@ -274,8 +298,11 @@ def find_balanced_pair(u: Word, v: Word) -> BalancedPair:
         raise PreconditionError(
             f"requires ||u|| >= n.z and ||v|| >= n.z + 1 (n.z = {nz})"
         )
-    lw = u.alphabet.weights
-    u_cut, end = _balanced_cut(lw, u.letters + v.letters, len(u), 1)
+    letters = u.letters + v.letters
+    found = _balanced_cut(u.alphabet.weights, letters, len(u), 1)
+    if found is None:
+        raise _no_pair(letters, len(u))
+    u_cut, end = found
     v_cut = end - len(u)
     return BalancedPair(
         x=u.suffix(len(u) - u_cut), y=v.prefix(v_cut), u_cut=u_cut, v_cut=v_cut
@@ -296,18 +323,21 @@ def _shift_cut(w: Word, p: int, r: int, lift: int = 0) -> int:
 def shift_down(w: Word, p: int) -> Word:
     """Inverse of shift_by(., p, 1): takes the word with a weight-(p+1) prefix
     back to the unique preimage with a weight-p prefix."""
-    cut = _shift_cut(w, p, 1, 1)
-    image, _ = _swap_balanced(w.alphabet.weights, w.letters, cut, -1)
+    image, _ = _shift_letters(w.alphabet.weights, w.letters, _shift_cut(w, p, 1, 1), 1, -1)
     return _trusted_word(w.alphabet, image)
 
 
 def _shift_letters(
     lw: tuple[int, ...], letters: tuple[int, ...], cut: int, r: int, excess: int = 1
 ) -> tuple[tuple[int, ...], int]:
-    """r unit shifts from the cut, up (excess +1) or down (-1), each carrying
-    the cut to the next: the last image and its cut."""
+    """r unit shifts of a whole word from the cut, up (excess +1) or down
+    (-1), each carrying the cut to the next: the last image and its cut.  A
+    step with no balanced pair is a counterexample."""
     for _ in range(r):
-        letters, cut = _swap_balanced(lw, letters, cut, excess)
+        swapped = _swap_balanced(lw, letters, cut, excess)
+        if swapped is None:
+            raise _no_pair(letters, cut)
+        letters, cut = swapped
     return letters, cut
 
 
@@ -368,6 +398,54 @@ def raney_unfactorize(f: RaneyFactorization, p: int) -> Word:
 # ---------------------------------------------------------------------------
 
 
+# A check certifies words that share a prefix: check(letters, rest, words)
+# covers the `words` words letters + s, for s of the letters of rest and its
+# length (rest is one of them).  It gives True when they pass, None when it
+# needs letters past `letters`, and otherwise the counterexample context of a
+# failure.  With words = 1, letters is a whole word and rest is empty; the
+# check is then the per-word check, and never gives None.
+_Check = Callable[[tuple[int, ...], tuple[int, ...], int], object]
+
+
+def _certify(
+    check: _Check, head: tuple[int, ...], table: list[tuple[int, ...]]
+) -> Optional[dict]:
+    """Certify the words head + t for t in table, a range of the table at a
+    time, in lexicographic order: None when all pass, else the
+    counterexample context of the first failing word.
+
+    A range is table[lo:hi] with its tails sharing t[:depth], the first one
+    the whole table at depth 0.  A one-word range is checked whole.  A longer
+    one is checked on head + t[:depth] alone, which covers all its words when
+    the check reads only the letters it is given.  If the check needs more
+    letters, the range splits by the next tail letter, each part found by
+    bisect: the table is strictly increasing (words._table checks it) and
+    its tails have one length.  If the check fails, the range's words are
+    checked one by one, so the failure named is that of the first failing
+    word."""
+    ranges = [(0, len(table), 0)] if table else []  # a stack, the next range on top
+    while ranges:
+        lo, hi, depth = ranges.pop()
+        t = table[lo]
+        if hi - lo == 1:
+            outcome = check(head + t, (), 1)
+            if outcome is not True:
+                return outcome
+            continue
+        outcome = check(head + t[:depth], t[depth:], hi - lo)
+        if outcome is None:  # split by the next letter, the first part on top
+            parts = []
+            while lo < hi:
+                t = table[lo]
+                mid = bisect_left(table, t[:depth] + (t[depth] + 1,), lo, hi)
+                parts.append((lo, mid, depth + 1))
+                lo = mid
+            ranges += reversed(parts)
+        elif outcome is not True:  # word by word, the first word on top
+            ranges += [(k, k + 1, depth) for k in range(hi - 1, lo - 1, -1)]
+    return None
+
+
 def verify_shift_bijection(
     p: int, q: int, n: MultiIndex, alphabet: GradedAlphabet, r: int = 1
 ) -> EvalReport:
@@ -384,13 +462,21 @@ def verify_shift_bijection(
       letter counts of w, 0 <= c' <= |w'| and ||w'[:c']|| = p + r.
     * Left inverse: the r downward shifts from (w', c') give w back.
 
+    The words come in ranges of a block's table (see _certify), all sharing
+    a prefix that holds c.  The 2r shifts run on that prefix alone, and when
+    none runs past it, each word's image is the prefix's image followed by
+    the word's rest: membership is checked on the image and the rest of
+    the range's first word, with c' inside the image, and the shifts down
+    must give the prefix back.  The kernel is taken to read only the letters
+    it is given (a tier-1 test checks this on every word of the criterion
+    classes).
+
     Prefix weights increase strictly, so c' is fixed by w', and the left
     inverse (a function of w' alone) makes the map injective.  The source
     and target classes are then counted by enumeration, and equal finite
     sizes, each also checked against the closed form count_prefix_class,
-    make the injective map a bijection.  Memory is one word and its
-    image at a time, besides the leftover-letter tables the enumeration
-    shares; the kernel is taken to be a function of its arguments.
+    make the injective map a bijection.  Memory is one range and its image
+    at a time, besides the leftover-letter tables the enumeration shares.
     """
     n = naturals(n, "n")
     _check_dimension(n, alphabet)
@@ -405,46 +491,61 @@ def verify_shift_bijection(
     target_weight = p + r
     params = {"p": p, "q": q, "n": list(n), "z": list(z), "r": r}
     report = EvalReport(check="shift-bijection", params=params)
+    render = functools.partial(_render, alphabet)
+    source_cut = 0  # the weight-p cut of the block being certified
+
+    # The r-loops below inline _shift_letters, which raises where a range
+    # needs more letters: a call per word measured slower in 15 of 15
+    # interleaved runs of one class (5.6 -> 6.0 ms, CPython 3.11.7, 2 vCPUs).
+    def check(letters: tuple[int, ...], rest: tuple[int, ...], words: int) -> object:
+        image, cut = letters, source_cut
+        for _ in range(r):
+            swapped = _swap_balanced(lw, image, cut)
+            if swapped is None:
+                if words > 1:
+                    return None
+                raise _no_pair(image, cut)
+            image, cut = swapped
+        if image is letters:
+            member = (
+                source_cut <= cut <= len(letters)
+                and sum(map(lw.__getitem__, letters[source_cut:cut])) == r
+            )
+        else:
+            word = image + rest
+            member = (
+                len(word) == length
+                and tuple(map(word.count, codes)) == counts
+                and 0 <= cut <= len(image)
+                and sum(map(lw.__getitem__, image[:cut])) == target_weight
+            )
+        if not member:
+            return {
+                "reason": "image escapes the target class",
+                "word": render(letters), "image": render(image),
+            }
+        back = image
+        for _ in range(r):
+            swapped = _swap_balanced(lw, back, cut, -1)
+            if swapped is None:
+                if words > 1:
+                    return None
+                raise _no_pair(back, cut)
+            back, cut = swapped
+        if back != letters:
+            return {
+                "reason": "inverse does not round-trip",
+                "word": render(letters), "image": render(image), "back": render(back),
+            }
+        return True
 
     tables: dict = {}  # the leftover-letter tables both classes share
     source_size = 0
-    # The r-loops below inline _shift_letters: at r = 1 the extra call per
-    # word measured slower in 15 of 15 interleaved runs of one class
-    # (5.6 -> 6.0 ms, CPython 3.11.7, 2 vCPUs).
     for source_cut, head, table in _class_blocks(alphabet, total_weight, n, p, tables):
-        for letters in map(head.__add__, table):
-            image, cut = letters, source_cut  # the block's weight-p cut
-            for _ in range(r):
-                image, cut = _swap_balanced(lw, image, cut)
-            if image is letters:
-                member = (
-                    source_cut <= cut <= length
-                    and sum(map(lw.__getitem__, letters[source_cut:cut])) == r
-                )
-            else:
-                member = (
-                    len(image) == length
-                    and tuple(map(image.count, codes)) == counts
-                    and 0 <= cut <= length
-                    and sum(map(lw.__getitem__, image[:cut])) == target_weight
-                )
-            if not member:
-                return _fail(
-                    report, "image escapes the target class",
-                    word=_render(alphabet, letters),
-                    image=_render(alphabet, image),
-                )
-            back = image
-            for _ in range(r):
-                back, cut = _swap_balanced(lw, back, cut, -1)
-            if back != letters:
-                return _fail(
-                    report, "inverse does not round-trip",
-                    word=_render(alphabet, letters),
-                    image=_render(alphabet, image),
-                    back=_render(alphabet, back),
-                )
-            source_size += 1
+        failure = _certify(check, head, table)
+        if failure is not None:
+            return _fail(report, **failure)
+        source_size += len(table)
     target_size = _class_size(alphabet, total_weight, n, target_weight, tables)
     if source_size != target_size:
         return _fail(report, "class sizes differ", source_size=source_size, target_size=target_size)
@@ -470,16 +571,15 @@ def verify_raney_decomposition(
     the case tallies against the closed-form and enumerated counts of each
     piece, with every factorization round-tripped.
 
-    The class comes in enumeration blocks, each a shared head and a table
-    of tails.  The weight-p scan runs once per block, over its head: when
-    it stops there, it reads no tail letter, so every word of the block has
-    the same cut, case and overshoot cell, and the block is tallied at once.
-    Per word, the pieces are still joined by _raney_join and the result
-    compared with the word.  A block whose scan runs off its head is
-    tallied, joined and compared word by word, the scan going on in each
-    tail from the head's weight; so is a block with a failing word, so a
-    failure names the first failing word of the class.  The join is taken
-    to be a function of its arguments."""
+    The words come in ranges of a block's table (see _certify), all sharing
+    a prefix.  The weight-p scan runs on that prefix alone: when it stops
+    there, every word of the range has the same cut, case and overshoot
+    cell, and one _raney_join of the prefix's pieces, compared with the
+    prefix, checks them all (the join reads the rest only to append it).
+    The range is then tallied at once.  The scan and the join are taken to
+    read only the letters they are given (a tier-1 test checks both on
+    every word of the criterion classes); a failure names the first
+    failing word of the class."""
     n = naturals(n, "n")
     _check_dimension(n, alphabet)
     nz = dot(n, alphabet.z)
@@ -490,60 +590,41 @@ def verify_raney_decomposition(
     total_weight = p + q + nz
     params = {"p": p, "q": q, "n": list(n), "z": list(z)}
     report = EvalReport(check="raney-decomposition", params=params)
+    render = functools.partial(_render, alphabet)
 
     prefix_tally = 0
     overshoot_tally: dict[tuple[int, int, MultiIndex], int] = {}
     total = 0
     codes = range(1, m + 1)
+
+    def check(letters: tuple[int, ...], rest: tuple[int, ...], words: int) -> object:
+        nonlocal prefix_tally, total
+        cut, achieved = _cut(lw, letters, p)
+        if achieved < p and words > 1:
+            return None  # the scan runs past the prefix
+        if achieved == p:
+            i, j, u = 0, 0, letters[:cut]
+        else:
+            i, j, u = letters[cut - 1], achieved - p, letters[: cut - 1]
+        try:
+            reassembled = _raney_join(lw, p, i, j, u, letters[cut:])
+        except PreconditionError as exc:
+            return {"reason": str(exc), "word": render(letters)}
+        if reassembled != letters:
+            return {"reason": "factorization does not reassemble", "word": render(letters)}
+        total += words
+        if achieved == p:
+            prefix_tally += words
+        else:
+            key = (i, j, tuple(map(letters[:cut].count, codes)))
+            overshoot_tally[key] = overshoot_tally.get(key, 0) + words
+        return True
+
     tables: dict = {}  # the leftover-letter tables every class below shares
     for _, head, table in _class_blocks(alphabet, total_weight, n, tables=tables):
-        head_cut, head_weight = _cut(lw, head, p)
-        if head_weight >= p:  # the scan stopped in the head: one cut for the block
-            cut, achieved = head_cut, head_weight
-            if achieved == p:
-                i, j, u = 0, 0, head[:cut]
-            else:
-                i, j, u = head[cut - 1], achieved - p, head[: cut - 1]
-            join = functools.partial(_raney_join, lw, p, i, j, u)
-            rest = head[cut:]
-            try:
-                reassembled = list(map(join, map(rest.__add__, table)))
-            except PreconditionError:
-                reassembled = None
-            if reassembled == list(map(head.__add__, table)):
-                total += len(table)
-                if achieved == p:
-                    prefix_tally += len(table)
-                else:
-                    key = (i, j, tuple(map(head[:cut].count, codes)))
-                    overshoot_tally[key] = overshoot_tally.get(key, 0) + len(table)
-                continue
-        # word by word: a block whose scan runs off its head, where it goes on
-        # in each tail from the head's weight, or that has a failing word,
-        # which this names
-        for tail in table:
-            letters = head + tail
-            total += 1
-            if head_weight < p:
-                tail_cut, tail_weight = _cut(lw, tail, p - head_weight)
-                cut, achieved = head_cut + tail_cut, head_weight + tail_weight
-            else:
-                cut, achieved = head_cut, head_weight
-            if achieved == p:
-                prefix_tally += 1
-                i, j, u = 0, 0, letters[:cut]
-            else:
-                i, j, u = letters[cut - 1], achieved - p, letters[: cut - 1]
-                key = (i, j, tuple(map(letters[:cut].count, codes)))
-                overshoot_tally[key] = overshoot_tally.get(key, 0) + 1
-            try:
-                reassembled = _raney_join(lw, p, i, j, u, letters[cut:])
-            except PreconditionError as exc:
-                return _fail(report, str(exc), word=_render(alphabet, letters))
-            if reassembled != letters:
-                return _fail(
-                    report, "factorization does not reassemble", word=_render(alphabet, letters)
-                )
+        failure = _certify(check, head, table)
+        if failure is not None:
+            return _fail(report, **failure)
 
     # the weight-p prefix subclass, both routes
     prefix_enumerated = _class_size(alphabet, total_weight, n, p, tables)

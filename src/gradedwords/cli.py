@@ -882,10 +882,18 @@ def _write(path: str, text: Optional[str] = None) -> None:
 
 def _emit(payload: Payload, args: argparse.Namespace) -> None:
     text = _render_json(payload) if args.format == "json" else _render_text(payload)
-    if args.output is None:
-        print(text)
-    else:
+    if args.output is not None:
         _write(args.output, text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader has gone (`gradedwords suite | head`): the verdict stands.
+        # What is still buffered goes to devnull, so that the flush at exit
+        # raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 @functools.cache

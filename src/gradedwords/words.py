@@ -26,8 +26,9 @@ head + t for t in its table, and cut is the length of the word's weight-r
 prefix.  A depth-first search over heads first places the weight-r prefix,
 then keeps placing letters until the letters left over have one arrangement
 (below weight r, a run of one letter placed whole) or at most _TABLE_CAP.
-Those arrangements are the table, listed once by Algorithm L and memoized
-by their letter counts, so a table can serve every head, and every class of
+Those arrangements are the table, listed once by Algorithm L (and checked
+to increase strictly, as bisecting a table needs) and memoized by their
+letter counts, so a table can serve every head, and every class of
 one verification, that leaves the same letters.
 The heads come in lexicographic order and none is a prefix of another, so
 the blocks concatenated are the class in lexicographic order; consumers
@@ -39,6 +40,7 @@ word at all.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterator, Optional
@@ -348,11 +350,20 @@ def _class_blocks(
 
 
 def _table(tables: dict[tuple[int, ...], _Table], counts: list[int]) -> _Table:
-    """The Algorithm L table of counts, from the memo tables or put there."""
+    """The Algorithm L table of counts, from the memo tables or put there.
+    A table is checked to increase strictly when it is listed: the
+    certificates split tables by bisect, which is sound only on sorted ones."""
     key = tuple(counts)
     table = tables.get(key)
     if table is None:
-        table = tables[key] = list(_arrangements(counts))
+        table = list(_arrangements(counts))
+        if not all(map(operator.lt, table, table[1:])):
+            k = next(k for k in range(1, len(table)) if not table[k - 1] < table[k])
+            raise RuntimeError(
+                f"the table of leftover counts {key} does not increase at entry {k}: "
+                f"{table[k - 1]} then {table[k]}"
+            )
+        tables[key] = table
     return table
 
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import ast
 import collections
+import functools
 import inspect
 import itertools
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -37,7 +39,7 @@ from gradedwords import (
 )
 from gradedwords import bijections, main, words
 from gradedwords.bijections import _balanced_cut, _raney_join, _swap_balanced
-from gradedwords.cli import EXIT_COUNTEREXAMPLE
+from gradedwords.cli import EXIT_COUNTEREXAMPLE, EXIT_INTERNAL
 
 A1 = GradedAlphabet(z=(1,))
 A2 = GradedAlphabet(z=(1, 2))
@@ -215,6 +217,8 @@ def test_shift_kernel_returns_the_image_cut_exhaustive():
 
 
 def test_shift_kernel_without_a_balanced_pair_is_a_lemma_violation():
+    # the kernel reports a missing pair as None, for more letters; on a whole
+    # word the shift steps raise it as a counterexample, naming u and v
     lw = (1, 3)  # z = (2): b weighs 3
     cases = [
         ((1,), 0, 1),  # u empty, v = b skips weight 1
@@ -224,28 +228,41 @@ def test_shift_kernel_without_a_balanced_pair_is_a_lemma_violation():
         ((0, 0), 0, -1),  # mirrored search, u empty
     ]
     for letters, cut, excess in cases:
-        with pytest.raises(LemmaViolationError):
-            _swap_balanced(lw, letters, cut, excess)
-    # off the preconditions the merge either finds a pair or reports the
-    # violation; it never runs off either end of the word
+        assert _swap_balanced(lw, letters, cut, excess) is None
+        named = re.escape(f"u={letters[:cut]!r}, v={letters[cut:]!r}")
+        with pytest.raises(LemmaViolationError, match=named):
+            bijections._shift_letters(lw, letters, cut, 1, excess)
+    # off the preconditions the merge either finds a pair or reports none;
+    # it never runs off either end of the word
     for letters in itertools.product(range(2), repeat=5):
         for cut in range(6):
             for excess in (1, -1):
-                try:
-                    _swap_balanced(lw, letters, cut, excess)
-                except LemmaViolationError:
-                    pass
+                _swap_balanced(lw, letters, cut, excess)
+
+
+def test_a_whole_word_without_a_balanced_pair_is_a_lemma_violation(monkeypatch):
+    # the public operations keep raising where the kernel reports no pair
+    monkeypatch.setattr(bijections, "_balanced_cut", lambda *args: None)
+    with pytest.raises(LemmaViolationError, match="no balanced pair"):
+        find_balanced_pair(A1.parse_word("a"), A1.parse_word("b"))
+    with pytest.raises(LemmaViolationError, match="no balanced pair"):
+        shift_by(A1.parse_word("a b"), 1, 1)
+    with pytest.raises(LemmaViolationError, match="no balanced pair"):
+        shift_down(A1.parse_word("b a"), 1)
 
 
 def _plain_swap(lw, letters, cut, excess):
-    i, j = _balanced_cut(lw, letters, cut, excess)
+    found = _balanced_cut(lw, letters, cut, excess)
+    if found is None:
+        return None
+    i, j = found
     return letters[:i] + letters[cut:j][::-1] + letters[i:cut][::-1] + letters[j:], i + j - cut
 
 
 def test_shift_kernel_matches_the_plain_formula_exhaustive():
     # the unmoved-image shortcut returns what the formula builds, on every
     # word of small classes, at every cut (and one past either end) and in
-    # both directions, and raises where the formula raises
+    # both directions, and reports no pair (or raises) where the formula does
     for z in [(0,), (1,), (3,), (0, 2), (1, 2)]:
         alphabet = GradedAlphabet(z=z)
         lw = alphabet.weights
@@ -257,15 +274,24 @@ def test_shift_kernel_matches_the_plain_formula_exhaustive():
                         for excess in (1, -1):
                             try:
                                 expected = _plain_swap(lw, w.letters, cut, excess)
-                            except (LemmaViolationError, IndexError) as exc:
+                            except IndexError as exc:
                                 with pytest.raises(type(exc)):
                                     _swap_balanced(lw, w.letters, cut, excess)
                             else:
                                 assert _swap_balanced(lw, w.letters, cut, excess) == expected
 
 
+# Planted shift kernels.  A local one reads only the letters it is given,
+# as the range certificate assumes, and the certificate must name the same
+# first failing word as a word-by-word replay; a non-local one must fail the
+# locality test below.
+
+
 def _wrong_cut(lw, letters, cut, excess=1):
-    image, image_cut = _swap_balanced(lw, letters, cut, excess)
+    swapped = _swap_balanced(lw, letters, cut, excess)
+    if swapped is None:
+        return None
+    image, image_cut = swapped
     return image, image_cut + 1 if excess == 1 else image_cut
 
 
@@ -291,9 +317,59 @@ def _relabelled(lw, letters, cut, excess=1):
     # the true image with its last letter (past every cut of the class
     # below) relabelled, and undone on the way back: round trips hold
     if excess == 1:
-        image, image_cut = _swap_balanced(lw, letters, cut, excess)
+        swapped = _swap_balanced(lw, letters, cut, excess)
+        if swapped is None:
+            return None
+        image, image_cut = swapped
         return image[:-1] + ((image[-1] + 1) % len(lw),), image_cut
     return _swap_balanced(lw, letters[:-1] + ((letters[-1] - 1) % len(lw),), cut, excess)
+
+
+def _wrong_sign(lw, letters, cut, excess=1):
+    # the mirrored search each way
+    return _swap_balanced(lw, letters, cut, -excess)
+
+
+def _unreversed(lw, letters, cut, excess=1):
+    # the balanced pair swapped without reversing either segment
+    found = _balanced_cut(lw, letters, cut, excess)
+    if found is None:
+        return None
+    i, j = found
+    return letters[:i] + letters[cut:j] + letters[i:cut] + letters[j:], i + j - cut
+
+
+def _first_shift_failure(p, q, n, alphabet, r):
+    """The counterexample of the word-by-word certificate: every word of the
+    source class in order, shifted by the (possibly planted)
+    bijections._swap_balanced, with the membership and round-trip checks of
+    verify_shift_bijection's docstring; None if every word passes."""
+    lw = alphabet.weights
+    nz = dot(n, alphabet.z)
+    length = p + q
+    counts = (length - sum(n), *n)
+    render = functools.partial(bijections._render, alphabet)
+    for source_cut, head, table in words._class_blocks(alphabet, p + q + nz, n, p):
+        for letters in (head + t for t in table):
+            image, cut = bijections._shift_letters(lw, letters, source_cut, r)
+            if image is letters:
+                member = source_cut <= cut <= length and sum(
+                    lw[c] for c in letters[source_cut:cut]) == r
+            else:
+                member = (
+                    len(image) == length
+                    and tuple(map(image.count, range(len(lw)))) == counts
+                    and 0 <= cut <= length
+                    and sum(lw[c] for c in image[:cut]) == p + r
+                )
+            if not member:
+                return {"reason": "image escapes the target class",
+                        "word": render(letters), "image": render(image)}
+            back, _ = bijections._shift_letters(lw, image, cut, r, -1)
+            if back != letters:
+                return {"reason": "inverse does not round-trip", "word": render(letters),
+                        "image": render(image), "back": render(back)}
+    return None
 
 
 @pytest.mark.parametrize("kernel, reason", [
@@ -314,6 +390,18 @@ def test_a_faulty_shift_kernel_is_a_counterexample(monkeypatch, capsys, kernel, 
     code = main(["bijection", "shift", "--z", "1", "--p", "2", "--q", "2", "--n", "2"])
     out = json.loads(capsys.readouterr().out)
     assert code == EXIT_COUNTEREXAMPLE and out["counterexample"]["reason"] == reason
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("kernel", [_wrong_cut, _unmoved, _wrong_sign, _unreversed],
+                         ids=lambda k: k.__name__)
+def test_a_local_kernel_fault_names_the_first_failing_word(monkeypatch, kernel, r):
+    # certified by ranges or word by word, a class names the same word
+    monkeypatch.setattr(bijections, "_swap_balanced", kernel)
+    expected = _first_shift_failure(4, 5, (2, 1), A2, r)
+    assert expected is not None
+    report = verify_shift_bijection(4, 5, (2, 1), A2, r)
+    assert report.verdict == "fail" and report.counterexample == expected
 
 
 def test_a_target_class_of_another_size_is_a_counterexample(monkeypatch):
@@ -576,6 +664,50 @@ def _target(split_in_head):
     return head + table[len(table) // 2]
 
 
+def _u_of(word):
+    """The piece u (u' in the overshoot case) of word's factorization at p."""
+    cut, achieved = words._cut(A2.weights, word, _RANEY_CLASS[0])
+    return word[:cut] if achieved == _RANEY_CLASS[0] else word[: cut - 1]
+
+
+# Planted joins.  The local ones misbehave on every word whose piece u is
+# the target's; they read only their pieces, so the range certificate must
+# name the same first failing word as the word-by-word walk.  The non-local
+# ones compare the whole joined word with the target: they must fail the
+# locality test below.
+
+
+def _u_dropping_join(target):
+    u_target = _u_of(target)
+
+    def join(lw, p, i, j, u, v):
+        word = _raney_join(lw, p, i, j, u, v)
+        return word[1:] if u == u_target else word
+
+    return join
+
+
+def _u_relabelling_join(target):
+    u_target = _u_of(target)
+
+    def join(lw, p, i, j, u, v):
+        word = _raney_join(lw, p, i, j, u, v)
+        return ((word[0] + 1) % len(lw),) + word[1:] if u == u_target else word
+
+    return join
+
+
+def _u_refusing_join(target):
+    u_target = _u_of(target)
+
+    def join(lw, p, i, j, u, v):
+        if u == u_target:
+            raise PreconditionError("planted refusal")
+        return _raney_join(lw, p, i, j, u, v)
+
+    return join
+
+
 def _dropping_join(target):
     def join(lw, p, i, j, u, v):
         word = _raney_join(lw, p, i, j, u, v)
@@ -606,19 +738,22 @@ def _refusing_join(target):
 
 @pytest.mark.parametrize("split_in_head", [True, False], ids=["head-block", "table-block"])
 @pytest.mark.parametrize("join, reason", [
-    (_dropping_join, "factorization does not reassemble"),
-    (_relabelling_join, "factorization does not reassemble"),
-    (_refusing_join, "planted refusal"),
+    (_u_dropping_join, "factorization does not reassemble"),
+    (_u_relabelling_join, "factorization does not reassemble"),
+    (_u_refusing_join, "planted refusal"),
 ])
 def test_a_faulty_raney_join_names_the_first_failing_word(
     monkeypatch, capsys, join, reason, split_in_head
 ):
-    # the fault fires from a word inside a block on: per block or per word,
-    # the certificate must name that word, as the word-by-word walk does
+    # the fault fires from the first word that shares the target's piece u:
+    # by ranges or per word, the certificate must name that word, as the
+    # word-by-word walk does
     target = _target(split_in_head)
     monkeypatch.setattr(bijections, "_raney_join", join(target))
-    expected = {"reason": reason, "word": str(Word(A2, target))}
-    assert _first_raney_failure() == expected
+    expected = _first_raney_failure()
+    assert expected is not None and expected["reason"] == reason
+    u = _u_of(target)
+    assert A2.parse_word(expected["word"]).letters[: len(u)] == u
     report = verify_raney_decomposition(*_RANEY_CLASS, A2)
     assert report.verdict == "fail" and report.counterexample == expected
     code = main(_RANEY_ARGV)
@@ -636,8 +771,14 @@ def _strict_cut(lw, letters, target):
     return len(letters), acc
 
 
+def _short_cut(lw, letters, target):
+    # the scan for target - 1: local, and wrong on every word with a prefix
+    # of that weight
+    return words._cut(lw, letters, target - 1)
+
+
 def test_a_faulty_weight_p_scan_names_the_first_failing_word(monkeypatch, capsys):
-    monkeypatch.setattr(bijections, "_cut", _strict_cut)
+    monkeypatch.setattr(bijections, "_cut", _short_cut)
     expected = _first_raney_failure()
     assert expected is not None
     report = verify_raney_decomposition(*_RANEY_CLASS, A2)
@@ -677,30 +818,185 @@ def test_block_tallies_are_the_word_by_word_tallies(p, q, n):
     }
 
 
-def _count_calls(monkeypatch, name):
-    """Wrap bijections.<name>; the list returned grows by one entry per call."""
-    calls = []
-    kernel = getattr(bijections, name)
-
-    def counted(*args):
-        calls.append(None)
-        return kernel(*args)
-
-    monkeypatch.setattr(bijections, name, counted)
-    return calls
+# ---------------------------------------------------------------------------
+# certificates by ranges: what they cover, and the locality they assume
+# ---------------------------------------------------------------------------
 
 
-def test_every_word_of_a_class_is_joined_and_shifted(monkeypatch):
-    # the per-block work (scans, cuts and tallies) may move; the per-word
-    # checks may not: every word is joined, and shifted r times each way
-    joins = _count_calls(monkeypatch, "_raney_join")
-    report = verify_raney_decomposition(*_RANEY_CLASS, A2)
-    assert report.ok and len(joins) == report.details["total"] == 252
-    swaps = _count_calls(monkeypatch, "_swap_balanced")
-    for r in (1, 2, 3):
-        swaps.clear()
-        report = verify_shift_bijection(4, 5, (2, 1), A2, r)
-        assert report.ok and len(swaps) == 2 * r * report.details["class_size"], r
+@functools.cache
+def _criterion_classes():
+    """Every class of criteria 3-5, as (alphabet, n, n.z, total weight,
+    words in lexicographic order): z in {1, 2, 3}^m for m <= 2, |n| <= 4,
+    and total weights 2 n.z + 1 .. 14."""
+    classes = []
+    for m in (1, 2):
+        for z in itertools.product((1, 2, 3), repeat=m):
+            alphabet = GradedAlphabet(z=z)
+            for n in itertools.product(range(5), repeat=m):
+                nz = dot(n, z)
+                for total in range(2 * nz + 1, 15) if sum(n) <= 4 else ():
+                    letters = [w.letters for w in _class(alphabet, total, n)]
+                    classes.append((alphabet, n, nz, total, letters))
+    return classes
+
+
+def _certified(monkeypatch):
+    """Spy on bijections._certify: the list returned grows by (letters,
+    words) for each range or word whose check passes."""
+    certified = []
+    certify = bijections._certify
+
+    def spying(check, head, table):
+        def spy(letters, rest, words):
+            outcome = check(letters, rest, words)
+            if outcome is True:
+                certified.append((letters, words))
+            return outcome
+
+        return certify(spy, head, table)
+
+    monkeypatch.setattr(bijections, "_certify", spying)
+    return certified
+
+
+def _assert_partition(certified, class_words):
+    """The certified (prefix, words) pairs, in order, cut class_words into
+    consecutive groups: each group is every word of the class, from there
+    on, that extends the prefix, and a one-word group is its prefix."""
+    k = 0
+    for letters, count in certified:
+        group = class_words[k : k + count]
+        assert len(group) == count and all(w[: len(letters)] == letters for w in group)
+        assert count > 1 or group == [letters]
+        assert k + count == len(class_words) or class_words[k + count][: len(letters)] != letters
+        k += count
+    assert k == len(class_words)
+
+
+def test_certified_ranges_partition_every_class_of_criteria_3_to_5(monkeypatch):
+    # each word is certified once, by its range or by itself, in
+    # lexicographic order, and each range holds exactly the words that
+    # extend its prefix; both kinds occur
+    certified = _certified(monkeypatch)
+    ranges = singles = 0
+    for alphabet, n, nz, total, class_words in _criterion_classes():
+        assert class_words == sorted(set(class_words))
+        lw = alphabet.weights
+        for p in range(nz, total - nz):
+            certified.clear()
+            report = verify_raney_decomposition(p, total - nz - p, n, alphabet)
+            assert report.ok
+            _assert_partition(certified, class_words)
+            source = [w for w in class_words if words._cut(lw, w, p)[1] == p]
+            for r in sorted({1, total - nz - p}):  # criterion 3's r and 4's largest
+                certified.clear()
+                assert verify_shift_bijection(p, total - nz - p, n, alphabet, r).ok
+                _assert_partition(certified, source)
+                ranges += sum(count > 1 for _, count in certified)
+                singles += sum(count == 1 for _, count in certified)
+    assert ranges and singles
+
+
+def _outcome(call, *args):
+    """What call(*args) gives: ("returns", its value) or ("raises", the
+    exception's type and message)."""
+    try:
+        return "returns", call(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return "raises", type(exc), str(exc)
+
+
+def test_the_shift_kernel_reads_only_the_letters_it_is_given():
+    # at every cut a shift of criteria 3/4 starts from (weight p up, p + 1
+    # down) and every split point d past it, the kernel on w[:d] gives None,
+    # for more letters, or the image it gives on w, less w[d:]
+    for alphabet, _, nz, total, class_words in _criterion_classes():
+        lw = alphabet.weights
+        for w in class_words:
+            weights = itertools.accumulate(map(lw.__getitem__, w), initial=0)
+            for cut, weight in enumerate(weights):
+                for excess in (1, -1):
+                    if not nz + (excess < 0) <= weight <= total - nz - (excess > 0):
+                        continue
+                    whole = bijections._swap_balanced(lw, w, cut, excess)
+                    assert whole is not None, (w, cut, excess)
+                    for d in range(cut, len(w)):
+                        part = bijections._swap_balanced(lw, w[:d], cut, excess)
+                        if part is not None:
+                            assert (part[0] + w[d:], part[1]) == whole, (w, cut, excess, d)
+
+
+def test_the_weight_p_scan_reads_only_the_letters_it_is_given():
+    # at every weight p of criterion 5 and every split point d, the scan of
+    # w[:d] falls short of p, for more letters, or gives the scan of w
+    for alphabet, _, nz, total, class_words in _criterion_classes():
+        lw = alphabet.weights
+        for w in class_words:
+            for p in range(nz, total - nz):
+                whole = bijections._cut(lw, w, p)
+                assert whole[1] >= p, (w, p)
+                for d in range(len(w)):
+                    part = bijections._cut(lw, w[:d], p)
+                    assert part[1] < p or part == whole, (w, p, d)
+
+
+def test_the_raney_join_reads_only_the_letters_it_is_given():
+    # the pieces of every factorization of criterion 5, with v cut at every
+    # split point d past the cut: the join gives the same word less w[d:],
+    # or raises as it does on the whole of v
+    for alphabet, _, nz, total, class_words in _criterion_classes():
+        lw = alphabet.weights
+        for w in class_words:
+            for p in range(nz, total - nz):
+                cut, achieved = words._cut(lw, w, p)
+                i, j, u = (0, 0, w[:cut]) if achieved == p else (w[cut - 1], achieved - p, w[: cut - 1])
+                whole = _outcome(bijections._raney_join, lw, p, i, j, u, w[cut:])
+                assert whole == ("returns", w), (w, p)
+                for d in range(cut, len(w)):
+                    part = _outcome(bijections._raney_join, lw, p, i, j, u, w[cut:d])
+                    if part[0] == "returns":
+                        part = ("returns", part[1] + w[d:])
+                    assert part == whole, (w, p, d)
+
+
+@pytest.mark.parametrize("name, planted, locality_test", [
+    ("_swap_balanced", lambda: _relabelled, test_the_shift_kernel_reads_only_the_letters_it_is_given),
+    ("_swap_balanced", _collapsing, test_the_shift_kernel_reads_only_the_letters_it_is_given),
+    ("_raney_join", lambda: _dropping_join(_target(True)),
+     test_the_raney_join_reads_only_the_letters_it_is_given),
+    ("_raney_join", lambda: _relabelling_join(_target(False)),
+     test_the_raney_join_reads_only_the_letters_it_is_given),
+    ("_raney_join", lambda: _refusing_join(_target(True)),
+     test_the_raney_join_reads_only_the_letters_it_is_given),
+    ("_cut", lambda: _strict_cut, test_the_weight_p_scan_reads_only_the_letters_it_is_given),
+], ids=["relabelled", "collapsing", "dropping-join", "relabelling-join", "refusing-join",
+        "strict-cut"])
+def test_a_planted_nonlocal_kernel_fails_its_locality_test(monkeypatch, name, planted, locality_test):
+    # a fault the range certificate cannot see, since it reads letters the
+    # range does not share, is failed by the locality test it breaks
+    monkeypatch.setattr(bijections, name, planted())
+    with pytest.raises(AssertionError):
+        locality_test()
+
+
+def test_an_unsorted_table_fails_the_certificate_by_name(monkeypatch, capsys):
+    # ranges are cut by bisect, which needs strictly increasing tables: a
+    # table with two entries swapped is refused as a fault of the program
+    arrangements = words._arrangements
+
+    def swapped(counts):
+        table = list(arrangements(counts))
+        if len(table) > 2:
+            table[1], table[2] = table[2], table[1]
+        return iter(table)
+
+    monkeypatch.setattr(words, "_arrangements", swapped)
+    for certificate in (verify_shift_bijection, verify_raney_decomposition):
+        with pytest.raises(RuntimeError, match=r"does not increase at entry 2"):
+            certificate(*_RANEY_CLASS, A2)
+    code = main(_RANEY_ARGV)
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL and "does not increase at entry 2" in err
 
 
 # ---------------------------------------------------------------------------

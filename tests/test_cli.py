@@ -1138,6 +1138,41 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert payload["verdict"] == "equal"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["count", "--z", "1", "--p", "3", "--k", "1"], EXIT_PASS),
+    (["bijection", "shift", "--z", "1", "--p", "2", "--q", "2", "--n", "2",
+      "--word", "b a a b", "--format", "text"], EXIT_PASS),
+])
+def test_a_stdout_whose_reader_has_gone_keeps_the_verdicts_code(capsys, monkeypatch, argv, expected):
+    # a write to a pipe with no reader raises BrokenPipeError: the verdict's
+    # exit code stands, nothing goes to stderr, and the rest of the output
+    # is dropped, the flush at close included
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        code = main(argv)
+    assert code == expected and capsys.readouterr().err == ""
+
+
+def test_suite_piped_into_a_reader_that_has_gone_exits_zero():
+    # end to end, as in `gradedwords suite --jobs 1 | head -c 1500`: the
+    # reader is gone before the first write, and the exit at shutdown
+    # flushes nothing onto the closed pipe
+    src = str(Path(gradedwords.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "gradedwords", "suite", "--jobs", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_PASS, "")
+
+
 @pytest.mark.parametrize("command", [["count", "--z", "1", "--p", "3", "--k", "1"], ["suite"]])
 def test_an_unwritable_output_exits_two(tmp_path, capsys, command):
     # a missing directory, a directory, and an empty path: exit 2, not a traceback
