@@ -47,8 +47,8 @@ the target class (length, letter counts and its prefix of weight p + r) and
 go back to its word under the downward shifts, a left inverse that makes
 the map injective; the two classes are then counted by enumeration and by
 the closed form, and equal sizes make it a bijection.  No set of words is
-kept, so memory is one range's prefix and its image, besides the
-enumeration's tables.
+kept, so memory is one range's prefix and its image, besides the bounded
+memo of leftover-letter tables (words._table).
 """
 
 from __future__ import annotations
@@ -408,7 +408,7 @@ _Check = Callable[[tuple[int, ...], tuple[int, ...], int], object]
 
 
 def _certify(
-    check: _Check, head: tuple[int, ...], table: list[tuple[int, ...]]
+    check: _Check, head: tuple[int, ...], table: tuple[tuple[int, ...], ...]
 ) -> Optional[dict]:
     """Certify the words head + t for t in table, a range of the table at a
     time, in lexicographic order: None when all pass, else the
@@ -476,7 +476,7 @@ def verify_shift_bijection(
     and target classes are then counted by enumeration, and equal finite
     sizes, each also checked against the closed form count_prefix_class,
     make the injective map a bijection.  Memory is one range and its image
-    at a time, besides the leftover-letter tables the enumeration shares.
+    at a time, besides the memo of leftover-letter tables (words._table).
     """
     n = naturals(n, "n")
     _check_dimension(n, alphabet)
@@ -539,14 +539,13 @@ def verify_shift_bijection(
             }
         return True
 
-    tables: dict = {}  # the leftover-letter tables both classes share
     source_size = 0
-    for source_cut, head, table in _class_blocks(alphabet, total_weight, n, p, tables):
+    for source_cut, head, table in _class_blocks(alphabet, total_weight, n, p):
         failure = _certify(check, head, table)
         if failure is not None:
             return _fail(report, **failure)
         source_size += len(table)
-    target_size = _class_size(alphabet, total_weight, n, target_weight, tables)
+    target_size = _class_size(alphabet, total_weight, n, target_weight)
     if source_size != target_size:
         return _fail(report, "class sizes differ", source_size=source_size, target_size=target_size)
     source_formula = count_prefix_class(p, q + nz, n, alphabet)
@@ -620,14 +619,13 @@ def verify_raney_decomposition(
             overshoot_tally[key] = overshoot_tally.get(key, 0) + words
         return True
 
-    tables: dict = {}  # the leftover-letter tables every class below shares
-    for _, head, table in _class_blocks(alphabet, total_weight, n, tables=tables):
+    for _, head, table in _class_blocks(alphabet, total_weight, n):
         failure = _certify(check, head, table)
         if failure is not None:
             return _fail(report, **failure)
 
     # the weight-p prefix subclass, both routes
-    prefix_enumerated = _class_size(alphabet, total_weight, n, p, tables)
+    prefix_enumerated = _class_size(alphabet, total_weight, n, p)
     prefix_formula = count_prefix_class(p, q + nz, n, alphabet)
     if not prefix_tally == prefix_enumerated == prefix_formula:
         return _fail(
@@ -660,8 +658,8 @@ def verify_raney_decomposition(
                         formula=str(formula),
                     )
                 if tally:
-                    head_count = _class_size(alphabet, head_p, ku, tables=tables)
-                    tail_count = _class_size(alphabet, tail_p, vec_sub(n, k), tables=tables)
+                    head_count = _class_size(alphabet, head_p, ku)
+                    tail_count = _class_size(alphabet, tail_p, vec_sub(n, k))
                     if head_count * tail_count != tally:
                         return _fail(
                             report, "overshoot cell tally disagrees with enumeration",

@@ -145,11 +145,14 @@ def do_enumerate(
     _check_dimension(k, alphabet)
     names = alphabet.names
     words: list[str] = []
-    rendered: dict[int, list[str]] = {}  # id(table) -> its tails as text
+    # a table's tails as text, by its first entry: the leftover letters
+    # sorted, which fix the table (an id could be reused once the bounded
+    # memo of tables drops one)
+    rendered: dict[tuple[int, ...], list[str]] = {}
     for _, head, table in _class_blocks(alphabet, p, k, r):
-        tails = rendered.get(id(table))
+        tails = rendered.get(table[0])
         if tails is None:
-            tails = rendered[id(table)] = [" ".join(map(names.__getitem__, t)) for t in table]
+            tails = rendered[table[0]] = [" ".join(map(names.__getitem__, t)) for t in table]
         start = " ".join(map(names.__getitem__, head))
         if start and table[0]:  # a space only between a head and a tail
             start += " "

@@ -26,10 +26,10 @@ head + t for t in its table, and cut is the length of the word's weight-r
 prefix.  A depth-first search over heads first places the weight-r prefix,
 then keeps placing letters until the letters left over have one arrangement
 (below weight r, a run of one letter placed whole) or at most _TABLE_CAP.
-Those arrangements are the table, listed once by Algorithm L (and checked
-to increase strictly, as bisecting a table needs) and memoized by their
-letter counts, so a table can serve every head, and every class of
-one verification, that leaves the same letters.
+Those arrangements are the table, listed by Algorithm L (and checked to
+increase strictly, as bisecting a table needs) into a bounded memo of the
+process keyed by their letter counts, so a table serves every head, class
+and alphabet of its m that leaves the same letters.
 The heads come in lexicographic order and none is a prefix of another, so
 the blocks concatenated are the class in lexicographic order; consumers
 build a block's words with map(head.__add__, table), without a Python step
@@ -268,19 +268,26 @@ def _check_dimension(counts: MultiIndex, alphabet: GradedAlphabet) -> None:
 # the 234 classes (221 k words) of seeds 1-3 of the words-bijections
 # benchmark took, by cap (median of 9, CPython 3.11.7, 2 vCPUs): 16: 93 ms,
 # 32: 79 ms, 64: 79 ms, 128: 85 ms, 256: 103 ms, 1024: 147 ms; one generator
-# step per word, as before blocks, took 256 ms.
+# step per word, as before blocks, took 256 ms.  Re-measured with the tables
+# memoized per process (words-bijections benchmark, seed 77): caps 128 and
+# 256 gave a check_p50_ms of 0.151 and 0.129 against 0.16 at 64, but no
+# checks_per_s gain (4103 against 4156 at 64), and the memo grew 1.7- and
+# 3.2-fold.
 _TABLE_CAP = 64
 
-_Table = list[tuple[int, ...]]
+# The most tables the memo keeps.  A suite pass over a words-bijections
+# benchmark manifest (seeds 1-3, 5, 77) lists 142 to 151 distinct tables,
+# 0.28 MB by tracemalloc at seed 77; the other workloads list at most 78.
+# Repeated passes at seed 77 list 298 tables each with 64 kept, 57 with 128,
+# and none past the first pass with 160 or more.
+_TABLES_KEPT = 256
+
+_Table = tuple[tuple[int, ...], ...]
 _Block = tuple[int, tuple[int, ...], _Table]
 
 
 def _class_blocks(
-    alphabet: GradedAlphabet,
-    p: int,
-    k: MultiIndex,
-    r: Optional[int] = None,
-    tables: Optional[dict[tuple[int, ...], _Table]] = None,
+    alphabet: GradedAlphabet, p: int, k: MultiIndex, r: Optional[int] = None
 ) -> Iterator[_Block]:
     """Yield class(p, k), restricted to prefix weight r if given, as blocks
     (cut, head, table) in lexicographic order: the block's words are
@@ -293,9 +300,9 @@ def _class_blocks(
     exactly, updated as size * counts[c] // left when c is placed.  Below
     weight r, size 1 leaves a run of one letter, which reaches r or never:
     it is placed in one step, never pushed, or its branch is dropped.  The
-    arrangements are the Algorithm L table of the leftover counts, memoized
-    in tables (pass one dict to share them between classes).  No head is a
-    prefix of another, so the (head, table) order is lexicographic.
+    arrangements are the Algorithm L table of the leftover counts, from the
+    process's memo _table.  No head is a prefix of another, so the
+    (head, table) order is lexicographic.
     r = None, like r = 0, takes the single empty prefix; a negative r, or
     one past p, takes none.
     """
@@ -305,8 +312,6 @@ def _class_blocks(
     counts = [p - dot(k, alphabet.z) - norm(k), *k]
     if counts[0] < 0:
         return
-    if tables is None:
-        tables = {}
     weights = alphabet.weights
     top = len(weights)
     left = sum(counts)
@@ -316,14 +321,14 @@ def _class_blocks(
     while True:
         if acc >= r:
             if size <= _TABLE_CAP:
-                yield cut, tuple(head), _table(tables, counts)
+                yield cut, tuple(head), _table(tuple(counts))
                 c = top
         elif size == 1:  # the letters left are one run, of c: it reaches r or never
             c = counts.index(left)
             steps, short = divmod(r - acc, weights[c])
             if not short and steps <= counts[c]:
                 counts[c] -= steps
-                yield len(head) + steps, (*head, *[c] * steps), _table(tables, counts)
+                yield len(head) + steps, (*head, *[c] * steps), _table(tuple(counts))
                 counts[c] += steps
             c = top
         # below weight r a letter must fit under r; past it any letter left goes
@@ -349,34 +354,26 @@ def _class_blocks(
         c += 1
 
 
-def _table(tables: dict[tuple[int, ...], _Table], counts: list[int]) -> _Table:
-    """The Algorithm L table of counts, from the memo tables or put there.
-    A table is checked to increase strictly when it is listed: the
-    certificates split tables by bisect, which is sound only on sorted ones."""
-    key = tuple(counts)
-    table = tables.get(key)
-    if table is None:
-        table = list(_arrangements(counts))
-        if not all(map(operator.lt, table, table[1:])):
-            k = next(k for k in range(1, len(table)) if not table[k - 1] < table[k])
-            raise RuntimeError(
-                f"the table of leftover counts {key} does not increase at entry {k}: "
-                f"{table[k - 1]} then {table[k]}"
-            )
-        tables[key] = table
+@functools.lru_cache(maxsize=_TABLES_KEPT)
+def _table(counts: tuple[int, ...]) -> _Table:
+    """The Algorithm L table of counts, a tuple no caller can change, kept
+    in a memo of the process that depends on the counts alone.  A table is
+    checked to increase strictly when it is listed: the certificates split
+    tables by bisect, which is sound only on sorted ones."""
+    table = tuple(_arrangements(counts))
+    if not all(map(operator.lt, table, table[1:])):
+        k = next(k for k in range(1, len(table)) if not table[k - 1] < table[k])
+        raise RuntimeError(
+            f"the table of leftover counts {counts} does not increase at entry {k}: "
+            f"{table[k - 1]} then {table[k]}"
+        )
     return table
 
 
-def _class_size(
-    alphabet: GradedAlphabet,
-    p: int,
-    k: MultiIndex,
-    r: Optional[int] = None,
-    tables: Optional[dict[tuple[int, ...], _Table]] = None,
-) -> int:
+def _class_size(alphabet: GradedAlphabet, p: int, k: MultiIndex, r: Optional[int] = None) -> int:
     """The number of words of the class: the table lengths of its blocks,
     summed.  The count is the enumeration's own, with no word built."""
-    return sum(len(table) for _, _, table in _class_blocks(alphabet, p, k, r, tables))
+    return sum(len(table) for _, _, table in _class_blocks(alphabet, p, k, r))
 
 
 def enumerate_words(spec: WordClassSpec, alphabet: GradedAlphabet) -> Iterator[Word]:

@@ -14,7 +14,7 @@ from typing import Iterator
 import pytest
 from hypothesis import strategies as st
 
-from gradedwords import GradedAlphabet
+from gradedwords import GradedAlphabet, words
 
 
 def brute_force_sequences(z: tuple[int, ...], p: int) -> Iterator[tuple[int, ...]]:
@@ -62,6 +62,21 @@ def multi_indices(max_m: int = 2, max_entry: int = 3) -> st.SearchStrategy:
     return st.lists(
         st.integers(min_value=0, max_value=max_entry), min_size=1, max_size=max_m
     ).map(tuple)
+
+
+@pytest.fixture
+def plant_arrangements(monkeypatch):
+    """plant(stand_in) sets words._arrangements to stand_in.  The process's
+    memo of tables is emptied at the plant and again when the test ends, so
+    a table listed before cannot mask the plant and no table the plant
+    lists reaches a later test."""
+
+    def plant(stand_in) -> None:
+        words._table.cache_clear()
+        monkeypatch.setattr(words, "_arrangements", stand_in)
+
+    yield plant
+    words._table.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -979,7 +979,7 @@ def test_a_planted_nonlocal_kernel_fails_its_locality_test(monkeypatch, name, pl
         locality_test()
 
 
-def test_an_unsorted_table_fails_the_certificate_by_name(monkeypatch, capsys):
+def test_an_unsorted_table_fails_the_certificate_by_name(plant_arrangements, capsys):
     # ranges are cut by bisect, which needs strictly increasing tables: a
     # table with two entries swapped is refused as a fault of the program
     arrangements = words._arrangements
@@ -990,7 +990,7 @@ def test_an_unsorted_table_fails_the_certificate_by_name(monkeypatch, capsys):
             table[1], table[2] = table[2], table[1]
         return iter(table)
 
-    monkeypatch.setattr(words, "_arrangements", swapped)
+    plant_arrangements(swapped)
     for certificate in (verify_shift_bijection, verify_raney_decomposition):
         with pytest.raises(RuntimeError, match=r"does not increase at entry 2"):
             certificate(*_RANEY_CLASS, A2)

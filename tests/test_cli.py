@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import pickle
@@ -130,6 +131,37 @@ def test_enumerate_renders_every_word_as_str_does(monkeypatch, cap, z, p, k, r):
     expected = [str(w) for w in gradedwords.enumerate_words(gradedwords.WordClassSpec(p, k, r), alphabet)]
     payload = cli.do_enumerate(z, p, k, r)
     assert payload["words"] == expected and payload["count"] == len(expected) > 0
+
+
+def _criterion_classes():
+    """The (z, p, k, r) classes acceptance criteria 1 and 2 enumerate whole:
+    every z in {0..3}^m for m = 1, 2, |k| <= 4 and p <= 14; and, up to
+    p = 8, the same classes at each prefix weight r."""
+    for m in (1, 2):
+        for z in itertools.product(range(4), repeat=m):
+            for k in itertools.product(range(5), repeat=m):
+                if sum(k) <= 4:
+                    for p in range(15):
+                        yield z, p, k, None
+                        if p <= 8:
+                            yield from [(z, p, k, r) for r in range(1, p + 1)]
+
+
+def test_enumerate_is_unchanged_when_the_memo_keeps_no_table(monkeypatch):
+    # do_enumerate renders each table once per class: with every table
+    # dropped from the memo as soon as it is listed, the next table can take
+    # a freed one's memory, so a rendering must not be found by id
+    classes = list(_criterion_classes())
+    expected = [json.dumps(cli.do_enumerate(*c)) for c in classes]
+    real = words._table
+
+    def keeps_none(counts):
+        table = real(counts)
+        real.cache_clear()
+        return table
+
+    monkeypatch.setattr(words, "_table", keeps_none)
+    assert [json.dumps(cli.do_enumerate(*c)) for c in classes] == expected
 
 
 def test_bad_csv_rejected(capsys):

@@ -242,14 +242,18 @@ def test_count_words_matches_enumeration_exhaustively():
 @pytest.mark.parametrize("shared", [False, True], ids=["own-tables", "shared-tables"])
 def test_class_size_is_the_enumeration_count_and_the_closed_form(shared):
     # _class_size sums table lengths and builds no word: it must agree with
-    # the words it stands for, and with count_words or the split sum
-    tables = {} if shared else None
+    # the words it stands for, and with count_words or the split sum, both
+    # when each class lists its own tables (the memo emptied before it) and
+    # when it meets tables that earlier classes listed
+    hits = words._table.cache_info().hits
     for z in small_grid():
         alphabet = GradedAlphabet(z=z)
         for p in range(8):
             for k in itertools.product(range(3), repeat=len(z)):
                 for r in [None, *range(-1, p + 2)]:
-                    size = words._class_size(alphabet, p, k, r, tables)
+                    if not shared:
+                        words._table.cache_clear()
+                    size = words._class_size(alphabet, p, k, r)
                     assert size == len(_flattened(words._class_blocks(alphabet, p, k, r))), (z, p, k, r)
                     if r is None or r == 0:
                         assert size == count_words(p, k, alphabet), (z, p, k, r)
@@ -257,7 +261,7 @@ def test_class_size_is_the_enumeration_count_and_the_closed_form(shared):
                         assert size == words._split_count(z, r, p - r, k), (z, p, k, r)
                     else:
                         assert size == 0, (z, p, k, r)
-    assert not shared or tables
+    assert not shared or words._table.cache_info().hits > hits
 
 
 def test_count_words_dimension_mismatch():
@@ -433,12 +437,14 @@ def test_blocks_of_the_1200_letter_class_equal_the_plain_stream():
 def test_a_forced_run_below_the_cut_is_placed_in_one_step():
     # below weight r, letters left with one arrangement are a run of one
     # letter, placed whole: each head of the r = 1100 class ends in such a
-    # run of a, so its 1199 words cost no more than the whole class's 1200
+    # run of a, so its 1199 words cost no more than the whole class's 1200;
+    # each side lists its own tables, the memo emptied before it
     alphabet = GradedAlphabet(z=(1,))
 
     def best_of_three(r):
         times = []
         for _ in range(3):
+            words._table.cache_clear()
             start = time.perf_counter()
             words._class_size(alphabet, 1201, (1,), r)
             times.append(time.perf_counter() - start)
@@ -464,13 +470,45 @@ def test_blocks_and_cuts_of_every_prefix_class_match_the_oracle(z, max_p):
 
 
 def test_tables_are_shared_between_classes():
-    # the weight-3 and weight-4 prefix classes of a shift leave some equal letters over
-    tables: dict = {}
+    # the weight-3 and weight-4 prefix classes of a shift leave some equal
+    # letters over, and so do two alphabets with one m at equal letter
+    # counts: the process's memo serves each the same table, nothing passed
     alphabet = GradedAlphabet(z=(1,))
-    source = list(words._class_blocks(alphabet, 16, (4,), 3, tables))
-    listed = dict(tables)
-    target = list(words._class_blocks(alphabet, 16, (4,), 4, tables))
-    assert listed and all(tables[key] is table for key, table in listed.items())
+    source = list(words._class_blocks(alphabet, 16, (4,), 3))
+    target = list(words._class_blocks(alphabet, 16, (4,), 4))
     assert {id(table) for _, _, table in source} & {id(table) for _, _, table in target}
     assert _flattened(target) == brute_force_class((1,), 16, (4,), r=4)
-    assert words._class_size(alphabet, 16, (4,), 4, tables) == len(_flattened(target))
+    assert words._class_size(alphabet, 16, (4,), 4) == len(_flattened(target))
+    whole = list(words._class_blocks(alphabet, 16, (4,)))
+    other = list(words._class_blocks(GradedAlphabet(z=(2,)), 20, (4,)))
+    assert [(head, id(table)) for _, head, table in whole] == [
+        (head, id(table)) for _, head, table in other
+    ]
+    assert all(type(table) is tuple for _, _, table in whole)
+
+
+def test_the_memo_is_bounded_and_counts_past_its_bound():
+    # each head a^i b of class(1201, (1,)) leaves its own run of a's: more
+    # tables than the memo keeps, and the counts hold while it drops them
+    alphabet = GradedAlphabet(z=(1,))
+    words._table.cache_clear()
+    for r in (None, 1100, None):
+        expected = 1200 if r is None else words._split_count((1,), r, 1201 - r, (1,))
+        assert words._class_size(alphabet, 1201, (1,), r) == expected, r
+    info = words._table.cache_info()
+    assert info.maxsize == words._TABLES_KEPT < info.misses
+    assert info.currsize == info.maxsize
+
+
+def test_a_planted_table_replaces_the_one_listed_before(plant_arrangements):
+    alphabet = GradedAlphabet(z=(1,))
+    assert words._class_size(alphabet, 5, (1,)) == 4  # one table, of counts (3, 1)
+    real = words._arrangements  # a plant without the first arrangement: sorted, but wrong
+    plant_arrangements(lambda counts: itertools.islice(real(counts), 1, None))
+    assert words._class_size(alphabet, 5, (1,)) == 3
+
+
+def test_a_planted_table_does_not_reach_the_next_test():
+    # runs after the test above, whose plant listed a table one entry short
+    assert words._class_size(GradedAlphabet(z=(1,)), 5, (1,)) == 4
+    assert words._table((3, 1)) == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
