@@ -25,11 +25,11 @@ A class is listed in blocks (cut, head, table): every word of a block is
 head + t for t in its table, and cut is the length of the word's weight-r
 prefix.  A depth-first search over heads first places the weight-r prefix,
 then keeps placing letters until the letters left over have one arrangement
-(below weight r, a run of one letter placed whole) or at most _TABLE_CAP.
-Those arrangements are the table, listed by Algorithm L (and checked to
-increase strictly, as bisecting a table needs) into a bounded memo of the
-process keyed by their letter counts, so a table serves every head, class
-and alphabet of its m that leaves the same letters.
+(a run of one letter: the only tail of its block) or at most _TABLE_CAP.
+Those arrangements are the table; two or more are listed by Algorithm L
+(and checked to increase strictly, as bisecting a table needs) into a
+bounded memo of the process keyed by their letter counts, so a table serves
+every head, class and alphabet of its m that leaves the same letters.
 The heads come in lexicographic order and none is a prefix of another, so
 the blocks concatenated are the class in lexicographic order; consumers
 build a block's words with map(head.__add__, table), without a Python step
@@ -275,11 +275,11 @@ def _check_dimension(counts: MultiIndex, alphabet: GradedAlphabet) -> None:
 # 3.2-fold.
 _TABLE_CAP = 64
 
-# The most tables the memo keeps.  A suite pass over a words-bijections
-# benchmark manifest (seeds 1-3, 5, 77) lists 142 to 151 distinct tables,
-# 0.28 MB by tracemalloc at seed 77; the other workloads list at most 78.
-# Repeated passes at seed 77 list 298 tables each with 64 kept, 57 with 128,
-# and none past the first pass with 160 or more.
+# The most tables the memo keeps, each 2 to _TABLE_CAP tails of at most
+# _TABLE_CAP letters (L letters of two kinds have L arrangements or more):
+# under 10 MB.  A words-bijections benchmark pass (seeds 1-3, 5, 77) lists
+# 113-119 distinct tables, 0.25 MB at seed 77, other workloads at most 45;
+# repeated seed-77 passes list 204 each with 64 kept, none with 128 or more.
 _TABLES_KEPT = 256
 
 _Table = tuple[tuple[int, ...], ...]
@@ -297,11 +297,11 @@ def _class_blocks(
     in lexicographic order, pruning a branch once its weight would pass r.
     Past the prefix it places any letter still left, until the letters left
     over have at most _TABLE_CAP arrangements; size holds that count
-    exactly, updated as size * counts[c] // left when c is placed.  Below
-    weight r, size 1 leaves a run of one letter, which reaches r or never:
-    it is placed in one step, never pushed, or its branch is dropped.  The
-    arrangements are the Algorithm L table of the leftover counts, from the
-    process's memo _table.  No head is a prefix of another, so the
+    exactly, updated as size * counts[c] // left when c is placed.  Size 1
+    leaves a run of one letter, the block's only tail; below weight r it
+    reaches r or never, so its letters up to r join the head in one step,
+    never pushed, or the branch is dropped.  Larger tables are listed by
+    the process's memo _table.  No head is a prefix of another, so the
     (head, table) order is lexicographic.
     r = None, like r = 0, takes the single empty prefix; a negative r, or
     one past p, takes none.
@@ -321,15 +321,14 @@ def _class_blocks(
     while True:
         if acc >= r:
             if size <= _TABLE_CAP:
-                yield cut, tuple(head), _table(tuple(counts))
+                table = _table(tuple(counts)) if size > 1 else ((counts.index(left),) * left,)
+                yield cut, tuple(head), table
                 c = top
         elif size == 1:  # the letters left are one run, of c: it reaches r or never
             c = counts.index(left)
             steps, short = divmod(r - acc, weights[c])
             if not short and steps <= counts[c]:
-                counts[c] -= steps
-                yield len(head) + steps, (*head, *[c] * steps), _table(tuple(counts))
-                counts[c] += steps
+                yield len(head) + steps, (*head, *[c] * steps), ((c,) * (left - steps),)
             c = top
         # below weight r a letter must fit under r; past it any letter left goes
         while c < top and not (counts[c] and (acc >= r or acc + weights[c] <= r)):
@@ -356,9 +355,9 @@ def _class_blocks(
 
 @functools.lru_cache(maxsize=_TABLES_KEPT)
 def _table(counts: tuple[int, ...]) -> _Table:
-    """The Algorithm L table of counts, a tuple no caller can change, kept
-    in a memo of the process that depends on the counts alone.  A table is
-    checked to increase strictly when it is listed: the certificates split
+    """The Algorithm L table of counts (two or more arrangements), a tuple
+    no caller can change, in a memo of the process keyed by the counts.  It
+    is checked to increase strictly when listed: the certificates split
     tables by bisect, which is sound only on sorted ones."""
     table = tuple(_arrangements(counts))
     if not all(map(operator.lt, table, table[1:])):

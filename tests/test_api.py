@@ -117,3 +117,39 @@ def test_no_module_rebinds_a_global():
         if isinstance(node, ast.Global)
     ]
     assert found == []
+
+
+def test_every_memo_is_bounded():
+    # a memo that grows with its inputs can take the process's memory: each
+    # lru_cache keeps an int number of entries, functools.cache memoizes only
+    # a function of no parameter, and neither is used but as a decorator
+    root = Path(__file__).resolve().parent.parent / "src" / "gradedwords"
+    memos, unbounded, other_uses = [], [], []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = importlib.import_module(f"gradedwords.{path.stem}".removesuffix(".__init__"))
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    kind = getattr(target, "attr", getattr(target, "id", None))
+                    if kind == "lru_cache":
+                        maxsize = getattr(module, node.name).cache_parameters()["maxsize"]
+                        bounded = type(maxsize) is int
+                    elif kind == "cache":
+                        bounded = not ast.unparse(node.args)
+                    else:
+                        continue
+                    decorators.add(target)
+                    memos.append(f"{path.stem}.{node.name}")
+                    if not bounded:
+                        unbounded.append(memos[-1])
+        other_uses += [
+            (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if getattr(node, "attr", getattr(node, "id", None)) in ("cache", "lru_cache")
+            and isinstance(node, (ast.Name, ast.Attribute)) and node not in decorators
+        ]
+    assert unbounded == [] and other_uses == []
+    assert {"words._table", "cli._build_parser"} <= set(memos)

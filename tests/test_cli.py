@@ -3,6 +3,7 @@ manifest-driven suites, and determinism."""
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -11,6 +12,7 @@ import itertools
 import json
 import os
 import pickle
+import random
 import select
 import struct
 import subprocess
@@ -908,6 +910,63 @@ def test_malformed_member_exits_two(member):
     payload, code = run_suite([member], 1)
     assert code == EXIT_CONFIG, payload
     assert payload["members"][0]["error"].startswith("invalid configuration")
+
+
+# values no key takes, or that no member can run: bools, floats, negatives
+# and text that parses as nothing for any key, and per kind of key,
+# wrong-length vectors, reversed and non-int ranges, and points at an
+# unknown variable or at 1/0
+_BAD_VALUES = [True, False, 1.5, -1, "x", "", [[1]], {}]
+_BAD_OF_KEY = {
+    "z": [[1, 2, 3], [-1], [True], "1,,2"],
+    "grid_range": ["3..1", [3, 1], [1, "a"], "..", "1..x"],
+    "point": [{"x": "1/0"}, "x=1/0", {"t": 1}, "t=1", "x=1,x=2", {"x": 0.5}],
+    "expect_coefficients": [{"1,2,3": 1}, {"x": 1}, {"1": "1/0"}, []],
+}
+_BAD_OF_KEY["k"] = _BAD_OF_KEY["n"] = _BAD_OF_KEY["z"]
+
+
+def _small_value(rng, key, m):
+    """A small valid value of key's kind, over m letters b_i."""
+    if key in ("z", "k", "n"):
+        return [rng.randrange(3) for _ in range(m)]
+    return {
+        "p": lambda: rng.randrange(9), "q": lambda: rng.randrange(6), "r": lambda: rng.randrange(7),
+        "i": lambda: rng.randrange(m + 1), "j": lambda: rng.randrange(m + 1),
+        "x": lambda: rng.randrange(1, 4), "order": lambda: rng.randrange(6),
+        "kind": lambda: rng.choice(["shift", "raney"]),
+        "identity": lambda: rng.choice(cli._CATALOG_NAMES),
+        "word": lambda: " ".join(rng.choice("a b b1 b2".split()) for _ in range(rng.randrange(6))),
+        "grid_range": lambda: rng.choice([[0, 4], "1..5", [-2, 3], "-1..2"]),
+        "point": lambda: rng.choice([{"x": 1, "y": 2}, "x=1,y=1/2", {"x": "3", "eps": 1}, "p=2,q=3"]),
+        "expect_coefficients": lambda: {",".join("1" * m): rng.choice([1, 2, "1/2"])},
+        "label": lambda: "member",
+    }[key]()
+
+
+def test_no_member_exits_three():
+    # exit 3 claims a fault of this program: about 500 members drawn over
+    # every command and key, small and valid but for a bad value at a fifth
+    # of their keys, an unknown key or an unknown command now and then, must
+    # each exit 0, 1 or 2
+    rng = random.Random(1)
+    codes = collections.Counter()
+    for index in range(500):
+        command = rng.choice(sorted(_COMMANDS)) if rng.random() > 0.03 else rng.choice(["nope", 3])
+        _, required, optional = _COMMANDS.get(command, (None, (), ()))
+        m, member = rng.randrange(1, 3), {"command": command}
+        for key in (*required, *optional, "label"):
+            if rng.random() < (0.9 if key in required else 0.4):
+                if rng.random() < 0.2:
+                    member[key] = rng.choice([*_BAD_VALUES, *_BAD_OF_KEY.get(key, ()) * 2])
+                else:
+                    member[key] = _small_value(rng, key, m)
+        if rng.random() < 0.1:
+            member[rng.choice([*cli._KEYS, "bogus"])] = rng.choice([*_BAD_VALUES, 1, [1]])
+        entry = cli._run_entry(index, cli._coerced(member))
+        assert entry["exit_code"] != EXIT_INTERNAL, (member, entry.get("error"))
+        codes[entry["exit_code"]] += 1
+    assert codes[EXIT_PASS] > 50 and codes[EXIT_CONFIG] > 100  # the draw reaches the handlers
 
 
 def _argv(member: dict) -> list[str]:

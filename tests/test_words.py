@@ -437,20 +437,23 @@ def test_blocks_of_the_1200_letter_class_equal_the_plain_stream():
 def test_a_forced_run_below_the_cut_is_placed_in_one_step():
     # below weight r, letters left with one arrangement are a run of one
     # letter, placed whole: each head of the r = 1100 class ends in such a
-    # run of a, so its 1199 words cost no more than the whole class's 1200;
-    # each side lists its own tables, the memo emptied before it
+    # run of a, so its 1199 words cost less than Algorithm L's stream of the
+    # whole class's 1200 words (about a fifth of it), where a run placed one
+    # letter at a time costs about four times the stream; the memo is
+    # emptied before each timed listing
     alphabet = GradedAlphabet(z=(1,))
 
-    def best_of_three(r):
+    def best_of_three(run):
         times = []
         for _ in range(3):
             words._table.cache_clear()
             start = time.perf_counter()
-            words._class_size(alphabet, 1201, (1,), r)
+            run()
             times.append(time.perf_counter() - start)
         return min(times)
 
-    assert best_of_three(1100) <= best_of_three(None)
+    placed = best_of_three(lambda: words._class_size(alphabet, 1201, (1,), 1100))
+    assert placed < best_of_three(lambda: collections.deque(words._arrangements([1199, 1]), 0))
 
 
 @pytest.mark.parametrize(
@@ -488,16 +491,49 @@ def test_tables_are_shared_between_classes():
 
 
 def test_the_memo_is_bounded_and_counts_past_its_bound():
-    # each head a^i b of class(1201, (1,)) leaves its own run of a's: more
-    # tables than the memo keeps, and the counts hold while it drops them
-    alphabet = GradedAlphabet(z=(1,))
+    # over z = (0, 0) a class of 2 to _TABLE_CAP words is one table at the
+    # empty head, and 460 such tables exist: more than the memo keeps, and
+    # the counts hold while it drops them, on a second pass too
+    alphabet = GradedAlphabet(z=(0, 0))
+    classes = [
+        (p, (k1, k2))
+        for p in range(words._TABLE_CAP + 1)
+        for k1 in range(p + 1)
+        for k2 in range(p - k1 + 1)
+        if 2 <= multinomial(p, (k1, k2)) <= words._TABLE_CAP
+    ]
+    assert len(classes) == 460
     words._table.cache_clear()
-    for r in (None, 1100, None):
-        expected = 1200 if r is None else words._split_count((1,), r, 1201 - r, (1,))
-        assert words._class_size(alphabet, 1201, (1,), r) == expected, r
+    for _ in range(2):
+        for p, k in classes:
+            assert words._class_size(alphabet, p, k) == count_words(p, k, alphabet), (p, k)
     info = words._table.cache_info()
     assert info.maxsize == words._TABLES_KEPT < info.misses
     assert info.currsize == info.maxsize
+
+
+def test_the_memo_keeps_only_tables_of_two_or_more_tails(monkeypatch):
+    # a run of one letter is its block's only tail, built in place: every
+    # head of class(4001, (1,)) but one, a^3936, ends in b and leaves a run
+    # of a, and a^3936 leaves the table of counts (63, 1), listed before
+    alphabet = GradedAlphabet(z=(1,))
+    words._table.cache_clear()
+    assert words._class_size(alphabet, 65, (1,)) == 64
+    assert words._class_size(alphabet, 4001, (1,)) == 4000
+    info = words._table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # any listing: the memo sees 2 to _TABLE_CAP tails, each of at most
+    # _TABLE_CAP letters, since L letters of two kinds have L arrangements
+    listed = []
+    real = words._table
+    monkeypatch.setattr(words, "_table", lambda counts: listed.append(real(counts)) or listed[-1])
+    for z, p, k in [*_LARGE_CLASSES, ((1,), 1201, (1,))]:
+        for r in [None, *range(min(p, 40) + 1), 1100]:
+            words._class_size(GradedAlphabet(z=z), p, k, r)
+    assert listed and all(
+        2 <= len(table) <= words._TABLE_CAP and len(table[0]) <= words._TABLE_CAP
+        for table in listed
+    )
 
 
 def test_a_planted_table_replaces_the_one_listed_before(plant_arrangements):
