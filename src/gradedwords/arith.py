@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import decimal
 import itertools
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -159,15 +160,41 @@ def _shape(n: MultiIndex) -> tuple[int, int]:
 
 
 class _Memo(dict):
-    """A dict that fills in each missing key with fill(key) on first use."""
+    """A dict that fills in each missing key with fill(key) on first use,
+    made by the _Cap that bounds it."""
 
-    def __init__(self, fill: Callable) -> None:
+    def __init__(self, fill: Callable, cap: _Cap) -> None:
         super().__init__()
-        self.fill = fill
+        self.fill, self.cap = fill, cap
 
     def __missing__(self, key):
-        value = self[key] = self.fill(key)
+        value, cap = self.fill(key), self.cap  # a fill that raises keeps nothing
+        if cap.kept >= cap.most:
+            cap.empty()
+        cap.kept += 1
+        self[key] = value
         return value
+
+
+class _Cap(weakref.WeakValueDictionary):
+    """Memos, each listed under its key while it lives, that keep at most
+    `most` values together: kept counts the values filled since they were
+    last emptied, and the miss that finds `most` empties each in place."""
+
+    def __init__(self, most: int) -> None:
+        super().__init__()
+        self.most, self.kept = most, 0
+
+    def memo(self, key: object, fill: Callable) -> _Memo:
+        memo = self.get(key)
+        if memo is None:
+            memo = self[key] = _Memo(fill, self)
+        return memo
+
+    def empty(self) -> None:
+        for memo in filter(None, [ref() for ref in self.valuerefs()]):
+            memo.clear()
+        self.kept = 0
 
 
 def exact(num: Scalar, den: Scalar) -> Scalar:

@@ -56,16 +56,13 @@ A body reads C(x, k) from rows, in the terms table of (n, z) it is handed
 as its trailing table argument: row[x] is C(x, k), and the table carries,
 for each summand k, k.z and the rows of C(., k), C(., n - k) and each
 C(., k - e_i), besides constants such as |k|, next to the row of C(., n).
-A grid recomputes the same C(x, k) many times (C(x - k.z, k) recurs for
-every y and eps), so verify_identity_on_grid builds one table and hands it
-to every point; its rows are dicts keyed by x that fill from arith's
-multinomial on first use.  The table is a local of the grid, dropped when
-the grid is left by a verdict or by an exception, so nothing carries over
-to the next certification, and a grid run meanwhile builds its own.  Every
-x that reaches a row there is an int.  Point checks and the public evaluators
-pass a table whose rows compute C(x, k) at each lookup and store nothing:
-one point never repeats a lookup, and a rational x would only cost a
-Fraction hash.
+A grid reads the same C(x, k) many times (C(x - k.z, k) recurs for every y
+and eps), and so do other grids and points, so the rows are the process's:
+one dict per k, kept while a cached table holds it, that fills from arith's
+multinomial on a miss.  Grids, point checks and the public evaluators all
+read them.  Together the rows keep at most _ROWS.most values; the miss that
+finds that many counted empties every row in place, and a forked child's
+values die with it.
 
 Conventions shared by all evaluators:
 
@@ -87,13 +84,13 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 from . import arith
 from .arith import (
     MultiIndex,
     Scalar,
-    _Memo,
+    _Cap,
     box,
     dot,
     format_scalar,
@@ -280,7 +277,7 @@ def _identity(
     table, checks that the variables (and a classical z) are exact
     rationals, checks n or k, z, i and j, refuses a declared pole, and only
     then runs the body, handing a body that takes table the terms table of
-    (n, z) with rows that store nothing; it returns both sides as Fractions.
+    (n, z); it returns both sides as Fractions.
     The entry's evaluate calls the body unchecked, through _positional.
     """
 
@@ -307,7 +304,7 @@ def _identity(
                 _check_letters(needs, n, z, a.get("i"), a.get("j"))
             _check_poles(poles(n, z), a)
             if "table" in sig.parameters:
-                a["table"] = _fresh_table(n, z)
+                a["table"] = _table(n, z)
             left, right = body(**a)
             return Fraction(left), Fraction(right)
 
@@ -355,25 +352,15 @@ def _positional(
 
 
 # ---------------------------------------------------------------------------
-# shared arithmetic of the bodies: the rows C(., k), carried by one terms
-# table per (n, z), and filled once per grid certification
+# shared arithmetic of the bodies: the rows C(., k) of the process, carried
+# by one terms table per (n, z)
 # ---------------------------------------------------------------------------
 
 
-class _Fresh:
-    """The row C(., k) outside a grid: each lookup computes C(x, k) afresh,
-    and nothing is stored."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k: MultiIndex) -> None:
-        self.k = k
-
-    def __getitem__(self, x: Scalar) -> Scalar:
-        return arith.multinomial(x, self.k)
-
-
-_Row = Union[_Memo, _Fresh]  # C(x, k) is row[x]
+# The most values of C(x, k) all rows keep, those of cached tables included:
+# an identity-grids benchmark pass (seeds 1-3, 5, 77) reads 834-881, under
+# 0.1 MB; a full cap of values up to 76 bits, keys included, takes 1.7 MB.
+_ROWS = _Cap(1 << 14)
 
 
 class _Table(NamedTuple):
@@ -382,43 +369,24 @@ class _Table(NamedTuple):
     |k|, z^k C(|k|, k)), holding rows where C(., .) is written."""
 
     nz: int  # n.z
-    cn: _Row  # C(., n)
+    cn: dict  # C(., n)
     terms: tuple[tuple, ...]  # the summands, lexicographic in k
 
 
 @functools.lru_cache(maxsize=1024)
-def _fresh_table(n: MultiIndex, z: MultiIndex) -> _Table:
-    """The terms table of (n, z) with one _Fresh row per multi-index, built
-    once per (n, z) rather than at every point."""
-    row = _Memo(_Fresh)
+def _table(n: MultiIndex, z: MultiIndex) -> _Table:
+    """The terms table of (n, z), built once per (n, z) rather than at every
+    point.  Its row of k is the process's, in _ROWS: a dict from x to C(x, k)
+    that fills on a miss from the multinomial arith holds then."""
+    row = lambda k: _ROWS.memo(k, lambda x: arith.multinomial(x, k))  # noqa: E731
     units = [unit(len(n), i) for i in range(1, len(n) + 1)]
     terms = []
     for k in box(n):
         size = norm(k)
-        z_pow = math.prod(zi**ki for zi, ki in zip(z, k))
-        terms.append(
-            (
-                dot(k, z),
-                row[k],
-                row[vec_sub(n, k)],
-                tuple(row[vec_sub(k, e)] for e in units),
-                size,
-                z_pow * arith.multinomial(size, k),
-            )
-        )
-    return _Table(dot(n, z), row[n], tuple(terms))
-
-
-def _filled(table: _Table) -> _Table:
-    """table with each _Fresh row replaced by a row of its own: a dict from
-    x to C(x, k), filled on first use by the _Fresh row, which looks arith's
-    multinomial up at each call."""
-    row = _Memo(lambda fresh: _Memo(fresh.__getitem__)).__getitem__
-    terms = tuple(
-        (kz, row(ck), row(cr), tuple(map(row, below)), size, weight)
-        for kz, ck, cr, below, size, weight in table.terms
-    )
-    return _Table(table.nz, row(table.cn), terms)
+        weight = math.prod(zi**ki for zi, ki in zip(z, k)) * arith.multinomial(size, k)
+        below = tuple(row(vec_sub(k, e)) for e in units)
+        terms.append((dot(k, z), row(k), row(vec_sub(n, k)), below, size, weight))
+    return _Table(dot(n, z), row(n), tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +800,7 @@ def verify_identity_on_grid(spec: IdentitySpec) -> EvalReport:
         },
     )
     variables, evaluate = entry.variables, entry.evaluate
-    table = _filled(_fresh_table(spec.n, spec.z))
+    table = _table(spec.n, spec.z)
     for values in itertools.product(*axes.values()):
         pairs = evaluate(values, spec, table)
         for left, right in pairs:
@@ -867,7 +835,7 @@ def verify_identity_at_point(
     _check_poles(entry.poles(spec.n, spec.z), values)
     params = _params_dict(spec, entry)
     params["point"] = {v: format_scalar(values[v]) for v in entry.variables}
-    pairs = entry.evaluate(tuple(values.values()), spec, _fresh_table(spec.n, spec.z))
+    pairs = entry.evaluate(tuple(values.values()), spec, _table(spec.n, spec.z))
     report = EvalReport(check=spec.identity, params=params)
     report.left = format_scalar(pairs[0][0])
     report.right = format_scalar(pairs[0][1])

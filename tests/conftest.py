@@ -14,7 +14,7 @@ from typing import Iterator
 import pytest
 from hypothesis import strategies as st
 
-from gradedwords import GradedAlphabet, words
+from gradedwords import GradedAlphabet, identities, series, words
 
 
 def brute_force_sequences(z: tuple[int, ...], p: int) -> Iterator[tuple[int, ...]]:
@@ -64,19 +64,39 @@ def multi_indices(max_m: int = 2, max_entry: int = 3) -> st.SearchStrategy:
     ).map(tuple)
 
 
+# the memos as the modules define them, whatever a test plants in their place
+_CACHED = (words._table, identities._table, series._solved)
+
+
+def empty_every_memo() -> None:
+    """Empty each process-wide memo of values a planted fault could change:
+    the word tables, the identity terms tables with the rows of C(x, k)
+    they hold, and the solved series v."""
+    for cached in _CACHED:
+        cached.cache_clear()
+    identities._ROWS.empty()
+
+
 @pytest.fixture
-def plant_arrangements(monkeypatch):
-    """plant(stand_in) sets words._arrangements to stand_in.  The process's
-    memo of tables is emptied at the plant and again when the test ends, so
-    a table listed before cannot mask the plant and no table the plant
-    lists reaches a later test."""
+def empty_memos():
+    """Every process-wide memo emptied before the test and again when it
+    ends, so that a value computed before a plant cannot mask it and no
+    value the plant made reaches a later test."""
+    empty_every_memo()
+    yield
+    empty_every_memo()
+
+
+@pytest.fixture
+def plant_arrangements(monkeypatch, empty_memos):
+    """plant(stand_in) sets words._arrangements to stand_in, with every
+    process-wide memo emptied at the plant and again when the test ends."""
 
     def plant(stand_in) -> None:
-        words._table.cache_clear()
+        empty_every_memo()
         monkeypatch.setattr(words, "_arrangements", stand_in)
 
-    yield plant
-    words._table.cache_clear()
+    return plant
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,7 @@ from gradedwords import (
     verify_raney_decomposition,
 )
 from gradedwords.cli import default_manifest, run_suite
-from gradedwords.identities import CATALOG, _fresh_table, _select_axes, _validate
+from gradedwords.identities import CATALOG, _table, _select_axes, _validate
 
 MAX_WEIGHT = 14
 MAX_NORM = 4
@@ -361,7 +361,7 @@ def test_every_side_has_degree_at_most_the_grid_bound_along_generic_lines():
         entry = CATALOG[spec.identity]
         spec = _validate(spec, entry)
         _, _, degree = _select_axes(spec, entry)
-        table = _fresh_table(spec.n, spec.z)
+        table = _table(spec.n, spec.z)
         base = [1009 + 101 * j for j in range(len(entry.variables))]
         for axis, var in enumerate(entry.variables):
             line = []

@@ -4,6 +4,7 @@ no module that rebinds a global."""
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import inspect
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import gradedwords
-from gradedwords import identities
+from gradedwords import arith, identities
 
 MODULES = [gradedwords] + [
     importlib.import_module(f"gradedwords.{info.name}")
@@ -152,4 +153,27 @@ def test_every_memo_is_bounded():
             and isinstance(node, (ast.Name, ast.Attribute)) and node not in decorators
         ]
     assert unbounded == [] and other_uses == []
-    assert {"words._table", "cli._build_parser"} <= set(memos)
+    assert {"words._table", "cli._build_parser", "series._solved", "identities._table"} <= set(memos)
+    # a _Memo is made only by the _Cap that bounds it, which lists it while it lives
+    def memos_made(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", None) == "_Memo"]
+
+    made, in_cap = [], []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        made += memos_made(tree)
+        in_cap += [call for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) and node.name == "_Cap"
+                   for call in memos_made(node)]
+    assert made and made == in_cap
+    # each _Memo kept past a call, after the built-in suite ran, carries an
+    # int cap that lists it, and the memos under one cap keep at most its cap
+    gradedwords.run_suite(gradedwords.default_manifest(), 1)
+    gc.collect()
+    kept = [m for m in gc.get_objects() if isinstance(m, arith._Memo)]
+    caps = {id(m.cap): m.cap for m in kept}
+    assert id(identities._ROWS) in caps and len(caps) > 1  # the rows and a series packing
+    assert all(any(m is listed for listed in m.cap.values()) for m in kept)
+    assert all(type(cap.most) is int for cap in caps.values())
+    assert all(sum(map(len, cap.values())) <= cap.kept <= cap.most for cap in caps.values())

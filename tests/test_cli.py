@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 
 import gradedwords
 import gradedwords.cli as cli
-from gradedwords import words
+from gradedwords import arith, series, words
 from gradedwords.bijections import _shift_round_trip
 from gradedwords import (
-    CATALOG, PreconditionError, default_manifest, main, run_suite,
+    CATALOG, PreconditionError, TruncatedSeries, default_manifest, main, run_suite,
 )
 from gradedwords.cli import _COMMANDS, EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_PASS
 
@@ -443,6 +443,59 @@ def test_text_output_prints_a_counterexample_once(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "rothe-1", "--n", "2", "--z", "1", "--format", "text")
     assert code == EXIT_COUNTEREXAMPLE and err == ""
     assert out.count("counterexample:") == 1 and "rerun" in out
+
+
+# ---------------------------------------------------------------------------
+# exit-1 branches, each reached through a suite member by a planted fault
+# that gets past the process's memos
+# ---------------------------------------------------------------------------
+
+
+def _member_entry(**member) -> dict:
+    return cli._run_entry(0, cli._coerced(member))
+
+
+def test_a_planted_multinomial_fails_verify_point(monkeypatch, empty_memos):
+    # at x = 3, y = 0 rothe-1's right side is C(3, 2) = 3; the rows, emptied,
+    # fill from the planted multinomial
+    real = arith.multinomial
+    monkeypatch.setattr(arith, "multinomial", lambda x, k: 16 if (x, k) == (3, (2,)) else real(x, k))
+    entry = _member_entry(command="verify", identity="rothe-1", n=[2], z=[1], point="x=3,y=0")
+    assert entry["exit_code"] == EXIT_COUNTEREXAMPLE
+    assert entry["report"]["verdict"] == "mismatch"
+    ce = entry["report"]["counterexample"]
+    assert (ce["point"], ce["left"], ce["right"], ce["pair"]) == ({"x": "3", "y": "0"}, "3", "16", 0)
+
+
+def test_a_wrong_coefficient_in_v_fails_series_solve(monkeypatch, empty_memos):
+    # the planted solver hands out v with u_1 u_2 raised by one, around the memo
+    real = series._solved
+
+    def raised(z, order):
+        v = real(z, order)
+        return TruncatedSeries._trusted(v.nvars, order, {**v.coeffs, (1, 1): v.coeffs[(1, 1)] + 1})
+
+    monkeypatch.setattr(series, "_solved", raised)
+    entry = _member_entry(command="series-solve", z=[1, 2], order=4)
+    assert entry["exit_code"] == EXIT_COUNTEREXAMPLE
+    assert entry["report"]["verdict"] == "fail"
+    assert entry["report"]["counterexample"] == {
+        "residual_zero": False, "natural_coefficients": True,
+    }
+    monkeypatch.undo()
+    assert _member_entry(command="series-solve", z=[1, 2], order=4)["exit_code"] == EXIT_PASS
+
+
+def test_a_class_size_off_by_one_fails_count(monkeypatch, empty_memos):
+    cli._bind("words")  # the handler reads the name cli binds from words
+    real = cli._class_size
+    monkeypatch.setattr(cli, "_class_size", lambda *args: real(*args) + 1)
+    entry = _member_entry(command="count", z=[1, 2], p=7, k=[1, 1])
+    assert entry["exit_code"] == EXIT_COUNTEREXAMPLE
+    assert entry["report"]["verdict"] == "mismatch"
+    ce = entry["report"]["counterexample"]
+    assert ce["enumerated"] == ce["formula"] + 1 == real(words.GradedAlphabet((1, 2)), 7, (1, 1)) + 1
+    assert ce["params"] == {"p": 7, "k": [1, 1], "z": [1, 2]}
 
 
 # ---------------------------------------------------------------------------

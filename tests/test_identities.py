@@ -4,11 +4,9 @@ certification, and the counterexample machinery."""
 from __future__ import annotations
 
 import dataclasses
-import gc
 import inspect
 import itertools
 import math
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -28,6 +26,7 @@ from gradedwords import (
 )
 from gradedwords import arith, identities
 from gradedwords.cli import EXIT_CONFIG, main
+from conftest import empty_every_memo
 from gradedwords.identities import (
     _poles_abel_2,
     _poles_x,
@@ -259,7 +258,7 @@ def test_catalog_is_derived_from_the_evaluators():
             identity=name, n=n, z=z,
             i=len(n) if "i" in needs else None, j=1 if "j" in needs else None,
         )
-        table = identities._fresh_table(n, z)
+        table = identities._table(n, z)
         assert entry.evaluate(values, spec, table) == [_call_public(name, pt, n, z)], name
     public = [v for v in identities.__all__ if v.startswith(("eval_", "check_"))]
     assert public == list(PUBLIC_EVALUATORS)
@@ -639,7 +638,7 @@ def test_every_side_matches_its_textbook_formula(name):
                         evaluator(**point, **fixed)
                 continue
             spec = IdentitySpec(name, n, z, i=i, j=j)
-            pairs = entry.evaluate(values, spec, identities._fresh_table(n, z))
+            pairs = entry.evaluate(values, spec, identities._table(n, z))
             assert len(pairs) == len(expected), where
             for (left, right), (want_left, want_right) in zip(pairs, expected):
                 assert left == want_left and right == want_right, where
@@ -693,7 +692,7 @@ def test_grid_path_stays_in_int_and_fraction_arithmetic():
         for n, z in shapes:
             spec = identities._validate(_default_spec(name, n, z), entry)
             axes, _, _ = identities._select_axes(spec, entry)
-            table = identities._filled(identities._fresh_table(n, z))
+            table = identities._table(n, z)
             for values in itertools.product(*(axes[v] for v in entry.variables)):
                 for pair in entry.evaluate(values, spec, table):
                     assert all(type(v) in (int, Fraction) for v in pair), (name, n, z, values)
@@ -1074,7 +1073,7 @@ def test_gmh_special_grid_runs_the_gould_mohanty_body_unchecked(monkeypatch):
     calls = []
     monkeypatch.setattr(identities, "_check_poles", lambda *args: calls.append(args))
     spec = IdentitySpec(identity="gmh-special", n=(2, 1), z=(1, 2))
-    table = identities._fresh_table(spec.n, spec.z)
+    table = identities._table(spec.n, spec.z)
     pairs = CATALOG["gmh-special"].evaluate((7, 5), spec, table)
     assert calls == []  # no argument or pole re-check per grid point
     assert pairs == [eval_gould_mohanty(7, 5, 1, (2, 1), (1, 2))]
@@ -1153,23 +1152,20 @@ def test_a_later_pair_at_a_later_point_is_the_counterexample(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the per-grid rows of C(x, k), and the one division of a rational side
+# the process's rows of C(x, k), and the one division of a rational side
 # ---------------------------------------------------------------------------
 
 
-def _rows(table):
-    """The rows a terms table carries, each once."""
-    rows = [table.cn]
-    for _, ck, cr, below, _, _ in table.terms:
-        rows += [ck, cr, *below]
-    return list({id(row): row for row in rows}.values())
+def _kept():
+    """Every (x, k) the process's rows hold, with its value."""
+    return {(x, k): value for k, row in identities._ROWS.items() for x, value in row.items()}
 
 
 def _counting(monkeypatch, *shapes):
     """The (x, k) of every call of arith's multinomial from now on, once the
     terms tables of the (n, z) in shapes are built (their weights call it)."""
     for n, z in shapes:
-        identities._fresh_table(n, z)
+        identities._table(n, z)
     calls = []
     real = arith.multinomial
 
@@ -1181,120 +1177,139 @@ def _counting(monkeypatch, *shapes):
     return calls
 
 
-def _spying(monkeypatch, name, after=None):
-    """CATALOG[name] with an evaluate that records, after each point, how
-    many values the rows of the table it is handed hold, and weak references
-    to those rows (then applies after, if given, to the pairs)."""
-    entry = CATALOG[name]
-    sizes, refs = [], {}
-
-    def spy(values, spec, table):
-        pairs = entry.evaluate(values, spec, table)
-        rows = _rows(table)
-        sizes.append(sum(map(len, rows)))
-        refs.update((id(row), weakref.ref(row)) for row in rows)
-        return pairs if after is None else after(pairs)
-
-    monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, evaluate=spy))
-    return sizes, refs
-
-
-def _rows_are_freed(refs):
-    gc.collect()
-    return refs and all(ref() is None for ref in refs.values())
-
-
-def test_memo_is_emptied_after_a_passing_grid(monkeypatch):
-    sizes, refs = _spying(monkeypatch, "gould-mohanty")
+def test_multinomial_runs_once_per_value_across_grids_and_a_point(monkeypatch, empty_memos):
     calls = _counting(monkeypatch, ((2, 1), (1, 2)))
-    assert verify_identity_on_grid(IdentitySpec("gould-mohanty", (2, 1), (1, 2))).ok
-    # the rows fill across the grid's points, and repeats are read from them:
-    # each point reads 4 values per term (6 terms), but C(x - k.z, k) does not
-    # depend on y or eps, so the 64 points reach only 48 distinct (x, k), and
-    # arith's multinomial runs once for each
-    assert len(sizes) == 64
-    assert 0 < sizes[0] < sizes[-1] == 48 == len(calls) == len(set(calls))
-    assert _rows_are_freed(refs)
+    spec = IdentitySpec("gould-mohanty", (2, 1), (1, 2))
+    assert verify_identity_on_grid(spec).ok
+    # each of the 64 points reads 4 values per term (6 terms), but C(x - k.z,
+    # k) does not depend on y or eps: the grid reaches 48 distinct (x, k)
+    assert len(calls) == 48 == len(_kept())
+    # kmx on the same (n, z) reads the rows C(., k - e_i) too, and the point
+    # one value past the grid; neither computes a value twice
+    assert verify_identity_on_grid(IdentitySpec("kmx", (2, 1), (1, 2))).ok
+    assert verify_identity_at_point(spec, {"x": 9, "y": 2, "eps": 1}).ok
+    assert 48 < len(calls) == len(set(calls)) == len(_kept())
+    # all three again read every value from the rows
+    before = len(calls)
+    assert verify_identity_on_grid(spec).ok
+    assert verify_identity_on_grid(IdentitySpec("kmx", (2, 1), (1, 2))).ok
+    assert verify_identity_at_point(spec, {"x": 9, "y": 2, "eps": 1}).ok
+    assert len(calls) == before
 
 
-def test_memo_is_emptied_after_a_mismatch(monkeypatch):
-    sizes, refs = _spying(monkeypatch, "rothe-1", lambda pairs: [(l, r + 1) for l, r in pairs])
-    report = verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,)))
-    assert report.verdict == "mismatch" and sizes == [sizes[0]] and sizes[0] > 0
-    assert _rows_are_freed(refs)
+def test_a_sweep_past_the_cap_keeps_at_most_the_cap(empty_memos):
+    # rows of several tables filled far past the cap: the miss that finds the
+    # cap reached empties every row in place, so the rows a table holds stay
+    # its rows, and they never hold more than the cap together
+    cap = identities._ROWS.most
+    tables = [identities._table(n, z) for n, z in (((2,), (1,)), ((1, 1), (1, 2)))]
+    rows = [table.cn for table in tables] + [tables[0].terms[1][1]]
+    for x in range(-cap, cap // 2):
+        for row in rows:
+            row[x]
+        if x % 997 == 0:
+            assert sum(map(len, identities._ROWS.values())) <= identities._ROWS.kept <= cap
+    assert len(_kept()) == identities._ROWS.kept <= cap
+    assert tables[0].cn is identities._ROWS[(2,)] and tables[1].cn is identities._ROWS[(1, 1)]
+    assert all(value == multinomial(x, k) for (x, k), value in _kept().items())
+    assert verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,))).ok
 
 
-def test_memo_is_emptied_after_a_body_raises(monkeypatch):
-    def fault(pairs):
-        raise RuntimeError("body fault")
+def test_a_body_that_raises_leaves_only_values_multinomial_returned(monkeypatch, empty_memos):
+    entry = CATALOG["kmx"]
+    points = []
 
-    sizes, refs = _spying(monkeypatch, "kmx", fault)
+    def fault(values, spec, table):
+        points.append(values)
+        pairs = entry.evaluate(values, spec, table)
+        if len(points) == 5:
+            raise RuntimeError("body fault")
+        return pairs
+
+    monkeypatch.setitem(CATALOG, "kmx", dataclasses.replace(entry, evaluate=fault))
     with pytest.raises(RuntimeError, match="body fault"):
         verify_identity_on_grid(IdentitySpec("kmx", (1, 1), (1, 2)))
-    assert sizes[0] > 0
-    assert _rows_are_freed(refs)
+    kept = _kept()
+    assert kept and all(value == multinomial(x, k) for (x, k), value in kept.items())
+    # a fill that raises keeps nothing: every value held is one it returned
+    real = arith.multinomial
+
+    def refuse(x, k):
+        if (x, k) == (4, (1, 1)):
+            raise RuntimeError("fill fault")
+        return real(x, k)
+
+    assert (4, (1, 1)) not in kept  # the grid reaches it past its fifth point
+    monkeypatch.setattr(arith, "multinomial", refuse)
+    monkeypatch.setitem(CATALOG, "kmx", entry)
+    with pytest.raises(RuntimeError, match="fill fault"):
+        verify_identity_on_grid(IdentitySpec("kmx", (1, 1), (1, 2)))
+    assert (4, (1, 1)) not in _kept()
+    assert all(value == multinomial(x, k) for (x, k), value in _kept().items())
+    assert identities._ROWS.kept == len(_kept())
 
 
-def test_a_grid_inside_a_grid_leaves_the_outer_rows_alone(monkeypatch):
-    # a rothe-1 grid runs before every point of a gould-mohanty grid; the
-    # outer grid still reads its own rows, so arith's multinomial runs once
-    # per distinct (x, k) of the outer grid, as it does with no inner grid
+def test_a_grid_inside_a_grid_shares_the_rows(monkeypatch, empty_memos):
+    # a rothe-1 grid runs before every point of a gould-mohanty grid: the
+    # inner grid fills its rows once, and the outer grid reads its own values
+    # from the same rows, so arith's multinomial runs once per distinct
+    # (x, k) of both grids together
     entry = CATALOG["gould-mohanty"]
-    calls = _counting(monkeypatch, ((2, 1), (1, 2)))
+    calls = _counting(monkeypatch, ((2, 1), (1, 2)), ((2,), (1,)))
+    inner = []
 
     def nested(values, spec, table):
         mark = len(calls)
         assert verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,))).ok
-        del calls[mark:]  # the inner grid's own calls
+        inner.append(len(calls) - mark)
         return entry.evaluate(values, spec, table)
 
     monkeypatch.setitem(CATALOG, "gould-mohanty", dataclasses.replace(entry, evaluate=nested))
     assert verify_identity_on_grid(IdentitySpec("gould-mohanty", (2, 1), (1, 2))).ok
-    assert len(calls) == len(set(calls)) == 48
+    assert len(inner) == 64 and inner[0] > 0 and set(inner[1:]) == {0}
+    assert len(calls) == len(set(calls)) == 48 + inner[0] == len(_kept())
 
 
-def test_point_checks_and_public_evaluators_leave_no_memo(monkeypatch):
+def test_point_checks_and_public_evaluators_read_the_shared_rows(monkeypatch, empty_memos):
     calls = _counting(monkeypatch, ((3,), (1,)), ((2,), (1,)))
-    tables = []
-    real = identities._fresh_table
-
-    def recorded(n, z):
-        tables.append(real(n, z))
-        return tables[-1]
-
-    monkeypatch.setattr(identities, "_fresh_table", recorded)
     # rothe-1 at n = 3 reads 9 values: C(x - kz, k) C(y + kz, 3 - k) for
-    # k = 0..3, and C(x + y, 3); a second call computes all 9 again
+    # k = 0..3, and C(x + y, 3); a second call reads all 9 from the rows
     eval_rothe_1(7, 5, 1, 3)
     assert len(calls) == 9
-    eval_rothe_1(Fraction(7, 2), 5, 1, 3)
-    verify_identity_at_point(IdentitySpec("gould", (2,), (1,)), {"x": 3, "y": 5, "eps": 1})
     eval_rothe_1(7, 5, 1, 3)
-    assert len(calls) == 9 + 9 + 12 + 9 and calls[-9:] == calls[:9]
-    # each was handed a table whose rows store nothing
-    assert len(tables) == 4
-    assert all(type(row) is identities._Fresh for table in tables for row in _rows(table))
+    assert len(calls) == 9
+    # at x = 7/2 the rows of C(y + kz, 3 - k) already hold y = 5's values
+    assert eval_rothe_1(Fraction(7, 2), 5, 1, 3)[0] == eval_rothe_1.__wrapped__(
+        Fraction(7, 2), 5, 1, 3, identities._table((3,), (1,))
+    )[0]
+    assert len(calls) == 9 + 5
+    report = verify_identity_at_point(IdentitySpec("gould", (2,), (1,)), {"x": 3, "y": 5, "eps": 1})
+    assert report.ok and len(calls) == len(set(calls)) == len(_kept())
+    # the point check and the evaluator read the rows of one table per (n, z)
+    assert identities._table((3,), (1,)).cn is identities._ROWS[(3,)]
 
 
-def test_a_wrong_memo_entry_is_a_mismatch(monkeypatch):
+def test_a_wrong_memo_entry_is_a_mismatch(monkeypatch, empty_memos):
     # the first point of the rothe-1 grid at n = 2, z = 1 is x = 3, y = 0,
-    # whose right side is C(x + y, 2) = C(3, 2) = 3; the grid's rows fill from
-    # the multinomial arith holds when they fill
+    # whose right side is C(x + y, 2) = C(3, 2) = 3; the rows fill from the
+    # multinomial arith holds when they fill
     real = arith.multinomial
 
     def wrong(x, n):
         return 16 if (x, n) == (3, (2,)) else real(x, n)
 
     monkeypatch.setattr(arith, "multinomial", wrong)
-    sizes, refs = _spying(monkeypatch, "rothe-1")
-    report = verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,)))
+    spec = IdentitySpec("rothe-1", (2,), (1,))
+    report = verify_identity_on_grid(spec)
     assert report.verdict == "mismatch"
     assert report.counterexample["point"] == {"x": "3", "y": "0"}
     assert report.counterexample["right"] == "16"
-    assert _rows_are_freed(refs)
     monkeypatch.undo()
     assert arith.multinomial is real is multinomial
-    assert verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,))).ok
+    # the planted value stays in the rows until they are emptied
+    assert verify_identity_on_grid(spec).counterexample["right"] == "16"
+    empty_every_memo()
+    assert verify_identity_on_grid(spec).ok
 
 
 _QTERM_PART = st.one_of(

@@ -594,3 +594,35 @@ def test_gf2_coefficients_match_binomials_for_z1():
     assert report.ok
     for k in range(8):
         assert multinomial(x + k, (k,)) == math.comb(x + k, k)
+
+
+# ---------------------------------------------------------------------------
+# the process's memo of the solved series v
+# ---------------------------------------------------------------------------
+
+
+def test_v_is_solved_once_per_z_and_order_and_no_caller_can_change_it(monkeypatch, empty_memos):
+    calls = []
+    step = series._miller_step
+    monkeypatch.setattr(series, "_miller_step", lambda *args: calls.append(1) or step(*args))
+    v = solve_functional_equation((1, 2), 6)
+    solved = len(calls)
+    assert solved and v.coeffs[(1, 0)] == 1
+    v.coeffs[(1, 0)] = 99  # a caller's change reaches its own copy only
+    again = solve_functional_equation([1, 2], 6)
+    assert len(calls) == solved and again.coeffs is not v.coeffs
+    assert again == series._solved((1, 2), 6) and again.coeffs[(1, 0)] == 1
+    # the generating-function checks read the memo's v too
+    assert check_generating_function_1(1, (1, 2), 6).ok
+    assert len(calls) == solved
+
+
+def test_a_sweep_past_the_solved_cap_keeps_at_most_the_cap(empty_memos):
+    kept = series._SOLVED_KEPT
+    for order in range(kept + 8):
+        assert solve_functional_equation((2,), order).order == order
+    info = series._solved.cache_info()
+    assert info.misses == kept + 8 and info.currsize == info.maxsize == kept
+    # the oldest v went first; solving it again is a miss that evicts one more
+    solve_functional_equation((2,), 0)
+    assert series._solved.cache_info()[:2] == (0, kept + 9)
