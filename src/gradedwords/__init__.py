@@ -24,9 +24,9 @@ _EXPORTS = {
         "multinomial", "norm", "parse_scalar", "unit", "vec_add", "vec_sub", "zeros",
     ),
     "bijections": (
-        "BalancedPair", "Overshoot", "PrefixCase", "RaneyFactorization",
-        "find_balanced_pair", "find_equal_prefixes", "raney_factorize", "raney_unfactorize",
-        "shift_by", "shift_down", "verify_raney_decomposition", "verify_shift_bijection",
+        "Overshoot", "PrefixCase", "RaneyFactorization", "raney_factorize", "raney_unfactorize",
+        "shift_by", "shift_down", "verify_raney_decomposition", "verify_raney_word",
+        "verify_shift_bijection", "verify_shift_word",
     ),
     "cli": ("default_manifest", "main", "run_suite"),
     "errors": (
@@ -41,10 +41,11 @@ _EXPORTS = {
     "series": (
         "TruncatedSeries", "check_generating_function_1", "check_generating_function_2",
         "exponents_up_to", "functional_equation_residual", "solve_functional_equation",
+        "verify_solution",
     ),
     "words": (
         "GradedAlphabet", "Word", "WordClassSpec", "count_prefix_class", "count_words",
-        "enumerate_words",
+        "enumerate_words", "verify_count",
     ),
 }
 

@@ -32,7 +32,7 @@ import weakref
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import DimensionMismatchError, PreconditionError
 
@@ -161,34 +161,39 @@ def _shape(n: MultiIndex) -> tuple[int, int]:
 
 class _Memo(dict):
     """A dict that fills in each missing key with fill(key) on first use,
-    made by the _Cap that bounds it."""
+    made by the _Cap that bounds it.  A value counts size(value) against
+    the cap, 1 without a size; a value larger than the cap is handed out
+    but not kept."""
 
-    def __init__(self, fill: Callable, cap: _Cap) -> None:
+    def __init__(self, fill: Callable, cap: _Cap, size: Optional[Callable] = None) -> None:
         super().__init__()
-        self.fill, self.cap = fill, cap
+        self.fill, self.cap, self.size = fill, cap, size
 
     def __missing__(self, key):
         value, cap = self.fill(key), self.cap  # a fill that raises keeps nothing
-        if cap.kept >= cap.most:
-            cap.empty()
-        cap.kept += 1
-        self[key] = value
+        size = 1 if self.size is None else self.size(value)
+        if size <= cap.most:
+            if cap.kept + size > cap.most:
+                cap.empty()
+            cap.kept += size
+            self[key] = value
         return value
 
 
 class _Cap(weakref.WeakValueDictionary):
     """Memos, each listed under its key while it lives, that keep at most
-    `most` values together: kept counts the values filled since they were
-    last emptied, and the miss that finds `most` empties each in place."""
+    `most` values together, each counted by its memo's size: kept counts
+    what was filled since they were last emptied, and the miss that would
+    take kept past `most` empties each in place."""
 
     def __init__(self, most: int) -> None:
         super().__init__()
         self.most, self.kept = most, 0
 
-    def memo(self, key: object, fill: Callable) -> _Memo:
+    def memo(self, key: object, fill: Callable, size: Optional[Callable] = None) -> _Memo:
         memo = self.get(key)
         if memo is None:
-            memo = self[key] = _Memo(fill, self)
+            memo = self[key] = _Memo(fill, self, size)
         return memo
 
     def empty(self) -> None:

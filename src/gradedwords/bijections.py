@@ -25,7 +25,9 @@ shifts and their inverses carry it from step to step.  When the letter
 across the cut weighs 1 the swap moves nothing, and the word itself comes
 back with its cut moved by one.
 
-The verify_* functions replay a construction over an entire class and
+verify_shift_word and verify_raney_word run a construction on one word
+and back, and report whether the word returns.  verify_shift_bijection and
+verify_raney_decomposition replay a construction over an entire class and
 report the tallies.  They take the class in the enumeration's blocks (a
 shared head and a strictly increasing table of tails) and certify a block
 by ranges of its table: the words whose tails share their first few
@@ -75,33 +77,18 @@ from .words import (
 )
 
 __all__ = [
-    "BalancedPair",
     "PrefixCase",
     "Overshoot",
     "RaneyFactorization",
-    "find_equal_prefixes",
-    "find_balanced_pair",
     "shift_down",
     "shift_by",
     "raney_factorize",
     "raney_unfactorize",
+    "verify_shift_word",
+    "verify_raney_word",
     "verify_shift_bijection",
     "verify_raney_decomposition",
 ]
-
-
-@dataclass(frozen=True)
-class BalancedPair:
-    """The minimal (suffix x of u, prefix y of v) with ||x|| = ||y|| - 1.
-
-    u_cut is the length of u minus |x| (where x starts in u), v_cut the
-    length of y.  x may be empty; y never is.
-    """
-
-    x: Word
-    y: Word
-    u_cut: int
-    v_cut: int
 
 
 @dataclass(frozen=True)
@@ -247,68 +234,6 @@ def _check_word_split(w: Word, p: int, r: int = 1, grading: Optional[MultiIndex]
     _check_split(p, len(w) - p, w.weight - len(w), r, grading)
 
 
-def find_equal_prefixes(u: Word, v: Word, n: MultiIndex) -> tuple[Word, Word]:
-    """Nonempty prefixes x of u and y of v with ||x|| = ||y||, minimal.
-
-    Requires ||u||, ||v|| >= n.z + 1 where n counts the b letters of u.v;
-    under that bound the two prefix-weight sequences cannot avoid each other
-    (each b_i skips at most z_i values, and the skips of u and v together
-    miss at most n.z of the n.z + 1 values available to both words).
-    """
-    if u.alphabet != v.alphabet:
-        raise PreconditionError("u and v must share an alphabet")
-    if (u + v).counts != tuple(n):
-        raise PreconditionError(
-            f"n must equal the letter counts of u.v, got {n} vs {(u + v).counts}"
-        )
-    bound = dot(n, u.alphabet.z) + 1
-    if u.weight < bound or v.weight < bound:
-        raise PreconditionError(
-            f"requires ||u|| >= n.z + 1 and ||v|| >= n.z + 1 (= {bound})"
-        )
-    pu = u.prefix_weight_list()
-    pv = v.prefix_weight_list()
-    i = j = 0
-    while i < len(pu) and j < len(pv):
-        if pu[i] == pv[j]:
-            return u.prefix(i + 1), v.prefix(j + 1)
-        if pu[i] < pv[j]:
-            i += 1
-        else:
-            j += 1
-    raise LemmaViolationError(
-        f"no equal-weight prefixes for u={u}, v={v}: counterexample to the "
-        "prefix-weight pigeonhole"
-    )
-
-
-def find_balanced_pair(u: Word, v: Word) -> BalancedPair:
-    """The unique minimal (suffix x of u, prefix y of v) with ||x|| = ||y|| - 1.
-
-    Equivalently: the smallest t >= 0 that is a suffix weight of u (0 for the
-    empty suffix) such that t + 1 is a prefix weight of v.  Requires
-    ||u|| >= n.z and ||v|| >= n.z + 1 for n the letter counts of u.v, which
-    guarantees existence.
-    """
-    if u.alphabet != v.alphabet:
-        raise PreconditionError("u and v must share an alphabet")
-    n = (u + v).counts
-    nz = dot(n, u.alphabet.z)
-    if u.weight < nz or v.weight < nz + 1:
-        raise PreconditionError(
-            f"requires ||u|| >= n.z and ||v|| >= n.z + 1 (n.z = {nz})"
-        )
-    letters = u.letters + v.letters
-    found = _balanced_cut(u.alphabet.weights, letters, len(u), 1)
-    if found is None:
-        raise _no_pair(letters, len(u))
-    u_cut, end = found
-    v_cut = end - len(u)
-    return BalancedPair(
-        x=u.suffix(len(u) - u_cut), y=v.prefix(v_cut), u_cut=u_cut, v_cut=v_cut
-    )
-
-
 def _shift_cut(w: Word, p: int, r: int, lift: int = 0) -> int:
     """Check the hypotheses of an r-fold shift from prefix weight p, and
     return the length of the weight-(p + lift) prefix of w, which must
@@ -351,13 +276,25 @@ def shift_by(w: Word, p: int, r: int) -> Word:
     return _trusted_word(w.alphabet, letters)
 
 
-def _shift_round_trip(w: Word, p: int, r: int) -> tuple[Word, Word]:
-    """shift_by(w, p, r), and that image shifted back down r times.  The
-    way back starts from the image's cut, so w is the only word scanned."""
-    lw = w.alphabet.weights
+def verify_shift_word(w: Word, p: int, r: int) -> EvalReport:
+    """shift_by(w, p, r), shifted back down r times: pass when that gives w
+    back, else fail with the word, its image and what came back.  The way
+    back starts from the image's cut, so w is the only word scanned."""
+    alphabet, lw = w.alphabet, w.alphabet.weights
     image, cut = _shift_letters(lw, w.letters, _shift_cut(w, p, r), r)
     back, _ = _shift_letters(lw, image, cut, r, -1)
-    return _trusted_word(w.alphabet, image), _trusted_word(w.alphabet, back)
+    image_text = str(_trusted_word(alphabet, image))
+    report = EvalReport(
+        check="shift-word",
+        params={"p": p, "z": list(alphabet.z), "r": r},
+        details={"word": str(w), "image": image_text},
+    )
+    report.verdict = VERDICT_PASS if back == w.letters else VERDICT_FAIL
+    if not report.ok:
+        report.counterexample = {
+            "word": str(w), "image": image_text, "back": str(_trusted_word(alphabet, back)),
+        }
+    return report
 
 
 def raney_factorize(w: Word, p: int) -> RaneyFactorization:
@@ -391,6 +328,28 @@ def raney_unfactorize(f: RaneyFactorization, p: int) -> Word:
         raise DimensionMismatchError("cannot concatenate words over different alphabets")
     letters = _raney_join(u.alphabet.weights, p, i, j, u.letters, f.v.letters)
     return Word(u.alphabet, letters)
+
+
+def verify_raney_word(w: Word, p: int) -> EvalReport:
+    """raney_factorize(w, p), reassembled by raney_unfactorize: pass when
+    that gives w back, else fail with the word and what came back.  The
+    report's details name the case and its pieces."""
+    f = raney_factorize(w, p)
+    if isinstance(f, PrefixCase):
+        case = {"case": "prefix", "u": str(f.u), "v": str(f.v)}
+    else:
+        case = {
+            "case": "overshoot", "i": f.i, "j": f.j, "u_prime": str(f.u_prime), "v": str(f.v),
+        }
+    back = raney_unfactorize(f, p)
+    report = EvalReport(
+        check="raney-word", params={"p": p, "z": list(w.alphabet.z)},
+        details={"word": str(w), **case},
+    )
+    report.verdict = VERDICT_PASS if back == w else VERDICT_FAIL
+    if not report.ok:
+        report.counterexample = {"word": str(w), "back": str(back)}
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ a human summary of the same structure.
 Each command is declared once, by its handler's signature: the member
 schema (_COMMANDS) and the argument parser are derived from it and from the
 key table _KEYS, so flags and manifest members share every check and message.
+A handler checks how its arguments combine and makes one call into a layer,
+whose verifier makes the verdict: this module keeps the schema, the
+dispatch, the suite and the rendering, and decides no verdict itself.
 
 Importing this module loads none of the four layers (words, bijections,
 identities, series), nor argparse.  Each handler imports its own layers on
@@ -32,16 +35,9 @@ import sys
 import time
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
-from .arith import MultiIndex, Scalar, dot, format_scalar, natural, parse_scalar
+from .arith import MultiIndex, Scalar, dot, natural, parse_scalar
 from .errors import LemmaViolationError, PreconditionError
-from .reports import (
-    VERDICT_EQUAL,
-    VERDICT_FAIL,
-    VERDICT_MISMATCH,
-    VERDICT_PASS,
-    EvalReport,
-    render_json,
-)
+from .reports import EvalReport, render_json
 
 if TYPE_CHECKING:
     import argparse
@@ -67,21 +63,15 @@ def _require(condition: bool, message: str) -> None:
 # Each layer is bound once and its names never again, so a value later set
 # on one of them (a tracing wrapper, a test's stand-in) stays in place.
 _LAYERS = {
-    "words": (
-        "GradedAlphabet", "count_prefix_class", "count_words", "_check_dimension",
-        "_class_blocks", "_class_size",
-    ),
+    "words": ("GradedAlphabet", "_check_dimension", "_class_blocks", "verify_count"),
     "bijections": (
-        "PrefixCase", "raney_factorize", "raney_unfactorize", "_shift_round_trip",
-        "verify_raney_decomposition", "verify_shift_bijection",
+        "verify_raney_decomposition", "verify_raney_word", "verify_shift_bijection",
+        "verify_shift_word",
     ),
     "identities": (
         "IdentitySpec", "_lookup", "verify_identity_at_point", "verify_identity_on_grid",
     ),
-    "series": (
-        "check_generating_function_1", "check_generating_function_2",
-        "functional_equation_residual", "solve_functional_equation",
-    ),
+    "series": ("check_generating_function_1", "check_generating_function_2", "verify_solution"),
 }
 _bound: set[str] = set()
 
@@ -109,31 +99,14 @@ def do_count(
 ) -> EvalReport:
     """Closed-form count vs enumeration, for a word class or a prefix class."""
     _bind("words")
-    alphabet = GradedAlphabet(z)
-    if n is not None:
-        _require(q is not None, "prefix-class count needs --q along with --n")
-        _require(k is None, "--k only applies to the word-class form (without --n)")
-        formula = count_prefix_class(p, q, n, alphabet)
-        enumerated = _class_size(alphabet, p + q, n, p)
-        report = EvalReport(
-            check="count-prefix-class",
-            params={"p": p, "q": q, "n": list(n), "z": list(z)},
-        )
-    else:
+    if n is None:
         _require(k is not None, "count needs --k (word class) or --n with --q (prefix class)")
         _require(q is None, "--q only applies to the prefix-class form (with --n)")
-        formula = count_words(p, k, alphabet)
-        enumerated = _class_size(alphabet, p, k)
-        report = EvalReport(check="count", params={"p": p, "k": list(k), "z": list(z)})
-    report.details = {"formula": formula, "enumerated": enumerated}
-    report.verdict = VERDICT_EQUAL if formula == enumerated else VERDICT_MISMATCH
-    if not report.ok:
-        report.counterexample = {
-            "formula": formula,
-            "enumerated": enumerated,
-            "params": report.params,
-        }
-    return report
+    else:
+        _require(q is not None, "prefix-class count needs --q along with --n")
+        _require(k is None, "--k only applies to the word-class form (without --n)")
+        k = n  # the prefix class's letter counts
+    return verify_count(GradedAlphabet(z), p, k, q)
 
 
 def do_enumerate(
@@ -190,38 +163,8 @@ def do_bijection(
                 f"word has weight {w.weight}, but p + q + n.z = {expected}",
             )
         if kind == "shift":
-            steps = 1 if r is None else r
-            image, back = _shift_round_trip(w, p, steps)
-            report = EvalReport(
-                check="shift-word",
-                params={"p": p, "z": list(z), "r": steps},
-                details={"word": str(w), "image": str(image)},
-            )
-            report.verdict = VERDICT_PASS if back == w else VERDICT_FAIL
-            if not report.ok:
-                report.counterexample = {"word": str(w), "image": str(image), "back": str(back)}
-            return report
-        f = raney_factorize(w, p)
-        if isinstance(f, PrefixCase):
-            case = {"case": "prefix", "u": str(f.u), "v": str(f.v)}
-        else:
-            case = {
-                "case": "overshoot",
-                "i": f.i,
-                "j": f.j,
-                "u_prime": str(f.u_prime),
-                "v": str(f.v),
-            }
-        back_word = raney_unfactorize(f, p)
-        report = EvalReport(
-            check="raney-word",
-            params={"p": p, "z": list(z)},
-            details={"word": str(w), **case},
-        )
-        report.verdict = VERDICT_PASS if back_word == w else VERDICT_FAIL
-        if not report.ok:
-            report.counterexample = {"word": str(w), "back": str(back_word)}
-        return report
+            return verify_shift_word(w, p, 1 if r is None else r)
+        return verify_raney_word(w, p)
     _require(q is not None and n is not None, f"bijection {kind} over a class needs --q and --n")
     if kind == "shift":
         return verify_shift_bijection(p, q, n, alphabet, r=1 if r is None else r)
@@ -266,47 +209,7 @@ def do_series_solve(
 ) -> EvalReport:
     """Solve the functional equation, checking residual, naturality and expected values."""
     _bind("series")
-    for exponent, _ in expect_coefficients or ():
-        _require(
-            len(exponent) == len(z) and sum(exponent) <= order,
-            f"expect_coefficients exponent {','.join(map(str, exponent))} is not a"
-            f" monomial of degree <= {order} in {len(z)} variables",
-        )
-    v = solve_functional_equation(tuple(z), order)
-    residual_zero = functional_equation_residual(v, tuple(z)).is_zero()
-    natural = all(type(c) is int and c >= 0 for c in v.coeffs.values())
-    report = EvalReport(
-        check="series-solve",
-        params={"z": list(z), "order": order},
-        details={
-            "coefficients": {
-                ",".join(map(str, e)): format_scalar(c)
-                for e, c in sorted(v.coeffs.items())
-            },
-            "residual_zero": residual_zero,
-            "natural_coefficients": natural,
-        },
-    )
-    report.verdict = VERDICT_PASS if residual_zero and natural else VERDICT_FAIL
-    if not report.ok:
-        report.counterexample = {
-            "residual_zero": residual_zero,
-            "natural_coefficients": natural,
-        }
-        return report
-    if expect_coefficients:
-        for exponent, expected in expect_coefficients:
-            actual = v.coeffs.get(exponent, 0)
-            if actual != expected:
-                report.verdict = VERDICT_MISMATCH
-                report.counterexample = {
-                    "exponent": list(exponent),
-                    "expected": format_scalar(expected),
-                    "actual": format_scalar(actual),
-                }
-                return report
-        report.details["expected_coefficients_checked"] = len(expect_coefficients)
-    return report
+    return verify_solution(z, order, expect_coefficients or ())
 
 
 def do_series_check1(x: int, z: MultiIndex, order: int) -> EvalReport:

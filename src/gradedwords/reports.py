@@ -1,7 +1,7 @@
 """Structured results of verification runs.
 
 Every check in the package (identity grids, bijection replays, series
-comparisons, CLI counts) produces an EvalReport.  Reports serialize to JSON
+comparisons, class counts) produces an EvalReport.  Reports serialize to JSON
 with sorted keys so that a given configuration always produces byte-identical
 output.  Exact scalar values appear as decimal strings ("30") or "p/q"
 strings ("2/3"); structural tallies (class sizes, point counts) stay plain

@@ -15,9 +15,11 @@ for any a: for w = s^a,
 v = 1 + sum_i u_i v^(z_i) is solved one total degree at a time: degree d+1
 of v needs each v^(z_i) through degree d only, and one Miller step per
 degree extends those powers, once per (z, order) in the process: the
-bounded memo _solved keeps v.  functional_equation_residual forms each
-u_i v^(z_i) from products alone, a check on v independent of the
-recurrence.  The two generating-function identities
+memo _solved keeps v, bounded by the coefficients it holds.
+functional_equation_residual forms each u_i v^(z_i) from products alone, a
+check on v independent of the recurrence; verify_solution makes that check,
+and checks that the coefficients are naturals and any expected ones.  The
+two generating-function identities
 
     sum_k (x/(x+k.z)) C(x+k.z,k) u^k  =  v^x
     sum_k C(x+k.z,k) u^k              =  v^x / (1 - sum_i u_i z_i v^(z_i-1))
@@ -60,12 +62,13 @@ from .arith import (
     rational,
 )
 from .errors import DimensionMismatchError, PreconditionError
-from .reports import VERDICT_EQUAL, VERDICT_MISMATCH, EvalReport
+from .reports import VERDICT_EQUAL, VERDICT_FAIL, VERDICT_MISMATCH, VERDICT_PASS, EvalReport
 
 __all__ = [
     "TruncatedSeries",
     "exponents_up_to",
     "solve_functional_equation",
+    "verify_solution",
     "check_generating_function_1",
     "check_generating_function_2",
 ]
@@ -312,23 +315,18 @@ class TruncatedSeries:
 def solve_functional_equation(z: MultiIndex, order: int) -> TruncatedSeries:
     """The unique series v with constant term 1 and v = 1 + sum_i u_i v^(z_i):
     a copy of the memo's v, so that no caller can change the memo."""
-    v = _solved(naturals(z, "z"), natural(order, "order"))
+    v = _solved[naturals(z, "z"), natural(order, "order")]
     return TruncatedSeries._trusted(v.nvars, v.order, v.coeffs)
 
 
-# The most v the memo keeps.  A series-gf benchmark pass (seeds 1-3, 5, 77)
-# solves 35-38, under 0.2 MB; a v of order 30 at m = 3 takes 1.1 MB.
-_SOLVED_KEPT = 64
-
-
-@lru_cache(maxsize=_SOLVED_KEPT)
-def _solved(z: MultiIndex, order: int) -> TruncatedSeries:
-    """v, solved one total degree at a time: degree d + 1 of v is the sum
-    over i of u_i times degree d of v^(z_i), and each power v^a is extended
-    to degree d by one Miller step once v is known through degree d.  Each
-    degree is a list of (packed exponent, coefficient) pairs; u_i packs to
-    the weight B^(i-1).
+def _solve(key: tuple[MultiIndex, int]) -> TruncatedSeries:
+    """v for key = (z, order), solved one total degree at a time: degree
+    d + 1 of v is the sum over i of u_i times degree d of v^(z_i), and each
+    power v^a is extended to degree d by one Miller step once v is known
+    through degree d.  Each degree is a list of (packed exponent,
+    coefficient) pairs; u_i packs to the weight B^(i-1).
     """
+    z, order = key
     m = len(z)
     weights = _packing(m, order)[0]
     v = [[(0, 1)]]
@@ -347,6 +345,16 @@ def _solved(z: MultiIndex, order: int) -> TruncatedSeries:
     return TruncatedSeries._trusted(m, order, coeffs, packed=True)
 
 
+# The most coefficients the memo of v keeps, over all the v it holds; the
+# miss that would pass it empties the memo, and a larger v is not kept.  A
+# series-gf benchmark pass (seeds 1-3, 5, 77) solves 35-38 v of 512-592
+# coefficients in all; three v of order 30 at m = 3 (5456 each) fit.
+_SOLVED_KEPT = 1 << 14
+
+# (z, order) -> v, filled by _solve
+_solved = _Cap(_SOLVED_KEPT).memo(0, _solve, lambda v: len(v.coeffs))
+
+
 def functional_equation_residual(v: TruncatedSeries, z: MultiIndex) -> TruncatedSeries:
     """v - 1 - sum_i u_i v^(z_i); the zero series iff v solves the equation.
 
@@ -363,6 +371,51 @@ def functional_equation_residual(v: TruncatedSeries, z: MultiIndex) -> Truncated
             power = power * v
         residual = residual - TruncatedSeries.variable(i, v.nvars, v.order) * power
     return residual
+
+
+def verify_solution(
+    z: MultiIndex, order: int, expect: Iterable[tuple[MultiIndex, Scalar]] = ()
+) -> EvalReport:
+    """Check v, solved for (z, order): pass when its residual is the zero
+    series and its coefficients are naturals, else fail; then mismatch at
+    the first (exponent, value) of expect that is not v's coefficient.
+    Each expected exponent must be a monomial of degree <= order in len(z)
+    variables."""
+    z, order, expect = naturals(z, "z"), natural(order, "order"), tuple(expect)
+    for exponent, _ in expect:
+        if not (len(exponent) == len(z) and sum(exponent) <= order):
+            raise PreconditionError(
+                f"expect_coefficients exponent {','.join(map(str, exponent))} is not a"
+                f" monomial of degree <= {order} in {len(z)} variables"
+            )
+    v = _solved[z, order]
+    checks = {
+        "residual_zero": functional_equation_residual(v, z).is_zero(),
+        "natural_coefficients": all(type(c) is int and c >= 0 for c in v.coeffs.values()),
+    }
+    coefficients = {",".join(map(str, e)): format_scalar(c) for e, c in sorted(v.coeffs.items())}
+    report = EvalReport(
+        check="series-solve",
+        params={"z": list(z), "order": order},
+        details={"coefficients": coefficients, **checks},
+    )
+    report.verdict = VERDICT_PASS if all(checks.values()) else VERDICT_FAIL
+    if not report.ok:
+        report.counterexample = checks
+        return report
+    for exponent, expected in expect:
+        actual = v.coeffs.get(tuple(exponent), 0)
+        if actual != expected:
+            report.verdict = VERDICT_MISMATCH
+            report.counterexample = {
+                "exponent": list(exponent),
+                "expected": format_scalar(expected),
+                "actual": format_scalar(actual),
+            }
+            return report
+    if expect:
+        report.details["expected_coefficients_checked"] = len(expect)
+    return report
 
 
 _X_RESTRICTION = "x verified for positive integers only"
@@ -407,7 +460,7 @@ def check_generating_function_1(x: int, z: MultiIndex, order: int) -> EvalReport
     left = TruncatedSeries._trusted(
         m, order, {k: exact(x * multinomial(t, k), t) for k, t in tops}
     )
-    right = _solved(z, order) ** x
+    right = _solved[z, order] ** x
     return _compare_series("generating-function-1", x, z, left, right)
 
 
@@ -419,7 +472,7 @@ def check_generating_function_2(x: int, z: MultiIndex, order: int) -> EvalReport
     m = len(z)
     tops = ((k, x + dot(k, z)) for k in exponents_up_to(m, order))
     left = TruncatedSeries._trusted(m, order, {k: multinomial(t, k) for k, t in tops})
-    v = _solved(z, order)
+    v = _solved[z, order]
     denominator = TruncatedSeries.constant(1, m, order)
     for i, a in enumerate(z, 1):
         denominator = denominator - (TruncatedSeries.variable(i, m, order) * v ** (a - 1)).scaled(a)

@@ -35,6 +35,9 @@ the blocks concatenated are the class in lexicographic order; consumers
 build a block's words with map(head.__add__, table), without a Python step
 per word.  A class is counted by its table lengths, so a count builds no
 word at all.
+
+verify_count checks a closed-form count against that count of the
+enumeration, for a class or a prefix class, and reports the verdict.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from typing import Iterator, Optional
 
 from .arith import MultiIndex, dot, multinomial, naturals, norm, vec_sub, box
 from .errors import DimensionMismatchError, PreconditionError
+from .reports import VERDICT_EQUAL, VERDICT_MISMATCH, EvalReport
 
 __all__ = [
     "GradedAlphabet",
@@ -55,6 +59,7 @@ __all__ = [
     "enumerate_words",
     "count_words",
     "count_prefix_class",
+    "verify_count",
 ]
 
 
@@ -147,19 +152,8 @@ class Word:
     def counts(self) -> MultiIndex:
         return tuple(map(self.letters.count, range(1, self.alphabet.m + 1)))
 
-    def reversed(self) -> "Word":
-        return Word(self.alphabet, self.letters[::-1])
-
-    def __add__(self, other: "Word") -> "Word":
-        if self.alphabet != other.alphabet:
-            raise DimensionMismatchError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
-
     def prefix(self, length: int) -> "Word":
         return Word(self.alphabet, self.letters[:length])
-
-    def suffix(self, length: int) -> "Word":
-        return Word(self.alphabet, self.letters[len(self.letters) - length :])
 
     def prefix_weight_list(self) -> tuple[int, ...]:
         """Weights of the nonempty prefixes, strictly increasing, one per length."""
@@ -435,3 +429,28 @@ def count_prefix_class(p: int, q: int, n: MultiIndex, alphabet: GradedAlphabet) 
             f"prefix-class count requires p >= n.z and q >= n.z (p={p}, q={q}, n.z={nz})"
         )
     return _split_count(alphabet.z, p, q, n)
+
+
+def verify_count(
+    alphabet: GradedAlphabet, p: int, k: MultiIndex, q: Optional[int] = None
+) -> EvalReport:
+    """The closed form against the enumeration's count: count_words for
+    class(p, k), or, given q, count_prefix_class for the prefix class
+    class(p + q, k, r=p), whose letter counts k the report names n.  Equal
+    counts are the verdict; a mismatch names both and the parameters."""
+    z = list(alphabet.z)
+    if q is None:
+        formula = count_words(p, k, alphabet)
+        enumerated = _class_size(alphabet, p, k)
+        report = EvalReport(check="count", params={"p": p, "k": list(k), "z": z})
+    else:
+        formula = count_prefix_class(p, q, k, alphabet)
+        enumerated = _class_size(alphabet, p + q, k, p)
+        report = EvalReport(
+            check="count-prefix-class", params={"p": p, "q": q, "n": list(k), "z": z}
+        )
+    report.details = {"formula": formula, "enumerated": enumerated}
+    report.verdict = VERDICT_EQUAL if formula == enumerated else VERDICT_MISMATCH
+    if not report.ok:
+        report.counterexample = {**report.details, "params": report.params}
+    return report

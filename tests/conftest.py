@@ -65,7 +65,8 @@ def multi_indices(max_m: int = 2, max_entry: int = 3) -> st.SearchStrategy:
 
 
 # the memos as the modules define them, whatever a test plants in their place
-_CACHED = (words._table, identities._table, series._solved)
+_CACHED = (words._table, identities._table)
+_CAPS = (identities._ROWS, series._solved.cap)
 
 
 def empty_every_memo() -> None:
@@ -74,7 +75,8 @@ def empty_every_memo() -> None:
     they hold, and the solved series v."""
     for cached in _CACHED:
         cached.cache_clear()
-    identities._ROWS.empty()
+    for cap in _CAPS:
+        cap.empty()
 
 
 @pytest.fixture

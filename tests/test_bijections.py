@@ -28,8 +28,6 @@ from gradedwords import (
     count_words,
     dot,
     enumerate_words,
-    find_balanced_pair,
-    find_equal_prefixes,
     raney_factorize,
     raney_unfactorize,
     shift_by,
@@ -54,26 +52,11 @@ def _class(alphabet, p, k, r=None):
 # ---------------------------------------------------------------------------
 
 
-def test_find_equal_prefixes_examples():
-    x, y = find_equal_prefixes(A1.parse_word("a a"), A1.parse_word("b a"), (1,))
-    assert (str(x), str(y)) == ("a a", "b")  # common prefix weight 2
-    x, y = find_equal_prefixes(A1.parse_word("a"), A1.parse_word("a"), (0,))
-    assert (str(x), str(y)) == ("a", "a")
-    # two b's in u.v: bound is n.z + 1 = 3, met with weight-3 words
-    x, y = find_equal_prefixes(A1.parse_word("b a"), A1.parse_word("a b"), (2,))
-    assert (str(x), str(y)) == ("b a", "a b")  # only common weight is 3
-
-
-def test_find_equal_prefixes_preconditions():
-    with pytest.raises(PreconditionError):
-        find_equal_prefixes(A1.parse_word("a"), A1.parse_word("b a"), (1,))  # ||u|| < 2
-    with pytest.raises(PreconditionError):
-        find_equal_prefixes(A1.parse_word("a b"), A1.parse_word("a a"), (2,))  # wrong n
-
-
-def test_find_equal_prefixes_exhaustive_small():
-    # wherever the weight bound holds, a minimal equal-weight prefix pair
-    # exists and matches a brute-force intersection of prefix weights
+def test_the_prefix_weight_pigeonhole_exhaustive_small():
+    # wherever ||u||, ||v|| >= n.z + 1, for n the letter counts of u.v, the
+    # prefix weights of u and v share a value: each b_i skips at most z_i
+    # values, and the skips of u and v together miss at most n.z of the
+    # n.z + 1 values open to both words
     for z in [(1,), (2,), (1, 2)]:
         alphabet = GradedAlphabet(z=z)
         for total_u in range(1, 6):
@@ -86,12 +69,10 @@ def test_find_equal_prefixes_exhaustive_small():
                             continue
                         for u in _class(alphabet, total_u, ku):
                             for v in _class(alphabet, total_v, kv):
-                                x, y = find_equal_prefixes(u, v, n)
-                                assert x.weight == y.weight > 0
                                 common = set(u.prefix_weight_list()) & set(
                                     v.prefix_weight_list()
                                 )
-                                assert x.weight == min(common)
+                                assert common and min(common) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -99,27 +80,35 @@ def test_find_equal_prefixes_exhaustive_small():
 # ---------------------------------------------------------------------------
 
 
-def test_find_balanced_pair_examples():
-    bp = find_balanced_pair(A1.parse_word("a"), A1.parse_word("b"))
-    assert (str(bp.x), str(bp.y)) == ("a", "b")
-    bp = find_balanced_pair(A1.parse_word("a a"), A1.parse_word("a b"))
-    assert (str(bp.x), str(bp.y)) == ("", "a")
-    bp = find_balanced_pair(A1.parse_word("b"), A1.parse_word("b a"))
-    assert (str(bp.x), str(bp.y)) == ("b", "b a")
+def _pair(u, v):
+    """The minimal (suffix x of u, prefix y of v) with ||x|| = ||y|| - 1, as
+    _balanced_cut finds it in u.v at the cut |u|."""
+    letters = u.letters + v.letters
+    i, j = _balanced_cut(u.alphabet.weights, letters, len(u), 1)
+    return Word(u.alphabet, letters[i:len(u)]), Word(u.alphabet, letters[len(u):j])
+
+
+def test_balanced_cut_examples():
+    x, y = _pair(A1.parse_word("a"), A1.parse_word("b"))
+    assert (str(x), str(y)) == ("a", "b")
+    x, y = _pair(A1.parse_word("a a"), A1.parse_word("a b"))
+    assert (str(x), str(y)) == ("", "a")
+    x, y = _pair(A1.parse_word("b"), A1.parse_word("b a"))
+    assert (str(x), str(y)) == ("b", "b a")
 
 
 def test_balanced_pair_cut_bookkeeping():
     u, v = A1.parse_word("a b"), A1.parse_word("b a")
-    bp = find_balanced_pair(u, v)
-    assert u.suffix(len(u) - bp.u_cut) == bp.x
-    assert v.prefix(bp.v_cut) == bp.y
-    assert bp.x.weight + 1 == bp.y.weight
-    assert len(bp.y) >= 1
+    x, y = _pair(u, v)
+    assert u.letters[len(u) - len(x):] == x.letters and v.prefix(len(y)) == y
+    assert x.weight + 1 == y.weight
+    assert len(y) >= 1
 
 
 def test_balanced_pair_minimality_oracle():
-    # the returned t = ||x|| must be the smallest t >= 0 that is a suffix
-    # weight of u (or 0) with t + 1 a prefix weight of v
+    # the t = ||x|| found must be the smallest t >= 0 that is a suffix
+    # weight of u (or 0) with t + 1 a prefix weight of v, wherever
+    # ||u|| >= n.z and ||v|| >= n.z + 1 guarantee that one exists
     for z in [(1,), (3,), (1, 2)]:
         alphabet = GradedAlphabet(z=z)
         for wu in range(2, 6):
@@ -135,7 +124,7 @@ def test_balanced_pair_minimality_oracle():
                                 u.weight - c for c in u.prefix_weight_list()[:-1]
                             } | {u.weight}
                             for v in _class(alphabet, wv, kv):
-                                bp = find_balanced_pair(u, v)
+                                x, _ = _pair(u, v)
                                 prefix_weights_v = set(v.prefix_weight_list())
                                 candidates = [
                                     t
@@ -143,7 +132,7 @@ def test_balanced_pair_minimality_oracle():
                                     if t + 1 in prefix_weights_v
                                 ]
                                 assert candidates, "lemma guarantees existence"
-                                assert bp.x.weight == candidates[0]
+                                assert x.weight == candidates[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +232,6 @@ def test_shift_kernel_without_a_balanced_pair_is_a_lemma_violation():
 def test_a_whole_word_without_a_balanced_pair_is_a_lemma_violation(monkeypatch):
     # the public operations keep raising where the kernel reports no pair
     monkeypatch.setattr(bijections, "_balanced_cut", lambda *args: None)
-    with pytest.raises(LemmaViolationError, match="no balanced pair"):
-        find_balanced_pair(A1.parse_word("a"), A1.parse_word("b"))
     with pytest.raises(LemmaViolationError, match="no balanced pair"):
         shift_by(A1.parse_word("a b"), 1, 1)
     with pytest.raises(LemmaViolationError, match="no balanced pair"):
@@ -807,7 +794,7 @@ def test_block_tallies_are_the_word_by_word_tallies(p, q, n):
         if isinstance(f, PrefixCase):
             prefix_case += 1
         else:
-            k = (f.u_prime + Word(A2, (f.i,))).counts
+            k = Word(A2, f.u_prime.letters + (f.i,)).counts
             cells[f"i={f.i},j={f.j},k={','.join(map(str, k))}"] += 1
     report = verify_raney_decomposition(p, q, n, A2)
     assert report.ok and report.details == {

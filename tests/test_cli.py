@@ -3,6 +3,7 @@ manifest-driven suites, and determinism."""
 
 from __future__ import annotations
 
+import ast
 import collections
 import contextlib
 import dataclasses
@@ -27,8 +28,8 @@ from hypothesis import strategies as st
 
 import gradedwords
 import gradedwords.cli as cli
-from gradedwords import arith, series, words
-from gradedwords.bijections import _shift_round_trip
+from conftest import empty_every_memo
+from gradedwords import arith, bijections, series, words
 from gradedwords import (
     CATALOG, PreconditionError, TruncatedSeries, default_manifest, main, run_suite,
 )
@@ -211,11 +212,12 @@ def test_bijection_shift_word_steps_back_as_the_shift_down_chain(capsys):
     source = list(gradedwords.enumerate_words(gradedwords.WordClassSpec(11, (1, 1), p), alphabet))
     assert len(source) > 1
     for w in source:
-        image, back = _shift_round_trip(w, p, r)
-        chain = image
+        report = gradedwords.verify_shift_word(w, p, r)
+        image = chain = gradedwords.shift_by(w, p, r)
         for step in range(r - 1, -1, -1):
             chain = gradedwords.shift_down(chain, p + step)
-        assert image == gradedwords.shift_by(w, p, r) and back == chain == w
+        assert report.ok and report.details == {"word": str(w), "image": str(image)}
+        assert chain == w
     code, payload = run_json(
         capsys, "bijection", "shift", "--z", "1,2", "--p", "4", "--r", "3",
         "--word", "a b2 a b1 a a a a",
@@ -468,14 +470,15 @@ def test_a_planted_multinomial_fails_verify_point(monkeypatch, empty_memos):
 
 
 def test_a_wrong_coefficient_in_v_fails_series_solve(monkeypatch, empty_memos):
-    # the planted solver hands out v with u_1 u_2 raised by one, around the memo
-    real = series._solved
+    # the planted solver fills the emptied memo with v whose u_1 u_2 is
+    # raised by one
+    real = series._solved.fill
 
-    def raised(z, order):
-        v = real(z, order)
-        return TruncatedSeries._trusted(v.nvars, order, {**v.coeffs, (1, 1): v.coeffs[(1, 1)] + 1})
+    def raised(key):
+        v = real(key)
+        return TruncatedSeries._trusted(v.nvars, v.order, {**v.coeffs, (1, 1): v.coeffs[(1, 1)] + 1})
 
-    monkeypatch.setattr(series, "_solved", raised)
+    monkeypatch.setattr(series._solved, "fill", raised)
     entry = _member_entry(command="series-solve", z=[1, 2], order=4)
     assert entry["exit_code"] == EXIT_COUNTEREXAMPLE
     assert entry["report"]["verdict"] == "fail"
@@ -483,19 +486,215 @@ def test_a_wrong_coefficient_in_v_fails_series_solve(monkeypatch, empty_memos):
         "residual_zero": False, "natural_coefficients": True,
     }
     monkeypatch.undo()
+    empty_every_memo()  # the planted v, kept by the memo
     assert _member_entry(command="series-solve", z=[1, 2], order=4)["exit_code"] == EXIT_PASS
 
 
 def test_a_class_size_off_by_one_fails_count(monkeypatch, empty_memos):
-    cli._bind("words")  # the handler reads the name cli binds from words
-    real = cli._class_size
-    monkeypatch.setattr(cli, "_class_size", lambda *args: real(*args) + 1)
+    real = words._class_size
+    monkeypatch.setattr(words, "_class_size", lambda *args: real(*args) + 1)
     entry = _member_entry(command="count", z=[1, 2], p=7, k=[1, 1])
     assert entry["exit_code"] == EXIT_COUNTEREXAMPLE
     assert entry["report"]["verdict"] == "mismatch"
     ce = entry["report"]["counterexample"]
     assert ce["enumerated"] == ce["formula"] + 1 == real(words.GradedAlphabet((1, 2)), 7, (1, 1)) + 1
     assert ce["params"] == {"p": 7, "k": [1, 1], "z": [1, 2]}
+
+
+def test_a_shift_down_that_does_not_invert_fails_shift_word(monkeypatch, empty_memos):
+    # the downward step moves the cut but leaves the letters where they are
+    real = bijections._swap_balanced
+
+    def stuck(lw, letters, cut, excess=1):
+        return real(lw, letters, cut, excess) if excess == 1 else (letters, cut - 1)
+
+    monkeypatch.setattr(bijections, "_swap_balanced", stuck)
+    entry = _member_entry(command="bijection", kind="shift", z=[1], p=1, word="a b")
+    assert entry["exit_code"] == EXIT_COUNTEREXAMPLE
+    assert entry["report"]["verdict"] == "fail"
+    assert entry["report"]["counterexample"] == {"word": "a b", "image": "b a", "back": "b a"}
+
+
+def test_a_raney_unfactorize_that_returns_another_word_fails_raney_word(
+    monkeypatch, empty_memos
+):
+    real = bijections.raney_unfactorize
+    monkeypatch.setattr(bijections, "raney_unfactorize",
+                        lambda f, p: words.Word(f.v.alphabet, real(f, p).letters[::-1]))
+    entry = _member_entry(command="bijection", kind="raney", z=[1], p=2, word="b a b a")
+    assert entry["exit_code"] == EXIT_COUNTEREXAMPLE
+    assert entry["report"]["verdict"] == "fail"
+    assert entry["report"]["counterexample"] == {"word": "b a b a", "back": "a b a b"}
+
+
+# class(8, (1, 1)) over z = (1, 2), factorized at p = 3: C(5, (1, 1)) = 20
+# words, 12 with a weight-3 prefix and 8 that overshoot it
+_RANEY_MEMBER = {"command": "bijection", "kind": "raney", "z": [1, 2], "p": 3, "q": 2, "n": [1, 1]}
+
+
+def _raney_counterexample() -> dict:
+    entry = _member_entry(**_RANEY_MEMBER)
+    assert entry["exit_code"] == EXIT_COUNTEREXAMPLE and entry["report"]["verdict"] == "fail"
+    return entry["report"]["counterexample"]
+
+
+def test_a_prefix_class_size_off_by_one_fails_the_raney_prefix_tally(monkeypatch, empty_memos):
+    real = bijections._class_size
+    monkeypatch.setattr(bijections, "_class_size",
+                        lambda alphabet, p, k, r=None: real(alphabet, p, k, r) + (r is not None))
+    assert _raney_counterexample() == {
+        "reason": "prefix-case tally disagrees", "tally": 12, "enumerated": 13, "formula": "12",
+    }
+
+
+def test_a_cell_count_off_by_one_fails_the_raney_cell_closed_form(monkeypatch, empty_memos):
+    # the cell i = 1, j = 1, k = (1, 0) has an empty head u': C(2, (0, 0)) = 1
+    real = bijections.count_words
+    monkeypatch.setattr(bijections, "count_words",
+                        lambda p, k, alphabet: real(p, k, alphabet) + (not any(k)))
+    assert _raney_counterexample() == {
+        "reason": "overshoot cell tally disagrees with the closed form",
+        "i": 1, "j": 1, "k": [1, 0], "tally": 2, "formula": "4",
+    }
+
+
+def test_a_class_size_off_by_one_fails_the_raney_cell_enumeration(monkeypatch, empty_memos):
+    real = bijections._class_size
+    monkeypatch.setattr(bijections, "_class_size",
+                        lambda alphabet, p, k, r=None: real(alphabet, p, k, r) + (r is None))
+    assert _raney_counterexample() == {
+        "reason": "overshoot cell tally disagrees with enumeration",
+        "i": 1, "j": 1, "k": [1, 0], "tally": 2, "enumerated": 6,
+    }
+
+
+def test_a_word_outside_every_cell_fails_the_raney_partition(monkeypatch, empty_memos):
+    # b1 b1 b2 a has the class's weight 8 but counts n + e_1 = (2, 1): it
+    # overshoots p = 3 by j = 1 through b1, with k = (2, 0) outside every cell
+    real = bijections._class_blocks
+
+    def extra(*args):
+        yield from real(*args)
+        yield 0, (), ((1, 1, 2, 0),)
+
+    monkeypatch.setattr(bijections, "_class_blocks", extra)
+    assert _raney_counterexample() == {
+        "reason": "cases do not partition the class", "total": 21, "sum_of_cases": 20,
+    }
+
+
+def test_a_multinomial_off_by_one_fails_the_raney_class_size(monkeypatch, empty_memos):
+    real = bijections.multinomial
+    monkeypatch.setattr(bijections, "multinomial", lambda x, n: real(x, n) + 1)
+    assert _raney_counterexample() == {
+        "reason": "class size disagrees with C(p+q, n)", "total": 20, "formula": "21",
+    }
+
+
+# Every verdict branch of the library that says fail or mismatch, keyed by
+# where it is (module.function) and what it says (its verdict, or the reason
+# of its counterexample), and the test that reaches it with exit 1.
+_VERDICT_BRANCHES = {
+    "words.verify_count: VERDICT_MISMATCH":
+        "test_cli.py::test_a_class_size_off_by_one_fails_count",
+    "bijections.verify_shift_word: VERDICT_FAIL":
+        "test_cli.py::test_a_shift_down_that_does_not_invert_fails_shift_word",
+    "bijections.verify_raney_word: VERDICT_FAIL":
+        "test_cli.py::test_a_raney_unfactorize_that_returns_another_word_fails_raney_word",
+    # _fail, which every reason given to it below goes through
+    "bijections._fail: VERDICT_FAIL":
+        "test_cli.py::test_a_multinomial_off_by_one_fails_the_raney_class_size",
+    "bijections._fail: reason":
+        "test_cli.py::test_a_multinomial_off_by_one_fails_the_raney_class_size",
+    "bijections.verify_shift_bijection.check: image escapes the target class":
+        "test_bijections.py::test_a_faulty_shift_kernel_is_a_counterexample",
+    "bijections.verify_shift_bijection.check: inverse does not round-trip":
+        "test_bijections.py::test_a_faulty_shift_kernel_is_a_counterexample",
+    "bijections.verify_shift_bijection: class sizes differ":
+        "test_bijections.py::test_a_target_class_of_another_size_is_a_counterexample",
+    "bijections.verify_shift_bijection: class size disagrees with the closed form":
+        "test_bijections.py::test_a_shortfall_shared_by_both_classes_is_a_counterexample",
+    "bijections.verify_raney_decomposition.check: str(exc)":
+        "test_bijections.py::test_a_faulty_raney_join_names_the_first_failing_word",
+    "bijections.verify_raney_decomposition.check: factorization does not reassemble":
+        "test_bijections.py::test_a_faulty_raney_join_names_the_first_failing_word",
+    "bijections.verify_raney_decomposition: prefix-case tally disagrees":
+        "test_cli.py::test_a_prefix_class_size_off_by_one_fails_the_raney_prefix_tally",
+    "bijections.verify_raney_decomposition: overshoot cell tally disagrees with the closed form":
+        "test_cli.py::test_a_cell_count_off_by_one_fails_the_raney_cell_closed_form",
+    "bijections.verify_raney_decomposition: overshoot cell tally disagrees with enumeration":
+        "test_cli.py::test_a_class_size_off_by_one_fails_the_raney_cell_enumeration",
+    "bijections.verify_raney_decomposition: cases do not partition the class":
+        "test_cli.py::test_a_word_outside_every_cell_fails_the_raney_partition",
+    "bijections.verify_raney_decomposition: class size disagrees with C(p+q, n)":
+        "test_cli.py::test_a_multinomial_off_by_one_fails_the_raney_class_size",
+    "identities.verify_identity_on_grid: VERDICT_MISMATCH":
+        "test_cli.py::test_verify_mismatch_exits_one_with_counterexample",
+    "identities.verify_identity_at_point: VERDICT_MISMATCH":
+        "test_cli.py::test_a_planted_multinomial_fails_verify_point",
+    "series.verify_solution: VERDICT_FAIL":
+        "test_cli.py::test_a_wrong_coefficient_in_v_fails_series_solve",
+    "series.verify_solution: VERDICT_MISMATCH":
+        "test_cli.py::test_suite_isolates_member_failures",
+    "series._compare_series: VERDICT_MISMATCH":
+        "test_series.py::test_planted_left_side_mismatch_is_named_at_its_first_exponent",
+}
+
+
+def _verdict_branches(path: Path) -> list[str]:
+    """The fail and mismatch branches of a module, keyed as in _VERDICT_BRANCHES:
+    each assignment of VERDICT_FAIL or VERDICT_MISMATCH to a .verdict, and
+    each reason passed to _fail or given as a counterexample's "reason"."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{where}.{child.name}"
+            elif isinstance(child, ast.Assign) and any(
+                getattr(target, "attr", None) == "verdict" for target in child.targets
+            ):
+                found.extend(f"{where}: {name.id}" for name in ast.walk(child.value)
+                             if isinstance(name, ast.Name)
+                             and name.id in ("VERDICT_FAIL", "VERDICT_MISMATCH"))
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_fail":
+                if len(child.args) > 1:
+                    found.append(f"{where}: {ast.literal_eval(child.args[1])}")
+            elif isinstance(child, ast.Dict):
+                found.extend(
+                    f"{where}: {value.value if isinstance(value, ast.Constant) else ast.unparse(value)}"
+                    for key, value in zip(child.keys, child.values)
+                    if isinstance(key, ast.Constant) and key.value == "reason"
+                )
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_every_fail_and_mismatch_branch_has_a_named_test_that_reaches_it():
+    root = Path(__file__).resolve().parent
+    source = root.parent / "src" / "gradedwords"
+    found = [key for path in sorted(source.glob("*.py")) for key in _verdict_branches(path)]
+    assert len(found) == len(set(found))  # a key names one branch
+    assert sorted(found) == sorted(_VERDICT_BRANCHES)
+    tests = {
+        f"{path.name}::{node.name}"
+        for path in root.glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+    }
+    assert sorted(set(_VERDICT_BRANCHES.values()) - tests) == []
+    # the front end decides no verdict: it neither assigns one nor imports one
+    tree = ast.parse((source / "cli.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            and any(getattr(target, "attr", None) == "verdict"
+                    for target in getattr(node, "targets", [getattr(node, "target", None)]))] == []
+    assert [name for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.alias))
+            for name in [getattr(node, "id", getattr(node, "name", ""))]
+            if name.startswith("VERDICT_")] == []
 
 
 # ---------------------------------------------------------------------------
@@ -1186,12 +1385,11 @@ def _fresh(code: str):
 # the layer functions among cli's attributes when cli imported every layer at
 # its top: the names a tracer finds there and wraps
 _LAYER_FUNCTIONS = [
-    "_check_dimension", "_class_blocks", "_class_size", "_lookup", "_shift_round_trip",
-    "check_generating_function_1", "check_generating_function_2", "count_prefix_class",
-    "count_words", "dot", "format_scalar", "functional_equation_residual", "natural",
-    "parse_scalar", "raney_factorize", "raney_unfactorize", "render_json",
-    "solve_functional_equation", "verify_identity_at_point", "verify_identity_on_grid",
-    "verify_raney_decomposition", "verify_shift_bijection",
+    "_check_dimension", "_class_blocks", "_lookup", "check_generating_function_1",
+    "check_generating_function_2", "dot", "natural", "parse_scalar", "render_json",
+    "verify_count", "verify_identity_at_point", "verify_identity_on_grid",
+    "verify_raney_decomposition", "verify_raney_word", "verify_shift_bijection",
+    "verify_shift_word", "verify_solution",
 ]
 
 _OWN_LAYERS = {"count": ["words"], "enumerate": ["words"], "bijection": ["bijections", "words"],
@@ -1257,8 +1455,8 @@ kept = all(getattr(cli, name) is wrapper for name, wrapper in wrappers.items())
 print(json.dumps([found, kept, sorted(called)]))"""
     found, kept, called = _fresh(code)
     assert found == _LAYER_FUNCTIONS and kept
-    assert {"count_words", "_class_blocks", "_shift_round_trip", "verify_identity_on_grid",
-            "solve_functional_equation", "check_generating_function_1",
+    assert {"verify_count", "_class_blocks", "verify_shift_word", "verify_identity_on_grid",
+            "verify_solution", "check_generating_function_1",
             "check_generating_function_2"} <= set(called)
 
 

@@ -23,6 +23,7 @@ from gradedwords import (
     functional_equation_residual,
     multinomial,
     solve_functional_equation,
+    verify_solution,
 )
 
 
@@ -611,18 +612,27 @@ def test_v_is_solved_once_per_z_and_order_and_no_caller_can_change_it(monkeypatc
     v.coeffs[(1, 0)] = 99  # a caller's change reaches its own copy only
     again = solve_functional_equation([1, 2], 6)
     assert len(calls) == solved and again.coeffs is not v.coeffs
-    assert again == series._solved((1, 2), 6) and again.coeffs[(1, 0)] == 1
-    # the generating-function checks read the memo's v too
-    assert check_generating_function_1(1, (1, 2), 6).ok
+    assert again == series._solved[(1, 2), 6] and again.coeffs[(1, 0)] == 1
+    # the generating-function checks and the solution check read the memo's v too
+    assert check_generating_function_1(1, (1, 2), 6).ok and verify_solution((1, 2), 6).ok
     assert len(calls) == solved
 
 
-def test_a_sweep_past_the_solved_cap_keeps_at_most_the_cap(empty_memos):
-    kept = series._SOLVED_KEPT
-    for order in range(kept + 8):
-        assert solve_functional_equation((2,), order).order == order
-    info = series._solved.cache_info()
-    assert info.misses == kept + 8 and info.currsize == info.maxsize == kept
-    # the oldest v went first; solving it again is a miss that evicts one more
-    solve_functional_equation((2,), 0)
-    assert series._solved.cache_info()[:2] == (0, kept + 9)
+def test_the_solved_memo_keeps_at_most_its_cap_of_coefficients(monkeypatch, empty_memos):
+    # z = (1,) has v = 1/(1 - u): order + 1 coefficients, each 1, made here
+    # without the solver so that filling the cap is cheap
+    def geometric(key):
+        return TruncatedSeries._trusted(1, key[1], {(d,): 1 for d in range(key[1] + 1)})
+
+    assert geometric(((1,), 9)) == series._solve(((1,), 9))
+    monkeypatch.setattr(series._solved, "fill", geometric)
+    memo, cap, quarter = series._solved, series._solved.cap, series._SOLVED_KEPT // 4
+    for order in range(quarter - 4, quarter):
+        assert solve_functional_equation((1,), order).order == order
+    assert len(memo) == 4 and cap.kept == 4 * quarter - 6 <= cap.most
+    # quarter + 1 more coefficients would pass the cap: the memo empties first
+    solve_functional_equation((1,), quarter)
+    assert list(memo) == [((1,), quarter)] and cap.kept == quarter + 1
+    # a v larger than the whole cap is handed out, not kept, and empties nothing
+    assert solve_functional_equation((1,), cap.most).order == cap.most
+    assert list(memo) == [((1,), quarter)] and cap.kept == quarter + 1

@@ -86,12 +86,11 @@ def test_parse_rejects_bad_tokens():
         GradedAlphabet(z=(1, 1)).parse_word("b")  # bare b is ambiguous for m >= 2
 
 
-def test_word_weight_counts_reverse_prefixes():
+def test_word_weight_counts_prefixes():
     a = GradedAlphabet(z=(1, 2))
     w = a.parse_word("b2 a b1 a")
     assert w.weight == 3 + 1 + 2 + 1 == 7
     assert w.counts == (1, 1)
-    assert str(w.reversed()) == "a b1 a b2"
     assert w.prefix_weight_list() == (3, 4, 6, 7)
     assert w.prefix_cut(0) == 0  # the empty prefix
     assert w.prefix_cut(4) == 2
