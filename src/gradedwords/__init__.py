@@ -21,7 +21,7 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "arith": (
         "MultiIndex", "Scalar", "box", "dot", "format_scalar", "multi_factorial",
-        "multinomial", "norm", "parse_scalar", "unit", "vec_add", "vec_sub", "zeros",
+        "multinomial", "norm", "parse_scalar", "unit", "vec_sub",
     ),
     "bijections": (
         "Overshoot", "PrefixCase", "RaneyFactorization", "raney_factorize", "raney_unfactorize",
@@ -34,8 +34,7 @@ _EXPORTS = {
         "PreconditionError",
     ),
     "identities": (
-        "CATALOG", "IdentitySpec", "identity_variables", "verify_identity_at_point",
-        "verify_identity_on_grid",
+        "CATALOG", "IdentitySpec", "verify_identity_at_point", "verify_identity_on_grid",
     ),
     "reports": ("EvalReport",),
     "series": (

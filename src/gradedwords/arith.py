@@ -18,7 +18,7 @@ stay in int arithmetic.  At an integer x it is one binomial times a weight,
     C(x, n) = C(x, |n|) |n|!/n!,
     C(x, |n|) = (-1)^|n| C(|n| - x - 1, |n|)    at x < 0 (upper negation),
 
-and the pair (|n|, |n|!/n!) of each n is kept in a bounded cache, so a
+and the pair (|n|, |n|!/n!) of each n is kept in the bounded memo _shape, so a
 call at an integer x costs one math.comb.  exact(num, den) is the
 package's one division, an int wherever the quotient is integral; qsum
 sums quotients through it once.
@@ -30,7 +30,6 @@ import decimal
 import itertools
 import weakref
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -51,10 +50,8 @@ __all__ = [
     "multinomial",
     "exact",
     "qsum",
-    "vec_add",
     "vec_sub",
     "unit",
-    "zeros",
     "box",
     "format_scalar",
     "parse_scalar",
@@ -134,9 +131,9 @@ def multinomial(x: Scalar, n: MultiIndex) -> Scalar:
             return Fraction(prod(range(a, a - j * b, -b)), b**j * multi_factorial(n))
         x = int(x)
     # integer x: C(x, n) = C(x, |n|) |n|!/n!, with (|n|, |n|!/n!) from the
-    # cache; comb is 0 at 0 <= x < |n|, and at negative x upper negation
+    # memo; comb is 0 at 0 <= x < |n|, and at negative x upper negation
     # gives C(x, |n|) = (-1)^|n| C(|n| - x - 1, |n|)
-    j, weight = _shape(tuple(n))
+    j, weight = _shape[tuple(n)]
     if not weight:  # a negative entry
         return 0
     if x >= 0:
@@ -145,8 +142,7 @@ def multinomial(x: Scalar, n: MultiIndex) -> Scalar:
     return -out if j & 1 else out
 
 
-@lru_cache(maxsize=1024)
-def _shape(n: MultiIndex) -> tuple[int, int]:
+def _weigh(n: MultiIndex) -> tuple[int, int]:
     """(|n|, |n|!/n!) for a multi-index n >= 0, and (0, 0) if an entry of n
     is negative.  The weight is the product of the binomials
     C(n_1 + ... + n_i, n_i), which computes no factorial of |n|."""
@@ -162,8 +158,9 @@ def _shape(n: MultiIndex) -> tuple[int, int]:
 class _Memo(dict):
     """A dict that fills in each missing key with fill(key) on first use,
     made by the _Cap that bounds it.  A value counts size(value) against
-    the cap, 1 without a size; a value larger than the cap is handed out
-    but not kept."""
+    the cap, 1 without a size; the miss that would take the count past the
+    cap empties it first, so a value larger than the whole cap is kept
+    alone until the next miss."""
 
     def __init__(self, fill: Callable, cap: _Cap, size: Optional[Callable] = None) -> None:
         super().__init__()
@@ -172,19 +169,18 @@ class _Memo(dict):
     def __missing__(self, key):
         value, cap = self.fill(key), self.cap  # a fill that raises keeps nothing
         size = 1 if self.size is None else self.size(value)
-        if size <= cap.most:
-            if cap.kept + size > cap.most:
-                cap.empty()
-            cap.kept += size
-            self[key] = value
+        if cap.kept + size > cap.most:
+            cap.empty()
+        cap.kept += size
+        self[key] = value
         return value
 
 
 class _Cap(weakref.WeakValueDictionary):
-    """Memos, each listed under its key while it lives, that keep at most
-    `most` values together, each counted by its memo's size: kept counts
-    what was filled since they were last emptied, and the miss that would
-    take kept past `most` empties each in place."""
+    """Memos, each listed under its key while it lives, that keep together
+    at most `most` values, each counted by its memo's size, or one larger
+    value alone: kept counts what was filled since they were last emptied,
+    and the miss that would take kept past `most` empties each in place."""
 
     def __init__(self, most: int) -> None:
         super().__init__()
@@ -200,6 +196,11 @@ class _Cap(weakref.WeakValueDictionary):
         for memo in filter(None, [ref() for ref in self.valuerefs()]):
             memo.clear()
         self.kept = 0
+
+
+# n -> (|n|, |n|!/n!): a suite pass over any benchmark manifest reads at
+# most 96 shapes
+_shape = _Cap(1024).memo(0, _weigh)
 
 
 def exact(num: Scalar, den: Scalar) -> Scalar:
@@ -224,11 +225,6 @@ def qsum(terms: Iterable[tuple[Scalar, Scalar]]) -> Scalar:
     return exact(num, den)
 
 
-def vec_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    _check_dims(a, b)
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     _check_dims(a, b)
     return tuple(x - y for x, y in zip(a, b))
@@ -239,10 +235,6 @@ def unit(m: int, i: int) -> MultiIndex:
     if not 1 <= i <= m:
         raise ValueError(f"unit index {i} out of range 1..{m}")
     return tuple(1 if t == i - 1 else 0 for t in range(m))
-
-
-def zeros(m: int) -> MultiIndex:
-    return (0,) * m
 
 
 def box(n: MultiIndex) -> Iterator[MultiIndex]:

@@ -141,10 +141,12 @@ def _balanced_cut(
     return i, j
 
 
-def _no_pair(letters: tuple[int, ...], cut: int) -> LemmaViolationError:
-    """The counterexample of a whole word with no balanced pair at cut."""
+def _no_pair(alphabet: GradedAlphabet, letters: tuple[int, ...], cut: int) -> LemmaViolationError:
+    """The counterexample of a whole word with no balanced pair at cut, its
+    two parts written as --word takes them."""
+    u, v = _render(alphabet, letters[:cut]), _render(alphabet, letters[cut:])
     return LemmaViolationError(
-        f"no balanced pair for u={letters[:cut]!r}, v={letters[cut:]!r}: this "
+        f'no balanced pair for u="{u}", v="{v}" at cut {cut}: this '
         "contradicts the prefix-weight pigeonhole and would be a counterexample"
     )
 
@@ -248,20 +250,20 @@ def _shift_cut(w: Word, p: int, r: int, lift: int = 0) -> int:
 def shift_down(w: Word, p: int) -> Word:
     """Inverse of shift_by(., p, 1): takes the word with a weight-(p+1) prefix
     back to the unique preimage with a weight-p prefix."""
-    image, _ = _shift_letters(w.alphabet.weights, w.letters, _shift_cut(w, p, 1, 1), 1, -1)
+    image, _ = _shift_letters(w.alphabet, w.letters, _shift_cut(w, p, 1, 1), 1, -1)
     return _trusted_word(w.alphabet, image)
 
 
 def _shift_letters(
-    lw: tuple[int, ...], letters: tuple[int, ...], cut: int, r: int, excess: int = 1
+    alphabet: GradedAlphabet, letters: tuple[int, ...], cut: int, r: int, excess: int = 1
 ) -> tuple[tuple[int, ...], int]:
     """r unit shifts of a whole word from the cut, up (excess +1) or down
     (-1), each carrying the cut to the next: the last image and its cut.  A
     step with no balanced pair is a counterexample."""
     for _ in range(r):
-        swapped = _swap_balanced(lw, letters, cut, excess)
+        swapped = _swap_balanced(alphabet.weights, letters, cut, excess)
         if swapped is None:
-            raise _no_pair(letters, cut)
+            raise _no_pair(alphabet, letters, cut)
         letters, cut = swapped
     return letters, cut
 
@@ -272,7 +274,7 @@ def shift_by(w: Word, p: int, r: int) -> Word:
     shift returns its image's next cut, so the word is scanned for a cut
     only once."""
     cut = _shift_cut(w, p, r)
-    letters, _ = _shift_letters(w.alphabet.weights, w.letters, cut, r)
+    letters, _ = _shift_letters(w.alphabet, w.letters, cut, r)
     return _trusted_word(w.alphabet, letters)
 
 
@@ -280,9 +282,9 @@ def verify_shift_word(w: Word, p: int, r: int) -> EvalReport:
     """shift_by(w, p, r), shifted back down r times: pass when that gives w
     back, else fail with the word, its image and what came back.  The way
     back starts from the image's cut, so w is the only word scanned."""
-    alphabet, lw = w.alphabet, w.alphabet.weights
-    image, cut = _shift_letters(lw, w.letters, _shift_cut(w, p, r), r)
-    back, _ = _shift_letters(lw, image, cut, r, -1)
+    alphabet = w.alphabet
+    image, cut = _shift_letters(alphabet, w.letters, _shift_cut(w, p, r), r)
+    back, _ = _shift_letters(alphabet, image, cut, r, -1)
     image_text = str(_trusted_word(alphabet, image))
     report = EvalReport(
         check="shift-word",
@@ -463,7 +465,7 @@ def verify_shift_bijection(
             if swapped is None:
                 if words > 1:
                     return None
-                raise _no_pair(image, cut)
+                raise _no_pair(alphabet, image, cut)
             image, cut = swapped
         if image is letters:
             member = (
@@ -489,7 +491,7 @@ def verify_shift_bijection(
             if swapped is None:
                 if words > 1:
                     return None
-                raise _no_pair(back, cut)
+                raise _no_pair(alphabet, back, cut)
             back, cut = swapped
         if back != letters:
             return {

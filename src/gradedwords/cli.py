@@ -842,8 +842,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", parents=[common], help="run a manifest of checks")
     p_suite.add_argument("--manifest", metavar="PATH",
                          help="JSON list of member configs (default: built-in suite)")
-    p_suite.add_argument("--jobs", type=int,
-                         help="worker processes (default: the usable CPUs)")
+    p_suite.add_argument("--jobs", type=int, default=1,
+                         help="worker processes (default 1)")
 
     return parser
 
@@ -885,8 +885,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[Payload, int]:
             )
     else:
         manifest = default_manifest()
-    jobs = _usable_cpus() if args.jobs is None else args.jobs
-    return run_suite(manifest, jobs)
+    return run_suite(manifest, args.jobs)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

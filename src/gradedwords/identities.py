@@ -129,7 +129,6 @@ __all__ = [
     "check_absorption",
     "check_rm2_decomposition",
     "check_mh_expansion",
-    "identity_variables",
     "verify_identity_on_grid",
     "verify_identity_at_point",
 ]
@@ -304,7 +303,7 @@ def _identity(
                 _check_letters(needs, n, z, a.get("i"), a.get("j"))
             _check_poles(poles(n, z), a)
             if "table" in sig.parameters:
-                a["table"] = _table(n, z)
+                a["table"] = _table[n, z]
             left, right = body(**a)
             return Fraction(left), Fraction(right)
 
@@ -373,11 +372,12 @@ class _Table(NamedTuple):
     terms: tuple[tuple, ...]  # the summands, lexicographic in k
 
 
-@functools.lru_cache(maxsize=1024)
-def _table(n: MultiIndex, z: MultiIndex) -> _Table:
-    """The terms table of (n, z), built once per (n, z) rather than at every
-    point.  Its row of k is the process's, in _ROWS: a dict from x to C(x, k)
-    that fills on a miss from the multinomial arith holds then."""
+def _terms(key: tuple[MultiIndex, MultiIndex]) -> _Table:
+    """The terms table of key = (n, z), for the memo _table, so that it is
+    built once per (n, z) rather than at every point.  Its row of k is the
+    process's, in _ROWS: a dict from x to C(x, k) that fills on a miss from
+    the multinomial arith holds then."""
+    n, z = key
     row = lambda k: _ROWS.memo(k, lambda x: arith.multinomial(x, k))  # noqa: E731
     units = [unit(len(n), i) for i in range(1, len(n) + 1)]
     terms = []
@@ -387,6 +387,11 @@ def _table(n: MultiIndex, z: MultiIndex) -> _Table:
         below = tuple(row(vec_sub(k, e)) for e in units)
         terms.append((dot(k, z), row(k), row(vec_sub(n, k)), below, size, weight))
     return _Table(dot(n, z), row(n), tuple(terms))
+
+
+# (n, z) -> its terms table: a suite pass over any benchmark manifest builds
+# at most 66
+_table = _Cap(1024).memo(0, _terms)
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +660,6 @@ _coherence("mohanty-handa-vs-jensen", "mohanty-handa", "jensen")
 # ---------------------------------------------------------------------------
 
 
-def identity_variables(name: str) -> tuple[str, ...]:
-    return _lookup(name).variables
-
-
 def _lookup(name: str) -> _Entry:
     try:
         return CATALOG[name]
@@ -800,7 +801,7 @@ def verify_identity_on_grid(spec: IdentitySpec) -> EvalReport:
         },
     )
     variables, evaluate = entry.variables, entry.evaluate
-    table = _table(spec.n, spec.z)
+    table = _table[spec.n, spec.z]
     for values in itertools.product(*axes.values()):
         pairs = evaluate(values, spec, table)
         for left, right in pairs:
@@ -835,7 +836,7 @@ def verify_identity_at_point(
     _check_poles(entry.poles(spec.n, spec.z), values)
     params = _params_dict(spec, entry)
     params["point"] = {v: format_scalar(values[v]) for v in entry.variables}
-    pairs = entry.evaluate(tuple(values.values()), spec, _table(spec.n, spec.z))
+    pairs = entry.evaluate(tuple(values.values()), spec, _table[spec.n, spec.z])
     report = EvalReport(check=spec.identity, params=params)
     report.left = format_scalar(pairs[0][0])
     report.right = format_scalar(pairs[0][1])

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Mapping
@@ -92,13 +91,14 @@ def exponents_up_to(nvars: int, order: int) -> Iterator[MultiIndex]:
         yield from parts(degree, nvars)
 
 
-@lru_cache(maxsize=32)
-def _packing(nvars: int, order: int) -> tuple[tuple[int, ...], dict, dict]:
-    """Kronecker packing of the exponents of degree <= order: the weights
+def _pack(key: tuple[int, int]) -> tuple[tuple[int, ...], dict, dict]:
+    """Kronecker packing of the exponents of degree <= order in nvars
+    variables, for key = (nvars, order) of the memo _packing: the weights
     (1, B, ..., B^(nvars-1)) of base B = order + 1, and two memos filled in
     as exponents are used, so they hold the exponents a computation reaches
     rather than all C(order + nvars, nvars), each at most that many: the
     exponent of a packed key, and the (degree, packed key) of an exponent."""
+    nvars, order = key
     base = order + 1
     weights = tuple(base**i for i in range(nvars))
 
@@ -116,10 +116,15 @@ def _packing(nvars: int, order: int) -> tuple[tuple[int, ...], dict, dict]:
     return weights, cap.memo(0, unpack), pack
 
 
+# (nvars, order) -> its packing: a suite pass over any benchmark manifest
+# makes at most 18
+_packing = _Cap(32).memo(0, _pack)
+
+
 def _by_degree(series: TruncatedSeries) -> list[dict]:
     """The terms of a series grouped by total degree, 0 through order, and
     keyed by packed exponents."""
-    pack = _packing(series.nvars, series.order)[2]
+    pack = _packing[series.nvars, series.order][2]
     out: list[dict] = [{} for _ in range(series.order + 1)]
     for exponent, value in series.coeffs.items():
         degree, key = pack[exponent]
@@ -184,7 +189,7 @@ class TruncatedSeries:
         are cleaned."""
         terms: Iterable = coeffs.items()
         if packed:
-            terms = zip(map(_packing(nvars, order)[1].__getitem__, coeffs), coeffs.values())
+            terms = zip(map(_packing[nvars, order][1].__getitem__, coeffs), coeffs.values())
         series = object.__new__(cls)
         object.__setattr__(series, "nvars", nvars)
         object.__setattr__(series, "order", order)
@@ -328,7 +333,7 @@ def _solve(key: tuple[MultiIndex, int]) -> TruncatedSeries:
     """
     z, order = key
     m = len(z)
-    weights = _packing(m, order)[0]
+    weights = _packing[m, order][0]
     v = [[(0, 1)]]
     powers = {a: [v[0]] for a in z}
     for d in range(order):
@@ -346,7 +351,7 @@ def _solve(key: tuple[MultiIndex, int]) -> TruncatedSeries:
 
 
 # The most coefficients the memo of v keeps, over all the v it holds; the
-# miss that would pass it empties the memo, and a larger v is not kept.  A
+# miss that would pass it empties the memo, so a larger v is kept alone.  A
 # series-gf benchmark pass (seeds 1-3, 5, 77) solves 35-38 v of 512-592
 # coefficients in all; three v of order 30 at m = 3 (5456 each) fit.
 _SOLVED_KEPT = 1 << 14

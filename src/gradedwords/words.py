@@ -45,10 +45,9 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterator, Optional
 
-from .arith import MultiIndex, dot, multinomial, naturals, norm, vec_sub, box
+from .arith import MultiIndex, _Cap, dot, multinomial, naturals, norm, vec_sub, box
 from .errors import DimensionMismatchError, PreconditionError
 from .reports import VERDICT_EQUAL, VERDICT_MISMATCH, EvalReport
 
@@ -88,10 +87,6 @@ class GradedAlphabet:
     def _check_code(self, code: int) -> None:
         if type(code) is not int or not 0 <= code <= self.m:
             raise PreconditionError(f"letter code {code!r} out of range 0..{self.m}")
-
-    def letter_weight(self, code: int) -> int:
-        self._check_code(code)
-        return self.weights[code]
 
     def letter_name(self, code: int) -> str:
         self._check_code(code)
@@ -154,10 +149,6 @@ class Word:
 
     def prefix(self, length: int) -> "Word":
         return Word(self.alphabet, self.letters[:length])
-
-    def prefix_weight_list(self) -> tuple[int, ...]:
-        """Weights of the nonempty prefixes, strictly increasing, one per length."""
-        return tuple(accumulate(map(self.alphabet.weights.__getitem__, self.letters)))
 
     def prefix_cut(self, r: int) -> Optional[int]:
         """Length of the (unique) prefix of weight r, or None.
@@ -272,8 +263,8 @@ _TABLE_CAP = 64
 # The most tables the memo keeps, each 2 to _TABLE_CAP tails of at most
 # _TABLE_CAP letters (L letters of two kinds have L arrangements or more):
 # under 10 MB.  A words-bijections benchmark pass (seeds 1-3, 5, 77) lists
-# 113-119 distinct tables, 0.25 MB at seed 77, other workloads at most 45;
-# repeated seed-77 passes list 204 each with 64 kept, none with 128 or more.
+# 113-119 distinct tables, 0.25 MB at seed 77, other workloads at most 45,
+# and a second pass lists none.
 _TABLES_KEPT = 256
 
 _Table = tuple[tuple[int, ...], ...]
@@ -315,7 +306,7 @@ def _class_blocks(
     while True:
         if acc >= r:
             if size <= _TABLE_CAP:
-                table = _table(tuple(counts)) if size > 1 else ((counts.index(left),) * left,)
+                table = _table[tuple(counts)] if size > 1 else ((counts.index(left),) * left,)
                 yield cut, tuple(head), table
                 c = top
         elif size == 1:  # the letters left are one run, of c: it reaches r or never
@@ -347,12 +338,11 @@ def _class_blocks(
         c += 1
 
 
-@functools.lru_cache(maxsize=_TABLES_KEPT)
-def _table(counts: tuple[int, ...]) -> _Table:
+def _list_table(counts: tuple[int, ...]) -> _Table:
     """The Algorithm L table of counts (two or more arrangements), a tuple
-    no caller can change, in a memo of the process keyed by the counts.  It
-    is checked to increase strictly when listed: the certificates split
-    tables by bisect, which is sound only on sorted ones."""
+    no caller can change, for the memo _table.  It is checked to increase
+    strictly when listed: the certificates split tables by bisect, which is
+    sound only on sorted ones."""
     table = tuple(_arrangements(counts))
     if not all(map(operator.lt, table, table[1:])):
         k = next(k for k in range(1, len(table)) if not table[k - 1] < table[k])
@@ -361,6 +351,10 @@ def _table(counts: tuple[int, ...]) -> _Table:
             f"{table[k - 1]} then {table[k]}"
         )
     return table
+
+
+# counts -> the table of their arrangements, the process's
+_table = _Cap(_TABLES_KEPT).memo(0, _list_table)
 
 
 def _class_size(alphabet: GradedAlphabet, p: int, k: MultiIndex, r: Optional[int] = None) -> int:

@@ -8,13 +8,16 @@ tautology.
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import pkgutil
 from typing import Iterator
 
 import pytest
 from hypothesis import strategies as st
 
-from gradedwords import GradedAlphabet, identities, series, words
+import gradedwords
+from gradedwords import GradedAlphabet, arith, words
 
 
 def brute_force_sequences(z: tuple[int, ...], p: int) -> Iterator[tuple[int, ...]]:
@@ -58,23 +61,45 @@ def brute_force_class(
     return out
 
 
+def count_fills(monkeypatch, memo) -> list:
+    """The keys memo fills from now on, in order of filling."""
+    keys, fill = [], memo.fill
+    monkeypatch.setattr(memo, "fill", lambda key: keys.append(key) or fill(key))
+    return keys
+
+
+def prefix_weights(w) -> tuple[int, ...]:
+    """The weights of the nonempty prefixes of the word w, one per length."""
+    return tuple(itertools.accumulate(map(w.alphabet.weights.__getitem__, w.letters)))
+
+
 def multi_indices(max_m: int = 2, max_entry: int = 3) -> st.SearchStrategy:
     return st.lists(
         st.integers(min_value=0, max_value=max_entry), min_size=1, max_size=max_m
     ).map(tuple)
 
 
-# the memos as the modules define them, whatever a test plants in their place
-_CACHED = (words._table, identities._table)
-_CAPS = (identities._ROWS, series._solved.cap)
+def _module_caps() -> list[arith._Cap]:
+    """The _Cap of each _Memo, and each _Cap, in the globals of a module of
+    the package, every module imported."""
+    caps = {}
+    for info in pkgutil.iter_modules(gradedwords.__path__):
+        for value in vars(importlib.import_module(f"gradedwords.{info.name}")).values():
+            cap = value.cap if isinstance(value, arith._Memo) else value
+            if isinstance(cap, arith._Cap):
+                caps[id(cap)] = cap
+    return list(caps.values())
+
+
+# the caps as the modules define them, whatever a test plants in their place
+_CAPS = _module_caps()
 
 
 def empty_every_memo() -> None:
-    """Empty each process-wide memo of values a planted fault could change:
-    the word tables, the identity terms tables with the rows of C(x, k)
-    they hold, and the solved series v."""
-    for cached in _CACHED:
-        cached.cache_clear()
+    """Empty every process-wide memo, each one a planted fault could change
+    among them: every memo of every cap a module holds, directly or through
+    one of its memos.  A value such a memo held goes with it, a series
+    packing and its two maps say."""
     for cap in _CAPS:
         cap.empty()
 

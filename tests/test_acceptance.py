@@ -361,7 +361,7 @@ def test_every_side_has_degree_at_most_the_grid_bound_along_generic_lines():
         entry = CATALOG[spec.identity]
         spec = _validate(spec, entry)
         _, _, degree = _select_axes(spec, entry)
-        table = _table(spec.n, spec.z)
+        table = _table[spec.n, spec.z]
         base = [1009 + 101 * j for j in range(len(entry.variables))]
         for axis, var in enumerate(entry.variables):
             line = []

@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import gradedwords
-from gradedwords import arith, identities, series
+import conftest
+from conftest import empty_every_memo
+from gradedwords import arith, identities, series, words
 
 MODULES = [gradedwords] + [
     importlib.import_module(f"gradedwords.{info.name}")
@@ -31,22 +33,24 @@ PUBLIC = [
     "TruncatedSeries", "Word", "WordClassSpec", "__version__", "box",
     "check_generating_function_1", "check_generating_function_2", "count_prefix_class",
     "count_words", "default_manifest", "dot", "enumerate_words", "exponents_up_to",
-    "format_scalar", "functional_equation_residual", "identity_variables", "main",
+    "format_scalar", "functional_equation_residual", "main",
     "multi_factorial", "multinomial", "norm", "parse_scalar", "raney_factorize",
     "raney_unfactorize", "run_suite", "shift_by", "shift_down", "solve_functional_equation",
-    "unit", "vec_add", "vec_sub", "verify_count", "verify_identity_at_point",
+    "unit", "vec_sub", "verify_count", "verify_identity_at_point",
     "verify_identity_on_grid", "verify_raney_decomposition", "verify_raney_word",
-    "verify_shift_bijection", "verify_shift_word", "verify_solution", "zeros",
+    "verify_shift_bijection", "verify_shift_word", "verify_solution",
 ]
 
 # names that only renamed another operation, and what replaced each:
 # shift_up(w, p) -> shift_by(w, p, 1); Word.has_prefix_of_weight(r) ->
 # prefix_cut(r) is not None; GradedAlphabet.letter_weights() -> .weights;
 # TruncatedSeries.one / zero / constant_term -> constant(1, m, N) /
-# TruncatedSeries(m, N) / coefficient((0,) * m); catalog_names() -> list(CATALOG)
+# TruncatedSeries(m, N) / coefficient((0,) * m); catalog_names() -> list(CATALOG);
+# GradedAlphabet.letter_weight(code) -> .weights[code];
+# identity_variables(name) -> CATALOG[name].variables
 REMOVED_ALIASES = [
     "shift_up", "has_prefix_of_weight", "letter_weights", "one", "zero", "constant_term",
-    "catalog_names",
+    "catalog_names", "letter_weight", "identity_variables",
 ]
 
 
@@ -121,60 +125,77 @@ def test_no_module_rebinds_a_global():
 
 
 def test_every_memo_is_bounded():
-    # a memo that grows with its inputs can take the process's memory: each
-    # lru_cache keeps an int number of entries, functools.cache memoizes only
-    # a function of no parameter, and neither is used but as a decorator
+    # a memo that grows with its inputs can take the process's memory: every
+    # memo of inputs is a _Memo, made only by the _Cap that bounds it, and
+    # functools.cache memoizes only a function of no parameter, as a decorator
     root = Path(__file__).resolve().parent.parent / "src" / "gradedwords"
-    memos, unbounded, other_uses = [], [], []
-    for path in sorted(root.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        module = importlib.import_module(f"gradedwords.{path.stem}".removesuffix(".__init__"))
-        decorators = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for decorator in node.decorator_list:
-                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-                    kind = getattr(target, "attr", getattr(target, "id", None))
-                    if kind == "lru_cache":
-                        maxsize = getattr(module, node.name).cache_parameters()["maxsize"]
-                        bounded = type(maxsize) is int
-                    elif kind == "cache":
-                        bounded = not ast.unparse(node.args)
-                    else:
-                        continue
-                    decorators.add(target)
-                    memos.append(f"{path.stem}.{node.name}")
-                    if not bounded:
-                        unbounded.append(memos[-1])
-        other_uses += [
-            (path.name, node.lineno)
-            for node in ast.walk(tree)
-            if getattr(node, "attr", getattr(node, "id", None)) in ("cache", "lru_cache")
-            and isinstance(node, (ast.Name, ast.Attribute)) and node not in decorators
-        ]
-    assert unbounded == [] and other_uses == []
-    assert {"words._table", "cli._build_parser", "identities._table"} <= set(memos)
-    # a _Memo is made only by the _Cap that bounds it, which lists it while it lives
+    trees = [ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))]
+    cached = [node for tree in trees for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and any(ast.unparse(d) == "functools.cache" for d in node.decorator_list)]
+    assert [node.name for node in cached] == ["_build_parser"]
+    assert all(not ast.unparse(node.args) for node in cached)
+    named = [ast.unparse(node) for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and getattr(node, "attr", getattr(node, "id", None)) in ("cache", "lru_cache")]
+    assert named == ["functools.cache"]
+
     def memos_made(tree):
         return [n for n in ast.walk(tree) if isinstance(n, ast.Call)
                 and getattr(n.func, "id", None) == "_Memo"]
 
-    made, in_cap = [], []
-    for path in sorted(root.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        made += memos_made(tree)
-        in_cap += [call for node in ast.walk(tree)
-                   if isinstance(node, ast.ClassDef) and node.name == "_Cap"
-                   for call in memos_made(node)]
+    made = [call for tree in trees for call in memos_made(tree)]
+    in_cap = [call for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "_Cap"
+              for call in memos_made(node)]
     assert made and made == in_cap
     # each _Memo kept past a call, after the built-in suite ran, carries an
-    # int cap that lists it, and the memos under one cap keep at most its cap
+    # int cap that lists it, and the memos under one cap keep at most its
+    # cap, or one value larger than it
     gradedwords.run_suite(gradedwords.default_manifest(), 1)
     gc.collect()
     kept = [m for m in gc.get_objects() if isinstance(m, arith._Memo)]
     caps = {id(m.cap): m.cap for m in kept}
-    # the rows, the solved v and a series packing
-    assert {id(identities._ROWS), id(series._solved.cap)} < set(caps)
+    # the rows, the solved v, the four memos of inputs and a series packing
+    memos = [arith._shape, words._table, identities._table, series._packing, series._solved]
+    assert {id(identities._ROWS), *(id(memo.cap) for memo in memos)} < set(caps)
     assert all(any(m is listed for listed in m.cap.values()) for m in kept)
     assert all(type(cap.most) is int for cap in caps.values())
-    assert all(sum(map(len, cap.values())) <= cap.kept <= cap.most for cap in caps.values())
+    assert all(sum(map(len, cap.values())) <= cap.kept <= cap.most
+               or sum(map(len, cap.values())) == 1 for cap in caps.values())
+
+
+def _reachable_memos() -> list:
+    """Every _Memo reachable from a global of a module of the package through
+    memos, caps, tuples, lists and dicts."""
+    found, seen = [], set()
+    stack = [value for module in MODULES for name, value in vars(module).items()
+             if not name.startswith("__")]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, arith._Memo):
+            found.append(value)
+            stack.append(value.cap)
+        if isinstance(value, arith._Cap):
+            stack += value.values()
+        elif isinstance(value, dict):
+            stack += value.values()
+        elif isinstance(value, (tuple, list)):
+            stack += value
+    return found
+
+
+def test_empty_every_memo_empties_every_memo_the_modules_reach():
+    # the fixture that empties memos before a planted fault names none: it
+    # must reach each one, the rows of the terms tables and the maps of each
+    # series packing included
+    gradedwords.run_suite(gradedwords.default_manifest(), 1)
+    series.solve_functional_equation((1, 2), 4)
+    before = _reachable_memos()
+    assert {id(identities._ROWS), id(series._packing.cap)} < {id(m.cap) for m in before}
+    assert len({id(m.cap) for m in before}) > len({id(cap) for cap in conftest._CAPS})
+    empty_every_memo()
+    assert [memo for memo in _reachable_memos() if memo] == []

@@ -24,9 +24,7 @@ from gradedwords import (
     norm,
     parse_scalar,
     unit,
-    vec_add,
     vec_sub,
-    zeros,
 )
 from gradedwords import arith
 from gradedwords.arith import natural, naturals
@@ -120,10 +118,10 @@ def test_multinomial_at_an_integer_x_is_the_comb_product():
 
 
 def test_multinomial_is_exact_past_the_cache_of_multi_indices():
-    # more distinct n than the cache of (|n|, |n|!/n!) holds, twice over,
-    # so entries are evicted and computed again
+    # more distinct n than the memo of (|n|, |n|!/n!) holds, twice over,
+    # so it is emptied and entries are computed again
     shapes = list(itertools.product(range(7), repeat=4))
-    assert len(shapes) > arith._shape.cache_info().maxsize
+    assert len(shapes) > arith._shape.cap.most
     for _ in range(2):
         for n in shapes:
             for x in (-9, 5, 30):
@@ -200,13 +198,11 @@ def test_multi_factorial():
 # ---------------------------------------------------------------------------
 
 
-def test_dot_norm_add_sub_unit_zeros():
+def test_dot_norm_sub_unit():
     assert dot((1, 2), (3, 4)) == 11
     assert norm((1, 2, 3)) == 6
-    assert vec_add((1, 2), (3, 4)) == (4, 6)
     assert vec_sub((3, 4), (1, 2)) == (2, 2)
     assert unit(3, 2) == (0, 1, 0)
-    assert zeros(2) == (0, 0)
 
 
 def test_dot_dimension_mismatch():

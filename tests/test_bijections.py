@@ -38,6 +38,7 @@ from gradedwords import (
 from gradedwords import bijections, main, words
 from gradedwords.bijections import _balanced_cut, _raney_join, _swap_balanced
 from gradedwords.cli import EXIT_COUNTEREXAMPLE, EXIT_INTERNAL
+from conftest import prefix_weights
 
 A1 = GradedAlphabet(z=(1,))
 A2 = GradedAlphabet(z=(1, 2))
@@ -69,9 +70,7 @@ def test_the_prefix_weight_pigeonhole_exhaustive_small():
                             continue
                         for u in _class(alphabet, total_u, ku):
                             for v in _class(alphabet, total_v, kv):
-                                common = set(u.prefix_weight_list()) & set(
-                                    v.prefix_weight_list()
-                                )
+                                common = set(prefix_weights(u)) & set(prefix_weights(v))
                                 assert common and min(common) > 0
 
 
@@ -121,11 +120,11 @@ def test_balanced_pair_minimality_oracle():
                             continue
                         for u in _class(alphabet, wu, ku):
                             suffix_weights = {0} | {
-                                u.weight - c for c in u.prefix_weight_list()[:-1]
+                                u.weight - c for c in prefix_weights(u)[:-1]
                             } | {u.weight}
                             for v in _class(alphabet, wv, kv):
                                 x, _ = _pair(u, v)
-                                prefix_weights_v = set(v.prefix_weight_list())
+                                prefix_weights_v = set(prefix_weights(v))
                                 candidates = [
                                     t
                                     for t in sorted(suffix_weights)
@@ -208,7 +207,8 @@ def test_shift_kernel_returns_the_image_cut_exhaustive():
 def test_shift_kernel_without_a_balanced_pair_is_a_lemma_violation():
     # the kernel reports a missing pair as None, for more letters; on a whole
     # word the shift steps raise it as a counterexample, naming u and v
-    lw = (1, 3)  # z = (2): b weighs 3
+    alphabet = GradedAlphabet(z=(2,))  # b weighs 3
+    lw = alphabet.weights
     cases = [
         ((1,), 0, 1),  # u empty, v = b skips weight 1
         ((1, 1), 1, 1),  # suffix weights 0, 3 of u vs prefix weight 3 of v
@@ -218,9 +218,10 @@ def test_shift_kernel_without_a_balanced_pair_is_a_lemma_violation():
     ]
     for letters, cut, excess in cases:
         assert _swap_balanced(lw, letters, cut, excess) is None
-        named = re.escape(f"u={letters[:cut]!r}, v={letters[cut:]!r}")
+        u, v = (str(Word(alphabet, part)) for part in (letters[:cut], letters[cut:]))
+        named = re.escape(f'u="{u}", v="{v}" at cut {cut}')
         with pytest.raises(LemmaViolationError, match=named):
-            bijections._shift_letters(lw, letters, cut, 1, excess)
+            bijections._shift_letters(alphabet, letters, cut, 1, excess)
     # off the preconditions the merge either finds a pair or reports none;
     # it never runs off either end of the word
     for letters in itertools.product(range(2), repeat=5):
@@ -230,12 +231,24 @@ def test_shift_kernel_without_a_balanced_pair_is_a_lemma_violation():
 
 
 def test_a_whole_word_without_a_balanced_pair_is_a_lemma_violation(monkeypatch):
-    # the public operations keep raising where the kernel reports no pair
+    # the public operations keep raising where the kernel reports no pair,
+    # each naming the word's two parts as --word takes them, and the cut
     monkeypatch.setattr(bijections, "_balanced_cut", lambda *args: None)
-    with pytest.raises(LemmaViolationError, match="no balanced pair"):
-        shift_by(A1.parse_word("a b"), 1, 1)
-    with pytest.raises(LemmaViolationError, match="no balanced pair"):
-        shift_down(A1.parse_word("b a"), 1)
+    w = A2.parse_word("a b1 a b2 a a a a")
+
+    def no_pair(u, v, cut):
+        message = (f'no balanced pair for u="{u}", v="{v}" at cut {cut}: this contradicts'
+                   " the prefix-weight pigeonhole and would be a counterexample")
+        return pytest.raises(LemmaViolationError, match=f"^{re.escape(message)}$")
+
+    with no_pair("a b1 a", "b2 a a a a", 3):
+        shift_by(w, 4, 1)
+    with no_pair("a b1 a", "b2 a a a a", 3):
+        bijections.verify_shift_word(w, 4, 2)
+    with no_pair("a b1 a b2", "a a a a", 4):
+        shift_down(w, 6)
+    with no_pair("a", "b", 1):
+        verify_shift_bijection(1, 1, (1,), A1)
 
 
 def _plain_swap(lw, letters, cut, excess):
@@ -338,7 +351,7 @@ def _first_shift_failure(p, q, n, alphabet, r):
     render = functools.partial(bijections._render, alphabet)
     for source_cut, head, table in words._class_blocks(alphabet, p + q + nz, n, p):
         for letters in (head + t for t in table):
-            image, cut = bijections._shift_letters(lw, letters, source_cut, r)
+            image, cut = bijections._shift_letters(alphabet, letters, source_cut, r)
             if image is letters:
                 member = source_cut <= cut <= length and sum(
                     lw[c] for c in letters[source_cut:cut]) == r
@@ -352,7 +365,7 @@ def _first_shift_failure(p, q, n, alphabet, r):
             if not member:
                 return {"reason": "image escapes the target class",
                         "word": render(letters), "image": render(image)}
-            back, _ = bijections._shift_letters(lw, image, cut, r, -1)
+            back, _ = bijections._shift_letters(alphabet, image, cut, r, -1)
             if back != letters:
                 return {"reason": "inverse does not round-trip", "word": render(letters),
                         "image": render(image), "back": render(back)}

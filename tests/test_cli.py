@@ -8,6 +8,7 @@ import collections
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import itertools
 import json
@@ -34,6 +35,7 @@ from gradedwords import (
     CATALOG, PreconditionError, TruncatedSeries, default_manifest, main, run_suite,
 )
 from gradedwords.cli import _COMMANDS, EXIT_CONFIG, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_PASS
+from gradedwords.reports import render_json
 
 
 def run(capsys, *argv):
@@ -150,20 +152,14 @@ def _criterion_classes():
                             yield from [(z, p, k, r) for r in range(1, p + 1)]
 
 
-def test_enumerate_is_unchanged_when_the_memo_keeps_no_table(monkeypatch):
+def test_enumerate_is_unchanged_when_the_memo_keeps_no_table(monkeypatch, empty_memos):
     # do_enumerate renders each table once per class: with every table
-    # dropped from the memo as soon as it is listed, the next table can take
+    # dropped from the memo as soon as the next is listed, that one can take
     # a freed one's memory, so a rendering must not be found by id
     classes = list(_criterion_classes())
     expected = [json.dumps(cli.do_enumerate(*c)) for c in classes]
-    real = words._table
-
-    def keeps_none(counts):
-        table = real(counts)
-        real.cache_clear()
-        return table
-
-    monkeypatch.setattr(words, "_table", keeps_none)
+    monkeypatch.setattr(words._table.cap, "most", 0)
+    words._table.cap.empty()
     assert [json.dumps(cli.do_enumerate(*c)) for c in classes] == expected
 
 
@@ -761,6 +757,34 @@ def test_default_suite_report_bytes_are_frozen(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == _SUITE_DIGEST
 
 
+# The benchmark's seed-77 manifests, as bench/workloads.py builds them: the
+# exit code and the SHA-256 of the JSON report of each, frozen like the
+# built-in suite's, so that the benchmark's traffic keeps every byte
+_BENCH_DIGESTS = {
+    "words-bijections": (2, "8706a226ac97779a6bf948300433bf3ed6d3431cee871abf2160b5d3eb3c19aa"),
+    "identity-grids": (2, "5a4cc55a65b8780c22f5decb59fff40373897a444dc95880452432c223414ee8"),
+    "series-gf": (1, "fa650199e6e6cd9f79ab1142f9801979587f30214d3c1b60d8423ef32875d563"),
+    "small-checks": (1, "798c0e688b8feb3129631835e0a31db278aa8ea4a6a0f01c8aed6f8d6d058765"),
+}
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", list(_BENCH_DIGESTS))
+def test_bench_manifest_report_bytes_are_frozen(workload):
+    workloads = _bench_workloads()
+    manifest = json.loads(workloads.manifest_bytes(workloads.build(workload, 77)))
+    payload, code = run_suite(manifest, 1)
+    digest = hashlib.sha256(render_json(payload).encode()).hexdigest()
+    assert (code, digest) == _BENCH_DIGESTS[workload]
+
+
 # Series reports larger than the built-in suite's (orders up to 30, three
 # variables, expected coefficients checked and missed), frozen the same way
 _SERIES_MANIFEST = [
@@ -1080,6 +1104,16 @@ def test_small_or_single_worker_suites_do_not_fork(monkeypatch, forks):
     monkeypatch.setattr(cli, "_can_fork", lambda: False)
     run_suite(_MIXED, 4)
     assert forks == []
+
+
+def test_a_suite_without_jobs_runs_in_this_process(monkeypatch, forks, capsys):
+    # one fresh `gradedwords suite` ran faster at --jobs 1 than at --jobs 2
+    # on every bench manifest: forking is asked for, never assumed
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    assert run(capsys, "suite")[0] == EXIT_PASS
+    assert forks == []
+    assert run(capsys, "suite", "--jobs", "2")[0] == EXIT_PASS
+    assert len(forks) == 1
 
 
 def test_worker_count_is_capped_by_cpus_and_members():

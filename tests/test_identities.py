@@ -19,7 +19,6 @@ from gradedwords import (
     IdentitySpec,
     PoleError,
     PreconditionError,
-    identity_variables,
     multinomial,
     verify_identity_at_point,
     verify_identity_on_grid,
@@ -258,7 +257,7 @@ def test_catalog_is_derived_from_the_evaluators():
             identity=name, n=n, z=z,
             i=len(n) if "i" in needs else None, j=1 if "j" in needs else None,
         )
-        table = identities._table(n, z)
+        table = identities._table[n, z]
         assert entry.evaluate(values, spec, table) == [_call_public(name, pt, n, z)], name
     public = [v for v in identities.__all__ if v.startswith(("eval_", "check_"))]
     assert public == list(PUBLIC_EVALUATORS)
@@ -270,11 +269,11 @@ def test_catalog_is_derived_from_the_evaluators():
 
 
 def test_identity_variables():
-    assert identity_variables("abel-1") == ("x", "y")
-    assert identity_variables("gould") == ("x", "y", "eps")
-    assert identity_variables("gould-mohanty") == ("x", "y", "eps")
-    assert identity_variables("kmx") == ("p", "q")
-    assert identity_variables("absorption") == ("p",)
+    assert CATALOG["abel-1"].variables == ("x", "y")
+    assert CATALOG["gould"].variables == ("x", "y", "eps")
+    assert CATALOG["gould-mohanty"].variables == ("x", "y", "eps")
+    assert CATALOG["kmx"].variables == ("p", "q")
+    assert CATALOG["absorption"].variables == ("p",)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +637,7 @@ def test_every_side_matches_its_textbook_formula(name):
                         evaluator(**point, **fixed)
                 continue
             spec = IdentitySpec(name, n, z, i=i, j=j)
-            pairs = entry.evaluate(values, spec, identities._table(n, z))
+            pairs = entry.evaluate(values, spec, identities._table[n, z])
             assert len(pairs) == len(expected), where
             for (left, right), (want_left, want_right) in zip(pairs, expected):
                 assert left == want_left and right == want_right, where
@@ -692,7 +691,7 @@ def test_grid_path_stays_in_int_and_fraction_arithmetic():
         for n, z in shapes:
             spec = identities._validate(_default_spec(name, n, z), entry)
             axes, _, _ = identities._select_axes(spec, entry)
-            table = identities._table(n, z)
+            table = identities._table[n, z]
             for values in itertools.product(*(axes[v] for v in entry.variables)):
                 for pair in entry.evaluate(values, spec, table):
                     assert all(type(v) in (int, Fraction) for v in pair), (name, n, z, values)
@@ -1073,7 +1072,7 @@ def test_gmh_special_grid_runs_the_gould_mohanty_body_unchecked(monkeypatch):
     calls = []
     monkeypatch.setattr(identities, "_check_poles", lambda *args: calls.append(args))
     spec = IdentitySpec(identity="gmh-special", n=(2, 1), z=(1, 2))
-    table = identities._table(spec.n, spec.z)
+    table = identities._table[spec.n, spec.z]
     pairs = CATALOG["gmh-special"].evaluate((7, 5), spec, table)
     assert calls == []  # no argument or pole re-check per grid point
     assert pairs == [eval_gould_mohanty(7, 5, 1, (2, 1), (1, 2))]
@@ -1165,7 +1164,7 @@ def _counting(monkeypatch, *shapes):
     """The (x, k) of every call of arith's multinomial from now on, once the
     terms tables of the (n, z) in shapes are built (their weights call it)."""
     for n, z in shapes:
-        identities._table(n, z)
+        identities._table[n, z]
     calls = []
     real = arith.multinomial
 
@@ -1202,7 +1201,7 @@ def test_a_sweep_past_the_cap_keeps_at_most_the_cap(empty_memos):
     # cap reached empties every row in place, so the rows a table holds stay
     # its rows, and they never hold more than the cap together
     cap = identities._ROWS.most
-    tables = [identities._table(n, z) for n, z in (((2,), (1,)), ((1, 1), (1, 2)))]
+    tables = [identities._table[n, z] for n, z in (((2,), (1,)), ((1, 1), (1, 2)))]
     rows = [table.cn for table in tables] + [tables[0].terms[1][1]]
     for x in range(-cap, cap // 2):
         for row in rows:
@@ -1280,13 +1279,13 @@ def test_point_checks_and_public_evaluators_read_the_shared_rows(monkeypatch, em
     assert len(calls) == 9
     # at x = 7/2 the rows of C(y + kz, 3 - k) already hold y = 5's values
     assert eval_rothe_1(Fraction(7, 2), 5, 1, 3)[0] == eval_rothe_1.__wrapped__(
-        Fraction(7, 2), 5, 1, 3, identities._table((3,), (1,))
+        Fraction(7, 2), 5, 1, 3, identities._table[(3,), (1,)]
     )[0]
     assert len(calls) == 9 + 5
     report = verify_identity_at_point(IdentitySpec("gould", (2,), (1,)), {"x": 3, "y": 5, "eps": 1})
     assert report.ok and len(calls) == len(set(calls)) == len(_kept())
     # the point check and the evaluator read the rows of one table per (n, z)
-    assert identities._table((3,), (1,)).cn is identities._ROWS[(3,)]
+    assert identities._table[(3,), (1,)].cn is identities._ROWS[(3,)]
 
 
 def test_a_wrong_memo_entry_is_a_mismatch(monkeypatch, empty_memos):

@@ -25,6 +25,7 @@ from gradedwords import (
     solve_functional_equation,
     verify_solution,
 )
+from conftest import count_fills
 
 
 def S(nvars: int, order: int, coeffs) -> TruncatedSeries:
@@ -348,7 +349,7 @@ def test_packing_holds_only_the_exponents_a_computation_reaches():
     s = TruncatedSeries.constant(1, 3, order) + u1 + u3
     assert s**3 == s * s * s
     assert (s**3).coeffs[(1, 0, 2)] == 3 and len((s**3).coeffs) == 10
-    _, unpack, pack = series._packing(3, order)
+    _, unpack, pack = series._packing[3, order]
     assert len(unpack) == 10 and len(pack) <= 10
     # a key past the last digit, and the key of (1, 400, 0), of degree 401
     for key in (-1, (order + 1) ** 3, 1 + 400 * (order + 1)):
@@ -633,6 +634,11 @@ def test_the_solved_memo_keeps_at_most_its_cap_of_coefficients(monkeypatch, empt
     # quarter + 1 more coefficients would pass the cap: the memo empties first
     solve_functional_equation((1,), quarter)
     assert list(memo) == [((1,), quarter)] and cap.kept == quarter + 1
-    # a v larger than the whole cap is handed out, not kept, and empties nothing
-    assert solve_functional_equation((1,), cap.most).order == cap.most
-    assert list(memo) == [((1,), quarter)] and cap.kept == quarter + 1
+    # a v larger than the whole cap empties the memo and is kept alone: it is
+    # solved once over two calls, and the next miss empties it
+    fills = count_fills(monkeypatch, memo)
+    for _ in range(2):
+        assert solve_functional_equation((1,), cap.most).order == cap.most
+    assert fills == [((1,), cap.most)] and list(memo) == fills and cap.kept == cap.most + 1
+    solve_functional_equation((1,), 3)
+    assert fills[1:] == list(memo) == [((1,), 3)] and cap.kept == 4

@@ -27,7 +27,9 @@ from gradedwords import (
 )
 from gradedwords import words
 
-from conftest import brute_force_class, brute_force_sequences, small_grid
+from conftest import (
+    brute_force_class, brute_force_sequences, count_fills, prefix_weights, small_grid,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +49,6 @@ def test_letter_weights_and_names():
 @pytest.mark.parametrize("code", [-1, 3, 7, True, 1.0])
 def test_letter_codes_outside_the_alphabet_are_refused(code):
     a = GradedAlphabet(z=(1, 2))
-    with pytest.raises(PreconditionError, match="letter code"):
-        a.letter_weight(code)
     with pytest.raises(PreconditionError, match="letter code"):
         a.letter_name(code)
 
@@ -91,7 +91,7 @@ def test_word_weight_counts_prefixes():
     w = a.parse_word("b2 a b1 a")
     assert w.weight == 3 + 1 + 2 + 1 == 7
     assert w.counts == (1, 1)
-    assert w.prefix_weight_list() == (3, 4, 6, 7)
+    assert prefix_weights(w) == (3, 4, 6, 7)
     assert w.prefix_cut(0) == 0  # the empty prefix
     assert w.prefix_cut(4) == 2
     assert w.prefix_cut(5) is None
@@ -101,7 +101,7 @@ def test_prefix_weights_strictly_increasing():
     a = GradedAlphabet(z=(0, 2))
     for seq in itertools.product(range(3), repeat=5):
         w = Word(a, seq)
-        pw = w.prefix_weight_list()
+        pw = prefix_weights(w)
         assert len(pw) == len(w)
         assert all(s < t for s, t in zip(pw, pw[1:]))
 
@@ -239,19 +239,21 @@ def test_count_words_matches_enumeration_exhaustively():
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["own-tables", "shared-tables"])
-def test_class_size_is_the_enumeration_count_and_the_closed_form(shared):
+def test_class_size_is_the_enumeration_count_and_the_closed_form(shared, monkeypatch):
     # _class_size sums table lengths and builds no word: it must agree with
     # the words it stands for, and with count_words or the split sum, both
-    # when each class lists its own tables (the memo emptied before it) and
-    # when it meets tables that earlier classes listed
-    hits = words._table.cache_info().hits
+    # when each class lists its own tables (the memo emptied before it, so
+    # a table is listed again) and when it meets tables that earlier classes
+    # listed (none is listed twice)
+    words._table.cap.empty()
+    fills = count_fills(monkeypatch, words._table)
     for z in small_grid():
         alphabet = GradedAlphabet(z=z)
         for p in range(8):
             for k in itertools.product(range(3), repeat=len(z)):
                 for r in [None, *range(-1, p + 2)]:
                     if not shared:
-                        words._table.cache_clear()
+                        words._table.cap.empty()
                     size = words._class_size(alphabet, p, k, r)
                     assert size == len(_flattened(words._class_blocks(alphabet, p, k, r))), (z, p, k, r)
                     if r is None or r == 0:
@@ -260,7 +262,7 @@ def test_class_size_is_the_enumeration_count_and_the_closed_form(shared):
                         assert size == words._split_count(z, r, p - r, k), (z, p, k, r)
                     else:
                         assert size == 0, (z, p, k, r)
-    assert not shared or words._table.cache_info().hits > hits
+    assert fills and (len(set(fills)) < len(fills)) != shared
 
 
 def test_count_words_dimension_mismatch():
@@ -445,7 +447,7 @@ def test_a_forced_run_below_the_cut_is_placed_in_one_step():
     def best_of_three(run):
         times = []
         for _ in range(3):
-            words._table.cache_clear()
+            words._table.cap.empty()
             start = time.perf_counter()
             run()
             times.append(time.perf_counter() - start)
@@ -489,7 +491,7 @@ def test_tables_are_shared_between_classes():
     assert all(type(table) is tuple for _, _, table in whole)
 
 
-def test_the_memo_is_bounded_and_counts_past_its_bound():
+def test_the_memo_is_bounded_and_counts_past_its_bound(monkeypatch):
     # over z = (0, 0) a class of 2 to _TABLE_CAP words is one table at the
     # empty head, and 460 such tables exist: more than the memo keeps, and
     # the counts hold while it drops them, on a second pass too
@@ -502,13 +504,17 @@ def test_the_memo_is_bounded_and_counts_past_its_bound():
         if 2 <= multinomial(p, (k1, k2)) <= words._TABLE_CAP
     ]
     assert len(classes) == 460
-    words._table.cache_clear()
+    words._table.cap.empty()
+    fills = count_fills(monkeypatch, words._table)
     for _ in range(2):
         for p, k in classes:
             assert words._class_size(alphabet, p, k) == count_words(p, k, alphabet), (p, k)
-    info = words._table.cache_info()
-    assert info.maxsize == words._TABLES_KEPT < info.misses
-    assert info.currsize == info.maxsize
+            assert len(words._table) == words._table.cap.kept <= words._TABLES_KEPT
+    # the miss that finds the memo full empties it: the first pass keeps its
+    # last 204 tables, and the second, emptying at its 53rd and 309th table,
+    # misses all 460 again and keeps its last 152
+    assert words._table.cap.most == words._TABLES_KEPT == 256
+    assert len(fills) == 920 and len(words._table) == 152
 
 
 def test_the_memo_keeps_only_tables_of_two_or_more_tails(monkeypatch):
@@ -516,16 +522,17 @@ def test_the_memo_keeps_only_tables_of_two_or_more_tails(monkeypatch):
     # head of class(4001, (1,)) but one, a^3936, ends in b and leaves a run
     # of a, and a^3936 leaves the table of counts (63, 1), listed before
     alphabet = GradedAlphabet(z=(1,))
-    words._table.cache_clear()
+    words._table.cap.empty()
+    fills = count_fills(monkeypatch, words._table)
     assert words._class_size(alphabet, 65, (1,)) == 64
     assert words._class_size(alphabet, 4001, (1,)) == 4000
-    info = words._table.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    assert fills == [(63, 1)] and list(words._table) == [(63, 1)]
     # any listing: the memo sees 2 to _TABLE_CAP tails, each of at most
     # _TABLE_CAP letters, since L letters of two kinds have L arrangements
+    words._table.cap.empty()
     listed = []
-    real = words._table
-    monkeypatch.setattr(words, "_table", lambda counts: listed.append(real(counts)) or listed[-1])
+    fill = words._table.fill
+    monkeypatch.setattr(words._table, "fill", lambda counts: listed.append(fill(counts)) or listed[-1])
     for z, p, k in [*_LARGE_CLASSES, ((1,), 1201, (1,))]:
         for r in [None, *range(min(p, 40) + 1), 1100]:
             words._class_size(GradedAlphabet(z=z), p, k, r)
@@ -546,4 +553,4 @@ def test_a_planted_table_replaces_the_one_listed_before(plant_arrangements):
 def test_a_planted_table_does_not_reach_the_next_test():
     # runs after the test above, whose plant listed a table one entry short
     assert words._class_size(GradedAlphabet(z=(1,)), 5, (1,)) == 4
-    assert words._table((3, 1)) == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+    assert words._table[3, 1] == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
