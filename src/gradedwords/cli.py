@@ -188,7 +188,6 @@ def do_verify(
     slots = {"n": n, "k": k}
     _require(slots[other] is None, f"verify {identity} takes --{own}, not --{other}")
     _require(slots[own] is not None, f"verify {identity} needs --{own}")
-    _require(point is None or grid_range is None, "--point and --grid-range exclude each other")
     spec = IdentitySpec(
         identity=identity,
         n=slots[own],
@@ -883,6 +882,10 @@ def _dispatch(args: argparse.Namespace) -> tuple[Payload, int]:
             raise PreconditionError(
                 f"manifest parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             )
+        except PreconditionError:
+            raise  # a repeated key, refused by _unrepeated
+        except (ValueError, RecursionError) as exc:  # too long an integer, too deep a nesting
+            raise PreconditionError(f"manifest {args.manifest} exceeds the JSON decoder: {exc}")
     else:
         manifest = default_manifest()
     return run_suite(manifest, args.jobs)

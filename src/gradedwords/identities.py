@@ -18,24 +18,23 @@ test checks the rule by finite differences along generic lines.
 
 The rational forms (the Abel identities, the x/(x - k.z)-weighted sums and
 absorption) divide by finitely many linear forms.  Each is declared once, as
-a _Pole: the sum of some variables minus a constant, which must not vanish.
-The evaluators refuse a point on a declared pole with PoleError, and the
-grid chooser skips such points.  The grid argument certifies a rational
-identity only if every declared pole is removable, so that each side agrees
-off the poles with a polynomial within its degree bound.  The catalog
+a _Pole: the sum of some variables minus an integer, which must not vanish.
+verify_identity_at_point refuses a point on a declared pole with PoleError,
+and the grid chooser skips such points.  The grid argument certifies a
+rational identity only if every declared pole is removable, so that each
+side agrees off the poles with a polynomial within its degree bound.  The catalog
 asserts that per entry; the program does not yet check it.
 
-An identity is declared once, by the @_identity decorator on its public
-evaluator, whose body holds only the mathematics.  The decorator names the
-catalog entry and its poles; the free variables, the multi-index slot (n,
-or k for absorption) and the letter indices i and j the entry takes are
-read from the evaluator's signature.
-The public function it returns checks the arguments and refuses a declared
-pole before running the body.  The catalog calls the body directly and
-positionally, in its signature order, with the free variables from a point
-(a tuple in the entry's variable order) and the fixed parameters (n or k,
-z, and i and j where taken) from the spec, checked once per spec, and the
-terms table below; the call is worked out once per entry, at declaration.
+An identity is declared once, by the @_identity decorator on its body,
+which holds only the mathematics.  The decorator names the catalog entry
+and its poles; the free variables, the multi-index slot (n, or k for
+absorption) and the letter indices i and j the entry takes are read from
+the body's signature.  It returns the body unchanged, so the catalog entry
+is the one way into it: its evaluate calls the body positionally, in its
+signature order, with the free variables from a point (a tuple in the
+entry's variable order), the fixed parameters (n or k, z, and i and j where
+taken) from the spec, which _validate checked once, and the terms table
+below; the call is worked out once per entry, at declaration.
 verify_identity_on_grid builds a pole-free integer product grid sized by
 the degree bound, each default axis starting at 0 or past the poles in its
 variable alone, and checks exact equality at every point.
@@ -50,7 +49,6 @@ divide nowhere: each quotient of theirs cancels to 1 off a declared pole
 (the conventions below), and every other power they take is a natural one.
 No evaluator divides two ints with / or raises a scalar to a negative power,
 so no value is ever a float, and at an integer point every side is an int.
-The public evaluators return a pair of Fractions whatever the path.
 
 A body reads C(x, k) from rows, in the terms table of (n, z) it is handed
 as its trailing table argument: row[x] is C(x, k), and the table carries,
@@ -59,10 +57,9 @@ C(., k - e_i), besides constants such as |k|, next to the row of C(., n).
 A grid reads the same C(x, k) many times (C(x - k.z, k) recurs for every y
 and eps), and so do other grids and points, so the rows are the process's:
 one dict per k, kept while a cached table holds it, that fills from arith's
-multinomial on a miss.  Grids, point checks and the public evaluators all
-read them.  Together the rows keep at most _ROWS.most values; the miss that
-finds that many counted empties every row in place, and a forked child's
-values die with it.
+multinomial on a miss.  Grids and point checks both read them.  Together
+the rows keep at most _ROWS.most values; the miss that finds that many
+counted empties every row in place, and a forked child's values die with it.
 
 Conventions shared by all evaluators:
 
@@ -78,12 +75,10 @@ Conventions shared by all evaluators:
 
 from __future__ import annotations
 
-import functools
 import inspect
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import arith
@@ -110,50 +105,12 @@ from .errors import (
 )
 from .reports import VERDICT_EQUAL, VERDICT_MISMATCH, EvalReport
 
-__all__ = [
-    "IdentitySpec",
-    "eval_abel_1",
-    "eval_abel_2",
-    "eval_rothe_1",
-    "eval_rothe_2",
-    "eval_gould",
-    "eval_jensen",
-    "eval_raney_mohanty_1",
-    "eval_raney_mohanty_2",
-    "eval_mohanty_handa",
-    "eval_gould_mohanty",
-    "eval_gmh_special",
-    "eval_kmx",
-    "eval_kmpink",
-    "eval_pkroth",
-    "check_absorption",
-    "check_rm2_decomposition",
-    "check_mh_expansion",
-    "verify_identity_on_grid",
-    "verify_identity_at_point",
-]
-
-
-def _same_dim(n: MultiIndex, z: MultiIndex) -> None:
-    if len(n) != len(z):
-        raise DimensionMismatchError(
-            f"n has dimension {len(n)} but z has dimension {len(z)}"
-        )
-
-
-def _check_letters(
-    needs: frozenset[str], n: MultiIndex, z: MultiIndex, i: object, j: object
-) -> None:
-    """The letter index i and the shift j, where the identity takes them."""
-    if "i" in needs and not 1 <= natural(i, "i") <= len(n):
-        raise PreconditionError(f"letter index i = {i} out of range 1..{len(n)}")
-    if "j" in needs and not 1 <= natural(j, "j") <= z[i - 1]:
-        raise PreconditionError(f"requires 1 <= j <= z_i, got j = {j} with z_{i} = {z[i - 1]}")
+__all__ = ["IdentitySpec", "verify_identity_on_grid", "verify_identity_at_point"]
 
 
 # ---------------------------------------------------------------------------
-# declared poles: one list per rational form, shared by the evaluators, the
-# point check and the grid chooser
+# declared poles: one list per rational form, shared by the point check and
+# the grid chooser
 # ---------------------------------------------------------------------------
 
 
@@ -161,14 +118,14 @@ class _Pole(NamedTuple):
     """The denominator factor sum(vars) - c, which must not vanish."""
 
     vars: tuple[str, ...]
-    c: Scalar
+    c: int
 
     @property
     def label(self) -> str:
         head = " + ".join(self.vars)
         if self.c == 0:
             return head
-        return f"{head} {'-' if self.c > 0 else '+'} {format_scalar(abs(self.c))}"
+        return f"{head} {'-' if self.c > 0 else '+'} {abs(self.c)}"
 
 
 def _check_poles(poles: list[_Pole], point: dict[str, Scalar]) -> None:
@@ -185,7 +142,7 @@ def _no_poles(n: MultiIndex, z: MultiIndex) -> list[_Pole]:
 
 def _poles_x(n: MultiIndex, z: MultiIndex) -> list[_Pole]:
     """x - k.z for 0 <= k <= n, repeats included: the x/(x - k.z) weights."""
-    kzs: list[Scalar] = [0]
+    kzs = [0]
     for n_i, z_i in zip(n, z):
         kzs = [z_i * k + v for v in kzs for k in range(n_i + 1)]
     return [_Pole(("x",), kz) for kz in kzs]
@@ -266,51 +223,23 @@ def _identity(
     poles: Callable[[MultiIndex, MultiIndex], list[_Pole]] = _no_poles,
     classical: bool = False,
 ) -> Callable[[_Evaluator], _Evaluator]:
-    """Enter the decorated evaluator in CATALOG as `name`; return it checked.
+    """Enter the decorated body in CATALOG as `name`, and return the body.
 
     Each side has degree at most |n| in each free variable.  The free
     variables are the parameters other than the multi-index slot (n, or k
     for absorption), z, i, j and table; the entry takes whichever of i and j
-    the evaluator names.  A classical (m = 1) evaluator takes n and z as
-    scalars.  The returned function, whose signature is the body's without
-    table, checks that the variables (and a classical z) are exact
-    rationals, checks n or k, z, i and j, refuses a declared pole, and only
-    then runs the body, handing a body that takes table the terms table of
-    (n, z); it returns both sides as Fractions.
-    The entry's evaluate calls the body unchecked, through _positional.
+    the body names.  A classical (m = 1) body takes n and z as scalars.
+    The entry's evaluate calls the body through _positional.
     """
 
     def declare(body: _Evaluator) -> _Evaluator:
-        sig = inspect.signature(body)
-        public = sig.replace(parameters=[p for p in sig.parameters.values() if p.name != "table"])
-        slot = "k" if "k" in sig.parameters else "n"
-        variables = tuple(v for v in public.parameters if v not in (slot, "z", "i", "j"))
-        needs = frozenset(sig.parameters) & {"i", "j"}
-        scalars = [v for v in sig.parameters if v in variables or classical and v == "z"]
-
-        @functools.wraps(body)
-        def checked(*args: object, **kwargs: object) -> tuple[Fraction, Fraction]:
-            a = public.bind(*args, **kwargs).arguments
-            for v in scalars:
-                a[v] = rational(a[v], v)
-            if classical:
-                a["n"] = natural(a["n"], "n")
-                n, z = (a["n"],), (a["z"],)
-            else:
-                n = a[slot] = naturals(a[slot], slot)
-                z = a["z"] = naturals(a["z"], "z")
-                _same_dim(n, z)
-                _check_letters(needs, n, z, a.get("i"), a.get("j"))
-            _check_poles(poles(n, z), a)
-            if "table" in sig.parameters:
-                a["table"] = _table[n, z]
-            left, right = body(**a)
-            return Fraction(left), Fraction(right)
-
-        checked.__signature__ = public
+        params = inspect.signature(body).parameters
+        slot = "k" if "k" in params else "n"
+        variables = tuple(v for v in params if v not in (slot, "z", "i", "j", "table"))
+        needs = frozenset(params) & {"i", "j"}
         evaluate = _positional(name, body, variables, classical)
         CATALOG[name] = _Entry(name, variables, slot, needs, classical, poles, evaluate)
-        return checked
+        return body
 
     return declare
 
@@ -400,7 +329,7 @@ _table = _Cap(1024).memo(0, _terms)
 
 
 @_identity("abel-1", poles=_poles_abel_1, classical=True)
-def eval_abel_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
+def _abel_1(x: Scalar, y: Scalar, z: int, n: int) -> tuple[Scalar, Scalar]:
     """sum_k C(n,k) x(x-kz)^(k-1) (y+kz)^(n-k)  vs  (x+y)^n."""
     lhs = 0
     for k in range(n + 1):
@@ -410,7 +339,7 @@ def eval_abel_1(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
 
 
 @_identity("abel-2", poles=_poles_abel_2, classical=True)
-def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Fraction]:
+def _abel_2(x: Scalar, y: Scalar, z: int, n: int) -> tuple[Scalar, Scalar]:
     """sum_k C(n,k) x(y+nz)(x-kz)^(k-1)(y+kz)^(n-k-1)  vs  (x+y+nz)(x+y)^(n-1).
 
     This is the companion of Abel's identity, normalized so the right side
@@ -428,18 +357,18 @@ def eval_abel_2(x: Scalar, y: Scalar, z: Scalar, n: int) -> tuple[Fraction, Frac
 
 
 @_identity("rothe-1", poles=_poles_x, classical=True)
-def eval_rothe_1(
-    x: Scalar, y: Scalar, z: Scalar, n: int, table: _Table
-) -> tuple[Fraction, Fraction]:
+def _rothe_1(
+    x: Scalar, y: Scalar, z: int, n: int, table: _Table
+) -> tuple[Scalar, Scalar]:
     """sum_k (x/(x-kz)) C(x-kz,k) C(y+kz,n-k)  vs  C(x+y,n)."""
     lhs = qsum((x * ck[x - kz] * cr[y + kz], x - kz) for kz, ck, cr, _, _, _ in table.terms)
     return lhs, table.cn[x + y]
 
 
 @_identity("rothe-2", poles=_poles_xy, classical=True)
-def eval_rothe_2(
-    x: Scalar, y: Scalar, z: Scalar, n: int, table: _Table
-) -> tuple[Fraction, Fraction]:
+def _rothe_2(
+    x: Scalar, y: Scalar, z: int, n: int, table: _Table
+) -> tuple[Scalar, Scalar]:
     """sum_k xy/((x-kz)(y-(n-k)z)) C(x-kz,k) C(y-(n-k)z,n-k)
     vs  (x+y)/(x+y-nz) C(x+y-nz,n)."""
     y_nz = y - table.nz  # y - (n-k)z is y_nz + kz
@@ -452,9 +381,9 @@ def eval_rothe_2(
 
 
 @_identity("gould", classical=True)
-def eval_gould(
-    x: Scalar, y: Scalar, z: Scalar, eps: Scalar, n: int, table: _Table
-) -> tuple[Fraction, Fraction]:
+def _gould(
+    x: Scalar, y: Scalar, z: int, eps: Scalar, n: int, table: _Table
+) -> tuple[Scalar, Scalar]:
     """sum_k C(x-kz,k) C(y+kz,n-k)  vs  sum_k C(x+e-kz,k) C(y-e+kz,n-k)."""
     lhs = 0
     rhs = 0
@@ -465,9 +394,9 @@ def eval_gould(
 
 
 @_identity("jensen", classical=True)
-def eval_jensen(
-    x: Scalar, y: Scalar, z: Scalar, n: int, table: _Table
-) -> tuple[Fraction, Fraction]:
+def _jensen(
+    x: Scalar, y: Scalar, z: int, n: int, table: _Table
+) -> tuple[Scalar, Scalar]:
     """sum_k C(x+kz,k) C(y-kz,n-k)  vs  sum_k C(x+y-k,n-k) z^k."""
     lhs = 0
     rhs = 0
@@ -483,18 +412,18 @@ def eval_jensen(
 
 
 @_identity("raney-mohanty-1", poles=_poles_x)
-def eval_raney_mohanty_1(
+def _raney_mohanty_1(
     x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Scalar, Scalar]:
     """sum_{0<=k<=n} (x/(x-k.z)) C(x-k.z,k) C(y+k.z,n-k)  vs  C(x+y,n)."""
     lhs = qsum((x * ck[x - kz] * cr[y + kz], x - kz) for kz, ck, cr, _, _, _ in table.terms)
     return lhs, table.cn[x + y]
 
 
 @_identity("raney-mohanty-2", poles=_poles_xy)
-def eval_raney_mohanty_2(
+def _raney_mohanty_2(
     x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Scalar, Scalar]:
     """sum_k xy/((x-k.z)(y-(n-k).z)) C(x-k.z,k) C(y-(n-k).z,n-k)
     vs  (x+y)/(x+y-n.z) C(x+y-n.z,n)."""
     y_nz = y - table.nz  # y - (n-k).z is y_nz + k.z
@@ -507,9 +436,9 @@ def eval_raney_mohanty_2(
 
 
 @_identity("mohanty-handa")
-def eval_mohanty_handa(
+def _mohanty_handa(
     x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Scalar, Scalar]:
     """sum_k C(x+k.z,k) C(y-k.z,n-k)  vs  sum_k C(x+y-|k|,n-k) C(|k|,k) z^k."""
     lhs = 0
     rhs = 0
@@ -520,9 +449,9 @@ def eval_mohanty_handa(
 
 
 @_identity("gould-mohanty")
-def eval_gould_mohanty(
+def _gould_mohanty(
     x: Scalar, y: Scalar, eps: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Scalar, Scalar]:
     """sum_k C(x-k.z,k) C(y+k.z,n-k)  vs  sum_k C(x+e-k.z,k) C(y-e+k.z,n-k)."""
     lhs = 0
     rhs = 0
@@ -533,18 +462,18 @@ def eval_gould_mohanty(
 
 
 @_identity("gmh-special")
-def eval_gmh_special(
+def _gmh_special(
     p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Scalar, Scalar]:
     """Gould-Mohanty at eps = 1:
     sum_k C(p-k.z,k) C(q+k.z,n-k)  vs  sum_k C(p+1-k.z,k) C(q-1+k.z,n-k)."""
-    return eval_gould_mohanty.__wrapped__(p, q, 1, n, z, table)
+    return _gould_mohanty(p, q, 1, n, z, table)
 
 
 @_identity("kmx")
-def eval_kmx(
+def _kmx(
     p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Scalar, Scalar]:
     """sum_k [ C(p-k.z,k) C(q+k.z,n-k)
               + sum_i sum_{j=1}^{z_i} C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k) ]
     vs  C(p+q,n)."""
@@ -559,9 +488,9 @@ def eval_kmx(
 
 
 @_identity("kmpink")
-def eval_kmpink(
+def _kmpink(
     p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex, i: int, j: int, table: _Table
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Scalar, Scalar]:
     """sum_k C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k)
     vs  sum_k C(p-k.z-1,k-e_i) C(q+k.z,n-k),  for 1 <= j <= z_i."""
     lhs = 0
@@ -574,9 +503,9 @@ def eval_kmpink(
 
 
 @_identity("pkroth")
-def eval_pkroth(
+def _pkroth(
     p: Scalar, q: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Scalar, Scalar]:
     """sum_k [ C(p-k.z,k) + sum_i z_i C(p-k.z-1,k-e_i) ] C(q+k.z,n-k)
     vs  C(p+q,n)."""
     lhs = 0
@@ -589,9 +518,9 @@ def eval_pkroth(
 
 
 @_identity("absorption", poles=_poles_absorption)
-def check_absorption(
+def _absorption(
     p: Scalar, k: MultiIndex, z: MultiIndex, i: int, table: _Table
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Scalar, Scalar]:
     """C(p-k.z-1, k-e_i)  vs  (k_i/(p-k.z)) C(p-k.z, k),  p-k.z != 0."""
     kz, ck, _, below, _, _ = table.terms[-1]  # the last summand of the box is k
     lhs = below[i - 1][p - kz - 1]
@@ -600,9 +529,9 @@ def check_absorption(
 
 
 @_identity("rm2-decomposition", poles=_poles_xy)
-def check_rm2_decomposition(
+def _rm2_decomposition(
     x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Scalar, Scalar]:
     """The two-sum rewriting of the second Raney-Mohanty form's left side:
 
     sum_k xy/((x-k.z)(y-(n-k).z)) C C  vs  (S1 + S2)/(x+y-n.z)  where
@@ -620,9 +549,9 @@ def check_rm2_decomposition(
 
 
 @_identity("mh-expansion")
-def check_mh_expansion(
+def _mh_expansion(
     x: Scalar, y: Scalar, n: MultiIndex, z: MultiIndex, table: _Table
-) -> tuple[Fraction, Fraction]:
+) -> tuple[Scalar, Scalar]:
     """sum_k C(x+k.z,k) C(y-k.z,n-k)
     vs  C(x+y,n) + sum_i sum_k z_i C(x-1+k.z,k-e_i) C(y-k.z,n-k)."""
     lhs = 0
@@ -672,7 +601,8 @@ def _validate(spec: IdentitySpec, entry: _Entry) -> IdentitySpec:
     """spec, with n and z as tuples, once every parameter checks out."""
     n = naturals(spec.n, entry.param_name)
     z = naturals(spec.z, "z")
-    _same_dim(n, z)
+    if len(n) != len(z):
+        raise DimensionMismatchError(f"n has dimension {len(n)} but z has dimension {len(z)}")
     if entry.classical and len(n) != 1:
         raise PreconditionError(
             f"{entry.name} is a single-variable (m = 1) identity; "
@@ -684,7 +614,11 @@ def _validate(spec: IdentitySpec, entry: _Entry) -> IdentitySpec:
             raise PreconditionError(f"{entry.name} does not take --{flag}")
         if not given and flag in entry.needs:
             raise PreconditionError(f"{entry.name} requires --{flag}")
-    _check_letters(entry.needs, n, z, spec.i, spec.j)
+    i, j = spec.i, spec.j
+    if "i" in entry.needs and not 1 <= natural(i, "i") <= len(n):
+        raise PreconditionError(f"letter index i = {i} out of range 1..{len(n)}")
+    if "j" in entry.needs and not 1 <= natural(j, "j") <= z[i - 1]:
+        raise PreconditionError(f"requires 1 <= j <= z_i, got j = {j} with z_{i} = {z[i - 1]}")
     if spec.grid_range is not None:
         ends = spec.grid_range if isinstance(spec.grid_range, (tuple, list)) else ()
         if len(ends) != 2 or any(not isinstance(e, int) or isinstance(e, bool) for e in ends):
@@ -819,6 +753,8 @@ def verify_identity_at_point(
 ) -> EvalReport:
     """Evaluate both sides at one explicit point."""
     entry = _lookup(spec.identity)
+    if spec.grid_range is not None:
+        raise PreconditionError("--point and --grid-range exclude each other")
     spec = _validate(spec, entry)
     missing = [v for v in entry.variables if v not in point]
     if missing:

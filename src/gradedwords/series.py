@@ -385,8 +385,13 @@ def verify_solution(
     series and its coefficients are naturals, else fail; then mismatch at
     the first (exponent, value) of expect that is not v's coefficient.
     Each expected exponent must be a monomial of degree <= order in len(z)
-    variables."""
-    z, order, expect = naturals(z, "z"), natural(order, "order"), tuple(expect)
+    variables, and each expected value an int or a Fraction."""
+    z, order = naturals(z, "z"), natural(order, "order")
+    expect = tuple(
+        (naturals(exponent, "expect_coefficients exponent"),
+         rational(value, "expect_coefficients value"))
+        for exponent, value in expect
+    )
     for exponent, _ in expect:
         if not (len(exponent) == len(z) and sum(exponent) <= order):
             raise PreconditionError(
@@ -409,7 +414,7 @@ def verify_solution(
         report.counterexample = checks
         return report
     for exponent, expected in expect:
-        actual = v.coeffs.get(tuple(exponent), 0)
+        actual = v.coeffs.get(exponent, 0)
         if actual != expected:
             report.verdict = VERDICT_MISMATCH
             report.counterexample = {

@@ -17,7 +17,7 @@ import pytest
 import gradedwords
 import conftest
 from conftest import empty_every_memo
-from gradedwords import arith, identities, series, words
+from gradedwords import arith, cli, identities, series, words
 
 MODULES = [gradedwords] + [
     importlib.import_module(f"gradedwords.{info.name}")
@@ -47,10 +47,16 @@ PUBLIC = [
 # TruncatedSeries.one / zero / constant_term -> constant(1, m, N) /
 # TruncatedSeries(m, N) / coefficient((0,) * m); catalog_names() -> list(CATALOG);
 # GradedAlphabet.letter_weight(code) -> .weights[code];
-# identity_variables(name) -> CATALOG[name].variables
+# identity_variables(name) -> CATALOG[name].variables;
+# the per-identity evaluators, eval_abel_1 to check_mh_expansion ->
+# verify_identity_at_point(IdentitySpec(name, n, z, i, j), point)
 REMOVED_ALIASES = [
     "shift_up", "has_prefix_of_weight", "letter_weights", "one", "zero", "constant_term",
     "catalog_names", "letter_weight", "identity_variables",
+    "eval_abel_1", "eval_abel_2", "eval_rothe_1", "eval_rothe_2", "eval_gould", "eval_jensen",
+    "eval_raney_mohanty_1", "eval_raney_mohanty_2", "eval_mohanty_handa", "eval_gould_mohanty",
+    "eval_gmh_special", "eval_kmx", "eval_kmpink", "eval_pkroth", "check_absorption",
+    "check_rm2_decomposition", "check_mh_expansion",
 ]
 
 
@@ -74,6 +80,37 @@ def test_no_removed_alias_resolves(module):
 def test_every_exported_name_resolves(module):
     exported = getattr(module, "__all__", [])
     assert [name for name in exported if not hasattr(module, name)] == []
+
+
+def test_every_name_a_module_exports_has_a_caller_outside_it():
+    # a name in a module's __all__ is the package's (gradedwords._EXPORTS), or
+    # another module of the package imports it, directly or through the
+    # command line's table of layers; a name only tests call is not exported
+    root = Path(__file__).resolve().parent.parent / "src" / "gradedwords"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    exported = {
+        module: ast.literal_eval(node.value)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+        and isinstance(node.value, ast.List)
+    }
+    imported = {
+        (node.module, alias.name)
+        for importer, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module != importer
+        for alias in node.names
+    }
+    layers = {(module, name) for module, names in cli._LAYERS.items() for name in names}
+    unused = [
+        f"{module}.{name}"
+        for module, names in exported.items()
+        for name in names
+        if name not in gradedwords._EXPORTS.get(module, ())
+        and (module, name) not in imported | layers
+    ]
+    assert "identities" in exported and unused == []
 
 
 def test_every_private_name_the_readme_cites_is_defined():

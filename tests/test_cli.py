@@ -909,6 +909,20 @@ def test_suite_unreadable_manifest_exits_two(tmp_path, capsys):
         assert run(capsys, "suite", "--manifest", str(path)) == (EXIT_CONFIG, "", message)
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('[{"command": "count", "z": [1], "p": ' + "9" * 5000 + ', "k": [1]}]', "(4300 digits)"),
+    ("[" * 100_000, "maximum recursion depth"),
+], ids=["a 5000-digit integer", "100000 nested lists"])
+def test_a_manifest_past_the_json_decoders_limits_exits_two(tmp_path, capsys, text, reason):
+    # each used to escape json.load as a ValueError or a RecursionError: exit 3
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "suite", "--manifest", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"invalid configuration: manifest {path} exceeds the JSON decoder: ")
+    assert reason in err
+
+
 def test_suite_empty_manifest_path_is_refused(capsys):
     # an empty path names no file; it does not select the built-in suite
     code, out, err = run(capsys, "suite", "--manifest", "")

@@ -4,7 +4,6 @@ certification, and the counterexample machinery."""
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -20,29 +19,14 @@ from gradedwords import (
     PoleError,
     PreconditionError,
     multinomial,
+    parse_scalar,
     verify_identity_at_point,
     verify_identity_on_grid,
 )
 from gradedwords import arith, identities
 from gradedwords.cli import EXIT_CONFIG, main
 from conftest import empty_every_memo
-from gradedwords.identities import (
-    _poles_abel_2,
-    _poles_x,
-    _poles_xy,
-    check_absorption,
-    eval_abel_1,
-    eval_abel_2,
-    eval_gmh_special,
-    eval_gould,
-    eval_gould_mohanty,
-    eval_jensen,
-    eval_kmpink,
-    eval_kmx,
-    eval_raney_mohanty_2,
-    eval_rothe_1,
-    eval_rothe_2,
-)
+from gradedwords.identities import _poles_abel_2, _poles_x, _poles_xy
 
 ALL_NAMES = [
     "abel-1", "abel-2", "rothe-1", "rothe-2", "gould", "jensen",
@@ -58,214 +42,49 @@ def test_catalog_is_complete():
     assert list(CATALOG) == ALL_NAMES
 
 
-# every catalog entry as its evaluator declares it: free variables, multi-index
-# slot, letter indices taken, m = 1 only, poles, and the public evaluator (None
-# for the coherence entries, which compose two)
+# every catalog entry as its body declares it: free variables, multi-index
+# slot, letter indices taken, m = 1 only, and poles
 DECLARED = {
-    "abel-1": (("x", "y"), "n", (), True, "_poles_abel_1", "eval_abel_1"),
-    "abel-2": (("x", "y"), "n", (), True, "_poles_abel_2", "eval_abel_2"),
-    "rothe-1": (("x", "y"), "n", (), True, "_poles_x", "eval_rothe_1"),
-    "rothe-2": (("x", "y"), "n", (), True, "_poles_xy", "eval_rothe_2"),
-    "gould": (("x", "y", "eps"), "n", (), True, "_no_poles", "eval_gould"),
-    "jensen": (("x", "y"), "n", (), True, "_no_poles", "eval_jensen"),
-    "raney-mohanty-1": (("x", "y"), "n", (), False, "_poles_x", "eval_raney_mohanty_1"),
-    "raney-mohanty-2": (("x", "y"), "n", (), False, "_poles_xy", "eval_raney_mohanty_2"),
-    "mohanty-handa": (("x", "y"), "n", (), False, "_no_poles", "eval_mohanty_handa"),
-    "gould-mohanty": (("x", "y", "eps"), "n", (), False, "_no_poles", "eval_gould_mohanty"),
-    "gmh-special": (("p", "q"), "n", (), False, "_no_poles", "eval_gmh_special"),
-    "kmx": (("p", "q"), "n", (), False, "_no_poles", "eval_kmx"),
-    "kmpink": (("p", "q"), "n", ("i", "j"), False, "_no_poles", "eval_kmpink"),
-    "pkroth": (("p", "q"), "n", (), False, "_no_poles", "eval_pkroth"),
-    "absorption": (("p",), "k", ("i",), False, "_poles_absorption", "check_absorption"),
-    "rm2-decomposition": (("x", "y"), "n", (), False, "_poles_xy", "check_rm2_decomposition"),
-    "mh-expansion": (("x", "y"), "n", (), False, "_no_poles", "check_mh_expansion"),
-    "gould-mohanty-vs-gould": (("x", "y", "eps"), "n", (), True, "_no_poles", None),
-    "raney-mohanty-1-vs-rothe-1": (("x", "y"), "n", (), True, "_poles_x", None),
-    "mohanty-handa-vs-jensen": (("x", "y"), "n", (), True, "_no_poles", None),
-}
-
-# signature and docstring of every public evaluator
-PUBLIC_EVALUATORS = {
-    "eval_abel_1": (
-        "(x: 'Scalar', y: 'Scalar', z: 'Scalar', n: 'int') -> 'tuple[Fraction, Fraction]'",
-        "sum_k C(n,k) x(x-kz)^(k-1) (y+kz)^(n-k)  vs  (x+y)^n.",
-    ),
-    "eval_abel_2": (
-        "(x: 'Scalar', y: 'Scalar', z: 'Scalar', n: 'int') -> 'tuple[Fraction, Fraction]'",
-        (
-            "sum_k C(n,k) x(y+nz)(x-kz)^(k-1)(y+kz)^(n-k-1)  vs  (x+y+nz)(x+y)^(n-1).\n"
-            "\n"
-            "    This is the companion of Abel's identity, normalized so the right side\n"
-            "    is (x+y+nz)(x+y)^(n-1); under y -> y - nz it is the classical symmetric\n"
-            "    form sum_k C(n,k) xy(x-kz)^(k-1)(y-(n-k)z)^(n-k-1) = (x+y)(x+y-nz)^(n-1).\n"
-            "    "
-        ),
-    ),
-    "eval_rothe_1": (
-        "(x: 'Scalar', y: 'Scalar', z: 'Scalar', n: 'int') -> 'tuple[Fraction, Fraction]'",
-        "sum_k (x/(x-kz)) C(x-kz,k) C(y+kz,n-k)  vs  C(x+y,n).",
-    ),
-    "eval_rothe_2": (
-        "(x: 'Scalar', y: 'Scalar', z: 'Scalar', n: 'int') -> 'tuple[Fraction, Fraction]'",
-        (
-            "sum_k xy/((x-kz)(y-(n-k)z)) C(x-kz,k) C(y-(n-k)z,n-k)\n"
-            "    vs  (x+y)/(x+y-nz) C(x+y-nz,n)."
-        ),
-    ),
-    "eval_gould": (
-        (
-            "(x: 'Scalar', y: 'Scalar', z: 'Scalar', eps: 'Scalar', n: 'int')"
-            " -> 'tuple[Fraction, Fraction]'"
-        ),
-        "sum_k C(x-kz,k) C(y+kz,n-k)  vs  sum_k C(x+e-kz,k) C(y-e+kz,n-k).",
-    ),
-    "eval_jensen": (
-        "(x: 'Scalar', y: 'Scalar', z: 'Scalar', n: 'int') -> 'tuple[Fraction, Fraction]'",
-        "sum_k C(x+kz,k) C(y-kz,n-k)  vs  sum_k C(x+y-k,n-k) z^k.",
-    ),
-    "eval_raney_mohanty_1": (
-        (
-            "(x: 'Scalar', y: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
-            " -> 'tuple[Fraction, Fraction]'"
-        ),
-        "sum_{0<=k<=n} (x/(x-k.z)) C(x-k.z,k) C(y+k.z,n-k)  vs  C(x+y,n).",
-    ),
-    "eval_raney_mohanty_2": (
-        (
-            "(x: 'Scalar', y: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
-            " -> 'tuple[Fraction, Fraction]'"
-        ),
-        (
-            "sum_k xy/((x-k.z)(y-(n-k).z)) C(x-k.z,k) C(y-(n-k).z,n-k)\n"
-            "    vs  (x+y)/(x+y-n.z) C(x+y-n.z,n)."
-        ),
-    ),
-    "eval_mohanty_handa": (
-        (
-            "(x: 'Scalar', y: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
-            " -> 'tuple[Fraction, Fraction]'"
-        ),
-        "sum_k C(x+k.z,k) C(y-k.z,n-k)  vs  sum_k C(x+y-|k|,n-k) C(|k|,k) z^k.",
-    ),
-    "eval_gould_mohanty": (
-        (
-            "(x: 'Scalar', y: 'Scalar', eps: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
-            " -> 'tuple[Fraction, Fraction]'"
-        ),
-        "sum_k C(x-k.z,k) C(y+k.z,n-k)  vs  sum_k C(x+e-k.z,k) C(y-e+k.z,n-k).",
-    ),
-    "eval_gmh_special": (
-        (
-            "(p: 'Scalar', q: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
-            " -> 'tuple[Fraction, Fraction]'"
-        ),
-        (
-            "Gould-Mohanty at eps = 1:\n"
-            "    sum_k C(p-k.z,k) C(q+k.z,n-k)  vs  sum_k C(p+1-k.z,k) C(q-1+k.z,n-k)."
-        ),
-    ),
-    "eval_kmx": (
-        (
-            "(p: 'Scalar', q: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
-            " -> 'tuple[Fraction, Fraction]'"
-        ),
-        (
-            "sum_k [ C(p-k.z,k) C(q+k.z,n-k)\n"
-            "              + sum_i sum_{j=1}^{z_i} C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k) ]\n"
-            "    vs  C(p+q,n)."
-        ),
-    ),
-    "eval_kmpink": (
-        (
-            "(p: 'Scalar', q: 'Scalar', n: 'MultiIndex', z: 'MultiIndex', i: 'int', j: 'int')"
-            " -> 'tuple[Fraction, Fraction]'"
-        ),
-        (
-            "sum_k C(p-k.z+j-1,k-e_i) C(q+k.z-j,n-k)\n"
-            "    vs  sum_k C(p-k.z-1,k-e_i) C(q+k.z,n-k),  for 1 <= j <= z_i."
-        ),
-    ),
-    "eval_pkroth": (
-        (
-            "(p: 'Scalar', q: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
-            " -> 'tuple[Fraction, Fraction]'"
-        ),
-        (
-            "sum_k [ C(p-k.z,k) + sum_i z_i C(p-k.z-1,k-e_i) ] C(q+k.z,n-k)\n"
-            "    vs  C(p+q,n)."
-        ),
-    ),
-    "check_absorption": (
-        "(p: 'Scalar', k: 'MultiIndex', z: 'MultiIndex', i: 'int') -> 'tuple[Fraction, Fraction]'",
-        "C(p-k.z-1, k-e_i)  vs  (k_i/(p-k.z)) C(p-k.z, k),  p-k.z != 0.",
-    ),
-    "check_rm2_decomposition": (
-        (
-            "(x: 'Scalar', y: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
-            " -> 'tuple[Fraction, Fraction]'"
-        ),
-        (
-            "The two-sum rewriting of the second Raney-Mohanty form's left side:\n"
-            "\n"
-            "    sum_k xy/((x-k.z)(y-(n-k).z)) C C  vs  (S1 + S2)/(x+y-n.z)  where\n"
-            "    S1 = sum_k (xy/(x-k.z)) C C  and  S2 = sum_k (xy/(y-(n-k).z)) C C.\n"
-            "    "
-        ),
-    ),
-    "check_mh_expansion": (
-        (
-            "(x: 'Scalar', y: 'Scalar', n: 'MultiIndex', z: 'MultiIndex')"
-            " -> 'tuple[Fraction, Fraction]'"
-        ),
-        (
-            "sum_k C(x+k.z,k) C(y-k.z,n-k)\n"
-            "    vs  C(x+y,n) + sum_i sum_k z_i C(x-1+k.z,k-e_i) C(y-k.z,n-k)."
-        ),
-    ),
+    "abel-1": (("x", "y"), "n", (), True, "_poles_abel_1"),
+    "abel-2": (("x", "y"), "n", (), True, "_poles_abel_2"),
+    "rothe-1": (("x", "y"), "n", (), True, "_poles_x"),
+    "rothe-2": (("x", "y"), "n", (), True, "_poles_xy"),
+    "gould": (("x", "y", "eps"), "n", (), True, "_no_poles"),
+    "jensen": (("x", "y"), "n", (), True, "_no_poles"),
+    "raney-mohanty-1": (("x", "y"), "n", (), False, "_poles_x"),
+    "raney-mohanty-2": (("x", "y"), "n", (), False, "_poles_xy"),
+    "mohanty-handa": (("x", "y"), "n", (), False, "_no_poles"),
+    "gould-mohanty": (("x", "y", "eps"), "n", (), False, "_no_poles"),
+    "gmh-special": (("p", "q"), "n", (), False, "_no_poles"),
+    "kmx": (("p", "q"), "n", (), False, "_no_poles"),
+    "kmpink": (("p", "q"), "n", ("i", "j"), False, "_no_poles"),
+    "pkroth": (("p", "q"), "n", (), False, "_no_poles"),
+    "absorption": (("p",), "k", ("i",), False, "_poles_absorption"),
+    "rm2-decomposition": (("x", "y"), "n", (), False, "_poles_xy"),
+    "mh-expansion": (("x", "y"), "n", (), False, "_no_poles"),
+    "gould-mohanty-vs-gould": (("x", "y", "eps"), "n", (), True, "_no_poles"),
+    "raney-mohanty-1-vs-rothe-1": (("x", "y"), "n", (), True, "_poles_x"),
+    "mohanty-handa-vs-jensen": (("x", "y"), "n", (), True, "_no_poles"),
 }
 
 
-def _call_public(name, pt, n, z):
-    """name's public evaluator at pt, called the way its catalog entry reads
-    its signature; i is the last letter and j = 1 where the entry takes them."""
-    entry = CATALOG[name]
-    evaluator = getattr(identities, DECLARED[name][-1])
-    if entry.classical:
-        return evaluator(**pt, n=n[0], z=z[0])
-    letters = {flag: {"i": len(n), "j": 1}[flag] for flag in entry.needs}
-    return evaluator(**pt, **{entry.param_name: n}, z=z, **letters)
+def _sides(spec, point):
+    """The two sides verify_identity_at_point reports for spec at point, read
+    back as exact scalars."""
+    report = verify_identity_at_point(spec, point)
+    return parse_scalar(report.left), parse_scalar(report.right)
 
 
 def test_catalog_is_derived_from_the_evaluators():
     assert list(CATALOG) == list(DECLARED)
-    for name, row in DECLARED.items():
+    for name, (variables, slot, needs, classical, poles) in DECLARED.items():
         entry = CATALOG[name]
-        variables, slot, needs, classical, poles, evaluator = row
         assert entry.name == name
         assert entry.variables == variables, name
         assert (entry.param_name, entry.needs, entry.classical) == (
             slot, frozenset(needs), classical
         ), name
         assert entry.poles is getattr(identities, poles), name
-        if evaluator is None:
-            continue
-        # the entry evaluates what its public evaluator does, off every pole
-        n, z = ((2,), (1,)) if classical else ((1, 1), (1, 2))
-        values = tuple(map(Fraction, (11, 13, 17)))[: len(variables)]
-        pt = dict(zip(variables, values))
-        spec = IdentitySpec(
-            identity=name, n=n, z=z,
-            i=len(n) if "i" in needs else None, j=1 if "j" in needs else None,
-        )
-        table = identities._table[n, z]
-        assert entry.evaluate(values, spec, table) == [_call_public(name, pt, n, z)], name
-    public = [v for v in identities.__all__ if v.startswith(("eval_", "check_"))]
-    assert public == list(PUBLIC_EVALUATORS)
-    for fname, (signature, doc) in PUBLIC_EVALUATORS.items():
-        evaluator = getattr(identities, fname)
-        assert evaluator.__name__ == fname
-        assert str(inspect.signature(evaluator)) == signature, fname
-        assert evaluator.__doc__ == doc, fname
 
 
 def test_identity_variables():
@@ -283,23 +102,23 @@ def test_identity_variables():
 
 def test_abel_1_classical_value():
     # n = 1, z = 1: x + (y + 1) = (x + y) + 1... trivially equal; check n = 2
-    lhs, rhs = eval_abel_1(Fraction(3), Fraction(5), 1, 2)
+    lhs, rhs = _sides(IdentitySpec("abel-1", (2,), (1,)), {"x": Fraction(3), "y": Fraction(5)})
     assert lhs == rhs == Fraction(64)  # (3+5)^2
 
 
 def test_abel_2_symmetric_companion_value():
     # the x(y + nz) prefactor form: at n=1, z=1, x=y=1 both sides give 3
-    lhs, rhs = eval_abel_2(Fraction(1), Fraction(1), 1, 1)
+    lhs, rhs = _sides(IdentitySpec("abel-2", (1,), (1,)), {"x": 1, "y": 1})
     assert lhs == rhs == 3
-    lhs, rhs = eval_abel_2(Fraction(3), Fraction(5), 1, 2)
+    lhs, rhs = _sides(IdentitySpec("abel-2", (2,), (1,)), {"x": 3, "y": 5})
     assert lhs == rhs == (3 + 5 + 2) * (3 + 5)  # (x+y+nz)(x+y)^{n-1}
 
 
 def test_abel_forms_need_nonzero_x():
     with pytest.raises(PoleError):
-        eval_abel_1(Fraction(0), Fraction(5), 1, 2)
-    with pytest.raises(PoleError):
-        eval_abel_2(Fraction(2), Fraction(-2), 1, 2)  # y + nz = 0
+        verify_identity_at_point(IdentitySpec("abel-1", (2,), (1,)), {"x": 0, "y": 5})
+    with pytest.raises(PoleError):  # y + nz = 0
+        verify_identity_at_point(IdentitySpec("abel-2", (2,), (1,)), {"x": 2, "y": -2})
 
 
 @pytest.mark.parametrize(
@@ -313,15 +132,12 @@ def test_abel_forms_need_nonzero_x():
         ("abel-2", 0, 2, (3, -3), "x + y"),
     ],
 )
-def test_abel_poles_are_refused_by_the_evaluators_and_verify_point(
-    name, n, z, point, pole, capsys
-):
+def test_abel_poles_are_refused_by_the_library_and_the_cli(name, n, z, point, pole, capsys):
     # the Abel sides read x/x, (y + nz)/(y + nz) and, at n = 0, (x + y)/(x + y)
     # as 1, so only the pole check stands between such a point and a value
-    evaluator = {"abel-1": eval_abel_1, "abel-2": eval_abel_2}[name]
     for x, y in (point, (Fraction(point[0]), Fraction(point[1]))):
         with pytest.raises(PoleError) as err:
-            evaluator(x, y, z, n)
+            verify_identity_at_point(IdentitySpec(name, (n,), (z,)), {"x": x, "y": y})
         assert str(err.value).endswith(f"vanish at this point: {pole}")
     argv = ["verify", name, "--n", str(n), "--z", str(z), "--point", "x={},y={}".format(*point)]
     code = main(argv)
@@ -330,26 +146,30 @@ def test_abel_poles_are_refused_by_the_evaluators_and_verify_point(
 
 
 def test_rothe_1_value_and_poles():
-    lhs, rhs = eval_rothe_1(Fraction(7), Fraction(5), 2, 2)
+    spec = IdentitySpec("rothe-1", (2,), (2,))
+    lhs, rhs = _sides(spec, {"x": Fraction(7), "y": Fraction(5)})
     assert lhs == rhs == multinomial(Fraction(12), (2,))
     with pytest.raises(PoleError) as err:
-        eval_rothe_1(Fraction(2), Fraction(5), 2, 2)  # x = 1*z
+        verify_identity_at_point(spec, {"x": Fraction(2), "y": Fraction(5)})  # x = 1*z
     assert "x" in str(err.value)
 
 
 def test_gould_shift_invariance_chain():
     # the eps-shift leaves the convolution sum unchanged, so composing two
     # shifts agrees with the combined shift
-    x, y, z, n = Fraction(9), Fraction(4), 2, 3
-    first = eval_gould(x, y, z, Fraction(1, 2), n)
-    second = eval_gould(x + Fraction(1, 2), y - Fraction(1, 2), z, Fraction(1, 3), n)
-    combined = eval_gould(x, y, z, Fraction(5, 6), n)
+    x, y, spec = Fraction(9), Fraction(4), IdentitySpec("gould", (3,), (2,))
+    first = _sides(spec, {"x": x, "y": y, "eps": Fraction(1, 2)})
+    second = _sides(
+        spec, {"x": x + Fraction(1, 2), "y": y - Fraction(1, 2), "eps": Fraction(1, 3)}
+    )
+    combined = _sides(spec, {"x": x, "y": y, "eps": Fraction(5, 6)})
     assert first[0] == first[1] == second[0] == second[1]
     assert combined == (first[0], second[1])
 
 
 def test_jensen_value():
-    lhs, rhs = eval_jensen(Fraction(1, 2), Fraction(1, 3), 2, 2)
+    spec = IdentitySpec("jensen", (2,), (2,))
+    lhs, rhs = _sides(spec, {"x": Fraction(1, 2), "y": Fraction(1, 3)})
     assert lhs == rhs
 
 
@@ -389,25 +209,25 @@ def _jensen(x, y, z, n):
 _POINT_VALUES = [0, 1, -2, 3, Fraction(5, 2), Fraction(-1, 3)]
 
 
-# criterion 7 compares the multi-index evaluators at m = 1 with these four,
+# criterion 7 compares the multi-index identities at m = 1 with these four,
 # so they are checked here against formulas that share none of their code
-@pytest.mark.parametrize("evaluator, reference", [
-    (eval_rothe_1, _rothe_1), (eval_rothe_2, _rothe_2),
-    (eval_gould, _gould), (eval_jensen, _jensen),
+@pytest.mark.parametrize("name, reference", [
+    ("rothe-1", _rothe_1), ("rothe-2", _rothe_2), ("gould", _gould), ("jensen", _jensen),
 ], ids=["rothe-1", "rothe-2", "gould", "jensen"])
-def test_classical_evaluators_match_the_textbook_formulas(evaluator, reference):
-    variables = [v for v in inspect.signature(evaluator).parameters if v not in ("z", "n")]
+def test_classical_evaluators_match_the_textbook_formulas(name, reference):
+    variables = CATALOG[name].variables
     evaluated = 0
-    for n, z in itertools.product(range(5), (0, 1, 2, Fraction(1, 2))):
+    for n, z in itertools.product(range(5), (0, 1, 2, 3)):
+        spec = IdentitySpec(name, (n,), (z,))
         for values in itertools.product(_POINT_VALUES, repeat=len(variables)):
             point = dict(zip(variables, values))
             try:
                 expected = reference(**point, z=z, n=n)
             except ZeroDivisionError:  # a textbook denominator vanishes: a declared pole
                 with pytest.raises(PoleError):
-                    evaluator(**point, z=z, n=n)
+                    verify_identity_at_point(spec, point)
                 continue
-            assert evaluator(**point, z=z, n=n) == expected, (point, z, n)
+            assert _sides(spec, point) == expected, (point, z, n)
             assert expected[0] == expected[1], (point, z, n)
             evaluated += 1
     swept = 20 * len(_POINT_VALUES) ** len(variables)  # 5 values of n times 4 of z
@@ -604,11 +424,10 @@ def _every_letter(needs, n, z):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_every_side_matches_its_textbook_formula(name):
     # each side separately, through the catalog's positional call and through
-    # the public evaluator: exchanging two arguments of a body (gould's z and
-    # eps, say) can leave an identity that still holds on every grid
+    # the point check: exchanging two arguments of a body (gould's z and eps,
+    # say) can leave an identity that still holds on every grid
     entry = CATALOG[name]
     multi, single = COHERENT.get(name, (name, None))
-    evaluator = None if single else getattr(identities, DECLARED[name][-1])
     evaluated = swept = 0
     for n, z in _REFERENCE_SHAPES:
         if entry.classical and len(n) > 1:
@@ -625,6 +444,7 @@ def test_every_side_matches_its_textbook_formula(name):
             point = dict(zip(entry.variables, values))  # the references bind by name
             where = (name, n, z, i, j, point)
             swept += 1
+            spec = IdentitySpec(name, n, z, i=i, j=j)
             try:
                 expected = [REFERENCES[multi](**point, **fixed)]
                 if single:
@@ -632,41 +452,40 @@ def test_every_side_matches_its_textbook_formula(name):
                     (left, right), (single_left, single_right) = expected[0], single_pair
                     expected = [(left, single_left), (right, single_right), (left, right)]
             except ZeroDivisionError:  # a textbook denominator vanishes: a declared pole
-                if evaluator:
-                    with pytest.raises(PoleError):
-                        evaluator(**point, **fixed)
+                with pytest.raises(PoleError):
+                    verify_identity_at_point(spec, point)
                 continue
-            spec = IdentitySpec(name, n, z, i=i, j=j)
             pairs = entry.evaluate(values, spec, identities._table[n, z])
             assert len(pairs) == len(expected), where
             for (left, right), (want_left, want_right) in zip(pairs, expected):
                 assert left == want_left and right == want_right, where
                 assert want_left == want_right, where
-            if evaluator:
-                assert evaluator(**point, **fixed) == expected[0], where
+            assert _sides(spec, point) == expected[0], where
             evaluated += 1
     assert 2 * evaluated > swept  # most points are off the poles
 
 
 def test_kmx_equals_vandermonde_total():
-    lhs, rhs = eval_kmx(Fraction(6), Fraction(3), (2,), (1,))
+    lhs, rhs = _sides(IdentitySpec("kmx", (2,), (1,)), {"p": Fraction(6), "q": Fraction(3)})
     assert lhs == rhs == multinomial(Fraction(9), (2,))
 
 
 def test_absorption_value():
     # C(p - k.z - 1, k - e_i) = (k_i / (p - k.z)) C(p - k.z, k)
-    lhs, rhs = check_absorption(Fraction(10), (2, 1), (1, 2), 1)
+    spec = IdentitySpec("absorption", (2, 1), (1, 2), i=1)
+    lhs, rhs = _sides(spec, {"p": Fraction(10)})
     assert lhs == rhs
     with pytest.raises(PoleError):
-        check_absorption(Fraction(4), (2, 1), (1, 2), 1)  # p - k.z = 0
+        verify_identity_at_point(spec, {"p": Fraction(4)})  # p - k.z = 0
 
 
-def test_evaluators_return_exact_fractions():
-    lhs, rhs = eval_gould_mohanty(
-        Fraction(7, 2), Fraction(5, 3), Fraction(1, 5), (1, 1), (1, 2)
+def test_point_sides_are_exact_fractions():
+    report = verify_identity_at_point(
+        IdentitySpec("gould-mohanty", (1, 1), (1, 2)),
+        {"x": Fraction(7, 2), "y": Fraction(5, 3), "eps": Fraction(1, 5)},
     )
-    assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
-    assert lhs == rhs
+    assert report.ok and report.left == report.right
+    assert type(parse_scalar(report.left)) is Fraction
 
 
 def _default_spec(name, n=None, z=None):
@@ -695,15 +514,14 @@ def test_grid_path_stays_in_int_and_fraction_arithmetic():
             for values in itertools.product(*(axes[v] for v in entry.variables)):
                 for pair in entry.evaluate(values, spec, table):
                     assert all(type(v) in (int, Fraction) for v in pair), (name, n, z, values)
-    # the public evaluators return two Fractions at int and integral-Fraction inputs
-    for name, row in DECLARED.items():
-        if row[-1] is None:
-            continue
+    # a point of integral Fractions reports what the same point of ints does
+    for name, entry in CATALOG.items():
         spec = _default_spec(name)
-        for values in ((11, 13, 17), (Fraction(11), Fraction(13), Fraction(17))):
-            pt = dict(zip(CATALOG[name].variables, values))
-            pair = _call_public(name, pt, spec.n, spec.z)
-            assert [type(v) for v in pair] == [Fraction, Fraction], (name, values)
+        reports = [
+            verify_identity_at_point(spec, dict(zip(entry.variables, values))).to_dict()
+            for values in ((11, 13, 17), (Fraction(11), Fraction(13), Fraction(17)))
+        ]
+        assert reports[0] == reports[1] and reports[0]["verdict"] == "equal", name
     # C(x, n) is an int at every integer x, negative ones included
     for x in range(-6, 9):
         for n in ((0,), (3,), (2, 1), (1, 0, 2), (1, -1), ()):
@@ -712,41 +530,28 @@ def test_grid_path_stays_in_int_and_fraction_arithmetic():
     assert type(multinomial(Fraction(1, 2), (2,))) is Fraction
 
 
-PUBLIC = [name for name, row in DECLARED.items() if row[-1] is not None]
-
-
 @given(
-    name=st.sampled_from(PUBLIC),
-    slot=st.integers(min_value=0, max_value=3),
+    name=st.sampled_from(ALL_NAMES),
+    slot=st.integers(min_value=0, max_value=2),
     bad=st.one_of(st.booleans(), st.floats()),
-    via_point=st.booleans(),
 )
 @settings(max_examples=200)
-def test_float_and_bool_variables_are_refused(name, slot, bad, via_point):
+def test_float_and_bool_variables_are_refused(name, slot, bad):
     entry = CATALOG[name]
-    spec = _default_spec(name)
     pt = dict(zip(entry.variables, (11, 13, 17)))
-    z = spec.z
-    # the classical forms also take their scalar z from the caller
-    targets = list(entry.variables) + (["z"] if entry.classical and not via_point else [])
-    target = targets[slot % len(targets)]
-    if target == "z":
-        z = (bad,)
-    else:
-        pt[target] = bad
+    target = entry.variables[slot % len(entry.variables)]
+    pt[target] = bad
     with pytest.raises(PreconditionError, match=f"^{target} must be an int or a Fraction"):
-        if via_point:
-            verify_identity_at_point(spec, pt)
-        else:
-            _call_public(name, pt, spec.n, z)
+        verify_identity_at_point(_default_spec(name), pt)
 
 
 def test_letter_indices_must_be_naturals():
     for i, j in ((True, 1), (1, True), (1.0, 1), (1, 1.0)):
+        spec = IdentitySpec("kmpink", (1, 1), (1, 2), i=i, j=j)
         with pytest.raises(PreconditionError, match="must be a natural number"):
-            verify_identity_on_grid(IdentitySpec("kmpink", (1, 1), (1, 2), i=i, j=j))
+            verify_identity_on_grid(spec)
         with pytest.raises(PreconditionError, match="must be a natural number"):
-            eval_kmpink(11, 13, (1, 1), (1, 2), i, j)
+            verify_identity_at_point(spec, {"p": 11, "q": 13})
     with pytest.raises(PreconditionError, match="must be a natural number"):
         verify_identity_on_grid(IdentitySpec("absorption", (1, 1), (1, 2), i=True))
     report = verify_identity_on_grid(IdentitySpec("kmpink", (1, 1), (1, 2), i=1, j=1))
@@ -759,7 +564,7 @@ def test_letter_indices_must_be_naturals():
 # ---------------------------------------------------------------------------
 
 HALF = Fraction(1, 2)
-CLASSICAL_SPECS = [((n,), (z,)) for z in (0, 1, 2, HALF) for n in range(4)]
+CLASSICAL_SPECS = [((n,), (z,)) for z in (0, 1, 2, 3) for n in range(4)]
 MULTI_SPECS = [(n, z) for z in ((1, 2), (0, 1)) for n in ((0, 0), (1, 0), (1, 1), (2, 1))]
 
 
@@ -778,8 +583,8 @@ POLE_SWEEPS = {
 def test_every_rational_evaluator_is_swept():
     rational = {
         name
-        for name, row in DECLARED.items()
-        if row[-1] is not None and CATALOG[name].poles((1,), (1,))
+        for name, entry in CATALOG.items()
+        if name not in COHERENT and entry.poles((1,), (1,))
     }
     assert rational == set(POLE_SWEEPS)
 
@@ -796,6 +601,7 @@ def test_declared_poles_are_complete(name):
     entry = CATALOG[name]
     variables = entry.variables
     for n, z in POLE_SWEEPS[name]:
+        spec = _default_spec(name, n, z)
         poles = entry.poles(n, z)
         hit = set()
         axes = [_near_poles(poles, v) for v in variables]
@@ -804,11 +610,10 @@ def test_declared_poles_are_complete(name):
             on = {p for p in poles if sum(pt[v] for v in p.vars) == p.c}
             if on:
                 with pytest.raises(PoleError):
-                    _call_public(name, pt, n, z)
+                    verify_identity_at_point(spec, pt)
                 hit |= on
             else:
-                lhs, rhs = _call_public(name, pt, n, z)
-                assert lhs == rhs, (name, n, z, pt)
+                assert verify_identity_at_point(spec, pt).ok, (name, n, z, pt)
         assert hit == set(poles), (name, n, z)
 
 
@@ -821,7 +626,7 @@ def test_pole_labels_read_as_linear_forms():
     assert [p.label for p in _poles_x((2,), (HALF,))] == ["x", "x - 1/2", "x - 1"]
     # k = (1, 0) and (0, 1) both give k.z = 1: the message names x - 1 once
     with pytest.raises(PoleError, match=r"point: x - 1; y - 1; x \+ y - 2$"):
-        eval_raney_mohanty_2(1, 1, (1, 1), (1, 1))
+        verify_identity_at_point(IdentitySpec("raney-mohanty-2", (1, 1), (1, 1)), {"x": 1, "y": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -830,11 +635,16 @@ def test_pole_labels_read_as_linear_forms():
 # ---------------------------------------------------------------------------
 
 
+def _telescope(n, z, x, y, shift):
+    """Gould-Mohanty's two sides at eps = shift, and gmh-special's at each
+    unit step (x + t, y - t) for t = 0..shift - 1."""
+    sides = _sides(IdentitySpec("gould-mohanty", n, z), {"x": x, "y": y, "eps": shift})
+    special = IdentitySpec("gmh-special", n, z)
+    return sides, [_sides(special, {"p": x + t, "q": y - t}) for t in range(shift)]
+
+
 def test_gould_mohanty_integer_eps_telescopes_through_gmh_special():
-    n, z = (2,), (2,)
-    x, y, shift = Fraction(11), Fraction(9), 4
-    lhs, rhs = eval_gould_mohanty(x, y, Fraction(shift), n, z)
-    chain = [eval_gmh_special(x + t, y - t, n, z) for t in range(shift)]
+    (lhs, rhs), chain = _telescope((2,), (2,), Fraction(11), Fraction(9), 4)
     for left, right in chain:
         assert left == right  # each unit step is an identity instance
     for (_, right), (nxt_left, _) in zip(chain, chain[1:]):
@@ -844,10 +654,7 @@ def test_gould_mohanty_integer_eps_telescopes_through_gmh_special():
 
 
 def test_gould_mohanty_multi_index_telescoping():
-    n, z = (1, 1), (1, 2)
-    x, y, shift = Fraction(8), Fraction(7), 3
-    lhs, rhs = eval_gould_mohanty(x, y, Fraction(shift), n, z)
-    chain = [eval_gmh_special(x + t, y - t, n, z) for t in range(shift)]
+    (lhs, rhs), chain = _telescope((1, 1), (1, 2), Fraction(8), Fraction(7), 3)
     assert chain[0][0] == lhs and chain[-1][1] == rhs
     assert all(left == right for left, right in chain)
 
@@ -929,12 +736,16 @@ def test_a_free_variable_named_t_gets_a_default_axis(monkeypatch):
     monkeypatch.setitem(CATALOG, "planted-t", None)  # undo removes the entry
 
     @identities._identity("planted-t")
-    def eval_planted(t, n, z, table):
+    def planted(t, n, z, table):
         """sum_k C(t, k) C(t, n - k)  vs  C(2t, n)."""
         return sum(ck[t] * cr[t] for _, ck, cr, _, _, _ in table.terms), table.cn[2 * t]
 
     assert CATALOG["planted-t"].variables == ("t",)
-    report = verify_identity_on_grid(IdentitySpec(identity="planted-t", n=(2, 1), z=(1, 2)))
+    spec = IdentitySpec(identity="planted-t", n=(2, 1), z=(1, 2))
+    # the decorator returns the body itself, table parameter and all
+    table = identities._table[spec.n, spec.z]
+    assert CATALOG["planted-t"].evaluate((5,), spec, table) == [planted(5, spec.n, spec.z, table)]
+    report = verify_identity_on_grid(spec)
     assert report.ok
     assert report.grid == {
         "axes": {"t": [0, 1, 2, 3]}, "degree_bounds": {"t": 3}, "skipped": {}, "points": 4
@@ -991,6 +802,13 @@ def test_point_verification_rejects_missing_and_extra_variables():
         verify_identity_at_point(
             spec, {"x": Fraction(5), "y": Fraction(1), "eps": Fraction(1)}
         )
+
+
+def test_point_verification_refuses_a_grid_range():
+    # a point check draws no grid, so a range given with it is refused, not ignored
+    spec = IdentitySpec(identity="rothe-1", n=(2,), z=(1,), grid_range=(0, 9))
+    with pytest.raises(PreconditionError, match="^--point and --grid-range exclude each other$"):
+        verify_identity_at_point(spec, {"x": Fraction(5), "y": Fraction(1)})
 
 
 def test_point_verification_reports_pole_labels():
@@ -1074,10 +892,12 @@ def test_gmh_special_grid_runs_the_gould_mohanty_body_unchecked(monkeypatch):
     spec = IdentitySpec(identity="gmh-special", n=(2, 1), z=(1, 2))
     table = identities._table[spec.n, spec.z]
     pairs = CATALOG["gmh-special"].evaluate((7, 5), spec, table)
+    gould_mohanty = dataclasses.replace(spec, identity="gould-mohanty")
+    assert pairs == CATALOG["gould-mohanty"].evaluate((7, 5, 1), gould_mohanty, table)
     assert calls == []  # no argument or pole re-check per grid point
-    assert pairs == [eval_gould_mohanty(7, 5, 1, (2, 1), (1, 2))]
-    assert eval_gmh_special(Fraction(7, 2), 5, (2, 1), (1, 2)) == eval_gould_mohanty(
-        Fraction(7, 2), 5, 1, (2, 1), (1, 2)
+    monkeypatch.undo()
+    assert _sides(spec, {"p": Fraction(7, 2), "q": 5}) == _sides(
+        gould_mohanty, {"x": Fraction(7, 2), "y": 5, "eps": 1}
     )
 
 
@@ -1269,22 +1089,21 @@ def test_a_grid_inside_a_grid_shares_the_rows(monkeypatch, empty_memos):
     assert len(calls) == len(set(calls)) == 48 + inner[0] == len(_kept())
 
 
-def test_point_checks_and_public_evaluators_read_the_shared_rows(monkeypatch, empty_memos):
+def test_point_checks_read_the_shared_rows(monkeypatch, empty_memos):
     calls = _counting(monkeypatch, ((3,), (1,)), ((2,), (1,)))
     # rothe-1 at n = 3 reads 9 values: C(x - kz, k) C(y + kz, 3 - k) for
-    # k = 0..3, and C(x + y, 3); a second call reads all 9 from the rows
-    eval_rothe_1(7, 5, 1, 3)
+    # k = 0..3, and C(x + y, 3); a second check reads all 9 from the rows
+    spec = IdentitySpec("rothe-1", (3,), (1,))
+    assert verify_identity_at_point(spec, {"x": 7, "y": 5}).ok
     assert len(calls) == 9
-    eval_rothe_1(7, 5, 1, 3)
+    assert verify_identity_at_point(spec, {"x": 7, "y": 5}).ok
     assert len(calls) == 9
     # at x = 7/2 the rows of C(y + kz, 3 - k) already hold y = 5's values
-    assert eval_rothe_1(Fraction(7, 2), 5, 1, 3)[0] == eval_rothe_1.__wrapped__(
-        Fraction(7, 2), 5, 1, 3, identities._table[(3,), (1,)]
-    )[0]
+    assert verify_identity_at_point(spec, {"x": Fraction(7, 2), "y": 5}).ok
     assert len(calls) == 9 + 5
     report = verify_identity_at_point(IdentitySpec("gould", (2,), (1,)), {"x": 3, "y": 5, "eps": 1})
     assert report.ok and len(calls) == len(set(calls)) == len(_kept())
-    # the point check and the evaluator read the rows of one table per (n, z)
+    # the point checks read the rows of one table per (n, z)
     assert identities._table[(3,), (1,)].cn is identities._ROWS[(3,)]
 
 

@@ -486,6 +486,23 @@ def test_solution_coefficients_are_natural():
         assert all(c.denominator == 1 and c >= 0 for c in v.coeffs.values())
 
 
+@pytest.mark.parametrize("pair, message", [
+    (((-1, 2), 5), "exponent entry must be a natural number, got -1"),
+    (((-1, 2), 0), "exponent entry must be a natural number, got -1"),
+    (((1.0, 0), 1), "exponent entry must be a natural number, got 1.0"),
+    (((True, 0), 1), "exponent entry must be a natural number, got True"),
+    (((1, 0), 1.0), "value must be an int or a Fraction, got 1.0"),
+    (((1, 0), True), "value must be an int or a Fraction, got True"),
+])
+def test_verify_solution_refuses_a_malformed_expected_pair(pair, message):
+    # a negative exponent entry used to read as a missing coefficient (a false
+    # mismatch against 5, a pass against 0), and a float or bool as an int
+    with pytest.raises(PreconditionError, match=f"^expect_coefficients {message}$"):
+        verify_solution((1, 2), 4, [pair])
+    report = verify_solution((1, 2), 4, [((1, 0), 1), ((1, 1), Fraction(3))])
+    assert report.ok and report.details["expected_coefficients_checked"] == 2
+
+
 def test_raney_closed_form_single_variable():
     # for m = 1 the coefficients are the Fuss-Catalan numbers
     # (1/(zk+1)) C(zk+1, k); check them directly for z = 3
