@@ -300,15 +300,20 @@ def test_every_side_at_an_integer_point_is_an_int(monkeypatch):
     seen, bad = collections.Counter(), []
     for name, entry in list(CATALOG.items()):
 
-        def spy(values, spec, table, evaluate=entry.evaluate, name=name):
-            pairs = evaluate(values, spec, table)
-            if all(type(v) is int for v in values):
-                seen[name] += 1
-                if any(type(v) is not int for pair in pairs for v in pair):
-                    bad.append((name, spec, values, pairs))
-            return pairs
+        def spy(spec, table, bind=entry.bind, name=name):
+            pairs_at = bind(spec, table)
 
-        monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, evaluate=spy))
+            def pairs_spied(*values):
+                pairs = pairs_at(*values)
+                if all(type(v) is int for v in values):
+                    seen[name] += 1
+                    if any(type(v) is not int for pair in pairs for v in pair):
+                        bad.append((name, spec, values, pairs))
+                return pairs
+
+            return pairs_spied
+
+        monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, bind=spy))
     for spec in _catalog_sweep():
         assert verify_identity_on_grid(spec).ok
     payload, code = run_suite(default_manifest(), jobs=1)
@@ -361,13 +366,13 @@ def test_every_side_has_degree_at_most_the_grid_bound_along_generic_lines():
         entry = CATALOG[spec.identity]
         spec = _validate(spec, entry)
         _, _, degree = _select_axes(spec, entry)
-        table = _table[spec.n, spec.z]
+        pairs_at = entry.bind(spec, _table[spec.n, spec.z])
         base = [1009 + 101 * j for j in range(len(entry.variables))]
         for axis, var in enumerate(entry.variables):
             line = []
             for t in range(degree + 2):
                 values = tuple(b + t * (j == axis) for j, b in enumerate(base))
-                line.append([side for pair in entry.evaluate(values, spec, table) for side in pair])
+                line.append([side for pair in pairs_at(*values) for side in pair])
             for diffs in zip(*line):  # one side along the line
                 for _ in range(degree):
                     diffs = [b - a for a, b in zip(diffs, diffs[1:])]

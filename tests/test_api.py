@@ -161,6 +161,19 @@ def test_no_module_rebinds_a_global():
     assert found == []
 
 
+def test_no_module_generates_code():
+    # every call into the package is written out in its source: no module
+    # names exec, eval or compile, so none runs code it built as text
+    root = Path(__file__).resolve().parent.parent / "src" / "gradedwords"
+    found = [
+        (path.name, node.lineno, node.id)
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id in ("exec", "eval", "compile")
+    ]
+    assert found == []
+
+
 def test_every_memo_is_bounded():
     # a memo that grows with its inputs can take the process's memory: every
     # memo of inputs is a _Memo, made only by the _Cap that bounds it, and

@@ -421,10 +421,11 @@ def test_verify_point_missing_or_extra_variable_whatever_the_order(capsys):
 def test_verify_mismatch_exits_one_with_counterexample(capsys, monkeypatch):
     entry = CATALOG["rothe-1"]
 
-    def broken(values, spec, table):
-        return [(left, right + 1) for left, right in entry.evaluate(values, spec, table)]
+    def broken(spec, table):
+        pairs_at = entry.bind(spec, table)
+        return lambda *values: [(left, right + 1) for left, right in pairs_at(*values)]
 
-    monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, evaluate=broken))
+    monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, bind=broken))
     code, payload = run_json(capsys, "verify", "rothe-1", "--n", "2", "--z", "1")
     assert code == EXIT_COUNTEREXAMPLE
     assert payload["verdict"] == "mismatch"
@@ -434,10 +435,11 @@ def test_verify_mismatch_exits_one_with_counterexample(capsys, monkeypatch):
 def test_text_output_prints_a_counterexample_once(capsys, monkeypatch):
     entry = CATALOG["rothe-1"]
 
-    def broken(values, spec, table):
-        return [(left, right + 1) for left, right in entry.evaluate(values, spec, table)]
+    def broken(spec, table):
+        pairs_at = entry.bind(spec, table)
+        return lambda *values: [(left, right + 1) for left, right in pairs_at(*values)]
 
-    monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, evaluate=broken))
+    monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, bind=broken))
     code, out, err = run(capsys, "verify", "rothe-1", "--n", "2", "--z", "1", "--format", "text")
     assert code == EXIT_COUNTEREXAMPLE and err == ""
     assert out.count("counterexample:") == 1 and "rerun" in out

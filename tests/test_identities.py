@@ -423,8 +423,8 @@ def _every_letter(needs, n, z):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_every_side_matches_its_textbook_formula(name):
-    # each side separately, through the catalog's positional call and through
-    # the point check: exchanging two arguments of a body (gould's z and eps,
+    # each side separately, through the entry's bound body and through the
+    # point check: exchanging two arguments of a body (gould's x and eps,
     # say) can leave an identity that still holds on every grid
     entry = CATALOG[name]
     multi, single = COHERENT.get(name, (name, None))
@@ -455,7 +455,7 @@ def test_every_side_matches_its_textbook_formula(name):
                 with pytest.raises(PoleError):
                     verify_identity_at_point(spec, point)
                 continue
-            pairs = entry.evaluate(values, spec, identities._table[n, z])
+            pairs = entry.bind(spec, identities._table[n, z])(*values)
             assert len(pairs) == len(expected), where
             for (left, right), (want_left, want_right) in zip(pairs, expected):
                 assert left == want_left and right == want_right, where
@@ -510,9 +510,9 @@ def test_grid_path_stays_in_int_and_fraction_arithmetic():
         for n, z in shapes:
             spec = identities._validate(_default_spec(name, n, z), entry)
             axes, _, _ = identities._select_axes(spec, entry)
-            table = identities._table[n, z]
+            pairs_at = entry.bind(spec, identities._table[n, z])
             for values in itertools.product(*(axes[v] for v in entry.variables)):
-                for pair in entry.evaluate(values, spec, table):
+                for pair in pairs_at(*values):
                     assert all(type(v) in (int, Fraction) for v in pair), (name, n, z, values)
     # a point of integral Fractions reports what the same point of ints does
     for name, entry in CATALOG.items():
@@ -732,19 +732,33 @@ def test_a_default_axis_starts_past_a_planted_pole(monkeypatch):
 def test_a_free_variable_named_t_gets_a_default_axis(monkeypatch):
     # the grid knows no variable by name: a body in t alone, Vandermonde's
     # sum_k C(t, k) C(t, n - k) = C(2t, n), verifies on a default grid whose
-    # one axis starts at 0
+    # one axis starts at 0.  Its fixed parameters z and table come first
     monkeypatch.setitem(CATALOG, "planted-t", None)  # undo removes the entry
+    received = []
 
     @identities._identity("planted-t")
-    def planted(t, n, z, table):
+    def planted(z, table, t):
         """sum_k C(t, k) C(t, n - k)  vs  C(2t, n)."""
-        return sum(ck[t] * cr[t] for _, ck, cr, _, _, _ in table.terms), table.cn[2 * t]
+        received.append((z, table))
+        return [(sum(ck[t] * cr[t] for _, ck, cr, _, _, _ in table.terms), table.cn[2 * t])]
 
     assert CATALOG["planted-t"].variables == ("t",)
+    assert (CATALOG["planted-t"].param_name, CATALOG["planted-t"].needs) == ("n", frozenset())
     spec = IdentitySpec(identity="planted-t", n=(2, 1), z=(1, 2))
-    # the decorator returns the body itself, table parameter and all
+    # the decorator returns the body itself, table parameter and all, and the
+    # entry binds it to spec.z and the terms table of (n, z)
     table = identities._table[spec.n, spec.z]
-    assert CATALOG["planted-t"].evaluate((5,), spec, table) == [planted(5, spec.n, spec.z, table)]
+    assert CATALOG["planted-t"].bind(spec, table)(5) == planted(spec.z, table, 5)
+    assert received[0] == received[1] and received[0][0] == spec.z
+    assert received[0][1] is table
+    # a fixed name after a free variable is refused at declaration, by name
+    with pytest.raises(TypeError, match="planted-late"):
+
+        @identities._identity("planted-late")
+        def late(x, table):
+            return [(table.cn[x], table.cn[x])]
+
+    assert "planted-late" not in CATALOG
     report = verify_identity_on_grid(spec)
     assert report.ok
     assert report.grid == {
@@ -891,9 +905,9 @@ def test_gmh_special_grid_runs_the_gould_mohanty_body_unchecked(monkeypatch):
     monkeypatch.setattr(identities, "_check_poles", lambda *args: calls.append(args))
     spec = IdentitySpec(identity="gmh-special", n=(2, 1), z=(1, 2))
     table = identities._table[spec.n, spec.z]
-    pairs = CATALOG["gmh-special"].evaluate((7, 5), spec, table)
+    pairs = CATALOG["gmh-special"].bind(spec, table)(7, 5)
     gould_mohanty = dataclasses.replace(spec, identity="gould-mohanty")
-    assert pairs == CATALOG["gould-mohanty"].evaluate((7, 5, 1), gould_mohanty, table)
+    assert pairs == CATALOG["gould-mohanty"].bind(gould_mohanty, table)(7, 5, 1)
     assert calls == []  # no argument or pole re-check per grid point
     monkeypatch.undo()
     assert _sides(spec, {"p": Fraction(7, 2), "q": 5}) == _sides(
@@ -904,11 +918,11 @@ def test_gmh_special_grid_runs_the_gould_mohanty_body_unchecked(monkeypatch):
 def test_mismatch_produces_counterexample_with_rerun_command(monkeypatch):
     entry = CATALOG["rothe-1"]
 
-    def broken(values, spec, table):
-        pairs = entry.evaluate(values, spec, table)
-        return [(left, right + 1) for left, right in pairs]
+    def broken(spec, table):
+        pairs_at = entry.bind(spec, table)
+        return lambda *values: [(left, right + 1) for left, right in pairs_at(*values)]
 
-    monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, evaluate=broken))
+    monkeypatch.setitem(CATALOG, "rothe-1", dataclasses.replace(entry, bind=broken))
     calls = _counterexample_calls(monkeypatch)
     report = verify_identity_on_grid(IdentitySpec(identity="rothe-1", n=(2,), z=(1,)))
     assert not report.ok
@@ -953,14 +967,19 @@ def test_a_later_pair_at_a_later_point_is_the_counterexample(monkeypatch):
     name = "raney-mohanty-1-vs-rothe-1"
     entry = CATALOG[name]
 
-    def broken(values, spec, table):
-        pairs = entry.evaluate(values, spec, table)
-        if dict(zip(entry.variables, values))["x"] == 4:
-            left, right = pairs[2]
-            pairs[2] = (left, right - 1)
-        return pairs
+    def broken(spec, table):
+        pairs_at = entry.bind(spec, table)
 
-    monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, evaluate=broken))
+        def pairs_broken(*values):
+            pairs = pairs_at(*values)
+            if dict(zip(entry.variables, values))["x"] == 4:
+                left, right = pairs[2]
+                pairs[2] = (left, right - 1)
+            return pairs
+
+        return pairs_broken
+
+    monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, bind=broken))
     calls = _counterexample_calls(monkeypatch)
     report = verify_identity_on_grid(IdentitySpec(identity=name, n=(2,), z=(1,)))
     assert report.verdict == "mismatch"
@@ -1038,14 +1057,19 @@ def test_a_body_that_raises_leaves_only_values_multinomial_returned(monkeypatch,
     entry = CATALOG["kmx"]
     points = []
 
-    def fault(values, spec, table):
-        points.append(values)
-        pairs = entry.evaluate(values, spec, table)
-        if len(points) == 5:
-            raise RuntimeError("body fault")
-        return pairs
+    def fault(spec, table):
+        pairs_at = entry.bind(spec, table)
 
-    monkeypatch.setitem(CATALOG, "kmx", dataclasses.replace(entry, evaluate=fault))
+        def pairs_fault(*values):
+            points.append(values)
+            pairs = pairs_at(*values)
+            if len(points) == 5:
+                raise RuntimeError("body fault")
+            return pairs
+
+        return pairs_fault
+
+    monkeypatch.setitem(CATALOG, "kmx", dataclasses.replace(entry, bind=fault))
     with pytest.raises(RuntimeError, match="body fault"):
         verify_identity_on_grid(IdentitySpec("kmx", (1, 1), (1, 2)))
     kept = _kept()
@@ -1077,13 +1101,18 @@ def test_a_grid_inside_a_grid_shares_the_rows(monkeypatch, empty_memos):
     calls = _counting(monkeypatch, ((2, 1), (1, 2)), ((2,), (1,)))
     inner = []
 
-    def nested(values, spec, table):
-        mark = len(calls)
-        assert verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,))).ok
-        inner.append(len(calls) - mark)
-        return entry.evaluate(values, spec, table)
+    def nested(spec, table):
+        pairs_at = entry.bind(spec, table)
 
-    monkeypatch.setitem(CATALOG, "gould-mohanty", dataclasses.replace(entry, evaluate=nested))
+        def pairs_nested(*values):
+            mark = len(calls)
+            assert verify_identity_on_grid(IdentitySpec("rothe-1", (2,), (1,))).ok
+            inner.append(len(calls) - mark)
+            return pairs_at(*values)
+
+        return pairs_nested
+
+    monkeypatch.setitem(CATALOG, "gould-mohanty", dataclasses.replace(entry, bind=nested))
     assert verify_identity_on_grid(IdentitySpec("gould-mohanty", (2, 1), (1, 2))).ok
     assert len(inner) == 64 and inner[0] > 0 and set(inner[1:]) == {0}
     assert len(calls) == len(set(calls)) == 48 + inner[0] == len(_kept())
